@@ -116,6 +116,24 @@ let serve_conf ~cache =
     knobs = Openmp.Offload.default_knobs;
   }
 
+(* The single-device service: one shard, no batching, stealing or
+   launch memo. *)
+let one_shard base =
+  {
+    Serve.Fleet.base;
+    shards = 1;
+    batch = 1;
+    steal = false;
+    memo = false;
+    tenants = [];
+    devices = [];
+    affinity = true;
+    telemetry = false;
+    shed = true;
+    autoscale = Serve.Autoscale.disabled;
+    decay = 0;
+  }
+
 (* Each case is a named thunk: Bechamel stages it for the ms/run
    estimate, and the allocation probe below calls it directly for the
    minor-GC bytes per run. *)
@@ -149,10 +167,10 @@ let bench_cases ~pool () =
         ignore (Experiments.Schedule_ablation.run ~scale:0.1 ~pool ~cfg ()) );
     ( "serve warm cache",
       fun () ->
-        ignore (Serve.Scheduler.run (serve_conf ~cache:32) ~pool serve_trace) );
+        ignore (Serve.Fleet.run (one_shard (serve_conf ~cache:32)) ~pool serve_trace) );
     ( "serve cold cache",
       fun () ->
-        ignore (Serve.Scheduler.run (serve_conf ~cache:0) ~pool serve_trace) );
+        ignore (Serve.Fleet.run (one_shard (serve_conf ~cache:0)) ~pool serve_trace) );
     (* the same warm-cache trace through the sharded fleet: batching
        merges same-content queue mates into one grid and the content
        memo skips repeat launches entirely, so the delta against "serve
@@ -162,18 +180,11 @@ let bench_cases ~pool () =
       fun () ->
         let fconf =
           {
-            Serve.Fleet.base = serve_conf ~cache:32;
-            shards = 4;
+            (one_shard (serve_conf ~cache:32)) with
+            Serve.Fleet.shards = 4;
             batch = 8;
             steal = true;
             memo = true;
-            tenants = [];
-            devices = [];
-            affinity = true;
-            telemetry = false;
-            shed = true;
-            autoscale = Serve.Autoscale.disabled;
-            decay = 0;
           }
         in
         ignore (Serve.Fleet.run fconf ~pool serve_trace) );
@@ -186,18 +197,12 @@ let bench_cases ~pool () =
       fun () ->
         let fconf =
           {
-            Serve.Fleet.base = serve_conf ~cache:32;
-            shards = 4;
+            (one_shard (serve_conf ~cache:32)) with
+            Serve.Fleet.shards = 4;
             batch = 8;
             steal = true;
             memo = true;
-            tenants = [];
             devices = Serve.Fleet.parse_devices "w32-hw,w64-hw,w16-sw,w32-l2tiny";
-            affinity = true;
-            telemetry = false;
-            shed = true;
-            autoscale = Serve.Autoscale.disabled;
-            decay = 0;
           }
         in
         ignore (Serve.Fleet.run fconf ~pool serve_trace) );
@@ -210,16 +215,12 @@ let bench_cases ~pool () =
         let base = { (serve_conf ~cache:32) with Serve.Scheduler.slo = Some 30_000.0 } in
         let fconf =
           {
-            Serve.Fleet.base;
-            shards = 4;
+            (one_shard base) with
+            Serve.Fleet.shards = 4;
             batch = 8;
             steal = true;
             memo = true;
-            tenants = [];
-            devices = [];
-            affinity = true;
             telemetry = true;
-            shed = true;
             autoscale =
               {
                 Serve.Autoscale.enabled = true;
@@ -251,7 +252,7 @@ let bench_cases ~pool () =
               };
           }
         in
-        ignore (Serve.Scheduler.run conf ~pool serve_trace) );
+        ignore (Serve.Fleet.run (one_shard conf) ~pool serve_trace) );
     (* the same warm-cache trace under a 5% per-block abort plan: the
        delta against "serve warm cache" is the recovery overhead
        (relaunch work + backoff bookkeeping) the service pays for fault
@@ -267,7 +268,7 @@ let bench_cases ~pool () =
             Gpusim.Fault.refresh_from_env ())
           (fun () ->
             ignore
-              (Serve.Scheduler.run (serve_conf ~cache:32) ~pool serve_trace)) );
+              (Serve.Fleet.run (one_shard (serve_conf ~cache:32)) ~pool serve_trace)) );
   ]
 
 (* Minor-GC bytes one run of the case allocates (majors excluded: the

@@ -25,8 +25,8 @@ let scale_term =
    without going through Offload.run, so OMPSIMD_SANITIZE must be
    honored here) and sizing the OMPSIMD_DOMAINS block-simulation pool
    (bit-identical reports either way, see DESIGN.md).  New knob
-   families plug in here — `serve` reads its OMPSIMD_SERVE_* scheduler
-   knobs through {!Serve.Scheduler.config_of_env} from the same spot. *)
+   families plug in here — `serve` reads its OMPSIMD_SERVE_* service
+   knobs through {!Serve.Fleet.config_of_env} from the same spot. *)
 let refresh_env_and_pool () =
   Gpusim.Ompsan.refresh_from_env ();
   Gpusim.Fault.refresh_from_env ();
@@ -397,9 +397,8 @@ let serve_cmd =
   in
   let traffic_term =
     let doc =
-      "Generate N requests with the fleet traffic generator (heavy-tailed \
-       arrivals, bursts, diurnal waves, flash crowds; see --profile).  \
-       Implies the fleet scheduler."
+      "Generate N requests with the traffic generator (heavy-tailed \
+       arrivals, bursts, diurnal waves, flash crowds; see --profile)."
     in
     Arg.(value & opt (some int) None & info [ "traffic" ] ~docv:"N" ~doc)
   in
@@ -411,15 +410,15 @@ let serve_cmd =
   in
   let shards_term =
     let doc =
-      "Run the multi-device fleet scheduler with N shards (overrides \
+      "Serve on N virtual devices (shards; default 1, overrides \
        OMPSIMD_SERVE_SHARDS)."
     in
     Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc)
   in
   let batch_term =
     let doc =
-      "Fleet launch-batching limit: members per merged grid (overrides \
-       OMPSIMD_SERVE_BATCH; implies the fleet scheduler)."
+      "Launch-batching limit: members per merged grid (default 1 = no \
+       batching, overrides OMPSIMD_SERVE_BATCH)."
     in
     Arg.(value & opt (some int) None & info [ "batch" ] ~docv:"K" ~doc)
   in
@@ -431,7 +430,7 @@ let serve_cmd =
   in
   let results_term =
     let doc =
-      "Fleet only: also write the placement-invariant per-request results \
+      "Also write the placement-invariant per-request results \
        (outcome, launches, exec, checksum) as JSON to this file — \
        byte-identical across shard counts and batch limits on \
        admission-lossless configs."
@@ -440,20 +439,19 @@ let serve_cmd =
   in
   let telemetry_term =
     let doc =
-      "Fleet only: stream windowed telemetry (per-shard latency \
+      "Stream windowed telemetry (per-shard latency \
        percentiles, queue depths, breaker states, autoscaler and SLO \
        admission decisions) as JSONL to this file.  Deterministic: \
        byte-identical across engines, pool widths and device shuffles.  \
-       Implies the fleet scheduler; OMPSIMD_SERVE_TELEMETRY=<file> does \
-       the same from the environment."
+       OMPSIMD_SERVE_TELEMETRY=<file> does the same from the environment."
     in
     Arg.(value & opt (some string) None & info [ "telemetry" ] ~docv:"FILE" ~doc)
   in
   let slo_term =
     let doc =
       "Latency SLO in milliseconds of virtual time (1 ms = 1000 ticks; \
-       overrides OMPSIMD_SERVE_SLO_MS).  Arms SLO-aware admission and, \
-       in the fleet, the autoscaler."
+       overrides OMPSIMD_SERVE_SLO_MS).  Arms SLO-aware admission and \
+       the autoscaler."
     in
     Arg.(value & opt (some float) None & info [ "slo" ] ~docv:"MS" ~doc)
   in
@@ -490,116 +488,69 @@ let serve_cmd =
                 "serve: --requests, --synthetic and --traffic are exclusive";
               exit 2
         in
-        (* The single-device scheduler stays the default path so its
-           replay snapshots are untouched; any fleet knob — a flag here
-           or OMPSIMD_SERVE_SHARDS in the environment — opts into the
-           fleet. *)
         (match slo_ms with
         | Some ms when ms <= 0.0 ->
             prerr_endline "serve: --slo must be a positive millisecond value";
             exit 2
         | _ -> ());
-        let fleet_mode =
-          shards <> None || batch <> None || traffic <> None
-          || telemetry_path <> None
-          || Ompsimd_util.Env.var "OMPSIMD_SERVE_SHARDS" <> None
+        let fconf =
+          try Serve.Fleet.config_of_env ~cfg ()
+          with Invalid_argument msg ->
+            Printf.eprintf "serve: %s\n" msg;
+            exit 2
         in
-        if fleet_mode then begin
-          let fconf =
-            try Serve.Fleet.config_of_env ~cfg ()
-            with Invalid_argument msg ->
-              Printf.eprintf "serve: %s\n" msg;
-              exit 2
-          in
-          let fconf =
-            {
-              fconf with
-              Serve.Fleet.shards =
-                Option.value ~default:fconf.Serve.Fleet.shards shards;
-              batch = Option.value ~default:fconf.Serve.Fleet.batch batch;
-              telemetry = fconf.Serve.Fleet.telemetry || telemetry_path <> None;
-            }
-          in
-          (* a --slo override re-derives the autoscaler knobs: they are
-             a function of the SLO (and the final shard count) *)
-          let fconf =
-            match slo_ms with
-            | None -> fconf
-            | Some ms ->
-                let base =
-                  {
-                    fconf.Serve.Fleet.base with
-                    Serve.Scheduler.slo = Some (ms *. 1000.0);
-                  }
-                in
-                {
-                  fconf with
-                  Serve.Fleet.base = base;
-                  autoscale =
-                    Serve.Autoscale.config_of_env
-                      ~slo:base.Serve.Scheduler.slo
-                      ~shards:fconf.Serve.Fleet.shards
-                      ~servers:base.Serve.Scheduler.servers ();
-                }
-          in
-          let res =
-            try Serve.Fleet.run fconf ~pool specs
-            with Invalid_argument msg ->
-              Printf.eprintf "serve: %s\n" msg;
-              exit 2
-          in
-          List.iter
-            (fun r -> print_endline (Serve.Fleet.report_line r))
-            res.Serve.Fleet.reports;
-          print_newline ();
-          print_string (Serve.Fleet.to_text res);
-          Option.iter
-            (fun path ->
-              write path (Serve.Fleet.snapshot_json fconf res) "snapshot")
-            json_path;
-          Option.iter
-            (fun path ->
-              write path
-                (Serve.Fleet.results_json res.Serve.Fleet.reports)
-                "results")
-            results_path;
-          (* --telemetry wins; otherwise the env knob's value is the path *)
-          Option.iter
-            (fun path -> write path res.Serve.Fleet.telemetry "telemetry")
-            (match telemetry_path with
-            | Some p -> Some p
-            | None -> Ompsimd_util.Env.var "OMPSIMD_SERVE_TELEMETRY")
-        end
-        else begin
-          let conf = Serve.Scheduler.config_of_env ~cfg () in
-          let conf =
-            match slo_ms with
-            | None -> conf
-            | Some ms ->
-                { conf with Serve.Scheduler.slo = Some (ms *. 1000.0) }
-          in
-          let reports, metrics = Serve.Scheduler.run conf ~pool specs in
-          List.iter
-            (fun r -> print_endline (Serve.Scheduler.report_line r))
-            reports;
-          print_newline ();
-          print_string (Serve.Metrics.to_text metrics);
-          Option.iter
-            (fun path ->
-              write path
-                (Serve.Scheduler.snapshot_json conf reports metrics
-                ^ "\n")
-                "snapshot")
-            json_path
-        end)
+        let base =
+          match slo_ms with
+          | None -> fconf.Serve.Fleet.base
+          | Some ms ->
+              { fconf.Serve.Fleet.base with Serve.Scheduler.slo = Some (ms *. 1000.0) }
+        in
+        let shards = Option.value ~default:fconf.Serve.Fleet.shards shards in
+        (* the autoscaler knobs are a function of the final SLO and
+           shard count, so they are derived after the flag overrides *)
+        let fconf =
+          {
+            fconf with
+            Serve.Fleet.base;
+            shards;
+            batch = Option.value ~default:fconf.Serve.Fleet.batch batch;
+            telemetry = fconf.Serve.Fleet.telemetry || telemetry_path <> None;
+            autoscale =
+              Serve.Autoscale.config_of_env ~slo:base.Serve.Scheduler.slo ~shards
+                ~servers:base.Serve.Scheduler.servers ();
+          }
+        in
+        let res =
+          try Serve.Fleet.run fconf ~pool specs
+          with Invalid_argument msg ->
+            Printf.eprintf "serve: %s\n" msg;
+            exit 2
+        in
+        List.iter
+          (fun r -> print_endline (Serve.Fleet.report_line r))
+          res.Serve.Fleet.reports;
+        print_newline ();
+        print_string (Serve.Fleet.to_text res);
+        Option.iter
+          (fun path -> write path (Serve.Fleet.snapshot_json fconf res) "snapshot")
+          json_path;
+        Option.iter
+          (fun path ->
+            write path (Serve.Fleet.results_json res.Serve.Fleet.reports) "results")
+          results_path;
+        (* --telemetry wins; otherwise the env knob's value is the path *)
+        Option.iter
+          (fun path -> write path res.Serve.Fleet.telemetry "telemetry")
+          (match telemetry_path with
+          | Some p -> Some p
+          | None -> Ompsimd_util.Env.var "OMPSIMD_SERVE_TELEMETRY"))
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Run the persistent kernel-launch service over a request trace \
-          (deterministic replay) or a seeded synthetic workload — \
-          single-device by default, or the sharded/batching fleet with \
-          --shards/--batch/--traffic")
+          (deterministic replay) or a seeded synthetic workload — one \
+          device by default, a sharded/batching fleet with --shards/--batch")
     Term.(
       const run $ device_term $ requests_term $ synthetic_term $ seed_term
       $ gap_term $ traffic_term $ profile_term $ shards_term $ batch_term

@@ -200,7 +200,7 @@ let watchdog_budget () = !watchdog
 let capture_deadlocks () = !armed || !watchdog > 0.0
 let launch_begin () = if !armed then ignore (Atomic.fetch_and_add nonce 1 : int)
 
-(* The fleet scheduler pins each member launch of a batch to a nonce
+(* The serve fleet pins each member launch of a batch to a nonce
    derived from the request identity, so the faults a request draws are
    a pure function of (plan, request, attempt) — independent of where
    the fleet placed it, whether it was batched, and what launched

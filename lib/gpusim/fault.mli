@@ -91,7 +91,7 @@ val with_nonce : int -> (unit -> 'a) -> 'a
 (** [with_nonce n f] runs [f] with the next armed launch drawing its
     faults at exactly nonce [n], restoring the counter afterwards so
     surrounding sequential launches are unaffected.  This is how the
-    fleet scheduler makes injection a pure function of (plan, request,
+    serve fleet makes injection a pure function of (plan, request,
     attempt) instead of global dispatch order: batched, sharded and
     solo replays of the same request inject identical faults.  A no-op
     when disarmed. *)

@@ -1,5 +1,5 @@
-(* The discrete-event queue shared by the single-device scheduler and
-   the fleet: a binary min-heap on (time, rank, seq).  Completions
+(* The discrete-event queue of the service loop ({!Fleet.run}): a
+   binary min-heap on (time, rank, seq).  Completions
    (rank 0) sort before arrivals (rank 1) at the same tick — a freed
    server picks up the simultaneous arrival instead of bouncing it to
    the queue — and the insertion sequence number makes every comparison

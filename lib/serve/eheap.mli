@@ -1,4 +1,4 @@
-(** Discrete-event queue for the virtual-time schedulers: a binary
+(** Discrete-event queue for the virtual-time service loop: a binary
     min-heap on (time, rank, seq).  Rank 0 events (completions) sort
     before rank 1 events (arrivals) at the same tick, and the internal
     insertion sequence number breaks every remaining tie, so event

@@ -1,9 +1,13 @@
-(* The serve fleet: N virtual devices behind one admission plane.
+(* The service loop: N virtual devices behind one admission plane, in
+   virtual time.  A single-device service is the one-shard fleet.
 
-   Each shard is a full copy of the single-device scheduler's machinery
-   — its own bounded queue, its own executors, its own per-kernel
-   circuit breakers — driven by one global discrete-event heap in
-   virtual time.  Three mechanisms turn the copies into a fleet:
+   Each shard has its own bounded queue, its own executors and its own
+   per-kernel circuit breakers ({!Breaker}); one global discrete-event
+   heap drives them all.  Per shard, admission retries with exponential
+   backoff, dispatch is highest-priority-first, deadlines are enforced
+   while queued and at completion, and failed launches relaunch with
+   backoff until they complete or exhaust the budget.  Three mechanisms
+   turn N shards into a fleet:
 
    * {b Placement} is a consistent-hash ring over the request's
      engine-free content identity ({!Ompir.Kdigest} of the instantiated
@@ -123,11 +127,11 @@ let parse_devices spec =
 
 let config_of_env ~cfg () =
   let base = Scheduler.config_of_env ~cfg () in
-  let shards = Env.int "OMPSIMD_SERVE_SHARDS" ~default:4 in
+  let shards = Env.int "OMPSIMD_SERVE_SHARDS" ~default:1 in
   {
     base;
     shards;
-    batch = Env.int "OMPSIMD_SERVE_BATCH" ~default:8;
+    batch = Env.int "OMPSIMD_SERVE_BATCH" ~default:1;
     steal = Env.flag "OMPSIMD_SERVE_STEAL" ~default:true;
     memo = Env.flag "OMPSIMD_SERVE_MEMO" ~default:true;
     tenants =
@@ -213,7 +217,7 @@ let content_key ~knobs (spec : Request.spec) =
 
 type pending = {
   spec : Request.spec;
-  attempts : int;  (* admissions, as in the single-device scheduler *)
+  attempts : int;  (* admissions; 1 = admitted first try *)
   launches : int;  (* device launches performed *)
   home : int;  (* the shard the ring placed it on *)
   ckey : string;  (* content identity (placement) *)
@@ -245,16 +249,12 @@ type batch_run = {
 
 type event = Arrive of pending | Relaunch of int * pending | Finish of batch_run
 
-type breaker_state = Br_closed | Br_open of float | Br_probing
-
-type breaker = { mutable consecutive : int; mutable br : breaker_state }
-
 type shard_state = {
   sid : int;
   mutable queue : pending list;
   mutable conc : int;  (* concurrency target: servers + autoscaled extra *)
   mutable busy : int;  (* executors occupied; dispatch while busy < conc *)
-  breakers : (string, breaker) Hashtbl.t;
+  breakers : Breaker.t;
   mutable s_placed : int;
   mutable s_queue_max : int;
   mutable s_launches : int;
@@ -518,7 +518,9 @@ let run conf ?pool specs =
           queue = [];
           conc = base.Scheduler.servers;
           busy = 0;
-          breakers = Hashtbl.create 16;
+          breakers =
+            Breaker.create ~threshold:base.Scheduler.breaker
+              ~backoff:base.Scheduler.backoff;
           s_placed = 0;
           s_queue_max = 0;
           s_launches = 0;
@@ -614,55 +616,12 @@ let run conf ?pool specs =
       counters = zero_counters;
     }
   in
-  (* --- per-shard breakers (same policy as the single-device
-     scheduler, but the table is the shard's own: a flaky kernel opens
-     its breaker where it runs, neighbours keep serving it) *)
-  let breaker_for (s : shard_state) key =
-    match Hashtbl.find_opt s.breakers key with
-    | Some b -> b
-    | None ->
-        let b = { consecutive = 0; br = Br_closed } in
-        Hashtbl.add s.breakers key b;
-        b
-  in
-  let breaker_cooldown = 8.0 *. base.Scheduler.backoff in
-  (* `Admit = closed; `Probe = the half-open probe (launch solo);
-     `Shed = open or another probe in flight *)
-  let breaker_admit (s : shard_state) key now =
-    if base.Scheduler.breaker = 0 then `Admit
-    else
-      let b = breaker_for s key in
-      match b.br with
-      | Br_closed -> `Admit
-      | Br_probing -> `Shed
-      | Br_open opened_at ->
-          if now >= opened_at +. breaker_cooldown then begin
-            b.br <- Br_probing;
-            `Probe
-          end
-          else `Shed
-  in
-  let breaker_ok (s : shard_state) key =
-    if base.Scheduler.breaker > 0 then begin
-      let b = breaker_for s key in
-      b.consecutive <- 0;
-      b.br <- Br_closed
-    end
-  in
+  (* per-shard breakers: a flaky kernel opens its breaker where it
+     runs, neighbours keep serving it *)
   let breaker_fail (s : shard_state) key now =
-    if base.Scheduler.breaker > 0 then begin
-      let b = breaker_for s key in
-      b.consecutive <- b.consecutive + 1;
-      match b.br with
-      | Br_probing ->
-          b.br <- Br_open now;
-          incr breaker_opens;
-          s.s_breaker_opens <- s.s_breaker_opens + 1
-      | Br_closed when b.consecutive >= base.Scheduler.breaker ->
-          b.br <- Br_open now;
-          incr breaker_opens;
-          s.s_breaker_opens <- s.s_breaker_opens + 1
-      | Br_closed | Br_open _ -> ()
+    if Breaker.failure s.breakers key ~now then begin
+      incr breaker_opens;
+      s.s_breaker_opens <- s.s_breaker_opens + 1
     end
   in
   (* --- queue plumbing --------------------------------------------------- *)
@@ -693,8 +652,8 @@ let run conf ?pool specs =
   let expired (p : pending) now =
     match p.spec.Request.deadline with Some d when now >= d -> true | _ -> false
   in
-  (* admission failure (full queue / fairness loss): the scheduler's
-     retry-with-backoff policy, shared by newcomers and evictees *)
+  (* admission failure (full queue / fairness loss): retry with
+     exponential backoff, shared by newcomers and evictees *)
   let retry_or_drop ~shard now (p : pending) =
     if p.attempts <= base.Scheduler.max_retries then begin
       incr retries;
@@ -997,7 +956,7 @@ let run conf ?pool specs =
              record (never_ran ~shard:s.sid p Scheduler.Timed_out now)
            else
              let key = okey_of p.spec in
-             match breaker_admit s key now with
+             match Breaker.admit s.breakers key ~now with
              | `Shed -> record (never_ran ~shard:s.sid p Scheduler.Degraded now)
              | `Probe ->
                  (* the half-open probe flies alone: one launch decides
@@ -1092,8 +1051,8 @@ let run conf ?pool specs =
     let s = shards.(sid) in
     if expired p now then record (never_ran ~shard:sid p Scheduler.Timed_out now)
     else
-      (* recovery re-enters past the admission bound, like the
-         single-device scheduler: the request was already accepted *)
+      (* recovery re-enters past the admission bound: the request was
+         already accepted *)
       enqueue s { p with relaunched = true }
   in
   let finish now (b : batch_run) =
@@ -1142,7 +1101,7 @@ let run conf ?pool specs =
           | _ -> false
         in
         if not m.m_failed then begin
-          breaker_ok s b.b_key;
+          Breaker.success s.breakers b.b_key;
           if p.launches > 1 && not past_deadline then incr recovered;
           finished (if past_deadline then Scheduler.Timed_out else Scheduler.Completed)
         end
@@ -1198,11 +1157,7 @@ let run conf ?pool specs =
       Telemetry.sq_depth = List.length s.queue;
       sq_conc = s.conc;
       sq_busy = s.busy;
-      sq_breakers_open =
-        Hashtbl.fold
-          (fun _ (b : breaker) n ->
-            match b.br with Br_closed -> n | Br_open _ | Br_probing -> n + 1)
-          s.breakers 0;
+      sq_breakers_open = Breaker.open_count s.breakers;
     }
   in
   (* The control plane, evaluated once per closed telemetry window:
@@ -1261,22 +1216,14 @@ let run conf ?pool specs =
        the breaker as usual.  (Per-entry mutation + a count: iteration
        order over the table cannot matter.) *)
     let reopens = ref 0 in
-    if base.Scheduler.breaker > 0 then
-      Array.iteri
-        (fun sid (sw : Telemetry.shard_window) ->
-          if sw.Telemetry.w_dev_failures = 0 then
-            Hashtbl.iter
-              (fun _ (b : breaker) ->
-                match b.br with
-                | Br_open opened_at
-                  when opened_at +. breaker_cooldown > w.Telemetry.t1 ->
-                    b.br <-
-                      Br_open (w.Telemetry.t1 -. breaker_cooldown -. 1.0);
-                    incr reopens;
-                    incr breaker_reopens
-                | Br_open _ | Br_closed | Br_probing -> ())
-              shards.(sid).breakers)
-        w.Telemetry.per_shard;
+    Array.iteri
+      (fun sid (sw : Telemetry.shard_window) ->
+        if sw.Telemetry.w_dev_failures = 0 then
+          reopens :=
+            !reopens
+            + Breaker.fast_forward shards.(sid).breakers ~at:w.Telemetry.t1)
+      w.Telemetry.per_shard;
+    breaker_reopens := !breaker_reopens + !reopens;
     let conc_total = Array.fold_left (fun a s -> a + s.conc) 0 shards in
     let queued_total =
       Array.fold_left (fun a s -> a + List.length s.queue) 0 shards
@@ -1415,13 +1362,7 @@ let run conf ?pool specs =
              s_steals = s.s_steals;
              s_queue_max = s.s_queue_max;
              s_breaker_opens = s.s_breaker_opens;
-             s_breakers_open =
-               Hashtbl.fold
-                 (fun _ (b : breaker) n ->
-                   match b.br with
-                   | Br_closed -> n
-                   | Br_open _ | Br_probing -> n + 1)
-                 s.breakers 0;
+             s_breakers_open = Breaker.open_count s.breakers;
              s_retries = s.s_retries;
              s_relaunches = s.s_relaunches;
              s_conc = s.conc;
@@ -1515,8 +1456,8 @@ let report_json (r : rq_report) =
    request computed and how it ended, with no timing and no shard
    assignment.  For configs that lose no requests to admission (ample
    queues, no deadlines) this is byte-identical across shard counts
-   and batch limits — the fleet's analogue of the single-device
-   engine/pool invariance. *)
+   and batch limits — the shape analogue of the snapshot's engine/pool
+   invariance. *)
 let result_json (r : rq_report) =
   Printf.sprintf
     "{\"id\": %d, \"tenant\": \"%s\", \"outcome\": \"%s\", \"launches\": %d, \"exec\": %.3f, \"checksum\": \"%Lx\"}"

@@ -1,9 +1,12 @@
-(** The serve fleet: N virtual devices behind one admission plane.
+(** The service loop: N virtual devices (shards) behind one admission
+    plane, in virtual time.  A single-device service is the one-shard
+    fleet, and that is the default shape ({!config_of_env}).
 
-    Each shard replicates the single-device {!Scheduler} machinery — a
-    bounded admission queue, [servers] executors, per-kernel circuit
-    breakers — all driven by one global event heap in virtual time.
-    Requests are placed by a consistent-hash ring over their engine-free
+    Each shard has a bounded admission queue with retry-with-backoff,
+    [servers] executors dispatching highest-priority-first, deadlines
+    enforced while queued and at completion, relaunch-with-backoff after
+    device failures, and per-kernel circuit breakers ({!Breaker}); one
+    global event heap drives them all.  Requests are placed by a consistent-hash ring over their engine-free
     content identity ({!Ompir.Kdigest} + guardize + resolved pass spec),
     idle shards steal from the deepest neighbour queue, and a dispatching
     shard drains same-content same-geometry queue mates into one merged
@@ -95,8 +98,8 @@ val parse_devices : string -> Gpusim.Config.t list
     @raise Invalid_argument naming the unknown device. *)
 
 val config_of_env : cfg:Gpusim.Config.t -> unit -> config
-(** {!Scheduler.config_of_env} plus [OMPSIMD_SERVE_SHARDS] (default 4),
-    [OMPSIMD_SERVE_BATCH] (8), [OMPSIMD_SERVE_STEAL] (1),
+(** {!Scheduler.config_of_env} plus [OMPSIMD_SERVE_SHARDS] (default 1),
+    [OMPSIMD_SERVE_BATCH] (1), [OMPSIMD_SERVE_STEAL] (1),
     [OMPSIMD_SERVE_MEMO] (1), [OMPSIMD_SERVE_TENANTS] (empty),
     [OMPSIMD_FLEET_DEVICES] (empty = homogeneous),
     [OMPSIMD_FLEET_AFFINITY] (1), [OMPSIMD_FLEET_DECAY] (0),
@@ -192,7 +195,8 @@ val snapshot_json : config -> result -> string
 (** The full machine-readable snapshot: config, per-request reports,
     per-shard and per-tenant breakdowns, fleet counters, aggregate
     metrics.  Bit-identical across [OMPSIMD_EVAL] and
-    [OMPSIMD_DOMAINS], like the single-device snapshot. *)
+    [OMPSIMD_DOMAINS]: the engine and pool width are deliberately not
+    recorded. *)
 
 val to_text : result -> string
 (** Aggregate metrics plus fleet, per-shard and per-tenant lines. *)

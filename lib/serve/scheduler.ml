@@ -1,33 +1,9 @@
-(* The request scheduler: a discrete-event simulation of a persistent
-   kernel-launch service running in virtual time.
-
-   Requests arrive at trace-defined ticks.  Admission is a bounded
-   queue: a full queue rejects (no retry policy) or schedules a
-   retry-with-exponential-backoff re-arrival; requests that exhaust
-   their retries are shed.  [servers] virtual executors dispatch the
-   queue highest-priority-first (FIFO within a priority, ids break
-   ties).  Service time for a request is
-
-     compile component + execution component
-
-   where the execution component is the launch's simulated device time
-   ([Gpusim.Device.report.time_cycles] — bit-identical across engines
-   and pool sizes by the simulator's determinism contract), and the
-   compile component models staged compilation against the cache:
-   a miss charges a cost proportional to the kernel's structural weight
-   and registers the compile as in flight; a request for the same key
-   dispatched before the in-flight compile's virtual completion waits
-   for it (single flight: one compile charged, late requests pay only
-   the residual wait); a hit after that is free.  Host-side the
-   artifact is compiled once per key through {!Cache.find_or_compile} —
-   that is the real, wall-clock amortization the bench measures.
-
-   Nothing reads the host clock and every tie in the event queue is
-   broken by a deterministic sequence number, so a replay of the same
-   trace is bit-identical — the property tools/serve_smoke.sh enforces. *)
+(* The service's shared vocabulary: request outcomes, cache statuses,
+   the per-device service config and the virtual compile charge.  The
+   service loop itself is {!Fleet.run}; a single-device service is a
+   fleet of one shard. *)
 
 module Offload = Openmp.Offload
-module Clause = Openmp.Clause
 
 type outcome =
   | Completed
@@ -55,20 +31,6 @@ let cache_status_to_string = function
   | C_join -> "join"
   | C_none -> "-"
 
-type rq_report = {
-  spec : Request.spec;
-  outcome : outcome;
-  attempts : int;
-  launches : int;  (* device launches performed; 0 = never ran *)
-  start : float;  (* -1 when the request never dispatched *)
-  finish : float;
-  latency : float;  (* finish - arrival *)
-  compile_ticks : float;
-  exec_ticks : float;
-  cache : cache_status;
-  checksum : float;  (* 0 when the kernel never ran *)
-}
-
 type config = {
   cfg : Gpusim.Config.t;
   queue_bound : int;
@@ -78,8 +40,8 @@ type config = {
   backoff : float;  (* base ticks; attempt k waits backoff * 2^(k-1) *)
   breaker : int;  (* consecutive device failures that open it; 0 = off *)
   slo : float option;
-      (* latency SLO in virtual ticks; arms SLO-aware admission (and,
-         in the fleet, the autoscaler); None = no SLO *)
+      (* latency SLO in virtual ticks; arms SLO-aware admission and the
+         autoscaler; None = no SLO *)
   window : float;  (* telemetry/SLO evaluation window, virtual ticks *)
   knobs : Offload.knobs;  (* guardize is overridden per request *)
 }
@@ -118,518 +80,3 @@ let config_of_env ~cfg () =
    in the same decade as their launch times on the small device. *)
 let compile_cost kernel =
   200.0 +. (25.0 *. float_of_int (Ompir.Kdigest.weight kernel))
-
-(* --- event queue ------------------------------------------------------- *)
-
-(* [attempts] counts admissions (the queue-bound retry policy);
-   [launches] counts device launches performed, so the relaunch budget
-   after device failures is independent of admission history. *)
-type pending = { spec : Request.spec; attempts : int; launches : int }
-
-type running = {
-  pending : pending;  (* launches already includes the one in flight *)
-  started : float;
-  r_compile : float;
-  r_exec : float;
-  r_cache : cache_status;
-  r_checksum : float;
-  r_key : string;  (* cache key = breaker key *)
-  r_failed : bool;  (* the launch came back with failed blocks (or hung) *)
-}
-
-(* Relaunch re-enters dispatch exempt from the admission bound: the
-   request was already admitted once, recovery must not lose it. *)
-type event = Arrive of pending | Finish of running | Relaunch of pending
-
-(* --- per-kernel-digest circuit breaker ---------------------------------
-   Closed counts consecutive device failures; at [conf.breaker] of them
-   it opens and sheds every dispatch of that key as Degraded.  After a
-   cooldown of [8 * backoff] ticks the next dispatch goes through as the
-   single half-open probe: success closes, failure reopens. *)
-type breaker_state = Br_closed | Br_open of float (* opened at *) | Br_probing
-
-type breaker = { mutable consecutive : int; mutable br : breaker_state }
-
-(* The event queue lives in {!Eheap}, shared with the fleet scheduler:
-   a (time, rank, seq) min-heap where completions (rank 0) beat
-   arrivals (rank 1) at the same tick and the sequence number makes
-   every comparison strict. *)
-module Heap = Eheap
-
-(* --- the service loop -------------------------------------------------- *)
-
-let run conf ?pool specs =
-  if conf.servers < 1 then invalid_arg "Scheduler.run: servers must be >= 1";
-  if conf.queue_bound < 0 then invalid_arg "Scheduler.run: negative queue bound";
-  if conf.breaker < 0 then invalid_arg "Scheduler.run: negative breaker threshold";
-  if conf.window <= 0.0 then invalid_arg "Scheduler.run: window must be > 0";
-  (* Arm (or disarm) fault injection for the whole replay and rewind the
-     launch nonce: a replay of the same trace under the same fault seed
-     must inject the same faults into the same launches. *)
-  Gpusim.Fault.refresh_from_env ();
-  Gpusim.Fault.reset ();
-  let cache = Cache.create ~capacity:conf.cache_capacity in
-  let heap = Heap.create () in
-  let queue : pending list ref = ref [] in
-  let free = ref conf.servers in
-  let reports = ref [] in
-  let retries = ref 0 in
-  let queue_max = ref 0 in
-  let inflight_max = ref 0 in
-  let launches = ref 0 in
-  let blocks = ref 0 in
-  let sim_cycles = ref 0.0 in
-  let global_loads = ref 0 in
-  let global_stores = ref 0 in
-  let atomics = ref 0 in
-  let device_failures = ref 0 in
-  let relaunches = ref 0 in
-  let recovered = ref 0 in
-  let breaker_opens = ref 0 in
-  let fault_stats = ref Gpusim.Fault.zero_stats in
-  let last_time = ref 0.0 in
-  (* --- SLO-aware admission (when conf.slo is set) ----------------------
-     Completion latencies accumulate per window; at each boundary the
-     windowed p99 decides whether admission is in shedding mode for the
-     next window.  A window with no completions carries the previous
-     p99 forward unless the service is fully idle — a saturated
-     scheduler that completes nothing must not be mistaken for a
-     healthy one.  In shedding mode, lowest-priority arrivals take the
-     explicit Shed_slo outcome instead of a queue slot. *)
-  let slo_violations = ref 0 in
-  let shedding = ref false in
-  let wlat = ref [] in
-  let wstart = ref 0.0 in
-  let carry_p99 = ref 0.0 in
-  let advance_window now =
-    match conf.slo with
-    | None -> ()
-    | Some slo ->
-        while now >= !wstart +. conf.window do
-          (match !wlat with
-          | [] ->
-              if !queue = [] && !free = conf.servers then carry_p99 := 0.0
-          | l ->
-              carry_p99 :=
-                Ompsimd_util.Stats.percentile (Array.of_list l) 99.0);
-          shedding := !carry_p99 > slo;
-          wlat := [];
-          wstart := !wstart +. conf.window
-        done
-  in
-  let observe_completion latency =
-    match conf.slo with
-    | None -> ()
-    | Some slo ->
-        wlat := latency :: !wlat;
-        if latency > slo then incr slo_violations
-  in
-  (* virtual single-flight bookkeeping: key -> tick at which the
-     in-flight compile completes *)
-  let compiling : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  let breakers : (string, breaker) Hashtbl.t = Hashtbl.create 16 in
-  let breaker_for key =
-    match Hashtbl.find_opt breakers key with
-    | Some b -> b
-    | None ->
-        let b = { consecutive = 0; br = Br_closed } in
-        Hashtbl.add breakers key b;
-        b
-  in
-  let breaker_cooldown = 8.0 *. conf.backoff in
-  (* false = shed this dispatch (open, or another probe is in flight) *)
-  let breaker_admit key now =
-    conf.breaker = 0
-    ||
-    let b = breaker_for key in
-    match b.br with
-    | Br_closed -> true
-    | Br_probing -> false
-    | Br_open opened_at ->
-        if now >= opened_at +. breaker_cooldown then begin
-          b.br <- Br_probing;
-          true
-        end
-        else false
-  in
-  let breaker_ok key =
-    if conf.breaker > 0 then begin
-      let b = breaker_for key in
-      b.consecutive <- 0;
-      b.br <- Br_closed
-    end
-  in
-  let breaker_fail key now =
-    if conf.breaker > 0 then begin
-      let b = breaker_for key in
-      b.consecutive <- b.consecutive + 1;
-      match b.br with
-      | Br_probing ->
-          b.br <- Br_open now;
-          incr breaker_opens
-      | Br_closed when b.consecutive >= conf.breaker ->
-          b.br <- Br_open now;
-          incr breaker_opens
-      | Br_closed | Br_open _ -> ()
-    end
-  in
-  let record r = reports := r :: !reports in
-  let never_ran spec attempts launches outcome now =
-    {
-      spec;
-      outcome;
-      attempts;
-      launches;
-      start = -1.0;
-      finish = now;
-      latency = now -. spec.at;
-      compile_ticks = 0.0;
-      exec_ticks = 0.0;
-      cache = C_none;
-      checksum = 0.0;
-    }
-  in
-  (* Start a request on a free server; false when it terminated without
-     consuming one (compile failure, or the breaker shed it). *)
-  let start now (p : pending) =
-    let spec = p.spec in
-    let kernel, bindings, out = Request.instantiate spec in
-    let knobs = { conf.knobs with Offload.guardize = spec.guardize } in
-    let key = Offload.cache_key ~knobs kernel in
-    if not (breaker_admit key now) then begin
-      record (never_ran spec p.attempts p.launches Degraded now);
-      false
-    end
-    else
-      let status, result =
-        Cache.find_or_compile cache ~key ~compile:(fun () ->
-            Offload.compile_with ~knobs kernel)
-      in
-      match result with
-      | Error _ ->
-          record (never_ran spec p.attempts p.launches Failed now);
-          false
-      | Ok compiled ->
-          let r_cache, r_compile =
-            match status with
-            | `Miss ->
-                let c = compile_cost kernel in
-                Hashtbl.replace compiling key (now +. c);
-                (C_miss, c)
-            | `Hit | `Joined -> (
-                (* joined at the host level can still be a plain hit in
-                   virtual time (the compile completed ticks ago) *)
-                match Hashtbl.find_opt compiling key with
-                | Some done_at when done_at > now -> (C_join, done_at -. now)
-                | _ -> (C_hit, 0.0))
-          in
-          let clauses =
-            Clause.(
-              none
-              |> num_teams spec.teams
-              |> num_threads spec.threads
-              |> simdlen spec.simdlen)
-          in
-          (* A device failure is data, not an exception: launches with an
-             armed fault plan report failed blocks, and an escaped
-             deadlock (divergence with capture disarmed) must not crash
-             the service either. *)
-          let launch_result =
-            match
-              Offload.run ~cfg:conf.cfg ?pool ~clauses ~bindings compiled
-            with
-            | report -> `Report report
-            | exception Gpusim.Engine.Deadlock _ -> `Hung
-          in
-          incr launches;
-          let r_exec, r_failed =
-            match launch_result with
-            | `Report report ->
-                blocks := !blocks + report.Gpusim.Device.grid;
-                sim_cycles := !sim_cycles +. report.Gpusim.Device.time_cycles;
-                let c = report.Gpusim.Device.counters in
-                global_loads := !global_loads + c.Gpusim.Counters.global_loads;
-                global_stores :=
-                  !global_stores + c.Gpusim.Counters.global_stores;
-                atomics := !atomics + c.Gpusim.Counters.atomics;
-                fault_stats :=
-                  Gpusim.Fault.add_stats !fault_stats
-                    report.Gpusim.Device.faults;
-                ( report.Gpusim.Device.time_cycles,
-                  report.Gpusim.Device.failures <> [] )
-            | `Hung -> (0.0, true)
-          in
-          if r_failed then incr device_failures;
-          free := !free - 1;
-          inflight_max := max !inflight_max (conf.servers - !free);
-          Heap.push heap
-            (now +. r_compile +. r_exec)
-            0
-            (Finish
-               {
-                 pending = { p with launches = p.launches + 1 };
-                 started = now;
-                 r_compile;
-                 r_exec;
-                 r_cache;
-                 r_checksum = Request.checksum out;
-                 r_key = key;
-                 r_failed;
-               });
-          true
-  in
-  (* Highest priority first, then earliest arrival, then lowest id. *)
-  let pop_queue () =
-    match !queue with
-    | [] -> None
-    | first :: rest ->
-        let best =
-          List.fold_left
-            (fun best p ->
-              let b = best.spec and s = p.spec in
-              if
-                s.Request.priority > b.Request.priority
-                || (s.Request.priority = b.Request.priority
-                   && (s.Request.at < b.Request.at
-                      || (s.Request.at = b.Request.at && s.Request.id < b.Request.id)))
-              then p
-              else best)
-            first rest
-        in
-        queue := List.filter (fun p -> p != best) !queue;
-        Some best
-  in
-  let rec dispatch now =
-    if !free > 0 then
-      match pop_queue () with
-      | None -> ()
-      | Some p ->
-          (match p.spec.Request.deadline with
-          | Some d when now >= d ->
-              (* expired while queued: never launch *)
-              record (never_ran p.spec p.attempts p.launches Timed_out now)
-          | _ -> ignore (start now p : bool));
-          dispatch now
-  in
-  let arrive now (p : pending) =
-    if !shedding && p.spec.Request.priority <= 0 then
-      (* SLO admission: the windowed p99 is over target, so the lowest
-         priority class is turned away explicitly — counted, terminal,
-         never a silent drop *)
-      record (never_ran p.spec p.attempts p.launches Shed_slo now)
-    else if !free > 0 && !queue = [] then
-      (* a compile failure or breaker shed records its outcome and
-         leaves the server free *)
-      ignore (start now p : bool)
-    else if List.length !queue < conf.queue_bound then begin
-      queue := p :: !queue;
-      queue_max := max !queue_max (List.length !queue)
-    end
-    else if p.attempts <= conf.max_retries then begin
-      (* transient admission failure: retry with exponential backoff *)
-      incr retries;
-      let wait = conf.backoff *. (2.0 ** float_of_int (p.attempts - 1)) in
-      Heap.push heap (now +. wait) 1 (Arrive { p with attempts = p.attempts + 1 })
-    end
-    else
-      record
-        (never_ran p.spec p.attempts p.launches
-           (if conf.max_retries = 0 then Rejected else Shed)
-           now)
-  in
-  (* A relaunch was admitted once already: it re-enters dispatch past
-     the admission bound (and its backoff-retry policy) — recovery may
-     queue behind other work but never loses the request. *)
-  let relaunch now (p : pending) =
-    match p.spec.Request.deadline with
-    | Some d when now >= d ->
-        record (never_ran p.spec p.attempts p.launches Timed_out now)
-    | _ ->
-        if !free > 0 && !queue = [] then ignore (start now p : bool)
-        else begin
-          queue := p :: !queue;
-          queue_max := max !queue_max (List.length !queue)
-        end
-  in
-  List.iter
-    (fun (spec : Request.spec) ->
-      Heap.push heap spec.Request.at 1 (Arrive { spec; attempts = 1; launches = 0 }))
-    specs;
-  let rec loop () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (now, ev) ->
-        last_time := max !last_time now;
-        advance_window now;
-        (match ev with
-        | Arrive p -> arrive now p
-        | Relaunch p -> relaunch now p
-        | Finish r ->
-            free := !free + 1;
-            let spec = r.pending.spec in
-            let finished outcome =
-              record
-                {
-                  spec;
-                  outcome;
-                  attempts = r.pending.attempts;
-                  launches = r.pending.launches;
-                  start = r.started;
-                  finish = now;
-                  latency = now -. spec.Request.at;
-                  compile_ticks = r.r_compile;
-                  exec_ticks = r.r_exec;
-                  cache = r.r_cache;
-                  checksum = r.r_checksum;
-                }
-            in
-            let past_deadline =
-              match spec.Request.deadline with
-              | Some d when now > d -> true
-              | _ -> false
-            in
-            if not r.r_failed then begin
-              breaker_ok r.r_key;
-              if r.pending.launches > 1 && not past_deadline then
-                incr recovered;
-              if not past_deadline then observe_completion (now -. spec.Request.at);
-              finished (if past_deadline then Timed_out else Completed)
-            end
-            else begin
-              breaker_fail r.r_key now;
-              if past_deadline then
-                (* the deadline says stop: no point relaunching *)
-                finished Timed_out
-              else if r.pending.launches <= conf.max_retries then begin
-                (* relaunch with backoff; the cached compile artifact is
-                   reused (launches are idempotent: a relaunch
-                   re-instantiates its data from the request seed) *)
-                incr relaunches;
-                let wait =
-                  conf.backoff
-                  *. (2.0 ** float_of_int (r.pending.launches - 1))
-                in
-                Heap.push heap (now +. wait) 1 (Relaunch r.pending)
-              end
-              else finished Degraded
-            end;
-            dispatch now);
-        loop ()
-  in
-  loop ();
-  let reports =
-    List.sort
-      (fun (a : rq_report) (b : rq_report) ->
-        compare a.spec.Request.id b.spec.Request.id)
-      !reports
-  in
-  let count o = List.length (List.filter (fun r -> r.outcome = o) reports) in
-  let latencies =
-    reports
-    |> List.filter (fun r -> r.outcome = Completed)
-    |> List.map (fun r -> r.latency)
-    |> Array.of_list
-  in
-  let mean, p50, p95, p99 = Metrics.percentiles latencies in
-  (* cache counters come from the virtual statuses, not {!Cache.stats}:
-     the event loop is single-threaded host-side, so the host cache
-     never observes a join — the service-level picture is the requests
-     that arrived inside another request's compile window (C_join).
-     Evictions only happen in the host table, so those we take from it. *)
-  let cstat s = List.length (List.filter (fun r -> r.cache = s) reports) in
-  let metrics =
-    {
-      Metrics.requests = List.length specs;
-      completed = count Completed;
-      rejected = count Rejected;
-      shed = count Shed;
-      shed_slo = count Shed_slo;
-      timed_out = count Timed_out;
-      failed = count Failed;
-      retries = !retries;
-      queue_max = !queue_max;
-      inflight_max = !inflight_max;
-      cache_hits = cstat C_hit;
-      cache_misses = cstat C_miss;
-      cache_evictions = (Cache.stats cache).Cache.evictions;
-      cache_joins = cstat C_join;
-      latency_mean = mean;
-      latency_p50 = p50;
-      latency_p95 = p95;
-      latency_p99 = p99;
-      makespan = !last_time;
-      sim_cycles = !sim_cycles;
-      launches = !launches;
-      blocks = !blocks;
-      global_loads = !global_loads;
-      global_stores = !global_stores;
-      atomics = !atomics;
-      device_failures = !device_failures;
-      relaunches = !relaunches;
-      recovered = !recovered;
-      degraded = count Degraded;
-      breaker_opens = !breaker_opens;
-      slo_violations = !slo_violations;
-      autoscale_grows = 0;
-      autoscale_shrinks = 0;
-      breaker_reopens = 0;
-      faults_corrected = !fault_stats.Gpusim.Fault.corrected;
-      faults_fatal = !fault_stats.Gpusim.Fault.fatal;
-      faults_stalls = !fault_stats.Gpusim.Fault.stalls;
-      faults_exhausts = !fault_stats.Gpusim.Fault.exhausts;
-      faults_watchdogs = !fault_stats.Gpusim.Fault.watchdogs;
-    }
-  in
-  (reports, metrics)
-
-(* --- rendering --------------------------------------------------------- *)
-
-let report_line (r : rq_report) =
-  let spec = r.spec in
-  Printf.sprintf
-    "req %3d %-8s size=%-3d prio=%d tenant=%-6s %-9s attempts=%d launches=%d cache=%-4s arrive=%.1f start=%.1f finish=%.1f latency=%.1f compile=%.1f exec=%.1f checksum=%Lx"
-    spec.Request.id spec.Request.kernel spec.Request.size spec.Request.priority
-    spec.Request.tenant
-    (outcome_to_string r.outcome)
-    r.attempts r.launches
-    (cache_status_to_string r.cache)
-    spec.Request.at r.start r.finish r.latency r.compile_ticks r.exec_ticks
-    (Int64.bits_of_float r.checksum)
-
-let report_json (r : rq_report) =
-  let spec = r.spec in
-  Printf.sprintf
-    "{\"id\": %d, \"kernel\": \"%s\", \"size\": %d, \"prio\": %d, \"tenant\": \"%s\", \"outcome\": \"%s\", \"attempts\": %d, \"launches\": %d, \"cache\": \"%s\", \"arrive\": %.3f, \"start\": %.3f, \"finish\": %.3f, \"latency\": %.3f, \"compile\": %.3f, \"exec\": %.3f, \"checksum\": \"%Lx\"}"
-    spec.Request.id spec.Request.kernel spec.Request.size spec.Request.priority
-    spec.Request.tenant
-    (outcome_to_string r.outcome)
-    r.attempts r.launches
-    (cache_status_to_string r.cache)
-    spec.Request.at r.start r.finish r.latency r.compile_ticks r.exec_ticks
-    (Int64.bits_of_float r.checksum)
-
-(* The full machine-readable snapshot.  Deliberately excludes the
-   engine and the pool width: the simulator's bit-identity contract
-   makes every field below independent of both, so snapshots from any
-   OMPSIMD_EVAL / OMPSIMD_DOMAINS combination must diff clean — the
-   serve smoke test checks exactly that. *)
-let snapshot_json conf reports metrics =
-  let b = Buffer.create 4096 in
-  Printf.ksprintf (Buffer.add_string b)
-    "{\n\"config\": {\"device\": \"%s\", \"queue_bound\": %d, \"servers\": %d, \"cache_capacity\": %d, \"max_retries\": %d, \"backoff\": %.3f, \"breaker\": %d, \"slo\": %s, \"window\": %.3f},\n"
-    conf.cfg.Gpusim.Config.name conf.queue_bound conf.servers
-    conf.cache_capacity conf.max_retries conf.backoff conf.breaker
-    (match conf.slo with
-    | None -> "null"
-    | Some s -> Printf.sprintf "%.3f" s)
-    conf.window;
-  Buffer.add_string b "\"requests\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b (report_json r))
-    reports;
-  Buffer.add_string b "\n],\n\"metrics\": ";
-  Buffer.add_string b (Metrics.to_json metrics);
-  Buffer.add_string b "\n}\n";
-  Buffer.contents b

@@ -1,20 +1,14 @@
-(** The request scheduler: a discrete-event simulation of the
-    persistent kernel-launch service, in virtual time.
+(** The service's shared vocabulary: request outcomes, compile-cache
+    statuses, the per-device service config and the virtual compile
+    charge.
 
-    Admission is a bounded queue with explicit {!Rejected} / {!Shed}
-    outcomes and a retry-with-exponential-backoff policy for transient
-    admission failures; dispatch is highest-priority-first over
-    [servers] virtual executors; per-request deadlines are enforced
-    both while queued (an expired request never launches) and at
-    completion (a late finish reports {!Timed_out}).  A request's
-    service time is its launch's simulated device cycles plus a
-    structural compile cost charged once per cache key (single-flight:
-    requests dispatched during an in-flight compile pay only the
-    residual wait).  Host-side, compilation runs once per key through
-    {!Cache} — the real wall-clock amortization.
-
-    Nothing reads the host clock: replaying a trace yields bit-identical
-    reports and metrics for any [OMPSIMD_DOMAINS] and either engine. *)
+    The service loop is {!Fleet.run}.  A single-device service is a
+    fleet of one shard ({!Fleet.config_of_env}'s default): a bounded
+    admission queue with explicit {!Rejected} / {!Shed} outcomes and
+    retry-with-backoff, highest-priority-first dispatch over [servers]
+    executors, deadlines enforced while queued and at completion, and a
+    structural compile cost charged once per cache key (single-flight
+    joins pay only the residual wait). *)
 
 type outcome =
   | Completed
@@ -38,22 +32,6 @@ type cache_status = C_hit | C_miss | C_join | C_none
 
 val cache_status_to_string : cache_status -> string
 
-type rq_report = {
-  spec : Request.spec;
-  outcome : outcome;
-  attempts : int;  (** admission attempts, 1 = admitted first try *)
-  launches : int;
-      (** device launches performed; 0 = never ran, > 1 = recovery
-          relaunched after device failures *)
-  start : float;  (** tick of the terminal launch; -1 when never dispatched *)
-  finish : float;  (** terminal-event tick *)
-  latency : float;  (** finish - arrival *)
-  compile_ticks : float;  (** virtual compile component (miss/join) *)
-  exec_ticks : float;  (** the launch's simulated device cycles *)
-  cache : cache_status;
-  checksum : float;  (** output-array checksum; 0 when never ran *)
-}
-
 type config = {
   cfg : Gpusim.Config.t;
   queue_bound : int;
@@ -70,9 +48,9 @@ type config = {
           [8 * backoff] ticks one half-open probe goes through —
           success closes the breaker, failure reopens it. *)
   slo : float option;
-      (** latency SLO in virtual ticks; arms SLO-aware admission (and,
-          in the fleet, the autoscaler and telemetry SLO tracking);
-          [None] disables all of it *)
+      (** latency SLO in virtual ticks; arms SLO-aware admission, the
+          autoscaler and telemetry SLO tracking; [None] disables all of
+          it *)
   window : float;
       (** telemetry/SLO evaluation window in virtual ticks: completion
           latencies are aggregated per window and the windowed p99
@@ -91,41 +69,3 @@ val config_of_env : cfg:Gpusim.Config.t -> unit -> config
 
 val compile_cost : Ompir.Ir.kernel -> float
 (** The virtual compile charge: 200 + 25 ticks per IR node. *)
-
-val run :
-  config ->
-  ?pool:Gpusim.Pool.t ->
-  Request.spec list ->
-  rq_report list * Metrics.t
-(** Replay the trace to completion.  Reports come back in request-id
-    order.
-
-    Device failures (failed blocks in a launch report under an armed
-    [OMPSIMD_FAULTS] plan, an over-budget [OMPSIMD_WATCHDOG] finding,
-    or an escaped divergence deadlock) are retryable: the request is
-    relaunched with exponential backoff — reusing the cached compile
-    artifact and bypassing the admission bound — until it completes or
-    exhausts [max_retries] launches, when it reports {!Degraded}.  A
-    replay re-arms {!Gpusim.Fault} from the environment and rewinds its
-    launch nonce, so the same trace under the same fault seed injects
-    the identical fault sequence — bit-identical reports and metrics
-    across engines and pool widths.
-
-    With [slo] set, completions feed a windowed p99 and arrivals of the
-    lowest priority class are shed as {!Shed_slo} while the previous
-    window's p99 was over the target.
-
-    @raise Invalid_argument on [servers < 1], a negative queue bound,
-    a negative breaker threshold or a non-positive window. *)
-
-val report_line : rq_report -> string
-(** One fixed-format text line per request (checksum as IEEE bits so
-    equality is exact). *)
-
-val report_json : rq_report -> string
-
-val snapshot_json : config -> rq_report list -> Metrics.t -> string
-(** The whole replay as JSON: config, per-request reports, metrics.
-    Field order and float rendering are fixed, and the engine / pool
-    width are deliberately excluded — snapshots from any
-    [OMPSIMD_EVAL] x [OMPSIMD_DOMAINS] combination diff clean. *)

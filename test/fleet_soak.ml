@@ -21,7 +21,8 @@
       opens, every other shard's stays closed, and bystander kernels
       are untouched;
    4. throughput: the batched fleet must beat the single-device
-      scheduler on the compile-heavy chain trace the bench records.
+      service (a one-shard fleet) on the compile-heavy chain trace the
+      bench records.
 
    Everything runs in virtual time from fixed seeds: a failure here is
    a real regression, never flake. *)
@@ -77,6 +78,9 @@ let fconf ?queue_bound ?servers ?cache ?retries ?backoff ?breaker ?slo ?window
     autoscale;
     decay;
   }
+
+(* the single-device service: one shard, no batching, stealing or memo *)
+let one_shard () = fconf ~shards:1 ~batch:1 ~steal:false ~memo:false ()
 
 let count_outcome (res : Fleet.result) o =
   List.length
@@ -473,19 +477,15 @@ let throughput_stage () =
           seed = 1 + (i mod 5);
         })
   in
-  let classic_conf = base () in
-  let _, classic = Scheduler.run classic_conf specs in
+  let solo = (Fleet.run (one_shard ()) specs).Fleet.metrics in
   let fleet = (Fleet.run (fconf ~shards:4 ~batch:8 ()) specs).Fleet.metrics in
-  if Metrics.throughput fleet <= Metrics.throughput classic then
+  if Metrics.throughput fleet <= Metrics.throughput solo then
     fail "throughput: fleet %.2f req/Mtick <= single device %.2f"
-      (Metrics.throughput fleet) (Metrics.throughput classic);
+      (Metrics.throughput fleet) (Metrics.throughput solo);
   (* batching pays at equal resources too: one shard, same servers,
      merged grids vs solo launches *)
   let batched =
     (Fleet.run (fconf ~shards:1 ~batch:8 ~memo:false ()) specs).Fleet.metrics
-  in
-  let solo =
-    (Fleet.run (fconf ~shards:1 ~batch:1 ~memo:false ()) specs).Fleet.metrics
   in
   if batched.Metrics.makespan >= solo.Metrics.makespan then
     fail "throughput: batching did not shorten the backlog (%.1f vs %.1f)"

@@ -16,6 +16,7 @@ module Device = Gpusim.Device
 module Offload = Openmp.Offload
 module Clause = Openmp.Clause
 module Scheduler = Serve.Scheduler
+module Fleet = Serve.Fleet
 module Request = Serve.Request
 module Metrics = Serve.Metrics
 module Mode = Omprt.Mode
@@ -366,17 +367,39 @@ let conf ?(queue_bound = 16) ?(servers = 2) ?(cache = 8) ?(retries = 2)
     knobs = Offload.default_knobs;
   }
 
+(* The single-device service: a fleet of one shard with batching,
+   stealing and the launch memo off. *)
+let one_shard c =
+  {
+    Fleet.base = c;
+    shards = 1;
+    batch = 1;
+    steal = false;
+    memo = false;
+    tenants = [];
+    devices = [];
+    affinity = true;
+    telemetry = false;
+    shed = true;
+    autoscale = Serve.Autoscale.disabled;
+    decay = 0;
+  }
+
+let serve ?pool c specs =
+  let res = Fleet.run ?pool (one_shard c) specs in
+  (res.Fleet.reports, res.Fleet.metrics)
+
 let outcome =
   Alcotest.testable (Fmt.of_to_string Scheduler.outcome_to_string) ( = )
 
 let test_serve_degraded_after_retries () =
   with_env [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "7") ]
     (fun () ->
-      let reports, m = Scheduler.run (conf ~retries:2 ()) [ spec 0 ] in
+      let reports, m = serve (conf ~retries:2 ()) [ spec 0 ] in
       let r = List.nth reports 0 in
       Alcotest.check outcome "retries exhausted: degraded" Scheduler.Degraded
-        r.Scheduler.outcome;
-      check_int "original launch + two relaunches" 3 r.Scheduler.launches;
+        r.Fleet.outcome;
+      check_int "original launch + two relaunches" 3 r.Fleet.launches;
       check_int "every launch failed" 3 m.Metrics.device_failures;
       check_int "two relaunches scheduled" 2 m.Metrics.relaunches;
       check_int "degraded counted" 1 m.Metrics.degraded;
@@ -395,20 +418,20 @@ let test_serve_recovery () =
         List.init 6 (fun i ->
             spec ~at:(float_of_int i *. 40000.0) ~teams:1 ~seed:(i + 1) i)
       in
-      let reports, m = Scheduler.run (conf ~retries:3 ()) specs in
+      let reports, m = serve (conf ~retries:3 ()) specs in
       check_bool "every outcome is Completed or Degraded" true
         (List.for_all
            (fun r ->
-             r.Scheduler.outcome = Scheduler.Completed
-             || r.Scheduler.outcome = Scheduler.Degraded)
+             r.Fleet.outcome = Scheduler.Completed
+             || r.Fleet.outcome = Scheduler.Degraded)
            reports);
       check_bool "at least one request recovered" true (m.Metrics.recovered >= 1);
       check_int "recovered = completions that needed > 1 launch"
         (List.length
            (List.filter
               (fun r ->
-                r.Scheduler.outcome = Scheduler.Completed
-                && r.Scheduler.launches > 1)
+                r.Fleet.outcome = Scheduler.Completed
+                && r.Fleet.launches > 1)
               reports))
         m.Metrics.recovered;
       check_int "every failure was relaunched or ended Degraded"
@@ -416,30 +439,35 @@ let test_serve_recovery () =
         + List.length
             (List.filter
                (fun r ->
-                 r.Scheduler.outcome = Scheduler.Degraded
-                 && r.Scheduler.launches > 0)
+                 r.Fleet.outcome = Scheduler.Degraded
+                 && r.Fleet.launches > 0)
                reports))
         m.Metrics.device_failures)
 
 let test_serve_breaker () =
   (* always-fatal plan, breaker threshold 2, no relaunch budget: the
      first two requests fail and open the kernel's breaker, the third
-     (arriving well inside the cooldown) is shed without launching *)
+     (arriving well inside the cooldown) is shed without launching.
+     The kernels carry enough work that every victim block reaches its
+     trigger cycle, whatever fault nonce the launch draws, and all three
+     arrive inside one telemetry window: a failure-free window would
+     fast-forward the open breaker to its half-open probe. *)
   with_env [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "7") ]
     (fun () ->
+      let heavy ~at id = spec ~at ~size:2048 ~teams:2 ~threads:64 id in
       let reports, m =
-        Scheduler.run
+        serve
           (conf ~servers:1 ~retries:0 ~breaker:2 ~backoff:1_000_000.0 ())
-          [ spec ~at:0.0 0; spec ~at:200_000.0 1; spec ~at:400_000.0 2 ]
+          [ heavy ~at:0.0 0; heavy ~at:5_000.0 1; heavy ~at:10_000.0 2 ]
       in
       Alcotest.check outcome "first degraded" Scheduler.Degraded
-        (List.nth reports 0).Scheduler.outcome;
+        (List.nth reports 0).Fleet.outcome;
       Alcotest.check outcome "second degraded" Scheduler.Degraded
-        (List.nth reports 1).Scheduler.outcome;
+        (List.nth reports 1).Fleet.outcome;
       let r2 = List.nth reports 2 in
       Alcotest.check outcome "third shed by the open breaker"
-        Scheduler.Degraded r2.Scheduler.outcome;
-      check_int "the shed request never launched" 0 r2.Scheduler.launches;
+        Scheduler.Degraded r2.Fleet.outcome;
+      check_int "the shed request never launched" 0 r2.Fleet.launches;
       check_int "breaker opened once" 1 m.Metrics.breaker_opens;
       check_int "only the first two launched" 2 m.Metrics.launches)
 
@@ -450,8 +478,7 @@ let test_serve_chaos_replay () =
   let c = conf ~retries:2 ~breaker:3 ~backoff:800.0 () in
   let snap ?pool engine =
     with_env (("OMPSIMD_EVAL", engine) :: chaos_env) (fun () ->
-        let reports, m = Scheduler.run c ?pool specs in
-        Scheduler.snapshot_json c reports m)
+        Fleet.snapshot_json (one_shard c) (Fleet.run (one_shard c) ?pool specs))
   in
   let pool = Gpusim.Pool.create ~domains:3 () in
   let staged_seq = snap "compile" in
@@ -493,35 +520,35 @@ let recovery_invariant =
                   ~teams:2 ~seed:(i + 1) i)
           in
           let reports, m =
-            Scheduler.run (conf ~retries:2 ~breaker:3 ()) specs
+            serve (conf ~retries:2 ~breaker:3 ()) specs
           in
           List.length reports = 6
           && List.for_all
                (fun r ->
-                 (r.Scheduler.outcome = Scheduler.Completed
-                 || r.Scheduler.outcome = Scheduler.Degraded)
-                 && r.Scheduler.launches <= 3)
+                 (r.Fleet.outcome = Scheduler.Completed
+                 || r.Fleet.outcome = Scheduler.Degraded)
+                 && r.Fleet.launches <= 3)
                reports
           && m.Metrics.device_failures
              = m.Metrics.relaunches
                + List.length
                    (List.filter
                       (fun r ->
-                        r.Scheduler.outcome = Scheduler.Degraded
-                        && r.Scheduler.launches = 3)
+                        r.Fleet.outcome = Scheduler.Degraded
+                        && r.Fleet.launches = 3)
                       reports)
           && List.for_all
                (fun r ->
-                 r.Scheduler.outcome <> Scheduler.Degraded
-                 || r.Scheduler.launches = 3
+                 r.Fleet.outcome <> Scheduler.Degraded
+                 || r.Fleet.launches = 3
                  || m.Metrics.breaker_opens >= 1)
                reports
           && m.Metrics.recovered
              = List.length
                  (List.filter
                     (fun r ->
-                      r.Scheduler.outcome = Scheduler.Completed
-                      && r.Scheduler.launches > 1)
+                      r.Fleet.outcome = Scheduler.Completed
+                      && r.Fleet.launches > 1)
                     reports)))
 
 let suite =

@@ -48,6 +48,28 @@ let conf ?(queue_bound = 4) ?(servers = 1) ?(cache = 8) ?(retries = 0)
     knobs = Openmp.Offload.default_knobs;
   }
 
+(* The single-device service: a fleet of one shard with batching,
+   stealing and the launch memo off. *)
+let one_shard c =
+  {
+    Fleet.base = c;
+    shards = 1;
+    batch = 1;
+    steal = false;
+    memo = false;
+    tenants = [];
+    devices = [];
+    affinity = true;
+    telemetry = false;
+    shed = true;
+    autoscale = Serve.Autoscale.disabled;
+    decay = 0;
+  }
+
+let serve ?pool c specs =
+  let res = Fleet.run ?pool (one_shard c) specs in
+  (res.Fleet.reports, res.Fleet.metrics)
+
 let outcome = Alcotest.testable (Fmt.of_to_string Scheduler.outcome_to_string) ( = )
 
 let with_env name value f =
@@ -60,8 +82,8 @@ let with_env name value f =
       Gpusim.Fault.refresh_from_env ())
     f
 
-let outcome_of (reports : Scheduler.rq_report list) id =
-  (List.nth reports id).Scheduler.outcome
+let outcome_of (reports : Fleet.rq_report list) id =
+  (List.nth reports id).Fleet.outcome
 
 (* --- admission control ----------------------------------------------- *)
 
@@ -69,7 +91,7 @@ let test_admission_rejection () =
   (* one server, no queue, no retries: of two simultaneous arrivals the
      second must be rejected outright *)
   let reports, m =
-    Scheduler.run
+    serve
       (conf ~queue_bound:0 ~retries:0 ())
       [ spec ~at:0.0 0; spec ~at:1.0 1 ]
   in
@@ -81,29 +103,29 @@ let test_admission_rejection () =
   Alcotest.(check int) "one launch only" 1 m.Metrics.launches;
   Alcotest.(check (float 0.0))
     "rejected request never started" (-1.0)
-    (List.nth reports 1).Scheduler.start
+    (List.nth reports 1).Fleet.start
 
 let test_retry_success () =
   (* same contention, but with a retry budget and a backoff long enough
      to outlive the first request's service time: the second request
      must come back and complete on a later attempt *)
   let reports, m =
-    Scheduler.run
+    serve
       (conf ~queue_bound:0 ~retries:8 ~backoff:2000.0 ())
       [ spec ~at:0.0 0; spec ~at:1.0 1 ]
   in
   Alcotest.check outcome "second eventually completes" Scheduler.Completed
     (outcome_of reports 1);
   let r1 = List.nth reports 1 in
-  Alcotest.(check bool) "took more than one attempt" true (r1.Scheduler.attempts > 1);
-  Alcotest.(check int) "retries counted" (r1.Scheduler.attempts - 1) m.Metrics.retries;
+  Alcotest.(check bool) "took more than one attempt" true (r1.Fleet.attempts > 1);
+  Alcotest.(check int) "retries counted" (r1.Fleet.attempts - 1) m.Metrics.retries;
   Alcotest.(check int) "both completed" 2 m.Metrics.completed
 
 let test_shed_after_retries () =
   (* a single retry with a tiny backoff lands while the server is still
      busy: the budget exhausts and the request is shed *)
   let reports, m =
-    Scheduler.run
+    serve
       (conf ~queue_bound:0 ~retries:1 ~backoff:1.0 ())
       [ spec ~at:0.0 0; spec ~at:1.0 1 ]
   in
@@ -117,12 +139,12 @@ let test_deadline_expires_queued () =
   (* the second request's deadline passes while it waits in the queue:
      it must never launch *)
   let reports, m =
-    Scheduler.run (conf ())
+    serve (conf ())
       [ spec ~at:0.0 0; spec ~at:1.0 ~deadline:10.0 1 ]
   in
   Alcotest.check outcome "timed out" Scheduler.Timed_out (outcome_of reports 1);
   let r1 = List.nth reports 1 in
-  Alcotest.(check (float 0.0)) "never dispatched" (-1.0) r1.Scheduler.start;
+  Alcotest.(check (float 0.0)) "never dispatched" (-1.0) r1.Fleet.start;
   Alcotest.(check int) "only one launch" 1 m.Metrics.launches;
   Alcotest.(check int) "timed-out counted" 1 m.Metrics.timed_out
 
@@ -130,12 +152,12 @@ let test_deadline_late_finish () =
   (* a lone request whose deadline falls inside its own service time:
      it runs (the work is done) but reports Timed_out *)
   let reports, m =
-    Scheduler.run (conf ()) [ spec ~at:0.0 ~deadline:50.0 0 ]
+    serve (conf ()) [ spec ~at:0.0 ~deadline:50.0 0 ]
   in
   let r0 = List.nth reports 0 in
   Alcotest.check outcome "late finish times out" Scheduler.Timed_out
-    r0.Scheduler.outcome;
-  Alcotest.(check bool) "it did dispatch" true (r0.Scheduler.start >= 0.0);
+    r0.Fleet.outcome;
+  Alcotest.(check bool) "it did dispatch" true (r0.Fleet.start >= 0.0);
   Alcotest.(check int) "the launch happened" 1 m.Metrics.launches;
   Alcotest.(check int) "not counted completed" 0 m.Metrics.completed
 
@@ -146,11 +168,11 @@ let test_cache_hit_and_virtual_join () =
      the second joins the in-flight compile (paying only residual wait);
      a third, arriving after it lands, is a plain hit *)
   let reports, m =
-    Scheduler.run
+    serve
       (conf ~servers:2 ())
       [ spec ~at:0.0 0; spec ~at:1.0 1; spec ~at:50000.0 2 ]
   in
-  let cache i = (List.nth reports i).Scheduler.cache in
+  let cache i = (List.nth reports i).Fleet.cache in
   Alcotest.(check string) "first misses" "miss"
     (Scheduler.cache_status_to_string (cache 0));
   Alcotest.(check string) "second joins" "join"
@@ -160,8 +182,8 @@ let test_cache_hit_and_virtual_join () =
   let r1 = List.nth reports 1 in
   let r0 = List.nth reports 0 in
   Alcotest.(check bool) "join pays only residual compile wait" true
-    (r1.Scheduler.compile_ticks > 0.0
-    && r1.Scheduler.compile_ticks < r0.Scheduler.compile_ticks);
+    (r1.Fleet.compile_ticks > 0.0
+    && r1.Fleet.compile_ticks < r0.Fleet.compile_ticks);
   Alcotest.(check int) "metrics fold the counters" 1 m.Metrics.cache_hits;
   Alcotest.(check int) "one miss" 1 m.Metrics.cache_misses;
   Alcotest.(check int) "one join" 1 m.Metrics.cache_joins
@@ -176,16 +198,16 @@ let test_cache_lru_eviction () =
       spec ~at:200000.0 ~kernel:"saxpy" 2;
     ]
   in
-  let _, m1 = Scheduler.run (conf ~cache:1 ()) specs in
+  let _, m1 = serve (conf ~cache:1 ()) specs in
   Alcotest.(check int) "capacity 1: all misses" 3 m1.Metrics.cache_misses;
   Alcotest.(check bool) "capacity 1: evicts" true (m1.Metrics.cache_evictions >= 2);
-  let _, m2 = Scheduler.run (conf ~cache:2 ()) specs in
+  let _, m2 = serve (conf ~cache:2 ()) specs in
   Alcotest.(check int) "capacity 2: the return hits" 1 m2.Metrics.cache_hits;
   Alcotest.(check int) "capacity 2: no evictions" 0 m2.Metrics.cache_evictions
 
 let test_cache_disabled () =
   let specs = [ spec ~at:0.0 0; spec ~at:100000.0 1 ] in
-  let _, m = Scheduler.run (conf ~cache:0 ()) specs in
+  let _, m = serve (conf ~cache:0 ()) specs in
   Alcotest.(check int) "capacity 0 recompiles every request" 2
     m.Metrics.cache_misses;
   Alcotest.(check int) "and never hits" 0 m.Metrics.cache_hits
@@ -225,7 +247,7 @@ let test_cache_survives_device_failure () =
   let reports, m =
     with_env "OMPSIMD_FAULTS" "abort=1" (fun () ->
         with_env "OMPSIMD_FAULT_SEED" "5" (fun () ->
-            Scheduler.run
+            serve
               (conf ~retries:2 ~breaker:0 ~backoff:100.0 ())
               (* enough work that the victim thread reaches its trigger *)
               [
@@ -235,12 +257,12 @@ let test_cache_survives_device_failure () =
   in
   let r0 = List.nth reports 0 and r1 = List.nth reports 1 in
   Alcotest.check outcome "always-fatal plan degrades" Scheduler.Degraded
-    r0.Scheduler.outcome;
-  Alcotest.(check int) "three launches for request 0" 3 r0.Scheduler.launches;
+    r0.Fleet.outcome;
+  Alcotest.(check int) "three launches for request 0" 3 r0.Fleet.launches;
   Alcotest.(check string) "the relaunches reuse the cached compile" "hit"
-    (Scheduler.cache_status_to_string r0.Scheduler.cache);
+    (Scheduler.cache_status_to_string r0.Fleet.cache);
   Alcotest.(check string) "a later request still hits the entry" "hit"
-    (Scheduler.cache_status_to_string r1.Scheduler.cache);
+    (Scheduler.cache_status_to_string r1.Fleet.cache);
   Alcotest.(check int) "device failures never evict" 0 m.Metrics.cache_evictions;
   Alcotest.(check int) "all six launches failed" 6 m.Metrics.device_failures
 
@@ -277,8 +299,7 @@ let test_deterministic_replay () =
   let specs = Request.synthetic ~n:16 ~seed:11 () in
   let c = conf ~servers:2 ~queue_bound:2 ~retries:2 ~backoff:800.0 () in
   let snap ?pool () =
-    let reports, m = Scheduler.run c ?pool specs in
-    Scheduler.snapshot_json c reports m
+    Fleet.snapshot_json (one_shard c) (Fleet.run (one_shard c) ?pool specs)
   in
   let pool = Gpusim.Pool.create ~domains:3 () in
   let staged_seq = snap () in
@@ -885,10 +906,76 @@ let test_autoscale_hysteresis () =
     (Serve.Autoscale.config_of_env ~slo:None ~shards:4 ~servers:2 ())
       .Serve.Autoscale.enabled
 
+(* --- the circuit breaker ------------------------------------------------ *)
+
+let verdict =
+  Alcotest.testable
+    (Fmt.of_to_string (function
+      | `Admit -> "admit"
+      | `Probe -> "probe"
+      | `Shed -> "shed"))
+    ( = )
+
+(* backoff 100: the cooldown is 8 * 100 = 800 ticks *)
+let test_breaker_opens () =
+  let b = Serve.Breaker.create ~threshold:2 ~backoff:100.0 in
+  Alcotest.check verdict "closed admits" `Admit (Serve.Breaker.admit b "k" ~now:0.0);
+  Alcotest.(check bool) "one failure stays closed" false
+    (Serve.Breaker.failure b "k" ~now:5.0);
+  Alcotest.check verdict "still admitting" `Admit
+    (Serve.Breaker.admit b "k" ~now:6.0);
+  Alcotest.(check bool) "the threshold opens it" true
+    (Serve.Breaker.failure b "k" ~now:10.0);
+  Alcotest.(check int) "one open breaker" 1 (Serve.Breaker.open_count b);
+  Alcotest.check verdict "other keys are unaffected" `Admit
+    (Serve.Breaker.admit b "other" ~now:11.0);
+  Alcotest.check verdict "shed inside the cooldown" `Shed
+    (Serve.Breaker.admit b "k" ~now:809.0);
+  let off = Serve.Breaker.create ~threshold:0 ~backoff:100.0 in
+  Alcotest.(check bool) "threshold 0 never opens" false
+    (Serve.Breaker.failure off "k" ~now:0.0);
+  Alcotest.check verdict "and always admits" `Admit
+    (Serve.Breaker.admit off "k" ~now:1.0);
+  Alcotest.(check int) "nothing tracked" 0 (Serve.Breaker.open_count off)
+
+let test_breaker_probe () =
+  let b = Serve.Breaker.create ~threshold:1 ~backoff:100.0 in
+  ignore (Serve.Breaker.failure b "k" ~now:10.0 : bool);
+  Alcotest.check verdict "the cooldown's end admits the probe" `Probe
+    (Serve.Breaker.admit b "k" ~now:810.0);
+  Alcotest.check verdict "exactly one probe in flight" `Shed
+    (Serve.Breaker.admit b "k" ~now:811.0);
+  Alcotest.(check int) "probing counts as not closed" 1
+    (Serve.Breaker.open_count b);
+  Alcotest.(check bool) "a failed probe reopens" true
+    (Serve.Breaker.failure b "k" ~now:900.0);
+  Alcotest.check verdict "a fresh cooldown from the reopen" `Shed
+    (Serve.Breaker.admit b "k" ~now:1699.0);
+  Alcotest.check verdict "then the next probe" `Probe
+    (Serve.Breaker.admit b "k" ~now:1700.0);
+  Serve.Breaker.success b "k";
+  Alcotest.check verdict "a healthy probe closes" `Admit
+    (Serve.Breaker.admit b "k" ~now:1701.0);
+  Alcotest.(check int) "nothing open" 0 (Serve.Breaker.open_count b)
+
+let test_breaker_fast_forward () =
+  let b = Serve.Breaker.create ~threshold:1 ~backoff:100.0 in
+  ignore (Serve.Breaker.failure b "a" ~now:1000.0 : bool);
+  ignore (Serve.Breaker.failure b "b" ~now:0.0 : bool);
+  ignore (Serve.Breaker.admit b "c" ~now:0.0);
+  Alcotest.(check int) "only the breaker still cooling moves" 1
+    (Serve.Breaker.fast_forward b ~at:1100.0);
+  Alcotest.check verdict "its next dispatch is the probe" `Probe
+    (Serve.Breaker.admit b "a" ~now:1100.0);
+  Alcotest.(check int) "a probing breaker is not moved again" 0
+    (Serve.Breaker.fast_forward b ~at:1200.0);
+  Alcotest.check verdict "the closed key still admits" `Admit
+    (Serve.Breaker.admit b "c" ~now:1200.0)
+
 let test_priority_order () =
   (* three queued requests drain highest-priority-first *)
   let reports, _ =
-    Scheduler.run (conf ())
+    serve (conf ())
       [
         spec ~at:0.0 0;
         spec ~at:1.0 ~priority:0 1;
@@ -897,7 +984,7 @@ let test_priority_order () =
   in
   let r1 = List.nth reports 1 and r2 = List.nth reports 2 in
   Alcotest.(check bool) "high priority dispatches first" true
-    (r2.Scheduler.start < r1.Scheduler.start)
+    (r2.Fleet.start < r1.Fleet.start)
 
 let suite =
   [
@@ -929,6 +1016,12 @@ let suite =
           test_deterministic_replay;
         Alcotest.test_case "dispatch is highest-priority-first" `Quick
           test_priority_order;
+        Alcotest.test_case "breaker: opens at the threshold, sheds the cooldown"
+          `Quick test_breaker_opens;
+        Alcotest.test_case "breaker: one half-open probe decides" `Quick
+          test_breaker_probe;
+        Alcotest.test_case "breaker: fast-forward makes the next dispatch the probe"
+          `Quick test_breaker_fast_forward;
         Alcotest.test_case "fleet: tenant parsing and weights" `Quick
           test_tenant_parsing;
         Alcotest.test_case "fleet: consistent-hash placement stability" `Quick

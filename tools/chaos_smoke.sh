@@ -34,9 +34,9 @@ plan='abort=0.4,flip=0.3:0.5,stall=0.2'
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
-# Pin the fleet knobs to their unset defaults so the classic
-# single-device sections replay byte-identically even if the caller's
-# shell exports them; the fleet sections below opt in via flags.
+# Pin the service knobs to their unset defaults so every section
+# replays byte-identically even if the caller's shell exports them; the
+# sharded sections below set their shape with flags.
 export OMPSIMD_SERVE_SHARDS= OMPSIMD_SERVE_BATCH= OMPSIMD_SERVE_STEAL=
 export OMPSIMD_SERVE_MEMO= OMPSIMD_SERVE_TENANTS= OMPSIMD_FLEET_DEVICES=
 export OMPSIMD_SERVE_SLO_MS= OMPSIMD_SERVE_WINDOW= OMPSIMD_SERVE_TELEMETRY=
@@ -68,15 +68,22 @@ done
   || { echo "FAIL: no seed injected a device failure"; exit 1; }
 
 # arming a zero-rate plan only switches deadlock capture on; it must not
-# perturb a fault-free replay by a single byte
+# perturb a fault-free replay.  The one field allowed to move is
+# fleet.memo_hits: any armed plan bypasses the launch memo, which saves
+# host work and never changes a result.
 OMPSIMD_FAULTS="" \
   "$run" serve --requests "$trace" --json "$out/off.json" > /dev/null
 OMPSIMD_FAULTS="abort=0" OMPSIMD_FAULT_SEED=7 \
   "$run" serve --requests "$trace" --json "$out/armed_zero.json" > /dev/null
-diff -q "$out/off.json" "$out/armed_zero.json" \
-  || { echo "FAIL: a zero-rate plan perturbed a fault-free replay"; exit 1; }
+python3 - "$out/off.json" "$out/armed_zero.json" <<'EOF'
+import json, sys
+off, armed = (json.load(open(p)) for p in sys.argv[1:3])
+for snap in (off, armed):
+    del snap["fleet"]["memo_hits"]
+assert off == armed, "FAIL: a zero-rate plan perturbed a fault-free replay"
+EOF
 
-# --- the fleet scheduler, armed ----------------------------------------
+# --- the sharded fleet, armed ------------------------------------------
 # Fault nonces are pinned per (request, attempt), so the armed fleet
 # snapshot must also be byte-identical across engines and pools, and on
 # an admission-lossless breaker-free config the per-request results
@@ -137,7 +144,7 @@ for phase in "steady 11 4" "diurnal 23 1" "flash 5 2"; do
   OMPSIMD_FAULTS="$plan" OMPSIMD_FAULT_SEED="$pseed" \
   OMPSIMD_FLEET_DEVICES="$hetero" \
     "$run" serve --traffic "$n" --profile "$profile" --seed "$pseed" \
-    --shards 4 --slo 25 --telemetry "$tele" --json "$json" > /dev/null
+    --shards 4 --batch 8 --slo 25 --telemetry "$tele" --json "$json" > /dev/null
   python3 - "$json" "$profile" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))["metrics"]
@@ -154,7 +161,7 @@ EOF
   OMPSIMD_FLEET_DEVICES="$hetero" \
   OMPSIMD_EVAL=walk OMPSIMD_DOMAINS=3 \
     "$run" serve --traffic "$n" --profile "$profile" --seed "$pseed" \
-    --shards 4 --slo 25 --telemetry "$tele.replay" > /dev/null
+    --shards 4 --batch 8 --slo 25 --telemetry "$tele.replay" > /dev/null
   diff -q "$tele" "$tele.replay" \
     || { echo "FAIL: $profile telemetry did not replay byte-identically"; exit 1; }
   phase_no=$((phase_no + 1))
@@ -168,7 +175,7 @@ for auto in 1 0; do
   OMPSIMD_FLEET_DEVICES="$hetero" \
   OMPSIMD_SERVE_SHED=0 OMPSIMD_SERVE_AUTOSCALE="$auto" \
     "$run" serve --traffic "$day" --profile flash --seed 23 \
-    --shards 4 --slo 8 --json "$out/asc_$auto.json" > /dev/null
+    --shards 4 --batch 8 --slo 8 --json "$out/asc_$auto.json" > /dev/null
 done
 python3 - "$out/asc_1.json" "$out/asc_0.json" <<'EOF'
 import json, sys
