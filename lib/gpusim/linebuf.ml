@@ -84,9 +84,10 @@ type t = {
   capacity : int;
   coalesce_window : float;
   isz : int;
-      (* floor table size (power of two, derived from capacity): starting
-         and compacting to this avoids rebuild chains 64 -> ... -> 2K on
-         every grow/compact cycle of a warp-sized buffer *)
+      (* floor table size (power of two, derived from capacity): [create]
+         starts here, [clear] restores it and [compact] never goes below
+         it, which avoids rebuild chains 64 -> ... -> 2K on every
+         grow/compact cycle of a warp-sized buffer *)
   tbl : tbl;  (* line -> latest touch burst *)
   base : tbl option;
       (* frozen parent stamps a fork reads through to (never written) *)
@@ -100,14 +101,23 @@ type t = {
   mutable misses : int;
 }
 
-(* The cap keeps warp-sized buffers small; a device L2 with hundreds of
-   thousands of sectors still starts large enough that a launch's
-   footprint does not drag it through a 4K -> 8K -> ... rebuild chain on
-   every reset/commit cycle. *)
+(* The table size [clear] restores and [compact] never shrinks below:
+   twice the capacity, capped so a device L2 with hundreds of thousands
+   of sectors resets to 64K slots rather than megabytes.  A table need
+   not start here: [create_sized] starts it at the expected footprint. *)
 let floor_size capacity =
   let target = Int.min 65536 (Int.max 64 (2 * capacity)) in
   let s = ref 64 in
   while !s < target do
+    s := 2 * !s
+  done;
+  !s
+
+(* The smallest table, up to [isz], that holds [demand] lines under the
+   3/4 load factor without a rebuild. *)
+let demand_size ~isz demand =
+  let s = ref 64 in
+  while !s < isz && 3 * !s < 4 * (demand + 1) do
     s := 2 * !s
   done;
   !s
@@ -118,30 +128,33 @@ let is_resident = function Coalesced | Hit -> true | Miss -> false
 
 let[@inline] max_vtime t = Float.Array.unsafe_get t.now 1
 
-let make ~capacity ~coalesce_window ~isz =
+let make ~capacity ~coalesce_window ~size =
   if capacity <= 0 then invalid_arg "Linebuf.create: capacity must be positive";
   if coalesce_window < 0.0 then
     invalid_arg "Linebuf.create: coalesce_window must be non-negative";
   {
     capacity;
     coalesce_window;
-    isz;
-    tbl = tbl_make isz;
+    isz = floor_size capacity;
+    tbl = tbl_make size;
     base = None;
     now = Float.Array.make 2 0.0;
     misses = 0;
   }
 
 let create ~capacity ~coalesce_window =
-  make ~capacity ~coalesce_window ~isz:(floor_size capacity)
+  make ~capacity ~coalesce_window ~size:(floor_size capacity)
 
-(* Same behaviour, but the table starts at the minimum size and grows to
-   demand instead of to [capacity].  For short-lived per-block buffers
-   (an L2 view of one block's traffic) whose footprint is far below the
-   modeled capacity: sizing those from an L2 with tens of thousands of
-   sectors allocated three multi-hundred-KiB arrays per block. *)
-let create_small ~capacity ~coalesce_window =
-  make ~capacity ~coalesce_window ~isz:64
+(* Same behaviour, but the table starts sized for [demand] lines and
+   grows from there instead of starting at the capacity floor.  For
+   short-lived buffers whose footprint is far below the modeled
+   capacity — one block's L2 view, or the committed L2 of a space that
+   lives for one launch: sizing those from an L2 with tens of thousands
+   of sectors allocated three multi-hundred-KiB arrays each.  Outcomes
+   depend only on the table's contents, never on its size. *)
+let create_sized ~demand ~capacity ~coalesce_window =
+  make ~capacity ~coalesce_window
+    ~size:(demand_size ~isz:(floor_size capacity) demand)
 
 (* A fork shares the parent's stamp table read-only and writes its own
    overlay, seeded with the parent's residency statistics.  O(1) to
@@ -326,11 +339,17 @@ let touch t ~vtime ~lane line =
 
 let misses t = t.misses
 
+(* A table already at the floor is emptied in place: only [keys] needs
+   zeroing, since a slot's vtime and lanes are read only under a
+   non-zero key and [tbl_put] writes both. *)
 let clear t =
   let tb = t.tbl in
-  tb.keys <- Array.make t.isz 0;
-  tb.vtimes <- Float.Array.make t.isz 0.0;
-  tb.lanes <- Array.make t.isz 0;
+  if tb.mask + 1 = t.isz then Array.fill tb.keys 0 t.isz 0
+  else begin
+    tb.keys <- Array.make t.isz 0;
+    tb.vtimes <- Float.Array.make t.isz 0.0;
+    tb.lanes <- Array.make t.isz 0
+  end;
   tb.mask <- t.isz - 1;
   tb.count <- 0;
   t.misses <- 0;

@@ -31,13 +31,15 @@ type outcome =
 val create : capacity:int -> coalesce_window:float -> t
 (** @raise Invalid_argument if capacity <= 0 or the window is negative. *)
 
-val create_small : capacity:int -> coalesce_window:float -> t
-(** Behaviourally identical to {!create}, but the stamp table starts at
-    the minimum size and grows with the observed footprint instead of
-    being pre-sized to [capacity].  For short-lived per-block buffers
-    (one block's L2 view) whose traffic is far below the modeled
-    capacity — pre-sizing those from a device-scale capacity allocated
-    hundreds of KiB per block.
+val create_sized : demand:int -> capacity:int -> coalesce_window:float -> t
+(** Behaviourally identical to {!create}, but the stamp table starts
+    sized for [demand] distinct lines (never larger than {!create}'s) and
+    grows with the observed footprint instead of being pre-sized to
+    [capacity].  {!clear} still restores {!create}'s size.  For
+    short-lived buffers whose traffic is far below the modeled capacity
+    (one block's L2 view, the committed L2 of a one-launch space):
+    pre-sizing those from a device-scale capacity allocated hundreds of
+    KiB each.
     @raise Invalid_argument if capacity <= 0 or the window is negative. *)
 
 val fork : t -> t

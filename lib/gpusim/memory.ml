@@ -20,12 +20,17 @@ let space () =
 
 let space_id space = space.sid
 
-let l2_of space (cfg : Config.t) =
+(* The committed L2 starts at the first commit's [demand] (its logged
+   touches), not at the device's size: a serve request's space lives for
+   one launch, and a device-sized table there was 1.5 MB of zeroed
+   major-heap allocation per request. *)
+let l2_of space (cfg : Config.t) ~demand =
   match space.l2 with
   | Some l2 -> l2
   | None ->
       let l2 =
-        Linebuf.create ~capacity:cfg.Config.l2_sectors ~coalesce_window:0.0
+        Linebuf.create_sized ~demand ~capacity:cfg.Config.l2_sectors
+          ~coalesce_window:0.0
       in
       space.l2 <- Some l2;
       l2
@@ -183,7 +188,7 @@ let view_of_slow session space (cfg : Config.t) =
                so it must NOT be pre-sized to the device capacity — that
                made the first launch allocate a device-scale table per
                (block, space) pair. *)
-            Linebuf.create_small ~capacity:cfg.Config.l2_sectors
+            Linebuf.create_sized ~demand:0 ~capacity:cfg.Config.l2_sectors
               ~coalesce_window:0.0
       in
       let v =
@@ -210,7 +215,7 @@ let[@inline] view_of session space (cfg : Config.t) =
 let session_commit s =
   List.iter
     (fun v ->
-      let l2 = l2_of v.vspace v.vcfg in
+      let l2 = l2_of v.vspace v.vcfg ~demand:v.vlen in
       let log = v.vlog in
       let order = v.vspace.l2_order in
       (* the replay walks millions of entries across a launch; the order
@@ -311,7 +316,7 @@ let account (th : Thread.t) ~space ~base ~index ~is_store =
       | _ ->
           (* no session (bare Engine.run_block): touch the committed L2
              directly, the pre-session behaviour *)
-          let l2 = l2_of space cfg in
+          let l2 = l2_of space cfg ~demand:0 in
           Float.Array.set space.l2_order 0
             (Float.Array.get space.l2_order 0 +. 1.0);
           Linebuf.set_now l2 (Float.Array.get space.l2_order 0);

@@ -5,20 +5,25 @@
    the queue — and the insertion sequence number makes every comparison
    strict, so replay order never depends on heap internals. *)
 
+type 'a item = { time : float; rank : int; seq : int; v : 'a }
+
 type 'a t = {
-  mutable a : (float * int * int * 'a) array;
+  mutable a : 'a item array;
   mutable n : int;
   mutable seq : int;
 }
 
 let create () = { a = [||]; n = 0; seq = 0 }
 
-let less (t1, r1, s1, _) (t2, r2, s2, _) =
-  t1 < t2 || (t1 = t2 && (r1 < r2 || (r1 = r2 && s1 < s2)))
+(* The record fixes the key types, so these compile to float and int
+   compares; over a bare tuple the same code was polymorphic [compare]. *)
+let less x y =
+  x.time < y.time
+  || (x.time = y.time && (x.rank < y.rank || (x.rank = y.rank && x.seq < y.seq)))
 
 let push h time rank v =
   h.seq <- h.seq + 1;
-  let item = (time, rank, h.seq, v) in
+  let item = { time; rank; seq = h.seq; v } in
   if h.n = Array.length h.a then begin
     let cap = max 16 (2 * h.n) in
     let a = Array.make cap item in
@@ -43,7 +48,7 @@ let push h time rank v =
 let pop h =
   if h.n = 0 then None
   else begin
-    let (time, _, _, v) = h.a.(0) in
+    let top = h.a.(0) in
     h.n <- h.n - 1;
     h.a.(0) <- h.a.(h.n);
     let i = ref 0 in
@@ -61,5 +66,5 @@ let pop h =
         i := !smallest
       end
     done;
-    Some (time, v)
+    Some (top.time, top.v)
   end

@@ -117,11 +117,15 @@ val content_key : knobs:Openmp.Offload.knobs -> Request.spec -> string
     {!Openmp.Offload.cache_key} it excludes the evaluation engine, so a
     replay places identically under either [OMPSIMD_EVAL]. *)
 
+val hash_pos : string -> int
+(** A key's position on the ring: the first 8 bytes of its MD5. *)
+
 val make_ring : int -> (int * int) array
-val place : (int * int) array -> string -> int
+val place_hash : (int * int) array -> int -> int
 (** The consistent-hash ring: 64 MD5 points per shard, sorted;
-    [place ring key] is the shard owning [key]'s clockwise successor
-    point.  Exposed for the placement-stability tests. *)
+    [place_hash ring (hash_pos key)] is the shard owning [key]'s
+    clockwise successor point.  Exposed for the placement-stability
+    tests. *)
 
 type rq_report = {
   spec : Request.spec;

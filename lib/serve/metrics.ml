@@ -56,10 +56,12 @@ let percentiles latencies =
   match Array.length latencies with
   | 0 -> (0.0, 0.0, 0.0, 0.0)
   | _ ->
+      let sorted = Array.copy latencies in
+      Stats.sort_floats sorted;
       ( Stats.mean latencies,
-        Stats.percentile latencies 50.0,
-        Stats.percentile latencies 95.0,
-        Stats.percentile latencies 99.0 )
+        Stats.percentile_sorted sorted 50.0,
+        Stats.percentile_sorted sorted 95.0,
+        Stats.percentile_sorted sorted 99.0 )
 
 let throughput m =
   if m.makespan <= 0.0 then 0.0

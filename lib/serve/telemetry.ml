@@ -184,10 +184,14 @@ let observe_queue_depth t ~shard depth =
 
 (* --- window close ------------------------------------------------------- *)
 
-let retained (a : acc) = Array.sub a.lat 0 (min a.lat_n (Array.length a.lat))
+(* The window's retained latencies, sorted once for all its percentiles. *)
+let retained_sorted (a : acc) =
+  let s = Array.sub a.lat 0 (min a.lat_n (Array.length a.lat)) in
+  Stats.sort_floats s;
+  s
 
-let percentile_of samples p =
-  if Array.length samples = 0 then 0.0 else Stats.percentile samples p
+let percentile_of sorted p =
+  if Array.length sorted = 0 then 0.0 else Stats.percentile_sorted sorted p
 
 let active t (sw : shard_window) =
   sw.w_completed > 0 || sw.w_shed > 0 || sw.w_shed_slo > 0
@@ -212,11 +216,12 @@ let shard_line w (sw : shard_window) =
 
 let close t ~sample =
   let t0 = t.wstart and t1 = t.wstart +. t.conf.window in
+  let sorted = Array.map retained_sorted t.accs in
   let per_shard =
     Array.mapi
       (fun i (a : acc) ->
         let s = sample i in
-        let samples = retained a in
+        let samples = sorted.(i) in
         {
           w_shard = i;
           w_label = a.label;
@@ -242,7 +247,8 @@ let close t ~sample =
         })
       t.accs
   in
-  let all = Array.concat (Array.to_list (Array.map retained t.accs)) in
+  let all = Array.concat (Array.to_list sorted) in
+  Stats.sort_floats all;
   let f_active = Array.exists (active t) per_shard in
   let w =
     {

@@ -27,6 +27,15 @@ val percentile : float array -> float -> float
     order statistics.  @raise Invalid_argument on empty input or p outside
     the range. *)
 
+val sort_floats : float array -> unit
+(** Sort in place, ascending in {!Float.compare} order (the order
+    [Array.sort compare] gives), without boxing an element. *)
+
+val percentile_sorted : float array -> float -> float
+(** {!percentile} of an array already sorted ascending: sort once, then
+    read several percentiles.  @raise Invalid_argument on empty input or
+    p outside the range. *)
+
 val median : float array -> float
 
 val summarize : float array -> summary

@@ -881,6 +881,38 @@ let qcheck_cases =
             Hashtbl.replace seen l ();
             ok)
           touches);
+    (* A table's size never shows in its answers: device-sized,
+       demand-sized (below or above the eventual footprint) and forked
+       buffers classify a stream identically, through grows and past the
+       compact threshold (8 x capacity entries), and again after [clear]
+       empties them — in place at the floor size, reallocated above it. *)
+    Test.make ~name:"linebuf codes do not depend on table size" ~count:200
+      (quad (int_range 1 8) (int_range 0 600) bool
+         (list_of_size
+            Gen.(int_range 0 400)
+            (triple (int_range 0 200) (int_range 0 63) (int_range (-3) 12))))
+      (fun (capacity, demand, wide, stream) ->
+        let coalesce_window = if wide then 2.0 else 0.0 in
+        let bufs =
+          [
+            Linebuf.create ~capacity ~coalesce_window;
+            Linebuf.create_sized ~demand ~capacity ~coalesce_window;
+            Linebuf.create_sized ~demand:0 ~capacity ~coalesce_window;
+            Linebuf.fork (Linebuf.create ~capacity ~coalesce_window);
+          ]
+        in
+        let codes lb =
+          let now = ref 0.0 in
+          List.map
+            (fun (line, lane, dt) ->
+              now := !now +. float_of_int dt;
+              Linebuf.touch_code lb ~vtime:!now ~lane line)
+            stream
+        in
+        let first = List.map codes bufs in
+        List.iter Linebuf.clear bufs;
+        let again = List.map codes bufs in
+        List.for_all (( = ) (List.hd first)) (first @ again));
     Test.make ~name:"occupancy bounded by device caps" ~count:200
       (pair (int_range 1 32) (int_range 0 20_000))
       (fun (warps, smem) ->

@@ -260,6 +260,34 @@ let qcheck_cases =
         let a = Array.of_list xs in
         let lo = Float.min p1 p2 and hi = Float.max p1 p2 in
         Stats.percentile a lo <= Stats.percentile a hi +. 1e-9);
+    (* the float sort and percentile_sorted against the boxed
+       [Array.sort compare] and the interpolation Stats.percentile always
+       had, on inputs full of duplicates and negatives *)
+    Test.make ~name:"stats.sort_floats and percentile_sorted match the boxed sort"
+      ~count:300
+      (pair
+         (list_of_size
+            Gen.(int_range 1 60)
+            (oneof [ float_range (-50.) 50.; map float_of_int (int_range (-3) 3) ]))
+         (float_range 0.0 100.0))
+      (fun (xs, p) ->
+        let a = Array.of_list xs in
+        let boxed = Array.copy a in
+        Array.sort compare boxed;
+        let fast = Array.copy a in
+        Stats.sort_floats fast;
+        let n = Array.length boxed in
+        let rank = p /. 100.0 *. float_of_int (n - 1) in
+        let lo = int_of_float (Float.floor rank) and hi = int_of_float (Float.ceil rank) in
+        let reference =
+          if lo = hi then boxed.(lo)
+          else
+            let w = rank -. float_of_int lo in
+            (boxed.(lo) *. (1.0 -. w)) +. (boxed.(hi) *. w)
+        in
+        fast = boxed
+        && Stats.percentile_sorted fast p = reference
+        && Stats.percentile a p = reference);
     Test.make ~name:"prng.shuffle preserves multiset" ~count:200
       (pair small_int (list small_int))
       (fun (seed, xs) ->
