@@ -25,7 +25,16 @@
 open Bechamel
 open Toolkit
 
-(* Knob reads go through Ompsimd_util.Env: blank values mean unset. *)
+(* The OMPSIMD_* knobs the library honours, parsed once before any
+   work; the OMPSIMD_BENCH_* knobs below are the bench's own (read
+   through Ompsimd_util.Env: blank values mean unset). *)
+let knobs =
+  match Knobs.of_env () with
+  | Ok k -> k
+  | Error msg ->
+      prerr_endline msg;
+      exit 2
+
 module Env = Ompsimd_util.Env
 
 let device () =
@@ -71,7 +80,8 @@ let print_experiments ~pool () =
     (Experiments.Teams_mode_ablation.run ~scale ~pool ~cfg ());
   print_newline ();
   Experiments.Spmdization_ablation.print
-    (Experiments.Spmdization_ablation.run ~scale ~pool ~cfg ());
+    (Experiments.Spmdization_ablation.run ~scale ~pool ~knobs:knobs.Knobs.compile
+       ~cfg ());
   print_newline ();
   Experiments.Schedule_ablation.print
     (Experiments.Schedule_ablation.run ~scale ~pool ~cfg ())
@@ -104,35 +114,16 @@ let serve_trace =
 
 let serve_conf ~cache =
   {
+    Knobs.default.Knobs.fleet.Serve.Fleet.base with
     Serve.Scheduler.cfg = Gpusim.Config.small;
-    queue_bound = 16;
-    servers = 2;
     cache_capacity = cache;
-    max_retries = 2;
-    backoff = 500.0;
-    breaker = 4;
-    slo = None;
-    window = 20_000.0;
-    knobs = Openmp.Offload.default_knobs;
+    knobs = knobs.Knobs.compile;
   }
 
 (* The single-device service: one shard, no batching, stealing or
    launch memo. *)
 let one_shard base =
-  {
-    Serve.Fleet.base;
-    shards = 1;
-    batch = 1;
-    steal = false;
-    memo = false;
-    tenants = [];
-    devices = [];
-    affinity = true;
-    telemetry = false;
-    shed = true;
-    autoscale = Serve.Autoscale.disabled;
-    decay = 0;
-  }
+  { Knobs.default.Knobs.fleet with Serve.Fleet.base; steal = false; memo = false }
 
 (* Each case is a named thunk: Bechamel stages it for the ms/run
    estimate, and the allocation probe below calls it directly for the
@@ -161,7 +152,9 @@ let bench_cases ~pool () =
         ignore (Experiments.Teams_mode_ablation.run ~scale:s ~pool ~cfg ()) );
     ( "spmdization ablation (E8)",
       fun () ->
-        ignore (Experiments.Spmdization_ablation.run ~scale:s ~pool ~cfg ()) );
+        ignore
+          (Experiments.Spmdization_ablation.run ~scale:s ~pool
+             ~knobs:knobs.Knobs.compile ~cfg ()) );
     ( "schedule ablation (E9)",
       fun () ->
         ignore (Experiments.Schedule_ablation.run ~scale:0.1 ~pool ~cfg ()) );
@@ -247,7 +240,7 @@ let bench_cases ~pool () =
             conf with
             Serve.Scheduler.knobs =
               {
-                Openmp.Offload.default_knobs with
+                knobs.Knobs.compile with
                 Openmp.Offload.passes = "fold,licm,strength,fuse,tile:32,dce";
               };
           }
@@ -259,14 +252,8 @@ let bench_cases ~pool () =
        tolerance *)
     ( "serve faulty (5% aborts)",
       fun () ->
-        Unix.putenv "OMPSIMD_FAULTS" "abort=0.05";
-        Unix.putenv "OMPSIMD_FAULT_SEED" "7";
-        Fun.protect
-          ~finally:(fun () ->
-            Unix.putenv "OMPSIMD_FAULTS" "";
-            Unix.putenv "OMPSIMD_FAULT_SEED" "";
-            Gpusim.Fault.refresh_from_env ())
-          (fun () ->
+        let faults = Some (Gpusim.Fault.parse_spec ~seed:7 "abort=0.05") in
+        Knobs.with_installed { knobs with Knobs.faults } (fun () ->
             ignore
               (Serve.Fleet.run (one_shard (serve_conf ~cache:32)) ~pool serve_trace)) );
   ]
@@ -368,7 +355,8 @@ let run_bechamel ~pool () =
   | None -> ()
 
 let () =
-  let pool = Gpusim.Pool.get_default () in
+  Knobs.install knobs;
+  let pool = Gpusim.Pool.create ~domains:knobs.Knobs.domains () in
   print_experiments ~pool ();
   print_newline ();
   run_bechamel ~pool ()

@@ -20,28 +20,42 @@ let scale_term =
   let doc = "Problem-size multiplier (use < 1.0 for quick runs)." in
   Arg.(value & opt float 1.0 & info [ "scale"; "s" ] ~docv:"SCALE" ~doc)
 
-(* The single place every subcommand reads its environment: arming the
-   sanitizer (workload subcommands launch on the device directly,
-   without going through Offload.run, so OMPSIMD_SANITIZE must be
-   honored here) and sizing the OMPSIMD_DOMAINS block-simulation pool
-   (bit-identical reports either way, see DESIGN.md).  New knob
-   families plug in here — `serve` reads its OMPSIMD_SERVE_* service
-   knobs through {!Serve.Fleet.config_of_env} from the same spot. *)
-let refresh_env_and_pool () =
-  Gpusim.Ompsan.refresh_from_env ();
-  Gpusim.Fault.refresh_from_env ();
-  Gpusim.Pool.get_default ()
-
-let with_device name f =
-  let resolved =
-    if String.trim name = "" then Gpusim.Zoo.of_env ()
-    else Gpusim.Zoo.resolve name
+(* The single place every subcommand reads its configuration: the
+   environment, with the subcommand's flags layered over it as a
+   higher-priority source for the same knobs.  The whole record is
+   parsed before any work, so a malformed value fails every subcommand
+   the same way — exit 2, one line naming the variable — and its
+   device-wide switches (sanitizer, fault plan, watchdog) are installed
+   once, here. *)
+let with_knobs ?(flags = []) device f =
+  let flags =
+    match String.trim device with
+    | "" -> flags
+    | spec -> (
+        (* a bad --device names the flag's value, not the variable *)
+        match Gpusim.Zoo.resolve spec with
+        | Error msg ->
+            prerr_endline msg;
+            exit 2
+        | Ok _ -> ("OMPSIMD_DEVICE", spec) :: flags)
   in
-  match resolved with
+  let lookup name =
+    match List.assoc_opt name flags with
+    | Some v -> Some v
+    | None -> Ompsimd_util.Env.var name
+  in
+  match Knobs.parse lookup with
   | Error msg ->
       prerr_endline msg;
       exit 2
-  | Ok cfg -> f cfg (refresh_env_and_pool ())
+  | Ok k ->
+      Knobs.install k;
+      f k
+
+(* the block-simulation pool OMPSIMD_DOMAINS sizes (bit-identical
+   reports for any width, see DESIGN.md) *)
+let pool_of k = Gpusim.Pool.create ~domains:k.Knobs.domains ()
+let with_device device f = with_knobs device (fun k -> f k.Knobs.device (pool_of k))
 
 let csv_term =
   let doc = "Also write the series as CSV to this file." in
@@ -101,8 +115,9 @@ let dispatch_cmd =
 
 let amd_cmd =
   let run scale =
-    let pool = refresh_env_and_pool () in
-    Experiments.Amd_mode.print (Experiments.Amd_mode.run ~scale ~pool ())
+    with_knobs "" (fun k ->
+        Experiments.Amd_mode.print
+          (Experiments.Amd_mode.run ~scale ~pool:(pool_of k) ()))
   in
   Cmd.v
     (Cmd.info "amd" ~doc:"E5: AMD wavefront-barrier gap (S5.4.1)")
@@ -130,9 +145,10 @@ let teams_mode_cmd =
 
 let spmdize_cmd =
   let run device scale =
-    with_device device (fun cfg pool ->
+    with_knobs device (fun k ->
         Experiments.Spmdization_ablation.print
-          (Experiments.Spmdization_ablation.run ~scale ~pool ~cfg ()))
+          (Experiments.Spmdization_ablation.run ~scale ~pool:(pool_of k)
+             ~knobs:k.Knobs.compile ~cfg:k.Knobs.device ()))
   in
   Cmd.v
     (Cmd.info "spmdize"
@@ -265,27 +281,30 @@ let compile_cmd =
     Arg.(value & flag & info [ "racecheck" ] ~doc)
   in
   let run file guardize no_fold racecheck =
-    match Ompir.Parse.kernel_of_file file with
-    | exception Ompir.Parse.Syntax_error { line; message } ->
-        Printf.eprintf "%s:%d: syntax error: %s\n" file line message;
-        exit 1
-    | kernel -> (
-        match
-          Openmp.Offload.compile ~guardize ~fold:(not no_fold) ~racecheck kernel
-        with
-        | Error es ->
-            List.iter
-              (fun e -> Format.eprintf "%s: error: %a@." file Ompir.Check.pp_error e)
-              es;
+    with_knobs "" (fun k ->
+        match Ompir.Parse.kernel_of_file file with
+        | exception Ompir.Parse.Syntax_error { line; message } ->
+            Printf.eprintf "%s:%d: syntax error: %s\n" file line message;
             exit 1
-        | Ok compiled ->
-            print_endline "=== lowered kernel ===";
-            print_endline
-              (Ompir.Printer.kernel_to_string
-                 compiled.Openmp.Offload.program.Ompir.Outline.kernel);
-            print_newline ();
-            print_endline "=== remarks ===";
-            List.iter print_endline (Openmp.Offload.remarks compiled))
+        | kernel -> (
+            let knobs =
+              { k.Knobs.compile with guardize; fold = not no_fold; racecheck }
+            in
+            match Openmp.Offload.compile_with ~knobs kernel with
+            | Error es ->
+                List.iter
+                  (fun e ->
+                    Format.eprintf "%s: error: %a@." file Ompir.Check.pp_error e)
+                  es;
+                exit 1
+            | Ok compiled ->
+                print_endline "=== lowered kernel ===";
+                print_endline
+                  (Ompir.Printer.kernel_to_string
+                     compiled.Openmp.Offload.program.Ompir.Outline.kernel);
+                print_newline ();
+                print_endline "=== remarks ===";
+                List.iter print_endline (Openmp.Offload.remarks compiled)))
   in
   Cmd.v
     (Cmd.info "compile"
@@ -298,11 +317,11 @@ let info_cmd =
     Arg.(value & flag & info [ "zoo" ] ~doc)
   in
   let run device zoo =
-    if zoo then Format.printf "%a@." Gpusim.Zoo.pp_table ()
-    else
-      with_device device (fun cfg _pool ->
-          Format.printf "%a@.spec: %s@." Gpusim.Config.pp cfg
-            (Gpusim.Config.to_spec cfg))
+    with_knobs device (fun k ->
+        if zoo then Format.printf "%a@." Gpusim.Zoo.pp_table ()
+        else
+          Format.printf "%a@.spec: %s@." Gpusim.Config.pp k.Knobs.device
+            (Gpusim.Config.to_spec k.Knobs.device))
   in
   Cmd.v
     (Cmd.info "info"
@@ -332,10 +351,10 @@ let sweep_cmd =
                        (String.trim n);
                      exit 2)
     in
-    let pool = refresh_env_and_pool () in
-    let r = Experiments.Zoo_sweep.run ~scale ~pool ~entries () in
-    Experiments.Zoo_sweep.print r;
-    write_csv csv (Experiments.Zoo_sweep.to_csv r)
+    with_knobs "" (fun k ->
+        let r = Experiments.Zoo_sweep.run ~scale ~pool:(pool_of k) ~entries () in
+        Experiments.Zoo_sweep.print r;
+        write_csv csv (Experiments.Zoo_sweep.to_csv r))
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -346,7 +365,8 @@ let sweep_cmd =
 
 let all_cmd =
   let run device scale =
-    with_device device (fun cfg pool ->
+    with_knobs device (fun k ->
+        let cfg = k.Knobs.device and pool = pool_of k in
         Experiments.Fig9.print (Experiments.Fig9.run ~scale ~pool ~cfg ());
         print_newline ();
         Experiments.Fig10.print (Experiments.Fig10.run ~scale ~pool ~cfg ());
@@ -366,7 +386,8 @@ let all_cmd =
           (Experiments.Teams_mode_ablation.run ~scale ~pool ~cfg ());
         print_newline ();
         Experiments.Spmdization_ablation.print
-          (Experiments.Spmdization_ablation.run ~scale ~pool ~cfg ());
+          (Experiments.Spmdization_ablation.run ~scale ~pool
+             ~knobs:k.Knobs.compile ~cfg ());
         print_newline ();
         Experiments.Schedule_ablation.print
           (Experiments.Schedule_ablation.run ~scale ~pool ~cfg ()))
@@ -464,7 +485,24 @@ let serve_cmd =
   in
   let run device requests synthetic seed gap traffic profile shards batch
       json_path results_path telemetry_path slo_ms =
-    with_device device (fun cfg pool ->
+    (match slo_ms with
+    | Some ms when ms <= 0.0 ->
+        prerr_endline "serve: --slo must be a positive millisecond value";
+        exit 2
+    | _ -> ());
+    (* each flag overrides its knob; the autoscaler is derived from the
+       final SLO and shard count inside the one parse *)
+    let flags =
+      List.filter_map
+        (fun (name, v) -> Option.map (fun v -> (name, v)) v)
+        [
+          ("OMPSIMD_SERVE_SHARDS", Option.map string_of_int shards);
+          ("OMPSIMD_SERVE_BATCH", Option.map string_of_int batch);
+          ("OMPSIMD_SERVE_SLO_MS", Option.map (Printf.sprintf "%.17g") slo_ms);
+          ("OMPSIMD_SERVE_TELEMETRY", telemetry_path);
+        ]
+    in
+    with_knobs ~flags device (fun k ->
         let specs =
           match (requests, synthetic, traffic) with
           | Some file, None, None -> (
@@ -488,40 +526,9 @@ let serve_cmd =
                 "serve: --requests, --synthetic and --traffic are exclusive";
               exit 2
         in
-        (match slo_ms with
-        | Some ms when ms <= 0.0 ->
-            prerr_endline "serve: --slo must be a positive millisecond value";
-            exit 2
-        | _ -> ());
-        let fconf =
-          try Serve.Fleet.config_of_env ~cfg ()
-          with Invalid_argument msg ->
-            Printf.eprintf "serve: %s\n" msg;
-            exit 2
-        in
-        let base =
-          match slo_ms with
-          | None -> fconf.Serve.Fleet.base
-          | Some ms ->
-              { fconf.Serve.Fleet.base with Serve.Scheduler.slo = Some (ms *. 1000.0) }
-        in
-        let shards = Option.value ~default:fconf.Serve.Fleet.shards shards in
-        (* the autoscaler knobs are a function of the final SLO and
-           shard count, so they are derived after the flag overrides *)
-        let fconf =
-          {
-            fconf with
-            Serve.Fleet.base;
-            shards;
-            batch = Option.value ~default:fconf.Serve.Fleet.batch batch;
-            telemetry = fconf.Serve.Fleet.telemetry || telemetry_path <> None;
-            autoscale =
-              Serve.Autoscale.config_of_env ~slo:base.Serve.Scheduler.slo ~shards
-                ~servers:base.Serve.Scheduler.servers ();
-          }
-        in
+        let fconf = k.Knobs.fleet in
         let res =
-          try Serve.Fleet.run fconf ~pool specs
+          try Serve.Fleet.run fconf ~pool:(pool_of k) specs
           with Invalid_argument msg ->
             Printf.eprintf "serve: %s\n" msg;
             exit 2
@@ -538,12 +545,9 @@ let serve_cmd =
           (fun path ->
             write path (Serve.Fleet.results_json res.Serve.Fleet.reports) "results")
           results_path;
-        (* --telemetry wins; otherwise the env knob's value is the path *)
         Option.iter
           (fun path -> write path res.Serve.Fleet.telemetry "telemetry")
-          (match telemetry_path with
-          | Some p -> Some p
-          | None -> Ompsimd_util.Env.var "OMPSIMD_SERVE_TELEMETRY"))
+          k.Knobs.telemetry)
   in
   Cmd.v
     (Cmd.info "serve"

@@ -6,7 +6,8 @@
    simd loop) is written in the IR, type-checked, outlined into loop
    tasks, analyzed for globalization and SPMD-ization, printed back as
    pragma-annotated source, and finally executed on the simulated GPU
-   under both execution modes. *)
+   under both execution modes.  The OMPSIMD_* knobs (OMPSIMD_EVAL,
+   OMPSIMD_PASSES, OMPSIMD_SANITIZE, ...) are read once, up front. *)
 
 module Memory = Gpusim.Memory
 module Ir = Ompir.Ir
@@ -55,11 +56,19 @@ let kernel =
     ]
 
 let () =
+  let knobs =
+    match Knobs.of_env () with
+    | Ok k -> k
+    | Error msg ->
+        prerr_endline msg;
+        exit 2
+  in
+  Knobs.install knobs;
   let cfg = Gpusim.Config.a100_quarter in
   print_endline "=== source (reconstructed from the IR) ===";
   print_endline (Printer.kernel_to_string kernel);
   print_newline ();
-  match Offload.compile kernel with
+  match Offload.compile_with ~knobs:knobs.Knobs.compile kernel with
   | Error es ->
       List.iter
         (fun e -> Format.printf "error: %a@." Ompir.Check.pp_error e)

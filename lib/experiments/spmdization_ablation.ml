@@ -80,7 +80,7 @@ let tight_kernel ~width =
         ];
     ]
 
-let run ?(scale = 1.0) ?pool ~cfg () =
+let run ?(scale = 1.0) ?pool ?(knobs = Openmp.Offload.default_knobs) ~cfg () =
   let width = 32 in
   let teams = 4 * cfg.Gpusim.Config.num_sms in
   let n =
@@ -102,7 +102,7 @@ let run ?(scale = 1.0) ?pool ~cfg () =
     ]
   in
   let time ?(guardize = false) k =
-    match Openmp.Offload.compile ~guardize k with
+    match Openmp.Offload.compile_with ~knobs:{ knobs with guardize } k with
     | Error _ -> failwith "E8 kernel must compile"
     | Ok compiled ->
         Memory.fill out 0.0;

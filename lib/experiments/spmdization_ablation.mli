@@ -26,6 +26,14 @@ type row = {
 type t = { rows : row list }
 
 val run :
-  ?scale:float -> ?pool:Gpusim.Pool.t -> cfg:Gpusim.Config.t -> unit -> t
+  ?scale:float ->
+  ?pool:Gpusim.Pool.t ->
+  ?knobs:Openmp.Offload.knobs ->
+  cfg:Gpusim.Config.t ->
+  unit ->
+  t
+(** [knobs] (default {!Openmp.Offload.default_knobs}) compile every
+    variant; each variant sets [guardize] itself. *)
+
 val to_table : t -> Ompsimd_util.Table.t
 val print : t -> unit

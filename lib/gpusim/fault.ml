@@ -1,7 +1,8 @@
 (* Deterministic fault injection for the simulated device.
 
-   A fault plan is parsed from OMPSIMD_FAULTS ("kind=rate" tokens, comma
-   separated) and seeded by OMPSIMD_FAULT_SEED.  Every decision — does
+   A fault plan is parsed from a spec ("kind=rate" tokens, comma
+   separated; the OMPSIMD_FAULTS knob) and a seed (OMPSIMD_FAULT_SEED),
+   and installed once by the entry point.  Every decision — does
    this block fail, which thread, at which cycle — is drawn once at
    block start from a Prng seeded by (plan seed, launch nonce,
    block_id), so faults are a pure function of the plan and the block,
@@ -30,13 +31,12 @@
    - exhaust: every sharing-space acquire in the block is forced onto
               the omprt global-memory fallback path.
 
-   Arming the plan (a non-blank spec, or a positive OMPSIMD_WATCHDOG
-   cycle budget) also switches Device.launch from raising
+   Arming the plan (any installed plan, or a positive watchdog cycle
+   budget) also switches Device.launch from raising
    Engine.Deadlock to converting hung blocks into structured failure
    reports.  With the plan disarmed every hook is one load-and-branch
    and reports are bit-identical to a build without this module. *)
 
-module Env = Ompsimd_util.Env
 module Prng = Ompsimd_util.Prng
 
 type kind = Block_abort | Ecc_fatal | Barrier_stall | Watchdog
@@ -174,22 +174,16 @@ let watchdog = ref 0.0
 let nonce = Atomic.make 0
 let reset () = Atomic.set nonce 0
 
-let refresh_from_env () =
-  watchdog := Env.float "OMPSIMD_WATCHDOG" ~default:0.0;
-  let next =
-    match Env.var "OMPSIMD_FAULTS" with
-    | None -> None
-    | Some spec ->
-        Some (parse_spec ~seed:(Env.int "OMPSIMD_FAULT_SEED" ~default:0) spec)
-  in
-  match next with
+let install plan ~watchdog:budget =
+  watchdog := budget;
+  match plan with
   | None ->
       armed := false;
       current := disarmed;
       reset ()
   | Some p ->
       (* an unchanged plan keeps the nonce: launches within one armed
-         process keep drawing fresh faults across refreshes *)
+         process keep drawing fresh faults across re-installs *)
       if (not !armed) || p <> !current then begin
         current := p;
         reset ()

@@ -1,17 +1,18 @@
 (** Deterministic fault injection and failure capture.
 
-    A fault plan parsed from [OMPSIMD_FAULTS] ("kind=rate" tokens,
-    comma separated; kinds [abort], [flip] (optionally [flip=rate:frac]
-    with [frac] the fatal fraction), [stall], [exhaust]) and seeded by
-    [OMPSIMD_FAULT_SEED].  Every decision is drawn at block start from
+    A fault plan parsed from a spec ("kind=rate" tokens, comma
+    separated; kinds [abort], [flip] (optionally [flip=rate:frac] with
+    [frac] the fatal fraction), [stall], [exhaust]) and a seed — the
+    [OMPSIMD_FAULTS] and [OMPSIMD_FAULT_SEED] knobs — and {!install}ed
+    once by the entry point.  Every decision is drawn at block start from
     (plan seed, launch nonce, block_id), so injected faults are
     bit-identical across [OMPSIMD_DOMAINS] and both [OMPSIMD_EVAL]
     engines; the nonce counts armed launches so a relaunch of a failed
     request draws fresh faults, and {!reset} rewinds it so replaying a
     whole trace reproduces the identical fault sequence.
 
-    Arming a plan — any non-blank spec, even with all-zero rates — or
-    setting a positive [OMPSIMD_WATCHDOG] cycle budget also switches
+    Arming a plan — any installed plan, even with all-zero rates — or
+    installing a positive watchdog cycle budget also switches
     {!Device.launch} from raising {!Engine.Deadlock} to reporting hung
     blocks as structured {!failure}s.  Disarmed, every hook is a single
     load-and-branch and reports are bit-identical to a build without
@@ -67,11 +68,18 @@ exception Fatal of failure
 val armed : bool ref
 (** Hot-path gate: hooks are behind [if !Fault.armed]. *)
 
-val refresh_from_env : unit -> unit
-(** Re-read [OMPSIMD_FAULTS] / [OMPSIMD_FAULT_SEED] /
-    [OMPSIMD_WATCHDOG].  An unchanged plan keeps the launch nonce; a
-    changed (or cleared) plan resets it.
-    @raise Invalid_argument on a malformed spec. *)
+type plan
+
+val parse_spec : seed:int -> string -> plan
+(** Parse a fault spec (["abort=0.1,flip=0.2:0.5"]); every rate must
+    lie in [0,1].
+    @raise Invalid_argument naming [OMPSIMD_FAULTS] on a malformed
+    token. *)
+
+val install : plan option -> watchdog:float -> unit
+(** Arm ([Some plan]) or disarm ([None]) fault injection and set the
+    per-block watchdog cycle budget (0 = off).  An unchanged plan keeps
+    the launch nonce; a changed (or cleared) plan resets it. *)
 
 val reset : unit -> unit
 (** Rewind the launch nonce so the next armed launch replays the fault

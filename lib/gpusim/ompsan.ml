@@ -40,15 +40,9 @@ let kind_label = function Read -> "read" | Write -> "write" | Atomic -> "atomic"
 
 (* --- enable switch ---------------------------------------------------- *)
 
-let env_enabled () =
-  (* blank = unset = off; anything else falls back to off as well — the
-     sanitizer is opt-in and must never arm by accident *)
-  match Ompsimd_util.Env.var "OMPSIMD_SANITIZE" with
-  | Some ("1" | "on" | "true" | "yes") -> true
-  | Some _ | None -> false
-
-let enabled = ref (env_enabled ())
-let refresh_from_env () = enabled := env_enabled ()
+(* off until the entry point installs its configuration (the
+   OMPSIMD_SANITIZE knob); opt-in, so it never arms by accident *)
+let enabled = ref false
 
 (* --- site registry ----------------------------------------------------
 

@@ -10,7 +10,8 @@
     reports barrier divergence: a lane arriving at one barrier while a
     mask-mate is parked at a different warp-scope barrier.
 
-    Enabled via [OMPSIMD_SANITIZE=1] (or the {!enabled} flag directly).
+    Enabled by the [OMPSIMD_SANITIZE=1] knob, which the entry point
+    installs into {!enabled} once.
     When disabled every hook is a single load-and-branch: no shadow
     state is allocated and no clock or counter is touched, so sanitized
     builds stay bit-identical to the seed — the existing determinism
@@ -21,11 +22,8 @@ type access_kind = Read | Write | Atomic
 val kind_label : access_kind -> string
 
 val enabled : bool ref
-(** Initialized from [OMPSIMD_SANITIZE]; tests may flip it directly. *)
-
-val refresh_from_env : unit -> unit
-(** Re-read [OMPSIMD_SANITIZE] (launch entry points call this so the
-    environment knob works without re-linking). *)
+(** Off by default; set once by the entry point from its configuration
+    (tests may flip it directly). *)
 
 (** {2 Sites}
 

@@ -128,33 +128,3 @@ let parallel_init t n f =
         | None -> failwith "Pool.parallel_init: missing result")
       results
   end
-
-let env_var = "OMPSIMD_DOMAINS"
-
-let domains_of_env () =
-  (* The simulation is compute-bound and allocation-heavy, so domains
-     beyond the physical cores only add stop-the-world GC coordination:
-     the policy layer caps any request at cores - 1 (the submitting
-     domain simulates too).  [create] itself stays exact for callers
-     that oversubscribe deliberately (tests).  A blank value means
-     unset ({!Ompsimd_util.Env}). *)
-  let cap = max 0 (Domain.recommended_domain_count () - 1) in
-  match Ompsimd_util.Env.var env_var with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some d when d >= 0 -> min d cap
-      | Some _ | None ->
-          invalid_arg
-            (Printf.sprintf "Pool: %s must be a non-negative integer, got %S"
-               env_var s))
-  | None -> cap
-
-let default = ref None
-
-let get_default () =
-  match !default with
-  | Some p -> p
-  | None ->
-      let p = create ~domains:(domains_of_env ()) () in
-      default := Some p;
-      p

@@ -7,10 +7,9 @@
     {e indices}; the result for index [i] always lands in slot [i], so the
     caller sees the same array regardless of which domain ran what.
 
-    Worker count is configured explicitly or via the [OMPSIMD_DOMAINS]
-    environment variable ([0] = sequential; unset defaults to
-    [Domain.recommended_domain_count () - 1]; explicit values are capped
-    at the same quantity — see {!domains_of_env}). *)
+    Worker count is always explicit; entry points size their pool from
+    the [OMPSIMD_DOMAINS] knob, whose policy caps requests at
+    [Domain.recommended_domain_count () - 1]. *)
 
 type t
 
@@ -39,22 +38,3 @@ val shutdown : t -> unit
     Leaving a pool running at process exit is harmless (workers are
     parked on a condition variable), but explicit shutdown keeps e.g.
     benchmark harnesses tidy. *)
-
-val env_var : string
-(** ["OMPSIMD_DOMAINS"]. *)
-
-val domains_of_env : unit -> int
-(** Worker count requested by the environment: [OMPSIMD_DOMAINS] if set
-    (must parse as a non-negative integer), otherwise — and as an upper
-    cap on explicit values — [Domain.recommended_domain_count () - 1].
-    The cap exists because the simulation is compute-bound and
-    allocation-heavy: domains beyond the physical cores only add
-    stop-the-world GC coordination (on a single-core host every request
-    degrades to the sequential path).  Use {!create} directly to
-    oversubscribe deliberately.
-    @raise Invalid_argument on an unparsable value. *)
-
-val get_default : unit -> t
-(** The process-wide pool, created from {!domains_of_env} on first use.
-    Intended for entry points (benchmarks, experiment drivers); library
-    code takes an explicit pool argument instead. *)

@@ -108,16 +108,6 @@ let resolve ?(default = Config.a100_quarter) spec =
           if String.trim rest = "" then Ok e.config
           else Config.of_spec ~base:e.config rest
 
-let env_var = "OMPSIMD_DEVICE"
-
-let of_env ?(default = Config.a100_quarter) () =
-  match Ompsimd_util.Env.var env_var with
-  | None -> Ok default
-  | Some spec -> (
-      match resolve ~default spec with
-      | Ok cfg -> Ok cfg
-      | Error msg -> Error (Printf.sprintf "%s: %s" env_var msg))
-
 let pp_table ppf () =
   Format.fprintf ppf "@[<v>";
   List.iter

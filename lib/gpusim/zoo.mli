@@ -36,12 +36,5 @@ val resolve : ?default:Config.t -> string -> (Config.t, string) result
     ([w64-sw,num_sms=4]).  Errors name the unknown device or the bad
     key, and the result is always validated. *)
 
-val env_var : string
-(** ["OMPSIMD_DEVICE"]. *)
-
-val of_env : ?default:Config.t -> unit -> (Config.t, string) result
-(** Resolve [OMPSIMD_DEVICE] (blank or unset means [default]), prefixing
-    errors with the variable name. *)
-
 val pp_table : Format.formatter -> unit -> unit
 (** Render the registry as a listing (name, warp, barrier, blurb). *)

@@ -27,17 +27,6 @@ let err fmt = Printf.ksprintf (fun s -> raise (Eval.Error s)) fmt
 
 type engine = Walk | Staged
 
-let engine_of_env () =
-  (* blank = unset ({!Ompsimd_util.Env}), the shared convention for
-     every OMPSIMD_* knob *)
-  match Ompsimd_util.Env.var "OMPSIMD_EVAL" with
-  | Some "walk" -> Walk
-  | Some "compile" | Some "staged" | None -> Staged
-  | Some other ->
-      invalid_arg
-        (Printf.sprintf "OMPSIMD_EVAL=%s (expected \"compile\" or \"walk\")"
-           other)
-
 (* ------------------------------------------------------------------ *)
 (* Runtime representation                                              *)
 

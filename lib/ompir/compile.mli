@@ -17,11 +17,9 @@
 type value = Eval.value = V_int of int | V_float of float
 
 type engine = Walk | Staged
-
-val engine_of_env : unit -> engine
-(** Engine selected by the [OMPSIMD_EVAL] environment variable:
-    ["walk"] is the tree walker, ["compile"]/["staged"] (and unset) the
-    staged evaluator.  @raise Invalid_argument on other values. *)
+(** Which evaluator runs a compiled kernel: the tree walker or the
+    staged closures.  Chosen at compile time ([Offload.knobs.engine],
+    the [OMPSIMD_EVAL] knob). *)
 
 val run :
   cfg:Gpusim.Config.t ->

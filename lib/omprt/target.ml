@@ -58,7 +58,6 @@ let thread_main body team (th : Gpusim.Thread.t) =
 
 let launch ~cfg ?pool ?trace ?block_class ~params ?(dispatch_table_size = 0)
     body =
-  Workshare.refresh_from_env ();
   let block = Team.block_threads ~cfg params in
   Gpusim.Device.launch ~cfg ?pool ?trace ?block_class
     ~grid:params.Team.num_teams ~block

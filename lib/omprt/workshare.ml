@@ -200,19 +200,7 @@ let distribute_parallel_for ctx ?(schedule = Static) ~trip f =
 
    Fault-injected runs keep the classic path: stall faults park their
    victims at the per-round barriers, which the fused rounds never
-   reach.  [OMPSIMD_LOCKSTEP=classic] restores the barrier-per-round
-   execution for bisection. *)
-
-let fused = ref true
-
-let refresh_from_env () =
-  match Ompsimd_util.Env.var "OMPSIMD_LOCKSTEP" with
-  | None | Some "fused" -> fused := true
-  | Some "classic" -> fused := false
-  | Some s ->
-      invalid_arg
-        (Printf.sprintf "OMPSIMD_LOCKSTEP must be \"fused\" or \"classic\", got %S"
-           s)
+   reach. *)
 
 let drop_fn : int -> unit = fun _ -> ()
 let drop_red : int -> float = fun _ -> 0.0
@@ -357,9 +345,9 @@ let drive_fold ctx g ~group ~num ~trip =
 
 (* The classic barrier-per-round execution, starting after the entry
    rendezvous: each lane steps through its own rounds, parking on the
-   zero-cost lockstep barrier after every one.  Runs under
-   [OMPSIMD_LOCKSTEP=classic], under fault injection, and as the
-   fallback when a group's lanes diverge on the trip count. *)
+   zero-cost lockstep barrier after every one.  Runs under fault
+   injection, with a dynamic schedule in flight, and as the fallback
+   when a group's lanes diverge on the trip count. *)
 let classic_simd_rounds ctx ~id ~num ~trip f =
   let tid = ctx.Team.th.Gpusim.Thread.tid in
   (* Simd-loop iterations belong to the executing lane itself, not to
@@ -483,7 +471,7 @@ let simd_loop ctx ~trip f =
   let id = Simd_group.get_simd_group_id g ~tid in
   let num = Simd_group.get_simd_group_size g in
   if num = 1 then run_schedule ctx Static ~id:0 ~num:1 ~trip f
-  else if !fused && team.Team.dyn_active = 0 && not !Gpusim.Fault.armed then
+  else if team.Team.dyn_active = 0 && not !Gpusim.Fault.armed then
     fused_simd_loop ctx g ~tid ~id ~trip ~num f
   else begin
     Team.sync_warp ctx;
@@ -517,7 +505,7 @@ let simd_fold_sum ctx ~trip (f : int -> float) =
   let id = Simd_group.get_simd_group_id g ~tid in
   let num = Simd_group.get_simd_group_size g in
   if num = 1 then sequential_fold_sum ctx ~trip f
-  else if !fused && team.Team.dyn_active = 0 && not !Gpusim.Fault.armed then
+  else if team.Team.dyn_active = 0 && not !Gpusim.Fault.armed then
     fused_simd_fold ctx g ~tid ~id ~trip ~num f
   else begin
     Team.sync_warp ctx;

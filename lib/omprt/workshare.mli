@@ -62,7 +62,7 @@ val simd_loop : Team.ctx -> trip:int -> (int -> unit) -> unit
     the iteration space over the lanes of the calling thread's SIMD group
     ([iv = getSimdGroupId(); iv += getSimdGroupSize()]).
 
-    By default the lockstep rounds run {e fused}: after the entry
+    The lockstep rounds run {e fused}: after the entry
     rendezvous a single lane executes every lane's iterations round-major
     in ascending lane order, replicating the per-lane cost accounting and
     aligning the group's clocks at each round boundary, instead of
@@ -70,14 +70,9 @@ val simd_loop : Team.ctx -> trip:int -> (int -> unit) -> unit
     dominant fiber-switch traffic of simd-heavy kernels; the simulated
     schedule is the canonical SIMT instruction order (same-round accesses
     share the coalescing window and the warp's atomic epoch).
-    [OMPSIMD_LOCKSTEP=classic] restores barrier-per-round execution;
-    fault-injected runs always use it so stall faults keep their park
-    points. *)
-
-val refresh_from_env : unit -> unit
-(** Re-read [OMPSIMD_LOCKSTEP] ("fused", default, or "classic"); called
-    at every launch.
-    @raise Invalid_argument on any other value. *)
+    Fault-injected runs (and teams with a dynamic schedule in flight)
+    fall back to the classic barrier-per-round execution, so stall
+    faults keep their park points. *)
 
 val sequential_loop : Team.ctx -> trip:int -> (int -> unit) -> unit
 (** Plain sequential execution with loop-overhead costing; the degradation

@@ -4,6 +4,7 @@ type compiled = {
   region_modes : (string * Omprt.Mode.t) list;
   guards_inserted : int;
   may_races : Ompir.Racecheck.finding list;
+  engine : Ompir.Compile.engine;
 }
 
 type knobs = {
@@ -11,43 +12,34 @@ type knobs = {
   fold : bool;
   racecheck : bool;
   passes : string;
+  engine : Ompir.Compile.engine;
 }
 
 let default_knobs =
-  { guardize = false; fold = true; racecheck = false; passes = "" }
-
-(* A blank [passes] spec defers to OMPSIMD_PASSES (per the Env
-   convention, unset and blank both mean "default"), so the env knob
-   flows through every call site — including the serve scheduler, whose
-   config carries [default_knobs] — without each one re-reading it.
-   Resolution happens in BOTH [cache_key] and [compile_with], so the key
-   and the artifact always agree and flipping the variable can never
-   alias a differently-optimized cached variant. *)
-let effective_passes knobs =
-  if knobs.passes <> "" then knobs.passes
-  else
-    match Ompsimd_util.Env.var "OMPSIMD_PASSES" with
-    | Some spec -> spec
-    | None -> ""
+  {
+    guardize = false;
+    fold = true;
+    racecheck = false;
+    passes = "";
+    engine = Ompir.Compile.Staged;
+  }
 
 (* The cache identity of a compilation: the content digest of the IR
-   plus every knob that changes what [compile] produces, plus the
-   evaluation engine (the staged evaluator and the walker are
-   bit-identical by contract, but a service replay pins the engine into
-   the key so switching OMPSIMD_EVAL can never alias a cached artifact
-   from the other engine). *)
+   plus every knob that changes what [compile] produces, the engine
+   included (the staged evaluator and the walker are bit-identical by
+   contract, but the artifact records which one runs it, so the two
+   must never alias). *)
 let cache_key ?(knobs = default_knobs) kernel =
   let engine =
-    match Ompir.Compile.engine_of_env () with
+    match knobs.engine with
     | Ompir.Compile.Staged -> "staged"
     | Ompir.Compile.Walk -> "walk"
   in
   let passes =
     (* validate eagerly — a malformed spec must fail fast naming the
-       variable, not surface later as a compile of something else *)
-    let spec = effective_passes knobs in
-    ignore (Ompir.Passes.pipeline_of_spec spec);
-    match String.trim spec with "" -> "default" | s -> s
+       knob, not surface later as a compile of something else *)
+    ignore (Ompir.Passes.pipeline_of_spec knobs.passes);
+    match String.trim knobs.passes with "" -> "default" | s -> s
   in
   Printf.sprintf "%s:g%db%dr%d:p[%s]:%s"
     (Ompir.Kdigest.hex kernel)
@@ -55,15 +47,12 @@ let cache_key ?(knobs = default_knobs) kernel =
     (Bool.to_int knobs.racecheck) passes engine
 
 let compile ?(guardize = false) ?(fold = true) ?(racecheck = false)
-    ?(passes = "") kernel =
+    ?(passes = "") ?(engine = Ompir.Compile.Staged) kernel =
   match Ompir.Check.kernel kernel with
   | Error es -> Error es
   | Ok () ->
       let pipeline =
-        if not fold then []
-        else
-          Ompir.Passes.pipeline_of_spec
-            (effective_passes { guardize; fold; racecheck; passes })
+        if not fold then [] else Ompir.Passes.pipeline_of_spec passes
       in
       match Ompir.Passes.run_verified pipeline kernel with
       | Error (_pass, es) -> Error es
@@ -84,11 +73,12 @@ let compile ?(guardize = false) ?(fold = true) ?(racecheck = false)
           region_modes = Ompir.Spmdize.analyze kernel;
           guards_inserted = guards;
           may_races;
+          engine;
         }
 
 let compile_with ~knobs kernel =
   compile ~guardize:knobs.guardize ~fold:knobs.fold ~racecheck:knobs.racecheck
-    ~passes:knobs.passes kernel
+    ~passes:knobs.passes ~engine:knobs.engine kernel
 
 let remarks c =
   let outlined =
@@ -145,29 +135,14 @@ let remarks c =
    the full default slab — frees block shared memory for occupancy.
    Shrink-only: the clause/default budget is never exceeded, so a kernel
    whose payloads outgrow the budget degrades to the same global
-   fallbacks it always had.
-
-   [OMPSIMD_SHARING_BYTES] pins the reservation to an explicit byte
-   count; [OMPSIMD_SHARING_DYNAMIC=0] disables the heuristic and uses
-   the budget unchanged.  Sizing is a launch-time decision, not a
+   fallbacks it always had.  Sizing is a launch-time decision, not a
    compile-time one: it deliberately stays out of {!cache_key}. *)
 let sharing_reservation ~budget ~num_threads ~simd_len program =
-  match Ompsimd_util.Env.int "OMPSIMD_SHARING_BYTES" ~default:0 with
-  | v when v > 0 -> v
-  | v when v < 0 ->
-      invalid_arg
-        (Printf.sprintf "OMPSIMD_SHARING_BYTES must be positive, got %d" v)
-  | _ ->
-      if not (Ompsimd_util.Env.flag "OMPSIMD_SHARING_DYNAMIC" ~default:true)
-      then budget
-      else
-        let footprint = Ompir.Globalize.footprint_bytes program in
-        let publishers = (num_threads / max 1 simd_len) + 1 in
-        max Omprt.Sharing.min_bytes (min budget (footprint * publishers))
+  let footprint = Ompir.Globalize.footprint_bytes program in
+  let publishers = (num_threads / max 1 simd_len) + 1 in
+  max Omprt.Sharing.min_bytes (min budget (footprint * publishers))
 
 let run ~cfg ?pool ?trace ?(clauses = Clause.none) ~bindings c =
-  Gpusim.Ompsan.refresh_from_env ();
-  Gpusim.Fault.refresh_from_env ();
   if !Gpusim.Ompsan.enabled then
     Gpusim.Ompsan.set_kernel c.program.Ompir.Outline.kernel.Ompir.Ir.kname;
   let params, _, simdlen = Clause.resolve ~cfg clauses in
@@ -190,7 +165,7 @@ let run ~cfg ?pool ?trace ?(clauses = Clause.none) ~bindings c =
       sharing_bytes;
     }
   in
-  match Ompir.Compile.engine_of_env () with
+  match c.engine with
   | Ompir.Compile.Staged ->
       Ompir.Compile.run ~cfg ?pool ?trace ~options ~bindings c.program
   | Ompir.Compile.Walk ->

@@ -16,6 +16,8 @@ type compiled = {
   may_races : Ompir.Racecheck.finding list;
       (** static may-race findings (empty unless compiled with
           [~racecheck:true]) *)
+  engine : Ompir.Compile.engine;
+      (** the evaluator {!run} executes this artifact with *)
 }
 
 type knobs = {
@@ -24,29 +26,24 @@ type knobs = {
   racecheck : bool;
   passes : string;
       (** optimization-pipeline spec ({!Ompir.Passes.pipeline_of_spec});
-          [""] defers to the [OMPSIMD_PASSES] environment variable, and a
-          blank variable means {!Ompir.Passes.default_pipeline} *)
+          [""] means {!Ompir.Passes.default_pipeline} *)
+  engine : Ompir.Compile.engine;
+      (** the evaluator the artifact runs on (the [OMPSIMD_EVAL] knob) *)
 }
 (** The compile-relevant knobs, bundled so cache layers can key on
     them; see {!cache_key}. *)
 
 val default_knobs : knobs
-(** [{ guardize = false; fold = true; racecheck = false; passes = "" }]
-    — the defaults of {!compile}. *)
-
-val effective_passes : knobs -> string
-(** The pipeline spec a compilation with [knobs] will actually run:
-    [knobs.passes], or the [OMPSIMD_PASSES] environment variable when
-    that is blank ([""] when both are). *)
+(** [{ guardize = false; fold = true; racecheck = false; passes = "";
+    engine = Staged }] — the defaults of {!compile}. *)
 
 val cache_key : ?knobs:knobs -> Ompir.Ir.kernel -> string
 (** The identity of a compilation for caching: content digest of the
-    kernel ({!Ompir.Kdigest}), the knobs — with the pipeline spec
-    resolved through {!effective_passes}, so an optimized variant is a
-    distinct tier-2 artifact and flipping [OMPSIMD_PASSES] can never
-    alias a cached kernel compiled under a different pipeline — and the
-    engine selected by [OMPSIMD_EVAL].  Two calls return equal keys iff
-    [compile_with] would produce an interchangeable artifact.
+    kernel ({!Ompir.Kdigest}) and every knob — the pipeline spec (blank
+    prints as [default]), so an optimized variant is a distinct tier-2
+    artifact, and the engine.  A pure function of its arguments: two
+    calls return equal keys iff [compile_with] would produce an
+    interchangeable artifact.
     @raise Invalid_argument on a malformed pipeline spec; the message
     names [OMPSIMD_PASSES] and the offending item. *)
 
@@ -62,6 +59,7 @@ val compile :
   ?fold:bool ->
   ?racecheck:bool ->
   ?passes:string ->
+  ?engine:Ompir.Compile.engine ->
   Ompir.Ir.kernel ->
   (compiled, Ompir.Check.error list) result
 (** [guardize] (default false) applies {!Ompir.Spmdize.guardize} first:
@@ -69,14 +67,14 @@ val compile :
     guard blocks so the regions become SPMD-safe — the paper's §7 plan for
     SPMDizing parallel regions.  [fold] (default true) runs the
     optimization pipeline before outlining: the spec in [passes] (default
-    [""], deferring to [OMPSIMD_PASSES], which blank means
-    {!Ompir.Passes.default_pipeline}), applied through
+    [""], meaning {!Ompir.Passes.default_pipeline}), applied through
     {!Ompir.Passes.run_verified} so a pass that broke well-formedness
     surfaces as a compile error instead of a miscompile.  [fold:false]
     disables the pipeline entirely.  [racecheck] (default false)
     additionally runs the static ompsan layer ({!Ompir.Racecheck}) on
     the post-pipeline, post-guardize kernel; findings land in
-    [may_races] and in {!remarks}.
+    [may_races] and in {!remarks}.  [engine] (default [Staged]) is
+    recorded in the artifact and picks the evaluator {!run} uses.
     @raise Invalid_argument on a malformed [passes] spec; the message
     names [OMPSIMD_PASSES] and the offending item. *)
 
@@ -96,9 +94,8 @@ val sharing_reservation :
     {!Omprt.Sharing.min_bytes} and capped at [budget] (the clause or
     default reservation) — shrink-only, so dynamic sizing can reclaim
     shared memory but never introduce fallbacks the budget would have
-    avoided.  [OMPSIMD_SHARING_BYTES] pins an explicit byte count;
-    [OMPSIMD_SHARING_DYNAMIC=0] returns [budget] unchanged.  A
-    launch-time decision, deliberately outside {!cache_key}. *)
+    avoided.  A launch-time decision, deliberately outside
+    {!cache_key}. *)
 
 val run :
   cfg:Gpusim.Config.t ->
@@ -110,6 +107,7 @@ val run :
   Gpusim.Device.report
 (** Execute on the device.  Unless the clauses force a parallel mode, each
     region uses its SPMD-ization verdict — SPMD when tightly nested,
-    generic otherwise (§3.2).  Re-reads [OMPSIMD_SANITIZE] on entry: when
-    the sanitizer is enabled the returned report carries
-    [sanitizer = Some _] with any dynamic findings. *)
+    generic otherwise (§3.2), on the evaluator the artifact was compiled
+    for.  When the sanitizer is enabled ({!Gpusim.Ompsan.enabled}) the
+    returned report carries [sanitizer = Some _] with any dynamic
+    findings. *)

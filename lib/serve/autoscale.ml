@@ -25,8 +25,6 @@
    function of the window stats, which are themselves pure functions
    of virtual time: the scaling schedule replays byte-identically. *)
 
-module Env = Ompsimd_util.Env
-
 type config = {
   enabled : bool;
   slo : float;  (* virtual ticks; the latency target it scales against *)
@@ -38,19 +36,6 @@ type config = {
 
 let disabled =
   { enabled = false; slo = 0.0; budget = 0; max_extra = 0; down = 0.5; cooldown = 2 }
-
-let config_of_env ~slo ~shards ~servers () =
-  match slo with
-  | None -> disabled
-  | Some slo ->
-      {
-        enabled = Env.flag "OMPSIMD_SERVE_AUTOSCALE" ~default:true;
-        slo;
-        budget = Env.int "OMPSIMD_SERVE_BUDGET" ~default:(2 * shards);
-        max_extra = 3 * servers;
-        down = 0.5;
-        cooldown = Env.int "OMPSIMD_SERVE_COOLDOWN" ~default:2;
-      }
 
 type verdict = Grow | Shrink | Hold
 

@@ -22,13 +22,9 @@ type config = {
 }
 
 val disabled : config
-
-val config_of_env :
-  slo:float option -> shards:int -> servers:int -> unit -> config
-(** [disabled] when no SLO is set; otherwise enabled unless
-    [OMPSIMD_SERVE_AUTOSCALE=0], with [OMPSIMD_SERVE_BUDGET] pool
-    tokens (default [2 * shards]), a [3 * servers] per-shard cap and an
-    [OMPSIMD_SERVE_COOLDOWN]-window cooldown (default 2). *)
+(** The loop off.  With an SLO set, the [OMPSIMD_SERVE_AUTOSCALE],
+    [OMPSIMD_SERVE_BUDGET] and [OMPSIMD_SERVE_COOLDOWN] knobs (parsed by
+    [Knobs]) arm it instead. *)
 
 type verdict = Grow | Shrink | Hold
 

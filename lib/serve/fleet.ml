@@ -65,7 +65,6 @@
 
 module Offload = Openmp.Offload
 module Clause = Openmp.Clause
-module Env = Ompsimd_util.Env
 module Counters = Gpusim.Counters
 
 type config = {
@@ -125,34 +124,6 @@ let parse_devices spec =
            | Error msg ->
                invalid_arg (Printf.sprintf "OMPSIMD_FLEET_DEVICES: %s" msg))
 
-let config_of_env ~cfg () =
-  let base = Scheduler.config_of_env ~cfg () in
-  let shards = Env.int "OMPSIMD_SERVE_SHARDS" ~default:1 in
-  {
-    base;
-    shards;
-    batch = Env.int "OMPSIMD_SERVE_BATCH" ~default:1;
-    steal = Env.flag "OMPSIMD_SERVE_STEAL" ~default:true;
-    memo = Env.flag "OMPSIMD_SERVE_MEMO" ~default:true;
-    tenants =
-      (match Env.var "OMPSIMD_SERVE_TENANTS" with
-      | None -> []
-      | Some spec -> parse_tenants spec);
-    devices =
-      (match Env.var "OMPSIMD_FLEET_DEVICES" with
-      | None -> []
-      | Some spec -> parse_devices spec);
-    affinity = Env.flag "OMPSIMD_FLEET_AFFINITY" ~default:true;
-    (* the env knob carries the stream's destination path (the CLI
-       writes it); its presence is what turns collection on *)
-    telemetry = Env.var "OMPSIMD_SERVE_TELEMETRY" <> None;
-    shed = Env.flag "OMPSIMD_SERVE_SHED" ~default:true;
-    autoscale =
-      Autoscale.config_of_env ~slo:base.Scheduler.slo ~shards
-        ~servers:base.Scheduler.servers ();
-    decay = Env.int "OMPSIMD_FLEET_DECAY" ~default:0;
-  }
-
 let weight_of conf tenant =
   match List.assoc_opt tenant conf.tenants with
   | Some w -> max 1 w
@@ -207,11 +178,10 @@ let place_hash ring h =
    engine, which must never influence where a request lands). *)
 let content_key ~knobs (spec : Request.spec) =
   let kernel = Request.kernel_of_spec spec in
-  let knobs = { knobs with Offload.guardize = spec.guardize } in
   Printf.sprintf "%s|%c|%s"
     (Ompir.Kdigest.hex kernel)
     (if spec.guardize then 'g' else '-')
-    (Offload.effective_passes knobs)
+    knobs.Offload.passes
 
 (* --- bookkeeping types -------------------------------------------------- *)
 
@@ -353,7 +323,6 @@ let run conf ?pool specs =
   if base.Scheduler.window <= 0.0 then
     invalid_arg "Fleet.run: window must be > 0";
   if conf.decay < 0 then invalid_arg "Fleet.run: negative affinity decay";
-  Gpusim.Fault.refresh_from_env ();
   Gpusim.Fault.reset ();
   (* heterogeneity: each shard carries a device config, the [devices]
      list cycled across shard ids; [] keeps the pre-zoo homogeneous

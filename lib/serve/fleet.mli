@@ -1,6 +1,7 @@
 (** The service loop: N virtual devices (shards) behind one admission
     plane, in virtual time.  A single-device service is the one-shard
-    fleet, and that is the default shape ({!config_of_env}).
+    fleet, and that is the default shape (the [OMPSIMD_SERVE_*] and
+    [OMPSIMD_FLEET_*] knobs that fill {!config} are parsed by [Knobs]).
 
     Each shard has a bounded admission queue with retry-with-backoff,
     [servers] executors dispatching highest-priority-first, deadlines
@@ -97,17 +98,6 @@ val parse_devices : string -> Gpusim.Config.t list
     (["w32-hw,w64-sw"]) into per-shard device configs.
     @raise Invalid_argument naming the unknown device. *)
 
-val config_of_env : cfg:Gpusim.Config.t -> unit -> config
-(** {!Scheduler.config_of_env} plus [OMPSIMD_SERVE_SHARDS] (default 1),
-    [OMPSIMD_SERVE_BATCH] (1), [OMPSIMD_SERVE_STEAL] (1),
-    [OMPSIMD_SERVE_MEMO] (1), [OMPSIMD_SERVE_TENANTS] (empty),
-    [OMPSIMD_FLEET_DEVICES] (empty = homogeneous),
-    [OMPSIMD_FLEET_AFFINITY] (1), [OMPSIMD_FLEET_DECAY] (0),
-    [OMPSIMD_SERVE_TELEMETRY] (unset; its presence — the CLI treats the
-    value as the stream's destination path — turns collection on),
-    [OMPSIMD_SERVE_SHED] (1) and the {!Autoscale.config_of_env} knobs
-    derived from the base config's [OMPSIMD_SERVE_SLO_MS]. *)
-
 val weight_of : config -> string -> int
 (** The tenant's fair-admission weight (>= 1; unknown tenants weigh 1). *)
 
@@ -115,7 +105,10 @@ val content_key : knobs:Openmp.Offload.knobs -> Request.spec -> string
 (** The engine-free content identity placement and batching key on:
     kernel digest, guardize flag, resolved pass spec.  Unlike
     {!Openmp.Offload.cache_key} it excludes the evaluation engine, so a
-    replay places identically under either [OMPSIMD_EVAL]. *)
+    replay places identically under either engine.  The fleet's knobs
+    are one value per run, so the other knob fields need no place in
+    it: [guardize] comes from the request, and [fold] and [racecheck]
+    do not change what a launch computes. *)
 
 val hash_pos : string -> int
 (** A key's position on the ring: the first 8 bytes of its MD5. *)

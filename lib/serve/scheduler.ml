@@ -46,35 +46,6 @@ type config = {
   knobs : Offload.knobs;  (* guardize is overridden per request *)
 }
 
-module Env = Ompsimd_util.Env
-
-(* OMPSIMD_SERVE_SLO_MS speaks milliseconds of virtual time (1 ms =
-   1000 ticks) — SLOs are operator-facing, ticks are not. *)
-let slo_of_env () =
-  match Env.var "OMPSIMD_SERVE_SLO_MS" with
-  | None -> None
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some ms when ms > 0.0 -> Some (ms *. 1000.0)
-      | _ ->
-          invalid_arg
-            (Printf.sprintf
-               "OMPSIMD_SERVE_SLO_MS must be a positive number, got %S" s))
-
-let config_of_env ~cfg () =
-  {
-    cfg;
-    queue_bound = Env.int "OMPSIMD_SERVE_QUEUE" ~default:16;
-    servers = Env.int "OMPSIMD_SERVE_CONC" ~default:2;
-    cache_capacity = Env.int "OMPSIMD_SERVE_CACHE" ~default:32;
-    max_retries = Env.int "OMPSIMD_SERVE_RETRIES" ~default:2;
-    backoff = Env.float "OMPSIMD_SERVE_BACKOFF" ~default:500.0;
-    breaker = Env.int "OMPSIMD_SERVE_BREAKER" ~default:4;
-    slo = slo_of_env ();
-    window = Env.float "OMPSIMD_SERVE_WINDOW" ~default:20_000.0;
-    knobs = Offload.default_knobs;
-  }
-
 (* Virtual compile cost: purely structural, so it is identical on every
    host.  25 ticks per IR node on a 200-tick floor lands small kernels
    in the same decade as their launch times on the small device. *)

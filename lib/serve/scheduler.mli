@@ -3,7 +3,8 @@
     charge.
 
     The service loop is {!Fleet.run}.  A single-device service is a
-    fleet of one shard ({!Fleet.config_of_env}'s default): a bounded
+    fleet of one shard (the default shape; the [OMPSIMD_SERVE_*] knobs
+    that fill this config are parsed by [Knobs]): a bounded
     admission queue with explicit {!Rejected} / {!Shed} outcomes and
     retry-with-backoff, highest-priority-first dispatch over [servers]
     executors, deadlines enforced while queued and at completion, and a
@@ -57,15 +58,6 @@ type config = {
           drives the shedding decision for the next window *)
   knobs : Openmp.Offload.knobs;  (** guardize is overridden per request *)
 }
-
-val config_of_env : cfg:Gpusim.Config.t -> unit -> config
-(** Defaults overridable by the [OMPSIMD_SERVE_QUEUE] (16),
-    [OMPSIMD_SERVE_CONC] (2), [OMPSIMD_SERVE_CACHE] (32),
-    [OMPSIMD_SERVE_RETRIES] (2), [OMPSIMD_SERVE_BACKOFF] (500),
-    [OMPSIMD_SERVE_BREAKER] (4), [OMPSIMD_SERVE_SLO_MS] (unset; a
-    positive millisecond value, 1 ms = 1000 ticks) and
-    [OMPSIMD_SERVE_WINDOW] (20000 ticks) environment knobs — blank
-    values mean default, as everywhere. *)
 
 val compile_cost : Ompir.Ir.kernel -> float
 (** The virtual compile charge: 200 + 25 ticks per IR node. *)

@@ -1,18 +1,18 @@
 (* Environment-variable access with one shared convention: a variable
    that is unset OR set to a blank string means "use the default".
-   Shells export empty strings readily (VAR= cmd), and Unix.putenv
-   cannot remove a variable at all, so tests that want to restore the
-   default can only set "" — every knob must therefore treat blank as
-   unset, the way OMPSIMD_EVAL="" already did. *)
+   Shells export empty strings readily (VAR= cmd), so every knob treats
+   blank as unset.  The typed readers take an optional [lookup] so a
+   configuration parser can run them over any source (the process
+   environment, a test's assoc list, command-line overrides). *)
 
-let var name =
-  match Sys.getenv_opt name with
+let trimmed = function
   | None -> None
-  | Some s -> (
-      match String.trim s with "" -> None | trimmed -> Some trimmed)
+  | Some s -> ( match String.trim s with "" -> None | t -> Some t)
 
-let int name ~default =
-  match var name with
+let var name = trimmed (Sys.getenv_opt name)
+
+let int ?(lookup = var) name ~default =
+  match lookup name with
   | None -> default
   | Some s -> (
       match int_of_string_opt s with
@@ -21,8 +21,8 @@ let int name ~default =
           invalid_arg
             (Printf.sprintf "%s must be an integer, got %S" name s))
 
-let float name ~default =
-  match var name with
+let float ?(lookup = var) name ~default =
+  match lookup name with
   | None -> default
   | Some s -> (
       match float_of_string_opt s with
@@ -30,8 +30,8 @@ let float name ~default =
       | None ->
           invalid_arg (Printf.sprintf "%s must be a number, got %S" name s))
 
-let flag name ~default =
-  match var name with
+let flag ?(lookup = var) name ~default =
+  match lookup name with
   | None -> default
   | Some ("1" | "on" | "true" | "yes") -> true
   | Some ("0" | "off" | "false" | "no") -> false

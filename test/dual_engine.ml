@@ -1,9 +1,8 @@
 (* Runtest tier for the OMPSIMD_EVAL switch: drive one small kernel
    end-to-end through the compile-and-offload pipeline under both
    evaluator engines — the reference tree walker and the staged
-   compiler — selected exactly the way a user selects them (the
-   environment variable, read at launch time), and require bit-identical
-   results.  This covers the offload.ml dispatch itself, which the
+   compiler — selected through the user-facing OMPSIMD_EVAL knob and
+   the same parse the CLI runs, and require bit-identical results.  This covers the offload.ml dispatch itself, which the
    in-process differential tests bypass by calling the engines
    directly. *)
 
@@ -40,7 +39,11 @@ let len = 20
 let src_val i = float_of_int (i mod 11) *. 0.25
 
 let run_with_engine engine =
-  Unix.putenv "OMPSIMD_EVAL" engine;
+  let knobs =
+    match Knobs.parse (fun name -> if name = "OMPSIMD_EVAL" then Some engine else None) with
+    | Ok k -> k.Knobs.compile
+    | Error msg -> failwith msg
+  in
   let cfg = Gpusim.Config.small in
   let space = Memory.space () in
   let src =
@@ -55,7 +58,7 @@ let run_with_engine engine =
       ("len", Eval.B_int len);
     ]
   in
-  match Offload.compile kernel with
+  match Offload.compile_with ~knobs kernel with
   | Error _ -> failwith "dual_engine: kernel failed to compile"
   | Ok compiled ->
       let report =

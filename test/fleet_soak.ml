@@ -43,44 +43,14 @@ let fail fmt =
       Printf.eprintf "fleet-soak FAIL: %s\n%!" msg)
     fmt
 
-let base ?(queue_bound = 16) ?(servers = 2) ?(cache = 32) ?(retries = 2)
-    ?(backoff = 500.0) ?(breaker = 4) ?slo ?(window = 20_000.0) () =
-  {
-    Scheduler.cfg;
-    queue_bound;
-    servers;
-    cache_capacity = cache;
-    max_retries = retries;
-    backoff;
-    breaker;
-    slo;
-    window;
-    knobs = Openmp.Offload.default_knobs;
-  }
-
-let fconf ?queue_bound ?servers ?cache ?retries ?backoff ?breaker ?slo ?window
-    ?(shards = 4) ?(batch = 8) ?(steal = true) ?(memo = true) ?(tenants = [])
-    ?(devices = []) ?(affinity = true) ?(telemetry = false) ?(shed = true)
-    ?(autoscale = Serve.Autoscale.disabled) ?(decay = 0) () =
-  {
-    Fleet.base =
-      base ?queue_bound ?servers ?cache ?retries ?backoff ?breaker ?slo ?window
-        ();
-    shards;
-    batch;
-    steal;
-    memo;
-    tenants;
-    devices;
-    affinity;
-    telemetry;
-    shed;
-    autoscale;
-    decay;
-  }
+(* The service defaults on the small device, as a four-shard batching
+   fleet; each scenario overrides what it exercises. *)
+let base = { Knobs.default.Knobs.fleet.Fleet.base with Scheduler.cfg }
+let fleet = { Knobs.default.Knobs.fleet with Fleet.base; shards = 4; batch = 8 }
 
 (* the single-device service: one shard, no batching, stealing or memo *)
-let one_shard () = fconf ~shards:1 ~batch:1 ~steal:false ~memo:false ()
+let one_shard =
+  { fleet with Fleet.shards = 1; batch = 1; steal = false; memo = false }
 
 let count_outcome (res : Fleet.result) o =
   List.length
@@ -110,7 +80,7 @@ let soak_stage () =
     else 100_000
   in
   let specs = Traffic.(generate (preset "mixed" ~n ~seed:42)) in
-  let conf = fconf ~shards:6 ~batch:8 () in
+  let conf = { fleet with Fleet.shards = 6 } in
   let t0 = Unix.gettimeofday () in
   let res = Fleet.run conf specs in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -177,7 +147,7 @@ let hetero_stage () =
   let n = 20_000 in
   let specs = Traffic.(generate (preset "mixed" ~n ~seed:1337)) in
   let devices = Fleet.parse_devices "w32-hw,w32-sw,w32-hw,w32-sw" in
-  let conf = fconf ~shards:4 ~batch:8 ~devices () in
+  let conf = { fleet with Fleet.devices } in
   let t0 = Unix.gettimeofday () in
   let res = Fleet.run conf specs in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -249,7 +219,13 @@ let fairness_stage () =
   let specs = Traffic.generate profile in
   let run tenants =
     Fleet.run
-      (fconf ~shards:2 ~batch:4 ~queue_bound:4 ~retries:1 ~tenants ())
+      {
+        fleet with
+        Fleet.base = { base with Scheduler.queue_bound = 4; max_retries = 1 };
+        shards = 2;
+        batch = 4;
+        tenants;
+      }
       specs
   in
   let flat = run [] in
@@ -291,11 +267,7 @@ let breaker_stage () =
      against the seed device): chain launches fail deterministically,
      everything else is untouched.  Stealing off pins chain to its home
      shard, so exactly one breaker may open. *)
-  Unix.putenv "OMPSIMD_WATCHDOG" "8000";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "OMPSIMD_WATCHDOG" "";
-      Gpusim.Fault.refresh_from_env ())
+  Knobs.with_installed { Knobs.default with Knobs.watchdog = 8000.0 }
     (fun () ->
       let spec i ~at kernel size =
         {
@@ -320,8 +292,13 @@ let breaker_stage () =
       in
       let res =
         Fleet.run
-          (fconf ~shards:4 ~batch:1 ~steal:false ~memo:false ~retries:1
-             ~breaker:3 ())
+          {
+            fleet with
+            Fleet.base = { base with Scheduler.max_retries = 1; breaker = 3 };
+            batch = 1;
+            steal = false;
+            memo = false;
+          }
           specs
       in
       let chain, rest =
@@ -379,14 +356,10 @@ let operability_stage () =
      stream must replay byte-identically, and scaling must demonstrably
      cut late completions versus the same fleet pinned at its base
      concurrency. *)
-  Unix.putenv "OMPSIMD_FAULTS" "abort=0.4,flip=0.3:0.5,stall=0.2";
-  Unix.putenv "OMPSIMD_FAULT_SEED" "23";
-  Gpusim.Fault.refresh_from_env ();
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "OMPSIMD_FAULTS" "";
-      Unix.putenv "OMPSIMD_FAULT_SEED" "";
-      Gpusim.Fault.refresh_from_env ())
+  let faults =
+    Some (Gpusim.Fault.parse_spec ~seed:23 "abort=0.4,flip=0.3:0.5,stall=0.2")
+  in
+  Knobs.with_installed { Knobs.default with Knobs.faults }
     (fun () ->
       let n = 4_000 in
       let specs = Traffic.(generate (preset "flash" ~n ~seed:23)) in
@@ -403,8 +376,13 @@ let operability_stage () =
         }
       in
       let conf =
-        fconf ~shards:4 ~batch:8 ~devices ~slo ~telemetry:true ~shed:true
-          ~autoscale ()
+        {
+          fleet with
+          Fleet.base = { base with Scheduler.slo = Some slo };
+          devices;
+          telemetry = true;
+          autoscale;
+        }
       in
       let res = Fleet.run conf specs in
       let m = res.Fleet.metrics in
@@ -477,15 +455,15 @@ let throughput_stage () =
           seed = 1 + (i mod 5);
         })
   in
-  let solo = (Fleet.run (one_shard ()) specs).Fleet.metrics in
-  let fleet = (Fleet.run (fconf ~shards:4 ~batch:8 ()) specs).Fleet.metrics in
-  if Metrics.throughput fleet <= Metrics.throughput solo then
+  let solo = (Fleet.run one_shard specs).Fleet.metrics in
+  let sharded = (Fleet.run fleet specs).Fleet.metrics in
+  if Metrics.throughput sharded <= Metrics.throughput solo then
     fail "throughput: fleet %.2f req/Mtick <= single device %.2f"
-      (Metrics.throughput fleet) (Metrics.throughput solo);
+      (Metrics.throughput sharded) (Metrics.throughput solo);
   (* batching pays at equal resources too: one shard, same servers,
      merged grids vs solo launches *)
   let batched =
-    (Fleet.run (fconf ~shards:1 ~batch:8 ~memo:false ()) specs).Fleet.metrics
+    (Fleet.run { fleet with Fleet.shards = 1; memo = false } specs).Fleet.metrics
   in
   if batched.Metrics.makespan >= solo.Metrics.makespan then
     fail "throughput: batching did not shorten the backlog (%.1f vs %.1f)"

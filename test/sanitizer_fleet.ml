@@ -1,6 +1,7 @@
-(* Runtest tier for the sanitizer, exercised exactly the way a user
-   enables it: OMPSIMD_SANITIZE in the environment, kernels through the
-   text pipeline, both eval engines.  Two stages:
+(* Runtest tier for the sanitizer, exercised the way a user enables
+   it: the OMPSIMD_SANITIZE and OMPSIMD_EVAL knobs through the same
+   parse the CLI runs, kernels through the text pipeline, both eval
+   engines.  Two stages:
 
    1. known-answer conformance kernels (a true global race, a cross-group
       guarded race, a race-free atomic pattern) must produce their
@@ -35,6 +36,16 @@ let contains hay needle =
 
 let engines = [ "walk"; "compile" ]
 
+(* Parse and install the user-facing knobs for one engine; the compile
+   knobs it returns carry the engine into the artifact. *)
+let sanitized engine =
+  let env = [ ("OMPSIMD_SANITIZE", "1"); ("OMPSIMD_EVAL", engine) ] in
+  match Knobs.parse (fun name -> List.assoc_opt name env) with
+  | Error msg -> failwith msg
+  | Ok k ->
+      Knobs.install k;
+      { k.Knobs.compile with Offload.racecheck = true }
+
 let zero_bindings ~sizes (k : Ir.kernel) =
   let space = Memory.space () in
   List.map
@@ -51,11 +62,9 @@ let zero_bindings ~sizes (k : Ir.kernel) =
 
 let run_file ~engine ~clauses ~sizes file =
   let kernel = Ompir.Parse.kernel_of_file (Filename.concat "conformance" file) in
-  match Offload.compile ~racecheck:true kernel with
+  match Offload.compile_with ~knobs:(sanitized engine) kernel with
   | Error _ -> failwith (file ^ ": compile failed")
   | Ok c ->
-      Unix.putenv "OMPSIMD_SANITIZE" "1";
-      Unix.putenv "OMPSIMD_EVAL" engine;
       let report =
         Offload.run ~cfg ~clauses ~bindings:(zero_bindings ~sizes kernel) c
       in
@@ -156,13 +165,11 @@ let fleet_stage () =
     let engine = List.nth engines (next 2) in
     let kernel = template ~plant ~width in
     let n = rows * width in
-    match Offload.compile ~racecheck:true kernel with
+    match Offload.compile_with ~knobs:(sanitized engine) kernel with
     | Error _ -> fail "fleet case %d: compile failed" case
     | Ok c ->
         if c.Offload.may_races <> [] <> plant then
           fail "fleet case %d: static verdict != plant=%b" case plant;
-        Unix.putenv "OMPSIMD_SANITIZE" "1";
-        Unix.putenv "OMPSIMD_EVAL" engine;
         let clauses =
           Clause.(
             none |> num_teams teams |> num_threads threads |> simdlen slen)

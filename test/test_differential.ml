@@ -497,7 +497,7 @@ let run_sanitizer_certification ?pool ~engine case =
   Gpusim.Ompsan.enabled := true;
   let report =
     Fun.protect
-      ~finally:(fun () -> Gpusim.Ompsan.refresh_from_env ())
+      ~finally:(fun () -> Gpusim.Ompsan.enabled := false)
       (fun () ->
         match engine with
         | `Staged ->
@@ -677,7 +677,7 @@ let run_collapse_certification cc =
   Gpusim.Ompsan.enabled := true;
   let report =
     Fun.protect
-      ~finally:(fun () -> Gpusim.Ompsan.refresh_from_env ())
+      ~finally:(fun () -> Gpusim.Ompsan.enabled := false)
       (fun () ->
         Ompir.Compile.run ~cfg ~options:(collapse_options cc) ~bindings program)
   in

@@ -36,22 +36,14 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-(* The fault knobs are read from the environment at launch time, so the
-   tests drive them the way a user would.  Always restore and re-sync
-   the cached plan in [finally]: later suites (and the experiment
-   launches, which refresh nothing) must run disarmed. *)
-let with_env pairs f =
-  let old =
-    List.map
-      (fun (k, _) -> (k, Option.value (Sys.getenv_opt k) ~default:""))
-      pairs
-  in
-  List.iter (fun (k, v) -> Unix.putenv k v) pairs;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (k, v) -> Unix.putenv k v) old;
-      Fault.refresh_from_env ())
-    f
+(* The fault knobs go through the same parse a user's environment
+   does; [Knobs.with_installed] restores the previous switches
+   afterwards, so later suites (and the experiment launches) run
+   disarmed. *)
+let with_knobs pairs f =
+  match Knobs.parse (fun name -> List.assoc_opt name pairs) with
+  | Error msg -> Alcotest.fail msg
+  | Ok k -> Knobs.with_installed k (fun () -> f k)
 
 let spec ?(at = 0.0) ?(kernel = "saxpy") ?(size = 64) ?(teams = 4)
     ?(threads = 32) ?(simdlen = 8) ?deadline ?(priority = 0) ?(seed = 1) id =
@@ -73,10 +65,10 @@ let spec ?(at = 0.0) ?(kernel = "saxpy") ?(size = 64) ?(teams = 4)
 
 (* One device-level launch of a serve catalog template: the same
    instantiate/compile/run path the service takes, minus the service. *)
-let launch ?pool s =
+let launch ?pool ?(knobs = Offload.default_knobs) s =
   let kernel, bindings, out = Request.instantiate s in
   let compiled =
-    match Offload.compile_with ~knobs:Offload.default_knobs kernel with
+    match Offload.compile_with ~knobs kernel with
     | Ok c -> c
     | Error _ -> Alcotest.fail "catalog kernel failed to compile"
   in
@@ -112,7 +104,7 @@ let blank_fault_env =
 (* ------------------------------------------------------------------ *)
 
 let test_disarmed_identity () =
-  with_env blank_fault_env (fun () ->
+  with_knobs blank_fault_env (fun _ ->
       let report, _ = launch (spec 0) in
       check_int "no failures" 0 (List.length report.Device.failures);
       Alcotest.(check string)
@@ -135,9 +127,11 @@ let chaos_env =
 
 let test_fixed_seed_invariance () =
   let run ?pool engine =
-    with_env (("OMPSIMD_EVAL", engine) :: chaos_env) (fun () ->
+    with_knobs (("OMPSIMD_EVAL", engine) :: chaos_env) (fun k ->
         Fault.reset ();
-        let report, sum = launch ?pool (spec ~kernel:"rowsum" ~teams:6 0) in
+        let report, sum =
+          launch ?pool ~knobs:k.Knobs.compile (spec ~kernel:"rowsum" ~teams:6 0)
+        in
         ( failure_lines report,
           stats_str report.Device.faults,
           Int64.bits_of_float sum ))
@@ -157,7 +151,7 @@ let test_fixed_seed_invariance () =
   Alcotest.check t "walk + pool matches too" staged_seq walk_pool;
   (* reset rewinds the launch nonce: an in-place replay is identical *)
   let replay =
-    with_env (("OMPSIMD_EVAL", "compile") :: chaos_env) (fun () ->
+    with_knobs (("OMPSIMD_EVAL", "compile") :: chaos_env) (fun _ ->
         Fault.reset ();
         let r1, s1 = launch (spec ~kernel:"rowsum" ~teams:6 0) in
         Fault.reset ();
@@ -169,13 +163,41 @@ let test_fixed_seed_invariance () =
   Alcotest.check t "reset replays the identical faults" (fst replay)
     (snd replay)
 
+(* Installing the configuration keeps the nonce rule replays rely on:
+   re-installing an unchanged plan continues the launch sequence, a
+   changed plan rewinds it. *)
+let test_install_nonce_rule () =
+  let plan = Fault.parse_spec ~seed:42 "abort=0.5,flip=0.35:0.5,stall=0.25" in
+  let armed = { Knobs.default with Knobs.faults = Some plan } in
+  let fired () =
+    let report, _ = launch (spec ~kernel:"rowsum" ~teams:6 0) in
+    (failure_lines report, stats_str report.Device.faults)
+  in
+  let three ~between =
+    Knobs.with_installed armed (fun () ->
+        let a = fired () in
+        let b = fired () in
+        between ();
+        (a, b, fired ()))
+  in
+  let a, _, c = three ~between:ignore in
+  check_bool "the third launch draws new faults" true (a <> c);
+  let _, _, c' = three ~between:(fun () -> Knobs.install armed) in
+  check_bool "an unchanged plan keeps the nonce" true (c = c');
+  let _, _, c'' =
+    three ~between:(fun () ->
+        Knobs.install Knobs.default;
+        Knobs.install armed)
+  in
+  check_bool "a changed plan rewinds it" true (a = c'')
+
 (* ------------------------------------------------------------------ *)
 (* The injection kinds                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_abort () =
-  with_env [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "3") ]
-    (fun () ->
+  with_knobs [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "3") ]
+    (fun _ ->
       (* enough work that every victim reaches its trigger cycle *)
       let report, _ = launch (spec ~size:2048 ~teams:2 ~threads:64 0) in
       check_bool "failures reported" true (report.Device.failures <> []);
@@ -190,10 +212,10 @@ let test_abort () =
 
 let test_flip_corrected () =
   let clean_sum =
-    with_env blank_fault_env (fun () -> snd (launch (spec ~size:256 0)))
+    with_knobs blank_fault_env (fun _ -> snd (launch (spec ~size:256 0)))
   in
-  with_env [ ("OMPSIMD_FAULTS", "flip=1:0"); ("OMPSIMD_FAULT_SEED", "3") ]
-    (fun () ->
+  with_knobs [ ("OMPSIMD_FAULTS", "flip=1:0"); ("OMPSIMD_FAULT_SEED", "3") ]
+    (fun _ ->
       let report, sum = launch (spec ~size:256 0) in
       check_int "corrected flips never fail a block" 0
         (List.length report.Device.failures);
@@ -206,8 +228,8 @@ let test_flip_corrected () =
         (Int64.bits_of_float clean_sum) (Int64.bits_of_float sum))
 
 let test_stall_captured () =
-  with_env [ ("OMPSIMD_FAULTS", "stall=1"); ("OMPSIMD_FAULT_SEED", "3") ]
-    (fun () ->
+  with_knobs [ ("OMPSIMD_FAULTS", "stall=1"); ("OMPSIMD_FAULT_SEED", "3") ]
+    (fun _ ->
       (* must NOT raise Engine.Deadlock: capture is armed *)
       let report, _ = launch (spec ~kernel:"rowsum" ~teams:2 0) in
       check_bool "stall failures reported" true
@@ -222,7 +244,7 @@ let test_stall_captured () =
       check_bool "stalls counted" true (report.Device.faults.Fault.stalls >= 1))
 
 let test_watchdog () =
-  with_env [ ("OMPSIMD_WATCHDOG", "1") ] (fun () ->
+  with_knobs [ ("OMPSIMD_WATCHDOG", "1") ] (fun _ ->
       let report, _ = launch (spec 0) in
       check_bool "over-budget blocks reported" true
         (List.exists
@@ -230,7 +252,7 @@ let test_watchdog () =
            report.Device.failures);
       check_bool "watchdogs counted" true
         (report.Device.faults.Fault.watchdogs >= 1));
-  with_env [ ("OMPSIMD_WATCHDOG", "1e12") ] (fun () ->
+  with_knobs [ ("OMPSIMD_WATCHDOG", "1e12") ] (fun _ ->
       let report, _ = launch (spec 0) in
       check_int "a generous budget reports nothing" 0
         (List.length report.Device.failures))
@@ -265,7 +287,7 @@ let test_divergence_captured () =
     | Ok c -> c
     | Error _ -> Alcotest.fail "race_divergence.omp failed to compile"
   in
-  with_env [ ("OMPSIMD_FAULTS", "abort=0") ] (fun () ->
+  with_knobs [ ("OMPSIMD_FAULTS", "abort=0") ] (fun _ ->
       let report = Offload.run ~cfg ~clauses:divergence_clauses ~bindings compiled in
       check_bool "the hung block surfaces as a stall failure" true
         (List.exists
@@ -285,7 +307,6 @@ let test_divergence_captured () =
    writes through global memory: results must not depend on where the
    payload copies live (variable-sharing slice vs global fallback). *)
 let sharing_run ?(sharing_bytes = 4096) () =
-  Fault.refresh_from_env ();
   let space = Memory.space () in
   let data = Memory.falloc space 64 in
   let payload =
@@ -317,12 +338,12 @@ let fallbacks (r : Device.report) =
 
 let test_exhaust_forces_fallback () =
   let clean_report, clean_sum =
-    with_env blank_fault_env (fun () -> sharing_run ())
+    with_knobs blank_fault_env (fun _ -> sharing_run ())
   in
   Alcotest.(check (float 0.0))
     "roomy slices never fall back" 0.0 (fallbacks clean_report);
-  with_env [ ("OMPSIMD_FAULTS", "exhaust=1"); ("OMPSIMD_FAULT_SEED", "3") ]
-    (fun () ->
+  with_knobs [ ("OMPSIMD_FAULTS", "exhaust=1"); ("OMPSIMD_FAULT_SEED", "3") ]
+    (fun _ ->
       let report, sum = sharing_run () in
       check_bool "exhaustion counted" true
         (report.Device.faults.Fault.exhausts >= 1);
@@ -337,7 +358,7 @@ let test_exhaust_forces_fallback () =
 (* Satellite: the same fallback, exercised for real — a payload larger
    than the per-group slice, no fault plan involved. *)
 let test_genuine_fallback_bit_identical () =
-  with_env blank_fault_env (fun () ->
+  with_knobs blank_fault_env (fun _ ->
       let roomy_report, roomy_sum = sharing_run ~sharing_bytes:4096 () in
       let tight_report, tight_sum = sharing_run ~sharing_bytes:128 () in
       Alcotest.(check (float 0.0))
@@ -355,6 +376,7 @@ let test_genuine_fallback_bit_identical () =
 let conf ?(queue_bound = 16) ?(servers = 2) ?(cache = 8) ?(retries = 2)
     ?(backoff = 200.0) ?(breaker = 0) () =
   {
+    Knobs.default.Knobs.fleet.Fleet.base with
     Scheduler.cfg;
     queue_bound;
     servers;
@@ -362,28 +384,12 @@ let conf ?(queue_bound = 16) ?(servers = 2) ?(cache = 8) ?(retries = 2)
     max_retries = retries;
     backoff;
     breaker;
-    slo = None;
-    window = 20_000.0;
-    knobs = Offload.default_knobs;
   }
 
 (* The single-device service: a fleet of one shard with batching,
    stealing and the launch memo off. *)
 let one_shard c =
-  {
-    Fleet.base = c;
-    shards = 1;
-    batch = 1;
-    steal = false;
-    memo = false;
-    tenants = [];
-    devices = [];
-    affinity = true;
-    telemetry = false;
-    shed = true;
-    autoscale = Serve.Autoscale.disabled;
-    decay = 0;
-  }
+  { Knobs.default.Knobs.fleet with Fleet.base = c; steal = false; memo = false }
 
 let serve ?pool c specs =
   let res = Fleet.run ?pool (one_shard c) specs in
@@ -393,8 +399,8 @@ let outcome =
   Alcotest.testable (Fmt.of_to_string Scheduler.outcome_to_string) ( = )
 
 let test_serve_degraded_after_retries () =
-  with_env [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "7") ]
-    (fun () ->
+  with_knobs [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "7") ]
+    (fun _ ->
       let reports, m = serve (conf ~retries:2 ()) [ spec 0 ] in
       let r = List.nth reports 0 in
       Alcotest.check outcome "retries exhausted: degraded" Scheduler.Degraded
@@ -412,8 +418,8 @@ let test_serve_recovery () =
      draws fresh faults (the launch nonce), so with a relaunch budget
      most requests complete and — with this seed — at least one does so
      on a second or later launch *)
-  with_env [ ("OMPSIMD_FAULTS", "abort=0.5"); ("OMPSIMD_FAULT_SEED", "11") ]
-    (fun () ->
+  with_knobs [ ("OMPSIMD_FAULTS", "abort=0.5"); ("OMPSIMD_FAULT_SEED", "11") ]
+    (fun _ ->
       let specs =
         List.init 6 (fun i ->
             spec ~at:(float_of_int i *. 40000.0) ~teams:1 ~seed:(i + 1) i)
@@ -452,8 +458,8 @@ let test_serve_breaker () =
      trigger cycle, whatever fault nonce the launch draws, and all three
      arrive inside one telemetry window: a failure-free window would
      fast-forward the open breaker to its half-open probe. *)
-  with_env [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "7") ]
-    (fun () ->
+  with_knobs [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "7") ]
+    (fun _ ->
       let heavy ~at id = spec ~at ~size:2048 ~teams:2 ~threads:64 id in
       let reports, m =
         serve
@@ -477,8 +483,9 @@ let test_serve_chaos_replay () =
   let specs = Request.synthetic ~n:12 ~seed:3 () in
   let c = conf ~retries:2 ~breaker:3 ~backoff:800.0 () in
   let snap ?pool engine =
-    with_env (("OMPSIMD_EVAL", engine) :: chaos_env) (fun () ->
-        Fleet.snapshot_json (one_shard c) (Fleet.run (one_shard c) ?pool specs))
+    with_knobs (("OMPSIMD_EVAL", engine) :: chaos_env) (fun k ->
+        let fc = one_shard { c with Scheduler.knobs = k.Knobs.compile } in
+        Fleet.snapshot_json fc (Fleet.run fc ?pool specs))
   in
   let pool = Gpusim.Pool.create ~domains:3 () in
   let staged_seq = snap "compile" in
@@ -506,12 +513,12 @@ let recovery_invariant =
         small_nat)
     (fun (abort, stall, seed) ->
       let plan = Printf.sprintf "abort=%g,flip=0.3:0.5,stall=%g" abort stall in
-      with_env
+      with_knobs
         [
           ("OMPSIMD_FAULTS", plan);
           ("OMPSIMD_FAULT_SEED", string_of_int seed);
         ]
-        (fun () ->
+        (fun _ ->
           let specs =
             List.init 6 (fun i ->
                 spec
@@ -559,6 +566,8 @@ let suite =
           test_disarmed_identity;
         Alcotest.test_case "fixed seed: engine- and pool-invariant" `Quick
           test_fixed_seed_invariance;
+        Alcotest.test_case "install: the nonce rule" `Quick
+          test_install_nonce_rule;
         Alcotest.test_case "abort: failed blocks reported" `Quick test_abort;
         Alcotest.test_case "flip: corrected, counted, bit-identical" `Quick
           test_flip_corrected;

@@ -148,8 +148,8 @@ let zoo_width_differential =
           simdlen = 8;
         }
       in
-      let knobs = Openmp.Offload.default_knobs in
-      let run_on ?pool cfg =
+      let run_on ?pool ?(engine = Ompir.Compile.Staged) cfg =
+        let knobs = { Openmp.Offload.default_knobs with engine } in
         let k, bindings, out = Serve.Request.instantiate spec in
         match Openmp.Offload.compile_with ~knobs k with
         | Error _ -> Alcotest.failf "%s does not compile" kernel
@@ -166,27 +166,14 @@ let zoo_width_differential =
                 : Device.report);
             Array.init (Memory.flength out) (Memory.host_get out)
       in
-      let with_env pairs f =
-        List.iter (fun (k, v) -> Unix.putenv k v) pairs;
-        Fun.protect f ~finally:(fun () ->
-            List.iter (fun (k, _) -> Unix.putenv k "") pairs)
-      in
-      let reference =
-        with_env [ ("OMPSIMD_EVAL", "") ] (fun () -> run_on (zoo_cfg "w32-hw"))
-      in
+      let reference = run_on (zoo_cfg "w32-hw") in
       let pool = Pool.create ~domains:2 () in
       let ok =
         List.for_all
           (fun name ->
             let cfg = zoo_cfg name in
-            let seq =
-              with_env [ ("OMPSIMD_EVAL", "") ] (fun () -> run_on cfg)
-            in
-            let pooled =
-              with_env
-                [ ("OMPSIMD_EVAL", "walk") ]
-                (fun () -> run_on ~pool cfg)
-            in
+            let seq = run_on cfg in
+            let pooled = run_on ~pool ~engine:Ompir.Compile.Walk cfg in
             seq = reference && pooled = reference)
           [ "w8-hw"; "w16-hw"; "w64-hw"; "w16-sw"; "w64-sw"; "w32-none" ]
       in
@@ -713,8 +700,8 @@ let test_deadlock_reports_same_name_barriers () =
 (* --- Pool / parallel determinism -------------------------------------- *)
 
 let test_pool_parallel_init () =
-  check_int "env var name is stable" 0
-    (String.compare Pool.env_var "OMPSIMD_DOMAINS");
+  check_bool "the pool knob keeps its name" true
+    (List.mem "OMPSIMD_DOMAINS" Knobs.names);
   let seq = Pool.create () in
   check_int "default is sequential" 0 (Pool.size seq);
   let r = Pool.parallel_init seq 10 (fun i -> 2 * i) in

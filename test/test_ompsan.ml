@@ -52,21 +52,13 @@ let normalized_strings san = List.map normalize (Ompsan.report_strings san)
 let conformance_dir = "conformance"
 let load file = Ompir.Parse.kernel_of_file (Filename.concat conformance_dir file)
 
-(* The sanitizer knob is read from the environment at launch time, so the
-   tests drive it exactly the way a user would; always restore and
-   re-sync the cached flag so later suites see the default. *)
-let with_env pairs f =
-  let old =
-    List.map
-      (fun (k, _) -> (k, Option.value (Sys.getenv_opt k) ~default:""))
-      pairs
-  in
-  List.iter (fun (k, v) -> Unix.putenv k v) pairs;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (k, v) -> Unix.putenv k v) old;
-      Ompsan.refresh_from_env ())
-    f
+(* The sanitizer and engine knobs go through the same parse a user's
+   environment does; [Knobs.with_installed] restores the previous
+   switches afterwards so later suites see the default. *)
+let with_knobs pairs f =
+  match Knobs.parse (fun name -> List.assoc_opt name pairs) with
+  | Error msg -> Alcotest.fail msg
+  | Ok k -> Knobs.with_installed k (fun () -> f k)
 
 (* Deterministic bindings; output arrays start zeroed (race_divergence
    branches on the initial contents of [out]). *)
@@ -90,8 +82,8 @@ let bindings_of ~sizes (k : Ompir.Ir.kernel) =
       (p.Ompir.Ir.pname, b))
     k.Ompir.Ir.params
 
-let compiled_of ?(guardize = false) file =
-  match Offload.compile ~guardize ~racecheck:true (load file) with
+let compiled_of ?(guardize = false) ?engine file =
+  match Offload.compile ~guardize ~racecheck:true ?engine (load file) with
   | Ok c -> c
   | Error es ->
       Alcotest.failf "%s: compile failed: %s" file
@@ -99,11 +91,12 @@ let compiled_of ?(guardize = false) file =
            (List.map (fun (e : Ompir.Check.error) -> e.Ompir.Check.what) es))
 
 let run_sanitized ?pool ~engine ~clauses ~sizes file =
-  let c = compiled_of file in
   let bindings = bindings_of ~sizes (load file) in
-  with_env
+  with_knobs
     [ ("OMPSIMD_SANITIZE", "1"); ("OMPSIMD_EVAL", engine) ]
-    (fun () -> Offload.run ~cfg ?pool ~clauses ~bindings c)
+    (fun k ->
+      let c = compiled_of ~engine:k.Knobs.compile.Offload.engine file in
+      Offload.run ~cfg ?pool ~clauses ~bindings c)
 
 let sanitizer_report (r : Gpusim.Device.report) =
   match r.Gpusim.Device.sanitizer with
@@ -183,11 +176,13 @@ let divergence_clauses =
     |> parallel_mode Mode.Spmd)
 
 let test_race_divergence engine () =
-  let c = compiled_of "race_divergence.omp" in
   let bindings = bindings_of ~sizes:[ ("out", 8); ("n", 1) ] (load "race_divergence.omp") in
-  with_env
+  with_knobs
     [ ("OMPSIMD_SANITIZE", "1"); ("OMPSIMD_EVAL", engine) ]
-    (fun () ->
+    (fun k ->
+      let c =
+        compiled_of ~engine:k.Knobs.compile.Offload.engine "race_divergence.omp"
+      in
       match Offload.run ~cfg ~clauses:divergence_clauses ~bindings c with
       | (_ : Gpusim.Device.report) ->
           Alcotest.fail "divergent kernel was expected to deadlock"
@@ -307,7 +302,7 @@ let test_disabled_invariance () =
     let file, sizes = List.hd clean_cases in
     let c = compiled_of file in
     let bindings = bindings_of ~sizes (load file) in
-    with_env env (fun () ->
+    with_knobs env (fun _ ->
         Offload.run ~cfg ~clauses:clean_clauses ~bindings c)
   in
   let off = run [ ("OMPSIMD_SANITIZE", "0") ] in
@@ -330,7 +325,7 @@ let test_disabled_invariance () =
 
 let with_sanitizer_on f =
   Ompsan.enabled := true;
-  Fun.protect ~finally:(fun () -> Ompsan.refresh_from_env ()) f
+  Fun.protect ~finally:(fun () -> Ompsan.enabled := false) f
 
 let unit_threads n =
   let counters = Gpusim.Counters.create () in

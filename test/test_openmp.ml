@@ -475,11 +475,6 @@ let test_offload_rejects_bad_kernel () =
   in
   check_bool "compile error" true (Result.is_error (Offload.compile bad))
 
-let with_env pairs f =
-  List.iter (fun (k, v) -> Unix.putenv k v) pairs;
-  Fun.protect f ~finally:(fun () ->
-      List.iter (fun (k, _) -> Unix.putenv k "") pairs)
-
 let test_sharing_reservation_sizing () =
   match Offload.compile saxpy_kernel with
   | Error _ -> Alcotest.fail "saxpy must compile"
@@ -498,12 +493,7 @@ let test_sharing_reservation_sizing () =
         (reserve ~budget:65536);
       (* shrink-only: a tight budget is never exceeded *)
       check_bool "caps at budget" true
-        (reserve ~budget:Omprt.Sharing.min_bytes <= Omprt.Sharing.min_bytes);
-      with_env [ ("OMPSIMD_SHARING_BYTES", "512") ] (fun () ->
-          check_int "env pin wins" 512 (reserve ~budget:65536));
-      with_env [ ("OMPSIMD_SHARING_DYNAMIC", "0") ] (fun () ->
-          check_int "dynamic disabled returns budget" 65536
-            (reserve ~budget:65536))
+        (reserve ~budget:Omprt.Sharing.min_bytes <= Omprt.Sharing.min_bytes)
 
 let suite =
   [

@@ -832,9 +832,15 @@ let small_kernel =
         ];
     ]
 
-let with_env_passes value f =
-  Unix.putenv "OMPSIMD_PASSES" value;
-  Fun.protect ~finally:(fun () -> Unix.putenv "OMPSIMD_PASSES" "") f
+(* The OMPSIMD_PASSES knob as the edge parses it. *)
+let parse_passes value =
+  Knobs.parse (fun name ->
+      if name = "OMPSIMD_PASSES" then Some value else None)
+
+let env_knobs value =
+  match parse_passes value with
+  | Ok k -> k.Knobs.compile
+  | Error msg -> Alcotest.failf "OMPSIMD_PASSES=%S rejected: %s" value msg
 
 let test_cache_key_distinguishes () =
   let key passes =
@@ -856,24 +862,23 @@ let test_cache_key_distinguishes () =
     (List.length distinct)
 
 let test_cache_key_env_flip () =
-  (* the serve scheduler keys with default knobs (blank [passes]): the
-     env knob must flow into the key, so flipping OMPSIMD_PASSES can
-     never hit a cache entry compiled under a different pipeline *)
-  let key () = Openmp.Offload.cache_key small_kernel in
-  let base = key () in
-  with_env_passes "fold,licm,strength,dce" (fun () ->
-      if key () = base then
-        Alcotest.fail
-          "OMPSIMD_PASSES flip aliased the default-pipeline cache key");
-  with_env_passes "default" (fun () ->
-      Alcotest.(check string)
-        "explicit default env spec keeps the default key" base (key ()))
+  (* the parsed knob must flow into the key, so flipping OMPSIMD_PASSES
+     can never hit a cache entry compiled under a different pipeline *)
+  let key value =
+    Openmp.Offload.cache_key ~knobs:(env_knobs value) small_kernel
+  in
+  let base = Openmp.Offload.cache_key small_kernel in
+  Alcotest.(check string) "a blank knob keeps the default key" base (key "");
+  if key "fold,licm,strength,dce" = base then
+    Alcotest.fail "OMPSIMD_PASSES flip aliased the default-pipeline cache key";
+  Alcotest.(check string)
+    "explicit default spec keeps the default key" base (key "default")
 
 let test_fail_fast () =
   let msg =
-    invalid "cache_key on malformed env" (fun () ->
-        with_env_passes "fold,nonsense" (fun () ->
-            Openmp.Offload.cache_key small_kernel))
+    match parse_passes "fold,nonsense" with
+    | Error msg -> msg
+    | Ok _ -> Alcotest.fail "a malformed OMPSIMD_PASSES must not parse"
   in
   List.iter
     (fun needle ->

@@ -36,6 +36,7 @@ let spec ?(at = 0.0) ?(kernel = "saxpy") ?(size = 16) ?(teams = 1)
 let conf ?(queue_bound = 4) ?(servers = 1) ?(cache = 8) ?(retries = 0)
     ?(backoff = 500.0) ?(breaker = 4) ?slo ?(window = 20_000.0) () =
   {
+    Knobs.default.Knobs.fleet.Fleet.base with
     Scheduler.cfg;
     queue_bound;
     servers;
@@ -45,26 +46,12 @@ let conf ?(queue_bound = 4) ?(servers = 1) ?(cache = 8) ?(retries = 0)
     breaker;
     slo;
     window;
-    knobs = Openmp.Offload.default_knobs;
   }
 
 (* The single-device service: a fleet of one shard with batching,
    stealing and the launch memo off. *)
 let one_shard c =
-  {
-    Fleet.base = c;
-    shards = 1;
-    batch = 1;
-    steal = false;
-    memo = false;
-    tenants = [];
-    devices = [];
-    affinity = true;
-    telemetry = false;
-    shed = true;
-    autoscale = Serve.Autoscale.disabled;
-    decay = 0;
-  }
+  { Knobs.default.Knobs.fleet with Fleet.base = c; steal = false; memo = false }
 
 let serve ?pool c specs =
   let res = Fleet.run ?pool (one_shard c) specs in
@@ -72,15 +59,21 @@ let serve ?pool c specs =
 
 let outcome = Alcotest.testable (Fmt.of_to_string Scheduler.outcome_to_string) ( = )
 
-let with_env name value f =
-  let saved = Sys.getenv_opt name in
-  Unix.putenv name value;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv name (Option.value saved ~default:"");
-      (* re-sync the cached fault plan: later suites must run disarmed *)
-      Gpusim.Fault.refresh_from_env ())
-    f
+(* Fault plans go through the same parse a user's environment does;
+   [Knobs.with_installed] restores the previous switches afterwards so
+   later suites run disarmed. *)
+let with_knobs pairs f =
+  match Knobs.parse (fun name -> List.assoc_opt name pairs) with
+  | Error msg -> Alcotest.fail msg
+  | Ok k -> Knobs.with_installed k f
+
+(* The same config compiled for the reference tree walker. *)
+let on_walker (c : Fleet.config) =
+  let base = c.Fleet.base in
+  let knobs =
+    { base.Scheduler.knobs with Openmp.Offload.engine = Ompir.Compile.Walk }
+  in
+  { c with Fleet.base = { base with Scheduler.knobs } }
 
 let outcome_of (reports : Fleet.rq_report list) id =
   (List.nth reports id).Fleet.outcome
@@ -245,15 +238,16 @@ let test_cache_survives_device_failure () =
      same kernel.  Distinct from a compile Error, which is never
      cached. *)
   let reports, m =
-    with_env "OMPSIMD_FAULTS" "abort=1" (fun () ->
-        with_env "OMPSIMD_FAULT_SEED" "5" (fun () ->
-            serve
-              (conf ~retries:2 ~breaker:0 ~backoff:100.0 ())
-              (* enough work that the victim thread reaches its trigger *)
-              [
-                spec ~at:0.0 ~size:2048 ~teams:2 ~threads:64 0;
-                spec ~at:500000.0 ~size:2048 ~teams:2 ~threads:64 1;
-              ]))
+    with_knobs
+      [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "5") ]
+      (fun () ->
+        serve
+          (conf ~retries:2 ~breaker:0 ~backoff:100.0 ())
+          (* enough work that the victim thread reaches its trigger *)
+          [
+            spec ~at:0.0 ~size:2048 ~teams:2 ~threads:64 0;
+            spec ~at:500000.0 ~size:2048 ~teams:2 ~threads:64 1;
+          ])
   in
   let r0 = List.nth reports 0 and r1 = List.nth reports 1 in
   Alcotest.check outcome "always-fatal plan degrades" Scheduler.Degraded
@@ -298,14 +292,12 @@ let test_deterministic_replay () =
      byte-identical *)
   let specs = Request.synthetic ~n:16 ~seed:11 () in
   let c = conf ~servers:2 ~queue_bound:2 ~retries:2 ~backoff:800.0 () in
-  let snap ?pool () =
-    Fleet.snapshot_json (one_shard c) (Fleet.run (one_shard c) ?pool specs)
-  in
+  let snap ?pool fc = Fleet.snapshot_json fc (Fleet.run fc ?pool specs) in
   let pool = Gpusim.Pool.create ~domains:3 () in
-  let staged_seq = snap () in
-  let staged_pool = snap ~pool () in
-  let walk_seq = with_env "OMPSIMD_EVAL" "walk" (fun () -> snap ()) in
-  let walk_pool = with_env "OMPSIMD_EVAL" "walk" (fun () -> snap ~pool ()) in
+  let staged_seq = snap (one_shard c) in
+  let staged_pool = snap ~pool (one_shard c) in
+  let walk_seq = snap (on_walker (one_shard c)) in
+  let walk_pool = snap ~pool (on_walker (one_shard c)) in
   Alcotest.(check string) "pool matches sequential" staged_seq staged_pool;
   Alcotest.(check string) "walk engine matches staged" staged_seq walk_seq;
   Alcotest.(check string) "walk + pool matches too" staged_seq walk_pool
@@ -333,9 +325,6 @@ let fconf ?(shards = 2) ?(batch = 4) ?(steal = true) ?(memo = true)
     autoscale;
     decay;
   }
-
-let with_env2 bindings f =
-  List.fold_right (fun (k, v) acc () -> with_env k v acc) bindings f ()
 
 let f_outcome (res : Fleet.result) id =
   (List.nth res.Fleet.reports id).Fleet.outcome
@@ -615,7 +604,7 @@ let fleet_no_lost_request =
           ]
         else []
       in
-      with_env2 env (fun () ->
+      with_knobs env (fun () ->
           let res =
             Fleet.run
               (fconf ~shards ~batch ~steal:(seed mod 3 <> 0) ~retries:2
@@ -651,24 +640,21 @@ let fleet_replay_invariance =
           ]
         else []
       in
-      with_env2 env (fun () ->
+      with_knobs env (fun () ->
           let c = fconf ~shards:2 ~batch:4 ~queue_bound:10_000 ~retries:2
                     ~breaker:0 ~servers:2 ()
           in
-          let snap ?pool engine =
-            with_env "OMPSIMD_EVAL" engine (fun () ->
-                Fleet.snapshot_json c (Fleet.run c ?pool specs))
-          in
+          let snap ?pool c = Fleet.snapshot_json c (Fleet.run c ?pool specs) in
           let pool = Gpusim.Pool.create ~domains:3 () in
-          let reference = snap "" in
+          let reference = snap c in
           let results (shards, batch) =
             Fleet.results_json
               (Fleet.run { c with Fleet.shards; batch } specs).Fleet.reports
           in
           let r11 = results (1, 1) in
-          String.equal reference (snap ~pool "")
-          && String.equal reference (snap "walk")
-          && String.equal reference (snap ~pool "walk")
+          String.equal reference (snap ~pool c)
+          && String.equal reference (snap (on_walker c))
+          && String.equal reference (snap ~pool (on_walker c))
           && String.equal r11 (results (3, 8))
           && String.equal r11 (results (4, 1))))
 
@@ -701,7 +687,7 @@ let fleet_batching_equivalence =
           ]
         else []
       in
-      with_env2 env (fun () ->
+      with_knobs env (fun () ->
           let run batch =
             (Fleet.run
                (fconf ~shards:1 ~batch ~memo:false ~breaker:0 ~retries:2
@@ -899,8 +885,8 @@ let test_operability_snapshot () =
     fconf ~shards:2 ~batch:4 ~queue_bound:16 ~servers:2 ~retries:1
       ~slo:8_000.0 ~telemetry:true ~autoscale:operability_autoscale ()
   in
-  let snap ?pool () = Fleet.snapshot_json c (Fleet.run c ?pool specs) in
-  let reference = snap () in
+  let snap ?pool c = Fleet.snapshot_json c (Fleet.run c ?pool specs) in
+  let reference = snap c in
   List.iter
     (fun key ->
       Alcotest.(check bool) (key ^ " in snapshot") true
@@ -918,9 +904,8 @@ let test_operability_snapshot () =
       "\"shed\"";
     ];
   let pool = Gpusim.Pool.create ~domains:3 () in
-  Alcotest.(check string) "pooled replay identical" reference (snap ~pool ());
-  let walk = with_env "OMPSIMD_EVAL" "walk" (fun () -> snap ()) in
-  Alcotest.(check string) "walk engine identical" reference walk
+  Alcotest.(check string) "pooled replay identical" reference (snap ~pool c);
+  Alcotest.(check string) "walk engine identical" reference (snap (on_walker c))
 
 (* qcheck: the telemetry JSONL is part of the determinism contract —
    byte-identical across evaluation engines, pool widths and device
@@ -943,8 +928,7 @@ let fleet_telemetry_replay =
       let pool = Gpusim.Pool.create ~domains:3 () in
       String.length reference > 0
       && String.equal reference (tele ~pool (c devices))
-      && with_env "OMPSIMD_EVAL" "walk" (fun () ->
-             String.equal reference (tele (c devices)))
+      && String.equal reference (tele (on_walker (c devices)))
       && String.equal reference (tele (c rotated)))
 
 (* The autoscaler control law, exercised directly: the dead band keeps
@@ -1019,8 +1003,7 @@ let test_autoscale_hysteresis () =
        (Serve.Autoscale.step d ~window:0 ~order
           ~stats:[| stat 5_000.0 1; stat 5_000.0 1 |]));
   Alcotest.(check bool) "no SLO means no autoscaler" false
-    (Serve.Autoscale.config_of_env ~slo:None ~shards:4 ~servers:2 ())
-      .Serve.Autoscale.enabled
+    Knobs.default.Knobs.fleet.Fleet.autoscale.Serve.Autoscale.enabled
 
 (* --- the circuit breaker ------------------------------------------------ *)
 

@@ -35,14 +35,11 @@ run_bench() {
   # Fault injection is pinned OFF the same way (the "serve faulty" row
   # arms its own plan internally): the baseline doubles as the proof
   # that the disarmed fault hooks cost nothing on the hot path.
-  # The sharing knobs are pinned to their defaults (dynamic sizing on,
-  # no explicit reservation) so an inherited override can't shift the
-  # sharing-sensitive rows against the baseline.
-  # The optimization pipeline and the lockstep executor are pinned to
-  # their defaults too: the recorded numbers measure the default
-  # pipeline (blank OMPSIMD_PASSES) under the fused executor, and an
-  # inherited override of either would shift every row.  The "serve
-  # warm cache (optimized)" row sets its own explicit spec internally.
+  # The optimization pipeline is pinned to its default too: the
+  # recorded numbers measure the default pipeline (blank
+  # OMPSIMD_PASSES), and an inherited override would shift every row.
+  # The "serve warm cache (optimized)" row sets its own explicit spec
+  # internally.
   # The fleet knobs are pinned blank the same way: the fleet row builds
   # its explicit config internally, and an inherited shard/batch/steal
   # override must not reshape it against the baseline.
@@ -61,7 +58,6 @@ run_bench() {
   OMPSIMD_SERVE_SHARDS= \
   OMPSIMD_SERVE_BATCH= \
   OMPSIMD_SERVE_STEAL= \
-  OMPSIMD_SERVE_MEMO= \
   OMPSIMD_SERVE_TENANTS= \
   OMPSIMD_SERVE_SLO_MS= \
   OMPSIMD_SERVE_WINDOW= \
@@ -71,13 +67,10 @@ run_bench() {
   OMPSIMD_SERVE_BUDGET= \
   OMPSIMD_SERVE_COOLDOWN= \
   OMPSIMD_PASSES= \
-  OMPSIMD_LOCKSTEP= \
   OMPSIMD_SANITIZE=0 \
   OMPSIMD_FAULTS= \
   OMPSIMD_FAULT_SEED= \
   OMPSIMD_WATCHDOG= \
-  OMPSIMD_SHARING_BYTES= \
-  OMPSIMD_SHARING_DYNAMIC= \
   OMPSIMD_DOMAINS="$1" \
   OMPSIMD_BENCH_DEDUP="$2" \
   OMPSIMD_BENCH_SCALE="${OMPSIMD_BENCH_SCALE:-0.05}" \

@@ -38,7 +38,7 @@ trap 'rm -rf "$out"' EXIT
 # replays byte-identically even if the caller's shell exports them; the
 # sharded sections below set their shape with flags.
 export OMPSIMD_SERVE_SHARDS= OMPSIMD_SERVE_BATCH= OMPSIMD_SERVE_STEAL=
-export OMPSIMD_SERVE_MEMO= OMPSIMD_SERVE_TENANTS= OMPSIMD_FLEET_DEVICES=
+export OMPSIMD_SERVE_TENANTS= OMPSIMD_FLEET_DEVICES=
 export OMPSIMD_SERVE_SLO_MS= OMPSIMD_SERVE_WINDOW= OMPSIMD_SERVE_TELEMETRY=
 export OMPSIMD_SERVE_SHED= OMPSIMD_SERVE_AUTOSCALE= OMPSIMD_SERVE_BUDGET=
 export OMPSIMD_SERVE_COOLDOWN= OMPSIMD_FLEET_DECAY=

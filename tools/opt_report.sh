@@ -30,9 +30,6 @@ run_one() {
   OMPSIMD_FAULTS= \
   OMPSIMD_FAULT_SEED= \
   OMPSIMD_WATCHDOG= \
-  OMPSIMD_SHARING_BYTES= \
-  OMPSIMD_SHARING_DYNAMIC= \
-  OMPSIMD_LOCKSTEP= \
   OMPSIMD_DOMAINS=0 \
   OMPSIMD_BENCH_DEDUP=0 \
   OMPSIMD_BENCH_SCALE="${OMPSIMD_BENCH_SCALE:-0.05}" \

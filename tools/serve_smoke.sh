@@ -22,7 +22,7 @@ trap 'rm -rf "$out"' EXIT
 # pinned the same way: every section replays on the seed device, and
 # the heterogeneous section sets its own device list explicitly.
 export OMPSIMD_SERVE_SHARDS= OMPSIMD_SERVE_BATCH= OMPSIMD_SERVE_STEAL=
-export OMPSIMD_SERVE_MEMO= OMPSIMD_SERVE_TENANTS=
+export OMPSIMD_SERVE_TENANTS=
 export OMPSIMD_DEVICE= OMPSIMD_FLEET_DEVICES= OMPSIMD_FLEET_AFFINITY=
 # The operability knobs are pinned the same way: an inherited SLO would
 # arm admission shedding and the autoscaler and reshape every snapshot.
