@@ -84,16 +84,16 @@ let spmv_rows ~pool ~scale ~cfg ~group_sizes =
 
 (* su3_bench: teams and parallel both SPMD; baseline is the same kernel
    with the 36-iteration loop serial in each thread (group size 1). *)
-let su3_rows ~pool ~dedup ~scale ~cfg ~group_sizes =
+let su3_rows ~pool ~scale ~cfg ~group_sizes =
   let t = Su3.generate { Su3.sites = scaled scale (2 * lanes_of cfg); seed = 2 } in
   let num_teams = teams_of cfg in
   let baseline =
-    Harness.time (Su3.run_two_level ~cfg ?pool ~dedup ~num_teams ~threads:128 t)
+    Harness.time (Su3.run_two_level ~cfg ?pool ~num_teams ~threads:128 t)
   in
   List.map
     (fun group_size ->
       let r =
-        Su3.run ~cfg ?pool ~dedup ~num_teams ~threads:128
+        Su3.run ~cfg ?pool ~num_teams ~threads:128
           ~mode3:(Harness.spmd_simd ~group_size) t
       in
       let simd = Harness.time r in
@@ -110,7 +110,7 @@ let su3_rows ~pool ~dedup ~scale ~cfg ~group_sizes =
 (* The ideal kernel's outer loop is deliberately too small to fill the
    device two-level (the §1 "thread level does not provide enough
    parallelism" scenario): the third level is what recovers occupancy. *)
-let ideal_rows ~pool ~dedup ~scale ~cfg ~group_sizes =
+let ideal_rows ~pool ~scale ~cfg ~group_sizes =
   let t =
     Ideal.generate
       { Ideal.default_shape with Ideal.rows = scaled scale (lanes_of cfg / 4) }
@@ -118,14 +118,14 @@ let ideal_rows ~pool ~dedup ~scale ~cfg ~group_sizes =
   let num_teams = teams_of cfg in
   let baseline =
     warm_measure (fun ~reset_l2 ->
-        Ideal.run ~cfg ?pool ~dedup ~reset_l2 ~num_teams ~threads:128
+        Ideal.run ~cfg ?pool ~reset_l2 ~num_teams ~threads:128
           ~mode3:(Harness.spmd_simd ~group_size:1) t)
   in
   List.map
     (fun group_size ->
       let simd =
         warm_measure (fun ~reset_l2 ->
-            Ideal.run ~cfg ?pool ~dedup ~reset_l2 ~num_teams ~threads:128
+            Ideal.run ~cfg ?pool ~reset_l2 ~num_teams ~threads:128
               ~mode3:(Harness.generic_simd ~group_size) t)
       in
       {
@@ -137,7 +137,7 @@ let ideal_rows ~pool ~dedup ~scale ~cfg ~group_sizes =
       })
     group_sizes
 
-let run ?(scale = 1.0) ?pool ?(dedup = false) ?group_sizes:gs ~cfg () =
+let run ?(scale = 1.0) ?pool ?group_sizes:gs ~cfg () =
   let group_sizes =
     match gs with Some l -> l | None -> group_sizes_for cfg
   in
@@ -146,8 +146,8 @@ let run ?(scale = 1.0) ?pool ?(dedup = false) ?group_sizes:gs ~cfg () =
       List.concat
         [
           spmv_rows ~pool ~scale ~cfg ~group_sizes;
-          su3_rows ~pool ~dedup ~scale ~cfg ~group_sizes;
-          ideal_rows ~pool ~dedup ~scale ~cfg ~group_sizes;
+          su3_rows ~pool ~scale ~cfg ~group_sizes;
+          ideal_rows ~pool ~scale ~cfg ~group_sizes;
         ];
     group_sizes;
   }

@@ -31,17 +31,14 @@ val group_sizes_for : Gpusim.Config.t -> int list
 val run :
   ?scale:float ->
   ?pool:Gpusim.Pool.t ->
-  ?dedup:bool ->
   ?group_sizes:int list ->
   cfg:Gpusim.Config.t ->
   unit ->
   t
 (** Run the full experiment.  [scale] multiplies the problem sizes
     (default 1.0; tests use small values); [pool] fans every launch's
-    block simulation over host domains; [dedup] (default false) applies
-    the homogeneous-grid fast path to the uniform su3 and ideal kernels.  Both
-    keep the rows bit-identical to the plain sequential run (the sweep
-    only reads reports, never kernel output). *)
+    block simulation over host domains and keeps the rows bit-identical
+    to the plain sequential run. *)
 
 val best : t -> kernel:string -> row
 (** The row with the highest speedup for a kernel.

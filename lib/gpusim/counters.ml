@@ -115,7 +115,7 @@ let merge_into ~dst src =
 
 (* Bit-exact comparison (floats compared with [=], so 0.0 = -0.0 but no
    tolerance): the determinism tests lean on this to assert that
-   sequential, pooled and deduplicated launches produce the same report. *)
+   sequential and pooled launches produce the same report. *)
 let equal a b =
   let extras_subset x y =
     Hashtbl.fold

@@ -102,64 +102,42 @@ let simulate_block ~cfg ?trace ~block ~init ~body block_id =
       let ev = Fault.block_end () in
       B_ok (cost, counters, Memory.session_end (), san, ev)
 
-let launch ~cfg ?pool ?trace ?block_class ~grid ~block ~init ~body () =
+let launch ~cfg ?pool ?trace ~grid ~block ~init ~body () =
   if grid <= 0 then invalid_arg "Device.launch: grid must be positive";
   if block <= 0 then invalid_arg "Device.launch: block must be positive";
   if block > cfg.Config.max_threads_per_block then
     invalid_arg "Device.launch: block exceeds device limit";
   Fault.launch_begin ();
-  let tracing = Option.is_some trace in
-  (* Tracing forces the full sequential path: Trace.t is one shared
-     mutable log, and a deduplicated trace would misrepresent the grid. *)
-  let class_of =
-    match block_class with Some f when not tracing -> f | _ -> fun b -> b
-  in
-  (* Representative of each equivalence class = its lowest block_id. *)
-  let rep_index = Hashtbl.create 16 in
-  let rep_of = Array.make grid 0 in
-  let rev_reps = ref [] in
-  let nreps = ref 0 in
-  for b = 0 to grid - 1 do
-    let key = class_of b in
-    match Hashtbl.find_opt rep_index key with
-    | Some ri -> rep_of.(b) <- ri
-    | None ->
-        Hashtbl.add rep_index key !nreps;
-        rep_of.(b) <- !nreps;
-        rev_reps := b :: !rev_reps;
-        incr nreps
-  done;
-  let reps = Array.of_list (List.rev !rev_reps) in
   let simulate = simulate_block ~cfg ?trace ~block ~init ~body in
   let results =
     match pool with
-    | Some p when not tracing && Pool.size p > 0 ->
+    (* Tracing forces the sequential path: Trace.t is one shared
+       mutable log. *)
+    | Some p when Option.is_none trace && Pool.size p > 0 ->
         Memory.set_rmw_locking true;
-        Pool.parallel_init p (Array.length reps) (fun i -> simulate reps.(i))
+        Pool.parallel_init p grid simulate
     | _ ->
         (* single-domain block phase: device atomics need no host lock *)
         Memory.set_rmw_locking false;
-        Array.init (Array.length reps) (fun i -> simulate reps.(i))
+        Array.init grid simulate
   in
   (* Deterministic epilogue, in ascending block_id order regardless of
      which domain simulated what: commit the per-block L2 logs, then
      merge counters (float sums are order-sensitive, so the order is part
-     of the determinism contract).  A class's counters are merged once
-     per member block, which keeps the merged report bit-identical to a
-     full simulation of a truly homogeneous grid.  Failed blocks commit
-     and merge nothing — an aborted block's partial traffic must not
-     perturb the survivors' timing. *)
+     of the determinism contract).  Failed blocks commit and merge
+     nothing — an aborted block's partial traffic must not perturb the
+     survivors' timing. *)
   Array.iter
     (function
       | B_ok (_, _, session, _, _) -> Memory.session_commit session
       | B_failed _ -> ())
     results;
   let merged = Counters.create () in
-  for b = 0 to grid - 1 do
-    match results.(rep_of.(b)) with
-    | B_ok (_, counters, _, _, _) -> Counters.merge_into ~dst:merged counters
-    | B_failed _ -> ()
-  done;
+  Array.iter
+    (function
+      | B_ok (_, counters, _, _, _) -> Counters.merge_into ~dst:merged counters
+      | B_failed _ -> ())
+    results;
   let zero_cost =
     {
       Occupancy.critical = 0.0;
@@ -172,36 +150,30 @@ let launch ~cfg ?pool ?trace ?block_class ~grid ~block ~init ~body () =
     }
   in
   let block_costs =
-    Array.init grid (fun b ->
-        match results.(rep_of.(b)) with
-        | B_ok (cost, _, _, _, _) -> cost
-        | B_failed _ -> zero_cost)
+    Array.map
+      (function B_ok (cost, _, _, _, _) -> cost | B_failed _ -> zero_cost)
+      results
   in
   (* Sanitizer composition follows the same determinism recipe as the
      counters: per-block findings in ascending block_id, then the
-     cross-block pass over per-cell summaries (per class member, so a
-     deduplicated homogeneous grid still self-detects fixed-cell
-     writes). *)
+     cross-block pass over per-cell summaries. *)
   let sanitizer =
     if not !Ompsan.enabled then None
     else
       Some
         (Ompsan.launch_report
-           (Array.init grid (fun b ->
-                match results.(rep_of.(b)) with
-                | B_ok (_, _, _, san, _) -> san
-                | B_failed _ -> None)))
+           (Array.map
+              (function B_ok (_, _, _, san, _) -> san | B_failed _ -> None)
+              results))
   in
-  (* Failures and fault statistics, once per representative in ascending
-     block order (with dedup a class fails as one unit — faults are
-     drawn per representative).  The watchdog check runs here: a block
-     whose critical path exceeds the budget completed, but is reported
-     hung. *)
+  (* Failures and fault statistics, in ascending block order.  The
+     watchdog check runs here: a block whose critical path exceeds the
+     budget completed, but is reported hung. *)
   let wd = Fault.watchdog_budget () in
   let rev_failures = ref [] in
   let stats = ref Fault.zero_stats in
   Array.iteri
-    (fun i result ->
+    (fun b result ->
       match result with
       | B_failed (f, ev) ->
           rev_failures := f :: !rev_failures;
@@ -230,7 +202,7 @@ let launch ~cfg ?pool ?trace ?block_class ~grid ~block ~init ~body () =
             rev_failures :=
               {
                 Fault.f_kind = Fault.Watchdog;
-                f_block = reps.(i);
+                f_block = b;
                 f_warp = -1;
                 f_tid = -1;
                 f_barrier = "";

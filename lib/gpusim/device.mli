@@ -35,16 +35,15 @@ type report = {
           counters, no L2 traffic and a zero cost entry — its failure
           record {e is} its contribution.  Always [[]] when disarmed. *)
   faults : Fault.stats;
-      (** Corrected/fatal/stall/exhaust/watchdog totals over the launch
-          (per representative under dedup).  {!Fault.zero_stats} when
-          disarmed — the report stays bit-identical. *)
+      (** Corrected/fatal/stall/exhaust/watchdog totals over the launch.
+          {!Fault.zero_stats} when disarmed — the report stays
+          bit-identical. *)
 }
 
 val launch :
   cfg:Config.t ->
   ?pool:Pool.t ->
   ?trace:Trace.t ->
-  ?block_class:(int -> int) ->
   grid:int ->
   block:int ->
   init:(block_id:int -> Shared.arena -> 'a) ->
@@ -59,17 +58,6 @@ val launch :
     report is bit-identical to the sequential run.  When [trace] is set
     the launch always simulates every block sequentially on the calling
     domain ([Trace.t] is a single shared log).
-
-    [block_class] is the opt-in homogeneous-grid fast path: blocks whose
-    keys are equal are declared {e equivalent} (same per-block cost and
-    counters), only the lowest block_id of each class is simulated, and
-    its cost/counters stand in for the whole class — turning O(grid)
-    simulation into O(classes).  The caller is responsible for the
-    declaration being true (uniform workloads keyed by e.g. the team's
-    chunk length; irregular grids should key by block_id, which disables
-    deduplication).  Skipped blocks do not execute, so their global-memory
-    writes do not happen and only representative L2 traffic is committed —
-    use it to regenerate timing sweeps, not to produce data.
 
     With fault capture armed (see {!Fault.capture_deadlocks}) a block
     that deadlocks or takes a fatal injected fault does not raise — it

@@ -55,7 +55,7 @@ val l2_reset : space -> unit
     start) and the touch sequence is logged.  The launcher commits all
     block logs in ascending block_id order once every block is done,
     which makes block simulation order-independent — the prerequisite
-    for both multicore fan-out and the homogeneous-grid dedup fast path.
+    for multicore fan-out.
     Without an open session (e.g. a bare {!Engine.run_block}) accesses
     touch the committed L2 directly. *)
 

@@ -516,10 +516,7 @@ let set_kernel n = kernel_name := n
    ascending block id.  A block's non-atomic write races with any access
    to the same cell from an earlier block; its atomic races with an
    earlier plain write (blocks only synchronize through kernel
-   boundaries).  With the homogeneous-grid dedup fast path the same
-   [block_report] stands in for every member of its class, so a class
-   with more than one member whose representative writes a fixed cell
-   correctly races with itself. *)
+   boundaries). *)
 let cross_block_findings per_block =
   let acc : (cell_key, summary) Hashtbl.t = Hashtbl.create 64 in
   let dedup = Hashtbl.create 16 in
@@ -590,22 +587,16 @@ let cross_block_findings per_block =
     per_block;
   List.rev !findings
 
-(* [per_block.(b)] is block b's report; with grid dedup the same report
-   (physically) may appear under several block ids — intra-block findings
-   are merged once per distinct report, summaries once per member. *)
+(* [per_block.(b)] is block b's report. *)
 let launch_report (per_block : block_report option array) =
-  let seen = ref [] in
-  let intra = ref [] in
-  Array.iter
-    (fun br_opt ->
-      match br_opt with
-      | Some br when not (List.memq br !seen) ->
-          seen := br :: !seen;
-          intra := List.rev_append br.br_findings !intra
-      | _ -> ())
-    per_block;
+  let intra =
+    Array.fold_right
+      (fun br_opt acc ->
+        match br_opt with Some br -> br.br_findings @ acc | None -> acc)
+      per_block []
+  in
   {
     kernel = !kernel_name;
-    findings = List.rev !intra @ cross_block_findings per_block;
+    findings = intra @ cross_block_findings per_block;
     blocks = Array.length per_block;
   }

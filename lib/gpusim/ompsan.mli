@@ -115,9 +115,7 @@ val take_aborted : unit -> finding list
 val launch_report : block_report option array -> report
 (** Compose the launch-level report: per-block findings merged in
     ascending block id, then cross-block conflicts derived from the
-    per-cell summaries.  Index [b] holds block [b]'s report; with grid
-    dedup the same report may stand in for several blocks (a multi-member
-    class whose representative writes a fixed cell races with itself). *)
+    per-cell summaries.  Index [b] holds block [b]'s report. *)
 
 (** {2 Hooks} — all no-ops unless {!enabled} and a block is open. *)
 

@@ -31,6 +31,14 @@ let parse lookup =
   and float = Env.float ~lookup:var
   and flag = Env.flag ~lookup:var in
   let fail fmt = Printf.ksprintf invalid_arg fmt in
+  (* Ranges are checked here too, so a value the service would reject
+     later fails up front, on every subcommand, naming its variable. *)
+  let bounded read show ok what name ~default =
+    let v = read name ~default in
+    if ok v then v else fail "%s must be %s, got %s" name what (show v)
+  in
+  let at_least lo = bounded int string_of_int (fun v -> v >= lo) (Printf.sprintf ">= %d" lo)
+  and nonneg = bounded float (Printf.sprintf "%g") (fun v -> v >= 0.0) ">= 0" in
   try
     let device =
       match var "OMPSIMD_DEVICE" with
@@ -72,7 +80,7 @@ let parse lookup =
     in
     let seed = int "OMPSIMD_FAULT_SEED" ~default:0 in
     let faults = Option.map (Gpusim.Fault.parse_spec ~seed) (var "OMPSIMD_FAULTS") in
-    let watchdog = float "OMPSIMD_WATCHDOG" ~default:0.0 in
+    let watchdog = nonneg "OMPSIMD_WATCHDOG" ~default:0.0 in
     (* the SLO speaks milliseconds of virtual time (1 ms = 1000 ticks) —
        SLOs are operator-facing, ticks are not *)
     let slo =
@@ -86,21 +94,23 @@ let parse lookup =
     let base =
       {
         Scheduler.cfg = device;
-        queue_bound = int "OMPSIMD_SERVE_QUEUE" ~default:16;
-        servers = int "OMPSIMD_SERVE_CONC" ~default:2;
-        cache_capacity = int "OMPSIMD_SERVE_CACHE" ~default:32;
-        max_retries = int "OMPSIMD_SERVE_RETRIES" ~default:2;
+        queue_bound = at_least 0 "OMPSIMD_SERVE_QUEUE" ~default:16;
+        servers = at_least 1 "OMPSIMD_SERVE_CONC" ~default:2;
+        cache_capacity = at_least 0 "OMPSIMD_SERVE_CACHE" ~default:32;
+        max_retries = at_least 0 "OMPSIMD_SERVE_RETRIES" ~default:2;
         backoff = float "OMPSIMD_SERVE_BACKOFF" ~default:500.0;
-        breaker = int "OMPSIMD_SERVE_BREAKER" ~default:4;
+        breaker = at_least 0 "OMPSIMD_SERVE_BREAKER" ~default:4;
         slo;
-        window = float "OMPSIMD_SERVE_WINDOW" ~default:20_000.0;
+        window =
+          bounded float (Printf.sprintf "%g") (fun w -> w > 0.0) "> 0" "OMPSIMD_SERVE_WINDOW"
+            ~default:20_000.0;
         knobs = compile;
       }
     in
-    let shards = int "OMPSIMD_SERVE_SHARDS" ~default:1 in
+    let shards = at_least 1 "OMPSIMD_SERVE_SHARDS" ~default:1 in
     let autoscale =
       let enabled = flag "OMPSIMD_SERVE_AUTOSCALE" ~default:true in
-      let budget = int "OMPSIMD_SERVE_BUDGET" ~default:(2 * shards) in
+      let budget = at_least 0 "OMPSIMD_SERVE_BUDGET" ~default:(2 * shards) in
       let cooldown = int "OMPSIMD_SERVE_COOLDOWN" ~default:2 in
       match slo with
       | None -> Serve.Autoscale.disabled
@@ -115,7 +125,7 @@ let parse lookup =
       {
         Fleet.base;
         shards;
-        batch = int "OMPSIMD_SERVE_BATCH" ~default:1;
+        batch = at_least 1 "OMPSIMD_SERVE_BATCH" ~default:1;
         steal = flag "OMPSIMD_SERVE_STEAL" ~default:true;
         memo = true;
         tenants = Option.fold ~none:[] ~some:Fleet.parse_tenants (var "OMPSIMD_SERVE_TENANTS");
@@ -124,7 +134,7 @@ let parse lookup =
         telemetry = telemetry <> None;
         shed = flag "OMPSIMD_SERVE_SHED" ~default:true;
         autoscale;
-        decay = int "OMPSIMD_FLEET_DECAY" ~default:0;
+        decay = at_least 0 "OMPSIMD_FLEET_DECAY" ~default:0;
       }
     in
     Ok { device; domains; compile; sanitize; faults; watchdog; fleet; telemetry }

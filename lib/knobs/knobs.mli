@@ -2,7 +2,7 @@
     parsed once, at the edge, into one typed record.
 
     This is the only module under [lib/] that reads the environment.
-    Entry points (the CLI, the bench, tests, examples) call {!parse} or
+    Entry points (the CLI, tests, examples) call {!parse} or
     {!of_env} before doing any work, hand the record's pieces to the
     library as arguments, and {!install} its device-wide debug switches
     once.  Every knob keeps the repo-wide convention that an unset and
@@ -39,8 +39,9 @@ val names : string list
 
 val parse : (string -> string option) -> (t, string) result
 (** Build the record from [lookup] (trimmed; blank means unset).  Never
-    raises: a malformed value is an [Error] whose one-line message
-    names the variable. *)
+    raises: a malformed or out-of-range value (e.g. zero shards, a
+    negative queue bound or watchdog) is an [Error] whose one-line
+    message names the variable. *)
 
 val of_env : unit -> (t, string) result
 (** [parse] over the process environment ({!Ompsimd_util.Env.var}). *)

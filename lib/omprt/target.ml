@@ -56,11 +56,9 @@ let thread_main body team (th : Gpusim.Thread.t) =
           target_deinit ctx)
   | Team.Inactive_main_lane -> ()
 
-let launch ~cfg ?pool ?trace ?block_class ~params ?(dispatch_table_size = 0)
-    body =
+let launch ~cfg ?pool ?trace ~params ?(dispatch_table_size = 0) body =
   let block = Team.block_threads ~cfg params in
-  Gpusim.Device.launch ~cfg ?pool ?trace ?block_class
-    ~grid:params.Team.num_teams ~block
+  Gpusim.Device.launch ~cfg ?pool ?trace ~grid:params.Team.num_teams ~block
     ~init:(fun ~block_id arena ->
       let team = Team.create ~cfg ~arena ~params ~block_id in
       team.Team.dispatch_table_size <- dispatch_table_size;

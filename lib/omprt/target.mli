@@ -12,7 +12,6 @@ val launch :
   cfg:Gpusim.Config.t ->
   ?pool:Gpusim.Pool.t ->
   ?trace:Gpusim.Trace.t ->
-  ?block_class:(int -> int) ->
   params:Team.params ->
   ?dispatch_table_size:int ->
   (Team.ctx -> unit) ->
@@ -22,10 +21,9 @@ val launch :
     [dispatch_table_size] is the number of outlined regions the compiler
     put in the if-cascade dispatcher (§5.5); ids beyond it pay the
     indirect-call penalty.  The returned report carries the simulated
-    kernel time and merged counters.  [pool] and [block_class] are
-    forwarded to {!Gpusim.Device.launch}: the former simulates teams on
-    several host domains, the latter deduplicates equivalent teams —
-    both preserve the report bit-for-bit (see the Device determinism
+    kernel time and merged counters.  [pool] is forwarded to
+    {!Gpusim.Device.launch}: it simulates teams on several host domains
+    and preserves the report bit-for-bit (see the Device determinism
     contract). *)
 
 val team_state_machine : (Team.ctx -> unit) -> Team.ctx -> unit

@@ -124,23 +124,13 @@ let run_schedule ctx schedule ~id ~num ~trip f =
    team (LLVM's default distribute schedule: dist_schedule(static) with
    chunk = ceil(trip/teams)), which keeps small iteration spaces spread
    across all SMs. *)
-let distribute_bounds ~trip ~num_teams block_id =
-  let chunk = (trip + num_teams - 1) / num_teams in
-  let base = min trip (block_id * chunk) in
-  let stop = min trip (base + chunk) in
-  (base, stop)
-
 let team_chunk ctx ~trip =
   let team = ctx.Team.team in
-  distribute_bounds ~trip ~num_teams:team.Team.params.Team.num_teams
-    team.Team.block_id
-
-(* Host-side mirror of [team_chunk], for declaring Device block classes:
-   teams receiving equally long contiguous chunks of a uniform iteration
-   space are equivalent blocks. *)
-let distribute_extent ~trip ~num_teams block_id =
-  let base, stop = distribute_bounds ~trip ~num_teams block_id in
-  stop - base
+  let num_teams = team.Team.params.Team.num_teams in
+  let chunk = (trip + num_teams - 1) / num_teams in
+  let base = min trip (team.Team.block_id * chunk) in
+  let stop = min trip (base + chunk) in
+  (base, stop)
 
 let distribute ctx ?(schedule = Static) ~trip f =
   let base, stop = team_chunk ctx ~trip in

@@ -35,19 +35,6 @@ val distribute :
     of [ceil(trip/teams)] iterations per team (LLVM's default
     [dist_schedule]); [Chunked] round-robins chunks across teams. *)
 
-val distribute_bounds : trip:int -> num_teams:int -> int -> int * int
-(** [distribute_bounds ~trip ~num_teams block_id] is the [(base, stop)]
-    half-open chunk the static {!distribute} schedule hands to team
-    [block_id] — the host-side mirror of the device-side split. *)
-
-val distribute_extent : trip:int -> num_teams:int -> int -> int
-(** [distribute_extent ~trip ~num_teams block_id] is the length of the
-    contiguous chunk the static {!distribute} schedule hands to team
-    [block_id] — the host-side mirror of the device-side split.  For a
-    workload that is uniform per iteration this extent is a sound
-    [block_class] key for {!Gpusim.Device.launch}: teams with equal
-    chunk lengths are equivalent blocks. *)
-
 val omp_for :
   Team.ctx -> ?schedule:schedule -> trip:int -> (int -> unit) -> unit
 (** Split across the active parallel region's OpenMP threads (= SIMD

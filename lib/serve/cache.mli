@@ -4,8 +4,8 @@
     Keys come from {!Openmp.Offload.cache_key}: the content digest of
     the checked IR plus the compile-relevant knobs and the evaluation
     engine.  With [capacity = 0] the cache stores nothing (every lookup
-    compiles — the "recompile per request" baseline the bench measures
-    against); compile failures are never cached. *)
+    compiles — the "recompile per request" baseline); compile failures
+    are never cached. *)
 
 type t
 

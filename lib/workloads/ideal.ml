@@ -55,7 +55,7 @@ let reference t =
       poly ~steps (base_of_row r) input.(idx))
 
 let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256)
-    ?(threads = 128) ?(dedup = false) ~(mode3 : Harness.mode3) t =
+    ?(threads = 128) ~(mode3 : Harness.mode3) t =
   if reset_l2 then Memory.l2_reset (Memory.space_of_farray t.output);
   Memory.fill t.output 0.0;
   let params =
@@ -69,16 +69,9 @@ let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256)
   let payload =
     Payload.of_list [ Payload.Farr t.input; Payload.Farr t.output ]
   in
-  (* Every row costs the same, so teams are distinguished only by how
-     many rows their distribute chunk holds. *)
-  let block_class =
-    if dedup then
-      Some (Workshare.distribute_extent ~trip:t.shape.rows ~num_teams)
-    else None
-  in
   let steps = t.shape.flops_per_elem / 2 in
   let report =
-    Target.launch ~cfg ?pool ?trace ?block_class ~params
+    Target.launch ~cfg ?pool ?trace ~params
       ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~mode:mode3.Harness.parallel_mode
           ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx _ ->
@@ -98,8 +91,8 @@ let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256)
   in
   { Harness.report; output = Memory.to_float_array t.output }
 
-let run_two_level ~cfg ?pool ?num_teams ?threads ?dedup t =
-  run ~cfg ?pool ?num_teams ?threads ?dedup
+let run_two_level ~cfg ?pool ?num_teams ?threads t =
+  run ~cfg ?pool ?num_teams ?threads
     ~mode3:(Harness.spmd_simd ~group_size:1) t
 
 let verify t output =

@@ -26,23 +26,17 @@ val run :
   ?reset_l2:bool ->
   ?num_teams:int ->
   ?threads:int ->
-  ?dedup:bool ->
   mode3:Harness.mode3 ->
   instance ->
   Harness.run
-(** [pool] simulates teams on several host domains; [dedup] (default
-    false) additionally declares the grid homogeneous — every row costs
-    the same, so teams are classed by their distribute-chunk length
-    ({!Omprt.Workshare.distribute_extent}).  Neither changes the report;
-    [dedup] skips redundant blocks, so use it for timing sweeps only
-    (the skipped teams' output rows stay unwritten). *)
+(** [pool] simulates teams on several host domains without changing the
+    report. *)
 
 val run_two_level :
   cfg:Gpusim.Config.t ->
   ?pool:Gpusim.Pool.t ->
   ?num_teams:int ->
   ?threads:int ->
-  ?dedup:bool ->
   instance ->
   Harness.run
 (** Serial inner loop (group size 1) — the paper's two-level baseline. *)

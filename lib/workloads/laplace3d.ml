@@ -53,7 +53,7 @@ let reference t =
   out
 
 let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 216)
-    ?(threads = 128) ?(dedup = false) ~(mode3 : Harness.mode3) t =
+    ?(threads = 128) ~(mode3 : Harness.mode3) t =
   if reset_l2 then Memory.l2_reset (Memory.space_of_farray t.unew);
   let n = t.shape.n in
   (* boundaries are carried over unchanged, as in the reference *)
@@ -69,22 +69,8 @@ let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 216)
   in
   let payload = Payload.of_list [ Payload.Farr t.u; Payload.Farr t.unew ] in
   let interior = n - 2 in
-  (* Every (i,j) column sweeps the same-length unit-stride k row, so
-     teams differ only in how many columns their chunk holds and where
-     the chunk sits relative to the j wrap-around (columns adjacent in j
-     share stencil lines; a chunk crossing a row boundary breaks the
-     chain at a position given by [base mod interior]). *)
-  let block_class =
-    if dedup then
-      let trip = interior * interior in
-      Some
-        (fun b ->
-          let base, stop = Workshare.distribute_bounds ~trip ~num_teams b in
-          ((stop - base) * interior) + (base mod interior))
-    else None
-  in
   let report =
-    Target.launch ~cfg ?pool ?trace ?block_class ~params
+    Target.launch ~cfg ?pool ?trace ~params
       ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~mode:mode3.Harness.parallel_mode
           ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx _ ->
@@ -109,8 +95,8 @@ let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 216)
   in
   { Harness.report; output = Memory.to_float_array t.unew }
 
-let run_no_simd ~cfg ?pool ?num_teams ?threads ?dedup t =
-  run ~cfg ?pool ?num_teams ?threads ?dedup
+let run_no_simd ~cfg ?pool ?num_teams ?threads t =
+  run ~cfg ?pool ?num_teams ?threads
     ~mode3:(Harness.spmd_simd ~group_size:1) t
 
 let verify t output =

@@ -26,23 +26,17 @@ val run :
   ?reset_l2:bool ->
   ?num_teams:int ->
   ?threads:int ->
-  ?dedup:bool ->
   mode3:Harness.mode3 ->
   instance ->
   Harness.run
-(** [pool] simulates teams on several host domains; [dedup] (default
-    false) declares the Jacobi grid homogeneous — teams are classed by
-    their distribute-chunk length over the flattened (i,j) interior
-    ({!Omprt.Workshare.distribute_extent}).  Neither changes the report;
-    [dedup] is for timing sweeps only (skipped teams' output stays
-    unwritten). *)
+(** [pool] simulates teams on several host domains without changing the
+    report. *)
 
 val run_no_simd :
   cfg:Gpusim.Config.t ->
   ?pool:Gpusim.Pool.t ->
   ?num_teams:int ->
   ?threads:int ->
-  ?dedup:bool ->
   instance ->
   Harness.run
 (** The paper's "No SIMD" reference point: two-level, serial k loop. *)

@@ -52,8 +52,7 @@ val run_two_level :
   Harness.run
 (** [reset_l2] defaults to [true] (cold caches); pass [false] to measure
     a warm re-run, the paper's average-of-10 methodology.  [pool] fans
-    the teams over host domains; row lengths are data-dependent, so spmv
-    never declares a [block_class] — every block simulates. *)
+    the teams over host domains. *)
 
 val run_simd :
   cfg:Gpusim.Config.t ->

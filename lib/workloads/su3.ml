@@ -91,7 +91,7 @@ let element ctx ~site ~e t =
   Memory.fset t.c th (ci + 1) !im
 
 let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256)
-    ?(threads = 128) ?(dedup = false) ~(mode3 : Harness.mode3) t =
+    ?(threads = 128) ~(mode3 : Harness.mode3) t =
   if reset_l2 then Memory.l2_reset (Memory.space_of_farray t.c);
   Memory.fill t.c 0.0;
   let params =
@@ -105,22 +105,8 @@ let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256)
   let payload =
     Payload.of_list [ Payload.Farr t.a; Payload.Farr t.b; Payload.Farr t.c ]
   in
-  (* Every site does the same 36-element complex product, but a site
-     record is 576 bytes = 4.5 cache lines, so the line phase of a
-     team's chunk alternates with the parity of its first site: class =
-     (chunk extent, start parity). *)
-  let block_class =
-    if dedup then
-      Some
-        (fun b ->
-          let base, stop =
-            Workshare.distribute_bounds ~trip:t.shape.sites ~num_teams b
-          in
-          (2 * (stop - base)) + (base land 1))
-    else None
-  in
   let report =
-    Target.launch ~cfg ?pool ?trace ?block_class ~params
+    Target.launch ~cfg ?pool ?trace ~params
       ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~mode:mode3.Harness.parallel_mode
           ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx _ ->
@@ -131,8 +117,8 @@ let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256)
   in
   { Harness.report; output = Memory.to_float_array t.c }
 
-let run_two_level ~cfg ?pool ?num_teams ?threads ?dedup t =
-  run ~cfg ?pool ?num_teams ?threads ?dedup
+let run_two_level ~cfg ?pool ?num_teams ?threads t =
+  run ~cfg ?pool ?num_teams ?threads
     ~mode3:(Harness.spmd_simd ~group_size:1) t
 
 let verify t output =

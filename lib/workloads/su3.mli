@@ -29,24 +29,18 @@ val run :
   ?reset_l2:bool ->
   ?num_teams:int ->
   ?threads:int ->
-  ?dedup:bool ->
   mode3:Harness.mode3 ->
   instance ->
   Harness.run
 (** Three-level kernel; [group_size = 1] reproduces the serial-inner-loop
-    baseline.  [pool] simulates teams on several host domains; [dedup]
-    (default false) declares the grid homogeneous — teams are classed by
-    (chunk extent, first-site parity), the parity capturing the line
-    phase of the 576-byte site records.  Neither changes the report;
-    [dedup] is for timing sweeps only (skipped teams' C stays
-    unwritten). *)
+    baseline.  [pool] simulates teams on several host domains without
+    changing the report. *)
 
 val run_two_level :
   cfg:Gpusim.Config.t ->
   ?pool:Gpusim.Pool.t ->
   ?num_teams:int ->
   ?threads:int ->
-  ?dedup:bool ->
   instance ->
   Harness.run
 (** Convenience: [run] with SPMD/SPMD and group size 1. *)

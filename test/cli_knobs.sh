@@ -1,7 +1,7 @@
 #!/bin/sh
 # Front-door tier: every ompsimd_run subcommand parses the whole knobs
-# record before doing any work, so a malformed OMPSIMD_* value fails
-# each one the same way — exit 2 and a single stderr line naming the
+# record before doing any work, so a malformed or out-of-range
+# OMPSIMD_* value fails each one the same way — exit 2 and a single stderr line naming the
 # variable.
 #
 # Usage: sh test/cli_knobs.sh <ompsimd_run.exe> <kernel.omp>
@@ -11,7 +11,7 @@ kernel_file="$2"
 failures=0
 
 for kv in OMPSIMD_FAULTS=bogus OMPSIMD_DOMAINS=x OMPSIMD_EVAL=bogus \
-          OMPSIMD_PASSES=nope OMPSIMD_SERVE_QUEUE=x; do
+          OMPSIMD_PASSES=nope OMPSIMD_SERVE_QUEUE=x OMPSIMD_SERVE_SHARDS=0; do
   name="${kv%%=*}"
   for cmd in fig9 fig10 sharing dispatch amd reduction teamsmode spmdize \
              schedule "kernel spmv" "serve --synthetic 2" sweep \

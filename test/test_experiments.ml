@@ -54,13 +54,6 @@ let test_fig9_spmv_bell () =
   check_bool "8 beats 2" true (speedup 8 > speedup 2);
   check_bool "8 beats 32" true (speedup 8 > speedup 32)
 
-let test_fig9_dedup_identical () =
-  (* the homogeneous-grid fast path must not change a single digit *)
-  let plain = Lazy.force fig9_result in
-  let dedup = Fig9.run ~scale:0.25 ~dedup:true ~cfg () in
-  Alcotest.check Alcotest.string "csv identical under dedup"
-    (Fig9.to_csv plain) (Fig9.to_csv dedup)
-
 let fig10_result = lazy (Fig10.run ~scale:0.5 ~cfg ())
 
 let test_fig10_shape () =
@@ -261,7 +254,6 @@ let suite =
         Alcotest.test_case "shape" `Slow test_fig9_shape;
         Alcotest.test_case "simd wins" `Slow test_fig9_simd_wins;
         Alcotest.test_case "spmv bell" `Slow test_fig9_spmv_bell;
-        Alcotest.test_case "dedup identical" `Slow test_fig9_dedup_identical;
       ] );
     ( "experiments.fig10",
       [

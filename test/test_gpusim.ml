@@ -743,15 +743,15 @@ let check_reports_identical label (a : Device.report) (b : Device.report) =
     (a.Device.block_costs = b.Device.block_costs)
 
 (* Uniform grid (the ideal kernel: every row costs the same), 7 teams so
-   the trailing team gets a short chunk — two equivalence classes. *)
+   the trailing team gets a short chunk. *)
 let test_determinism_uniform_grid () =
   let t =
     Workloads.Ideal.generate
       { Workloads.Ideal.rows = 100; inner = 32; flops_per_elem = 16; seed = 3 }
   in
   let mode3 = Workloads.Harness.spmd_simd ~group_size:4 in
-  let run ?pool ?dedup () =
-    (Workloads.Ideal.run ~cfg ?pool ?dedup ~num_teams:7 ~threads:32 ~mode3 t)
+  let run ?pool () =
+    (Workloads.Ideal.run ~cfg ?pool ~num_teams:7 ~threads:32 ~mode3 t)
       .Workloads.Harness.report
   in
   let seq = run () in
@@ -760,16 +760,12 @@ let test_determinism_uniform_grid () =
   Pool.shutdown pool0;
   let pool4 = Pool.create ~domains:4 () in
   let r4 = run ~pool:pool4 () in
-  let rdedup = run ~pool:pool4 ~dedup:true () in
-  let rdedup_seq = run ~dedup:true () in
   Pool.shutdown pool4;
   check_reports_identical "no pool vs domains=0" seq r0;
-  check_reports_identical "no pool vs domains=4" seq r4;
-  check_reports_identical "no pool vs dedup+domains=4" seq rdedup;
-  check_reports_identical "no pool vs dedup" seq rdedup_seq
+  check_reports_identical "no pool vs domains=4" seq r4
 
-(* Irregular grid (banded spmv: data-dependent row lengths) — no
-   block_class, but pooled simulation must still match bit-for-bit. *)
+(* Irregular grid (banded spmv: data-dependent row lengths): pooled
+   simulation must still match bit-for-bit. *)
 let test_determinism_irregular_grid () =
   let t =
     Workloads.Spmv.generate
@@ -830,7 +826,6 @@ let test_pool_trace_stays_sequential () =
   let trace = Trace.create () in
   ignore
     (Device.launch ~cfg ~pool ~trace ~grid:3 ~block:4
-       ~block_class:(fun _ -> 0)
        ~init:(fun ~block_id _ -> block_id)
        ~body:(fun _ th -> Thread.trace th ~tag:"evt" "x")
        ());

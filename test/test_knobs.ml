@@ -123,6 +123,37 @@ let test_named_failures () =
       ("OMPSIMD_SERVE_QUEUE", "x");
     ]
 
+(* Ranges are checked at the edge too: one case per bound, each value
+   just past it rejected with the variable named, the bound itself
+   accepted. *)
+let range_cases =
+  List.map
+    (fun (name, bad, edge) ->
+      Alcotest.test_case (Printf.sprintf "range: %s=%s rejected" name bad) `Quick
+        (fun () ->
+          (match parse [ (name, bad) ] with
+          | Ok _ -> Alcotest.failf "%s=%S must be rejected" name bad
+          | Error msg ->
+              if not (contains msg name) then
+                Alcotest.failf "%s=%S: message %S does not name it" name bad msg);
+          match parse [ (name, edge) ] with
+          | Ok _ -> ()
+          | Error msg -> Alcotest.failf "%s=%S must parse: %s" name edge msg))
+    [
+      ("OMPSIMD_SERVE_SHARDS", "0", "1");
+      ("OMPSIMD_SERVE_BATCH", "0", "1");
+      ("OMPSIMD_SERVE_CONC", "0", "1");
+      ("OMPSIMD_SERVE_QUEUE", "-3", "0");
+      ("OMPSIMD_SERVE_BREAKER", "-2", "0");
+      ("OMPSIMD_SERVE_CACHE", "-1", "0");
+      ("OMPSIMD_SERVE_RETRIES", "-1", "0");
+      ("OMPSIMD_SERVE_BUDGET", "-1", "0");
+      ("OMPSIMD_FLEET_DECAY", "-1", "0");
+      ("OMPSIMD_WATCHDOG", "-5", "0");
+      ("OMPSIMD_WATCHDOG", "nan", "0.5");
+      ("OMPSIMD_SERVE_WINDOW", "0", "0.5");
+    ]
+
 let test_blank_is_unset () =
   match parse (List.map (fun (name, _) -> (name, "  ")) samples) with
   | Error msg -> Alcotest.failf "blank values must mean unset: %s" msg
@@ -288,6 +319,31 @@ let test_readme_tables () =
   Alcotest.(check (list string))
     "README knob tables = Knobs.names" (sorted Knobs.names) (sorted !documented)
 
+(* Every OMPSIMD_* name the prose docs mention is a knob, one of the
+   harness-only variables, or a family prefix ending in '_'. *)
+let test_docs_name_real_knobs () =
+  let harness_only = [ "OMPSIMD_RUN"; "OMPSIMD_SOAK_FULL" ] in
+  let name_char c = (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_' in
+  List.iter
+    (fun doc ->
+      let text = In_channel.with_open_text ("../" ^ doc) In_channel.input_all in
+      let n = String.length text in
+      let rec scan i =
+        match String.index_from_opt text i 'O' with
+        | None -> ()
+        | Some j when j + 8 <= n && String.sub text j 8 = "OMPSIMD_" ->
+            let k = ref (j + 8) in
+            while !k < n && name_char text.[!k] do incr k done;
+            let name = String.sub text j (!k - j) in
+            if not (List.mem name Knobs.names || List.mem name harness_only
+                    || String.ends_with ~suffix:"_" name)
+            then Alcotest.failf "%s mentions %s, which no parser reads" doc name;
+            scan !k
+        | Some j -> scan (j + 1)
+      in
+      scan 0)
+    [ "README.md"; "DESIGN.md"; "EXPERIMENTS.md" ]
+
 let suite =
   [
     ( "knobs",
@@ -305,5 +361,8 @@ let suite =
         QCheck_alcotest.to_alcotest knob_flips;
         Alcotest.test_case "README documents every knob" `Quick
           test_readme_tables;
-      ] );
+        Alcotest.test_case "docs name only real knobs" `Quick
+          test_docs_name_real_knobs;
+      ]
+      @ range_cases );
   ]
