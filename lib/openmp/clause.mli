@@ -28,11 +28,19 @@ val simdlen : int -> t -> t
 val schedule : schedule -> t -> t
 val sharing_bytes : int -> t -> t
 
+val check_geometry : cfg:Gpusim.Config.t -> t -> (unit, string) result
+(** Whether the clause set can launch on [cfg]: teams positive, simdlen
+    dividing the warp, threads a positive warp multiple, and the block
+    (threads, plus the main warp in generic teams mode) within the
+    device's limit.  The error names the first check that fails.  The
+    launch makes the same checks; this lets a caller (the serve fleet)
+    refuse one request on one device without raising. *)
+
 val resolve :
   cfg:Gpusim.Config.t -> t -> Omprt.Team.params * Omprt.Mode.t * int
 (** Launch parameters, the parallel-region mode, and the simdlen, with
     defaults filled in (teams = 2 per SM, threads = 128, everything
     SPMD, simdlen 1).
-    @raise Invalid_argument on clause values the runtime would reject. *)
+    @raise Invalid_argument when {!check_geometry} fails. *)
 
 val workshare_schedule : t -> Omprt.Workshare.schedule

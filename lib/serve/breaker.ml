@@ -3,10 +3,10 @@
 type state = Closed | Open of float (* opened at *) | Probing
 type entry = { mutable consecutive : int; mutable state : state }
 
-type t = {
+type 'k t = {
   threshold : int;  (* consecutive failures that open a breaker; 0 = off *)
   cooldown : float;
-  table : (string, entry) Hashtbl.t;
+  table : ('k, entry) Hashtbl.t;
 }
 
 let create ~threshold ~backoff =

@@ -1,5 +1,5 @@
 (** Per-kernel circuit breakers: one table per shard, keyed by the
-    compile-cache key.
+    compile-cache key (the fleet's interned content id).
 
     A breaker is closed until [threshold] consecutive device failures of
     its key open it.  While open it sheds every dispatch of that key
@@ -10,26 +10,26 @@
     disables the table: every dispatch is admitted and outcomes are not
     tracked. *)
 
-type t
+type 'k t
 
-val create : threshold:int -> backoff:float -> t
+val create : threshold:int -> backoff:float -> 'k t
 
-val admit : t -> string -> now:float -> [ `Admit | `Probe | `Shed ]
+val admit : 'k t -> 'k -> now:float -> [ `Admit | `Probe | `Shed ]
 (** [`Admit]: closed.  [`Probe]: the cooldown has passed and this
     dispatch is the half-open probe (the caller launches it alone).
     [`Shed]: open, or another probe is in flight. *)
 
-val success : t -> string -> unit
+val success : 'k t -> 'k -> unit
 (** A launch of the key came back healthy: close its breaker. *)
 
-val failure : t -> string -> now:float -> bool
+val failure : 'k t -> 'k -> now:float -> bool
 (** A launch of the key failed.  True when this failure opened the
     breaker (the threshold was reached, or the probe failed). *)
 
-val open_count : t -> int
+val open_count : 'k t -> int
 (** Breakers not closed: open or probing. *)
 
-val fast_forward : t -> at:float -> int
+val fast_forward : 'k t -> at:float -> int
 (** The all-clear after a window with no device failures: every
     breaker still inside its cooldown at tick [at] is moved to just
     past it, so its next dispatch is the half-open probe.  Returns how

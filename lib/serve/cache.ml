@@ -1,6 +1,9 @@
 (* Compiled-kernel cache: the piece that turns the batch pipeline into
-   a service.  Keyed by {!Openmp.Offload.cache_key} (content digest of
-   the IR plus compile-relevant knobs plus engine); bounded, with LRU
+   a service.  Keyed by the caller's compile identity — anything that
+   determines the artifact, as {!Openmp.Offload.cache_key} does (content
+   digest of the IR plus compile-relevant knobs plus engine); the fleet
+   uses its interned content id, which within one run stands for
+   exactly that key.  Bounded, with LRU
    eviction and single-flight deduplication — when several requests for
    the same key arrive while the first is still compiling, exactly one
    [compile] thunk runs and the others block until its result is
@@ -23,12 +26,12 @@ type stats = {
   joins : int;  (* single-flight waits resolved by another's compile *)
 }
 
-type t = {
+type 'k t = {
   capacity : int;
   mu : Mutex.t;
   published : Condition.t;  (* signalled when an in-flight compile lands *)
-  table : (string, entry) Hashtbl.t;
-  inflight : (string, unit) Hashtbl.t;
+  table : ('k, entry) Hashtbl.t;
+  inflight : ('k, unit) Hashtbl.t;
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;

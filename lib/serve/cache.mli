@@ -1,13 +1,15 @@
 (** Bounded compiled-kernel cache with LRU eviction and single-flight
     deduplication.
 
-    Keys come from {!Openmp.Offload.cache_key}: the content digest of
-    the checked IR plus the compile-relevant knobs and the evaluation
-    engine.  With [capacity = 0] the cache stores nothing (every lookup
+    Keys are the caller's compile identity, polymorphic so a caller can
+    key by an interned id: anything that determines the artifact, as
+    {!Openmp.Offload.cache_key} (the content digest of the checked IR
+    plus the compile-relevant knobs and the evaluation engine) does.
+    With [capacity = 0] the cache stores nothing (every lookup
     compiles — the "recompile per request" baseline); compile failures
     are never cached. *)
 
-type t
+type 'k t
 
 type stats = {
   hits : int;  (** lookups served from the table *)
@@ -18,16 +20,16 @@ type stats = {
           in-flight compile and were served by its result *)
 }
 
-val create : capacity:int -> t
+val create : capacity:int -> 'k t
 (** @raise Invalid_argument on a negative capacity. *)
 
-val capacity : t -> int
-val size : t -> int
-val stats : t -> stats
+val capacity : 'k t -> int
+val size : 'k t -> int
+val stats : 'k t -> stats
 
 val find_or_compile :
-  t ->
-  key:string ->
+  'k t ->
+  key:'k ->
   compile:(unit -> (Openmp.Offload.compiled, Ompir.Check.error list) result) ->
   [ `Hit | `Miss | `Joined ]
   * (Openmp.Offload.compiled, Ompir.Check.error list) result

@@ -3,7 +3,16 @@
    (rank 0) sort before arrivals (rank 1) at the same tick — a freed
    server picks up the simultaneous arrival instead of bouncing it to
    the queue — and the insertion sequence number makes every comparison
-   strict, so replay order never depends on heap internals. *)
+   strict, so replay order never depends on heap internals.
+
+   A trace's arrivals are known up front, so {!seeded} keeps them out
+   of the heap: they sit in one array stable-sorted by time (their seqs
+   are 1..n in list order, so the sort order is the heap order), read
+   by a cursor.  Only events pushed later — completions, retries,
+   relaunches — pay heap sifts, and the heap stays as small as the
+   fleet's in-flight work.  [pop] takes the lesser of the cursor head
+   and the heap top under the same order, so the pop sequence is
+   exactly that of one heap holding every event. *)
 
 type 'a item = { time : float; rank : int; seq : int; v : 'a }
 
@@ -11,15 +20,30 @@ type 'a t = {
   mutable a : 'a item array;
   mutable n : int;
   mutable seq : int;
+  seed : 'a item array;  (* seeded events in pop order *)
+  mutable next : int;  (* cursor: the first unpopped seeded event *)
 }
 
-let create () = { a = [||]; n = 0; seq = 0 }
+let create () = { a = [||]; n = 0; seq = 0; seed = [||]; next = 0 }
 
 (* The record fixes the key types, so these compile to float and int
    compares; over a bare tuple the same code was polymorphic [compare]. *)
 let less x y =
   x.time < y.time
   || (x.time = y.time && (x.rank < y.rank || (x.rank = y.rank && x.seq < y.seq)))
+
+let seeded ~rank evs =
+  let seed =
+    Array.of_list (List.mapi (fun i (time, v) -> { time; rank; seq = i + 1; v }) evs)
+  in
+  let sorted = ref true in
+  for i = 1 to Array.length seed - 1 do
+    if seed.(i).time < seed.(i - 1).time then sorted := false
+  done;
+  (* stable: equal times keep list (= seq) order *)
+  if not !sorted then
+    Array.stable_sort (fun x y -> Float.compare x.time y.time) seed;
+  { a = [||]; n = 0; seq = Array.length seed; seed; next = 0 }
 
 let push h time rank v =
   h.seq <- h.seq + 1;
@@ -46,7 +70,16 @@ let push h time rank v =
   sift_up (h.n - 1)
 
 let pop h =
-  if h.n = 0 then None
+  let last = Array.length h.seed - 1 in
+  if h.next <= last && (h.n = 0 || less h.seed.(h.next) h.a.(0)) then begin
+    let it = h.seed.(h.next) in
+    (* drop the popped payload: the slot now shares the last seeded
+       item, which stays live until it pops anyway *)
+    h.seed.(h.next) <- h.seed.(last);
+    h.next <- h.next + 1;
+    Some (it.time, it.v)
+  end
+  else if h.n = 0 then None
   else begin
     let top = h.a.(0) in
     h.n <- h.n - 1;

@@ -7,7 +7,9 @@
     [servers] executors dispatching highest-priority-first, deadlines
     enforced while queued and at completion, relaunch-with-backoff after
     device failures, and per-kernel circuit breakers ({!Breaker}); one
-    global event heap drives them all.  Requests are placed by a consistent-hash ring over their engine-free
+    global event queue ({!Eheap}: the trace's arrivals from a sorted
+    cursor, dynamic events from a heap) drives them all.  Requests are
+    placed by a consistent-hash ring over their engine-free
     content identity ({!Ompir.Kdigest} + guardize + resolved pass spec),
     idle shards steal from the deepest neighbour queue, and a dispatching
     shard drains same-content same-geometry queue mates into one merged
@@ -173,8 +175,11 @@ val nonce_for : Request.spec -> launches:int -> int
     (request id, prior launches). *)
 
 val run : config -> ?pool:Gpusim.Pool.t -> Request.spec list -> result
-(** Replay a trace through the fleet.  @raise Invalid_argument on a
-    non-positive shard or batch count (and the base config checks). *)
+(** Replay a trace through the fleet.  A request whose launch geometry
+    its shard's device cannot run ({!Openmp.Clause.check_geometry})
+    reports [Failed] without launching.  @raise Invalid_argument on a
+    non-positive shard or batch count (and the base config checks), or
+    on a non-finite arrival time, naming the request. *)
 
 val report_line : rq_report -> string
 val report_json : rq_report -> string

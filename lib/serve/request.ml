@@ -302,8 +302,8 @@ let spec_of_tokens ~id ~line_no tokens =
         in
         let ticks () =
           match float_of_string_opt value with
-          | Some v when v >= 0.0 -> v
-          | _ -> fail "%s wants non-negative ticks, got %S" key value
+          | Some v when v >= 0.0 && Float.is_finite v -> v
+          | _ -> fail "%s wants finite non-negative ticks, got %S" key value
         in
         match key with
         | "kernel" -> { spec with kernel = value }
@@ -330,8 +330,14 @@ let spec_of_tokens ~id ~line_no tokens =
     fail "unknown kernel template %S (known: %s)" spec.kernel
       (String.concat ", " catalog_names);
   if spec.size < 1 then fail "size must be >= 1";
+  if spec.teams < 1 then fail "teams must be >= 1";
+  if spec.threads < 1 then fail "threads must be >= 1";
+  if spec.simdlen < 1 then fail "simdlen must be >= 1";
   (* deadline was parsed relative to arrival *)
-  { spec with deadline = Option.map (fun d -> spec.at +. d) spec.deadline }
+  let deadline = Option.map (fun d -> spec.at +. d) spec.deadline in
+  if not (Float.is_finite (Option.value deadline ~default:0.0)) then
+    fail "deadline overflows the tick range";
+  { spec with deadline }
 
 let parse_trace text =
   let specs = ref [] in

@@ -58,8 +58,11 @@ val checksum : Gpusim.Memory.farray -> float
 
 val parse_trace : string -> spec list
 (** Parse a trace: one request per line of [key=value] tokens ([kernel=]
-    required; [at]/[deadline] in ticks, deadline relative to arrival;
-    [#] comments).  @raise Failure with the offending line number. *)
+    required; [at]/[deadline] in finite non-negative ticks, deadline
+    relative to arrival; [size], [teams], [threads] and [simdlen] at
+    least 1; [#] comments).  Geometry that depends on the device (a
+    warp multiple, the block limit) is checked per launch, not here.
+    @raise Failure with the offending line number. *)
 
 val load_trace : string -> spec list
 (** {!parse_trace} over a file's contents. *)

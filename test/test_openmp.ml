@@ -48,7 +48,23 @@ let test_clause_validation () =
     (try
        ignore (Clause.resolve ~cfg Clause.(none |> num_teams 0));
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* launch geometry is checked against the device up front *)
+  let geometry c = Clause.check_geometry ~cfg c in
+  check_bool "threads off the warp" true
+    (Result.is_error (geometry Clause.(none |> num_threads 48)));
+  check_bool "resolve refuses it too" true
+    (try
+       ignore (Clause.resolve ~cfg Clause.(none |> num_threads 48));
+       false
+     with Invalid_argument _ -> true);
+  let limit = cfg.Gpusim.Config.max_threads_per_block in
+  check_bool "a full spmd block fits" true
+    (geometry Clause.(none |> num_threads limit) = Ok ());
+  check_bool "the generic main warp counts against the limit" true
+    (Result.is_error
+       (geometry Clause.(none |> num_threads limit |> teams_mode Mode.Generic)));
+  check_bool "the defaults fit" true (geometry Clause.none = Ok ())
 
 (* --- directive facade -------------------------------------------------- *)
 

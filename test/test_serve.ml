@@ -284,6 +284,33 @@ let test_parse_trace () =
   Alcotest.(check int) "synthetic honors n" 12
     (List.length (Request.synthetic ~n:12 ~seed:5 ()))
 
+(* The front door refuses what the fleet cannot order or launch
+   anywhere: a non-finite arrival would hang the telemetry window loop,
+   and zero-sized geometry aborts every device's launch.  Each error
+   names its trace line. *)
+let test_parse_trace_rejects () =
+  let rejected what text line =
+    match Request.parse_trace text with
+    | exception Failure msg ->
+        let prefix = Printf.sprintf "trace line %d:" line in
+        Alcotest.(check string) what prefix
+          (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+    | _ -> Alcotest.failf "%s: must be rejected" what
+  in
+  rejected "at=inf" "kernel=saxpy at=inf\n" 1;
+  rejected "at=infinity" "kernel=saxpy\nkernel=saxpy at=infinity\n" 2;
+  rejected "deadline=inf" "kernel=saxpy deadline=inf\n" 1;
+  rejected "at=nan" "kernel=saxpy at=nan\n" 1;
+  rejected "a deadline overflowing the tick range"
+    "kernel=saxpy at=1e308 deadline=1e308\n" 1;
+  rejected "teams=0" "# header\nkernel=saxpy teams=0\n" 2;
+  rejected "threads=0" "kernel=saxpy threads=0\n" 1;
+  rejected "threads=-32" "kernel=saxpy threads=-32\n" 1;
+  rejected "simdlen=0" "kernel=saxpy simdlen=0\n" 1;
+  (* device-dependent geometry is the launch's call, not the parser's *)
+  Alcotest.(check int) "threads=48 parses" 48
+    (List.hd (Request.parse_trace "kernel=saxpy threads=48\n")).Request.threads
+
 (* --- determinism ------------------------------------------------------ *)
 
 let test_deterministic_replay () =
@@ -512,9 +539,7 @@ let golden_cold =
         })
       Traffic.(generate (preset "steady" ~n:160 ~seed:2)) )
 
-let check_golden (c, specs) expected () =
-  let res = Fleet.run c specs in
-  Alcotest.(check int) "eviction-free" 0 res.Fleet.fleet.Fleet.tenant_evictions;
+let check_md5s c (res : Fleet.result) expected =
   let md5 s = Digest.to_hex (Digest.string s) in
   Alcotest.(check (list string))
     "snapshot, results, metrics, fleet, telemetry" expected
@@ -526,6 +551,11 @@ let check_golden (c, specs) expected () =
          Fleet.fleet_stats_json res.Fleet.fleet;
          res.Fleet.telemetry;
        ])
+
+let check_golden (c, specs) expected () =
+  let res = Fleet.run c specs in
+  Alcotest.(check int) "eviction-free" 0 res.Fleet.fleet.Fleet.tenant_evictions;
+  check_md5s c res expected
 
 let test_golden_hot =
   check_golden golden_hot
@@ -546,6 +576,112 @@ let test_golden_cold =
       "4a8d1977cd51b1f494d532238d745f28";
       "e222a61259117fcfaed76eb25bf8cfed";
     ]
+
+(* The third golden replay pins the event loop's hard cases: a trace
+   not in arrival order (neighbours swapped) whose arrivals share ticks
+   (rounded to 50), plus a few requests arriving exactly on the finish
+   ticks of a first replay — the same replay up to those ticks, since a
+   later arrival cannot move an earlier event — so finishes and
+   arrivals collide.  Under an armed fault plan the fleet relaunches,
+   retries admissions, evicts a tenant and sheds on its SLO, with
+   telemetry on; the test asserts each of these happened. *)
+let test_golden_chaos () =
+  let c =
+    fconf ~shards:3 ~batch:4 ~queue_bound:3 ~servers:1 ~cache:16 ~retries:2
+      ~backoff:400.0 ~breaker:3
+      ~tenants:[ ("alpha", 2) ]
+      ~slo:25_000.0 ~window:10_000.0 ~telemetry:true ()
+  in
+  let base =
+    let a = Array.of_list Traffic.(generate (preset "mixed" ~n:300 ~seed:5)) in
+    for i = 0 to (Array.length a / 2) - 1 do
+      let t = a.(2 * i) in
+      a.(2 * i) <- a.((2 * i) + 1);
+      a.((2 * i) + 1) <- t
+    done;
+    Array.to_list
+      (Array.map
+         (fun (s : Request.spec) ->
+           { s with Request.at = Float.round (s.Request.at *. 3.0 /. 50.0) *. 50.0 })
+         a)
+  in
+  with_knobs
+    [ ("OMPSIMD_FAULTS", "abort=0.25,flip=0.2:0.5"); ("OMPSIMD_FAULT_SEED", "9") ]
+    (fun () ->
+      let first = Fleet.run c base in
+      let on_finish =
+        List.filter
+          (fun (r : Fleet.rq_report) -> r.Fleet.outcome = Scheduler.Completed)
+          first.Fleet.reports
+        |> List.filteri (fun i _ -> i mod 25 = 0)
+        |> List.mapi (fun k (r : Fleet.rq_report) ->
+               { r.Fleet.spec with Request.id = 300 + k; at = r.Fleet.finish })
+      in
+      let specs = on_finish @ base in
+      let res = Fleet.run c specs in
+      let m = res.Fleet.metrics in
+      let ats = List.map (fun (s : Request.spec) -> s.Request.at) specs in
+      let check what b = Alcotest.(check bool) what true b in
+      check "the trace is not in arrival order" (ats <> List.sort compare ats);
+      check "arrivals share ticks"
+        (List.length (List.sort_uniq compare ats) < List.length ats);
+      check "arrivals land on finish ticks"
+        (List.exists
+           (fun (r : Fleet.rq_report) ->
+             r.Fleet.start >= 0.0 && List.mem r.Fleet.finish ats)
+           res.Fleet.reports);
+      check "admission retries" (m.Metrics.retries > 0);
+      check "a tenant eviction" (res.Fleet.fleet.Fleet.tenant_evictions > 0);
+      check "relaunches" (m.Metrics.relaunches > 0);
+      check "SLO shedding" (m.Metrics.shed_slo > 0);
+      check "telemetry" (res.Fleet.telemetry <> "");
+      check_md5s c res
+        [
+          "8aca78b3ba4385fc49476b62ee0fa804";
+          "4b86144036ffef4cb8e5976cbe574440";
+          "cc0a4b5083e9c71bbd3eafff0d52c03e";
+          "9b7b1245a13d0e9c7bf822776f8196d5";
+          "30807faacdfde03b17b4779999efe96e";
+        ])
+
+(* qcheck: the arrival cursor is invisible.  Arrivals given to
+   [Eheap.seeded] (in list order, sorted or not) merged with events
+   pushed while draining pop exactly as from one heap that had every
+   arrival pushed first.  Each pop consumes one script entry and pushes
+   zero to two children at the same tick or later, rank 0 or 1, the
+   way finishes, retries and relaunches are scheduled; the small time
+   ranges make same-tick ties between the cursor and the heap the
+   common case. *)
+let eheap_cursor_merge =
+  QCheck.Test.make ~count:300 ~name:"eheap cursor + heap pops as one heap"
+    QCheck.(
+      pair
+        (list (int_range 0 6))
+        (list (triple (int_range 0 2) (int_range 0 1) (int_range 0 2))))
+    (fun (arrivals, script) ->
+      let script = Array.of_list script in
+      let drain h =
+        let rec go j acc =
+          match Serve.Eheap.pop h with
+          | None -> List.rev acc
+          | Some (t, label) ->
+              (if j < Array.length script then
+                 let dt, rank, k = script.(j) in
+                 for c = 1 to k do
+                   Serve.Eheap.push h (t +. float_of_int dt) rank (-((3 * j) + c))
+                 done);
+              go (j + 1) ((t, label) :: acc)
+        in
+        go 0 []
+      in
+      let same arrivals =
+        let times = List.map float_of_int arrivals in
+        let one = Serve.Eheap.create () in
+        List.iteri (fun i t -> Serve.Eheap.push one t 1 i) times;
+        drain one
+        = drain (Serve.Eheap.seeded ~rank:1 (List.mapi (fun i t -> (t, i)) times))
+      in
+      same arrivals && same (List.sort compare arrivals))
 
 (* qcheck: the event heap pops in (time, rank, insertion) order; the
    small time and rank ranges make ties the common case. *)
@@ -758,6 +894,66 @@ let test_device_pin () =
   Alcotest.(check int) "pin lands on the w64 shard" 1 (r 0).Fleet.shard;
   Alcotest.(check int) "unfittable pin stays on w32" 0 (r 1).Fleet.shard;
   Alcotest.(check int) "uncarried pin stays on w32" 0 (r 2).Fleet.shard
+
+(* Geometry the executing device cannot run ends as that request's
+   [Failed] instead of aborting the replay.  One w32 shard: 48 threads
+   is no warp multiple and 2048 exceeds the block limit, while the
+   requests around them complete.  On a w32+w64 fleet, 96 threads fits
+   only the w32 group and completes there; 48 fits neither and fails
+   wherever the plain ring puts it.  Placement uses the same check, so
+   on a w8+w32 fleet simdlen 16 only ever lands on the w32 shard.  A non-finite arrival is refused up
+   front, naming the request: the arrival cursor needs a total order. *)
+let test_geometry_fails_the_request () =
+  let mk ?(threads = 32) id =
+    spec ~at:(float_of_int id *. 100_000.0) ~kernel:"saxpy" ~size:64 ~teams:1
+      ~threads id
+  in
+  let outcomes (res : Fleet.result) =
+    List.map (fun (r : Fleet.rq_report) -> r.Fleet.outcome) res.Fleet.reports
+  in
+  let c = fconf ~shards:1 ~batch:4 ~memo:false ~queue_bound:100 () in
+  let res = Fleet.run c [ mk 0; mk ~threads:48 1; mk ~threads:2048 2; mk 3 ] in
+  Alcotest.(check (list outcome))
+    "only the unlaunchable requests fail"
+    Scheduler.[ Completed; Failed; Failed; Completed ]
+    (outcomes res);
+  Alcotest.(check int) "failed counted" 2 res.Fleet.metrics.Metrics.failed;
+  Alcotest.(check int) "and never launched" 2 res.Fleet.metrics.Metrics.launches;
+  let hetero =
+    Fleet.run
+      (fconf ~shards:2 ~batch:1 ~memo:false ~queue_bound:100
+         ~devices:(Fleet.parse_devices "w32-hw,w64-hw")
+         ())
+      [ mk ~threads:96 0; mk ~threads:48 1 ]
+  in
+  Alcotest.(check (list outcome))
+    "96 runs on the w32 group, 48 nowhere"
+    Scheduler.[ Completed; Failed ]
+    (outcomes hetero);
+  Alcotest.(check int) "on the w32 shard" 0 (List.hd hetero.Fleet.reports).Fleet.shard;
+  (* simdlen 16 does not divide an 8-lane warp: placement keeps every
+     such request off the w8 shard (shard 0) *)
+  let wide =
+    Fleet.run
+      (fconf ~shards:2 ~batch:1 ~memo:false ~queue_bound:100
+         ~devices:(Fleet.parse_devices "w8-hw,w32-hw")
+         ())
+      (List.mapi
+         (fun i kernel ->
+           spec ~at:(float_of_int i *. 100_000.0) ~kernel ~size:(16 + i) ~teams:1
+             ~threads:32 ~simdlen:16 i)
+         [ "saxpy"; "rowsum"; "stencil"; "hist"; "chain"; "saxpy"; "rowsum" ])
+  in
+  List.iter
+    (fun (r : Fleet.rq_report) ->
+      Alcotest.check outcome "simdlen 16 completes" Scheduler.Completed r.Fleet.outcome;
+      Alcotest.(check int) "on the w32 shard" 1 r.Fleet.shard)
+    wide.Fleet.reports;
+  match Fleet.run c [ mk 0; { (mk 7) with Request.at = infinity } ] with
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) "names the request" true
+        (Astring_like.contains msg "request 7")
+  | _ -> Alcotest.fail "a non-finite arrival must be refused"
 
 (* Directed affinity migration: repeated same-content traffic on a
    two-device fleet first explores (an unmeasured device costs 0, so
@@ -1111,6 +1307,8 @@ let suite =
           test_cache_survives_device_failure;
         Alcotest.test_case "trace parsing and synthesis" `Quick
           test_parse_trace;
+        Alcotest.test_case "trace front door: non-finite ticks, empty geometry"
+          `Quick test_parse_trace_rejects;
         Alcotest.test_case "replay is engine- and pool-invariant" `Quick
           test_deterministic_replay;
         Alcotest.test_case "dispatch is highest-priority-first" `Quick
@@ -1137,7 +1335,10 @@ let suite =
           test_golden_hot;
         Alcotest.test_case "fleet: golden bytes, heterogeneous" `Quick
           test_golden_cold;
+        Alcotest.test_case "fleet: golden bytes, faults and shedding" `Quick
+          test_golden_chaos;
         QCheck_alcotest.to_alcotest eheap_order;
+        QCheck_alcotest.to_alcotest eheap_cursor_merge;
         Alcotest.test_case "fleet: traffic generator is deterministic" `Quick
           test_traffic_determinism;
         QCheck_alcotest.to_alcotest fleet_no_lost_request;
@@ -1146,6 +1347,8 @@ let suite =
         Alcotest.test_case "fleet: parse_devices" `Quick test_parse_devices;
         Alcotest.test_case "fleet: device pin routes to its group" `Quick
           test_device_pin;
+        Alcotest.test_case "fleet: unlaunchable geometry fails the request"
+          `Quick test_geometry_fails_the_request;
         Alcotest.test_case "fleet: affinity concentrates hot content" `Quick
           test_affinity_migration;
         QCheck_alcotest.to_alcotest fleet_device_shuffle;

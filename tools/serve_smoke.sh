@@ -6,13 +6,21 @@
 # block simulation) and diffs the JSON snapshots byte-for-byte: the
 # service runs in virtual time, so per-request reports (including
 # checksums) and metrics must be identical everywhere.  A synthetic
-# replay with a fixed seed is checked the same way.
+# replay with a fixed seed is checked the same way, and so are the
+# sharded, heterogeneous and SLO-telemetry fleets.
 #
-# Usage: tools/serve_smoke.sh   (from the repo root)
+# Usage: tools/serve_smoke.sh  (from the repo root), or from dune with
+# OMPSIMD_RUN pointing at an already-built ompsimd_run binary.
 set -eu
 
-cd "$(dirname "$0")/.."
-trace=examples/serve.requests
+if [ -n "${OMPSIMD_RUN:-}" ]; then
+  run="$OMPSIMD_RUN"
+else
+  cd "$(dirname "$0")/.."
+  dune build bin/ompsimd_run.exe
+  run=./_build/default/bin/ompsimd_run.exe
+fi
+trace="$(dirname "$0")/../examples/serve.requests"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
@@ -29,9 +37,6 @@ export OMPSIMD_DEVICE= OMPSIMD_FLEET_DEVICES= OMPSIMD_FLEET_AFFINITY=
 export OMPSIMD_SERVE_SLO_MS= OMPSIMD_SERVE_WINDOW= OMPSIMD_SERVE_TELEMETRY=
 export OMPSIMD_SERVE_SHED= OMPSIMD_SERVE_AUTOSCALE= OMPSIMD_SERVE_BUDGET=
 export OMPSIMD_SERVE_COOLDOWN= OMPSIMD_FLEET_DECAY=
-
-dune build bin/ompsimd_run.exe
-run=./_build/default/bin/ompsimd_run.exe
 
 ref=""
 for engine in compile walk; do
@@ -142,6 +147,33 @@ for perm in "$zoo" "w32-l2tiny,w32-hw,w64-hw,w16-sw" "w16-sw,w32-l2tiny,w32-hw,w
       || { echo "FAIL: results moved under device shuffle ($perm)"; exit 1; }
   fi
 done
+
+# --- the SLO-telemetry fleet -------------------------------------------
+# With an SLO the fleet sheds and autoscales on telemetry-window
+# boundaries; the windowed JSONL stream (per-shard lines plus the
+# control line recording those decisions) must be byte-identical across
+# every engine x pool combination, like the snapshot beside it.
+tref=""
+for engine in compile walk; do
+  for domains in 0 3; do
+    tel="$out/tel_${engine}_${domains}.jsonl"
+    echo "== SLO telemetry OMPSIMD_EVAL=$engine OMPSIMD_DOMAINS=$domains =="
+    OMPSIMD_EVAL="$engine" OMPSIMD_DOMAINS="$domains" OMPSIMD_SERVE_QUEUE=4 \
+      "$run" serve --traffic 400 --profile mixed --seed 5 \
+      --shards 4 --batch 8 --slo 6 --telemetry "$tel" \
+      --json "$tel.json" > /dev/null
+    if [ -z "$tref" ]; then
+      tref="$tel"
+    else
+      diff -q "$tref" "$tel" \
+        || { echo "FAIL: SLO telemetry differs from $tref"; exit 1; }
+      diff -q "$tref.json" "$tel.json" \
+        || { echo "FAIL: SLO snapshot differs from $tref.json"; exit 1; }
+    fi
+  done
+done
+grep -q '"shedding": true' "$tref" \
+  || { echo "FAIL: SLO telemetry never recorded shedding"; exit 1; }
 
 # the hetero replay must actually have routed off the plain ring
 hstats="$(grep -o '"fleet": {[^}]*}' "$href")"
