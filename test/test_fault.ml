@@ -477,6 +477,39 @@ let test_serve_breaker () =
       check_int "breaker opened once" 1 m.Metrics.breaker_opens;
       check_int "only the first two launched" 2 m.Metrics.launches)
 
+let test_serve_breaker_probe_geometry () =
+  (* The breaker keys on content, not geometry.  With this plan and
+     seed the first two launches of content X fail and open its
+     breaker; after the cooldown the first X dispatch has a thread
+     count the 32-wide device cannot run.  It ends Failed without
+     taking the half-open probe, so the next, launchable X request is
+     the probe: it launches, completes and closes the breaker, and the
+     X request after it completes too.  Were the probe slot taken by
+     the unlaunchable request, the breaker would stay half-open and
+     shed both unlaunched. *)
+  with_knobs [ ("OMPSIMD_FAULTS", "abort=0.5"); ("OMPSIMD_FAULT_SEED", "1") ]
+    (fun _ ->
+      let x ?(threads = 64) ~at id = spec ~at ~size:2048 ~teams:2 ~threads id in
+      let reports, m =
+        serve
+          (conf ~servers:1 ~retries:0 ~breaker:2 ~backoff:1_000.0 ())
+          [
+            x ~at:0.0 0;
+            x ~at:5_000.0 1;
+            x ~threads:48 ~at:1_000_000.0 2;
+            x ~at:1_100_000.0 3;
+            x ~at:2_000_000.0 4;
+          ]
+      in
+      Alcotest.(check (list outcome))
+        "the breaker opens, the bad geometry fails, the probe closes it"
+        Scheduler.[ Degraded; Degraded; Failed; Completed; Completed ]
+        (List.map (fun r -> r.Fleet.outcome) reports);
+      Alcotest.(check (list int))
+        "only the unlaunchable request never launched" [ 1; 1; 0; 1; 1 ]
+        (List.map (fun r -> r.Fleet.launches) reports);
+      check_int "breaker opened once" 1 m.Metrics.breaker_opens)
+
 let test_serve_chaos_replay () =
   (* the determinism contract under fire: one trace, an armed chaos
      plan, four engine x pool combinations — byte-identical snapshots *)
@@ -590,6 +623,8 @@ let suite =
           test_serve_recovery;
         Alcotest.test_case "circuit breaker sheds a failing kernel" `Quick
           test_serve_breaker;
+        Alcotest.test_case "unlaunchable geometry never takes the probe" `Quick
+          test_serve_breaker_probe_geometry;
         Alcotest.test_case "chaos replay is engine- and pool-invariant" `Quick
           test_serve_chaos_replay;
         QCheck_alcotest.to_alcotest recovery_invariant;
