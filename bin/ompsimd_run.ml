@@ -24,9 +24,9 @@ let scale_term =
    environment, with the subcommand's flags layered over it as a
    higher-priority source for the same knobs.  The whole record is
    parsed before any work, so a malformed value fails every subcommand
-   the same way — exit 2, one line naming the variable — and its
-   device-wide switches (sanitizer, fault plan, watchdog) are installed
-   once, here. *)
+   the same way — exit 2, one line naming the variable.  Its launch
+   settings (sanitizer, fault plan, watchdog) reach the library on the
+   pool [Knobs.pool] builds. *)
 let with_knobs ?(flags = []) device f =
   let flags =
     match String.trim device with
@@ -48,14 +48,21 @@ let with_knobs ?(flags = []) device f =
   | Error msg ->
       prerr_endline msg;
       exit 2
-  | Ok k ->
-      Knobs.install k;
-      f k
+  | Ok k -> f k
 
-(* the block-simulation pool OMPSIMD_DOMAINS sizes (bit-identical
-   reports for any width, see DESIGN.md) *)
-let pool_of k = Gpusim.Pool.create ~domains:k.Knobs.domains ()
-let with_device device f = with_knobs device (fun k -> f k.Knobs.device (pool_of k))
+let with_device device f =
+  with_knobs device (fun k -> f k.Knobs.device (Knobs.pool k))
+
+(* A SIMD group must divide the device's warp.  Checked before any
+   launch, so a device the group cannot run on is a usage error (exit
+   2, one line), not an exception halfway through an experiment. *)
+let check_group ~what group (cfg : Gpusim.Config.t) =
+  let ws = cfg.Gpusim.Config.warp_size in
+  if group <= 0 || ws mod group <> 0 then begin
+    Printf.eprintf "%s %d does not divide the device warp width %d\n" what group
+      ws;
+    exit 2
+  end
 
 let csv_term =
   let doc = "Also write the series as CSV to this file." in
@@ -85,7 +92,10 @@ let fig9_cmd =
 let fig10_cmd =
   let run device scale csv =
     with_device device (fun cfg pool ->
-        let r = Experiments.Fig10.run ~scale ~pool ~cfg () in
+        (* the paper's group size *)
+        let group_size = 32 in
+        check_group ~what:"fig10: group size" group_size cfg;
+        let r = Experiments.Fig10.run ~scale ~group_size ~pool ~cfg () in
         Experiments.Fig10.print r;
         write_csv csv (Experiments.Fig10.to_csv r))
   in
@@ -117,7 +127,7 @@ let amd_cmd =
   let run scale =
     with_knobs "" (fun k ->
         Experiments.Amd_mode.print
-          (Experiments.Amd_mode.run ~scale ~pool:(pool_of k) ()))
+          (Experiments.Amd_mode.run ~scale ~pool:(Knobs.pool k) ()))
   in
   Cmd.v
     (Cmd.info "amd" ~doc:"E5: AMD wavefront-barrier gap (S5.4.1)")
@@ -147,7 +157,7 @@ let spmdize_cmd =
   let run device scale =
     with_knobs device (fun k ->
         Experiments.Spmdization_ablation.print
-          (Experiments.Spmdization_ablation.run ~scale ~pool:(pool_of k)
+          (Experiments.Spmdization_ablation.run ~scale ~pool:(Knobs.pool k)
              ~knobs:k.Knobs.compile ~cfg:k.Knobs.device ()))
   in
   Cmd.v
@@ -196,10 +206,14 @@ let kernel_cmd =
               prerr_endline ("unknown mode " ^ other);
               exit 2
         in
+        if mode <> "nosimd" then
+          check_group ~what:"kernel: --simdlen" simdlen cfg;
         let sc n = max 1 (int_of_float (float_of_int n *. scale)) in
         let teams = 2 * cfg.Gpusim.Config.num_sms in
         let trace = Option.map (fun _ -> Gpusim.Trace.create ()) trace_path in
-        let run_with ?trace () =
+        (* each workload: its device report and the check of its output
+           against the sequential reference *)
+        let report, verify =
           match kernel with
           | "spmv" ->
               let t =
@@ -208,48 +222,54 @@ let kernel_cmd =
                     Workloads.Spmv.rows = sc 8192; cols = sc 8192 }
               in
               let r = Workloads.Spmv.run_simd ~cfg ~pool ?trace ~num_teams:teams ~threads:128 ~mode3 t in
-              H.check_or_fail (Workloads.Spmv.verify t r.H.output);
-              r
+              (r.H.report, fun () -> Workloads.Spmv.verify t r.H.output)
           | "su3" ->
               let t = Workloads.Su3.generate { Workloads.Su3.sites = sc 8192; seed = 2 } in
               let r = Workloads.Su3.run ~cfg ~pool ?trace ~num_teams:teams ~threads:128 ~mode3 t in
-              H.check_or_fail (Workloads.Su3.verify t r.H.output);
-              r
+              (r.H.report, fun () -> Workloads.Su3.verify t r.H.output)
           | "ideal" ->
               let t =
                 Workloads.Ideal.generate
                   { Workloads.Ideal.default_shape with Workloads.Ideal.rows = sc 4096 }
               in
               let r = Workloads.Ideal.run ~cfg ~pool ?trace ~num_teams:teams ~threads:128 ~mode3 t in
-              H.check_or_fail (Workloads.Ideal.verify t r.H.output);
-              r
+              (r.H.report, fun () -> Workloads.Ideal.verify t r.H.output)
           | "laplace3d" ->
               let t = Workloads.Laplace3d.generate { Workloads.Laplace3d.n = sc 50; seed = 4 } in
               let r = Workloads.Laplace3d.run ~cfg ~pool ?trace ~num_teams:teams ~threads:128 ~mode3 t in
-              H.check_or_fail (Workloads.Laplace3d.verify t r.H.output);
-              r
+              (r.H.report, fun () -> Workloads.Laplace3d.verify t r.H.output)
           | "transpose" ->
               let t =
                 Workloads.Muram.generate
                   { Workloads.Muram.ni = sc 48; nj = sc 48; nk = 48; seed = 5 }
               in
               let r = Workloads.Muram.run_transpose ~cfg ~pool ?trace ~num_teams:teams ~threads:128 ~mode3 t in
-              H.check_or_fail (Workloads.Muram.verify_transpose t r.H.output);
-              r
+              (r.H.report, fun () -> Workloads.Muram.verify_transpose t r.H.output)
           | "interpol" ->
               let t =
                 Workloads.Muram.generate
                   { Workloads.Muram.ni = sc 48; nj = sc 48; nk = 48; seed = 5 }
               in
               let r = Workloads.Muram.run_interpol ~cfg ~pool ?trace ~num_teams:teams ~threads:128 ~mode3 t in
-              H.check_or_fail (Workloads.Muram.verify_interpol t r.H.output);
-              r
+              (r.H.report, fun () -> Workloads.Muram.verify_interpol t r.H.output)
           | other ->
               prerr_endline ("unknown kernel " ^ other);
               exit 2
         in
-        let r = run_with ?trace () in
-        Format.printf "%a@." Gpusim.Device.pp_report r.Workloads.Harness.report;
+        (* a launch whose blocks aborted (an armed fault plan) has no
+           result to verify: print its report, faults included, and
+           fail.  A watchdog finding marks a block that completed. *)
+        let aborted =
+          List.exists
+            (fun f -> f.Gpusim.Fault.f_kind <> Gpusim.Fault.Watchdog)
+            report.Gpusim.Device.failures
+        in
+        if not aborted then H.check_or_fail (verify ());
+        Format.printf "%a@." Gpusim.Device.pp_report report;
+        if aborted then begin
+          prerr_endline "kernel: blocks failed; result not verified";
+          exit 1
+        end;
         print_endline "result VERIFIED against the sequential reference";
         match (trace, trace_path) with
         | Some t, Some path ->
@@ -352,7 +372,9 @@ let sweep_cmd =
                      exit 2)
     in
     with_knobs "" (fun k ->
-        let r = Experiments.Zoo_sweep.run ~scale ~pool:(pool_of k) ~entries () in
+        let r =
+          Experiments.Zoo_sweep.run ~scale ~pool:(Knobs.pool k) ~entries ()
+        in
         Experiments.Zoo_sweep.print r;
         write_csv csv (Experiments.Zoo_sweep.to_csv r))
   in
@@ -366,7 +388,7 @@ let sweep_cmd =
 let all_cmd =
   let run device scale =
     with_knobs device (fun k ->
-        let cfg = k.Knobs.device and pool = pool_of k in
+        let cfg = k.Knobs.device and pool = Knobs.pool k in
         Experiments.Fig9.print (Experiments.Fig9.run ~scale ~pool ~cfg ());
         print_newline ();
         Experiments.Fig10.print (Experiments.Fig10.run ~scale ~pool ~cfg ());
@@ -528,7 +550,7 @@ let serve_cmd =
         in
         let fconf = k.Knobs.fleet in
         let res =
-          try Serve.Fleet.run fconf ~pool:(pool_of k) specs
+          try Serve.Fleet.run fconf ~pool:(Knobs.pool k) specs
           with Invalid_argument msg ->
             Printf.eprintf "serve: %s\n" msg;
             exit 2

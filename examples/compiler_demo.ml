@@ -63,7 +63,8 @@ let () =
         prerr_endline msg;
         exit 2
   in
-  Knobs.install knobs;
+  (* the launch settings (sanitizer, fault plan, watchdog) ride on the pool *)
+  let pool = Knobs.pool knobs in
   let cfg = Gpusim.Config.a100_quarter in
   print_endline "=== source (reconstructed from the IR) ===";
   print_endline (Printer.kernel_to_string kernel);
@@ -104,7 +105,7 @@ let () =
         (fun (label, mode) ->
           Memory.fill out 0.0;
           let report =
-            Offload.run ~cfg
+            Offload.run ~cfg ~pool
               ~clauses:
                 Clause.(
                   none |> num_threads 128 |> simdlen 8 |> parallel_mode mode)

@@ -22,30 +22,52 @@ type sim_result =
       * Fault.events
   | B_failed of Fault.failure * Fault.events
 
+(* One launch's settings, read off its pool once: the per-block
+   brackets below and the epilogue take everything from here. *)
+type ctx = {
+  pool : Pool.t option;
+  launch : Thread.launch;  (* stamped on every warp *)
+  plan : Fault.plan option;
+  nonce : int;  (* the launch's fault nonce; 0 when disarmed *)
+  capture : bool;  (* hung blocks become failures instead of raising *)
+}
+
 (* One block's simulation, bracketed in a memory session so its L2
    traffic is order-independent (see Memory).  Runs on whichever domain
    the pool hands the index to; everything it touches is block-local.
    The sanitizer's shadow state shares the bracket; on the exception
-   path its findings are stashed for [Ompsan.take_aborted] (a divergent
-   kernel deadlocks before the epilogue runs).
+   path its findings are stashed on the pool (a divergent kernel
+   deadlocks before the epilogue runs).
 
    Failure capture: an injected fatal fault (Fault.Fatal) always yields
    a failed block.  A deadlock — injected stall or genuine divergence —
    yields one only when capture is armed (fault plan set, or a watchdog
    budget); otherwise it re-raises, preserving the historical
    Engine.Deadlock contract for unarmed callers. *)
-let simulate_block ~cfg ?trace ~block ~init ~body block_id =
+let simulate_block ~cfg ?trace ~ctx ~block ~init ~body block_id =
+  let ws = cfg.Config.warp_size in
   Memory.session_begin ();
-  Ompsan.block_begin ~block_id ~num_threads:block
-    ~warp_size:cfg.Config.warp_size;
-  Fault.block_begin ~block_id ~num_threads:block
-    ~warp_size:cfg.Config.warp_size;
+  if ctx.launch.Thread.sanitize then
+    Ompsan.block_begin ~block_id ~num_threads:block ~warp_size:ws;
+  Option.iter
+    (fun p ->
+      Fault.block_begin p ~nonce:ctx.nonce ~block_id ~num_threads:block
+        ~warp_size:ws)
+    ctx.plan;
+  let abort () =
+    let ev = Fault.block_end () in
+    (match (Ompsan.block_abort (), ctx.pool) with
+    | [], _ | _, None -> ()
+    | fs, Some p -> Pool.stash_aborted p fs);
+    ignore (Memory.session_end ());
+    ev
+  in
   match
     let arena = Shared.arena cfg in
     let state = init ~block_id arena in
     let result =
-      Engine.run_block ~cfg ?trace ~block_id ~num_threads:block (fun th ->
-          body state th)
+      Engine.run_block ~cfg ?trace ~launch:ctx.launch ~block_id
+        ~num_threads:block (fun th -> body state th)
     in
     (* A software-barrier device pays shared-memory residency for its
        per-block flag arrays on top of whatever the kernel allocated. *)
@@ -55,16 +77,10 @@ let simulate_block ~cfg ?trace ~block ~init ~body block_id =
          + Config.sw_barrier_smem_bytes cfg ~threads:block),
      result.Engine.counters)
   with
-  | exception Fault.Fatal f ->
-      let ev = Fault.block_abort () in
-      Ompsan.block_abort ();
-      ignore (Memory.session_end ());
-      B_failed (f, ev)
-  | exception Engine.Deadlock _ when Fault.capture_deadlocks () ->
+  | exception Fault.Fatal f -> B_failed (f, abort ())
+  | exception Engine.Deadlock _ when ctx.capture ->
       let stall = Engine.take_stall () in
-      let ev = Fault.block_abort () in
-      Ompsan.block_abort ();
-      ignore (Memory.session_end ());
+      let ev = abort () in
       let f =
         match ev.Fault.ev_stall with
         | Some f -> f  (* the injected stall that caused this deadlock *)
@@ -93,33 +109,55 @@ let simulate_block ~cfg ?trace ~block ~init ~body block_id =
       in
       B_failed (f, ev)
   | exception e ->
-      ignore (Fault.block_abort () : Fault.events);
-      Ompsan.block_abort ();
-      ignore (Memory.session_end ());
+      ignore (abort () : Fault.events);
       raise e
   | cost, counters ->
       let san = Ompsan.block_end () in
       let ev = Fault.block_end () in
       B_ok (cost, counters, Memory.session_end (), san, ev)
 
-let launch ~cfg ?pool ?trace ~grid ~block ~init ~body () =
+let launch ~cfg ?pool ?trace ?nonce ?(kernel = "<kernel>") ~grid ~block ~init
+    ~body () =
   if grid <= 0 then invalid_arg "Device.launch: grid must be positive";
   if block <= 0 then invalid_arg "Device.launch: block must be positive";
   if block > cfg.Config.max_threads_per_block then
     invalid_arg "Device.launch: block exceeds device limit";
-  Fault.launch_begin ();
-  let simulate = simulate_block ~cfg ?trace ~block ~init ~body in
+  (* Tracing forces the sequential path: Trace.t is one shared mutable
+     log.  Only a multi-domain block phase needs the host RMW lock. *)
+  let parallel =
+    match pool with
+    | Some p -> Option.is_none trace && Pool.size p > 0
+    | None -> false
+  in
+  let sanitize, plan, watchdog, nonce =
+    match pool with
+    | None -> (false, None, 0.0, 0)
+    | Some p ->
+        let plan = Pool.faults p in
+        (* a pinned nonce leaves the pool's counter untouched *)
+        let nonce =
+          match (plan, nonce) with
+          | None, _ -> 0
+          | Some _, Some n -> n
+          | Some _, None -> Pool.next_nonce p
+        in
+        (Pool.sanitize p, plan, Pool.watchdog p, nonce)
+  in
+  let ctx =
+    {
+      pool;
+      launch =
+        { Thread.sanitize; inject = Option.is_some plan; rmw_lock = parallel };
+      plan;
+      nonce;
+      capture = Option.is_some plan || watchdog > 0.0;
+    }
+  in
+  let simulate = simulate_block ~cfg ?trace ~ctx ~block ~init ~body in
   let results =
     match pool with
-    (* Tracing forces the sequential path: Trace.t is one shared
-       mutable log. *)
-    | Some p when Option.is_none trace && Pool.size p > 0 ->
-        Memory.set_rmw_locking true;
-        Pool.parallel_init p grid simulate
-    | _ ->
-        (* single-domain block phase: device atomics need no host lock *)
-        Memory.set_rmw_locking false;
-        Array.init grid simulate
+    | Some p when parallel -> Pool.parallel_init p grid simulate
+    | _ -> Array.init grid simulate
   in
   (* Deterministic epilogue, in ascending block_id order regardless of
      which domain simulated what: commit the per-block L2 logs, then
@@ -158,10 +196,10 @@ let launch ~cfg ?pool ?trace ~grid ~block ~init ~body () =
      counters: per-block findings in ascending block_id, then the
      cross-block pass over per-cell summaries. *)
   let sanitizer =
-    if not !Ompsan.enabled then None
+    if not sanitize then None
     else
       Some
-        (Ompsan.launch_report
+        (Ompsan.launch_report ~kernel
            (Array.map
               (function B_ok (_, _, _, san, _) -> san | B_failed _ -> None)
               results))
@@ -169,7 +207,6 @@ let launch ~cfg ?pool ?trace ~grid ~block ~init ~body () =
   (* Failures and fault statistics, in ascending block order.  The
      watchdog check runs here: a block whose critical path exceeds the
      budget completed, but is reported hung. *)
-  let wd = Fault.watchdog_budget () in
   let rev_failures = ref [] in
   let stats = ref Fault.zero_stats in
   Array.iteri
@@ -198,7 +235,7 @@ let launch ~cfg ?pool ?trace ~grid ~block ~init ~body () =
                 Fault.corrected = ev.Fault.ev_corrected;
                 exhausts = ev.Fault.ev_exhausts;
               };
-          if wd > 0.0 && cost.Occupancy.critical > wd then begin
+          if watchdog > 0.0 && cost.Occupancy.critical > watchdog then begin
             rev_failures :=
               {
                 Fault.f_kind = Fault.Watchdog;

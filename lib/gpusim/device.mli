@@ -11,7 +11,14 @@
     homogeneous-grid fast path (for a grid whose blocks really are
     uniform): every block simulates against the launch-start L2 snapshot
     (see {!Memory} sessions), and per-block counters, costs and L2 logs
-    are combined in ascending block_id order after all blocks finish. *)
+    are combined in ascending block_id order after all blocks finish.
+
+    {b Launch context.}  The launch's settings come from its {!Pool}:
+    whether the sanitizer runs, the armed fault plan, the watchdog
+    budget and the fault-launch counter.  They are stamped on the
+    block's warps ({!Thread.launch}), so nothing a launch reads is
+    process-global and launches on different domains may run at once
+    with different settings.  No pool means all off. *)
 
 type report = {
   cfg : Config.t;
@@ -22,16 +29,17 @@ type report = {
   counters : Counters.t;  (** merged over all blocks, ascending block_id *)
   block_costs : Occupancy.block_cost array;
   sanitizer : Ompsan.report option;
-      (** [Some] iff the sanitizer was enabled for this launch: findings
+      (** [Some] iff the launch's pool runs the sanitizer: findings
           merged in ascending block_id plus cross-block conflicts.  Always
           [None] when disabled — the report stays bit-identical to a build
           without the sanitizer. *)
   failures : Fault.failure list;
       (** Failed blocks in ascending block_id order: injected fatal
           faults, captured barrier stalls (injected or genuine
-          divergence, when {!Fault.capture_deadlocks} is armed), and
-          watchdog findings for blocks whose critical path exceeded the
-          [OMPSIMD_WATCHDOG] budget.  A failed block contributes no
+          divergence, when capture is armed: a fault plan or a watchdog
+          on the pool), and watchdog findings for blocks whose critical
+          path exceeded the pool's [OMPSIMD_WATCHDOG] budget.
+          A failed block contributes no
           counters, no L2 traffic and a zero cost entry — its failure
           record {e is} its contribution.  Always [[]] when disarmed. *)
   faults : Fault.stats;
@@ -44,6 +52,8 @@ val launch :
   cfg:Config.t ->
   ?pool:Pool.t ->
   ?trace:Trace.t ->
+  ?nonce:int ->
+  ?kernel:string ->
   grid:int ->
   block:int ->
   init:(block_id:int -> Shared.arena -> 'a) ->
@@ -55,14 +65,23 @@ val launch :
     reserving static shared memory); [body] runs in every thread fiber.
 
     [pool] fans block simulation out across the pool's domains; the
-    report is bit-identical to the sequential run.  When [trace] is set
-    the launch always simulates every block sequentially on the calling
-    domain ([Trace.t] is a single shared log).
+    report is bit-identical to the sequential run.  Device atomics take
+    the host lock only when blocks really run on several domains.  When
+    [trace] is set the launch always simulates every block sequentially
+    on the calling domain ([Trace.t] is a single shared log).
 
-    With fault capture armed (see {!Fault.capture_deadlocks}) a block
-    that deadlocks or takes a fatal injected fault does not raise — it
-    lands in [report.failures].  Disarmed, genuine divergence raises
-    {!Engine.Deadlock} exactly as before.
+    Under an armed fault plan the blocks draw their faults at [nonce]
+    when given (the serve fleet pins it per request and attempt,
+    leaving the pool's counter alone), else at the pool's next
+    {!Pool.next_nonce}.  [kernel] names the sanitizer report (default
+    ["<kernel>"]).
+
+    With fault capture armed (a fault plan, or a positive watchdog, on
+    the pool) a block that deadlocks or takes a fatal injected fault
+    does not raise — it lands in [report.failures].  Disarmed, genuine
+    divergence raises {!Engine.Deadlock} exactly as before; a sanitized
+    launch stashes the aborted blocks' findings on the pool
+    ({!Pool.take_aborted}).
     @raise Invalid_argument on non-positive [grid]/[block] or a block larger
     than the device allows. *)
 

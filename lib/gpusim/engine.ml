@@ -97,7 +97,7 @@ let barrier_wait bar th =
   (* Injected stall: the victim parks on a private, never-completing
      barrier instead of arriving here — its mask-mates wait forever and
      the block surfaces as a (captured) deadlock. *)
-  (if !Fault.armed then
+  (if Thread.injecting th then
      match Fault.stall_here th ~abandoned:bar with
      | Some stalled -> perform (Wait (stalled, th))
      | None -> ());
@@ -134,7 +134,8 @@ let park_arrival s bar th k =
     Hashtbl.replace s.live (Barrier.id bar) bar
   end
 
-let run_block ~cfg ?trace ~block_id ~num_threads body =
+let run_block ~cfg ?trace ?(launch = Thread.default_launch) ~block_id
+    ~num_threads body =
   if num_threads <= 0 then
     invalid_arg "Engine.run_block: num_threads must be positive";
   if num_threads > cfg.Config.max_threads_per_block then
@@ -142,7 +143,9 @@ let run_block ~cfg ?trace ~block_id ~num_threads body =
   let counters = Counters.create () in
   let ws = cfg.Config.warp_size in
   let num_warps = (num_threads + ws - 1) / ws in
-  let warps = Array.init num_warps (fun w -> Thread.make_warp ~cfg ~warp_index:w) in
+  let warps =
+    Array.init num_warps (fun w -> Thread.make_warp ~cfg ~launch ~warp_index:w)
+  in
   let threads =
     Array.init num_threads (fun tid ->
         Thread.create ~cfg ~counters ?trace ~block_id ~tid ~warp:warps.(tid / ws) ())

@@ -29,7 +29,8 @@ val take_stall : unit -> stall_info option
 (** The structured companion of the last {!Deadlock} raised on the
     calling domain, stashed just before the raise; reading clears it.
     [Device.launch] consumes it to build a failure report when fault
-    capture is armed (see {!Fault.capture_deadlocks}). *)
+    capture is armed (a fault plan or a watchdog on the launch's
+    {!Pool}). *)
 
 type block_result = {
   block_id : int;
@@ -51,12 +52,15 @@ val barrier_wait : Barrier.t -> Thread.t -> unit
 val run_block :
   cfg:Config.t ->
   ?trace:Trace.t ->
+  ?launch:Thread.launch ->
   block_id:int ->
   num_threads:int ->
   (Thread.t -> unit) ->
   block_result
 (** Create [num_threads] fibers (grouped into warps of [cfg.warp_size]),
     run the body in each, and return the block's timing summary.
+    [launch] (default {!Thread.default_launch}, all off) is stamped on
+    every warp.
     @raise Invalid_argument if [num_threads] is not positive or exceeds
     [cfg.max_threads_per_block].
     @raise Deadlock on unreleased barriers. *)

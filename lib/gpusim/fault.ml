@@ -2,20 +2,21 @@
 
    A fault plan is parsed from a spec ("kind=rate" tokens, comma
    separated; the OMPSIMD_FAULTS knob) and a seed (OMPSIMD_FAULT_SEED),
-   and installed once by the entry point.  Every decision — does
-   this block fail, which thread, at which cycle — is drawn once at
-   block start from a Prng seeded by (plan seed, launch nonce,
-   block_id), so faults are a pure function of the plan and the block,
-   never of the host: pooled runs inject exactly what sequential runs
-   inject, and both engines fail at the same access of the same thread
-   at the same clock (the simulator's bit-identity contract makes the
-   access/clock sequence identical).
+   and travels on the launch's Pool; nothing here is process-global.
+   Every decision — does this block fail, which thread, at which cycle
+   — is drawn once at block start from a Prng seeded by (plan seed,
+   launch nonce, block_id), so faults are a pure function of the plan
+   and the block, never of the host: pooled runs inject exactly what
+   sequential runs inject, and both engines fail at the same access of
+   the same thread at the same clock (the simulator's bit-identity
+   contract makes the access/clock sequence identical).
 
    The launch nonce makes *relaunches* draw fresh faults — a recovered
    request would otherwise re-fail forever — while staying
-   deterministic: launches are host-sequential, the nonce just counts
-   them.  [reset] rewinds it so a replay of a whole trace (the serve
-   scheduler, determinism tests) sees the identical fault sequence.
+   deterministic: the pool counts its armed launches, so a fresh pool
+   replays the identical fault sequence, and a caller may pin a
+   launch's nonce instead (the serve fleet derives it from the request
+   and attempt).
 
    Kinds:
    - abort:   the victim thread aborts the block at its first global
@@ -31,11 +32,12 @@
    - exhaust: every sharing-space acquire in the block is forced onto
               the omprt global-memory fallback path.
 
-   Arming the plan (any installed plan, or a positive watchdog cycle
+   Arming the plan (any plan on the pool, or a positive watchdog cycle
    budget) also switches Device.launch from raising
    Engine.Deadlock to converting hung blocks into structured failure
-   reports.  With the plan disarmed every hook is one load-and-branch
-   and reports are bit-identical to a build without this module. *)
+   reports.  With the plan disarmed every tap sits behind one field
+   load (Thread.injecting) and reports are bit-identical to a build
+   without this module. *)
 
 module Prng = Ompsimd_util.Prng
 
@@ -162,52 +164,6 @@ let parse_spec ~seed spec =
                         kind)));
   !p
 
-(* Armed = a spec is present (even all-zero rates: that arms structured
-   deadlock capture without injecting anything).  The watchdog budget is
-   independent so divergence reporting can be turned on alone. *)
-let armed = ref false
-let current : plan ref = ref disarmed
-let watchdog = ref 0.0
-
-(* Counts armed launches; see the header note on relaunch determinism.
-   Atomic only for memory-model hygiene — launches are host-sequential. *)
-let nonce = Atomic.make 0
-let reset () = Atomic.set nonce 0
-
-let install plan ~watchdog:budget =
-  watchdog := budget;
-  match plan with
-  | None ->
-      armed := false;
-      current := disarmed;
-      reset ()
-  | Some p ->
-      (* an unchanged plan keeps the nonce: launches within one armed
-         process keep drawing fresh faults across re-installs *)
-      if (not !armed) || p <> !current then begin
-        current := p;
-        reset ()
-      end;
-      armed := true
-
-let watchdog_budget () = !watchdog
-let capture_deadlocks () = !armed || !watchdog > 0.0
-let launch_begin () = if !armed then ignore (Atomic.fetch_and_add nonce 1 : int)
-
-(* The serve fleet pins each member launch of a batch to a nonce
-   derived from the request identity, so the faults a request draws are
-   a pure function of (plan, request, attempt) — independent of where
-   the fleet placed it, whether it was batched, and what launched
-   before it.  launch_begin stores old+1 and block_begin reads the
-   stored value, so landing on [n] means setting the counter to n-1. *)
-let with_nonce n f =
-  if not !armed then f ()
-  else begin
-    let saved = Atomic.get nonce in
-    Atomic.set nonce (n - 1);
-    Fun.protect ~finally:(fun () -> Atomic.set nonce saved) f
-  end
-
 (* --- per-block decisions ----------------------------------------------- *)
 
 (* Trigger cycles are drawn uniformly in [0, 2000): early enough that
@@ -237,61 +193,53 @@ type bstate = {
 let state_slot : bstate option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let block_begin ~block_id ~num_threads ~warp_size =
-  if !armed then begin
-    let p = !current in
-    let seed =
-      (((p.seed * 1_000_003) + Atomic.get nonce) * 1_000_003) + block_id
-    in
-    let g = Prng.create ~seed in
-    (* fixed draw order, all draws unconditional: the decision stream
-       depends only on (seed, nonce, block_id), never on the rates *)
-    let abort_hit = Prng.uniform g < p.abort_rate in
-    let abort_at = Prng.float g trigger_horizon in
-    let abort_tid = Prng.int g num_threads in
-    let flip_hit = Prng.uniform g < p.flip_rate in
-    let flip_at = Prng.float g trigger_horizon in
-    let flip_tid = Prng.int g num_threads in
-    let flip_fatal = Prng.uniform g < p.flip_fatal_frac in
-    let num_warps = (num_threads + warp_size - 1) / warp_size in
-    let stall_hit = Prng.uniform g < p.stall_rate in
-    let stall_at = Prng.float g trigger_horizon in
-    let stall_warp = Prng.int g num_warps in
-    let exhaust = Prng.uniform g < p.exhaust_rate in
-    let slot = Domain.DLS.get state_slot in
-    (match !slot with
-    | Some _ -> invalid_arg "Fault.block_begin: fault state already open"
-    | None -> ());
-    slot :=
-      Some
-        {
-          b_block = block_id;
-          b_threads = num_threads;
-          b_ws = warp_size;
-          abort_at = (if abort_hit then abort_at else infinity);
-          abort_tid;
-          flip_at = (if flip_hit then flip_at else infinity);
-          flip_tid;
-          flip_fatal;
-          stall_at = (if stall_hit then stall_at else infinity);
-          stall_warp;
-          exhaust;
-          corrected = 0;
-          exhausts = 0;
-          stall_rec = None;
-        }
-  end
+let block_begin p ~nonce ~block_id ~num_threads ~warp_size =
+  let seed = (((p.seed * 1_000_003) + nonce) * 1_000_003) + block_id in
+  let g = Prng.create ~seed in
+  (* fixed draw order, all draws unconditional: the decision stream
+     depends only on (seed, nonce, block_id), never on the rates *)
+  let abort_hit = Prng.uniform g < p.abort_rate in
+  let abort_at = Prng.float g trigger_horizon in
+  let abort_tid = Prng.int g num_threads in
+  let flip_hit = Prng.uniform g < p.flip_rate in
+  let flip_at = Prng.float g trigger_horizon in
+  let flip_tid = Prng.int g num_threads in
+  let flip_fatal = Prng.uniform g < p.flip_fatal_frac in
+  let num_warps = (num_threads + warp_size - 1) / warp_size in
+  let stall_hit = Prng.uniform g < p.stall_rate in
+  let stall_at = Prng.float g trigger_horizon in
+  let stall_warp = Prng.int g num_warps in
+  let exhaust = Prng.uniform g < p.exhaust_rate in
+  let slot = Domain.DLS.get state_slot in
+  (match !slot with
+  | Some _ -> invalid_arg "Fault.block_begin: fault state already open"
+  | None -> ());
+  slot :=
+    Some
+      {
+        b_block = block_id;
+        b_threads = num_threads;
+        b_ws = warp_size;
+        abort_at = (if abort_hit then abort_at else infinity);
+        abort_tid;
+        flip_at = (if flip_hit then flip_at else infinity);
+        flip_tid;
+        flip_fatal;
+        stall_at = (if stall_hit then stall_at else infinity);
+        stall_warp;
+        exhaust;
+        corrected = 0;
+        exhausts = 0;
+        stall_rec = None;
+      }
 
-let close_block () =
+let block_end () =
   let slot = Domain.DLS.get state_slot in
   match !slot with
   | None -> no_events
   | Some b ->
       slot := None;
       { ev_corrected = b.corrected; ev_exhausts = b.exhausts; ev_stall = b.stall_rec }
-
-let block_end () = close_block ()
-let block_abort () = close_block ()
 
 (* --- hooks ------------------------------------------------------------- *)
 

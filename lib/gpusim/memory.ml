@@ -236,44 +236,38 @@ let check name len i =
    a burst revisit the same few (base, line) pairs, so a 4-slot LRU on
    the warp (one slot per recently seen base, round-robin replacement)
    answers most of them with a compare instead of the division chain.
-   [line_memo_enabled] exists for the unit test that shows counters are
-   identical with the memo off. *)
-let line_memo_enabled = ref true
-
+   The memo is exact: a qcheck property holds it to plain division. *)
 let line_of (th : Thread.t) ~base ~index =
   let lb = th.cfg.Config.line_bytes in
   let addr = base + (index * element_bytes) in
-  if not !line_memo_enabled then addr / lb
+  let w = th.Thread.warp in
+  let mb = w.Thread.memo_base in
+  (* unrolled 4-slot scan: a local rec function here would be a real
+     closure allocation per call in classic (non-flambda) ocamlopt *)
+  let k =
+    if mb.(0) = base then 0
+    else if mb.(1) = base then 1
+    else if mb.(2) = base then 2
+    else if mb.(3) = base then 3
+    else -1
+  in
+  if k < 0 then begin
+    let line = addr / lb in
+    let k = w.Thread.memo_next in
+    w.Thread.memo_next <- (k + 1) land 3;
+    mb.(k) <- base;
+    w.Thread.memo_line.(k) <- line;
+    w.Thread.memo_lo.(k) <- line * lb;
+    line
+  end
   else begin
-    let w = th.Thread.warp in
-    let mb = w.Thread.memo_base in
-    (* unrolled 4-slot scan: a local rec function here would be a real
-       closure allocation per call in classic (non-flambda) ocamlopt *)
-    let k =
-      if mb.(0) = base then 0
-      else if mb.(1) = base then 1
-      else if mb.(2) = base then 2
-      else if mb.(3) = base then 3
-      else -1
-    in
-    if k < 0 then begin
+    let off = addr - w.Thread.memo_lo.(k) in
+    if off >= 0 && off < lb then w.Thread.memo_line.(k)
+    else begin
       let line = addr / lb in
-      let k = w.Thread.memo_next in
-      w.Thread.memo_next <- (k + 1) land 3;
-      mb.(k) <- base;
       w.Thread.memo_line.(k) <- line;
       w.Thread.memo_lo.(k) <- line * lb;
       line
-    end
-    else begin
-      let off = addr - w.Thread.memo_lo.(k) in
-      if off >= 0 && off < lb then w.Thread.memo_line.(k)
-      else begin
-        let line = addr / lb in
-        w.Thread.memo_line.(k) <- line;
-        w.Thread.memo_lo.(k) <- line * lb;
-        line
-      end
     end
   end
 
@@ -286,7 +280,7 @@ let account (th : Thread.t) ~space ~base ~index ~is_store =
      Aborts and bit flips fire here — the global-access path is where
      every kernel's traffic funnels, and thread clocks at each access
      are deterministic, so the failure point is too. *)
-  if !Fault.armed then Fault.on_access th;
+  if Thread.injecting th then Fault.on_access th;
   let cfg = th.cfg in
   let cost = cfg.Config.cost in
   let c = th.counters in
@@ -334,10 +328,10 @@ let account (th : Thread.t) ~space ~base ~index ~is_store =
   end;
   line
 
-(* Sanitizer taps: one load-and-branch when disabled, never touching
-   clocks or counters, so reports stay bit-identical either way. *)
+(* Sanitizer taps: one field load when disabled, never touching clocks
+   or counters, so reports stay bit-identical either way. *)
 let[@inline] sanitize th space ~base ~index ~kind =
-  if !Ompsan.enabled then
+  if Thread.sanitizing th then
     Ompsan.global_access th ~sid:space.sid
       ~addr:(base + (index * element_bytes))
       ~kind
@@ -384,13 +378,14 @@ let[@inline] iset a th i v =
 let rmw_lock = Mutex.create ()
 
 (* The lock only matters when blocks simulate on several domains; a
-   sequential launch (no pool, or a zero-worker pool) pays two futex ops
-   per device atomic for nothing.  [Device.launch] flips this before the
-   block phase of every launch, so the flag always reflects the current
-   launch's domain usage.  Results are unaffected either way — the lock
+   sequential launch (no pool, or a zero-worker pool) would pay two
+   futex ops per device atomic for nothing.  Whether to lock is the
+   launch's own decision, stamped on its warps (Thread.launch), so a
+   sequential launch on one domain never changes what a pooled launch
+   on another does.  Results are unaffected either way — the lock
    guards host-side read-modify-write only, never timing. *)
-let rmw_locking = ref true
-let set_rmw_locking on = rmw_locking := on
+let[@inline] rmw_locked (th : Thread.t) =
+  th.Thread.warp.Thread.launch.Thread.rmw_lock
 
 let atomic_cost (th : Thread.t) line =
   let cost = th.cfg.Config.cost in
@@ -406,10 +401,11 @@ let[@inline] atomic_fadd a th i v =
   let line = account th ~space:a.fspace ~base:a.fbase ~index:i ~is_store:true in
   sanitize th a.fspace ~base:a.fbase ~index:i ~kind:Ompsan.Atomic;
   atomic_cost th line;
-  if !rmw_locking then Mutex.lock rmw_lock;
+  let locked = rmw_locked th in
+  if locked then Mutex.lock rmw_lock;
   let prev = a.fdata.(i) in
   a.fdata.(i) <- prev +. v;
-  if !rmw_locking then Mutex.unlock rmw_lock;
+  if locked then Mutex.unlock rmw_lock;
   prev
 
 let atomic_fmax a th i v =
@@ -417,10 +413,11 @@ let atomic_fmax a th i v =
   let line = account th ~space:a.fspace ~base:a.fbase ~index:i ~is_store:true in
   sanitize th a.fspace ~base:a.fbase ~index:i ~kind:Ompsan.Atomic;
   atomic_cost th line;
-  if !rmw_locking then Mutex.lock rmw_lock;
+  let locked = rmw_locked th in
+  if locked then Mutex.lock rmw_lock;
   let prev = a.fdata.(i) in
   if v > prev then a.fdata.(i) <- v;
-  if !rmw_locking then Mutex.unlock rmw_lock;
+  if locked then Mutex.unlock rmw_lock;
   prev
 
 let atomic_iadd a th i v =
@@ -428,10 +425,11 @@ let atomic_iadd a th i v =
   let line = account th ~space:a.ispace ~base:a.ibase ~index:i ~is_store:true in
   sanitize th a.ispace ~base:a.ibase ~index:i ~kind:Ompsan.Atomic;
   atomic_cost th line;
-  if !rmw_locking then Mutex.lock rmw_lock;
+  let locked = rmw_locked th in
+  if locked then Mutex.lock rmw_lock;
   let prev = a.idata.(i) in
   a.idata.(i) <- prev + v;
-  if !rmw_locking then Mutex.unlock rmw_lock;
+  if locked then Mutex.unlock rmw_lock;
   prev
 
 let host_get a i =

@@ -73,11 +73,12 @@ val session_commit : block_session -> unit
 (** Replay the session's L2 touches into the committed L2.  Call once
     per session, from a single domain, in ascending block_id order. *)
 
-val line_memo_enabled : bool ref
-(** The address→line (coalescing key) computation is memoized per warp
-    (small LRU keyed by array base, serving strided re-accesses within a
-    line).  The memo is exact — on by default; the flag exists so tests
-    can demonstrate counter equality against the unmemoized path. *)
+val line_of : Thread.t -> base:int -> index:int -> int
+(** The coalescing key of element [index] of the array at byte address
+    [base]: [(base + index * element_bytes) / line_bytes].  Memoized per
+    warp (a 4-slot LRU keyed by array base, serving strided re-accesses
+    within a line); exposed so tests can hold the memo to the plain
+    division. *)
 
 val fget : farray -> Thread.t -> int -> float
 (** Device load: charged issue cost, plus a transaction (line bytes +
@@ -97,12 +98,11 @@ val atomic_fadd : farray -> Thread.t -> int -> float -> float
 val atomic_fmax : farray -> Thread.t -> int -> float -> float
 val atomic_iadd : iarray -> Thread.t -> int -> int -> int
 
-val set_rmw_locking : bool -> unit
-(** Whether device atomics take the host-side read-modify-write lock.
-    [Device.launch] turns it off for sequential launches (no pool, or a
-    zero-worker pool): the lock only guards against lost updates when
-    blocks simulate on several domains, and costs two futex operations
-    per atomic.  Never affects simulated results. *)
+(** Device atomics take a host-side read-modify-write lock only when
+    their launch simulates blocks on several domains
+    ({!Thread.launch}[.rmw_lock]); the decision is per launch, so a
+    sequential launch never changes a concurrent pooled one.  Never
+    affects simulated results. *)
 
 val host_get : farray -> int -> float
 (** Cost-free host access (verification / init). *)

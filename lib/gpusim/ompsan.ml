@@ -29,20 +29,15 @@
    through a third thread would over-report, which is the conservative
    direction for a sanitizer.
 
-   Everything below is gated on [enabled]: with the sanitizer off the
-   hooks reduce to one load-and-branch, the shadow state is never
-   allocated, and no thread clock or counter is ever touched — the
-   existing bit-identity tests double as the proof. *)
+   Whether a launch is sanitized is its pool's setting, stamped on its
+   threads (Thread.sanitizing): with the sanitizer off every hook sits
+   behind one field load, Device never opens the shadow state, and no
+   thread clock or counter is ever touched — the existing bit-identity
+   tests double as the proof. *)
 
 type access_kind = Read | Write | Atomic
 
 let kind_label = function Read -> "read" | Write -> "write" | Atomic -> "atomic"
-
-(* --- enable switch ---------------------------------------------------- *)
-
-(* off until the entry point installs its configuration (the
-   OMPSIMD_SANITIZE knob); opt-in, so it never arms by accident *)
-let enabled = ref false
 
 (* --- site registry ----------------------------------------------------
 
@@ -222,33 +217,31 @@ let state_slot : state option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let block_begin ~block_id ~num_threads ~warp_size =
-  if !enabled then begin
-    let slot = Domain.DLS.get state_slot in
-    (match !slot with
-    | Some _ -> invalid_arg "Ompsan.block_begin: shadow state already open"
-    | None -> ());
-    slot :=
-      Some
-        {
-          st_block = block_id;
-          st_threads = num_threads;
-          st_ws = warp_size;
-          sync = Array.make (num_threads * num_threads) 0;
-          actors = Array.init num_threads Fun.id;
-          now = 1;
-          cur_site = runtime_site;
-          cells = Hashtbl.create 256;
-          summaries = Hashtbl.create 64;
-          parked = Array.make num_threads None;
-          pendings = Hashtbl.create 16;
-          sm_flag = Array.make num_threads false;
-          findings_rev = [];
-          nfindings = 0;
-          dedup = Hashtbl.create 16;
-        }
-  end
+  let slot = Domain.DLS.get state_slot in
+  (match !slot with
+  | Some _ -> invalid_arg "Ompsan.block_begin: shadow state already open"
+  | None -> ());
+  slot :=
+    Some
+      {
+        st_block = block_id;
+        st_threads = num_threads;
+        st_ws = warp_size;
+        sync = Array.make (num_threads * num_threads) 0;
+        actors = Array.init num_threads Fun.id;
+        now = 1;
+        cur_site = runtime_site;
+        cells = Hashtbl.create 256;
+        summaries = Hashtbl.create 64;
+        parked = Array.make num_threads None;
+        pendings = Hashtbl.create 16;
+        sm_flag = Array.make num_threads false;
+        findings_rev = [];
+        nfindings = 0;
+        dedup = Hashtbl.create 16;
+      }
 
-let close_block () =
+let block_end () =
   let slot = Domain.DLS.get state_slot in
   match !slot with
   | None -> None
@@ -265,28 +258,12 @@ let close_block () =
           br_summaries = summaries;
         }
 
-let block_end () = close_block ()
-
 (* Findings that would be lost to an in-flight exception (a sanitized
    kernel that deadlocks — e.g. genuine barrier divergence — never
-   reaches the launch epilogue).  [block_abort] stashes them here. *)
-let aborted_mutex = Mutex.create ()
-let aborted_rev : finding list ref = ref []
-
+   reaches the launch epilogue); Device stashes them on the launch's
+   pool. *)
 let block_abort () =
-  match close_block () with
-  | None -> ()
-  | Some br ->
-      Mutex.lock aborted_mutex;
-      aborted_rev := List.rev_append br.br_findings !aborted_rev;
-      Mutex.unlock aborted_mutex
-
-let take_aborted () =
-  Mutex.lock aborted_mutex;
-  let fs = List.rev !aborted_rev in
-  aborted_rev := [];
-  Mutex.unlock aborted_mutex;
-  fs
+  match block_end () with None -> [] | Some br -> br.br_findings
 
 let set_site id =
   match !(Domain.DLS.get state_slot) with
@@ -509,9 +486,6 @@ let barrier_arrive (th : Thread.t) ~block_scope ~mask ~bar_id ~bar_name
 
 (* --- launch-level composition ----------------------------------------- *)
 
-let kernel_name = ref "<kernel>"
-let set_kernel n = kernel_name := n
-
 (* Cross-block conflicts from the per-block summaries, folded in
    ascending block id.  A block's non-atomic write races with any access
    to the same cell from an earlier block; its atomic races with an
@@ -588,7 +562,7 @@ let cross_block_findings per_block =
   List.rev !findings
 
 (* [per_block.(b)] is block b's report. *)
-let launch_report (per_block : block_report option array) =
+let launch_report ~kernel (per_block : block_report option array) =
   let intra =
     Array.fold_right
       (fun br_opt acc ->
@@ -596,7 +570,7 @@ let launch_report (per_block : block_report option array) =
       per_block []
   in
   {
-    kernel = !kernel_name;
+    kernel;
     findings = intra @ cross_block_findings per_block;
     blocks = Array.length per_block;
   }

@@ -10,20 +10,17 @@
     reports barrier divergence: a lane arriving at one barrier while a
     mask-mate is parked at a different warp-scope barrier.
 
-    Enabled by the [OMPSIMD_SANITIZE=1] knob, which the entry point
-    installs into {!enabled} once.
-    When disabled every hook is a single load-and-branch: no shadow
-    state is allocated and no clock or counter is touched, so sanitized
-    builds stay bit-identical to the seed — the existing determinism
-    tests are the proof. *)
+    Enabled per launch by the [OMPSIMD_SANITIZE=1] knob, which travels
+    on the launch's {!Pool} ({!Pool.create}[ ~sanitize]) and is stamped
+    on its threads ({!Thread.sanitizing}); this module keeps no
+    process-global switch.  When disabled every hook sits behind one
+    field load: no shadow state is allocated and no clock or counter is
+    touched, so sanitized builds stay bit-identical to the seed — the
+    existing determinism tests are the proof. *)
 
 type access_kind = Read | Write | Atomic
 
 val kind_label : access_kind -> string
-
-val enabled : bool ref
-(** Off by default; set once by the entry point from its configuration
-    (tests may flip it directly). *)
 
 (** {2 Sites}
 
@@ -89,35 +86,32 @@ val pp_report : Format.formatter -> report -> unit
 val report_strings : report -> string list
 (** Formatted findings, in deterministic discovery order. *)
 
-val set_kernel : string -> unit
-(** Name stamped on the next {!launch_report}. *)
-
 (** {2 Block lifecycle} (driven by {!Device.launch}) *)
 
 type block_report
 
 val block_begin : block_id:int -> num_threads:int -> warp_size:int -> unit
-(** Open the per-block shadow state on the calling domain.  No-op when
-    the sanitizer is disabled.
+(** Open the per-block shadow state on the calling domain ([Device]
+    calls it only for sanitized launches).
     @raise Invalid_argument if a shadow state is already open. *)
 
 val block_end : unit -> block_report option
 (** Close and return the block's findings and cross-block access
-    summaries ([None] when the sanitizer was disabled). *)
+    summaries ([None] when no shadow state was open). *)
 
-val block_abort : unit -> unit
-(** Exception path: close the shadow state and stash its findings for
-    {!take_aborted} (a divergent kernel deadlocks before the launch
-    epilogue can run). *)
+val block_abort : unit -> finding list
+(** Exception path: close the shadow state and return its findings (a
+    divergent kernel deadlocks before the launch epilogue can run;
+    [Device] stashes them on the launch's pool, see
+    {!Pool.take_aborted}). *)
 
-val take_aborted : unit -> finding list
+val launch_report : kernel:string -> block_report option array -> report
+(** Compose the launch-level report for [kernel]: per-block findings
+    merged in ascending block id, then cross-block conflicts derived
+    from the per-cell summaries.  Index [b] holds block [b]'s report. *)
 
-val launch_report : block_report option array -> report
-(** Compose the launch-level report: per-block findings merged in
-    ascending block id, then cross-block conflicts derived from the
-    per-cell summaries.  Index [b] holds block [b]'s report. *)
-
-(** {2 Hooks} — all no-ops unless {!enabled} and a block is open. *)
+(** {2 Hooks} — no-ops unless a block is open on the calling domain;
+    callers gate them on {!Thread.sanitizing}. *)
 
 val global_access : Thread.t -> sid:int -> addr:int -> kind:access_kind -> unit
 val shared_access : Thread.t -> aid:int -> addr:int -> kind:access_kind -> unit

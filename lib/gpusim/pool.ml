@@ -7,7 +7,12 @@
      by the computation for index [i], so the caller observes the same
      array no matter which domain ran which index;
    - a pool with zero workers degrades to a plain [Array.init], which is
-     the sequential reference path. *)
+     the sequential reference path.
+
+   The pool is also the launch context: every launch it runs takes its
+   sanitizer, fault-plan and watchdog settings from here, so two pools
+   with different settings run side by side without process-global
+   state. *)
 
 type job = {
   n : int;
@@ -17,6 +22,11 @@ type job = {
 }
 
 type t = {
+  sanitize : bool;
+  faults : Fault.plan option;
+  watchdog : float;
+  launches : int Atomic.t;  (* armed launches drawn from this pool *)
+  aborted : Ompsan.finding list Atomic.t;  (* newest block first *)
   workers : int;
   mutable domains : unit Domain.t array;
   m : Mutex.t;
@@ -28,6 +38,19 @@ type t = {
 }
 
 let size t = t.workers
+let sanitize t = t.sanitize
+let faults t = t.faults
+let watchdog t = t.watchdog
+let next_nonce t = Atomic.fetch_and_add t.launches 1 + 1
+
+let rec stash_aborted t fs =
+  let cur = Atomic.get t.aborted in
+  if
+    fs <> []
+    && not (Atomic.compare_and_set t.aborted cur (List.rev_append fs cur))
+  then stash_aborted t fs
+
+let take_aborted t = List.rev (Atomic.exchange t.aborted [])
 
 let drain job =
   let rec go () =
@@ -57,13 +80,18 @@ let worker t =
   in
   loop ()
 
-let create ?(domains = 0) () =
+let create ?(sanitize = false) ?faults ?(watchdog = 0.0) ?(domains = 0) () =
   if domains < 0 then invalid_arg "Pool.create: domains must be >= 0";
   (* Cap at a sane multiple of the machine: a pool wider than the host
      only adds scheduling noise. *)
   let workers = min domains (4 * Domain.recommended_domain_count ()) in
   let t =
     {
+      sanitize;
+      faults;
+      watchdog;
+      launches = Atomic.make 0;
+      aborted = Atomic.make [];
       workers;
       domains = [||];
       m = Mutex.create ();

@@ -9,19 +9,52 @@
 
     Worker count is always explicit; entry points size their pool from
     the [OMPSIMD_DOMAINS] knob, whose policy caps requests at
-    [Domain.recommended_domain_count () - 1]. *)
+    [Domain.recommended_domain_count () - 1].
+
+    The pool is also the launch context: the one value that reaches
+    {!Device.launch} from every caller carries the launch's immutable
+    debug settings — sanitizer, fault plan, watchdog — plus its own
+    fault-launch counter and the sanitizer findings of aborted blocks.
+    No launch setting is process-global, so launches on different pools
+    may run at the same time with different settings.  Entry points
+    build their pool with [Knobs.pool]; an omitted pool means all off. *)
 
 type t
 
-val create : ?domains:int -> unit -> t
+val create :
+  ?sanitize:bool ->
+  ?faults:Fault.plan ->
+  ?watchdog:float ->
+  ?domains:int ->
+  unit ->
+  t
 (** [create ~domains ()] spawns [domains] worker domains (default [0], a
     sequential pool).  The submitting domain participates in
     {!parallel_init} as well, but a zero-worker pool runs everything
-    inline with no synchronization at all.
+    inline with no synchronization at all.  [sanitize] (default off)
+    runs every launch under {!Ompsan}; [faults] arms the fault plan;
+    [watchdog] is the per-block cycle budget (default [0.], off).
     @raise Invalid_argument on a negative [domains]. *)
 
 val size : t -> int
 (** Number of worker domains (0 for a sequential pool). *)
+
+val sanitize : t -> bool
+val faults : t -> Fault.plan option
+val watchdog : t -> float
+
+val next_nonce : t -> int
+(** Count one armed launch and return its fault nonce: 1 for the pool's
+    first, so a fresh pool replays the same fault sequence. *)
+
+val stash_aborted : t -> Ompsan.finding list -> unit
+(** Keep the sanitizer findings of a block that aborted (safe from any
+    domain). *)
+
+val take_aborted : t -> Ompsan.finding list
+(** The findings stashed since the last call, oldest first; clears them.
+    A sanitized kernel that deadlocks raises before its report exists,
+    so this is where its divergence findings are read. *)
 
 val parallel_init : t -> int -> (int -> 'a) -> 'a array
 (** [parallel_init pool n f] is observably [Array.init n f]: slot [i]

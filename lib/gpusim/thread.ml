@@ -11,8 +11,15 @@ type engine_sched += No_sched
 type mem_session = ..
 type mem_session += No_session
 
+(* A launch's settings, one shared record per launch: hot-path gates
+   read it through the warp instead of process-global refs. *)
+type launch = { sanitize : bool; inject : bool; rmw_lock : bool }
+
+let default_launch = { sanitize = false; inject = false; rmw_lock = false }
+
 type warp_state = {
   warp_index : int;
+  launch : launch;
   lines : Linebuf.t;
   mutable esched : engine_sched;
   mutable msession : mem_session;
@@ -56,9 +63,10 @@ type t = {
   st : state;
 }
 
-let make_warp ~(cfg : Config.t) ~warp_index =
+let make_warp ~(cfg : Config.t) ~launch ~warp_index =
   {
     warp_index;
+    launch;
     lines =
       Linebuf.create ~capacity:cfg.linebuf_lines
         ~coalesce_window:cfg.coalesce_window;
@@ -168,6 +176,8 @@ let create ~cfg ~counters ?trace ~block_id ~tid ~warp () =
     st = { clock = 0.0; busy = 0.0; simt_factor = 1.0 };
   }
 
+let[@inline] sanitizing t = t.warp.launch.sanitize
+let[@inline] injecting t = t.warp.launch.inject
 let[@inline] clock t = t.st.clock
 let[@inline] busy t = t.st.busy
 let[@inline] simt_factor t = t.st.simt_factor

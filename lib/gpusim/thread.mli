@@ -21,8 +21,25 @@ type mem_session = ..
 
 type mem_session += No_session
 
+type launch = {
+  sanitize : bool;  (** the {!Ompsan} hooks are live *)
+  inject : bool;  (** a fault plan is armed: the {!Fault} taps are live *)
+  rmw_lock : bool;
+      (** device atomics take the host read-modify-write lock: the
+          launch simulates blocks on several domains *)
+}
+(** A launch's immutable debug and locking settings, stamped on every
+    warp of its blocks so hot-path gates are field loads, never
+    process-global reads.  Two launches with different settings can run
+    at the same time on different domains. *)
+
+val default_launch : launch
+(** Everything off: a bare {!Engine.run_block}, or a launch without a
+    pool. *)
+
 type warp_state = {
   warp_index : int;
+  launch : launch;  (** the settings of the launch running this warp *)
   lines : Linebuf.t;  (** coalescing window shared by the warp's lanes *)
   mutable esched : engine_sched;
   mutable msession : mem_session;
@@ -70,7 +87,13 @@ type t = {
   st : state;
 }
 
-val make_warp : cfg:Config.t -> warp_index:int -> warp_state
+val make_warp : cfg:Config.t -> launch:launch -> warp_index:int -> warp_state
+
+val sanitizing : t -> bool
+(** The thread's launch runs the sanitizer: gate for {!Ompsan} hooks. *)
+
+val injecting : t -> bool
+(** The thread's launch has a fault plan armed: gate for {!Fault} taps. *)
 
 val ae_bump : warp_state -> int -> int
 (** [ae_bump w line] counts an atomic to [line] in the current epoch and

@@ -5,9 +5,10 @@
    counterpart.  [parse] turns one lookup (the process environment, a
    test's assoc list, command-line overrides layered over either) into
    one typed record, and nothing else under lib/ reads the environment:
-   the library takes every setting as an argument, and the few
-   device-wide debug switches (sanitizer, fault plan, watchdog) are set
-   once through [install]. *)
+   the library takes every setting as an argument.  The per-launch
+   debug settings (sanitizer, fault plan, watchdog) ride on the
+   simulation pool [pool] builds, the one value every launch already
+   receives. *)
 
 module Env = Ompsimd_util.Env
 module Offload = Openmp.Offload
@@ -152,14 +153,6 @@ let of_env () = parse Env.var
 let default =
   match parse (fun _ -> None) with Ok t -> t | Error msg -> failwith msg
 
-let installed = ref default
-
-let install t =
-  installed := t;
-  Gpusim.Ompsan.enabled := t.sanitize;
-  Gpusim.Fault.install t.faults ~watchdog:t.watchdog
-
-let with_installed t f =
-  let saved = !installed in
-  install t;
-  Fun.protect ~finally:(fun () -> install saved) f
+let pool t =
+  Gpusim.Pool.create ~sanitize:t.sanitize ?faults:t.faults ~watchdog:t.watchdog
+    ~domains:t.domains ()

@@ -3,10 +3,11 @@
 
     This is the only module under [lib/] that reads the environment.
     Entry points (the CLI, tests, examples) call {!parse} or
-    {!of_env} before doing any work, hand the record's pieces to the
-    library as arguments, and {!install} its device-wide debug switches
-    once.  Every knob keeps the repo-wide convention that an unset and
-    a blank value both mean "default". *)
+    {!of_env} before doing any work and hand the record's pieces to the
+    library as arguments.  The launch settings — sanitizer, fault plan,
+    watchdog — travel on the simulation pool {!pool} builds; no
+    process-global switch is ever set.  Every knob keeps the repo-wide
+    convention that an unset and a blank value both mean "default". *)
 
 type t = {
   device : Gpusim.Config.t;
@@ -49,11 +50,8 @@ val of_env : unit -> (t, string) result
 val default : t
 (** [parse] of an empty lookup: every knob at its default. *)
 
-val install : t -> unit
-(** Set the device-wide debug switches — {!Gpusim.Ompsan.enabled} and
-    the {!Gpusim.Fault} plan and watchdog — from the record.  Until
-    something is installed they hold [default]'s values (all off). *)
-
-val with_installed : t -> (unit -> 'a) -> 'a
-(** Run with [t]'s switches installed, then restore the previously
-    installed record. *)
+val pool : t -> Gpusim.Pool.t
+(** The launch context the record describes: a {!Gpusim.Pool} of
+    [t.domains] workers carrying [t]'s sanitizer, fault plan and
+    watchdog.  Each pool counts its own armed launches, so build one
+    per run that should replay from the first fault. *)

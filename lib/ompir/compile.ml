@@ -139,7 +139,7 @@ let rec compile_expr statics senv (e : Ir.expr) : cexpr =
       let site = Sites.load arr idx in
       fun ctx env ->
         let i = as_int arr (cidx ctx env) in
-        if !Gpusim.Ompsan.enabled then Gpusim.Ompsan.set_site site;
+        if Gpusim.Thread.sanitizing ctx.Team.th then Gpusim.Ompsan.set_site site;
         V_float (Memory.fget a ctx.Team.th i)
   | Ir.Load_int (arr, idx) ->
       let a = iarray statics arr in
@@ -147,7 +147,7 @@ let rec compile_expr statics senv (e : Ir.expr) : cexpr =
       let site = Sites.load arr idx in
       fun ctx env ->
         let i = as_int arr (cidx ctx env) in
-        if !Gpusim.Ompsan.enabled then Gpusim.Ompsan.set_site site;
+        if Gpusim.Thread.sanitizing ctx.Team.th then Gpusim.Ompsan.set_site site;
         V_int (Memory.iget a ctx.Team.th i)
   | Ir.Unop (op, a) -> (
       let ca = compile_expr statics senv a in
@@ -401,7 +401,8 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
         fun ctx env ->
           let i = as_int arr (cidx ctx env) in
           let v = as_float arr (cval ctx env) in
-          if !Gpusim.Ompsan.enabled then Gpusim.Ompsan.set_site site;
+          if Gpusim.Thread.sanitizing ctx.Team.th then
+            Gpusim.Ompsan.set_site site;
           Memory.fset a ctx.Team.th i v;
           env )
   | Ir.Store_int (arr, idx, value) ->
@@ -413,7 +414,8 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
         fun ctx env ->
           let i = as_int arr (cidx ctx env) in
           let v = as_int arr (cval ctx env) in
-          if !Gpusim.Ompsan.enabled then Gpusim.Ompsan.set_site site;
+          if Gpusim.Thread.sanitizing ctx.Team.th then
+            Gpusim.Ompsan.set_site site;
           Memory.iset a ctx.Team.th i v;
           env )
   | Ir.Atomic_add (arr, idx, value) ->
@@ -425,7 +427,8 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
         fun ctx env ->
           let i = as_int arr (cidx ctx env) in
           let v = as_float arr (cval ctx env) in
-          if !Gpusim.Ompsan.enabled then Gpusim.Ompsan.set_site site;
+          if Gpusim.Thread.sanitizing ctx.Team.th then
+            Gpusim.Ompsan.set_site site;
           let (_ : float) = Memory.atomic_fadd a ctx.Team.th i v in
           env )
   | Ir.If (cond, then_, else_) ->
@@ -632,8 +635,8 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
 (* ------------------------------------------------------------------ *)
 (* Launch                                                              *)
 
-let run ~cfg ?pool ?trace ~(options : options) ~bindings (p : Outline.program)
-    =
+let run ~cfg ?pool ?trace ?nonce ~(options : options) ~bindings
+    (p : Outline.program) =
   let statics =
     {
       farrays = Hashtbl.create 8;
@@ -676,8 +679,8 @@ let run ~cfg ?pool ?trace ~(options : options) ~bindings (p : Outline.program)
       sharing_bytes = options.Eval.sharing_bytes;
     }
   in
-  Target.launch ~cfg ?pool ?trace ~params
-    ~dispatch_table_size:(Outline.dispatch_table_size p) (fun ctx ->
+  Target.launch ~cfg ?pool ?trace ?nonce ~kernel:p.Outline.kernel.Ir.kname
+    ~params ~dispatch_table_size:(Outline.dispatch_table_size p) (fun ctx ->
       (* every executing thread owns a private copy of the region scope *)
       let frame = Array.make nslots dummy_cell in
       for i = 0 to nroot - 1 do

@@ -25,9 +25,11 @@ val run :
   cfg:Gpusim.Config.t ->
   ?pool:Gpusim.Pool.t ->
   ?trace:Gpusim.Trace.t ->
+  ?nonce:int ->
   options:Eval.options ->
   bindings:(string * Eval.binding) list ->
   Outline.program ->
   Gpusim.Device.report
-(** Compile and launch the kernel; drop-in replacement for {!Eval.run}.
+(** Compile and launch the kernel; drop-in replacement for {!Eval.run}
+    ([nonce] as there).
     @raise Eval.Error on binding mismatches. *)

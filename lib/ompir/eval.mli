@@ -39,9 +39,12 @@ val run :
   cfg:Gpusim.Config.t ->
   ?pool:Gpusim.Pool.t ->
   ?trace:Gpusim.Trace.t ->
+  ?nonce:int ->
   options:options ->
   bindings:(string * binding) list ->
   Outline.program ->
   Gpusim.Device.report
 (** Launch the kernel.  Every parameter must be bound with the matching
-    kind.  @raise Error on binding mismatches. *)
+    kind.  [nonce] pins the launch's fault draws ({!Gpusim.Device.launch});
+    a sanitized launch's report is named after the kernel.
+    @raise Error on binding mismatches. *)

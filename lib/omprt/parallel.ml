@@ -19,7 +19,7 @@ let in_outlined_body ctx f =
    SIMD group on behalf of one OpenMP thread; attribute those accesses
    to the group leader so the sanitizer sees one logical lane. *)
 let with_region_actor ctx f =
-  if !Gpusim.Ompsan.enabled then begin
+  if Gpusim.Thread.sanitizing ctx.Team.th then begin
     let th = ctx.Team.th in
     let g = Team.geometry ctx.Team.team in
     let group = Simd_group.get_simd_group g ~tid:th.Gpusim.Thread.tid in
@@ -64,7 +64,7 @@ let exec_on_thread ctx (task : Team.parallel_task) =
            enclosing SPMD attribution so distinct leaders stay distinct
            actors. *)
         let prev =
-          if !Gpusim.Ompsan.enabled then
+          if Gpusim.Thread.sanitizing ctx.Team.th then
             Gpusim.Ompsan.set_actor ctx.Team.th tid
           else tid
         in
@@ -76,10 +76,10 @@ let exec_on_thread ctx (task : Team.parallel_task) =
                      (fun () -> task.Team.fn ctx task.Team.payload)))
          with
         | () ->
-            if !Gpusim.Ompsan.enabled then
+            if Gpusim.Thread.sanitizing ctx.Team.th then
               ignore (Gpusim.Ompsan.set_actor ctx.Team.th prev)
         | exception e ->
-            if !Gpusim.Ompsan.enabled then
+            if Gpusim.Thread.sanitizing ctx.Team.th then
               ignore (Gpusim.Ompsan.set_actor ctx.Team.th prev);
             raise e);
         (* Send the termination signal to the simd workers. *)

@@ -12,6 +12,8 @@ val launch :
   cfg:Gpusim.Config.t ->
   ?pool:Gpusim.Pool.t ->
   ?trace:Gpusim.Trace.t ->
+  ?nonce:int ->
+  ?kernel:string ->
   params:Team.params ->
   ?dispatch_table_size:int ->
   (Team.ctx -> unit) ->
@@ -21,10 +23,11 @@ val launch :
     [dispatch_table_size] is the number of outlined regions the compiler
     put in the if-cascade dispatcher (§5.5); ids beyond it pay the
     indirect-call penalty.  The returned report carries the simulated
-    kernel time and merged counters.  [pool] is forwarded to
-    {!Gpusim.Device.launch}: it simulates teams on several host domains
-    and preserves the report bit-for-bit (see the Device determinism
-    contract). *)
+    kernel time and merged counters.  [pool], [nonce] and [kernel] are
+    forwarded to {!Gpusim.Device.launch}: the pool simulates teams on
+    several host domains, preserving the report bit-for-bit (see the
+    Device determinism contract), and carries the launch's sanitizer
+    and fault settings. *)
 
 val team_state_machine : (Team.ctx -> unit) -> Team.ctx -> unit
 (** Worker-thread loop for generic teams mode — exposed for tests.  The

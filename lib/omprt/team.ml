@@ -93,13 +93,30 @@ let block_threads ~(cfg : Gpusim.Config.t) params =
   | Mode.Spmd -> params.num_threads
   | Mode.Generic -> params.num_threads + cfg.Gpusim.Config.warp_size
 
-let create ~cfg ~arena ~params ~block_id =
+(* The launch-geometry rule, stated once: callers that must know up
+   front whether a device can run these params (the clause check, the
+   serve fleet) ask here, and [create] enforces the same answer. *)
+let check_params ~(cfg : Gpusim.Config.t) params =
   let ws = cfg.Gpusim.Config.warp_size in
   if params.num_threads <= 0 || params.num_threads mod ws <> 0 then
-    invalid_arg "Team.create: num_threads must be a positive warp multiple";
+    Error
+      (Printf.sprintf
+         "num_threads %d is not a positive multiple of the warp size %d"
+         params.num_threads ws)
+  else
+    let block = block_threads ~cfg params in
+    if block > cfg.Gpusim.Config.max_threads_per_block then
+      Error
+        (Printf.sprintf "a block of %d threads exceeds the device limit %d" block
+           cfg.Gpusim.Config.max_threads_per_block)
+    else Ok ()
+
+let create ~cfg ~arena ~params ~block_id =
+  let ws = cfg.Gpusim.Config.warp_size in
+  (match check_params ~cfg params with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Team.create: " ^ msg));
   let total = block_threads ~cfg params in
-  if total > cfg.Gpusim.Config.max_threads_per_block then
-    invalid_arg "Team.create: block exceeds max_threads_per_block";
   let num_workers = params.num_threads in
   let main_tid =
     match params.teams_mode with
@@ -183,7 +200,7 @@ let slot t ~group =
    expects, so the shadow epochs advance exactly where real
    synchronization happens.  One load-and-branch when disabled. *)
 let san_warp_arrive (th : Gpusim.Thread.t) ~mask bar =
-  if !Gpusim.Ompsan.enabled then begin
+  if Gpusim.Thread.sanitizing th then begin
     let ws = th.Gpusim.Thread.cfg.Gpusim.Config.warp_size in
     let warp = th.Gpusim.Thread.warp.Gpusim.Thread.warp_index in
     let participants = List.map (fun l -> (warp * ws) + l) (Mask.to_list mask) in
@@ -195,7 +212,7 @@ let san_warp_arrive (th : Gpusim.Thread.t) ~mask bar =
   end
 
 let san_block_arrive (th : Gpusim.Thread.t) ~participants bar =
-  if !Gpusim.Ompsan.enabled then
+  if Gpusim.Thread.sanitizing th then
     Gpusim.Ompsan.barrier_arrive th ~block_scope:true ~mask:0
       ~bar_id:(Gpusim.Barrier.id bar)
       ~bar_name:(Gpusim.Barrier.name bar)

@@ -130,12 +130,17 @@ val create :
   block_id:int ->
   t
 (** Build the team state and statically reserve the sharing space.
-    @raise Invalid_argument if [num_threads] is not a positive warp
-    multiple, or the block would exceed device limits. *)
+    @raise Invalid_argument when {!check_params} fails. *)
 
 val block_threads : cfg:Gpusim.Config.t -> params -> int
 (** Threads the block must launch with: [num_threads], plus one extra warp
     for the team main in generic mode (§5.1 / Fig 2). *)
+
+val check_params : cfg:Gpusim.Config.t -> params -> (unit, string) result
+(** Whether [cfg] can launch a team of these params: [num_threads] a
+    positive multiple of the warp size, and the whole block
+    ({!block_threads}) within the device limit.  {!create} raises on
+    exactly these errors. *)
 
 type role =
   | Team_main  (** lane 0 of the extra warp (generic mode) *)

@@ -258,7 +258,7 @@ let drive_simd ctx g ~group ~num ~trip =
   let ths = team.Team.fused_ths in
   let fns = team.Team.fused_fns in
   let overhead = step_cost ctx in
-  let san = !Gpusim.Ompsan.enabled in
+  let san = Gpusim.Thread.sanitizing ctx.Team.th in
   if san then san_set_actors team ~base ~num;
   let rounds = (trip + num - 1) / num in
   for r = 0 to rounds - 1 do
@@ -298,7 +298,7 @@ let drive_fold ctx g ~group ~num ~trip =
   let reds = team.Team.fused_reds in
   let acc = team.Team.fused_acc in
   let overhead = step_cost ctx in
-  let san = !Gpusim.Ompsan.enabled in
+  let san = Gpusim.Thread.sanitizing ctx.Team.th in
   if san then san_set_actors team ~base ~num;
   for l = 0 to num - 1 do
     acc.(base + l) <- 0.0
@@ -344,7 +344,8 @@ let classic_simd_rounds ctx ~id ~num ~trip f =
      the SPMD region's logical thread: restore per-tid attribution so
      the sanitizer can see lanes of one group racing on a cell. *)
   let prev_actor =
-    if !Gpusim.Ompsan.enabled then Gpusim.Ompsan.set_actor ctx.Team.th tid
+    if Gpusim.Thread.sanitizing ctx.Team.th then
+      Gpusim.Ompsan.set_actor ctx.Team.th tid
     else tid
   in
   (* Lockstep rounds: every lane steps through ceil(trip/num) rounds,
@@ -371,7 +372,7 @@ let classic_simd_rounds ctx ~id ~num ~trip f =
     end;
     Team.lockstep_align ctx
   done;
-  if !Gpusim.Ompsan.enabled then
+  if Gpusim.Thread.sanitizing ctx.Team.th then
     ignore (Gpusim.Ompsan.set_actor ctx.Team.th prev_actor);
   Gpusim.Thread.tick ctx.Team.th overhead
 
@@ -379,7 +380,7 @@ let classic_fold_rounds ctx ~id ~num ~trip (f : int -> float) =
   let th = ctx.Team.th in
   let tid = th.Gpusim.Thread.tid in
   let prev_actor =
-    if !Gpusim.Ompsan.enabled then Gpusim.Ompsan.set_actor th tid else tid
+    if Gpusim.Thread.sanitizing th then Gpusim.Ompsan.set_actor th tid else tid
   in
   let overhead = step_cost ctx in
   let rounds = (trip + num - 1) / num in
@@ -403,7 +404,7 @@ let classic_fold_rounds ctx ~id ~num ~trip (f : int -> float) =
     end;
     Team.lockstep_align ctx
   done;
-  if !Gpusim.Ompsan.enabled then
+  if Gpusim.Thread.sanitizing th then
     ignore (Gpusim.Ompsan.set_actor th prev_actor);
   Gpusim.Thread.tick th overhead;
   !acc
@@ -461,7 +462,9 @@ let simd_loop ctx ~trip f =
   let id = Simd_group.get_simd_group_id g ~tid in
   let num = Simd_group.get_simd_group_size g in
   if num = 1 then run_schedule ctx Static ~id:0 ~num:1 ~trip f
-  else if team.Team.dyn_active = 0 && not !Gpusim.Fault.armed then
+  else if
+    team.Team.dyn_active = 0 && not (Gpusim.Thread.injecting ctx.Team.th)
+  then
     fused_simd_loop ctx g ~tid ~id ~trip ~num f
   else begin
     Team.sync_warp ctx;
@@ -495,7 +498,9 @@ let simd_fold_sum ctx ~trip (f : int -> float) =
   let id = Simd_group.get_simd_group_id g ~tid in
   let num = Simd_group.get_simd_group_size g in
   if num = 1 then sequential_fold_sum ctx ~trip f
-  else if team.Team.dyn_active = 0 && not !Gpusim.Fault.armed then
+  else if
+    team.Team.dyn_active = 0 && not (Gpusim.Thread.injecting ctx.Team.th)
+  then
     fused_simd_fold ctx g ~tid ~id ~trip ~num f
   else begin
     Team.sync_warp ctx;

@@ -41,26 +41,16 @@ let params_of ~(cfg : Gpusim.Config.t) t =
 
 (* Every geometry check the runtime would make at launch, made up
    front: the device's warp width and block limit decide whether the
-   clause set can run on it at all.  The block is sized by the
-   runtime's own [Team.block_threads]. *)
+   clause set can run on it at all.  The team's rule is the runtime's
+   own [Team.check_params]; only the teams count and simdlen are
+   clause-level. *)
 let check_geometry ~(cfg : Gpusim.Config.t) t =
   let params = params_of ~cfg t in
-  let ws = cfg.Gpusim.Config.warp_size in
   let simdlen = Option.value t.simdlen ~default:1 in
   if params.Omprt.Team.num_teams <= 0 then Error "num_teams must be positive"
-  else if simdlen <= 0 || ws mod simdlen <> 0 then
+  else if simdlen <= 0 || cfg.Gpusim.Config.warp_size mod simdlen <> 0 then
     Error "simdlen must divide the warp size"
-  else if params.num_threads <= 0 || params.num_threads mod ws <> 0 then
-    Error
-      (Printf.sprintf "num_threads %d is not a positive multiple of the warp size %d"
-         params.num_threads ws)
-  else
-    let block = Omprt.Team.block_threads ~cfg params in
-    if block > cfg.Gpusim.Config.max_threads_per_block then
-      Error
-        (Printf.sprintf "a block of %d threads exceeds the device limit %d" block
-           cfg.Gpusim.Config.max_threads_per_block)
-    else Ok ()
+  else Omprt.Team.check_params ~cfg params
 
 let resolve ~(cfg : Gpusim.Config.t) t =
   (match check_geometry ~cfg t with

@@ -142,9 +142,7 @@ let sharing_reservation ~budget ~num_threads ~simd_len program =
   let publishers = (num_threads / max 1 simd_len) + 1 in
   max Omprt.Sharing.min_bytes (min budget (footprint * publishers))
 
-let run ~cfg ?pool ?trace ?(clauses = Clause.none) ~bindings c =
-  if !Gpusim.Ompsan.enabled then
-    Gpusim.Ompsan.set_kernel c.program.Ompir.Outline.kernel.Ompir.Ir.kname;
+let run ~cfg ?pool ?trace ?nonce ?(clauses = Clause.none) ~bindings c =
   let params, _, simdlen = Clause.resolve ~cfg clauses in
   let sharing_bytes =
     sharing_reservation ~budget:params.Omprt.Team.sharing_bytes
@@ -167,6 +165,6 @@ let run ~cfg ?pool ?trace ?(clauses = Clause.none) ~bindings c =
   in
   match c.engine with
   | Ompir.Compile.Staged ->
-      Ompir.Compile.run ~cfg ?pool ?trace ~options ~bindings c.program
+      Ompir.Compile.run ~cfg ?pool ?trace ?nonce ~options ~bindings c.program
   | Ompir.Compile.Walk ->
-      Ompir.Eval.run ~cfg ?pool ?trace ~options ~bindings c.program
+      Ompir.Eval.run ~cfg ?pool ?trace ?nonce ~options ~bindings c.program

@@ -101,6 +101,7 @@ val run :
   cfg:Gpusim.Config.t ->
   ?pool:Gpusim.Pool.t ->
   ?trace:Gpusim.Trace.t ->
+  ?nonce:int ->
   ?clauses:Clause.t ->
   bindings:(string * Ompir.Eval.binding) list ->
   compiled ->
@@ -108,6 +109,8 @@ val run :
 (** Execute on the device.  Unless the clauses force a parallel mode, each
     region uses its SPMD-ization verdict — SPMD when tightly nested,
     generic otherwise (§3.2), on the evaluator the artifact was compiled
-    for.  When the sanitizer is enabled ({!Gpusim.Ompsan.enabled}) the
-    returned report carries [sanitizer = Some _] with any dynamic
-    findings. *)
+    for.  The launch's settings come from [pool]: when it runs the
+    sanitizer ({!Gpusim.Pool.create}[ ~sanitize]) the returned report
+    carries [sanitizer = Some _], named after the kernel, with any
+    dynamic findings; under its fault plan [nonce] pins the launch's
+    fault draws (see {!Gpusim.Device.launch}). *)

@@ -320,8 +320,9 @@ let cache_ix = function
 let merge_overhead = 64.0
 
 (* Fault identity of a member launch: a pure function of (request,
-   attempt), pinned via {!Gpusim.Fault.with_nonce} so placement, batch
-   shape and dispatch order can never change what a request draws. *)
+   attempt), pinned per launch ([Offload.run ~nonce]) so placement,
+   batch shape and dispatch order can never change what a request
+   draws. *)
 let nonce_for (spec : Request.spec) ~launches = 1 + (spec.Request.id * 1021) + launches
 
 let clauses_of (spec : Request.spec) =
@@ -353,7 +354,6 @@ let run conf ?pool specs =
   if base.Scheduler.window <= 0.0 then
     invalid_arg "Fleet.run: window must be > 0";
   if conf.decay < 0 then invalid_arg "Fleet.run: negative affinity decay";
-  Gpusim.Fault.reset ();
   (* heterogeneity: each shard carries a device config, the [devices]
      list cycled across shard ids; [] keeps the pre-zoo homogeneous
      fleet on the base device.  Every config re-validates here so a
@@ -580,7 +580,11 @@ let run conf ?pool specs =
   let memo : (int * int * int * int * int * int * string, member) Hashtbl.t =
     Hashtbl.create 64
   in
-  let memo_armed () = !Gpusim.Fault.armed in
+  let faults_armed =
+    match pool with
+    | Some p -> Option.is_some (Gpusim.Pool.faults p)
+    | None -> false
+  in
   (* Content ids.  The content key is a pure function of (template,
      size, guardize) under this run's fixed knobs, but computing one
      rebuilds and re-digests the instantiated IR — which unrolls with
@@ -806,13 +810,9 @@ let run conf ?pool specs =
     let _kernel, bindings, out = Request.instantiate p.spec in
     let spec = p.spec in
     let clauses = clauses_of spec in
-    let launch () =
-      match Offload.run ~cfg ?pool ~clauses ~bindings compiled with
-      | report -> `Report report
-      | exception Gpusim.Engine.Deadlock _ -> `Hung
-    in
-    match Gpusim.Fault.with_nonce (nonce_for spec ~launches:p.launches) launch with
-    | `Report report ->
+    let nonce = nonce_for spec ~launches:p.launches in
+    match Offload.run ~cfg ?pool ~nonce ~clauses ~bindings compiled with
+    | report ->
         {
           m_pending = { p with launches = p.launches + 1 };
           m_exec = report.Gpusim.Device.time_cycles;
@@ -822,7 +822,7 @@ let run conf ?pool specs =
           m_counters = report.Gpusim.Device.counters;
           m_faults = report.Gpusim.Device.faults;
         }
-    | `Hung ->
+    | exception Gpusim.Engine.Deadlock _ ->
         {
           m_pending = { p with launches = p.launches + 1 };
           m_exec = 0.0;
@@ -848,7 +848,7 @@ let run conf ?pool specs =
         spec.Request.seed,
         cfg.Gpusim.Config.name )
     in
-    if conf.memo && not (memo_armed ()) then
+    if conf.memo && not faults_armed then
       match Hashtbl.find_opt memo mkey with
       | Some m ->
           incr memo_hits;

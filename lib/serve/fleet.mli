@@ -55,8 +55,8 @@ type config = {
   steal : bool;  (** idle shards pull from the deepest neighbour queue *)
   memo : bool;
       (** memoize idempotent launch results by content (same template,
-          size, geometry, data seed); automatically bypassed while a
-          fault plan is armed, and never changes a report byte — only
+          size, geometry, data seed); automatically bypassed when the
+          pool arms a fault plan, and never changes a report byte — only
           host time *)
   tenants : (string * int) list;
       (** fair-admission weights, e.g. [("alice", 3)]; absent tenants
@@ -175,7 +175,10 @@ val nonce_for : Request.spec -> launches:int -> int
     (request id, prior launches). *)
 
 val run : config -> ?pool:Gpusim.Pool.t -> Request.spec list -> result
-(** Replay a trace through the fleet.  A request whose launch geometry
+(** Replay a trace through the fleet.  Every launch runs on [pool] and
+    under its settings: sanitizer, fault plan (which also bypasses the
+    launch memo) and watchdog; no pool means all off.  A request whose
+    launch geometry
     its shard's device cannot run ({!Openmp.Clause.check_geometry})
     reports [Failed] without launching.  @raise Invalid_argument on a
     non-positive shard or batch count (and the base config checks), or

@@ -2,7 +2,9 @@
 # Front-door tier: every ompsimd_run subcommand parses the whole knobs
 # record before doing any work, so a malformed or out-of-range
 # OMPSIMD_* value fails each one the same way — exit 2 and a single stderr line naming the
-# variable.
+# variable.  Also: a SIMD group the device warp cannot hold and a
+# kernel run with failed blocks end with a clean exit code, never an
+# uncaught exception.
 #
 # Usage: sh test/cli_knobs.sh <ompsimd_run.exe> <kernel.omp>
 set -u
@@ -30,6 +32,39 @@ for kv in OMPSIMD_FAULTS=bogus OMPSIMD_DOMAINS=x OMPSIMD_EVAL=bogus \
     fi
   done
 done
+
+# A SIMD group the device's warp cannot hold is a usage error: exit 2
+# and a single stderr line naming the group and the warp width, before
+# any launch.
+for cmd in "kernel ideal" fig10; do
+  # shellcheck disable=SC2086
+  err="$("$run" $cmd -d a100,warp_size=1 2>&1 >/dev/null)"
+  code=$?
+  lines="$(printf '%s\n' "$err" | wc -l)"
+  case "$err" in
+    *"warp width 1"*) named=1 ;;
+    *) named=0 ;;
+  esac
+  if [ "$code" -ne 2 ] || [ "$lines" -ne 1 ] || [ "$named" -ne 1 ]; then
+    echo "FAIL: ompsimd_run $cmd on a 1-wide warp: exit $code, stderr: $err"
+    failures=$((failures + 1))
+  fi
+done
+
+# A kernel whose blocks fail under an armed fault plan prints its report,
+# failures included, and exits 1 without verifying — never an uncaught
+# exception.
+out="$(OMPSIMD_FAULTS=abort=0.05 "$run" kernel spmv 2>&1)"
+code=$?
+case "$out" in
+  *"uncaught exception"*) clean=0 ;;
+  *"failure: "*) clean=1 ;;
+  *) clean=0 ;;
+esac
+if [ "$code" -ne 1 ] || [ "$clean" -ne 1 ]; then
+  echo "FAIL: faulted kernel spmv: exit $code, output: $out"
+  failures=$((failures + 1))
+fi
 
 [ "$failures" -eq 0 ] || exit 1
 echo "cli-knobs OK: every subcommand rejects malformed knobs uniformly"

@@ -36,15 +36,16 @@ let contains hay needle =
 
 let engines = [ "walk"; "compile" ]
 
-(* Parse and install the user-facing knobs for one engine; the compile
-   knobs it returns carry the engine into the artifact. *)
+(* Parse the user-facing knobs for one engine: the compile knobs carry
+   the engine into the artifact, the (sequential) pool carries the
+   sanitizer into the launch. *)
 let sanitized engine =
   let env = [ ("OMPSIMD_SANITIZE", "1"); ("OMPSIMD_EVAL", engine) ] in
   match Knobs.parse (fun name -> List.assoc_opt name env) with
   | Error msg -> failwith msg
   | Ok k ->
-      Knobs.install k;
-      { k.Knobs.compile with Offload.racecheck = true }
+      ( { k.Knobs.compile with Offload.racecheck = true },
+        Knobs.pool { k with Knobs.domains = 0 } )
 
 let zero_bindings ~sizes (k : Ir.kernel) =
   let space = Memory.space () in
@@ -62,11 +63,12 @@ let zero_bindings ~sizes (k : Ir.kernel) =
 
 let run_file ~engine ~clauses ~sizes file =
   let kernel = Ompir.Parse.kernel_of_file (Filename.concat "conformance" file) in
-  match Offload.compile_with ~knobs:(sanitized engine) kernel with
+  let knobs, pool = sanitized engine in
+  match Offload.compile_with ~knobs kernel with
   | Error _ -> failwith (file ^ ": compile failed")
   | Ok c ->
       let report =
-        Offload.run ~cfg ~clauses ~bindings:(zero_bindings ~sizes kernel) c
+        Offload.run ~cfg ~pool ~clauses ~bindings:(zero_bindings ~sizes kernel) c
       in
       (c, report)
 
@@ -165,7 +167,8 @@ let fleet_stage () =
     let engine = List.nth engines (next 2) in
     let kernel = template ~plant ~width in
     let n = rows * width in
-    match Offload.compile_with ~knobs:(sanitized engine) kernel with
+    let knobs, pool = sanitized engine in
+    match Offload.compile_with ~knobs kernel with
     | Error _ -> fail "fleet case %d: compile failed" case
     | Ok c ->
         if c.Offload.may_races <> [] <> plant then
@@ -175,7 +178,7 @@ let fleet_stage () =
             none |> num_teams teams |> num_threads threads |> simdlen slen)
         in
         let report =
-          Offload.run ~cfg ~clauses
+          Offload.run ~cfg ~pool ~clauses
             ~bindings:
               (zero_bindings ~sizes:[ ("src", n); ("out", n); ("rows", rows); ("n", n) ]
                  kernel)

@@ -479,7 +479,10 @@ let run_engine_differential ?pool case =
    planted kernels genuinely race, so only the verdicts are compared.
    Plants never steer control flow, so divergence/deadlock is impossible
    and every run completes. *)
-let run_sanitizer_certification ?pool ~engine case =
+(* The sanitizer is a launch setting: it rides on the pool. *)
+let sanitizing = Gpusim.Pool.create ~sanitize:true ()
+
+let run_sanitizer_certification ?(pool = sanitizing) ~engine case =
   let kernel =
     if case.guardize then fst (Ompir.Spmdize.guardize case.kernel)
     else case.kernel
@@ -494,16 +497,11 @@ let run_sanitizer_certification ?pool ~engine case =
          (List.map Ompir.Racecheck.finding_to_string static_findings));
   let program = Outline.run kernel in
   let _, bindings = make_bindings case in
-  Gpusim.Ompsan.enabled := true;
   let report =
-    Fun.protect
-      ~finally:(fun () -> Gpusim.Ompsan.enabled := false)
-      (fun () ->
-        match engine with
-        | `Staged ->
-            Ompir.Compile.run ~cfg ?pool ~options:(options_of case) ~bindings
-              program
-        | `Walk -> Eval.run ~cfg ?pool ~options:(options_of case) ~bindings program)
+    match engine with
+    | `Staged ->
+        Ompir.Compile.run ~cfg ~pool ~options:(options_of case) ~bindings program
+    | `Walk -> Eval.run ~cfg ~pool ~options:(options_of case) ~bindings program
   in
   match report.Gpusim.Device.sanitizer with
   | None -> Test.fail_reportf "sanitizer report missing from an enabled run"
@@ -674,12 +672,9 @@ let run_collapse_certification cc =
       (List.length static_findings) cc.cplant;
   let program = Outline.run kernel in
   let _, bindings = collapse_bindings cc in
-  Gpusim.Ompsan.enabled := true;
   let report =
-    Fun.protect
-      ~finally:(fun () -> Gpusim.Ompsan.enabled := false)
-      (fun () ->
-        Ompir.Compile.run ~cfg ~options:(collapse_options cc) ~bindings program)
+    Ompir.Compile.run ~cfg ~pool:sanitizing ~options:(collapse_options cc)
+      ~bindings program
   in
   match report.Gpusim.Device.sanitizer with
   | None -> Test.fail_reportf "sanitizer report missing from an enabled run"
@@ -693,6 +688,7 @@ let run_collapse_certification cc =
 
 let qcheck_cases =
   let pool = Gpusim.Pool.create ~domains:3 () in
+  let sanitizing_pool = Gpusim.Pool.create ~sanitize:true ~domains:3 () in
   [
     Test.make ~name:"random kernels: device matches host reference" ~count:120
       case_arbitrary run_differential;
@@ -712,7 +708,8 @@ let qcheck_cases =
       ~count:60 certified_arbitrary run_sanitizer_engine_agreement;
     Test.make ~name:"certified fleet: verdicts hold on a domain pool"
       ~count:30 certified_arbitrary
-      (fun case -> run_sanitizer_certification ~pool ~engine:`Staged case);
+      (fun case ->
+        run_sanitizer_certification ~pool:sanitizing_pool ~engine:`Staged case);
     Test.make ~name:"certified fleet: collapse(2) verdict == plant" ~count:60
       collapse_certified_arbitrary run_collapse_certification;
     (* the serve cache keys on this digest: equal kernels must agree and

@@ -37,13 +37,17 @@ let contains hay needle =
   nn = 0 || go 0
 
 (* The fault knobs go through the same parse a user's environment
-   does; [Knobs.with_installed] restores the previous switches
-   afterwards, so later suites (and the experiment launches) run
-   disarmed. *)
-let with_knobs pairs f =
+   does, and reach the launches on the pool [Knobs.pool] builds from
+   them ([domains] workers, default sequential): a fresh pool per call,
+   so every call replays from the plan's first launch. *)
+let with_knobs ?(domains = 0) pairs f =
   match Knobs.parse (fun name -> List.assoc_opt name pairs) with
   | Error msg -> Alcotest.fail msg
-  | Ok k -> Knobs.with_installed k (fun () -> f k)
+  | Ok k ->
+      let pool = Knobs.pool { k with Knobs.domains } in
+      Fun.protect
+        ~finally:(fun () -> Gpusim.Pool.shutdown pool)
+        (fun () -> f k pool)
 
 let spec ?(at = 0.0) ?(kernel = "saxpy") ?(size = 64) ?(teams = 4)
     ?(threads = 32) ?(simdlen = 8) ?deadline ?(priority = 0) ?(seed = 1) id =
@@ -65,7 +69,7 @@ let spec ?(at = 0.0) ?(kernel = "saxpy") ?(size = 64) ?(teams = 4)
 
 (* One device-level launch of a serve catalog template: the same
    instantiate/compile/run path the service takes, minus the service. *)
-let launch ?pool ?(knobs = Offload.default_knobs) s =
+let launch ?pool ?nonce ?(knobs = Offload.default_knobs) s =
   let kernel, bindings, out = Request.instantiate s in
   let compiled =
     match Offload.compile_with ~knobs kernel with
@@ -79,7 +83,7 @@ let launch ?pool ?(knobs = Offload.default_knobs) s =
       |> num_threads s.Request.threads
       |> simdlen s.Request.simdlen)
   in
-  let report = Offload.run ~cfg ?pool ~clauses ~bindings compiled in
+  let report = Offload.run ~cfg ?pool ?nonce ~clauses ~bindings compiled in
   (report, Request.checksum out)
 
 let failure_lines (r : Device.report) =
@@ -104,8 +108,8 @@ let blank_fault_env =
 (* ------------------------------------------------------------------ *)
 
 let test_disarmed_identity () =
-  with_knobs blank_fault_env (fun _ ->
-      let report, _ = launch (spec 0) in
+  with_knobs blank_fault_env (fun _ pool ->
+      let report, _ = launch ~pool (spec 0) in
       check_int "no failures" 0 (List.length report.Device.failures);
       Alcotest.(check string)
         "fault stats all zero"
@@ -113,7 +117,8 @@ let test_disarmed_identity () =
         (stats_str report.Device.faults);
       check_bool "pp_report omits the fault block" false
         (contains (pp_str report) "faults:");
-      check_bool "deadlock capture stays off" false (Fault.capture_deadlocks ()))
+      check_bool "deadlock capture stays off" true
+        (Gpusim.Pool.faults pool = None && Gpusim.Pool.watchdog pool = 0.0))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: same seed, same faults, every engine x pool            *)
@@ -126,21 +131,19 @@ let chaos_env =
   ]
 
 let test_fixed_seed_invariance () =
-  let run ?pool engine =
-    with_knobs (("OMPSIMD_EVAL", engine) :: chaos_env) (fun k ->
-        Fault.reset ();
+  let run ?domains engine =
+    with_knobs ?domains (("OMPSIMD_EVAL", engine) :: chaos_env) (fun k pool ->
         let report, sum =
-          launch ?pool ~knobs:k.Knobs.compile (spec ~kernel:"rowsum" ~teams:6 0)
+          launch ~pool ~knobs:k.Knobs.compile (spec ~kernel:"rowsum" ~teams:6 0)
         in
         ( failure_lines report,
           stats_str report.Device.faults,
           Int64.bits_of_float sum ))
   in
-  let pool = Gpusim.Pool.create ~domains:3 () in
   let staged_seq = run "compile" in
-  let staged_pool = run ~pool "compile" in
+  let staged_pool = run ~domains:3 "compile" in
   let walk_seq = run "walk" in
-  let walk_pool = run ~pool "walk" in
+  let walk_pool = run ~domains:3 "walk" in
   let lines, _, _ = staged_seq in
   check_bool "the plan actually injected something" true (lines <> []);
   let t =
@@ -148,48 +151,27 @@ let test_fixed_seed_invariance () =
   in
   Alcotest.check t "pool matches sequential" staged_seq staged_pool;
   Alcotest.check t "walk engine matches staged" staged_seq walk_seq;
-  Alcotest.check t "walk + pool matches too" staged_seq walk_pool;
-  (* reset rewinds the launch nonce: an in-place replay is identical *)
-  let replay =
-    with_knobs (("OMPSIMD_EVAL", "compile") :: chaos_env) (fun _ ->
-        Fault.reset ();
-        let r1, s1 = launch (spec ~kernel:"rowsum" ~teams:6 0) in
-        Fault.reset ();
-        let r2, s2 = launch (spec ~kernel:"rowsum" ~teams:6 0) in
-        ( (failure_lines r1, stats_str r1.Device.faults, Int64.bits_of_float s1),
-          (failure_lines r2, stats_str r2.Device.faults, Int64.bits_of_float s2)
-        ))
-  in
-  Alcotest.check t "reset replays the identical faults" (fst replay)
-    (snd replay)
+  Alcotest.check t "walk + pool matches too" staged_seq walk_pool
 
-(* Installing the configuration keeps the nonce rule replays rely on:
-   re-installing an unchanged plan continues the launch sequence, a
-   changed plan rewinds it. *)
-let test_install_nonce_rule () =
-  let plan = Fault.parse_spec ~seed:42 "abort=0.5,flip=0.35:0.5,stall=0.25" in
-  let armed = { Knobs.default with Knobs.faults = Some plan } in
-  let fired () =
-    let report, _ = launch (spec ~kernel:"rowsum" ~teams:6 0) in
-    (failure_lines report, stats_str report.Device.faults)
-  in
-  let three ~between =
-    Knobs.with_installed armed (fun () ->
-        let a = fired () in
-        let b = fired () in
-        between ();
-        (a, b, fired ()))
-  in
-  let a, _, c = three ~between:ignore in
-  check_bool "the third launch draws new faults" true (a <> c);
-  let _, _, c' = three ~between:(fun () -> Knobs.install armed) in
-  check_bool "an unchanged plan keeps the nonce" true (c = c');
-  let _, _, c'' =
-    three ~between:(fun () ->
-        Knobs.install Knobs.default;
-        Knobs.install armed)
-  in
-  check_bool "a changed plan rewinds it" true (a = c'')
+(* The pool counts the plan's launches, the nonce rule replays rely on:
+   launches on one pool draw fresh faults, a fresh pool replays from the
+   first, and a pinned nonce draws exactly that launch's faults without
+   advancing the count. *)
+let test_pool_nonce_rule () =
+  with_knobs chaos_env (fun k pool ->
+      let fired ?nonce pool =
+        let report, _ = launch ~pool ?nonce (spec ~kernel:"rowsum" ~teams:6 0) in
+        (failure_lines report, stats_str report.Device.faults)
+      in
+      let a = fired pool in
+      let b = fired pool in
+      let c = fired pool in
+      check_bool "the third launch draws new faults" true (a <> c);
+      let fresh = Knobs.pool { k with Knobs.domains = 0 } in
+      check_bool "a fresh pool replays from the start" true (fired fresh = a);
+      check_bool "a pinned nonce draws that launch's faults" true
+        (fired ~nonce:3 fresh = c);
+      check_bool "and leaves the pool's count alone" true (fired fresh = b))
 
 (* ------------------------------------------------------------------ *)
 (* The injection kinds                                                 *)
@@ -197,9 +179,9 @@ let test_install_nonce_rule () =
 
 let test_abort () =
   with_knobs [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "3") ]
-    (fun _ ->
+    (fun _ pool ->
       (* enough work that every victim reaches its trigger cycle *)
-      let report, _ = launch (spec ~size:2048 ~teams:2 ~threads:64 0) in
+      let report, _ = launch ~pool (spec ~size:2048 ~teams:2 ~threads:64 0) in
       check_bool "failures reported" true (report.Device.failures <> []);
       check_bool "all of them are aborts" true
         (List.for_all
@@ -212,11 +194,12 @@ let test_abort () =
 
 let test_flip_corrected () =
   let clean_sum =
-    with_knobs blank_fault_env (fun _ -> snd (launch (spec ~size:256 0)))
+    with_knobs blank_fault_env (fun _ pool ->
+        snd (launch ~pool (spec ~size:256 0)))
   in
   with_knobs [ ("OMPSIMD_FAULTS", "flip=1:0"); ("OMPSIMD_FAULT_SEED", "3") ]
-    (fun _ ->
-      let report, sum = launch (spec ~size:256 0) in
+    (fun _ pool ->
+      let report, sum = launch ~pool (spec ~size:256 0) in
       check_int "corrected flips never fail a block" 0
         (List.length report.Device.failures);
       check_bool "corrections counted" true
@@ -229,9 +212,9 @@ let test_flip_corrected () =
 
 let test_stall_captured () =
   with_knobs [ ("OMPSIMD_FAULTS", "stall=1"); ("OMPSIMD_FAULT_SEED", "3") ]
-    (fun _ ->
+    (fun _ pool ->
       (* must NOT raise Engine.Deadlock: capture is armed *)
-      let report, _ = launch (spec ~kernel:"rowsum" ~teams:2 0) in
+      let report, _ = launch ~pool (spec ~kernel:"rowsum" ~teams:2 0) in
       check_bool "stall failures reported" true
         (List.exists
            (fun f -> f.Fault.f_kind = Fault.Barrier_stall)
@@ -244,16 +227,16 @@ let test_stall_captured () =
       check_bool "stalls counted" true (report.Device.faults.Fault.stalls >= 1))
 
 let test_watchdog () =
-  with_knobs [ ("OMPSIMD_WATCHDOG", "1") ] (fun _ ->
-      let report, _ = launch (spec 0) in
+  with_knobs [ ("OMPSIMD_WATCHDOG", "1") ] (fun _ pool ->
+      let report, _ = launch ~pool (spec 0) in
       check_bool "over-budget blocks reported" true
         (List.exists
            (fun f -> f.Fault.f_kind = Fault.Watchdog)
            report.Device.failures);
       check_bool "watchdogs counted" true
         (report.Device.faults.Fault.watchdogs >= 1));
-  with_knobs [ ("OMPSIMD_WATCHDOG", "1e12") ] (fun _ ->
-      let report, _ = launch (spec 0) in
+  with_knobs [ ("OMPSIMD_WATCHDOG", "1e12") ] (fun _ pool ->
+      let report, _ = launch ~pool (spec 0) in
       check_int "a generous budget reports nothing" 0
         (List.length report.Device.failures))
 
@@ -287,8 +270,10 @@ let test_divergence_captured () =
     | Ok c -> c
     | Error _ -> Alcotest.fail "race_divergence.omp failed to compile"
   in
-  with_knobs [ ("OMPSIMD_FAULTS", "abort=0") ] (fun _ ->
-      let report = Offload.run ~cfg ~clauses:divergence_clauses ~bindings compiled in
+  with_knobs [ ("OMPSIMD_FAULTS", "abort=0") ] (fun _ pool ->
+      let report =
+        Offload.run ~cfg ~pool ~clauses:divergence_clauses ~bindings compiled
+      in
       check_bool "the hung block surfaces as a stall failure" true
         (List.exists
            (fun f -> f.Fault.f_kind = Fault.Barrier_stall)
@@ -306,7 +291,7 @@ let test_divergence_captured () =
 (* A generic-mode region with a 12-pointer payload whose SIMD body
    writes through global memory: results must not depend on where the
    payload copies live (variable-sharing slice vs global fallback). *)
-let sharing_run ?(sharing_bytes = 4096) () =
+let sharing_run ~pool ?(sharing_bytes = 4096) () =
   let space = Memory.space () in
   let data = Memory.falloc space 64 in
   let payload =
@@ -316,7 +301,7 @@ let sharing_run ?(sharing_bytes = 4096) () =
     { Team.num_teams = 2; num_threads = 64; teams_mode = Mode.Spmd; sharing_bytes }
   in
   let report =
-    Target.launch ~cfg ~params ~dispatch_table_size:2 (fun ctx ->
+    Target.launch ~cfg ~pool ~params ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:8 ~payload ~fn_id:0
           (fun ctx _ ->
             Workshare.distribute_parallel_for ctx ~trip:64 (fun i ->
@@ -338,13 +323,13 @@ let fallbacks (r : Device.report) =
 
 let test_exhaust_forces_fallback () =
   let clean_report, clean_sum =
-    with_knobs blank_fault_env (fun _ -> sharing_run ())
+    with_knobs blank_fault_env (fun _ pool -> sharing_run ~pool ())
   in
   Alcotest.(check (float 0.0))
     "roomy slices never fall back" 0.0 (fallbacks clean_report);
   with_knobs [ ("OMPSIMD_FAULTS", "exhaust=1"); ("OMPSIMD_FAULT_SEED", "3") ]
-    (fun _ ->
-      let report, sum = sharing_run () in
+    (fun _ pool ->
+      let report, sum = sharing_run ~pool () in
       check_bool "exhaustion counted" true
         (report.Device.faults.Fault.exhausts >= 1);
       check_bool "acquires forced onto the global fallback" true
@@ -358,9 +343,9 @@ let test_exhaust_forces_fallback () =
 (* Satellite: the same fallback, exercised for real — a payload larger
    than the per-group slice, no fault plan involved. *)
 let test_genuine_fallback_bit_identical () =
-  with_knobs blank_fault_env (fun _ ->
-      let roomy_report, roomy_sum = sharing_run ~sharing_bytes:4096 () in
-      let tight_report, tight_sum = sharing_run ~sharing_bytes:128 () in
+  with_knobs blank_fault_env (fun _ pool ->
+      let roomy_report, roomy_sum = sharing_run ~pool ~sharing_bytes:4096 () in
+      let tight_report, tight_sum = sharing_run ~pool ~sharing_bytes:128 () in
       Alcotest.(check (float 0.0))
         "roomy config stays in the shared slice" 0.0 (fallbacks roomy_report);
       check_bool "tight config falls back to global memory" true
@@ -400,8 +385,8 @@ let outcome =
 
 let test_serve_degraded_after_retries () =
   with_knobs [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "7") ]
-    (fun _ ->
-      let reports, m = serve (conf ~retries:2 ()) [ spec 0 ] in
+    (fun _ pool ->
+      let reports, m = serve ~pool (conf ~retries:2 ()) [ spec 0 ] in
       let r = List.nth reports 0 in
       Alcotest.check outcome "retries exhausted: degraded" Scheduler.Degraded
         r.Fleet.outcome;
@@ -419,12 +404,12 @@ let test_serve_recovery () =
      most requests complete and — with this seed — at least one does so
      on a second or later launch *)
   with_knobs [ ("OMPSIMD_FAULTS", "abort=0.5"); ("OMPSIMD_FAULT_SEED", "11") ]
-    (fun _ ->
+    (fun _ pool ->
       let specs =
         List.init 6 (fun i ->
             spec ~at:(float_of_int i *. 40000.0) ~teams:1 ~seed:(i + 1) i)
       in
-      let reports, m = serve (conf ~retries:3 ()) specs in
+      let reports, m = serve ~pool (conf ~retries:3 ()) specs in
       check_bool "every outcome is Completed or Degraded" true
         (List.for_all
            (fun r ->
@@ -459,10 +444,10 @@ let test_serve_breaker () =
      arrive inside one telemetry window: a failure-free window would
      fast-forward the open breaker to its half-open probe. *)
   with_knobs [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "7") ]
-    (fun _ ->
+    (fun _ pool ->
       let heavy ~at id = spec ~at ~size:2048 ~teams:2 ~threads:64 id in
       let reports, m =
-        serve
+        serve ~pool
           (conf ~servers:1 ~retries:0 ~breaker:2 ~backoff:1_000_000.0 ())
           [ heavy ~at:0.0 0; heavy ~at:5_000.0 1; heavy ~at:10_000.0 2 ]
       in
@@ -488,10 +473,10 @@ let test_serve_breaker_probe_geometry () =
      the unlaunchable request, the breaker would stay half-open and
      shed both unlaunched. *)
   with_knobs [ ("OMPSIMD_FAULTS", "abort=0.5"); ("OMPSIMD_FAULT_SEED", "1") ]
-    (fun _ ->
+    (fun _ pool ->
       let x ?(threads = 64) ~at id = spec ~at ~size:2048 ~teams:2 ~threads id in
       let reports, m =
-        serve
+        serve ~pool
           (conf ~servers:1 ~retries:0 ~breaker:2 ~backoff:1_000.0 ())
           [
             x ~at:0.0 0;
@@ -515,16 +500,15 @@ let test_serve_chaos_replay () =
      plan, four engine x pool combinations — byte-identical snapshots *)
   let specs = Request.synthetic ~n:12 ~seed:3 () in
   let c = conf ~retries:2 ~breaker:3 ~backoff:800.0 () in
-  let snap ?pool engine =
-    with_knobs (("OMPSIMD_EVAL", engine) :: chaos_env) (fun k ->
+  let snap ?domains engine =
+    with_knobs ?domains (("OMPSIMD_EVAL", engine) :: chaos_env) (fun k pool ->
         let fc = one_shard { c with Scheduler.knobs = k.Knobs.compile } in
-        Fleet.snapshot_json fc (Fleet.run fc ?pool specs))
+        Fleet.snapshot_json fc (Fleet.run fc ~pool specs))
   in
-  let pool = Gpusim.Pool.create ~domains:3 () in
   let staged_seq = snap "compile" in
-  let staged_pool = snap ~pool "compile" in
+  let staged_pool = snap ~domains:3 "compile" in
   let walk_seq = snap "walk" in
-  let walk_pool = snap ~pool "walk" in
+  let walk_pool = snap ~domains:3 "walk" in
   check_bool "the chaos plan actually fired" true
     (contains staged_seq "\"degraded\"" || contains staged_seq "launches\": 2"
    || contains staged_seq "launches\": 3");
@@ -551,7 +535,7 @@ let recovery_invariant =
           ("OMPSIMD_FAULTS", plan);
           ("OMPSIMD_FAULT_SEED", string_of_int seed);
         ]
-        (fun _ ->
+        (fun _ pool ->
           let specs =
             List.init 6 (fun i ->
                 spec
@@ -560,7 +544,7 @@ let recovery_invariant =
                   ~teams:2 ~seed:(i + 1) i)
           in
           let reports, m =
-            serve (conf ~retries:2 ~breaker:3 ()) specs
+            serve ~pool (conf ~retries:2 ~breaker:3 ()) specs
           in
           List.length reports = 6
           && List.for_all
@@ -591,6 +575,106 @@ let recovery_invariant =
                       && r.Fleet.launches > 1)
                     reports)))
 
+(* ------------------------------------------------------------------ *)
+(* The launch context: settings travel on the pool, never globally     *)
+(* ------------------------------------------------------------------ *)
+
+(* Two launches with different settings run at the same time on two
+   domains — one sanitized, one under an armed plan with a watchdog —
+   and each reports exactly what it reports alone: neither sees the
+   other's sanitizer, faults, nonce or aborted findings. *)
+let test_concurrent_contexts () =
+  let race =
+    Ompir.Parse.kernel_of_file (Filename.concat "conformance" "race_global.omp")
+  in
+  let race_c =
+    match Offload.compile ~guardize:false ~racecheck:false race with
+    | Ok c -> c
+    | Error _ -> Alcotest.fail "race_global.omp failed to compile"
+  in
+  (* one array for every sanitized run: findings name its space id *)
+  let space = Memory.space () in
+  let out = Memory.falloc space 64 in
+  let race_clauses =
+    Clause.(
+      none |> num_teams 2 |> num_threads 32 |> simdlen 8
+      |> parallel_mode Mode.Spmd)
+  in
+  let sanitized () =
+    Memory.l2_reset space;
+    Memory.fill out 0.0;
+    let pool = Gpusim.Pool.create ~sanitize:true () in
+    pp_str
+      (Offload.run ~cfg ~pool ~clauses:race_clauses
+         ~bindings:[ ("out", Ompir.Eval.B_farr out); ("n", Ompir.Eval.B_int 64) ]
+         race_c)
+  in
+  let plan = Fault.parse_spec ~seed:42 "abort=0.5,flip=0.35:0.5,stall=0.25" in
+  let faulted () =
+    let pool = Gpusim.Pool.create ~faults:plan ~watchdog:3000.0 () in
+    let report, sum = launch ~pool (spec ~kernel:"rowsum" ~teams:6 0) in
+    (pp_str report, Int64.bits_of_float sum)
+  in
+  let alone_san = sanitized () and alone_fault = faulted () in
+  check_bool "the sanitized launch finds the race" true
+    (contains alone_san "sanitizer: data race");
+  check_bool "and carries no fault section" false (contains alone_san "faults:");
+  check_bool "the faulted launch fails blocks" true
+    (contains (fst alone_fault) "failure:");
+  check_bool "and carries no sanitizer section" false
+    (contains (fst alone_fault) "sanitizer:");
+  let rounds = 4 in
+  let other = Domain.spawn (fun () -> List.init rounds (fun _ -> faulted ())) in
+  let here = List.init rounds (fun _ -> sanitized ()) in
+  let there = Domain.join other in
+  List.iter
+    (Alcotest.(check string) "sanitized: same report as alone" alone_san)
+    here;
+  List.iter
+    (Alcotest.(check (pair string int64)) "faulted: same report as alone"
+       alone_fault)
+    there
+
+(* A pooled atomic-heavy launch beside a domain looping sequential
+   launches: the lock decision is each launch's own, so the pooled
+   launch stays exact and terminates however the two interleave. *)
+let test_pooled_atomics_beside_sequential () =
+  let grid = 32 and block = 128 and per_thread = 8 and cells = 16 in
+  let atomics ?pool () =
+    let a = Memory.ialloc (Memory.space ()) cells in
+    ignore
+      (Device.launch ~cfg ?pool ~grid ~block
+         ~init:(fun ~block_id:_ _ -> ())
+         ~body:(fun () th ->
+           for k = 0 to per_thread - 1 do
+             ignore
+               (Memory.atomic_iadd a th ((th.Gpusim.Thread.tid + k) mod cells) 1)
+           done)
+         ());
+    Array.fold_left ( + ) 0 (Memory.to_int_array a)
+  in
+  let expected = grid * block * per_thread in
+  let started = Atomic.make false and stop = Atomic.make false in
+  let looper =
+    Domain.spawn (fun () ->
+        let bad = ref 0 in
+        while not (Atomic.get stop) do
+          if atomics () <> expected then incr bad;
+          Atomic.set started true
+        done;
+        !bad)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let pool = Gpusim.Pool.create ~domains:1 () in
+  let sums = List.init 6 (fun _ -> atomics ~pool ()) in
+  Atomic.set stop true;
+  let bad = Domain.join looper in
+  Gpusim.Pool.shutdown pool;
+  List.iter (check_int "pooled launch is exact" expected) sums;
+  check_int "sequential launches stay exact" 0 bad
+
 let suite =
   [
     ( "fault",
@@ -599,8 +683,8 @@ let suite =
           test_disarmed_identity;
         Alcotest.test_case "fixed seed: engine- and pool-invariant" `Quick
           test_fixed_seed_invariance;
-        Alcotest.test_case "install: the nonce rule" `Quick
-          test_install_nonce_rule;
+        Alcotest.test_case "pool: the nonce rule" `Quick
+          test_pool_nonce_rule;
         Alcotest.test_case "abort: failed blocks reported" `Quick test_abort;
         Alcotest.test_case "flip: corrected, counted, bit-identical" `Quick
           test_flip_corrected;
@@ -628,5 +712,12 @@ let suite =
         Alcotest.test_case "chaos replay is engine- and pool-invariant" `Quick
           test_serve_chaos_replay;
         QCheck_alcotest.to_alcotest recovery_invariant;
+      ] );
+    ( "launch-context",
+      [
+        Alcotest.test_case "concurrent launches keep their own settings" `Quick
+          test_concurrent_contexts;
+        Alcotest.test_case "pooled atomics beside sequential launches" `Quick
+          test_pooled_atomics_beside_sequential;
       ] );
   ]

@@ -792,33 +792,6 @@ let test_determinism_irregular_grid () =
   check_reports_identical "no pool vs domains=0" seq r0;
   check_reports_identical "no pool vs domains=4" seq r4
 
-(* The coalescing-key memo in Memory.line_of is exact: with the LRU
-   disabled every counter, cost and the simulated time must come out
-   bit-identical on a workload mixing strided and coalesced traffic. *)
-let test_line_memo_equivalence () =
-  let t =
-    Workloads.Spmv.generate
-      {
-        Workloads.Spmv.rows = 60;
-        cols = 60;
-        profile = Workloads.Spmv.Banded { mean = 7; spread = 5 };
-        band = 12;
-        seed = 9;
-      }
-  in
-  let mode3 = Workloads.Harness.spmd_simd ~group_size:4 in
-  let run () =
-    (Workloads.Spmv.run_simd ~cfg ~num_teams:5 ~threads:32 ~mode3 t)
-      .Workloads.Harness.report
-  in
-  check_bool "memo on by default" true !Memory.line_memo_enabled;
-  let with_memo = run () in
-  Memory.line_memo_enabled := false;
-  let without_memo =
-    Fun.protect ~finally:(fun () -> Memory.line_memo_enabled := true) run
-  in
-  check_reports_identical "line memo on vs off" with_memo without_memo
-
 let test_pool_trace_stays_sequential () =
   (* A trace forces the sequential path even when a pool is supplied: the
      full grid is simulated and every event lands in the one log. *)
@@ -834,9 +807,42 @@ let test_pool_trace_stays_sequential () =
 
 (* --- qcheck properties ------------------------------------------------ *)
 
+(* The coalescing-key memo in Memory.line_of is exact: over bursts of
+   strided accesses cycling through up to eight array bases (twice the
+   memo's four slots, so entries are evicted and refilled), every
+   memoized line equals the plain division. *)
+let line_memo_exact =
+  QCheck.Test.make ~count:200 ~name:"line memo = plain division"
+    QCheck.(
+      pair
+        (int_range 1 8)
+        (list_of_size Gen.(int_range 1 40)
+           (quad (int_range 0 7) (int_range 0 5000) (int_range 0 40)
+              (int_range 1 32))))
+    (fun (nbases, bursts) ->
+      let warp =
+        Thread.make_warp ~cfg ~launch:Thread.default_launch ~warp_index:0
+      in
+      let counters = Counters.create () in
+      let th = Thread.create ~cfg ~counters ~block_id:0 ~tid:0 ~warp () in
+      (* element-aligned bases, deliberately not line-aligned *)
+      let base k = (k mod nbases * 1_000_003) * Memory.element_bytes in
+      let lb = cfg.Config.line_bytes in
+      List.for_all
+        (fun (k, start, stride, len) ->
+          List.for_all
+            (fun i ->
+              let index = start + (i * stride) in
+              let base = base k in
+              Memory.line_of th ~base ~index
+              = (base + (index * Memory.element_bytes)) / lb)
+            (List.init len Fun.id))
+        bursts)
+
 let qcheck_cases =
   let open QCheck in
   [
+    line_memo_exact;
     Test.make ~name:"barrier release = max arrival + cost" ~count:100
       (pair (int_range 2 32) (list_of_size Gen.(return 8) (float_range 0.0 1000.0)))
       (fun (_, ticks) ->
@@ -996,8 +1002,6 @@ let suite =
         Alcotest.test_case "parallel_init" `Quick test_pool_parallel_init;
         Alcotest.test_case "uniform grid determinism" `Quick
           test_determinism_uniform_grid;
-        Alcotest.test_case "line memo on/off identical" `Quick
-          test_line_memo_equivalence;
         Alcotest.test_case "irregular grid determinism" `Quick
           test_determinism_irregular_grid;
         Alcotest.test_case "trace stays sequential" `Quick

@@ -194,17 +194,35 @@ let test_defaults () =
         [ a.Serve.Autoscale.budget; a.Serve.Autoscale.max_extra;
           a.Serve.Autoscale.cooldown ]
 
-let test_install_restores () =
+(* The record's launch settings reach the library on the pool it
+   builds, and nowhere else: the default record's pool is all off. *)
+let test_pool_carries_settings () =
   let armed =
-    match parse [ ("OMPSIMD_FAULTS", "abort=0"); ("OMPSIMD_SANITIZE", "1") ] with
+    match
+      parse
+        [
+          ("OMPSIMD_FAULTS", "abort=0");
+          ("OMPSIMD_SANITIZE", "1");
+          ("OMPSIMD_WATCHDOG", "50");
+        ]
+    with
     | Ok k -> k
     | Error msg -> Alcotest.fail msg
   in
-  Knobs.with_installed armed (fun () ->
-      Alcotest.(check bool) "plan armed" true !Gpusim.Fault.armed;
-      Alcotest.(check bool) "sanitizer on" true !Gpusim.Ompsan.enabled);
-  Alcotest.(check bool) "plan disarmed again" false !Gpusim.Fault.armed;
-  Alcotest.(check bool) "sanitizer off again" false !Gpusim.Ompsan.enabled
+  let pool = Knobs.pool { armed with Knobs.domains = 0 } in
+  Alcotest.(check bool) "plan armed" true
+    (Gpusim.Pool.faults pool = armed.Knobs.faults);
+  Alcotest.(check bool) "a plan at all" true (Gpusim.Pool.faults pool <> None);
+  Alcotest.(check bool) "sanitizer on" true (Gpusim.Pool.sanitize pool);
+  Alcotest.(check (float 0.0)) "watchdog" 50.0 (Gpusim.Pool.watchdog pool);
+  Alcotest.(check int) "domains from the record" 0 (Gpusim.Pool.size pool);
+  let plain = Knobs.pool { Knobs.default with Knobs.domains = 0 } in
+  Alcotest.(check bool) "default: no plan" true
+    (Gpusim.Pool.faults plain = None);
+  Alcotest.(check bool) "default: sanitizer off" false
+    (Gpusim.Pool.sanitize plain);
+  Alcotest.(check (float 0.0)) "default: watchdog off" 0.0
+    (Gpusim.Pool.watchdog plain)
 
 (* --- derived keys -------------------------------------------------------- *)
 
@@ -355,7 +373,8 @@ let suite =
           test_named_failures;
         Alcotest.test_case "blank means unset" `Quick test_blank_is_unset;
         Alcotest.test_case "defaults" `Quick test_defaults;
-        Alcotest.test_case "install and restore" `Quick test_install_restores;
+        Alcotest.test_case "pool carries the settings" `Quick
+          test_pool_carries_settings;
         Alcotest.test_case "pinned cache and content keys" `Quick
           test_pinned_keys;
         QCheck_alcotest.to_alcotest knob_flips;

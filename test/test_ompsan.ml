@@ -53,12 +53,16 @@ let conformance_dir = "conformance"
 let load file = Ompir.Parse.kernel_of_file (Filename.concat conformance_dir file)
 
 (* The sanitizer and engine knobs go through the same parse a user's
-   environment does; [Knobs.with_installed] restores the previous
-   switches afterwards so later suites see the default. *)
-let with_knobs pairs f =
+   environment does, and reach the launch on the pool [Knobs.pool]
+   builds from them ([domains] workers, default sequential). *)
+let with_knobs ?(domains = 0) pairs f =
   match Knobs.parse (fun name -> List.assoc_opt name pairs) with
   | Error msg -> Alcotest.fail msg
-  | Ok k -> Knobs.with_installed k (fun () -> f k)
+  | Ok k ->
+      let pool = Knobs.pool { k with Knobs.domains } in
+      Fun.protect
+        ~finally:(fun () -> Gpusim.Pool.shutdown pool)
+        (fun () -> f k pool)
 
 (* Deterministic bindings; output arrays start zeroed (race_divergence
    branches on the initial contents of [out]). *)
@@ -90,13 +94,13 @@ let compiled_of ?(guardize = false) ?engine file =
         (String.concat "; "
            (List.map (fun (e : Ompir.Check.error) -> e.Ompir.Check.what) es))
 
-let run_sanitized ?pool ~engine ~clauses ~sizes file =
+let run_sanitized ?domains ~engine ~clauses ~sizes file =
   let bindings = bindings_of ~sizes (load file) in
-  with_knobs
+  with_knobs ?domains
     [ ("OMPSIMD_SANITIZE", "1"); ("OMPSIMD_EVAL", engine) ]
-    (fun k ->
+    (fun k pool ->
       let c = compiled_of ~engine:k.Knobs.compile.Offload.engine file in
-      Offload.run ~cfg ?pool ~clauses ~bindings c)
+      Offload.run ~cfg ~pool ~clauses ~bindings c)
 
 let sanitizer_report (r : Gpusim.Device.report) =
   match r.Gpusim.Device.sanitizer with
@@ -179,17 +183,17 @@ let test_race_divergence engine () =
   let bindings = bindings_of ~sizes:[ ("out", 8); ("n", 1) ] (load "race_divergence.omp") in
   with_knobs
     [ ("OMPSIMD_SANITIZE", "1"); ("OMPSIMD_EVAL", engine) ]
-    (fun k ->
+    (fun k pool ->
       let c =
         compiled_of ~engine:k.Knobs.compile.Offload.engine "race_divergence.omp"
       in
-      match Offload.run ~cfg ~clauses:divergence_clauses ~bindings c with
+      match Offload.run ~cfg ~pool ~clauses:divergence_clauses ~bindings c with
       | (_ : Gpusim.Device.report) ->
           Alcotest.fail "divergent kernel was expected to deadlock"
       | exception Gpusim.Engine.Deadlock msg ->
           check_bool "deadlock report carries barrier ids" true
             (contains msg "#");
-          let aborted = Ompsan.take_aborted () in
+          let aborted = Gpusim.Pool.take_aborted pool in
           check_bool "divergence finding recovered from aborted block" true
             (List.exists
                (function
@@ -279,19 +283,15 @@ let test_pool_invariance () =
          (run_sanitized ~engine:"compile" ~clauses:race_sharing_clauses
             ~sizes:race_sharing_sizes "race_sharing.omp"))
   in
-  let pool = Gpusim.Pool.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Gpusim.Pool.shutdown pool)
-    (fun () ->
-      let pooled =
-        normalized_strings
-          (sanitizer_report
-             (run_sanitized ~pool ~engine:"compile"
-                ~clauses:race_sharing_clauses ~sizes:race_sharing_sizes
-                "race_sharing.omp"))
-      in
-      Alcotest.(check (list string))
-        "sequential and pooled reports identical" sequential pooled)
+  let pooled =
+    normalized_strings
+      (sanitizer_report
+         (run_sanitized ~domains:2 ~engine:"compile"
+            ~clauses:race_sharing_clauses ~sizes:race_sharing_sizes
+            "race_sharing.omp"))
+  in
+  Alcotest.(check (list string))
+    "sequential and pooled reports identical" sequential pooled
 
 (* ------------------------------------------------------------------ *)
 (* Zero-cost-when-disabled invariance                                  *)
@@ -302,8 +302,8 @@ let test_disabled_invariance () =
     let file, sizes = List.hd clean_cases in
     let c = compiled_of file in
     let bindings = bindings_of ~sizes (load file) in
-    with_knobs env (fun _ ->
-        Offload.run ~cfg ~clauses:clean_clauses ~bindings c)
+    with_knobs env (fun _ pool ->
+        Offload.run ~cfg ~pool ~clauses:clean_clauses ~bindings c)
   in
   let off = run [ ("OMPSIMD_SANITIZE", "0") ] in
   let on_ = run [ ("OMPSIMD_SANITIZE", "1") ] in
@@ -323,80 +323,72 @@ let test_disabled_invariance () =
 (* Shadow-state unit tests (no device, no IR)                          *)
 (* ------------------------------------------------------------------ *)
 
-let with_sanitizer_on f =
-  Ompsan.enabled := true;
-  Fun.protect ~finally:(fun () -> Ompsan.enabled := false) f
-
 let unit_threads n =
   let counters = Gpusim.Counters.create () in
-  let warp = Gpusim.Thread.make_warp ~cfg ~warp_index:0 in
+  let launch =
+    { Gpusim.Thread.default_launch with Gpusim.Thread.sanitize = true }
+  in
+  let warp = Gpusim.Thread.make_warp ~cfg ~launch ~warp_index:0 in
   Array.init n (fun tid ->
       Gpusim.Thread.create ~cfg ~counters ~block_id:0 ~tid ~warp ())
 
-let finish_block () = Ompsan.launch_report [| Ompsan.block_end () |]
+let finish_block () =
+  Ompsan.launch_report ~kernel:"unit" [| Ompsan.block_end () |]
 
 let test_shared_conflict_unit () =
-  with_sanitizer_on (fun () ->
-      let th = unit_threads 2 in
-      Ompsan.set_kernel "unit";
-      Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
-      Ompsan.shared_access th.(0) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
-      Ompsan.shared_access th.(1) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
-      let report = finish_block () in
-      check_bool "unsynchronized same-cell writes race" false
-        (Ompsan.is_clean report);
-      check_int "exactly one finding" 1 (List.length report.Ompsan.findings))
+  let th = unit_threads 2 in
+  Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
+  Ompsan.shared_access th.(0) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
+  Ompsan.shared_access th.(1) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
+  let report = finish_block () in
+  check_bool "unsynchronized same-cell writes race" false
+    (Ompsan.is_clean report);
+  check_int "exactly one finding" 1 (List.length report.Ompsan.findings)
 
 let test_shared_barrier_separates () =
-  with_sanitizer_on (fun () ->
-      let th = unit_threads 2 in
-      Ompsan.set_kernel "unit";
-      Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
-      Ompsan.shared_access th.(0) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
-      let arrive t =
-        Ompsan.barrier_arrive t ~block_scope:true ~mask:0 ~bar_id:1
-          ~bar_name:"b" ~expected:2 ~participants:[ 0; 1 ]
-      in
-      arrive th.(0);
-      arrive th.(1);
-      Ompsan.shared_access th.(1) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
-      check_bool "a barrier separates the writes" true
-        (Ompsan.is_clean (finish_block ())))
+  let th = unit_threads 2 in
+  Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
+  Ompsan.shared_access th.(0) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
+  let arrive t =
+    Ompsan.barrier_arrive t ~block_scope:true ~mask:0 ~bar_id:1
+      ~bar_name:"b" ~expected:2 ~participants:[ 0; 1 ]
+  in
+  arrive th.(0);
+  arrive th.(1);
+  Ompsan.shared_access th.(1) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
+  check_bool "a barrier separates the writes" true
+    (Ompsan.is_clean (finish_block ()))
 
 let test_same_actor_exempt () =
-  with_sanitizer_on (fun () ->
-      let th = unit_threads 2 in
-      Ompsan.set_kernel "unit";
-      Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
-      (* both lanes execute region code for logical thread 0 *)
-      ignore (Ompsan.set_actor th.(1) 0);
-      Ompsan.shared_access th.(0) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
-      Ompsan.shared_access th.(1) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
-      check_bool "same-actor redundant writes do not race" true
-        (Ompsan.is_clean (finish_block ()));
-      (* restoring per-tid attribution re-arms the detector *)
-      Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
-      let prev = Ompsan.set_actor th.(1) 0 in
-      ignore (Ompsan.set_actor th.(1) prev);
-      Ompsan.shared_access th.(0) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
-      Ompsan.shared_access th.(1) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
-      check_bool "distinct actors race again" false
-        (Ompsan.is_clean (finish_block ())))
+  let th = unit_threads 2 in
+  Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
+  (* both lanes execute region code for logical thread 0 *)
+  ignore (Ompsan.set_actor th.(1) 0);
+  Ompsan.shared_access th.(0) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
+  Ompsan.shared_access th.(1) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
+  check_bool "same-actor redundant writes do not race" true
+    (Ompsan.is_clean (finish_block ()));
+  (* restoring per-tid attribution re-arms the detector *)
+  Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
+  let prev = Ompsan.set_actor th.(1) 0 in
+  ignore (Ompsan.set_actor th.(1) prev);
+  Ompsan.shared_access th.(0) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
+  Ompsan.shared_access th.(1) ~aid:0 ~addr:4 ~kind:Ompsan.Write;
+  check_bool "distinct actors race again" false
+    (Ompsan.is_clean (finish_block ()))
 
 let test_atomic_exempt_unit () =
-  with_sanitizer_on (fun () ->
-      let th = unit_threads 2 in
-      Ompsan.set_kernel "unit";
-      Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
-      Ompsan.shared_access th.(0) ~aid:0 ~addr:8 ~kind:Ompsan.Atomic;
-      Ompsan.shared_access th.(1) ~aid:0 ~addr:8 ~kind:Ompsan.Atomic;
-      check_bool "atomic-atomic is clean" true
-        (Ompsan.is_clean (finish_block ()));
-      Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
-      Ompsan.shared_access th.(0) ~aid:0 ~addr:8 ~kind:Ompsan.Atomic;
-      Ompsan.shared_access th.(1) ~aid:0 ~addr:8 ~kind:Ompsan.Write;
-      check_bool "atomic-write still races" false
-        (Ompsan.is_clean (finish_block ())))
+  let th = unit_threads 2 in
+  Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
+  Ompsan.shared_access th.(0) ~aid:0 ~addr:8 ~kind:Ompsan.Atomic;
+  Ompsan.shared_access th.(1) ~aid:0 ~addr:8 ~kind:Ompsan.Atomic;
+  check_bool "atomic-atomic is clean" true
+    (Ompsan.is_clean (finish_block ()));
+  Ompsan.block_begin ~block_id:0 ~num_threads:2 ~warp_size:32;
+  Ompsan.shared_access th.(0) ~aid:0 ~addr:8 ~kind:Ompsan.Atomic;
+  Ompsan.shared_access th.(1) ~aid:0 ~addr:8 ~kind:Ompsan.Write;
+  check_bool "atomic-write still races" false
+    (Ompsan.is_clean (finish_block ()))
 
 (* ------------------------------------------------------------------ *)
 (* Static may-race layer on the same sources                           *)

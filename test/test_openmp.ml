@@ -220,76 +220,6 @@ let test_data_env_alloc_no_transfer () =
   in
   check_int "no h2d" 0 (Data_env.h2d_bytes env)
 
-(* --- deferred target tasks ([26]) --------------------------------------- *)
-
-module Tasks = Openmp.Tasks
-
-let dummy_kernel cycles () =
-  (* a kernel report with a chosen synthetic duration: spin a thread for
-     [cycles] busy cycles on a 1-block launch *)
-  Gpusim.Device.launch ~cfg ~grid:1 ~block:32
-    ~init:(fun ~block_id _ -> block_id)
-    ~body:(fun _ th ->
-      if th.Gpusim.Thread.tid = 0 then Gpusim.Thread.tick th cycles)
-    ()
-
-let test_tasks_dependences () =
-  let q = Tasks.create () in
-  let a = Tasks.transfer q ~name:"in" ~bytes:2300 () in
-  let k = Tasks.kernel q ~depends:[ a ] ~name:"k" (dummy_kernel 500.0) in
-  let b = Tasks.transfer q ~depends:[ k ] ~direction:`D2h ~name:"out" ~bytes:2300 () in
-  let tl = Tasks.wait_all q in
-  let ea = Tasks.find tl a and ek = Tasks.find tl k and eb = Tasks.find tl b in
-  check_bool "kernel after h2d" true (ek.Tasks.start >= ea.Tasks.finish);
-  check_bool "d2h after kernel" true (eb.Tasks.start >= ek.Tasks.finish);
-  checkf "makespan = last finish" eb.Tasks.finish (Tasks.makespan tl)
-
-let test_tasks_overlap () =
-  (* two independent chains: their transfers overlap with the other
-     chain's kernel, so the makespan beats the serial sum *)
-  let q = Tasks.create () in
-  for i = 0 to 3 do
-    let h = Tasks.transfer q ~name:(Printf.sprintf "in%d" i) ~bytes:46000 () in
-    let k =
-      Tasks.kernel q ~depends:[ h ] ~name:(Printf.sprintf "k%d" i)
-        (dummy_kernel 2000.0)
-    in
-    ignore
-      (Tasks.transfer q ~depends:[ k ] ~direction:`D2h
-         ~name:(Printf.sprintf "out%d" i) ~bytes:46000 ())
-  done;
-  let tl = Tasks.wait_all q in
-  check_bool "overlap wins" true
-    (Tasks.makespan tl < Tasks.serial_time tl *. 0.8)
-
-let test_tasks_kernels_serialize () =
-  let q = Tasks.create () in
-  let k1 = Tasks.kernel q ~name:"k1" (dummy_kernel 300.0) in
-  let k2 = Tasks.kernel q ~name:"k2" (dummy_kernel 300.0) in
-  let tl = Tasks.wait_all q in
-  let e1 = Tasks.find tl k1 and e2 = Tasks.find tl k2 in
-  check_bool "device engine serializes kernels" true
-    (e2.Tasks.start >= e1.Tasks.finish)
-
-let test_tasks_validation () =
-  let q = Tasks.create () in
-  (* a task id minted by another queue is rejected *)
-  let foreign = Tasks.kernel (Tasks.create ()) ~name:"f" (dummy_kernel 1.0) in
-  check_bool "foreign dep" true
-    (try
-       ignore (Tasks.kernel q ~depends:[ foreign ] ~name:"k" (dummy_kernel 1.0));
-       false
-     with Invalid_argument _ -> true);
-  ignore (Tasks.wait_all q);
-  check_bool "post-wait enqueue rejected" true
-    (try
-       ignore (Tasks.kernel q ~name:"late" (dummy_kernel 1.0));
-       false
-     with Invalid_argument _ -> true);
-  (* wait_all is idempotent *)
-  let tl1 = Tasks.wait_all q and tl2 = Tasks.wait_all q in
-  checkf "same makespan" (Tasks.makespan tl1) (Tasks.makespan tl2)
-
 (* --- offload pipeline ----------------------------------------------------- *)
 
 let saxpy_kernel =
@@ -535,13 +465,6 @@ let suite =
         Alcotest.test_case "roundtrip" `Quick test_data_env_roundtrip;
         Alcotest.test_case "target data" `Quick test_data_env_target_data;
         Alcotest.test_case "alloc" `Quick test_data_env_alloc_no_transfer;
-      ] );
-    ( "openmp.tasks",
-      [
-        Alcotest.test_case "dependences" `Quick test_tasks_dependences;
-        Alcotest.test_case "overlap" `Quick test_tasks_overlap;
-        Alcotest.test_case "kernels serialize" `Quick test_tasks_kernels_serialize;
-        Alcotest.test_case "validation" `Quick test_tasks_validation;
       ] );
     ( "openmp.offload",
       [

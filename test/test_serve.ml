@@ -59,13 +59,15 @@ let serve ?pool c specs =
 
 let outcome = Alcotest.testable (Fmt.of_to_string Scheduler.outcome_to_string) ( = )
 
-(* Fault plans go through the same parse a user's environment does;
-   [Knobs.with_installed] restores the previous switches afterwards so
-   later suites run disarmed. *)
+(* Fault plans go through the same parse a user's environment does and
+   reach the fleet on the pool [Knobs.pool] builds from them: [f] gets
+   a sequential pool and a maker for wider ones under the same knobs. *)
 let with_knobs pairs f =
   match Knobs.parse (fun name -> List.assoc_opt name pairs) with
   | Error msg -> Alcotest.fail msg
-  | Ok k -> Knobs.with_installed k f
+  | Ok k ->
+      let pool domains = Knobs.pool { k with Knobs.domains } in
+      f (pool 0) pool
 
 (* The same config compiled for the reference tree walker. *)
 let on_walker (c : Fleet.config) =
@@ -240,8 +242,8 @@ let test_cache_survives_device_failure () =
   let reports, m =
     with_knobs
       [ ("OMPSIMD_FAULTS", "abort=1"); ("OMPSIMD_FAULT_SEED", "5") ]
-      (fun () ->
-        serve
+      (fun pool _ ->
+        serve ~pool
           (conf ~retries:2 ~breaker:0 ~backoff:100.0 ())
           (* enough work that the victim thread reaches its trigger *)
           [
@@ -607,8 +609,8 @@ let test_golden_chaos () =
   in
   with_knobs
     [ ("OMPSIMD_FAULTS", "abort=0.25,flip=0.2:0.5"); ("OMPSIMD_FAULT_SEED", "9") ]
-    (fun () ->
-      let first = Fleet.run c base in
+    (fun pool _ ->
+      let first = Fleet.run c ~pool base in
       let on_finish =
         List.filter
           (fun (r : Fleet.rq_report) -> r.Fleet.outcome = Scheduler.Completed)
@@ -618,7 +620,7 @@ let test_golden_chaos () =
                { r.Fleet.spec with Request.id = 300 + k; at = r.Fleet.finish })
       in
       let specs = on_finish @ base in
-      let res = Fleet.run c specs in
+      let res = Fleet.run c ~pool specs in
       let m = res.Fleet.metrics in
       let ats = List.map (fun (s : Request.spec) -> s.Request.at) specs in
       let check what b = Alcotest.(check bool) what true b in
@@ -740,9 +742,9 @@ let fleet_no_lost_request =
           ]
         else []
       in
-      with_knobs env (fun () ->
+      with_knobs env (fun pool _ ->
           let res =
-            Fleet.run
+            Fleet.run ~pool
               (fconf ~shards ~batch ~steal:(seed mod 3 <> 0) ~retries:2
                  ~queue_bound:4 ~servers:2 ())
               specs
@@ -776,23 +778,28 @@ let fleet_replay_invariance =
           ]
         else []
       in
-      with_knobs env (fun () ->
+      with_knobs env (fun seq wide ->
           let c = fconf ~shards:2 ~batch:4 ~queue_bound:10_000 ~retries:2
                     ~breaker:0 ~servers:2 ()
           in
-          let snap ?pool c = Fleet.snapshot_json c (Fleet.run c ?pool specs) in
-          let pool = Gpusim.Pool.create ~domains:3 () in
-          let reference = snap c in
+          let snap ~pool c = Fleet.snapshot_json c (Fleet.run c ~pool specs) in
+          let pool = wide 3 in
+          let reference = snap ~pool:seq c in
           let results (shards, batch) =
             Fleet.results_json
-              (Fleet.run { c with Fleet.shards; batch } specs).Fleet.reports
+              (Fleet.run { c with Fleet.shards; batch } ~pool:seq specs)
+                .Fleet.reports
           in
           let r11 = results (1, 1) in
-          String.equal reference (snap ~pool c)
-          && String.equal reference (snap (on_walker c))
-          && String.equal reference (snap ~pool (on_walker c))
-          && String.equal r11 (results (3, 8))
-          && String.equal r11 (results (4, 1))))
+          let ok =
+            String.equal reference (snap ~pool c)
+            && String.equal reference (snap ~pool:seq (on_walker c))
+            && String.equal reference (snap ~pool (on_walker c))
+            && String.equal r11 (results (3, 8))
+            && String.equal r11 (results (4, 1))
+          in
+          Gpusim.Pool.shutdown pool;
+          ok))
 
 (* qcheck: launch batching is semantically invisible.  The same trace
    through one shard with batching on and off yields, per request,
@@ -823,9 +830,9 @@ let fleet_batching_equivalence =
           ]
         else []
       in
-      with_knobs env (fun () ->
+      with_knobs env (fun pool _ ->
           let run batch =
-            (Fleet.run
+            (Fleet.run ~pool
                (fconf ~shards:1 ~batch ~memo:false ~breaker:0 ~retries:2
                   ~queue_bound:10_000 ~servers:2 ())
                specs)
