@@ -64,6 +64,26 @@ let check_group ~what group (cfg : Gpusim.Config.t) =
     exit 2
   end
 
+(* Every group size an experiment launches with, checked up front the
+   same way ([groups] is the experiment's [group_sizes_for]). *)
+let check_groups name groups cfg =
+  List.iter (fun g -> check_group ~what:(name ^ ": group size") g cfg) (groups cfg)
+
+(* The experiments [all] runs on the chosen device, with their group
+   sizes; E5 (amd) brings its own devices. *)
+let device_experiments =
+  Experiments.
+    [
+      ("fig9", Fig9.group_sizes_for);
+      ("fig10", Fig10.group_sizes_for);
+      ("sharing", Sharing_ablation.group_sizes_for);
+      ("dispatch", Dispatch_ablation.group_sizes_for);
+      ("reduction", Reduction_ablation.group_sizes_for);
+      ("teamsmode", Teams_mode_ablation.group_sizes_for);
+      ("spmdize", Spmdization_ablation.group_sizes_for);
+      ("schedule", Schedule_ablation.group_sizes_for);
+    ]
+
 let csv_term =
   let doc = "Also write the series as CSV to this file." in
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
@@ -81,6 +101,7 @@ let write_csv path contents =
 let fig9_cmd =
   let run device scale csv =
     with_device device (fun cfg pool ->
+        check_groups "fig9" Experiments.Fig9.group_sizes_for cfg;
         let r = Experiments.Fig9.run ~scale ~pool ~cfg () in
         Experiments.Fig9.print r;
         write_csv csv (Experiments.Fig9.to_csv r))
@@ -92,10 +113,8 @@ let fig9_cmd =
 let fig10_cmd =
   let run device scale csv =
     with_device device (fun cfg pool ->
-        (* the paper's group size *)
-        let group_size = 32 in
-        check_group ~what:"fig10: group size" group_size cfg;
-        let r = Experiments.Fig10.run ~scale ~group_size ~pool ~cfg () in
+        check_groups "fig10" Experiments.Fig10.group_sizes_for cfg;
+        let r = Experiments.Fig10.run ~scale ~pool ~cfg () in
         Experiments.Fig10.print r;
         write_csv csv (Experiments.Fig10.to_csv r))
   in
@@ -106,6 +125,7 @@ let fig10_cmd =
 let sharing_cmd =
   let run device scale =
     with_device device (fun cfg pool ->
+        check_groups "sharing" Experiments.Sharing_ablation.group_sizes_for cfg;
         Experiments.Sharing_ablation.print
           (Experiments.Sharing_ablation.run ~scale ~pool ~cfg ()))
   in
@@ -116,6 +136,7 @@ let sharing_cmd =
 let dispatch_cmd =
   let run device scale =
     with_device device (fun cfg pool ->
+        check_groups "dispatch" Experiments.Dispatch_ablation.group_sizes_for cfg;
         Experiments.Dispatch_ablation.print
           (Experiments.Dispatch_ablation.run ~scale ~pool ~cfg ()))
   in
@@ -136,6 +157,8 @@ let amd_cmd =
 let reduction_cmd =
   let run device scale =
     with_device device (fun cfg pool ->
+        check_groups "reduction" Experiments.Reduction_ablation.group_sizes_for
+          cfg;
         Experiments.Reduction_ablation.print
           (Experiments.Reduction_ablation.run ~scale ~pool ~cfg ()))
   in
@@ -146,6 +169,8 @@ let reduction_cmd =
 let teams_mode_cmd =
   let run device scale =
     with_device device (fun cfg pool ->
+        check_groups "teamsmode" Experiments.Teams_mode_ablation.group_sizes_for
+          cfg;
         Experiments.Teams_mode_ablation.print
           (Experiments.Teams_mode_ablation.run ~scale ~pool ~cfg ()))
   in
@@ -156,6 +181,8 @@ let teams_mode_cmd =
 let spmdize_cmd =
   let run device scale =
     with_knobs device (fun k ->
+        check_groups "spmdize" Experiments.Spmdization_ablation.group_sizes_for
+          k.Knobs.device;
         Experiments.Spmdization_ablation.print
           (Experiments.Spmdization_ablation.run ~scale ~pool:(Knobs.pool k)
              ~knobs:k.Knobs.compile ~cfg:k.Knobs.device ()))
@@ -168,6 +195,7 @@ let spmdize_cmd =
 let schedule_cmd =
   let run device scale =
     with_device device (fun cfg pool ->
+        check_groups "schedule" Experiments.Schedule_ablation.group_sizes_for cfg;
         Experiments.Schedule_ablation.print
           (Experiments.Schedule_ablation.run ~scale ~pool ~cfg ()))
   in
@@ -389,6 +417,9 @@ let all_cmd =
   let run device scale =
     with_knobs device (fun k ->
         let cfg = k.Knobs.device and pool = Knobs.pool k in
+        List.iter
+          (fun (name, groups) -> check_groups name groups cfg)
+          device_experiments;
         Experiments.Fig9.print (Experiments.Fig9.run ~scale ~pool ~cfg ());
         print_newline ();
         Experiments.Fig10.print (Experiments.Fig10.run ~scale ~pool ~cfg ());

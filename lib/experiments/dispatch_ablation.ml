@@ -9,6 +9,9 @@ module Target = Omprt.Target
 type row = { table_size : int; fn_id : int; cycles : float }
 type t = { rows : row list }
 
+let group_size = 8
+let group_sizes_for (_ : Gpusim.Config.t) = [ group_size ]
+
 let run_one ~pool ~cfg ~scale ~table_size ~fn_id =
   let num_teams = max 1 (int_of_float (64.0 *. scale)) in
   let threads = 128 in
@@ -23,7 +26,7 @@ let run_one ~pool ~cfg ~scale ~table_size ~fn_id =
   in
   let report =
     Target.launch ~cfg ?pool ~params ~dispatch_table_size:table_size (fun ctx ->
-        Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:8 ~fn_id:0
+        Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:group_size ~fn_id:0
           (fun ctx _ ->
             (* many tiny simd regions: dispatch dominates *)
             Workshare.distribute_parallel_for ctx ~trip:regions (fun _ ->

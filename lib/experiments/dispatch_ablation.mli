@@ -15,6 +15,10 @@ type row = {
 
 type t = { rows : row list }
 
+val group_sizes_for : Gpusim.Config.t -> int list
+(** The SIMD group sizes {!run} launches with on [cfg]; a front door
+    checks them against the device warp before running. *)
+
 val run :
   ?scale:float -> ?pool:Gpusim.Pool.t -> cfg:Gpusim.Config.t -> unit -> t
 val to_table : t -> Ompsimd_util.Table.t

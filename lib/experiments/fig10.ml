@@ -51,7 +51,10 @@ let kernel_rows ~kernel ~runner ~group_size =
     (fun (mode, c) -> { kernel; mode; cycles = c; relative = base /. c })
     cycles
 
-let run ?(scale = 1.0) ?(group_size = 32) ?pool ~cfg () =
+let default_group_size = 32
+let group_sizes_for (_ : Gpusim.Config.t) = [ default_group_size ]
+
+let run ?(scale = 1.0) ?(group_size = default_group_size) ?pool ~cfg () =
   (* The number of teams and threads-per-team is kept consistent across
      modes (§6.4); only the loop structure changes. *)
   let num_teams = teams_of cfg in

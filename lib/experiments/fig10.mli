@@ -20,6 +20,11 @@ type row = {
 
 type t = { rows : row list }
 
+val group_sizes_for : Gpusim.Config.t -> int list
+(** The SIMD group sizes {!run} launches with on [cfg] by default (the
+    paper's 32); a front door checks them against the device warp before
+    running. *)
+
 val run :
   ?scale:float ->
   ?group_size:int ->

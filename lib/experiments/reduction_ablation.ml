@@ -13,6 +13,8 @@ type t = { rows : row list }
 
 let scaled scale n = max 1 (int_of_float (float_of_int n *. scale))
 
+let group_sizes_for = Fig9.group_sizes_for
+
 let run ?(scale = 1.0) ?pool ?group_sizes ~cfg () =
   let group_sizes =
     match group_sizes with

@@ -16,6 +16,10 @@ type row = {
 
 type t = { rows : row list }
 
+val group_sizes_for : Gpusim.Config.t -> int list
+(** The SIMD group sizes {!run} launches with on [cfg] by default:
+    {!Fig9.group_sizes_for}. *)
+
 val run :
   ?scale:float ->
   ?pool:Gpusim.Pool.t ->

@@ -13,6 +13,9 @@ let schedules =
     ("dynamic,4", Omprt.Workshare.Dynamic 4);
   ]
 
+let group_size = 8
+let group_sizes_for (_ : Gpusim.Config.t) = [ group_size ]
+
 let matrix_rows ~pool ~cfg ~scale ~name ~profile =
   let teams = 4 * cfg.Gpusim.Config.num_sms in
   let rows = max 64 (int_of_float (float_of_int (teams * 128) *. scale)) in
@@ -24,11 +27,11 @@ let matrix_rows ~pool ~cfg ~scale ~name ~profile =
     (* warm L2 measurement, as in E1 *)
     let (_ : Harness.run) =
       Spmv.run_simd ~cfg ?pool ~reset_l2:true ~num_teams:teams ~threads:128 ~schedule
-        ~mode3:(Harness.generic_simd ~group_size:8) t
+        ~mode3:(Harness.generic_simd ~group_size) t
     in
     Harness.time
       (Spmv.run_simd ~cfg ?pool ~reset_l2:false ~num_teams:teams ~threads:128
-         ~schedule ~mode3:(Harness.generic_simd ~group_size:8) t)
+         ~schedule ~mode3:(Harness.generic_simd ~group_size) t)
   in
   let static_cycles = time Omprt.Workshare.Static in
   List.map

@@ -60,13 +60,15 @@ let run_one ~pool ~cfg ~scale ~sharing_bytes ~group_size =
     cycles = report.Gpusim.Device.time_cycles;
   }
 
+let group_sizes_for (_ : Gpusim.Config.t) = [ 2; 4; 8; 16; 32 ]
+
 let run ?(scale = 1.0) ?pool ~cfg () =
   let rows =
     List.concat_map
       (fun sharing_bytes ->
         List.map
           (fun group_size -> run_one ~pool ~cfg ~scale ~sharing_bytes ~group_size)
-          [ 2; 4; 8; 16; 32 ])
+          (group_sizes_for cfg))
       (* 256 is genuinely undersized (the per-block wave of 96-byte
          payloads peaks above it); 1024 was too small for the old static
          split (a 12-arg payload overflowed its 1024/17-byte slice) but

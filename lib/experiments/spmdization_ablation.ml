@@ -80,6 +80,9 @@ let tight_kernel ~width =
         ];
     ]
 
+let group_size = 32
+let group_sizes_for (_ : Gpusim.Config.t) = [ group_size ]
+
 let run ?(scale = 1.0) ?pool ?(knobs = Openmp.Offload.default_knobs) ~cfg () =
   let width = 32 in
   let teams = 4 * cfg.Gpusim.Config.num_sms in
@@ -111,7 +114,7 @@ let run ?(scale = 1.0) ?pool ?(knobs = Openmp.Offload.default_knobs) ~cfg () =
         let report =
           Openmp.Offload.run ~cfg ?pool
             ~clauses:
-              Openmp.Clause.(none |> num_teams teams |> num_threads 128 |> simdlen 32)
+              Openmp.Clause.(none |> num_teams teams |> num_threads 128 |> simdlen group_size)
             ~bindings compiled
         in
         (report.Gpusim.Device.time_cycles, compiled.Openmp.Offload.guards_inserted)

@@ -15,13 +15,16 @@ type t = { rows : row list }
 
 let scaled scale n = max 1 (int_of_float (float_of_int n *. scale))
 
+let group_size = 4
+let group_sizes_for (_ : Gpusim.Config.t) = [ group_size ]
+
 let run ?(scale = 1.0) ?pool ~cfg () =
   let t = Su3.generate { Su3.sites = scaled scale 16384; seed = 2 } in
   let num_teams = scaled scale 128 in
   let threads = 128 in
   let run_mode teams_mode =
     Su3.run ~cfg ?pool ~num_teams ~threads
-      ~mode3:{ Harness.teams_mode; parallel_mode = Mode.Spmd; group_size = 4 }
+      ~mode3:{ Harness.teams_mode; parallel_mode = Mode.Spmd; group_size }
       t
   in
   let spmd = run_mode Mode.Spmd in

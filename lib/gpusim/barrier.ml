@@ -1,6 +1,15 @@
 type t = {
   id : int;
-  name : string;
+  (* The display name is formatted on demand from [namer] and two int
+     arguments, then cached: runtime layers create barriers per (warp,
+     mask) and per block, and only stall reports and the sanitizer ever
+     read the name.  [rename] swaps the first argument when a recycled
+     block frame reuses the barrier for another block. *)
+  namer : int -> int -> string;
+  mutable name_a : int;
+  name_b : int;
+  mutable name : string;
+  mutable named : bool;
   expected : int;
   cost : float;
   spin : bool;
@@ -18,8 +27,9 @@ type t = {
   mutable live_mark : bool;
       (* set when the engine registers the barrier in its live table, so
          re-registration (every round of a reused barrier) is a flag
-         check instead of a hash insert.  Never cleared: a barrier is
-         only ever driven by one engine run. *)
+         check instead of a hash insert.  Cleared when the engine run
+         that set it completes, so a barrier that outlives its block (a
+         recycled block frame) registers again in the next run. *)
 }
 
 (* Process-unique ids; atomic because blocks simulate on several domains
@@ -27,11 +37,15 @@ type t = {
    reports, so the allocation order does not affect determinism. *)
 let next_id = Atomic.make 0
 
-let create ?(name = "barrier") ?(spin = false) ~expected ~cost () =
+let make ~namer ~a ~b ~name ~named ~spin ~expected ~cost =
   if expected <= 0 then invalid_arg "Barrier.create: expected must be positive";
   {
     id = Atomic.fetch_and_add next_id 1;
+    namer;
+    name_a = a;
+    name_b = b;
     name;
+    named;
     expected;
     cost;
     spin;
@@ -41,12 +55,33 @@ let create ?(name = "barrier") ?(spin = false) ~expected ~cost () =
     live_mark = false;
   }
 
+let fixed_name _ _ = ""
+
+let create ?(name = "barrier") ?(spin = false) ~expected ~cost () =
+  make ~namer:fixed_name ~a:0 ~b:0 ~name ~named:true ~spin ~expected ~cost
+
+let create_named ~namer ~a ~b ?(spin = false) ~expected ~cost () =
+  make ~namer ~a ~b ~name:"" ~named:false ~spin ~expected ~cost
+
+let rename t a =
+  if t.name_a <> a then begin
+    t.name_a <- a;
+    t.named <- false
+  end
+
 let id t = t.id
-let name t = t.name
+
+let name t =
+  if not t.named then begin
+    t.name <- t.namer t.name_a t.name_b;
+    t.named <- true
+  end;
+  t.name
 let expected t = t.expected
 let waiting t = t.nwaiters
 let live_mark t = t.live_mark
 let set_live_mark t = t.live_mark <- true
+let clear_live_mark t = t.live_mark <- false
 
 (* The release: clocks of all participants are aligned to the max arrival
    clock and advanced by [cost].  The barrier instruction itself issues (a

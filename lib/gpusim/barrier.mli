@@ -24,6 +24,24 @@ val create : ?name:string -> ?spin:bool -> expected:int -> cost:float -> unit ->
     itself is hideable pipeline-drain stall.
     @raise Invalid_argument if [expected <= 0]. *)
 
+val create_named :
+  namer:(int -> int -> string) ->
+  a:int ->
+  b:int ->
+  ?spin:bool ->
+  expected:int ->
+  cost:float ->
+  unit ->
+  t
+(** Like {!create}, but the display name is [namer a b], formatted the
+    first time {!name} is read and cached.  Runtime layers create many
+    barriers whose names only a stall report or the sanitizer reads. *)
+
+val rename : t -> int -> unit
+(** [rename t a] replaces the first name argument of a {!create_named}
+    barrier (e.g. the block id when a recycled block frame reuses the
+    barrier for another block); the name is re-formatted on demand. *)
+
 val id : t -> int
 (** Process-unique identity, stable for the barrier's lifetime.  Two
     distinct barriers never share an id even when they share a [name] —
@@ -57,9 +75,10 @@ val clear : t -> unit
 
 val live_mark : t -> bool
 val set_live_mark : t -> unit
-(** One-shot registration flag for the engine's live-barrier table (the
-    deadlock report).  Set once, never cleared — a barrier is only ever
-    driven by one engine run. *)
+val clear_live_mark : t -> unit
+(** Registration flag for the engine's live-barrier table (the deadlock
+    report): set on a run's first park, cleared when that run completes,
+    so a barrier reused by the next block registers again. *)
 
 val park : t -> Thread.t -> (unit, unit) Effect.Deep.continuation -> unit
 (** Park a thread's continuation (an arrival that did not complete the

@@ -24,12 +24,14 @@ type sim_result =
 
 (* One launch's settings, read off its pool once: the per-block
    brackets below and the epilogue take everything from here. *)
-type ctx = {
+type 'a ctx = {
   pool : Pool.t option;
   launch : Thread.launch;  (* stamped on every warp *)
   plan : Fault.plan option;
   nonce : int;  (* the launch's fault nonce; 0 when disarmed *)
   capture : bool;  (* hung blocks become failures instead of raising *)
+  frames : Engine.frames;  (* the launch's recycled engine frames *)
+  states : 'a Ompsimd_util.Freelist.t;  (* and its recycled [init] states *)
 }
 
 (* One block's simulation, bracketed in a memory session so its L2
@@ -44,7 +46,7 @@ type ctx = {
    yields one only when capture is armed (fault plan set, or a watchdog
    budget); otherwise it re-raises, preserving the historical
    Engine.Deadlock contract for unarmed callers. *)
-let simulate_block ~cfg ?trace ~ctx ~block ~init ~body block_id =
+let simulate_block ~cfg ?trace ~ctx ~block ~init ?reinit ~body block_id =
   let ws = cfg.Config.warp_size in
   Memory.session_begin ();
   if ctx.launch.Thread.sanitize then
@@ -64,11 +66,20 @@ let simulate_block ~cfg ?trace ~ctx ~block ~init ~body block_id =
   in
   match
     let arena = Shared.arena cfg in
-    let state = init ~block_id arena in
-    let result =
-      Engine.run_block ~cfg ?trace ~launch:ctx.launch ~block_id
-        ~num_threads:block (fun th -> body state th)
+    (* a state goes back on the launch's list only after its block
+       completed (below): a failed block's state is dropped *)
+    let state =
+      match (reinit, Ompsimd_util.Freelist.take ctx.states) with
+      | Some reinit, Some state ->
+          reinit state ~block_id arena;
+          state
+      | _ -> init ~block_id arena
     in
+    let result =
+      Engine.run_block ~cfg ?trace ~launch:ctx.launch ~frames:ctx.frames
+        ~block_id ~num_threads:block (fun th -> body state th)
+    in
+    if Option.is_some reinit then Ompsimd_util.Freelist.give ctx.states state;
     (* A software-barrier device pays shared-memory residency for its
        per-block flag arrays on top of whatever the kernel allocated. *)
     (Occupancy.of_result result
@@ -117,7 +128,7 @@ let simulate_block ~cfg ?trace ~ctx ~block ~init ~body block_id =
       B_ok (cost, counters, Memory.session_end (), san, ev)
 
 let launch ~cfg ?pool ?trace ?nonce ?(kernel = "<kernel>") ~grid ~block ~init
-    ~body () =
+    ?reinit ~body () =
   if grid <= 0 then invalid_arg "Device.launch: grid must be positive";
   if block <= 0 then invalid_arg "Device.launch: block must be positive";
   if block > cfg.Config.max_threads_per_block then
@@ -151,9 +162,11 @@ let launch ~cfg ?pool ?trace ?nonce ?(kernel = "<kernel>") ~grid ~block ~init
       plan;
       nonce;
       capture = Option.is_some plan || watchdog > 0.0;
+      frames = Engine.frames ();
+      states = Ompsimd_util.Freelist.create ();
     }
   in
-  let simulate = simulate_block ~cfg ?trace ~ctx ~block ~init ~body in
+  let simulate = simulate_block ~cfg ?trace ~ctx ~block ~init ?reinit ~body in
   let results =
     match pool with
     | Some p when parallel -> Pool.parallel_init p grid simulate

@@ -57,12 +57,22 @@ val launch :
   grid:int ->
   block:int ->
   init:(block_id:int -> Shared.arena -> 'a) ->
+  ?reinit:('a -> block_id:int -> Shared.arena -> unit) ->
   body:('a -> Thread.t -> unit) ->
   unit ->
   report
 (** [launch ~cfg ~grid ~block ~init ~body ()] runs [grid] blocks of [block]
-    threads.  [init] runs once per block (e.g. building the team state and
-    reserving static shared memory); [body] runs in every thread fiber.
+    threads.  [init] builds a block's state (e.g. the team state, which
+    reserves static shared memory on the block's arena); [body] runs in
+    every thread fiber.
+
+    Block frames live once per launch: the engine's warps, threads and
+    scheduler are recycled by the next block once their block completed
+    (a failed block's are dropped).  With [reinit], the [init] states are
+    recycled the same way: a later block gets a completed block's state
+    through [reinit state ~block_id arena], which must leave it exactly
+    as [init ~block_id arena] would have built it.  The free lists are
+    local to the launch, and none outlives it.
 
     [pool] fans block simulation out across the pool's domains; the
     report is bit-identical to the sequential run.  Device atomics take

@@ -46,8 +46,13 @@ type _ Effect.t += Wait : Barrier.t * Thread.t -> unit Effect.t
    run_block).  Released waiters are queued in a fixed ring of parallel
    thread/continuation arrays (capacity [num_threads + 1]: a thread is
    parked at most once) and consumed FIFO; [live] tracks barriers with
-   parked threads for the deadlock report. *)
+   parked threads for the deadlock report.
+
+   [Suspend] parks a fiber as a stepped thread (see [suspend_stepped]):
+   its continuation is kept in [stepks] and the ring, on reaching the
+   thread, calls its [Thread.step] hook instead of resuming it. *)
 type _ Effect.t += Yield : unit Effect.t
+type _ Effect.t += Suspend : unit Effect.t
 
 type sched = {
   mutable rths : Thread.t array;  (* released-waiter ring *)
@@ -56,9 +61,13 @@ type sched = {
   mutable tail : int;
   cap : int;
   live : (int, Barrier.t) Hashtbl.t;
-  (* the arrival being parked by the in-flight [Yield] *)
+  (* the arrival being parked by the in-flight [Yield] or [Suspend] *)
   mutable pending_bar : Barrier.t;
   mutable pending_th : Thread.t;
+  mutable pending_step : Thread.t -> bool;
+  (* per-tid continuation of a stepped thread, lazily created *)
+  mutable stepks : (unit, unit) continuation array;
+  mutable completed : int;
 }
 
 let sched_slot : sched option ref Domain.DLS.key =
@@ -88,6 +97,17 @@ let push_release s bar =
   done;
   Barrier.clear bar
 
+(* The arrival's scheduler: the warp stash of a live run_block, else the
+   domain-local one (a bare test harness, or a foreign thread arriving
+   mid-run). *)
+let sched_of (th : Thread.t) ~what =
+  match th.Thread.warp.Thread.esched with
+  | Sched s -> s
+  | _ -> (
+      match !(Domain.DLS.get sched_slot) with
+      | Some s -> s
+      | None -> invalid_arg (what ^ ": no block is running"))
+
 let barrier_wait bar th =
   (* Any synchronization orders the warp's outstanding atomics: contention
      is only counted between consecutive sync points.  Bumping the
@@ -112,9 +132,6 @@ let barrier_wait bar th =
         perform Yield
       end
   | _ -> (
-      (* warp not created by a live run_block (a bare test harness, or a
-         foreign thread arriving mid-run): fall back to the domain-local
-         scheduler, exactly the pre-stash behaviour *)
       match !(Domain.DLS.get sched_slot) with
       | Some s ->
           if Barrier.try_complete bar th then push_release s bar
@@ -126,21 +143,65 @@ let barrier_wait bar th =
       | None -> perform (Wait (bar, th)))
 
 let park_arrival s bar th k =
-  (* [barrier_wait] already tried to complete: this arrival cannot be
-     the last, so it always parks *)
+  (* the arrival already tried to complete: it cannot be the last, so it
+     always parks *)
   Barrier.park bar th k;
   if not (Barrier.live_mark bar) then begin
     Barrier.set_live_mark bar;
     Hashtbl.replace s.live (Barrier.id bar) bar
   end
 
-let run_block ~cfg ?trace ?(launch = Thread.default_launch) ~block_id
-    ~num_threads body =
-  if num_threads <= 0 then
-    invalid_arg "Engine.run_block: num_threads must be positive";
-  if num_threads > cfg.Config.max_threads_per_block then
-    invalid_arg "Engine.run_block: block exceeds max_threads_per_block";
-  let counters = Counters.create () in
+(* A stepped thread parks under the continuation its fiber suspended
+   with; a fiber that has not suspended yet only records the arrival,
+   which its [suspend_stepped] parks. *)
+let hold s bar (th : Thread.t) =
+  if th.Thread.step == Thread.fiber then begin
+    s.pending_bar <- bar;
+    s.pending_th <- th
+  end
+  else park_arrival s bar th s.stepks.(th.Thread.tid)
+
+let arrive bar th =
+  let warp = th.Thread.warp in
+  warp.Thread.atomic_gen <- warp.Thread.atomic_gen + 1;
+  let s = sched_of th ~what:"Engine.arrive" in
+  match
+    if Thread.injecting th then Fault.stall_here th ~abandoned:bar else None
+  with
+  | Some stalled ->
+      hold s stalled th;
+      false
+  | None ->
+      if Barrier.try_complete bar th then begin
+        push_release s bar;
+        true
+      end
+      else begin
+        hold s bar th;
+        false
+      end
+
+let suspend_stepped th step =
+  let s = sched_of th ~what:"Engine.suspend_stepped" in
+  s.pending_step <- step;
+  perform Suspend
+
+(* One block frame: the warps, threads and scheduler of a block shape,
+   recycled across the blocks of one launch (see [frames]).  The effect
+   handler is built once per frame: it reads everything per-run from the
+   scheduler record. *)
+type frame = {
+  warps : Thread.warp_state array;
+  threads : Thread.t array;
+  sched : sched;
+  handler : (unit, unit) handler;
+}
+
+type frames = frame Ompsimd_util.Freelist.t
+
+let frames = Ompsimd_util.Freelist.create
+
+let make_frame ~cfg ?trace ~launch ~block_id ~num_threads ~counters () =
   let ws = cfg.Config.warp_size in
   let num_warps = (num_threads + ws - 1) / ws in
   let warps =
@@ -153,9 +214,10 @@ let run_block ~cfg ?trace ?(launch = Thread.default_launch) ~block_id
   (* [live] is keyed by unique barrier id: two live barriers may share a
      display name (e.g. per-warp barriers created in a loop), and colliding
      on the name used to drop one of them from the deadlock report.
-     Entries stay registered after release (the live_mark is never
-     cleared), so the deadlock formatter below must skip barriers with
-     zero parked waiters to report only the actually-stuck ones. *)
+     Entries stay registered after release (the live_mark is only
+     cleared when the run completes), so the deadlock formatter below
+     must skip barriers with zero parked waiters to report only the
+     actually-stuck ones. *)
   let s =
     {
       rths = Array.make (num_threads + 1) threads.(0);
@@ -166,31 +228,37 @@ let run_block ~cfg ?trace ?(launch = Thread.default_launch) ~block_id
       live = Hashtbl.create 8;
       pending_bar = Barrier.create ~name:"engine.none" ~expected:1 ~cost:0.0 ();
       pending_th = threads.(0);
+      pending_step = Thread.fiber;
+      stepks = [||];
+      completed = 0;
     }
   in
-  let slot = Domain.DLS.get sched_slot in
-  let saved_slot = !slot in
-  slot := Some s;
-  Array.iter (fun w -> w.Thread.esched <- Sched s) warps;
-  let completed = ref 0 in
   (* The Yield handler is the single hottest closure in the simulator
      (every barrier park goes through it); allocating it — and the [Some]
-     around it — once per block instead of once per perform keeps the
-     park path allocation-free outside the continuation itself.  The
-     whole handler record is likewise shared by all of the block's
-     fibers. *)
+     around it — once per frame instead of once per perform keeps the
+     park path allocation-free outside the continuation itself. *)
   let on_yield : ((unit, unit) continuation -> unit) option =
     Some (fun k -> park_arrival s s.pending_bar s.pending_th k)
   in
+  let on_suspend : ((unit, unit) continuation -> unit) option =
+    Some
+      (fun k ->
+        let th = s.pending_th in
+        park_arrival s s.pending_bar th k;
+        if Array.length s.stepks = 0 then s.stepks <- Array.make s.cap k;
+        s.stepks.(th.Thread.tid) <- k;
+        th.Thread.step <- s.pending_step)
+  in
   let handler =
     {
-      retc = (fun () -> incr completed);
+      retc = (fun () -> s.completed <- s.completed + 1);
       exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) :
              ((a, unit) continuation -> unit) option ->
           match eff with
           | Yield -> on_yield
+          | Suspend -> on_suspend
           | Wait (bar, arriving) ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -198,29 +266,80 @@ let run_block ~cfg ?trace ?(launch = Thread.default_launch) ~block_id
           | _ -> None);
     }
   in
+  { warps; threads; sched = s; handler }
+
+(* Restore a recycled frame to what [make_frame] builds for [block_id]:
+   only a frame whose block completed is recycled, so its ring is empty,
+   every barrier it parked on has been unregistered and no thread is
+   stepped. *)
+let reset_frame f ~block_id ~counters =
+  Array.iter Thread.reset_warp f.warps;
+  Array.iter (fun th -> Thread.reset th ~block_id ~counters) f.threads;
+  let s = f.sched in
+  s.head <- 0;
+  s.tail <- 0;
+  s.completed <- 0
+
+let run_block ~cfg ?trace ?(launch = Thread.default_launch) ?frames ~block_id
+    ~num_threads body =
+  if num_threads <= 0 then
+    invalid_arg "Engine.run_block: num_threads must be positive";
+  if num_threads > cfg.Config.max_threads_per_block then
+    invalid_arg "Engine.run_block: block exceeds max_threads_per_block";
+  let counters = Counters.create () in
+  let f =
+    match Option.bind frames Ompsimd_util.Freelist.take with
+    | Some f ->
+        reset_frame f ~block_id ~counters;
+        f
+    | None ->
+        make_frame ~cfg ?trace ~launch ~block_id ~num_threads ~counters ()
+  in
+  let warps = f.warps and threads = f.threads and s = f.sched in
+  let slot = Domain.DLS.get sched_slot in
+  let saved_slot = !slot in
+  slot := Some s;
+  Array.iter (fun w -> w.Thread.esched <- Sched s) warps;
+  let handler = f.handler in
   let run_fiber th = match_with body th handler in
   let finally () =
     slot := saved_slot;
     Array.iter (fun w -> w.Thread.esched <- Thread.No_sched) warps
   in
+  (* unregister the run's barriers, so any that outlive it (a recycled
+     frame's team state) register again in the next run *)
+  let unmark () =
+    Hashtbl.iter (fun _ bar -> Barrier.clear_live_mark bar) s.live;
+    Hashtbl.clear s.live
+  in
   (try
-     (* initial fibers run in tid order; resumptions queue behind them *)
+     (* initial fibers run in tid order; resumptions queue behind them.
+        A stepped thread's hook runs where its fiber would have been
+        resumed, and asks for the fiber back by returning [true]. *)
      Array.iter run_fiber threads;
      while s.head <> s.tail do
+       let th = s.rths.(s.head) in
        let k = s.rks.(s.head) in
        let head = s.head + 1 in
        s.head <- (if head = s.cap then 0 else head);
-       continue k ()
+       let step = th.Thread.step in
+       if step == Thread.fiber then continue k ()
+       else if step th then begin
+         th.Thread.step <- Thread.fiber;
+         continue k ()
+       end
      done
    with e ->
      finally ();
+     unmark ();
      raise e);
   finally ();
-  if !completed <> num_threads then begin
+  let completed = s.completed in
+  if completed <> num_threads then begin
     let buf = Buffer.create 128 in
     Buffer.add_string buf
       (Printf.sprintf "block %d: %d/%d threads finished; stuck barriers:"
-         block_id !completed num_threads);
+         block_id completed num_threads);
     let stuck = ref [] in
     Hashtbl.iter
       (fun _ bar ->
@@ -240,7 +359,7 @@ let run_block ~cfg ?trace ?(launch = Thread.default_launch) ~block_id
     let stall =
       {
         stall_block = block_id;
-        stall_completed = !completed;
+        stall_completed = completed;
         stall_threads = num_threads;
         stall_cycle =
           Array.fold_left
@@ -250,6 +369,7 @@ let run_block ~cfg ?trace ?(launch = Thread.default_launch) ~block_id
       }
     in
     Domain.DLS.get stall_slot := Some stall;
+    unmark ();
     raise (Deadlock (Buffer.contents buf))
   end;
   let critical =
@@ -260,6 +380,9 @@ let run_block ~cfg ?trace ?(launch = Thread.default_launch) ~block_id
       (fun acc th -> if Thread.busy th > 0.0 then acc + 1 else acc)
       0 threads
   in
+  (* only a completed block hands its frame to the launch's next block *)
+  unmark ();
+  Option.iter (fun fs -> Ompsimd_util.Freelist.give fs f) frames;
   {
     block_id;
     num_threads;

@@ -5,7 +5,8 @@
    are extensible because those layers depend on [Thread], not the other
    way round; each layer adds its own constructor and owns the
    invariant that a stashed value never outlives the block that set it
-   (warps are created per [Engine.run_block] and die with it). *)
+   (a warp serves one block at a time; [reset_warp] clears the stashes
+   before a recycled warp serves the next). *)
 type engine_sched = ..
 type engine_sched += No_sched
 type mem_session = ..
@@ -53,15 +54,18 @@ type state = {
 }
 
 type t = {
-  block_id : int;
+  mutable block_id : int;
   tid : int;
   lane : int;
   warp : warp_state;
   cfg : Config.t;
-  counters : Counters.t;
+  mutable counters : Counters.t;
   trace : Trace.t option;
   st : state;
+  mutable step : t -> bool;
 }
+
+let fiber (_ : t) = true
 
 let make_warp ~(cfg : Config.t) ~launch ~warp_index =
   {
@@ -174,7 +178,38 @@ let create ~cfg ~counters ?trace ~block_id ~tid ~warp () =
     counters;
     trace;
     st = { clock = 0.0; busy = 0.0; simt_factor = 1.0 };
+    step = fiber;
   }
+
+let reset_warp w =
+  Linebuf.clear w.lines;
+  w.esched <- No_sched;
+  w.msession <- No_session;
+  if Array.length w.ae_keys = 64 then begin
+    Array.fill w.ae_keys 0 64 0;
+    Array.fill w.ae_gen 0 64 0;
+    Array.fill w.ae_cnt 0 64 0
+  end
+  else begin
+    w.ae_keys <- Array.make 64 0;
+    w.ae_gen <- Array.make 64 0;
+    w.ae_cnt <- Array.make 64 0
+  end;
+  w.ae_mask <- 63;
+  w.ae_filled <- 0;
+  w.atomic_gen <- 0;
+  Array.fill w.memo_base 0 4 min_int;
+  Array.fill w.memo_lo 0 4 0;
+  Array.fill w.memo_line 0 4 0;
+  w.memo_next <- 0
+
+let reset t ~block_id ~counters =
+  t.block_id <- block_id;
+  t.counters <- counters;
+  t.st.clock <- 0.0;
+  t.st.busy <- 0.0;
+  t.st.simt_factor <- 1.0;
+  t.step <- fiber
 
 let[@inline] sanitizing t = t.warp.launch.sanitize
 let[@inline] injecting t = t.warp.launch.inject

@@ -77,17 +77,30 @@ type state = {
     of latency.  1.0 when the warp is fully converged. *)
 
 type t = {
-  block_id : int;
+  mutable block_id : int;  (** rewritten by {!reset} when a frame is recycled *)
   tid : int;  (** thread index within the block *)
   lane : int;  (** [tid mod warp_size] *)
   warp : warp_state;
   cfg : Config.t;
-  counters : Counters.t;
+  mutable counters : Counters.t;  (** fresh per block, see {!reset} *)
   trace : Trace.t option;
   st : state;
+  mutable step : t -> bool;
+      (** the engine's resume hook: {!fiber} while the thread runs as an
+          effect fiber; while it is parked as a stepped thread (see
+          {!Engine.suspend_stepped}), the function the scheduler calls
+          instead of resuming the fiber *)
 }
 
+val fiber : t -> bool
+(** The resume hook of a thread that is not stepped. *)
+
 val make_warp : cfg:Config.t -> launch:launch -> warp_index:int -> warp_state
+
+val reset_warp : warp_state -> unit
+(** Restore a warp to the state {!make_warp} builds (empty line buffer,
+    atomic table and line memo, no stashes), so a finished block's warp
+    can serve the next block of the same launch. *)
 
 val sanitizing : t -> bool
 (** The thread's launch runs the sanitizer: gate for {!Ompsan} hooks. *)
@@ -109,6 +122,10 @@ val create :
   warp:warp_state ->
   unit ->
   t
+
+val reset : t -> block_id:int -> counters:Counters.t -> unit
+(** Restore a thread to the state {!create} builds, for [block_id] and a
+    fresh [counters]: zero clock and busy time, factor 1, not stepped. *)
 
 val clock : t -> float
 (** Current virtual time (latency leg). *)

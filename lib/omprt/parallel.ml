@@ -89,6 +89,9 @@ let exec_on_thread ctx (task : Team.parallel_task) =
         (* Simd workers enter the state machine. *)
         Simd.state_machine ctx
 
+(* The region's task, as [Some] for [active_task].  Every SPMD thread
+   re-enters [__parallel] with the same values: a thread that finds an
+   equal task already active shares it instead of building its own. *)
 let effective_task team ~mode ~simd_len ~payload ~fn_id fn =
   let cfg = team.Team.cfg in
   let ws = cfg.Gpusim.Config.warp_size in
@@ -109,29 +112,34 @@ let effective_task team ~mode ~simd_len ~payload ~fn_id fn =
     invalid_arg "Parallel.parallel: simd_len must divide the worker count";
   (* §5.4: without simd groups (size one) the region always runs SPMD. *)
   let task_mode = if simd_len = 1 then Mode.Spmd else mode in
-  {
-    Team.fn;
-    fn_id;
-    payload;
-    task_mode;
-    group_size = simd_len;
-    payload_location = Sharing.none;
-  }
+  match team.Team.active_task with
+  | Some t as active
+    when t.Team.fn == fn && t.Team.fn_id = fn_id && t.Team.payload == payload
+         && Mode.equal t.Team.task_mode task_mode
+         && t.Team.group_size = simd_len ->
+      active
+  | _ ->
+      Some
+        {
+          Team.fn;
+          fn_id;
+          payload;
+          task_mode;
+          group_size = simd_len;
+          payload_location = Sharing.none;
+        }
 
-let enter_region ctx task =
+let enter_region ctx active =
   let team = ctx.Team.team in
-  let geom =
-    Simd_group.make
-      ~warp_size:team.Team.cfg.Gpusim.Config.warp_size
-      ~num_workers:team.Team.num_workers ~group_size:task.Team.group_size
-  in
-  team.Team.active_geometry <- Some geom;
-  team.Team.active_task <- Some task;
+  let task = Option.get active in
+  let geom = Team.geometry_for team ~group_size:task.Team.group_size in
+  team.Team.active_geometry <- geom;
+  team.Team.active_task <- active;
   (* SIMD mains only consume sharing-space slices in generic mode; an
      SPMD region's payloads stay thread-local (§5.4). *)
   let sharing_groups =
     match task.Team.task_mode with
-    | Mode.Generic -> geom.Simd_group.num_groups
+    | Mode.Generic -> (Option.get geom).Simd_group.num_groups
     | Mode.Spmd -> 0
   in
   Sharing.configure team.Team.sharing ~num_groups:sharing_groups
@@ -148,7 +156,8 @@ let parallel ctx ~mode ~simd_len ?(payload = Payload.empty) ?(fn_id = -1) fn =
       "Parallel.parallel: nested parallel regions are not supported on the \
        device (LLVM serializes them); restructure the kernel or inline the \
        nested body";
-  let task = effective_task team ~mode ~simd_len ~payload ~fn_id fn in
+  let active = effective_task team ~mode ~simd_len ~payload ~fn_id fn in
+  let task = Option.get active in
   match Team.role team ~tid with
   | Team.Team_main ->
       (* Teams-generic: signal the workers, wait for them to finish. *)
@@ -158,7 +167,7 @@ let parallel ctx ~mode ~simd_len ?(payload = Payload.empty) ?(fn_id = -1) fn =
           (Printf.sprintf "fn=%d mode=%s gs=%d" task.Team.fn_id
              (Mode.to_string task.Team.task_mode)
              task.Team.group_size);
-      enter_region ctx task;
+      enter_region ctx active;
       Payload.pack ctx.Team.th payload;
       let location =
         Sharing.acquire team.Team.sharing ctx.Team.th
@@ -182,7 +191,7 @@ let parallel ctx ~mode ~simd_len ?(payload = Payload.empty) ?(fn_id = -1) fn =
          left in place after the closing barrier because a slower sibling
          may still be returning while a faster one has already opened the
          next region — clearing here would race with its enter. *)
-      enter_region ctx task;
+      enter_region ctx active;
       Payload.pack ctx.Team.th payload;
       exec_on_thread ctx task;
       Team.team_barrier_wait ctx

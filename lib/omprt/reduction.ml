@@ -14,39 +14,47 @@ let shuffle_step_cost (ctx : Team.ctx) =
   let cost = ctx.Team.th.Gpusim.Thread.cfg.Gpusim.Config.cost in
   cost.Gpusim.Config.alu +. cost.Gpusim.Config.flop
 
-let simd_reduce ctx (op : Redop.t) v =
+(* The group reduction in two halves around its first rendezvous, so the
+   SIMD state machine's stepped workers can run it between arrivals:
+   each lane posts its contribution, then combines the group's. *)
+let simd_reduce_post ctx v =
+  ctx.Team.team.Team.red_scratch.(ctx.Team.th.Gpusim.Thread.tid) <- v
+
+let simd_reduce_combine ctx (op : Redop.t) =
   let team = ctx.Team.team in
   let g = Team.geometry team in
   let gs = Simd_group.get_simd_group_size g in
   let tid = ctx.Team.th.Gpusim.Thread.tid in
-  if gs = 1 then v
+  let scratch = team.Team.red_scratch in
+  (* Tree depth in cost, deterministic sequential fold in value. *)
+  Gpusim.Thread.tick ctx.Team.th
+    (float_of_int (log2i gs) *. shuffle_step_cost ctx);
+  let group = Simd_group.get_simd_group g ~tid in
+  let base = group * gs in
+  if op == sum then begin
+    (* same left fold from the same 0.0 identity, but the float
+       accumulator stays unboxed with no closure call per lane *)
+    let acc = ref 0.0 in
+    for lane = 0 to gs - 1 do
+      acc := !acc +. scratch.(base + lane)
+    done;
+    !acc
+  end
   else begin
-    let scratch = team.Team.red_scratch in
-    scratch.(tid) <- v;
+    let acc = ref op.Redop.identity in
+    for lane = 0 to gs - 1 do
+      acc := op.Redop.combine !acc scratch.(base + lane)
+    done;
+    !acc
+  end
+
+let simd_reduce ctx (op : Redop.t) v =
+  let g = Team.geometry ctx.Team.team in
+  if Simd_group.get_simd_group_size g = 1 then v
+  else begin
+    simd_reduce_post ctx v;
     Team.sync_warp ctx;
-    (* Tree depth in cost, deterministic sequential fold in value. *)
-    Gpusim.Thread.tick ctx.Team.th
-      (float_of_int (log2i gs) *. shuffle_step_cost ctx);
-    let group = Simd_group.get_simd_group g ~tid in
-    let base = group * gs in
-    let acc =
-      if op == sum then begin
-        (* same left fold from the same 0.0 identity, but the float
-           accumulator stays unboxed with no closure call per lane *)
-        let acc = ref 0.0 in
-        for lane = 0 to gs - 1 do
-          acc := !acc +. scratch.(base + lane)
-        done;
-        !acc
-      end
-      else begin
-        let acc = ref op.Redop.identity in
-        for lane = 0 to gs - 1 do
-          acc := op.Redop.combine !acc scratch.(base + lane)
-        done;
-        !acc
-      end
-    in
+    let acc = simd_reduce_combine ctx op in
     Team.sync_warp ctx;
     acc
   end

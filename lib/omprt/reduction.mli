@@ -23,6 +23,14 @@ val simd_reduce : Team.ctx -> Redop.t -> float -> float
     receives the result.  Deterministic combining order (lane 0 upward).
     @raise Failure outside a parallel region. *)
 
+val simd_reduce_post : Team.ctx -> float -> unit
+val simd_reduce_combine : Team.ctx -> Redop.t -> float
+(** {!simd_reduce} for a group of two or more, split around its first
+    rendezvous: post the lane's contribution, then (once the group has
+    met) charge the shuffle tree and combine.  A second rendezvous
+    follows before any lane may post again.  The SIMD state machine's
+    stepped workers run these between their own arrivals. *)
+
 val simd_sum : Team.ctx -> float -> float
 
 val team_reduce : Team.ctx -> Redop.t -> float -> float

@@ -31,7 +31,7 @@ type location =
 let none = Shared_space { offset = 0; bytes = 0; vbase = 0 }
 
 type t = {
-  arena_id : int;  (* sanitizer shadow key for the backing arena *)
+  mutable arena_id : int;  (* sanitizer shadow key for the backing arena *)
   total_bytes : int;
   mutable nominal_groups : int;
       (* last [configure]: only feeds the nominal per-publisher slice
@@ -88,6 +88,29 @@ let create ~arena ~bytes =
         pool_reuses = 0;
         high_water = 0;
       }
+
+(* What [create] builds, on a recycled allocator: the reservation is made
+   again on the new block's arena; grown free-list and pool arrays are
+   kept, empty. *)
+let reset t ~arena =
+  (match Gpusim.Shared.alloc arena ~bytes:t.total_bytes with
+  | None ->
+      invalid_arg
+        (Printf.sprintf
+           "Sharing.reset: %d B sharing space exceeds block shared memory"
+           t.total_bytes)
+  | Some (_ : int) -> ());
+  t.arena_id <- Gpusim.Shared.id arena;
+  t.nominal_groups <- 0;
+  t.top <- 0;
+  t.nfree <- 0;
+  t.live <- 0;
+  t.npool <- 0;
+  t.next_vbase <- 0;
+  t.shared_grants <- 0;
+  t.global_fallbacks <- 0;
+  t.pool_reuses <- 0;
+  t.high_water <- 0
 
 let total_bytes t = t.total_bytes
 

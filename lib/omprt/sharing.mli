@@ -41,6 +41,11 @@ val create : arena:Gpusim.Shared.arena -> bytes:int -> t
 (** Statically reserve [bytes] of the block's shared memory.
     @raise Invalid_argument if the arena cannot fit the reservation. *)
 
+val reset : t -> arena:Gpusim.Shared.arena -> unit
+(** Return a recycled allocator to the state {!create} builds, reserving
+    its bytes again on [arena] (a recycled block frame's new arena).
+    @raise Invalid_argument if the arena cannot fit the reservation. *)
+
 val total_bytes : t -> int
 
 val configure : t -> num_groups:int -> unit

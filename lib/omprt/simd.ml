@@ -152,66 +152,215 @@ let simd_reduce ctx ?(payload = Payload.empty) ?(fn_id = -1) ~op ~trip red =
 let simd_sum ctx ?payload ?fn_id ~trip red =
   simd_reduce ctx ?payload ?fn_id ~op:Redop.sum ~trip red
 
+(* --- the stepped state machine (Fig 6) ------------------------------
+
+   A worker's loop — wait at the hand-off, fetch the published function
+   and arguments, run its share of the workshare loop, meet the group
+   again, repeat — runs as engine steps, not on its fiber.  The fiber
+   parks once, at its first hand-off that does not complete, and is
+   resumed once, at termination; in between, whenever the engine's
+   scheduler reaches the worker (exactly where it would have resumed the
+   fiber) it calls [advance], which runs the same code the fiber would
+   have run up to the next rendezvous and arrives there through
+   [Engine.arrive]: a completing arrival keeps running, a parking one
+   returns.  The worker's position is its [Team.phase], named by the
+   rendezvous it was last released from ([Handoff] at entry and after
+   the loop's exit rendezvous).
+
+   Every round kind steps: fused rounds, the classic lockstep rounds of
+   fault-injected runs and dynamic schedules (and of diverging trip
+   counts), sum folds, other monoids, and the group reduction. *)
+
+let fetch_args ctx (slot : Team.simd_slot) =
+  let team = ctx.Team.team in
+  let sharers = Simd_group.get_simd_group_size (Team.geometry team) - 1 in
+  Sharing.fetch ~sharers team.Team.sharing ctx.Team.th
+    slot.Team.simd_args_location slot.Team.simd_args;
+  Payload.unpack ctx.Team.th slot.Team.simd_args
+
+(* [advance] returns [true] at termination (resume the fiber), [false]
+   once the worker parked. *)
+let rec advance (team : Team.t) ctx tid =
+  let sm = team.Team.sm in
+  match sm.Team.phase.(tid) with
+  | Team.Handoff -> await team ctx tid Team.Woken (Team.sync_warp_arrive ctx)
+  | Team.Woken -> wake team ctx tid
+  | Team.Entered ->
+      let g = Team.geometry team in
+      let fold = sm.Team.kind.(tid) = Team.Sum_fold in
+      if
+        Workshare.fused_fallback ctx g ~tid
+          ~num:(Simd_group.get_simd_group_size g)
+          ~trip:sm.Team.trip.(tid) ~my_seq:sm.Team.seq.(tid) ~fold
+      then start_classic team ctx tid
+      else begin
+        if fold then sm.Team.acc.(tid) <- team.Team.fused_acc.(tid);
+        finish_loop team ctx tid
+      end
+  | Team.Classic -> start_classic team ctx tid
+  | Team.Round -> classic_round team ctx tid
+  | Team.Posted ->
+      let (_ : float) = Reduction.simd_reduce_combine ctx sm.Team.ops.(tid) in
+      await team ctx tid Team.Reduced (Team.sync_warp_arrive ctx)
+  | Team.Reduced -> await team ctx tid Team.Handoff (Team.sync_warp_arrive ctx)
+
+and await team ctx tid next arrived =
+  team.Team.sm.Team.phase.(tid) <- next;
+  arrived && advance team ctx tid
+
+and wake team ctx tid =
+  let sm = team.Team.sm in
+  let group = Simd_group.get_simd_group (Team.geometry team) ~tid in
+  let slot = team.Team.simd_slots.(group) in
+  match (slot.Team.simd_fn, slot.Team.simd_red_fn) with
+  | None, None -> true (* termination: end of the parallel region *)
+  | Some fn, _ ->
+      bump ctx "simd.state_machine_rounds";
+      if Gpusim.Thread.tracing ctx.Team.th then
+        Gpusim.Thread.trace ctx.Team.th ~tag:"simd.wake"
+          (Printf.sprintf "fn=%d trip=%d" slot.Team.simd_fn_id
+             slot.Team.simd_trip);
+      fetch_args ctx slot;
+      sm.Team.kind.(tid) <- Team.Simd_loop;
+      sm.Team.fns.(tid) <- fn;
+      sm.Team.args.(tid) <- slot.Team.simd_args;
+      (* workers resolve a published pointer: the §5.5 dispatch *)
+      enter_loop team ctx tid ~fn_id:slot.Team.simd_fn_id
+        ~trip:slot.Team.simd_trip
+  | None, Some red ->
+      bump ctx "simd.state_machine_rounds";
+      fetch_args ctx slot;
+      let op = slot.Team.simd_red_op in
+      sm.Team.reds.(tid) <- red;
+      sm.Team.ops.(tid) <- op;
+      sm.Team.args.(tid) <- slot.Team.simd_args;
+      if op == Redop.sum then sm.Team.kind.(tid) <- Team.Sum_fold
+      else begin
+        sm.Team.kind.(tid) <- Team.Combine;
+        sm.Team.acc.(tid) <- op.Redop.identity
+      end;
+      enter_loop team ctx tid ~fn_id:slot.Team.simd_fn_id
+        ~trip:slot.Team.simd_trip
+
+(* [run_loop]/[accumulate_loop] with [~dispatch:true], then the entry of
+   [Workshare.simd_loop]/[simd_fold_sum] for a group of two or more *)
+and enter_loop team ctx tid ~fn_id ~trip =
+  let sm = team.Team.sm in
+  let th = ctx.Team.th in
+  sm.Team.simt.(tid) <- Gpusim.Thread.simt_factor th;
+  Gpusim.Thread.set_simt_factor th 1.0;
+  Team.charge_microtask ctx ~fn_id;
+  sm.Team.trip.(tid) <- trip;
+  if Workshare.fusing ctx then begin
+    sm.Team.seq.(tid) <-
+      Workshare.fused_enter ctx (Team.geometry team) ~tid ~trip;
+    (match sm.Team.kind.(tid) with
+    | Team.Sum_fold -> team.Team.fused_reds.(tid) <- sm.Team.folds.(tid)
+    | Team.Simd_loop -> team.Team.fused_fns.(tid) <- sm.Team.bodies.(tid)
+    | Team.Combine -> team.Team.fused_fns.(tid) <- sm.Team.combs.(tid));
+    await team ctx tid Team.Entered (Team.sync_warp_arrive ctx)
+  end
+  else await team ctx tid Team.Classic (Team.sync_warp_arrive ctx)
+
+and start_classic team ctx tid =
+  let sm = team.Team.sm in
+  sm.Team.actor.(tid) <- Workshare.classic_begin ctx;
+  sm.Team.round.(tid) <- 0;
+  if sm.Team.kind.(tid) = Team.Sum_fold then sm.Team.acc.(tid) <- 0.0;
+  classic_round team ctx tid
+
+and classic_round team ctx tid =
+  let sm = team.Team.sm in
+  let g = Team.geometry team in
+  let num = Simd_group.get_simd_group_size g in
+  let id = Simd_group.get_simd_group_id g ~tid in
+  let trip = sm.Team.trip.(tid) in
+  let r = sm.Team.round.(tid) in
+  if r < Workshare.classic_rounds ~num ~trip then begin
+    (match sm.Team.kind.(tid) with
+    | Team.Sum_fold ->
+        sm.Team.acc.(tid) <-
+          Workshare.classic_fold_round ctx ~id ~num ~trip r sm.Team.folds.(tid)
+            sm.Team.acc.(tid)
+    | Team.Simd_loop ->
+        Workshare.classic_simd_round ctx ~id ~num ~trip r sm.Team.bodies.(tid)
+    | Team.Combine ->
+        Workshare.classic_simd_round ctx ~id ~num ~trip r sm.Team.combs.(tid));
+    sm.Team.round.(tid) <- r + 1;
+    await team ctx tid Team.Round (Team.lockstep_arrive ctx)
+  end
+  else begin
+    Workshare.classic_end ctx sm.Team.actor.(tid);
+    finish_loop team ctx tid
+  end
+
+(* the loop's exit: drop the deposited body, restore the factor, then
+   meet the group at the exit rendezvous — after the group reduction
+   for a reducing round *)
+and finish_loop team ctx tid =
+  let sm = team.Team.sm in
+  team.Team.fused_fns.(tid) <- Workshare.drop_fn;
+  team.Team.fused_reds.(tid) <- Workshare.drop_red;
+  Gpusim.Thread.set_simt_factor ctx.Team.th sm.Team.simt.(tid);
+  if sm.Team.kind.(tid) = Team.Simd_loop then
+    await team ctx tid Team.Handoff (Team.sync_warp_arrive ctx)
+  else begin
+    Reduction.simd_reduce_post ctx sm.Team.acc.(tid);
+    await team ctx tid Team.Posted (Team.sync_warp_arrive ctx)
+  end
+
+(* The team's step closures, built on its first generic region: each
+   reads its tid's slots at call time. *)
+let ensure_steps (team : Team.t) ctx =
+  Team.init_steps team ctx;
+  let sm = team.Team.sm in
+  if Array.length sm.Team.bodies = 0 then begin
+    let n = team.Team.num_workers in
+    sm.Team.bodies <-
+      Array.init n (fun tid iv ->
+          sm.Team.fns.(tid) sm.Team.ctxs.(tid) iv sm.Team.args.(tid));
+    sm.Team.folds <-
+      Array.init n (fun tid iv ->
+          sm.Team.reds.(tid) sm.Team.ctxs.(tid) iv sm.Team.args.(tid));
+    sm.Team.combs <-
+      Array.init n (fun tid iv ->
+          sm.Team.acc.(tid) <-
+            sm.Team.ops.(tid).Redop.combine sm.Team.acc.(tid)
+              (sm.Team.reds.(tid) sm.Team.ctxs.(tid) iv sm.Team.args.(tid)));
+    sm.Team.step <-
+      (fun th ->
+        let tid = th.Gpusim.Thread.tid in
+        advance team sm.Team.ctxs.(tid) tid)
+  end
+
 let state_machine ctx =
   let team = ctx.Team.team in
-  let _, group = my_group ctx in
-  let slot = Team.slot team ~group in
-  let g, _ = my_group ctx in
-  let fetch_args () =
-    let sharers = Simd_group.get_simd_group_size g - 1 in
-    Sharing.fetch ~sharers team.Team.sharing ctx.Team.th
-      slot.Team.simd_args_location slot.Team.simd_args;
-    Payload.unpack ctx.Team.th slot.Team.simd_args
-  in
-  let rec wait_for_work () =
-    Team.sync_warp ctx;
-    match (slot.Team.simd_fn, slot.Team.simd_red_fn) with
-    | None, None -> () (* termination: end of the parallel region *)
-    | Some fn, _ ->
-        bump ctx "simd.state_machine_rounds";
-        if Gpusim.Thread.tracing ctx.Team.th then
-          Gpusim.Thread.trace ctx.Team.th ~tag:"simd.wake"
-            (Printf.sprintf "fn=%d trip=%d" slot.Team.simd_fn_id
-               slot.Team.simd_trip);
-        fetch_args ();
-        (* workers resolve a published pointer: the §5.5 dispatch *)
-        run_loop ctx ~dispatch:true ~fn_id:slot.Team.simd_fn_id
-          ~trip:slot.Team.simd_trip fn slot.Team.simd_args;
-        Team.sync_warp ctx;
-        wait_for_work ()
-    | None, Some red ->
-        bump ctx "simd.state_machine_rounds";
-        fetch_args ();
-        let op = slot.Team.simd_red_op in
-        let acc =
-          accumulate_loop ctx ~dispatch:true ~op ~fn_id:slot.Team.simd_fn_id
-            ~trip:slot.Team.simd_trip red slot.Team.simd_args
-        in
-        let (_ : float) = Reduction.simd_reduce ctx op acc in
-        Team.sync_warp ctx;
-        wait_for_work ()
-  in
-  (* The hand-off waits below are the `__simd` state-machine rendezvous:
-     they advance the sanitizer's epochs like any warp barrier, but the
-     worker is exempted from the divergence check — its main legitimately
-     crosses block-scope barriers while the worker idles here. *)
   let th = ctx.Team.th in
+  let tid = th.Gpusim.Thread.tid in
+  ensure_steps team ctx;
+  let sm = team.Team.sm in
+  sm.Team.ctxs.(tid) <- ctx;
+  sm.Team.phase.(tid) <- Team.Handoff;
+  (* The hand-off waits are the `__simd` state-machine rendezvous: they
+     advance the sanitizer's epochs like any warp barrier, but the
+     worker is exempted from the divergence check — its main
+     legitimately crosses block-scope barriers while the worker idles
+     here.  An exception aborts the whole block, so there is nothing to
+     restore on that path. *)
   let prev_actor =
     if Gpusim.Thread.sanitizing th then begin
       Gpusim.Ompsan.enter_state_machine th;
       (* Workers only ever run simd-loop bodies — their own lane's work;
          undo any enclosing SPMD attribution. *)
-      Gpusim.Ompsan.set_actor th th.Gpusim.Thread.tid
+      Gpusim.Ompsan.set_actor th tid
     end
-    else th.Gpusim.Thread.tid
+    else tid
   in
-  Fun.protect
-    ~finally:(fun () ->
-      if Gpusim.Thread.sanitizing th then begin
-        ignore (Gpusim.Ompsan.set_actor th prev_actor);
-        Gpusim.Ompsan.leave_state_machine th
-      end)
-    wait_for_work
+  if not (advance team ctx tid) then Gpusim.Engine.suspend_stepped th sm.Team.step;
+  if Gpusim.Thread.sanitizing th then begin
+    ignore (Gpusim.Ompsan.set_actor th prev_actor);
+    Gpusim.Ompsan.leave_state_machine th
+  end
 
 let signal_termination ctx =
   Gpusim.Thread.trace ctx.Team.th ~tag:"simd.terminate" "";

@@ -49,7 +49,10 @@ val state_machine : Team.ctx -> unit
 (** The SIMD worker loop (Fig 6): wait on the group's warp barrier; fetch
     the published function pointer; [None] means the parallel region ended
     — return; otherwise fetch the shared arguments, run the workshare
-    loop, synchronize, repeat. *)
+    loop, synchronize, repeat.  The loop runs as engine steps
+    ({!Gpusim.Engine.suspend_stepped}): the worker's fiber parks once,
+    at its first hand-off that does not complete, and resumes once, at
+    termination; the simulated schedule is the fiber loop's exactly. *)
 
 val signal_termination : Team.ctx -> unit
 (** Called by the SIMD main at the end of a generic parallel region:

@@ -66,4 +66,7 @@ let launch ~cfg ?pool ?trace ?nonce ?kernel ~params ?(dispatch_table_size = 0)
       let team = Team.create ~cfg ~arena ~params ~block_id in
       team.Team.dispatch_table_size <- dispatch_table_size;
       team)
+    ~reinit:(fun team ~block_id arena ->
+      Team.reset team ~arena ~block_id;
+      team.Team.dispatch_table_size <- dispatch_table_size)
     ~body:(thread_main body) ()

@@ -15,6 +15,23 @@ let default_params =
     sharing_bytes = Sharing.default_bytes;
   }
 
+(* Where a stepped SIMD worker resumes (see Simd): named by the
+   rendezvous it was last released from. *)
+type phase =
+  | Handoff  (* about to arrive at the hand-off *)
+  | Woken  (* released from the hand-off: read the slot *)
+  | Entered  (* released from a fused loop's entry *)
+  | Classic  (* released from a classic loop's entry *)
+  | Round  (* released from a classic round's lockstep *)
+  | Posted  (* released from the group reduction's first rendezvous *)
+  | Reduced  (* released from its second *)
+
+(* The loop shape of a worker's current round. *)
+type loop_kind =
+  | Simd_loop
+  | Sum_fold  (* a sum reduction, folded in a register *)
+  | Combine  (* another monoid, combined per iteration *)
+
 type ctx = { th : Gpusim.Thread.t; team : t }
 and microtask = ctx -> Payload.t -> unit
 and simd_body = ctx -> int -> Payload.t -> unit
@@ -40,9 +57,35 @@ and simd_slot = {
   mutable simd_args_location : Sharing.location;
 }
 
+(* Per-tid state of the stepped SIMD state machine (see Simd): a worker
+   between two rendezvous is a phase plus these slots, so the
+   engine can run it as a step instead of resuming its fiber.  Empty
+   until the team's first generic region (see [init_steps]); the
+   closures read their tid's slots at call time, so neither a round nor
+   a region entry allocates. *)
+and steps = {
+  mutable ctxs : ctx array;
+  mutable phase : phase array;
+  mutable kind : loop_kind array;
+  mutable trip : int array;
+  mutable round : int array;
+  mutable seq : int array;
+  mutable actor : int array;
+  mutable simt : float array;
+  mutable acc : float array;
+  mutable fns : simd_body array;
+  mutable reds : simd_reducer array;
+  mutable ops : Redop.t array;
+  mutable args : Payload.t array;
+  mutable step : Gpusim.Thread.t -> bool;
+  mutable bodies : (int -> unit) array;
+  mutable folds : (int -> float) array;
+  mutable combs : (int -> unit) array;
+}
+
 and t = {
   cfg : Gpusim.Config.t;
-  block_id : int;
+  mutable block_id : int;
   params : params;
   num_workers : int;
   main_tid : int option;
@@ -86,6 +129,8 @@ and t = {
   fused_trip : int array;
   fused_actor : int array;
   fused_seq : int array;
+  geometries : Simd_group.t option array;
+  sm : steps;
 }
 
 let block_threads ~(cfg : Gpusim.Config.t) params =
@@ -110,6 +155,25 @@ let check_params ~(cfg : Gpusim.Config.t) params =
         (Printf.sprintf "a block of %d threads exceeds the device limit %d" block
            cfg.Gpusim.Config.max_threads_per_block)
     else Ok ()
+
+(* Display names of the runtime's barriers, formatted only when a stall
+   report or the sanitizer reads them (see Barrier.create_named). *)
+let team_name block_id _ = Printf.sprintf "team%d" block_id
+let region_name block_id expected = Printf.sprintf "region%d/%d" block_id expected
+let warp_name warp mask = Printf.sprintf "warp%d:%08x" warp mask
+let lockstep_name warp mask = Printf.sprintf "lockstep%d:%08x" warp mask
+
+let no_body : simd_body = fun _ _ _ -> ()
+let no_reducer : simd_reducer = fun _ _ _ -> 0.0
+
+let reset_slot s =
+  s.simd_fn <- None;
+  s.simd_red_fn <- None;
+  s.simd_red_op <- Redop.sum;
+  s.simd_fn_id <- -1;
+  s.simd_trip <- 0;
+  s.simd_args <- Payload.empty;
+  s.simd_args_location <- Sharing.none
 
 let create ~cfg ~arena ~params ~block_id =
   let ws = cfg.Gpusim.Config.warp_size in
@@ -142,9 +206,7 @@ let create ~cfg ~arena ~params ~block_id =
     num_workers;
     main_tid;
     team_barrier =
-      Gpusim.Barrier.create
-        ~name:(Printf.sprintf "team%d" block_id)
-        ~expected
+      Gpusim.Barrier.create_named ~namer:team_name ~a:block_id ~b:0 ~expected
         ~cost:cfg.Gpusim.Config.cost.Gpusim.Config.block_barrier ();
     warp_barriers = Hashtbl.create 16;
     region_barriers = Hashtbl.create 4;
@@ -174,7 +236,99 @@ let create ~cfg ~arena ~params ~block_id =
     fused_trip = Array.make total 0;
     fused_actor = Array.make total 0;
     fused_seq = Array.make num_workers 0;
+    geometries = Array.make (ws + 1) None;
+    sm =
+      {
+        ctxs = [||];
+        phase = [||];
+        kind = [||];
+        trip = [||];
+        round = [||];
+        seq = [||];
+        actor = [||];
+        simt = [||];
+        acc = [||];
+        fns = [||];
+        reds = [||];
+        ops = [||];
+        args = [||];
+        step = Gpusim.Thread.fiber;
+        bodies = [||];
+        folds = [||];
+        combs = [||];
+      };
   }
+
+(* Restore a completed block's team to what [create] builds for
+   [block_id] on [arena], keeping what is a pure function of the launch:
+   the barrier tables (warp and lockstep barriers are named by warp and
+   mask, region and team barriers are renamed to the new block) with
+   their memos, the geometry cache and the step closures.  Everything a
+   block reads or accumulates is reset, and the sharing space is
+   reserved again on the new arena. *)
+let reset t ~arena ~block_id =
+  t.block_id <- block_id;
+  Gpusim.Barrier.rename t.team_barrier block_id;
+  Hashtbl.iter (fun _ b -> Gpusim.Barrier.rename b block_id) t.region_barriers;
+  Sharing.reset t.sharing ~arena;
+  Array.iter reset_slot t.simd_slots;
+  t.parallel_signal <- None;
+  t.active_geometry <- None;
+  t.active_task <- None;
+  t.dispatch_table_size <- 0;
+  Array.fill t.red_scratch 0 (Array.length t.red_scratch) 0.0;
+  t.dyn_counter <- 0;
+  t.dyn_active <- 0;
+  Array.fill t.in_region 0 (Array.length t.in_region) false;
+  let total = Array.length t.fused_trip in
+  Array.fill t.fused_fns 0 total (fun (_ : int) -> ());
+  Array.fill t.fused_reds 0 total (fun (_ : int) -> 0.0);
+  Array.fill t.fused_acc 0 total 0.0;
+  Array.fill t.fused_trip 0 total 0;
+  Array.fill t.fused_actor 0 total 0;
+  Array.fill t.fused_seq 0 (Array.length t.fused_seq) 0;
+  let sm = t.sm in
+  let n = Array.length sm.phase in
+  Array.fill sm.phase 0 n Handoff;
+  Array.fill sm.fns 0 n no_body;
+  Array.fill sm.reds 0 n no_reducer;
+  Array.fill sm.ops 0 n Redop.sum;
+  Array.fill sm.args 0 n Payload.empty
+
+(* Size the step state for the team's workers, on its first generic
+   region; [ctx] fills the context slots until each worker stores its
+   own. *)
+let init_steps t ctx =
+  let sm = t.sm in
+  if Array.length sm.phase = 0 then begin
+    let n = t.num_workers in
+    sm.ctxs <- Array.make n ctx;
+    sm.phase <- Array.make n Handoff;
+    sm.kind <- Array.make n Simd_loop;
+    sm.trip <- Array.make n 0;
+    sm.round <- Array.make n 0;
+    sm.seq <- Array.make n 0;
+    sm.actor <- Array.make n 0;
+    sm.simt <- Array.make n 1.0;
+    sm.acc <- Array.make n 0.0;
+    sm.fns <- Array.make n no_body;
+    sm.reds <- Array.make n no_reducer;
+    sm.ops <- Array.make n Redop.sum;
+    sm.args <- Array.make n Payload.empty
+  end
+
+(* The region geometry for [group_size], built once per team. *)
+let geometry_for t ~group_size =
+  match t.geometries.(group_size) with
+  | Some _ as g -> g
+  | None ->
+      let g =
+        Some
+          (Simd_group.make ~warp_size:t.cfg.Gpusim.Config.warp_size
+             ~num_workers:t.num_workers ~group_size)
+      in
+      t.geometries.(group_size) <- g;
+      g
 
 type role = Team_main | Worker | Inactive_main_lane
 
@@ -236,8 +390,8 @@ let warp_barrier_for t (th : Gpusim.Thread.t) ~mask =
               | None ->
                   let b =
                     let participants = Mask.popcount mask in
-                    Gpusim.Barrier.create
-                      ~name:(Printf.sprintf "warp%d:%08x" warp mask)
+                    Gpusim.Barrier.create_named ~namer:warp_name ~a:warp
+                      ~b:mask
                       ~spin:(Gpusim.Config.warp_barrier_spins t.cfg)
                       ~expected:participants
                       ~cost:
@@ -271,9 +425,8 @@ let lockstep_barrier t (th : Gpusim.Thread.t) ~mask =
               | Some b -> b
               | None ->
                   let b =
-                    Gpusim.Barrier.create
-                      ~name:(Printf.sprintf "lockstep%d:%08x" warp mask)
-                      ~expected:(Ompsimd_util.Mask.popcount mask)
+                    Gpusim.Barrier.create_named ~namer:lockstep_name ~a:warp
+                      ~b:mask ~expected:(Ompsimd_util.Mask.popcount mask)
                       ~cost:0.0 ()
                   in
                   Hashtbl.add t.lockstep_barriers key b;
@@ -287,36 +440,57 @@ let lockstep_barrier t (th : Gpusim.Thread.t) ~mask =
       t.ls_memo_bar.(tid) <- Some b;
       b
 
+(* Each rendezvous below comes in two shapes over one preamble: the
+   fiber wait, and the stepped arrival ([*_arrive], see
+   Gpusim.Engine.arrive) that the SIMD state machine's steps use. *)
+let lockstep_bar ctx g =
+  let mask = Simd_group.simdmask g ~tid:ctx.th.Gpusim.Thread.tid in
+  let bar = lockstep_barrier ctx.team ctx.th ~mask in
+  san_warp_arrive ctx.th ~mask bar;
+  bar
+
 let lockstep_align ctx =
   let g = geometry ctx.team in
-  if Simd_group.get_simd_group_size g > 1 then begin
-    let tid = ctx.th.Gpusim.Thread.tid in
-    let mask = Simd_group.simdmask g ~tid in
-    let bar = lockstep_barrier ctx.team ctx.th ~mask in
-    san_warp_arrive ctx.th ~mask bar;
-    Gpusim.Engine.barrier_wait bar ctx.th
-  end
+  if Simd_group.get_simd_group_size g > 1 then
+    Gpusim.Engine.barrier_wait (lockstep_bar ctx g) ctx.th
+
+let lockstep_arrive ctx =
+  let g = geometry ctx.team in
+  Simd_group.get_simd_group_size g <= 1
+  || Gpusim.Engine.arrive (lockstep_bar ctx g) ctx.th
+
+(* Hardware masked sync, or its software emulation (spin on shared-memory
+   flags) — either way a real blocking rendezvous; they differ only in
+   cost shape (see Config.warp_barrier_cost). *)
+let warp_bar ctx g =
+  let mask = Simd_group.simdmask g ~tid:ctx.th.Gpusim.Thread.tid in
+  let bar = warp_barrier_for ctx.team ctx.th ~mask in
+  ctx.th.Gpusim.Thread.counters.Gpusim.Counters.warp_barriers <-
+    ctx.th.Gpusim.Thread.counters.Gpusim.Counters.warp_barriers + 1;
+  san_warp_arrive ctx.th ~mask bar;
+  bar
 
 let sync_warp ctx =
   let g = geometry ctx.team in
   if Simd_group.get_simd_group_size g > 1 then
     match ctx.team.cfg.Gpusim.Config.barrier_impl with
     | Gpusim.Config.Hw_barrier | Gpusim.Config.Sw_barrier ->
-        (* Hardware masked sync, or its software emulation (spin on
-           shared-memory flags) — either way a real blocking rendezvous;
-           they differ only in cost shape (see Config.warp_barrier_cost). *)
-        let mask = Simd_group.simdmask g ~tid:ctx.th.Gpusim.Thread.tid in
-        let bar = warp_barrier_for ctx.team ctx.th ~mask in
-        ctx.th.Gpusim.Thread.counters.Gpusim.Counters.warp_barriers <-
-          ctx.th.Gpusim.Thread.counters.Gpusim.Counters.warp_barriers + 1;
-        san_warp_arrive ctx.th ~mask bar;
-        Gpusim.Engine.barrier_wait bar ctx.th
+        Gpusim.Engine.barrier_wait (warp_bar ctx g) ctx.th
     | Gpusim.Config.No_barrier ->
         (* No explicit wavefront barrier (§5.4.1), but AMD wavefronts are
            implicitly lockstep, which is all the SPMD path needs; the
            generic state machine — which needs a *blocking* rendezvous —
            was already degraded to singleton groups by __parallel. *)
         lockstep_align ctx
+
+let sync_warp_arrive ctx =
+  let g = geometry ctx.team in
+  Simd_group.get_simd_group_size g <= 1
+  ||
+  match ctx.team.cfg.Gpusim.Config.barrier_impl with
+  | Gpusim.Config.Hw_barrier | Gpusim.Config.Sw_barrier ->
+      Gpusim.Engine.arrive (warp_bar ctx g) ctx.th
+  | Gpusim.Config.No_barrier -> lockstep_arrive ctx
 
 let team_barrier_wait ctx =
   ctx.th.Gpusim.Thread.counters.Gpusim.Counters.block_barriers <-
@@ -346,9 +520,8 @@ let region_barrier_wait ctx =
       | Some b -> b
       | None ->
           let b =
-            Gpusim.Barrier.create
-              ~name:(Printf.sprintf "region%d/%d" ctx.team.block_id expected)
-              ~expected
+            Gpusim.Barrier.create_named ~namer:region_name
+              ~a:ctx.team.block_id ~b:expected ~expected
               ~cost:ctx.team.cfg.Gpusim.Config.cost.Gpusim.Config.block_barrier
               ()
           in

@@ -18,6 +18,23 @@ type params = {
 val default_params : params
 (** 1 team x 1 warp, SPMD, 2048-byte sharing space. *)
 
+(** Where a stepped SIMD worker resumes ([Simd]): named by the
+    rendezvous it was last released from. *)
+type phase =
+  | Handoff  (** about to arrive at the hand-off *)
+  | Woken  (** released from the hand-off: read the slot *)
+  | Entered  (** released from a fused loop's entry *)
+  | Classic  (** released from a classic loop's entry *)
+  | Round  (** released from a classic round's lockstep *)
+  | Posted  (** released from the group reduction's first rendezvous *)
+  | Reduced  (** released from its second *)
+
+(** The loop shape of a worker's current round. *)
+type loop_kind =
+  | Simd_loop
+  | Sum_fold  (** a sum reduction, folded in a register *)
+  | Combine  (** another monoid, combined per iteration *)
+
 type ctx = { th : Gpusim.Thread.t; team : t }
 (** What an executing thread sees: its lane and its team. *)
 
@@ -53,9 +70,36 @@ and simd_slot = {
   mutable simd_args_location : Sharing.location;
 }
 
+and steps = {
+  mutable ctxs : ctx array;  (** per-tid worker context *)
+  mutable phase : phase array;  (** where the worker resumes (see [Simd]) *)
+  mutable kind : loop_kind array;  (** the current round's loop shape *)
+  mutable trip : int array;
+  mutable round : int array;  (** next classic lockstep round *)
+  mutable seq : int array;  (** fused-loop sequence number at entry *)
+  mutable actor : int array;  (** sanitizer actor saved across classic rounds *)
+  mutable simt : float array;  (** divergence factor saved across the loop *)
+  mutable acc : float array;  (** the lane's reduction accumulator *)
+  mutable fns : simd_body array;
+  mutable reds : simd_reducer array;
+  mutable ops : Redop.t array;
+  mutable args : Payload.t array;
+      (** the round's published function and arguments *)
+  mutable step : Gpusim.Thread.t -> bool;  (** the workers' resume hook *)
+  mutable bodies : (int -> unit) array;
+  mutable folds : (int -> float) array;
+  mutable combs : (int -> unit) array;
+      (** per-tid loop closures over the slots above, built once *)
+}
+(** Per-worker state of the stepped SIMD state machine ([Simd]): a
+    worker between two rendezvous is a phase plus these per-tid slots,
+    so the engine runs its rounds as steps instead of fiber switches.
+    Empty until {!init_steps}; built once per team, so neither a round
+    nor a region entry allocates. *)
+
 and t = {
   cfg : Gpusim.Config.t;
-  block_id : int;
+  mutable block_id : int;
   params : params;
   num_workers : int;
   main_tid : int option;  (** the extra warp's lane 0, generic mode only *)
@@ -121,6 +165,9 @@ and t = {
   fused_seq : int array;
       (** per-group fused-loop sequence numbers: the driving lane bumps
           the count so woken lanes know their rounds already ran *)
+  geometries : Simd_group.t option array;
+      (** region geometry per group size, built once ({!geometry_for}) *)
+  sm : steps;
 }
 
 val create :
@@ -131,6 +178,24 @@ val create :
   t
 (** Build the team state and statically reserve the sharing space.
     @raise Invalid_argument when {!check_params} fails. *)
+
+val reset : t -> arena:Gpusim.Shared.arena -> block_id:int -> unit
+(** Recycle a completed block's team for [block_id] of the same launch:
+    afterwards it behaves exactly as [create] on [arena] would build it.
+    The barrier tables, memos, geometry cache and step closures are kept
+    (they depend only on the launch); team and region barriers are
+    renamed to the new block, the sharing space is reserved again on
+    [arena], and all per-block state is cleared.  [dispatch_table_size]
+    is reset to 0, as [create] leaves it. *)
+
+val init_steps : t -> ctx -> unit
+(** Size {!steps} for the team's workers, once (a team that never runs
+    a generic region never pays for it). *)
+
+val geometry_for : t -> group_size:int -> Simd_group.t option
+(** [Some] geometry of a region with SIMD groups of [group_size], built
+    on first use and shared afterwards.
+    @raise Invalid_argument as {!Simd_group.make}. *)
 
 val block_threads : cfg:Gpusim.Config.t -> params -> int
 (** Threads the block must launch with: [num_threads], plus one extra warp
@@ -162,6 +227,14 @@ val sync_warp : ctx -> unit
     the implicit-lockstep alignment, which suffices for the SPMD path;
     generic-mode signalling cannot use it and is degraded to singleton
     groups by {!Parallel.parallel} before ever reaching here. *)
+
+val sync_warp_arrive : ctx -> bool
+(** {!sync_warp} as a stepped arrival ({!Gpusim.Engine.arrive}): [true]
+    when the caller completed the rendezvous (or the group is a
+    singleton), [false] when it parked. *)
+
+val lockstep_arrive : ctx -> bool
+(** {!lockstep_align} as a stepped arrival. *)
 
 val team_barrier_wait : ctx -> unit
 (** Block-wide barrier over workers + team main. *)

@@ -337,93 +337,124 @@ let drive_fold ctx g ~group ~num ~trip =
    rendezvous: each lane steps through its own rounds, parking on the
    zero-cost lockstep barrier after every one.  Runs under fault
    injection, with a dynamic schedule in flight, and as the fallback
-   when a group's lanes diverge on the trip count. *)
-let classic_simd_rounds ctx ~id ~num ~trip f =
-  let tid = ctx.Team.th.Gpusim.Thread.tid in
-  (* Simd-loop iterations belong to the executing lane itself, not to
-     the SPMD region's logical thread: restore per-tid attribution so
-     the sanitizer can see lanes of one group racing on a cell. *)
-  let prev_actor =
-    if Gpusim.Thread.sanitizing ctx.Team.th then
-      Gpusim.Ompsan.set_actor ctx.Team.th tid
-    else tid
-  in
-  (* Lockstep rounds: every lane steps through ceil(trip/num) rounds,
-     masked off when its iteration number falls beyond the trip count —
-     this is both how SIMT hardware executes the loop and what makes
-     idle-lane waste (trip not divisible by the group size) visible. *)
-  let overhead = step_cost ctx in
-  let rounds = (trip + num - 1) / num in
-  for r = 0 to rounds - 1 do
-    let iv = id + (r * num) in
-    Gpusim.Thread.tick ctx.Team.th overhead;
-    if iv < trip then begin
-      (* In a remainder round the masked-off lanes still occupy their
-         issue slots, so the active lanes carry the whole group's
-         width: this is the idle-thread waste of a trip count that the
-         group size does not divide (S6.5). *)
-      let active = min num (trip - (r * num)) in
-      if active = num then f iv
-      else
-        Gpusim.Thread.with_simt_factor ctx.Team.th
-          (Gpusim.Thread.simt_factor ctx.Team.th
-          *. (float_of_int num /. float_of_int active))
-          (fun () -> f iv)
-    end;
-    Team.lockstep_align ctx
-  done;
-  if Gpusim.Thread.sanitizing ctx.Team.th then
-    ignore (Gpusim.Ompsan.set_actor ctx.Team.th prev_actor);
-  Gpusim.Thread.tick ctx.Team.th overhead
+   when a group's lanes diverge on the trip count.  The rounds are
+   built from the pieces below, which the SIMD state machine's stepped
+   workers run between their own lockstep arrivals. *)
 
-let classic_fold_rounds ctx ~id ~num ~trip (f : int -> float) =
+(* Simd-loop iterations belong to the executing lane itself, not to the
+   SPMD region's logical thread: restore per-tid attribution so the
+   sanitizer can see lanes of one group racing on a cell.  Returns the
+   actor to restore in [classic_end]. *)
+let classic_begin (ctx : Team.ctx) =
   let th = ctx.Team.th in
   let tid = th.Gpusim.Thread.tid in
-  let prev_actor =
-    if Gpusim.Thread.sanitizing th then Gpusim.Ompsan.set_actor th tid else tid
-  in
-  let overhead = step_cost ctx in
-  let rounds = (trip + num - 1) / num in
-  let acc = ref 0.0 in
-  for r = 0 to rounds - 1 do
-    let iv = id + (r * num) in
-    Gpusim.Thread.tick th overhead;
-    if iv < trip then begin
-      let active = min num (trip - (r * num)) in
-      if active = num then acc := !acc +. f iv
-      else begin
-        (* hand-inlined [with_simt_factor]: its thunk would capture
-           [acc] and force the accumulator into a heap cell *)
-        let saved = Gpusim.Thread.simt_factor th in
-        Gpusim.Thread.set_simt_factor th
-          (saved *. (float_of_int num /. float_of_int active));
-        let v = f iv in
-        Gpusim.Thread.set_simt_factor th saved;
-        acc := !acc +. v
-      end
-    end;
-    Team.lockstep_align ctx
-  done;
+  if Gpusim.Thread.sanitizing th then Gpusim.Ompsan.set_actor th tid else tid
+
+let classic_end (ctx : Team.ctx) prev_actor =
+  let th = ctx.Team.th in
   if Gpusim.Thread.sanitizing th then
     ignore (Gpusim.Ompsan.set_actor th prev_actor);
-  Gpusim.Thread.tick th overhead;
+  Gpusim.Thread.tick th (step_cost ctx)
+
+let classic_rounds ~num ~trip = (trip + num - 1) / num
+
+(* Lockstep round [r]: every lane steps through ceil(trip/num) rounds,
+   masked off when its iteration number falls beyond the trip count —
+   this is both how SIMT hardware executes the loop and what makes
+   idle-lane waste (trip not divisible by the group size) visible.  In a
+   remainder round the masked-off lanes still occupy their issue slots,
+   so the active lanes carry the whole group's width: this is the
+   idle-thread waste of a trip count that the group size does not
+   divide (S6.5).  The factor save/restore is hand-inlined: a
+   [with_simt_factor] thunk would capture the body's accumulator. *)
+let classic_simd_round (ctx : Team.ctx) ~id ~num ~trip r (f : int -> unit) =
+  let th = ctx.Team.th in
+  let iv = id + (r * num) in
+  Gpusim.Thread.tick th (step_cost ctx);
+  if iv < trip then begin
+    let active = min num (trip - (r * num)) in
+    if active = num then f iv
+    else begin
+      let saved = Gpusim.Thread.simt_factor th in
+      Gpusim.Thread.set_simt_factor th
+        (saved *. (float_of_int num /. float_of_int active));
+      f iv;
+      Gpusim.Thread.set_simt_factor th saved
+    end
+  end
+
+let classic_fold_round (ctx : Team.ctx) ~id ~num ~trip r (f : int -> float) acc
+    =
+  let th = ctx.Team.th in
+  let iv = id + (r * num) in
+  Gpusim.Thread.tick th (step_cost ctx);
+  if iv >= trip then acc
+  else
+    let active = min num (trip - (r * num)) in
+    if active = num then acc +. f iv
+    else begin
+      let saved = Gpusim.Thread.simt_factor th in
+      Gpusim.Thread.set_simt_factor th
+        (saved *. (float_of_int num /. float_of_int active));
+      let v = f iv in
+      Gpusim.Thread.set_simt_factor th saved;
+      acc +. v
+    end
+
+let classic_simd_rounds ctx ~id ~num ~trip f =
+  let prev_actor = classic_begin ctx in
+  for r = 0 to classic_rounds ~num ~trip - 1 do
+    classic_simd_round ctx ~id ~num ~trip r f;
+    Team.lockstep_align ctx
+  done;
+  classic_end ctx prev_actor
+
+let classic_fold_rounds ctx ~id ~num ~trip (f : int -> float) =
+  let prev_actor = classic_begin ctx in
+  let acc = ref 0.0 in
+  for r = 0 to classic_rounds ~num ~trip - 1 do
+    acc := classic_fold_round ctx ~id ~num ~trip r f !acc;
+    Team.lockstep_align ctx
+  done;
+  classic_end ctx prev_actor;
   !acc
 
-let fused_simd_loop ctx g ~tid ~id ~trip ~num f =
+(* Whether a simd loop runs fused: not while a dynamic schedule is in
+   flight, nor under fault injection. *)
+let fusing (ctx : Team.ctx) =
+  ctx.Team.team.Team.dyn_active = 0
+  && not (Gpusim.Thread.injecting ctx.Team.th)
+
+(* The fused loop in two halves around its entry rendezvous.  Before:
+   the lane deposits its handle and trip count (the caller deposits its
+   body) and reads the group's sequence number.  After: the first lane
+   through drives every lane's rounds; [true] means no lane drove — the
+   trip counts diverge — and this lane must run its own classic
+   rounds. *)
+let fused_enter (ctx : Team.ctx) g ~tid ~trip =
   let team = ctx.Team.team in
   deposit team ctx.Team.th ~tid ~trip;
-  team.Team.fused_fns.(tid) <- f;
+  team.Team.fused_seq.(Simd_group.get_simd_group g ~tid)
+
+let fused_fallback (ctx : Team.ctx) g ~tid ~num ~trip ~my_seq ~fold =
+  let team = ctx.Team.team in
   let group = Simd_group.get_simd_group g ~tid in
-  let my_seq = team.Team.fused_seq.(group) in
-  Team.sync_warp ctx;
   if
     team.Team.fused_seq.(group) = my_seq
     && uniform_trip team ~base:(Simd_group.leader_tid g ~group) ~num ~trip
   then begin
     team.Team.fused_seq.(group) <- my_seq + 1;
-    drive_simd ctx g ~group ~num ~trip
+    if fold then drive_fold ctx g ~group ~num ~trip
+    else drive_simd ctx g ~group ~num ~trip
   end;
-  if team.Team.fused_seq.(group) = my_seq then
+  team.Team.fused_seq.(group) = my_seq
+
+let fused_simd_loop ctx g ~tid ~id ~trip ~num f =
+  let team = ctx.Team.team in
+  let my_seq = fused_enter ctx g ~tid ~trip in
+  team.Team.fused_fns.(tid) <- f;
+  Team.sync_warp ctx;
+  if fused_fallback ctx g ~tid ~num ~trip ~my_seq ~fold:false then
     (* divergent trip counts: the driver declined; every lane runs its
        own classic rounds so the divergence surfaces (deadlock, with
        sanitizer findings) exactly as under classic execution *)
@@ -433,19 +464,10 @@ let fused_simd_loop ctx g ~tid ~id ~trip ~num f =
 
 let fused_simd_fold ctx g ~tid ~id ~trip ~num f =
   let team = ctx.Team.team in
-  deposit team ctx.Team.th ~tid ~trip;
+  let my_seq = fused_enter ctx g ~tid ~trip in
   team.Team.fused_reds.(tid) <- f;
-  let group = Simd_group.get_simd_group g ~tid in
-  let my_seq = team.Team.fused_seq.(group) in
   Team.sync_warp ctx;
-  if
-    team.Team.fused_seq.(group) = my_seq
-    && uniform_trip team ~base:(Simd_group.leader_tid g ~group) ~num ~trip
-  then begin
-    team.Team.fused_seq.(group) <- my_seq + 1;
-    drive_fold ctx g ~group ~num ~trip
-  end;
-  if team.Team.fused_seq.(group) = my_seq then begin
+  if fused_fallback ctx g ~tid ~num ~trip ~my_seq ~fold:true then begin
     let r = classic_fold_rounds ctx ~id ~num ~trip f in
     team.Team.fused_reds.(tid) <- drop_red;
     r
@@ -462,10 +484,7 @@ let simd_loop ctx ~trip f =
   let id = Simd_group.get_simd_group_id g ~tid in
   let num = Simd_group.get_simd_group_size g in
   if num = 1 then run_schedule ctx Static ~id:0 ~num:1 ~trip f
-  else if
-    team.Team.dyn_active = 0 && not (Gpusim.Thread.injecting ctx.Team.th)
-  then
-    fused_simd_loop ctx g ~tid ~id ~trip ~num f
+  else if fusing ctx then fused_simd_loop ctx g ~tid ~id ~trip ~num f
   else begin
     Team.sync_warp ctx;
     classic_simd_rounds ctx ~id ~num ~trip f
@@ -498,10 +517,7 @@ let simd_fold_sum ctx ~trip (f : int -> float) =
   let id = Simd_group.get_simd_group_id g ~tid in
   let num = Simd_group.get_simd_group_size g in
   if num = 1 then sequential_fold_sum ctx ~trip f
-  else if
-    team.Team.dyn_active = 0 && not (Gpusim.Thread.injecting ctx.Team.th)
-  then
-    fused_simd_fold ctx g ~tid ~id ~trip ~num f
+  else if fusing ctx then fused_simd_fold ctx g ~tid ~id ~trip ~num f
   else begin
     Team.sync_warp ctx;
     classic_fold_rounds ctx ~id ~num ~trip f

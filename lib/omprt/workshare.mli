@@ -61,6 +61,61 @@ val simd_loop : Team.ctx -> trip:int -> (int -> unit) -> unit
     fall back to the classic barrier-per-round execution, so stall
     faults keep their park points. *)
 
+(** {2 Loop pieces for stepped workers}
+
+    {!simd_loop} and {!simd_fold_sum} split at their rendezvous, for the
+    SIMD state machine ([Simd]), whose workers run their rounds as
+    engine steps between stepped arrivals.  Run in the order the loops
+    above do, they perform exactly the same ticks, counters and taps. *)
+
+val fusing : Team.ctx -> bool
+(** Whether a simd loop entered now runs fused: no dynamic schedule in
+    flight and no fault plan armed. *)
+
+val fused_enter : Team.ctx -> Simd_group.t -> tid:int -> trip:int -> int
+(** Deposit the lane's handle and trip count for the fused driver and
+    return the group's sequence number; the caller deposits its body in
+    [fused_fns] (or [fused_reds] for a sum fold), then arrives at the
+    entry rendezvous. *)
+
+val fused_fallback :
+  Team.ctx ->
+  Simd_group.t ->
+  tid:int ->
+  num:int ->
+  trip:int ->
+  my_seq:int ->
+  fold:bool ->
+  bool
+(** After the entry rendezvous: if no lane drove the group yet and the
+    trip counts agree, drive every lane's rounds (a sum fold leaves each
+    lane's total in [fused_acc]).  [true] when the trip counts diverge
+    and this lane must run its own classic rounds. *)
+
+val drop_fn : int -> unit
+val drop_red : int -> float
+(** Placeholders a lane stores over its deposited body at loop exit. *)
+
+val classic_begin : Team.ctx -> int
+(** Start classic rounds; returns the sanitizer actor to restore. *)
+
+val classic_rounds : num:int -> trip:int -> int
+(** Lockstep rounds of a loop of [trip] over a group of [num]. *)
+
+val classic_simd_round :
+  Team.ctx -> id:int -> num:int -> trip:int -> int -> (int -> unit) -> unit
+(** Round [r] of lane [id]: loop overhead and, unless masked off, the
+    body under the remainder-round divergence factor.  A lockstep
+    rendezvous follows every round. *)
+
+val classic_fold_round :
+  Team.ctx -> id:int -> num:int -> trip:int -> int -> (int -> float) -> float ->
+  float
+(** {!classic_simd_round} for a sum fold: returns the accumulator. *)
+
+val classic_end : Team.ctx -> int -> unit
+(** Finish classic rounds: restore the actor, charge the loop exit. *)
+
 val sequential_loop : Team.ctx -> trip:int -> (int -> unit) -> unit
 (** Plain sequential execution with loop-overhead costing; the degradation
     path for singleton groups and AMD generic mode (§5.4.1). *)

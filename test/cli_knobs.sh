@@ -35,14 +35,18 @@ done
 
 # A SIMD group the device's warp cannot hold is a usage error: exit 2
 # and a single stderr line naming the group and the warp width, before
-# any launch.
-for cmd in "kernel ideal" fig10; do
+# any launch — for the kernel runner and every experiment that runs a
+# fixed group (fig9 and reduction sweep only the groups the warp holds).
+for cmd in "kernel ideal" fig10 sharing dispatch teamsmode spmdize schedule \
+           all; do
   # shellcheck disable=SC2086
   err="$("$run" $cmd -d a100,warp_size=1 2>&1 >/dev/null)"
   code=$?
   lines="$(printf '%s\n' "$err" | wc -l)"
   case "$err" in
-    *"warp width 1"*) named=1 ;;
+    *"uncaught exception"*) named=0 ;;
+    *"group size "*"warp width 1"*) named=1 ;;
+    *"--simdlen "*"warp width 1"*) named=1 ;;
     *) named=0 ;;
   esac
   if [ "$code" -ne 2 ] || [ "$lines" -ne 1 ] || [ "$named" -ne 1 ]; then

@@ -910,6 +910,169 @@ let qcheck_cases =
         && (r = 0 || r * threads <= cfg.Config.max_threads_per_sm));
   ]
 
+(* --- stepped threads --------------------------------------------------
+
+   A random masked barrier program: [rounds] rounds; in each, every
+   thread ticks its own cost and arrives at its group's barrier (a random
+   partition of the threads, one barrier per group).  Run once with every
+   thread a fiber and once with a random subset running as stepped
+   threads (Engine.arrive / suspend_stepped): the global arrival order
+   and every thread's post-release clock trace must be identical — a
+   step runs exactly where the scheduler would have resumed the fiber. *)
+
+type sprog = {
+  sthreads : int;
+  groups : int array array;  (* round -> tid -> group *)
+  ticks : float array array;  (* round -> tid -> cost *)
+  costs : float array;  (* round -> barrier cost *)
+}
+
+let run_sprog ?(launch = Thread.default_launch) prog ~stepped =
+  let rounds = Array.length prog.costs in
+  let bars =
+    Array.mapi
+      (fun r grp ->
+        let n = Array.fold_left max 0 grp + 1 in
+        Array.init n (fun gi ->
+            let expected =
+              Array.fold_left (fun a g -> if g = gi then a + 1 else a) 0 grp
+            in
+            Barrier.create
+              ~name:(Printf.sprintf "r%d.g%d" r gi)
+              ~expected:(max 1 expected) ~cost:prog.costs.(r) ()))
+      prog.groups
+  in
+  let log = ref [] in
+  let pos = Array.make prog.sthreads 0 in
+  let suspended = Array.make prog.sthreads false in
+  let start th r =
+    let tid = th.Thread.tid in
+    Thread.tick th prog.ticks.(r).(tid);
+    log := `Arrive (tid, r) :: !log;
+    bars.(r).(prog.groups.(r).(tid))
+  in
+  let released th r = log := `Clock (th.Thread.tid, r, Thread.clock th) :: !log in
+  let fiber th =
+    for r = 0 to rounds - 1 do
+      Engine.barrier_wait (start th r) th;
+      released th r
+    done
+  in
+  (* the stepped twin: [pos] is the next round to start *)
+  let rec from th r =
+    if r = rounds then true
+    else begin
+      pos.(th.Thread.tid) <- r + 1;
+      let bar = start th r in
+      Engine.arrive bar th && (released th r; from th (r + 1))
+    end
+  in
+  let step th =
+    let r = pos.(th.Thread.tid) - 1 in
+    released th r;
+    from th (r + 1)
+  in
+  let result =
+    match
+      Engine.run_block ~cfg ~launch ~block_id:0 ~num_threads:prog.sthreads
+        (fun th ->
+          if stepped th.Thread.tid then begin
+            if not (from th 0) then begin
+              suspended.(th.Thread.tid) <- true;
+              Engine.suspend_stepped th step
+            end
+          end
+          else fiber th)
+    with
+    | r -> Ok r.Engine.critical_cycles
+    | exception Engine.Deadlock _ -> Error (Engine.take_stall ())
+  in
+  ((List.rev !log, result), suspended)
+
+let sprog_gen =
+  let open QCheck.Gen in
+  int_range 2 12 >>= fun sthreads ->
+  int_range 1 6 >>= fun rounds ->
+  let round =
+    int_range 1 4 >>= fun k ->
+    pair
+      (array_size (return sthreads) (int_range 0 (k - 1)))
+      (array_size (return sthreads) (float_range 0.0 50.0))
+  in
+  pair (array_size (return rounds) round) (array_size (return rounds) (float_range 0.0 8.0))
+  >>= fun (rs, costs) ->
+  (* renumber each round's groups densely so every barrier has arrivals *)
+  let dense grp =
+    let ids = Hashtbl.create 4 in
+    Array.map
+      (fun g ->
+        match Hashtbl.find_opt ids g with
+        | Some i -> i
+        | None ->
+            let i = Hashtbl.length ids in
+            Hashtbl.add ids g i;
+            i)
+      grp
+  in
+  array_size (return sthreads) bool >>= fun mask ->
+  return
+    ( {
+        sthreads;
+        groups = Array.map (fun (g, _) -> dense g) rs;
+        ticks = Array.map snd rs;
+        costs;
+      },
+      mask )
+
+let stepping_preserves_schedule =
+  QCheck.Test.make ~count:300 ~name:"stepped threads keep the fiber schedule"
+    (QCheck.make sprog_gen) (fun (prog, mask) ->
+      let fibers, _ = run_sprog prog ~stepped:(fun _ -> false) in
+      let mixed, _ = run_sprog prog ~stepped:(fun tid -> mask.(tid)) in
+      let all, _ = run_sprog prog ~stepped:(fun _ -> true) in
+      fibers = mixed && fibers = all)
+
+(* An injected stall on a stepped thread parks it on the private stall
+   barrier under its saved continuation: the block deadlocks with the
+   same stall report, and the same recorded failure, as when the victim
+   is a fiber. *)
+let test_stepped_stall_report () =
+  let prog =
+    {
+      sthreads = 64;
+      groups = Array.init 8 (fun _ -> Array.init 64 (fun tid -> tid / 8));
+      ticks =
+        Array.init 8 (fun r -> Array.init 64 (fun tid -> float_of_int (300 + ((tid * 7 + r) mod 11))));
+      costs = Array.make 8 2.0;
+    }
+  in
+  (* this seed stalls tid 32 in round 5: it parked in round 0, so the
+     stall hits it as a stepped thread *)
+  let plan = Gpusim.Fault.parse_spec ~seed:4 "stall=1" in
+  let launch = { Thread.default_launch with Thread.inject = true } in
+  let run stepped =
+    Gpusim.Fault.block_begin plan ~nonce:0 ~block_id:0 ~num_threads:64
+      ~warp_size:cfg.Config.warp_size;
+    let (log, result), suspended = run_sprog ~launch prog ~stepped in
+    let ev = Gpusim.Fault.block_end () in
+    ((log, result, ev.Gpusim.Fault.ev_stall), suspended)
+  in
+  let ((_, fiber_result, fiber_stall) as fibers), _ = run (fun _ -> false) in
+  let stepped, suspended = run (fun _ -> true) in
+  (match (fiber_result, fiber_stall) with
+  | Error (Some si), Some f ->
+      Alcotest.(check bool)
+        "the stall barrier is in the report" true
+        (List.exists
+           (fun s -> s.Engine.stuck_name = "fault.stall")
+           si.Engine.stall_stuck);
+      Alcotest.(check bool)
+        "the victim was a stepped thread" true
+        (f.Gpusim.Fault.f_tid >= 0 && suspended.(f.Gpusim.Fault.f_tid))
+  | _ -> Alcotest.fail "the stall plan must deadlock the block");
+  Alcotest.(check bool) "stepped victim: same log, report and failure" true
+    (fibers = stepped)
+
 let suite =
   [
     ( "gpusim.config",
@@ -951,6 +1114,9 @@ let suite =
         Alcotest.test_case "deadlock detection" `Quick test_engine_deadlock_detection;
         Alcotest.test_case "size validation" `Quick test_engine_rejects_bad_sizes;
         Alcotest.test_case "busy excludes wait" `Quick test_engine_busy_excludes_wait;
+        QCheck_alcotest.to_alcotest stepping_preserves_schedule;
+        Alcotest.test_case "stepped thread in a stall report" `Quick
+          test_stepped_stall_report;
       ] );
     ( "gpusim.memory",
       [
