@@ -1,17 +1,18 @@
 (* Golden simulated reports.  Each launch below is reduced to one MD5
    over its device report text, [%h] of its time, busy cycles and every
    block cost, and its output array; the expected digests were recorded
-   before the SIMD state machine's workers became engine steps and block
-   frames became per launch, so any change to the simulated schedule —
+   before the code paths they cover were last restructured (see
+   [expected]), so any change to the simulated schedule —
    a clock, a counter, a sanitizer finding, a failed block — shows up
    here.  Every launch runs twice, sequentially and on a 1-worker pool,
    against the same digest.
 
    The set covers the E6 launches (atomic and reduction spmv at every
-   group size), the Fig 9 generic and SPMD launches, and the runtime
-   paths whose rounds run classic lockstep rather than fused: a
-   sanitized launch, a fault plan with stalls and aborts, a dynamic
-   schedule, and a non-sum simd reduction. *)
+   group size), the Fig 9 generic and SPMD launches, the runtime paths
+   whose rounds run classic lockstep rather than fused (a sanitized
+   launch, a fault plan with stalls and aborts, a dynamic schedule), and
+   sum and max simd reductions in both region modes, under both
+   schedules, at group sizes 1, 2 and 8. *)
 
 module Device = Gpusim.Device
 module Occupancy = Gpusim.Occupancy
@@ -156,9 +157,12 @@ let dynamic ?pool () =
              ~mode3:(Harness.generic_simd ~group_size:g) t) ))
     [ 4; 8 ]
 
-(* A max reduction in a generic region: the workers combine through the
-   monoid, not the register fold. *)
-let max_reduce ?pool () =
+(* Simd reductions over op (sum, max) x region mode (generic, SPMD) x
+   schedule (static, dynamic) x group size (1, 2, 8): singleton groups
+   run the sequential loop, SPMD lanes each run the loop on their own
+   fiber, generic workers step through the state machine, and a dynamic
+   schedule keeps every group's rounds classic. *)
+let reduce ?pool () =
   let space = Gpusim.Memory.space () in
   let n = 40 in
   let data =
@@ -166,39 +170,51 @@ let max_reduce ?pool () =
       (Array.init (n * 24) (fun i -> float_of_int ((i * 37) mod 101)))
   in
   let out = Gpusim.Memory.falloc space n in
-  List.map
-    (fun g ->
-      Gpusim.Memory.l2_reset space;
-      Gpusim.Memory.fill out 0.0;
-      let params =
-        {
-          Team.num_teams = 5;
-          num_threads = 64;
-          teams_mode = Omprt.Mode.Spmd;
-          sharing_bytes = Omprt.Sharing.default_bytes;
-        }
-      in
-      let report =
-        Omprt.Target.launch ~cfg ?pool ~params ~dispatch_table_size:2
-          (fun ctx ->
-            Omprt.Parallel.parallel ctx ~mode:Omprt.Mode.Generic ~simd_len:g
-              ~fn_id:0 (fun ctx _ ->
-                Omprt.Workshare.distribute_parallel_for ctx ~trip:n (fun row ->
-                    let m =
-                      Omprt.Simd.simd_reduce ctx ~fn_id:1 ~op:Omprt.Redop.max
-                        ~trip:(8 + (row mod 17))
-                        (fun ctx j _ ->
-                          Gpusim.Memory.fget data ctx.Team.th ((row * 24) + j))
-                    in
-                    let g' = Team.geometry ctx.Team.team in
-                    if
-                      Omprt.Simd_group.is_simd_group_leader g'
-                        ~tid:ctx.Team.th.Gpusim.Thread.tid
-                    then Gpusim.Memory.fset out ctx.Team.th row m)))
-      in
-      ( Printf.sprintf "max reduce g%d" g,
-        digest report (Gpusim.Memory.to_float_array out) ))
-    [ 2; 8 ]
+  let launch (op_name, op) mode schedule g =
+    Gpusim.Memory.l2_reset space;
+    Gpusim.Memory.fill out 0.0;
+    let params =
+      {
+        Team.num_teams = 5;
+        num_threads = 64;
+        teams_mode = Omprt.Mode.Spmd;
+        sharing_bytes = Omprt.Sharing.default_bytes;
+      }
+    in
+    let report =
+      Omprt.Target.launch ~cfg ?pool ~params ~dispatch_table_size:2
+        (fun ctx ->
+          Omprt.Parallel.parallel ctx ~mode ~simd_len:g ~fn_id:0 (fun ctx _ ->
+              Omprt.Workshare.distribute_parallel_for ctx ~schedule ~trip:n
+                (fun row ->
+                  let m =
+                    Omprt.Simd.simd_reduce ctx ~fn_id:1 ~op
+                      ~trip:(8 + (row mod 17))
+                      (fun ctx j _ ->
+                        Gpusim.Memory.fget data ctx.Team.th ((row * 24) + j))
+                  in
+                  let g' = Team.geometry ctx.Team.team in
+                  if
+                    Omprt.Simd_group.is_simd_group_leader g'
+                      ~tid:ctx.Team.th.Gpusim.Thread.tid
+                  then Gpusim.Memory.fset out ctx.Team.th row m)))
+    in
+    ( Printf.sprintf "%s reduce%s%s g%d" op_name
+        (if mode = Omprt.Mode.Spmd then " spmd" else "")
+        (if schedule = Omprt.Workshare.Static then "" else " dynamic")
+        g,
+      digest report (Gpusim.Memory.to_float_array out) )
+  in
+  List.concat_map
+    (fun op ->
+      List.concat_map
+        (fun mode ->
+          List.concat_map
+            (fun schedule ->
+              List.map (launch op mode schedule) [ 1; 2; 8 ])
+            [ Omprt.Workshare.Static; Omprt.Workshare.Dynamic 2 ])
+        [ Omprt.Mode.Generic; Omprt.Mode.Spmd ])
+    [ ("max", Omprt.Redop.max); ("sum", Omprt.Redop.sum) ]
 
 let all ~domains =
   let pool =
@@ -207,12 +223,14 @@ let all ~domains =
   let faults, stats = faulted ~domains in
   let r =
     e6 ?pool () @ fig9 ?pool () @ sanitized ~domains @ faults
-    @ dynamic ?pool () @ max_reduce ?pool ()
+    @ dynamic ?pool () @ reduce ?pool ()
   in
   Option.iter Gpusim.Pool.shutdown pool;
   (r, stats)
 
-(* recorded with the code before stepped workers and block frames *)
+(* recorded with the code before stepped workers and block frames; the
+   reduce launches other than max g2/g8 with the code before reductions
+   became loop bodies *)
 let expected =
   [
     ("e6 atomic g2", "2360daaf62fdc852fd31ced4f18f3ff5");
@@ -245,8 +263,30 @@ let expected =
     ("faulted reduction g16", "0ffeb10e8c774277793b31717e821229");
     ("dynamic g4", "287a8026d63c4dcd6abfcde10fb366fb");
     ("dynamic g8", "3d0df1e95b7ce7187208f3c79ece4a1a");
+    ("max reduce g1", "7507a060756ae829e7ae8509f2e24683");
     ("max reduce g2", "bde33e848c20fd8ed8bd173f25bb362c");
     ("max reduce g8", "3327662d7e93a4ded572e5ad9d296e5d");
+    ("max reduce dynamic g1", "5b06cabd176e6bc78e02ca441a59cf46");
+    ("max reduce dynamic g2", "1727e8c693057fab721921e27c137551");
+    ("max reduce dynamic g8", "78479315ed16a62e293135f3715858d0");
+    ("max reduce spmd g1", "7507a060756ae829e7ae8509f2e24683");
+    ("max reduce spmd g2", "ea11e1c5714e6565567e7dfa690b0436");
+    ("max reduce spmd g8", "921311f2a2b180e3c39a99ab0129b9c8");
+    ("max reduce spmd dynamic g1", "5b06cabd176e6bc78e02ca441a59cf46");
+    ("max reduce spmd dynamic g2", "cd1b4797b7a6b85a330d828831826df2");
+    ("max reduce spmd dynamic g8", "bd9e49391533352a2d67d10f97310696");
+    ("sum reduce g1", "880c3b06fcfd3aeb49f1965e29329708");
+    ("sum reduce g2", "b387c5c1ae14e8e014c243a940e3343b");
+    ("sum reduce g8", "5a37653ebebb9484d5fbde6b3cfb9a11");
+    ("sum reduce dynamic g1", "d0a5ea2fed831bfc1c8a6e99e8844741");
+    ("sum reduce dynamic g2", "3d3ea1204da446465d8f6ad090cfea46");
+    ("sum reduce dynamic g8", "856aa239e913ef3400b0ad915cd49b26");
+    ("sum reduce spmd g1", "880c3b06fcfd3aeb49f1965e29329708");
+    ("sum reduce spmd g2", "5e1dacb4d62ea1b284668fd09efe9722");
+    ("sum reduce spmd g8", "6597f0ce71b0371016da543b086ef564");
+    ("sum reduce spmd dynamic g1", "d0a5ea2fed831bfc1c8a6e99e8844741");
+    ("sum reduce spmd dynamic g2", "c1ab404646e9867280c91ba7dcf607bb");
+    ("sum reduce spmd dynamic g8", "900a1db50fed3ce11296cff1a7f8fc01");
   ]
 
 let check_golden domains () =
