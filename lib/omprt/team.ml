@@ -29,8 +29,20 @@ type phase =
 (* The loop shape of a worker's current round. *)
 type loop_kind =
   | Simd_loop
-  | Sum_fold  (* a sum reduction, folded in a register *)
-  | Combine  (* another monoid, combined per iteration *)
+  | Reduce  (* a reducing loop: fold into [lane_acc], then the group combines *)
+
+(* A (warp, mask) -> barrier table behind two last-key memos, per tid
+   and per warp: the lanes of a warp share each (warp, mask) barrier, so
+   after the first lane's table lookup its siblings resolve without
+   touching the Hashtbl at all, and a lane re-syncing on the same mask
+   (every simd round) skips even the warp memo. *)
+type barrier_memo = {
+  table : (int, Gpusim.Barrier.t) Hashtbl.t;
+  tid_key : int array;
+  tid_bar : Gpusim.Barrier.t option array;
+  warp_key : int array;
+  warp_bar : Gpusim.Barrier.t option array;
+}
 
 type ctx = { th : Gpusim.Thread.t; team : t }
 and microtask = ctx -> Payload.t -> unit
@@ -72,14 +84,12 @@ and steps = {
   mutable seq : int array;
   mutable actor : int array;
   mutable simt : float array;
-  mutable acc : float array;
   mutable fns : simd_body array;
   mutable reds : simd_reducer array;
   mutable ops : Redop.t array;
   mutable args : Payload.t array;
   mutable step : Gpusim.Thread.t -> bool;
   mutable bodies : (int -> unit) array;
-  mutable folds : (int -> float) array;
   mutable combs : (int -> unit) array;
 }
 
@@ -90,21 +100,9 @@ and t = {
   num_workers : int;
   main_tid : int option;
   team_barrier : Gpusim.Barrier.t;
-  warp_barriers : (int, Gpusim.Barrier.t) Hashtbl.t;
+  warp_barriers : barrier_memo;
   region_barriers : (int, Gpusim.Barrier.t) Hashtbl.t;
-  lockstep_barriers : (int, Gpusim.Barrier.t) Hashtbl.t;
-  (* per-tid last-key memos over the two tables above, backed by a
-     per-warp layer: the 32 lanes of a warp share each (warp, mask)
-     barrier, so after the first lane's table lookup its siblings
-     resolve without touching the Hashtbl at all *)
-  wb_memo_key : int array;
-  wb_memo_bar : Gpusim.Barrier.t option array;
-  ls_memo_key : int array;
-  ls_memo_bar : Gpusim.Barrier.t option array;
-  wb_warp_key : int array;
-  wb_warp_bar : Gpusim.Barrier.t option array;
-  ls_warp_key : int array;
-  ls_warp_bar : Gpusim.Barrier.t option array;
+  lockstep_barriers : barrier_memo;
   sharing : Sharing.t;
   simd_slots : simd_slot array;
   mutable parallel_signal : parallel_task option;
@@ -124,11 +122,12 @@ and t = {
      constructible here. *)
   mutable fused_ths : Gpusim.Thread.t array;
   fused_fns : (int -> unit) array;
-  fused_reds : (int -> float) array;
-  fused_acc : float array;
   fused_trip : int array;
   fused_actor : int array;
   fused_seq : int array;
+  (* Per-tid running value of a reducing simd loop: its body folds each
+     iteration into the lane's cell, which a float array keeps unboxed. *)
+  lane_acc : float array;
   geometries : Simd_group.t option array;
   sm : steps;
 }
@@ -175,6 +174,16 @@ let reset_slot s =
   s.simd_args <- Payload.empty;
   s.simd_args_location <- Sharing.none
 
+let barrier_memo ~total ~ws =
+  let warps = (total + ws - 1) / ws in
+  {
+    table = Hashtbl.create 16;
+    tid_key = Array.make total min_int;
+    tid_bar = Array.make total None;
+    warp_key = Array.make warps min_int;
+    warp_bar = Array.make warps None;
+  }
+
 let create ~cfg ~arena ~params ~block_id =
   let ws = cfg.Gpusim.Config.warp_size in
   (match check_params ~cfg params with
@@ -208,17 +217,9 @@ let create ~cfg ~arena ~params ~block_id =
     team_barrier =
       Gpusim.Barrier.create_named ~namer:team_name ~a:block_id ~b:0 ~expected
         ~cost:cfg.Gpusim.Config.cost.Gpusim.Config.block_barrier ();
-    warp_barriers = Hashtbl.create 16;
+    warp_barriers = barrier_memo ~total ~ws;
     region_barriers = Hashtbl.create 4;
-    lockstep_barriers = Hashtbl.create 16;
-    wb_memo_key = Array.make total min_int;
-    wb_memo_bar = Array.make total None;
-    ls_memo_key = Array.make total min_int;
-    ls_memo_bar = Array.make total None;
-    wb_warp_key = Array.make ((total + ws - 1) / ws) min_int;
-    wb_warp_bar = Array.make ((total + ws - 1) / ws) None;
-    ls_warp_key = Array.make ((total + ws - 1) / ws) min_int;
-    ls_warp_bar = Array.make ((total + ws - 1) / ws) None;
+    lockstep_barriers = barrier_memo ~total ~ws;
     sharing = Sharing.create ~arena ~bytes:params.sharing_bytes;
     simd_slots = Array.init num_workers (fun _ -> fresh_slot ());
     parallel_signal = None;
@@ -231,11 +232,10 @@ let create ~cfg ~arena ~params ~block_id =
     in_region = Array.make num_workers false;
     fused_ths = [||];
     fused_fns = Array.make total (fun (_ : int) -> ());
-    fused_reds = Array.make total (fun (_ : int) -> 0.0);
-    fused_acc = Array.make total 0.0;
     fused_trip = Array.make total 0;
     fused_actor = Array.make total 0;
     fused_seq = Array.make num_workers 0;
+    lane_acc = Array.make total 0.0;
     geometries = Array.make (ws + 1) None;
     sm =
       {
@@ -247,14 +247,12 @@ let create ~cfg ~arena ~params ~block_id =
         seq = [||];
         actor = [||];
         simt = [||];
-        acc = [||];
         fns = [||];
         reds = [||];
         ops = [||];
         args = [||];
         step = Gpusim.Thread.fiber;
         bodies = [||];
-        folds = [||];
         combs = [||];
       };
   }
@@ -282,11 +280,10 @@ let reset t ~arena ~block_id =
   Array.fill t.in_region 0 (Array.length t.in_region) false;
   let total = Array.length t.fused_trip in
   Array.fill t.fused_fns 0 total (fun (_ : int) -> ());
-  Array.fill t.fused_reds 0 total (fun (_ : int) -> 0.0);
-  Array.fill t.fused_acc 0 total 0.0;
   Array.fill t.fused_trip 0 total 0;
   Array.fill t.fused_actor 0 total 0;
   Array.fill t.fused_seq 0 (Array.length t.fused_seq) 0;
+  Array.fill t.lane_acc 0 total 0.0;
   let sm = t.sm in
   let n = Array.length sm.phase in
   Array.fill sm.phase 0 n Handoff;
@@ -310,7 +307,6 @@ let init_steps t ctx =
     sm.seq <- Array.make n 0;
     sm.actor <- Array.make n 0;
     sm.simt <- Array.make n 1.0;
-    sm.acc <- Array.make n 0.0;
     sm.fns <- Array.make n no_body;
     sm.reds <- Array.make n no_reducer;
     sm.ops <- Array.make n Redop.sum;
@@ -373,72 +369,53 @@ let san_block_arrive (th : Gpusim.Thread.t) ~participants bar =
       ~expected:(Gpusim.Barrier.expected bar)
       ~participants:(participants ())
 
-let warp_barrier_for t (th : Gpusim.Thread.t) ~mask =
+(* The barrier [m] holds for [th]'s (warp, mask) pair, made by [make]
+   on first use. *)
+let memo_barrier m t (th : Gpusim.Thread.t) ~mask
+    (make : t -> warp:int -> mask:int -> Gpusim.Barrier.t) =
   let tid = th.Gpusim.Thread.tid in
   let warp = th.Gpusim.Thread.warp.Gpusim.Thread.warp_index in
   let key = (warp * 0x1_0000_0000) lor mask in
-  match t.wb_memo_bar.(tid) with
-  | Some b when t.wb_memo_key.(tid) = key -> b
+  match m.tid_bar.(tid) with
+  | Some b when m.tid_key.(tid) = key -> b
   | _ ->
       let b =
-        match t.wb_warp_bar.(warp) with
-        | Some b when t.wb_warp_key.(warp) = key -> b
+        match m.warp_bar.(warp) with
+        | Some b when m.warp_key.(warp) = key -> b
         | _ ->
             let b =
-              match Hashtbl.find_opt t.warp_barriers key with
+              match Hashtbl.find_opt m.table key with
               | Some b -> b
               | None ->
-                  let b =
-                    let participants = Mask.popcount mask in
-                    Gpusim.Barrier.create_named ~namer:warp_name ~a:warp
-                      ~b:mask
-                      ~spin:(Gpusim.Config.warp_barrier_spins t.cfg)
-                      ~expected:participants
-                      ~cost:
-                        (Gpusim.Config.warp_barrier_cost t.cfg ~participants)
-                      ()
-                  in
-                  Hashtbl.add t.warp_barriers key b;
+                  let b = make t ~warp ~mask in
+                  Hashtbl.add m.table key b;
                   b
             in
-            t.wb_warp_key.(warp) <- key;
-            t.wb_warp_bar.(warp) <- Some b;
+            m.warp_key.(warp) <- key;
+            m.warp_bar.(warp) <- Some b;
             b
       in
-      t.wb_memo_key.(tid) <- key;
-      t.wb_memo_bar.(tid) <- Some b;
+      m.tid_key.(tid) <- key;
+      m.tid_bar.(tid) <- Some b;
       b
 
-let lockstep_barrier t (th : Gpusim.Thread.t) ~mask =
-  let tid = th.Gpusim.Thread.tid in
-  let warp = th.Gpusim.Thread.warp.Gpusim.Thread.warp_index in
-  let key = (warp * 0x1_0000_0000) lor mask in
-  match t.ls_memo_bar.(tid) with
-  | Some b when t.ls_memo_key.(tid) = key -> b
-  | _ ->
-      let b =
-        match t.ls_warp_bar.(warp) with
-        | Some b when t.ls_warp_key.(warp) = key -> b
-        | _ ->
-            let b =
-              match Hashtbl.find_opt t.lockstep_barriers key with
-              | Some b -> b
-              | None ->
-                  let b =
-                    Gpusim.Barrier.create_named ~namer:lockstep_name ~a:warp
-                      ~b:mask ~expected:(Ompsimd_util.Mask.popcount mask)
-                      ~cost:0.0 ()
-                  in
-                  Hashtbl.add t.lockstep_barriers key b;
-                  b
-            in
-            t.ls_warp_key.(warp) <- key;
-            t.ls_warp_bar.(warp) <- Some b;
-            b
-      in
-      t.ls_memo_key.(tid) <- key;
-      t.ls_memo_bar.(tid) <- Some b;
-      b
+let make_warp_barrier t ~warp ~mask =
+  let participants = Mask.popcount mask in
+  Gpusim.Barrier.create_named ~namer:warp_name ~a:warp ~b:mask
+    ~spin:(Gpusim.Config.warp_barrier_spins t.cfg)
+    ~expected:participants
+    ~cost:(Gpusim.Config.warp_barrier_cost t.cfg ~participants)
+    ()
+
+let make_lockstep_barrier _ ~warp ~mask =
+  Gpusim.Barrier.create_named ~namer:lockstep_name ~a:warp ~b:mask
+    ~expected:(Mask.popcount mask) ~cost:0.0 ()
+
+let warp_barrier_for t th ~mask =
+  memo_barrier t.warp_barriers t th ~mask make_warp_barrier
+
+let lockstep_barrier t th ~mask =
+  memo_barrier t.lockstep_barriers t th ~mask make_lockstep_barrier
 
 (* Each rendezvous below comes in two shapes over one preamble: the
    fiber wait, and the stepped arrival ([*_arrive], see

@@ -29,11 +29,18 @@ type phase =
   | Posted  (** released from the group reduction's first rendezvous *)
   | Reduced  (** released from its second *)
 
-(** The loop shape of a worker's current round. *)
+(** The loop shape of a worker's current round: both run one simd loop
+    and differ only in its body and in what follows the loop. *)
 type loop_kind =
-  | Simd_loop
-  | Sum_fold  (** a sum reduction, folded in a register *)
-  | Combine  (** another monoid, combined per iteration *)
+  | Simd_loop  (** the published body, then the exit rendezvous *)
+  | Reduce
+      (** the published reducer folded into {!t.lane_acc}, then the
+          group reduction *)
+
+type barrier_memo
+(** A (warp, mask) → barrier table behind per-tid and per-warp
+    last-key memos: a lane re-syncing on the same mask (every simd
+    round) skips the hash lookup, and so do its warp siblings. *)
 
 type ctx = { th : Gpusim.Thread.t; team : t }
 (** What an executing thread sees: its lane and its team. *)
@@ -79,7 +86,6 @@ and steps = {
   mutable seq : int array;  (** fused-loop sequence number at entry *)
   mutable actor : int array;  (** sanitizer actor saved across classic rounds *)
   mutable simt : float array;  (** divergence factor saved across the loop *)
-  mutable acc : float array;  (** the lane's reduction accumulator *)
   mutable fns : simd_body array;
   mutable reds : simd_reducer array;
   mutable ops : Redop.t array;
@@ -87,9 +93,9 @@ and steps = {
       (** the round's published function and arguments *)
   mutable step : Gpusim.Thread.t -> bool;  (** the workers' resume hook *)
   mutable bodies : (int -> unit) array;
-  mutable folds : (int -> float) array;
   mutable combs : (int -> unit) array;
-      (** per-tid loop closures over the slots above, built once *)
+      (** per-tid loop closures over the slots above, built once: a simd
+          loop's body, and a reducing loop's fold into {!t.lane_acc} *)
 }
 (** Per-worker state of the stepped SIMD state machine ([Simd]): a
     worker between two rendezvous is a phase plus these per-tid slots,
@@ -104,24 +110,13 @@ and t = {
   num_workers : int;
   main_tid : int option;  (** the extra warp's lane 0, generic mode only *)
   team_barrier : Gpusim.Barrier.t;
-  warp_barriers : (int, Gpusim.Barrier.t) Hashtbl.t;
+  warp_barriers : barrier_memo;  (** the masked warp barriers *)
   region_barriers : (int, Gpusim.Barrier.t) Hashtbl.t;
       (** barriers over the threads executing the current parallel region,
           keyed by participant count *)
-  lockstep_barriers : (int, Gpusim.Barrier.t) Hashtbl.t;
+  lockstep_barriers : barrier_memo;
       (** zero-cost alignment barriers modelling the implicit SIMT
           lockstep of a group's lanes inside a simd loop *)
-  wb_memo_key : int array;
-  wb_memo_bar : Gpusim.Barrier.t option array;
-  ls_memo_key : int array;
-  ls_memo_bar : Gpusim.Barrier.t option array;
-  wb_warp_key : int array;
-  wb_warp_bar : Gpusim.Barrier.t option array;
-  ls_warp_key : int array;
-  ls_warp_bar : Gpusim.Barrier.t option array;
-      (** per-tid last (warp, mask) → barrier memos for the two tables
-          above: a lane re-syncing on the same mask (every simd round)
-          skips the hash lookup *)
   sharing : Sharing.t;
   simd_slots : simd_slot array;  (** indexed by SIMD group *)
   mutable parallel_signal : parallel_task option;
@@ -155,16 +150,17 @@ and t = {
           thread handles of the lanes whose simd rounds the driving lane
           executes.  Lazily sized on first use. *)
   fused_fns : (int -> unit) array;  (** per-tid deposited loop bodies *)
-  fused_reds : (int -> float) array;
-      (** per-tid deposited reducing bodies *)
-  fused_acc : float array;
-      (** per-tid fold accumulators written by the driving lane *)
   fused_trip : int array;  (** per-tid deposited trip counts *)
   fused_actor : int array;
       (** per-tid saved sanitizer actors across a driven loop *)
   fused_seq : int array;
       (** per-group fused-loop sequence numbers: the driving lane bumps
           the count so woken lanes know their rounds already ran *)
+  lane_acc : float array;
+      (** per-tid running value of a reducing simd loop: set to the
+          monoid's identity on entry, then the loop body folds each
+          iteration into the lane's cell (unboxed, being a float array)
+          — whichever lane's fiber or step runs that iteration *)
   geometries : Simd_group.t option array;
       (** region geometry per group size, built once ({!geometry_for}) *)
   sm : steps;

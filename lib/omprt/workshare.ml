@@ -193,7 +193,6 @@ let distribute_parallel_for ctx ?(schedule = Static) ~trip f =
    reach. *)
 
 let drop_fn : int -> unit = fun _ -> ()
-let drop_red : int -> float = fun _ -> 0.0
 
 let deposit (team : Team.t) (th : Gpusim.Thread.t) ~tid ~trip =
   if Array.length team.Team.fused_ths = 0 then
@@ -291,48 +290,6 @@ let drive_simd ctx g ~group ~num ~trip =
     Gpusim.Thread.tick ths.(base + l) overhead
   done
 
-let drive_fold ctx g ~group ~num ~trip =
-  let team = ctx.Team.team in
-  let base = Simd_group.leader_tid g ~group in
-  let ths = team.Team.fused_ths in
-  let reds = team.Team.fused_reds in
-  let acc = team.Team.fused_acc in
-  let overhead = step_cost ctx in
-  let san = Gpusim.Thread.sanitizing ctx.Team.th in
-  if san then san_set_actors team ~base ~num;
-  for l = 0 to num - 1 do
-    acc.(base + l) <- 0.0
-  done;
-  let rounds = (trip + num - 1) / num in
-  for r = 0 to rounds - 1 do
-    let rbase = r * num in
-    let rem = trip - rbase in
-    let active = if rem >= num then num else rem in
-    for l = 0 to num - 1 do
-      let th = ths.(base + l) in
-      Gpusim.Thread.tick th overhead;
-      let iv = rbase + l in
-      if iv < trip then
-        if active = num then acc.(base + l) <- acc.(base + l) +. reds.(base + l) iv
-        else begin
-          let saved = Gpusim.Thread.simt_factor th in
-          Gpusim.Thread.set_simt_factor th
-            (saved *. (float_of_int num /. float_of_int active));
-          let v = reds.(base + l) iv in
-          Gpusim.Thread.set_simt_factor th saved;
-          acc.(base + l) <- acc.(base + l) +. v
-        end;
-      let w = th.Gpusim.Thread.warp in
-      w.Gpusim.Thread.atomic_gen <- w.Gpusim.Thread.atomic_gen + 1
-    done;
-    if san then san_round team g ~base ~num;
-    align_round ths ~base ~num
-  done;
-  if san then san_restore_actors team ~base ~num;
-  for l = 0 to num - 1 do
-    Gpusim.Thread.tick ths.(base + l) overhead
-  done
-
 (* The classic barrier-per-round execution, starting after the entry
    rendezvous: each lane steps through its own rounds, parking on the
    zero-cost lockstep barrier after every one.  Runs under fault
@@ -366,7 +323,7 @@ let classic_rounds ~num ~trip = (trip + num - 1) / num
    so the active lanes carry the whole group's width: this is the
    idle-thread waste of a trip count that the group size does not
    divide (S6.5).  The factor save/restore is hand-inlined: a
-   [with_simt_factor] thunk would capture the body's accumulator. *)
+   [with_simt_factor] thunk would allocate a closure per round. *)
 let classic_simd_round (ctx : Team.ctx) ~id ~num ~trip r (f : int -> unit) =
   let th = ctx.Team.th in
   let iv = id + (r * num) in
@@ -383,24 +340,6 @@ let classic_simd_round (ctx : Team.ctx) ~id ~num ~trip r (f : int -> unit) =
     end
   end
 
-let classic_fold_round (ctx : Team.ctx) ~id ~num ~trip r (f : int -> float) acc
-    =
-  let th = ctx.Team.th in
-  let iv = id + (r * num) in
-  Gpusim.Thread.tick th (step_cost ctx);
-  if iv >= trip then acc
-  else
-    let active = min num (trip - (r * num)) in
-    if active = num then acc +. f iv
-    else begin
-      let saved = Gpusim.Thread.simt_factor th in
-      Gpusim.Thread.set_simt_factor th
-        (saved *. (float_of_int num /. float_of_int active));
-      let v = f iv in
-      Gpusim.Thread.set_simt_factor th saved;
-      acc +. v
-    end
-
 let classic_simd_rounds ctx ~id ~num ~trip f =
   let prev_actor = classic_begin ctx in
   for r = 0 to classic_rounds ~num ~trip - 1 do
@@ -408,16 +347,6 @@ let classic_simd_rounds ctx ~id ~num ~trip f =
     Team.lockstep_align ctx
   done;
   classic_end ctx prev_actor
-
-let classic_fold_rounds ctx ~id ~num ~trip (f : int -> float) =
-  let prev_actor = classic_begin ctx in
-  let acc = ref 0.0 in
-  for r = 0 to classic_rounds ~num ~trip - 1 do
-    acc := classic_fold_round ctx ~id ~num ~trip r f !acc;
-    Team.lockstep_align ctx
-  done;
-  classic_end ctx prev_actor;
-  !acc
 
 (* Whether a simd loop runs fused: not while a dynamic schedule is in
    flight, nor under fault injection. *)
@@ -436,7 +365,7 @@ let fused_enter (ctx : Team.ctx) g ~tid ~trip =
   deposit team ctx.Team.th ~tid ~trip;
   team.Team.fused_seq.(Simd_group.get_simd_group g ~tid)
 
-let fused_fallback (ctx : Team.ctx) g ~tid ~num ~trip ~my_seq ~fold =
+let fused_fallback (ctx : Team.ctx) g ~tid ~num ~trip ~my_seq =
   let team = ctx.Team.team in
   let group = Simd_group.get_simd_group g ~tid in
   if
@@ -444,8 +373,7 @@ let fused_fallback (ctx : Team.ctx) g ~tid ~num ~trip ~my_seq ~fold =
     && uniform_trip team ~base:(Simd_group.leader_tid g ~group) ~num ~trip
   then begin
     team.Team.fused_seq.(group) <- my_seq + 1;
-    if fold then drive_fold ctx g ~group ~num ~trip
-    else drive_simd ctx g ~group ~num ~trip
+    drive_simd ctx g ~group ~num ~trip
   end;
   team.Team.fused_seq.(group) = my_seq
 
@@ -454,28 +382,13 @@ let fused_simd_loop ctx g ~tid ~id ~trip ~num f =
   let my_seq = fused_enter ctx g ~tid ~trip in
   team.Team.fused_fns.(tid) <- f;
   Team.sync_warp ctx;
-  if fused_fallback ctx g ~tid ~num ~trip ~my_seq ~fold:false then
+  if fused_fallback ctx g ~tid ~num ~trip ~my_seq then
     (* divergent trip counts: the driver declined; every lane runs its
        own classic rounds so the divergence surfaces (deadlock, with
        sanitizer findings) exactly as under classic execution *)
     classic_simd_rounds ctx ~id ~num ~trip f;
   (* drop the deposited closure so its captures don't outlive the loop *)
   team.Team.fused_fns.(tid) <- drop_fn
-
-let fused_simd_fold ctx g ~tid ~id ~trip ~num f =
-  let team = ctx.Team.team in
-  let my_seq = fused_enter ctx g ~tid ~trip in
-  team.Team.fused_reds.(tid) <- f;
-  Team.sync_warp ctx;
-  if fused_fallback ctx g ~tid ~num ~trip ~my_seq ~fold:true then begin
-    let r = classic_fold_rounds ctx ~id ~num ~trip f in
-    team.Team.fused_reds.(tid) <- drop_red;
-    r
-  end
-  else begin
-    team.Team.fused_reds.(tid) <- drop_red;
-    team.Team.fused_acc.(tid)
-  end
 
 let simd_loop ctx ~trip f =
   let team = ctx.Team.team in
@@ -491,37 +404,6 @@ let simd_loop ctx ~trip f =
   end
 
 let sequential_loop ctx ~trip f = run_schedule ctx Static ~id:0 ~num:1 ~trip f
-
-(* Sum-specialized folds over the two loop shapes above.  The generic
-   reduction path accumulates through a [ref] captured by a closure and
-   an [op.combine] closure call, which boxes a float per element; these
-   keep the running sum in a local (register-allocated) accumulator.
-   The tick sequence is identical to running the generic loop with a
-   body doing the same work, so simulated reports do not change. *)
-let sequential_fold_sum ctx ~trip (f : int -> float) =
-  check_geometry_args ~id:0 ~num:1 ~trip;
-  let overhead = step_cost ctx in
-  let th = ctx.Team.th in
-  let acc = ref 0.0 in
-  for i = 0 to trip - 1 do
-    Gpusim.Thread.tick th overhead;
-    acc := !acc +. f i
-  done;
-  Gpusim.Thread.tick th overhead;
-  !acc
-
-let simd_fold_sum ctx ~trip (f : int -> float) =
-  let team = ctx.Team.team in
-  let g = Team.geometry team in
-  let tid = ctx.Team.th.Gpusim.Thread.tid in
-  let id = Simd_group.get_simd_group_id g ~tid in
-  let num = Simd_group.get_simd_group_size g in
-  if num = 1 then sequential_fold_sum ctx ~trip f
-  else if fusing ctx then fused_simd_fold ctx g ~tid ~id ~trip ~num f
-  else begin
-    Team.sync_warp ctx;
-    classic_fold_rounds ctx ~id ~num ~trip f
-  end
 
 (* The executing lane for single/master: OpenMP thread 0's SIMD main —
    i.e. tid 0, which executes region code in both modes. *)

@@ -59,14 +59,19 @@ val simd_loop : Team.ctx -> trip:int -> (int -> unit) -> unit
     share the coalescing window and the warp's atomic epoch).
     Fault-injected runs (and teams with a dynamic schedule in flight)
     fall back to the classic barrier-per-round execution, so stall
-    faults keep their park points. *)
+    faults keep their park points.
+
+    A reducing simd loop ([Simd.simd_reduce]) is this loop too: its body
+    folds each iteration's value into the lane's {!Team.t.lane_acc}
+    cell, and the group combines the cells afterwards. *)
 
 (** {2 Loop pieces for stepped workers}
 
-    {!simd_loop} and {!simd_fold_sum} split at their rendezvous, for the
-    SIMD state machine ([Simd]), whose workers run their rounds as
-    engine steps between stepped arrivals.  Run in the order the loops
-    above do, they perform exactly the same ticks, counters and taps. *)
+    {!simd_loop} split at its rendezvous, for the SIMD state machine
+    ([Simd]), whose workers run their rounds as engine steps between
+    stepped arrivals.  Run in the order the loop above does, they
+    perform exactly the same ticks, counters and taps, whatever body —
+    a simd loop's or a reduction's fold — the worker runs. *)
 
 val fusing : Team.ctx -> bool
 (** Whether a simd loop entered now runs fused: no dynamic schedule in
@@ -75,8 +80,7 @@ val fusing : Team.ctx -> bool
 val fused_enter : Team.ctx -> Simd_group.t -> tid:int -> trip:int -> int
 (** Deposit the lane's handle and trip count for the fused driver and
     return the group's sequence number; the caller deposits its body in
-    [fused_fns] (or [fused_reds] for a sum fold), then arrives at the
-    entry rendezvous. *)
+    [fused_fns], then arrives at the entry rendezvous. *)
 
 val fused_fallback :
   Team.ctx ->
@@ -85,16 +89,13 @@ val fused_fallback :
   num:int ->
   trip:int ->
   my_seq:int ->
-  fold:bool ->
   bool
 (** After the entry rendezvous: if no lane drove the group yet and the
-    trip counts agree, drive every lane's rounds (a sum fold leaves each
-    lane's total in [fused_acc]).  [true] when the trip counts diverge
-    and this lane must run its own classic rounds. *)
+    trip counts agree, drive every lane's rounds.  [true] when the trip
+    counts diverge and this lane must run its own classic rounds. *)
 
 val drop_fn : int -> unit
-val drop_red : int -> float
-(** Placeholders a lane stores over its deposited body at loop exit. *)
+(** The placeholder a lane stores over its deposited body at loop exit. *)
 
 val classic_begin : Team.ctx -> int
 (** Start classic rounds; returns the sanitizer actor to restore. *)
@@ -108,25 +109,12 @@ val classic_simd_round :
     body under the remainder-round divergence factor.  A lockstep
     rendezvous follows every round. *)
 
-val classic_fold_round :
-  Team.ctx -> id:int -> num:int -> trip:int -> int -> (int -> float) -> float ->
-  float
-(** {!classic_simd_round} for a sum fold: returns the accumulator. *)
-
 val classic_end : Team.ctx -> int -> unit
 (** Finish classic rounds: restore the actor, charge the loop exit. *)
 
 val sequential_loop : Team.ctx -> trip:int -> (int -> unit) -> unit
 (** Plain sequential execution with loop-overhead costing; the degradation
     path for singleton groups and AMD generic mode (§5.4.1). *)
-
-val simd_fold_sum : Team.ctx -> trip:int -> (int -> float) -> float
-val sequential_fold_sum : Team.ctx -> trip:int -> (int -> float) -> float
-(** Sum-specialized counterparts of {!simd_loop}/{!sequential_loop}: the
-    per-iteration results are added into an accumulator that stays in a
-    register instead of flowing through a boxed [ref]/[combine] closure
-    pair.  The tick sequence is identical to the generic loops, so
-    simulated reports are unchanged. *)
 
 val single : Team.ctx -> (unit -> unit) -> unit
 (** [omp single]: the block runs on exactly one lane of the region (the
