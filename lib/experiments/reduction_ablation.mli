@@ -28,5 +28,6 @@ val run :
   unit ->
   t
 (** [group_sizes] defaults to {!Fig9.group_sizes_for}[ cfg]. *)
+
 val to_table : t -> Ompsimd_util.Table.t
 val print : t -> unit

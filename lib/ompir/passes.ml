@@ -293,11 +293,6 @@ let rec trap_free ~loads (e : Ir.expr) =
   | Ir.Unop (_, a) -> trap_free ~loads a
   | Ir.Load (_, idx) | Ir.Load_int (_, idx) -> loads && trap_free ~loads idx
 
-(* Invariant in a loop body: reads no scalar in [mutated] (pass the
-   body's mutated set plus the loop variable). *)
-let invariant_in ~mutated e =
-  Names.is_empty (Names.inter (expr_reads Names.empty e) mutated)
-
 (* Every name appearing anywhere in a kernel, for capture-free freshening. *)
 let all_names (k : Ir.kernel) =
   let rec expr acc (e : Ir.expr) =

@@ -41,10 +41,8 @@ let pp_finding ppf f =
 let finding_to_string f = Format.asprintf "%a" pp_finding f
 
 (* Scalar environment: variable -> set of parallel induction vars its
-   value depends on.  Innermost frame first; lookup scans outward like
-   the evaluators do. *)
-type env = (string * S.t) list list
-
+   value depends on, as a list of frames, innermost first; lookup scans
+   outward like the evaluators do. *)
 let lookup env name =
   let rec go = function
     | [] -> None
@@ -123,7 +121,7 @@ and check_directive env ~parallel findings (d : Ir.loop_directive) =
 
 and check_stmt env ~parallel findings (s : Ir.stmt) :
     (string * S.t) list * finding list =
-  let frame, outer = match env with f :: r -> (f, r) | [] -> ([], []) in
+  let frame = match env with f :: _ -> f | [] -> [] in
   match s with
   | Ir.Decl { name; init; _ } ->
       (bind frame name (expr_deps env init), findings)

@@ -1,9 +1,3 @@
-type 'a op = 'a constraint 'a = Redop.t
-
-let sum = Redop.sum
-let max_op = Redop.max
-let min_op = Redop.min
-
 let log2i n =
   let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
   go n 0
@@ -31,7 +25,7 @@ let simd_reduce_combine ctx (op : Redop.t) =
     (float_of_int (log2i gs) *. shuffle_step_cost ctx);
   let group = Simd_group.get_simd_group g ~tid in
   let base = group * gs in
-  if op == sum then begin
+  if op == Redop.sum then begin
     (* same left fold from the same 0.0 identity, but the float
        accumulator stays unboxed with no closure call per lane *)
     let acc = ref 0.0 in
@@ -59,7 +53,7 @@ let simd_reduce ctx (op : Redop.t) v =
     acc
   end
 
-let simd_sum ctx v = simd_reduce ctx sum v
+let simd_sum ctx v = simd_reduce ctx Redop.sum v
 
 let team_reduce ctx (op : Redop.t) v =
   let team = ctx.Team.team in
@@ -86,4 +80,4 @@ let team_reduce ctx (op : Redop.t) v =
   Team.region_barrier_wait ctx;
   !acc
 
-let team_sum ctx v = team_reduce ctx sum v
+let team_sum ctx v = team_reduce ctx Redop.sum v

@@ -11,13 +11,6 @@
     Experiment E6 compares [simd_sum] against the atomic-update workaround
     the paper had to use in sparse_matvec. *)
 
-type 'a op = 'a constraint 'a = Redop.t
-(** Deprecated alias surface: use {!Redop.t}. *)
-
-val sum : Redop.t
-val max_op : Redop.t
-val min_op : Redop.t
-
 val simd_reduce : Team.ctx -> Redop.t -> float -> float
 (** Combine each lane's contribution across the SIMD group; every lane
     receives the result.  Deterministic combining order (lane 0 upward).

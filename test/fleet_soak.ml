@@ -52,10 +52,6 @@ let fleet = { Knobs.default.Knobs.fleet with Fleet.base; shards = 4; batch = 8 }
 let one_shard =
   { fleet with Fleet.shards = 1; batch = 1; steal = false; memo = false }
 
-let count_outcome (res : Fleet.result) o =
-  List.length
-    (List.filter (fun (r : Fleet.rq_report) -> r.Fleet.outcome = o) res.Fleet.reports)
-
 let tenant_stat (res : Fleet.result) name =
   List.find
     (fun (t : Metrics.tenant_stats) -> t.Metrics.tenant = name)

@@ -638,7 +638,7 @@ let test_team_reduction_spmd () =
              let tid = ctx.Team.th.Thread.tid in
              let group = Simd_group.get_simd_group g ~tid in
              (* each OpenMP thread (group) contributes group+1; lanes agree *)
-             let total = Reduction.team_reduce ctx Reduction.sum (float_of_int (group + 1)) in
+             let total = Reduction.team_reduce ctx Omprt.Redop.sum (float_of_int (group + 1)) in
              if tid = 0 then Memory.fset out ctx.Team.th 0 total)));
   (* 8 groups: 1+2+...+8 = 36 *)
   checkf "team sum" 36.0 (Memory.host_get out 0)
@@ -653,7 +653,7 @@ let test_team_reduction_generic () =
              let g = Team.geometry ctx.Team.team in
              let tid = ctx.Team.th.Thread.tid in
              let group = Simd_group.get_simd_group g ~tid in
-             let total = Reduction.team_reduce ctx Reduction.sum (float_of_int (group + 1)) in
+             let total = Reduction.team_reduce ctx Omprt.Redop.sum (float_of_int (group + 1)) in
              if group = 0 then Memory.fset out ctx.Team.th 0 total)));
   (* 4 groups: 1+2+3+4 = 10 *)
   checkf "team sum generic" 10.0 (Memory.host_get out 0)
@@ -694,7 +694,7 @@ let test_reduction_max () =
     (Target.launch ~cfg ~params:p (fun ctx ->
          Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:32 (fun ctx _ ->
              let tid = ctx.Team.th.Thread.tid in
-             let m = Reduction.simd_reduce ctx Reduction.max_op (float_of_int tid) in
+             let m = Reduction.simd_reduce ctx Omprt.Redop.max (float_of_int tid) in
              if tid = 0 then result := m)));
   checkf "max" 31.0 !result
 
