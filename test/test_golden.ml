@@ -12,7 +12,8 @@
    whose rounds run classic lockstep rather than fused (a sanitized
    launch, a fault plan with stalls and aborts, a dynamic schedule), and
    sum and max simd reductions in both region modes, under both
-   schedules, at group sizes 1, 2 and 8. *)
+   schedules, at group sizes 1, 2 and 8, and chains of launches that
+   run on the L2 an earlier launch left warm. *)
 
 module Device = Gpusim.Device
 module Occupancy = Gpusim.Occupancy
@@ -216,6 +217,113 @@ let reduce ?pool () =
         [ Omprt.Mode.Generic; Omprt.Mode.Spmd ])
     [ ("max", Omprt.Redop.max); ("sum", Omprt.Redop.sum) ]
 
+(* Warm-L2 chains: launches that keep the committed L2 an earlier
+   launch left (reset_l2:false), so the order in which block logs enter
+   the L2, and what an [l2_reset] throws away, show in the digests.  A
+   space launched cold then warm twice; a warm launch after a launch over
+   another space; a reset after warm launches, which must read like the
+   cold launch; Fig 9-style cold/warm pairs; and a bare block (no
+   session) between launches, which reads and writes the committed L2
+   directly.  The L2 holds 40 sectors, so its residency window closes
+   and its table compacts within one launch: which lines survive depends
+   on the exact replay order. *)
+let warm ?pool () =
+  let cfg =
+    Result.get_ok (Gpusim.Config.of_spec ~base:cfg "l2_sectors=40")
+  in
+  let spmv seed =
+    Spmv.generate { Spmv.default_shape with Spmv.rows = 65; cols = 65; seed }
+  in
+  let a = spmv 6 and b = spmv 7 in
+  let mode3 = Harness.generic_simd ~group_size:4 in
+  let atomic ?(reset_l2 = false) name t =
+    ( name,
+      of_run
+        (Spmv.run_simd ~cfg ?pool ~reset_l2 ~num_teams:65 ~threads:128 ~mode3 t)
+    )
+  in
+  let a_cold = atomic ~reset_l2:true "warm a cold" a in
+  let a_warm1 = atomic "warm a 1" a in
+  let a_warm2 = atomic "warm a 2" a in
+  let b_cold = atomic ~reset_l2:true "warm b cold" b in
+  let a_after_b = atomic "warm a after b" a in
+  let a_warm3 = atomic "warm a 3" a in
+  let a_reset = atomic ~reset_l2:true "warm a after reset" a in
+  let ideal =
+    Ideal.generate { Ideal.default_shape with Ideal.rows = 96; seed = 8 }
+  in
+  let ideal_run ~reset_l2 name =
+    ( name,
+      of_run
+        (Ideal.run ~cfg ?pool ~reset_l2 ~num_teams:12 ~threads:128
+           ~mode3:(Harness.generic_simd ~group_size:8) ideal) )
+  in
+  let ideal_cold = ideal_run ~reset_l2:true "warm ideal cold" in
+  let ideal_warm = ideal_run ~reset_l2:false "warm ideal" in
+  let reduction ~reset_l2 name =
+    ( name,
+      of_run
+        (Spmv.run_simd_reduction ~cfg ?pool ~reset_l2 ~num_teams:65
+           ~threads:128 ~mode3:(Harness.generic_simd ~group_size:8) b) )
+  in
+  let red_cold = reduction ~reset_l2:true "warm reduction cold" in
+  let red_warm = reduction ~reset_l2:false "warm reduction" in
+  (* a bare block between two launches of one space *)
+  let space = Gpusim.Memory.space () in
+  let n = 700 in
+  let data =
+    Gpusim.Memory.of_float_array space
+      (Array.init n (fun i -> float_of_int ((i * 13) mod 31)))
+  in
+  let out = Gpusim.Memory.falloc space n in
+  let sweep (th : Gpusim.Thread.t) =
+    for k = 0 to 5 do
+      let i =
+        ((th.Gpusim.Thread.block_id * 64) + th.Gpusim.Thread.tid + (k * 97))
+        mod n
+      in
+      Gpusim.Memory.fset out th i (Gpusim.Memory.fget data th i +. 1.0)
+    done
+  in
+  let launch name =
+    ( name,
+      digest
+        (Device.launch ~cfg ?pool ~grid:6 ~block:64
+           ~init:(fun ~block_id:_ _ -> ())
+           ~body:(fun () th -> sweep th)
+           ())
+        (Gpusim.Memory.to_float_array out) )
+  in
+  let sweep_cold = launch "warm sweep cold" in
+  let bare =
+    let r =
+      Gpusim.Engine.run_block ~cfg ~block_id:3 ~num_threads:64 sweep
+    in
+    ( "warm bare block",
+      Digest.to_hex
+        (Digest.string
+           (Format.asprintf "%a %h %h" Gpusim.Counters.pp
+              r.Gpusim.Engine.counters r.Gpusim.Engine.critical_cycles
+              r.Gpusim.Engine.busy_cycles)) )
+  in
+  let sweep_warm = launch "warm sweep after bare" in
+  [
+    a_cold;
+    a_warm1;
+    a_warm2;
+    b_cold;
+    a_after_b;
+    a_warm3;
+    a_reset;
+    ideal_cold;
+    ideal_warm;
+    red_cold;
+    red_warm;
+    sweep_cold;
+    bare;
+    sweep_warm;
+  ]
+
 let all ~domains =
   let pool =
     if domains = 0 then None else Some (Gpusim.Pool.create ~domains ())
@@ -223,14 +331,15 @@ let all ~domains =
   let faults, stats = faulted ~domains in
   let r =
     e6 ?pool () @ fig9 ?pool () @ sanitized ~domains @ faults
-    @ dynamic ?pool () @ reduce ?pool ()
+    @ dynamic ?pool () @ reduce ?pool () @ warm ?pool ()
   in
   Option.iter Gpusim.Pool.shutdown pool;
   (r, stats)
 
 (* recorded with the code before stepped workers and block frames; the
    reduce launches other than max g2/g8 with the code before reductions
-   became loop bodies *)
+   became loop bodies; the warm chains with the code that replayed every
+   block's L2 log at commit *)
 let expected =
   [
     ("e6 atomic g2", "2360daaf62fdc852fd31ced4f18f3ff5");
@@ -287,6 +396,20 @@ let expected =
     ("sum reduce spmd dynamic g1", "d0a5ea2fed831bfc1c8a6e99e8844741");
     ("sum reduce spmd dynamic g2", "c1ab404646e9867280c91ba7dcf607bb");
     ("sum reduce spmd dynamic g8", "900a1db50fed3ce11296cff1a7f8fc01");
+    ("warm a cold", "0fa8966f43a0514e920495006a01fb92");
+    ("warm a 1", "2e40c6abfc4e07eb410338fd74917998");
+    ("warm a 2", "3c7c4f75386c6b6818de3f70ea3f41f5");
+    ("warm b cold", "c902ac3f75504eda992ee23fcbcd8dcd");
+    ("warm a after b", "3c7c4f75386c6b6818de3f70ea3f41f5");
+    ("warm a 3", "3c7c4f75386c6b6818de3f70ea3f41f5");
+    ("warm a after reset", "0fa8966f43a0514e920495006a01fb92");
+    ("warm ideal cold", "9ba026ca4171efd06fc1b75310b6b871");
+    ("warm ideal", "9ba026ca4171efd06fc1b75310b6b871");
+    ("warm reduction cold", "cf3f2eb3794ac31682a1555f1fdcc343");
+    ("warm reduction", "cc06ac53ab0026391867d65668729d77");
+    ("warm sweep cold", "6d0982f0a0f26760813665822f51f654");
+    ("warm bare block", "7677f2a9393ca4f2daa29875bd1edee7");
+    ("warm sweep after bare", "b4164cc20c70b394838cc8aabecb1908");
   ]
 
 let check_golden domains () =
