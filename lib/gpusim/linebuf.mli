@@ -31,24 +31,38 @@ type outcome =
 val create : capacity:int -> coalesce_window:float -> t
 (** @raise Invalid_argument if capacity <= 0 or the window is negative. *)
 
-val create_sized : demand:int -> capacity:int -> coalesce_window:float -> t
+type table
+(** A buffer's stamp table, handed on for reuse by a later buffer (see
+    {!table}). *)
+
+val table : t -> table
+(** [table t] gives up [t]'s stamp table so a later {!fork} or
+    {!create_sized} can reuse it instead of allocating and growing a
+    fresh one.  [t] must not be touched afterwards. *)
+
+val create_sized :
+  ?table:table -> demand:int -> capacity:int -> coalesce_window:float -> unit -> t
 (** Behaviourally identical to {!create}, but the stamp table starts
     sized for [demand] distinct lines (never larger than {!create}'s) and
     grows with the observed footprint instead of being pre-sized to
-    [capacity].  {!clear} still restores {!create}'s size.  For
-    short-lived buffers whose traffic is far below the modeled capacity
-    (one block's L2 view, the committed L2 of a one-launch space):
-    pre-sizing those from a device-scale capacity allocated hundreds of
-    KiB each.
+    [capacity].  For short-lived buffers whose traffic is far below the
+    modeled capacity (one block's L2 view, the committed L2 of a
+    one-launch space): pre-sizing those from a device-scale capacity
+    allocated hundreds of KiB each.  With [table], that table is emptied
+    and used at the size it has, and [demand] is ignored.
     @raise Invalid_argument if capacity <= 0 or the window is negative. *)
 
-val fork : t -> t
+val fork : ?table:table -> t -> t
 (** [fork parent] is a snapshot view of [parent]: touches consult the
-    parent's state as of the fork read-only and record updates privately,
-    so several forks of one parent can be touched from different domains
-    concurrently.  The parent must not be mutated (touched, cleared)
-    while forks of it are in use.  Used by {!Memory} to give every
-    simulated thread block its own launch-start view of the device L2.
+    parent's state as of the fork read-only and record updates privately
+    (in [table], emptied, when given), so several forks of one parent can
+    be touched from different domains concurrently.  A fork copies the
+    parent's residency statistics when it is made and reads the parent's
+    table on every touch, so the parent must not be mutated (touched,
+    cleared) from the making of its first fork until its last fork is
+    done; any update due to the parent goes in before that first fork.
+    Used by {!Memory} to give every simulated thread block its own
+    launch-start view of the device L2.
     @raise Invalid_argument when applied to a fork. *)
 
 val touch_code : t -> vtime:float -> lane:int -> int -> int
@@ -82,6 +96,8 @@ val misses : t -> int
 (** Distinct-line fetches so far. *)
 
 val clear : t -> unit
+(** Forget every touch, keeping the stamp table at the size it grew to. *)
+
 val size : t -> int
 val capacity : t -> int
 
