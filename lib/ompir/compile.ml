@@ -4,7 +4,10 @@
    (frame-depth, slot) pair over array-backed frames — replacing the
    walker's per-reference assoc-list scan — and hoists static lookups
    (array parameters, outlined-region metadata, region modes, schedules)
-   out of the execution path entirely.
+   out of the execution path entirely.  The compile-time scopes are
+   keyed by name ({!Scope}), so compiling is linear in kernel size, and
+   memory-access sites stay unlabelled until a sanitizing launch first
+   reaches them ({!Sites}): an unsanitized launch formats no label.
 
    The contract with {!Eval} is bit-identical observable behaviour:
    every cost charge, memory account, barrier, broadcast and reduction
@@ -48,20 +51,12 @@ let rec nth_frame env d =
 (* ------------------------------------------------------------------ *)
 (* Compile-time scope                                                  *)
 
-(* A compile-time frame mirrors one runtime frame array: an assoc of
-   name -> slot with the most recent declaration first, so shadowing
-   resolves exactly like the walker's cons-front scan. *)
-type senv = (string * int) list list
-
-let resolve senv name =
-  let rec go depth = function
-    | [] -> None
-    | frame :: rest -> (
-        match List.assoc_opt name frame with
-        | Some slot -> Some (depth, slot)
-        | None -> go (depth + 1) rest)
-  in
-  go 0 senv
+(* A compile-time frame mirrors one runtime frame array: its bindings
+   are keyed by name (the most recent declaration wins, like the
+   walker's cons-front scan) and its length is the next free slot, so
+   resolving a name and placing a declaration cost a map probe rather
+   than a scan of every binding in scope. *)
+type senv = int Scope.t
 
 (* Number of slots a block's frame needs: its initial bindings plus its
    top-level declarations.  Nested constructs get their own frames;
@@ -109,14 +104,14 @@ let cost (ctx : Team.ctx) = ctx.Team.team.Team.cfg.Gpusim.Config.cost
 type cexpr = Team.ctx -> env -> value
 
 let compile_var senv name : cexpr =
-  match resolve senv name with
+  match Scope.find name senv with
   | None -> err "unbound variable %s" name
   | Some (0, s) -> fun _ env -> !((List.hd env).(s))
   | Some (1, s) -> fun _ env -> !((List.hd (List.tl env)).(s))
   | Some (d, s) -> fun _ env -> !((nth_frame env d).(s))
 
 let cell_ref senv name : (env -> cell) option =
-  match resolve senv name with
+  match Scope.find name senv with
   | None -> None
   | Some (0, s) -> Some (fun env -> (List.hd env).(s))
   | Some (1, s) -> Some (fun env -> (List.hd (List.tl env)).(s))
@@ -134,12 +129,13 @@ let rec compile_expr statics senv (e : Ir.expr) : cexpr =
   | Ir.Load (arr, idx) ->
       let a = farray statics arr in
       let cidx = compile_expr statics senv idx in
-      (* site ids are interned once at compile time; the running closure
-         only pays a flag test when the sanitizer is off *)
+      (* the site is labelled on its first sanitized access; the running
+         closure only pays a flag test when the sanitizer is off *)
       let site = Sites.load arr idx in
       fun ctx env ->
         let i = as_int arr (cidx ctx env) in
-        if Gpusim.Thread.sanitizing ctx.Team.th then Gpusim.Ompsan.set_site site;
+        if Gpusim.Thread.sanitizing ctx.Team.th then
+          Gpusim.Ompsan.set_site (Sites.id site);
         V_float (Memory.fget a ctx.Team.th i)
   | Ir.Load_int (arr, idx) ->
       let a = iarray statics arr in
@@ -147,7 +143,8 @@ let rec compile_expr statics senv (e : Ir.expr) : cexpr =
       let site = Sites.load arr idx in
       fun ctx env ->
         let i = as_int arr (cidx ctx env) in
-        if Gpusim.Thread.sanitizing ctx.Team.th then Gpusim.Ompsan.set_site site;
+        if Gpusim.Thread.sanitizing ctx.Team.th then
+          Gpusim.Ompsan.set_site (Sites.id site);
         V_int (Memory.iget a ctx.Team.th i)
   | Ir.Unop (op, a) -> (
       let ca = compile_expr statics senv a in
@@ -311,7 +308,15 @@ let decls_until_guard stmts =
 let rec compile_block statics outlined options senv ~init stmts =
   let ninit = List.length init in
   let nslots = ninit + decl_count stmts in
-  let frame0 = List.mapi (fun i n -> (n, i)) init in
+  (* slots follow [init]'s order; binding the head last lets the first of
+     duplicate names win, as the walker's scan does *)
+  let frame0 =
+    let rec bind slot = function
+      | [] -> Scope.push senv
+      | n :: rest -> Scope.add n slot (bind (slot + 1) rest)
+    in
+    bind 0 init
+  in
   let rec go senv acc = function
     | [] -> List.rev acc
     | s :: rest ->
@@ -323,7 +328,7 @@ let rec compile_block statics outlined options senv ~init stmts =
         in
         go senv' (cs :: acc) rest
   in
-  let compiled = Array.of_list (go (frame0 :: senv) [] stmts) in
+  let compiled = Array.of_list (go frame0 [] stmts) in
   let run ctx env frame =
     let env = frame :: env in
     let e = ref env in
@@ -368,11 +373,8 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
   match s with
   | Ir.Decl { name; init; _ } ->
       let ce = compile_expr statics senv init in
-      let frame, rest =
-        match senv with f :: r -> (f, r) | [] -> ([], [])
-      in
-      let slot = List.length frame in
-      let senv' = ((name, slot) :: frame) :: rest in
+      let slot = Scope.length senv in
+      let senv' = Scope.add name slot senv in
       ( senv',
         fun ctx env ->
           let v = ce ctx env in
@@ -402,7 +404,7 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
           let i = as_int arr (cidx ctx env) in
           let v = as_float arr (cval ctx env) in
           if Gpusim.Thread.sanitizing ctx.Team.th then
-            Gpusim.Ompsan.set_site site;
+            Gpusim.Ompsan.set_site (Sites.id site);
           Memory.fset a ctx.Team.th i v;
           env )
   | Ir.Store_int (arr, idx, value) ->
@@ -415,7 +417,7 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
           let i = as_int arr (cidx ctx env) in
           let v = as_int arr (cval ctx env) in
           if Gpusim.Thread.sanitizing ctx.Team.th then
-            Gpusim.Ompsan.set_site site;
+            Gpusim.Ompsan.set_site (Sites.id site);
           Memory.iset a ctx.Team.th i v;
           env )
   | Ir.Atomic_add (arr, idx, value) ->
@@ -428,7 +430,7 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
           let i = as_int arr (cidx ctx env) in
           let v = as_float arr (cval ctx env) in
           if Gpusim.Thread.sanitizing ctx.Team.th then
-            Gpusim.Ompsan.set_site site;
+            Gpusim.Ompsan.set_site (Sites.id site);
           let (_ : float) = Memory.atomic_fadd a ctx.Team.th i v in
           env )
   | Ir.If (cond, then_, else_) ->
@@ -554,21 +556,18 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
       in
       (* room for the enclosing block's later decls (see above) *)
       let nslots = nslots + guard_extra in
-      let gsenv =
-        (* slots of the guarded frame, computed like compile_block did *)
-        let _, compiled_names =
-          List.fold_left
-            (fun (i, acc) s ->
-              match s with
-              | Ir.Decl { name; _ } -> (i + 1, (name, i) :: acc)
-              | _ -> (i, acc))
-            (0, []) body
-        in
-        compiled_names
+      (* slots of the guarded frame, as compile_block numbered them; the
+         broadcast entries keep walker order, most recent decl first *)
+      let senv', entry_slots =
+        List.fold_left
+          (fun (gsenv, entries) s ->
+            match s with
+            | Ir.Decl { name; _ } ->
+                let slot = Scope.length gsenv in
+                (Scope.add name slot gsenv, (name, slot) :: entries)
+            | _ -> (gsenv, entries))
+          (Scope.push senv, []) body
       in
-      (* broadcast entries in walker order: most recent decl first *)
-      let entry_slots = gsenv in
-      let senv' = gsenv :: senv in
       ( senv',
         fun ctx env ->
           let team = ctx.Team.team in
@@ -666,7 +665,7 @@ let run ~cfg ?pool ?trace ?nonce ~(options : options) ~bindings
   let root_names = List.map fst root in
   let root_values = Array.of_list (List.map snd root) in
   let nroot = Array.length root_values in
-  let senv0 : senv = [] in
+  let senv0 : senv = Scope.empty in
   let nslots, run_block_body =
     compile_block statics p.Outline.outlined options senv0 ~init:root_names
       p.Outline.kernel.Ir.body

@@ -99,12 +99,12 @@ let rec eval_expr ctx statics scope (e : Ir.expr) =
   | Ir.Load (arr, idx) ->
       let i = as_int arr (eval_expr ctx statics scope idx) in
       if Gpusim.Thread.sanitizing ctx.Team.th then
-        Gpusim.Ompsan.set_site (Sites.load arr idx);
+        Gpusim.Ompsan.set_site (Sites.id (Sites.load arr idx));
       V_float (Memory.fget (farray statics arr) ctx.Team.th i)
   | Ir.Load_int (arr, idx) ->
       let i = as_int arr (eval_expr ctx statics scope idx) in
       if Gpusim.Thread.sanitizing ctx.Team.th then
-        Gpusim.Ompsan.set_site (Sites.load arr idx);
+        Gpusim.Ompsan.set_site (Sites.id (Sites.load arr idx));
       V_int (Memory.iget (iarray statics arr) ctx.Team.th i)
   | Ir.Unop (op, a) -> (
       let va = eval_expr ctx statics scope a in
@@ -268,21 +268,21 @@ and eval_stmt ctx statics outlined options scope (s : Ir.stmt) =
       let i = as_int arr (eval_expr ctx statics scope idx) in
       let v = as_float arr (eval_expr ctx statics scope value) in
       if Gpusim.Thread.sanitizing ctx.Team.th then
-        Gpusim.Ompsan.set_site (Sites.store arr idx);
+        Gpusim.Ompsan.set_site (Sites.id (Sites.store arr idx));
       Memory.fset (farray statics arr) ctx.Team.th i v;
       scope
   | Ir.Store_int (arr, idx, value) ->
       let i = as_int arr (eval_expr ctx statics scope idx) in
       let v = as_int arr (eval_expr ctx statics scope value) in
       if Gpusim.Thread.sanitizing ctx.Team.th then
-        Gpusim.Ompsan.set_site (Sites.store arr idx);
+        Gpusim.Ompsan.set_site (Sites.id (Sites.store arr idx));
       Memory.iset (iarray statics arr) ctx.Team.th i v;
       scope
   | Ir.Atomic_add (arr, idx, value) ->
       let i = as_int arr (eval_expr ctx statics scope idx) in
       let v = as_float arr (eval_expr ctx statics scope value) in
       if Gpusim.Thread.sanitizing ctx.Team.th then
-        Gpusim.Ompsan.set_site (Sites.atomic arr idx);
+        Gpusim.Ompsan.set_site (Sites.id (Sites.atomic arr idx));
       let (_ : float) = Memory.atomic_fadd (farray statics arr) ctx.Team.th i v in
       scope
   | Ir.If (cond, then_, else_) ->

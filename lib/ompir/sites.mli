@@ -2,15 +2,22 @@
 
     Shared by both evaluation engines so that a given access site is
     registered under an identical label string — sanitizer reports are
-    compared textually across engines.  Each function interns a label of
-    the form ["store a[i + 1]"] in {!Gpusim.Ompsan}'s site registry and
-    returns the site id. *)
+    compared textually across engines.  A site is created unlabelled;
+    its label, of the form ["store a[i + 1]"], is printed and interned
+    in {!Gpusim.Ompsan}'s site registry the first time {!id} is asked
+    for it, which only sanitizing launches do. *)
 
-val load : string -> Ir.expr -> int
-(** [load arr idx] registers ["load arr[<idx>]"]. *)
+type t
 
-val store : string -> Ir.expr -> int
-(** [store arr idx] registers ["store arr[<idx>]"]. *)
+val load : string -> Ir.expr -> t
+(** [load arr idx] describes ["load arr[<idx>]"]. *)
 
-val atomic : string -> Ir.expr -> int
-(** [atomic arr idx] registers ["atomic arr[<idx>]"]. *)
+val store : string -> Ir.expr -> t
+(** [store arr idx] describes ["store arr[<idx>]"]. *)
+
+val atomic : string -> Ir.expr -> t
+(** [atomic arr idx] describes ["atomic arr[<idx>]"]. *)
+
+val id : t -> int
+(** The site's registry id, interning its label on first use.  Safe to
+    call from several domains at once. *)
