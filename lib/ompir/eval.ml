@@ -43,9 +43,15 @@ type cell = value ref
    frame. *)
 type scope = { frames : (string * cell) list list }
 
+(* What an access does to its array: the first part of a site's key. *)
+type access = Read | Write | Atomic
+
 type statics = {
   farrays : (string, Memory.farray) Hashtbl.t;
   iarrays : (string, Memory.iarray) Hashtbl.t;
+  sites : (access * string * Ir.expr, Sites.t) Hashtbl.t;
+      (* the sanitizer site of every access in the kernel, made before
+         the launch and only read during it (see [site_table]) *)
   guard_broadcasts : (int, (string * value) list) Hashtbl.t array;
       (* indexed by block_id, group -> values a guarded block's SIMD main
          published.  One table per block: a block simulates entirely on a
@@ -54,6 +60,64 @@ type statics = {
 }
 
 let err fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+
+(* One [Sites.t] per access of the kernel, keyed by what it does, its
+   array and its index expression: accesses alike in all three carry one
+   label, so they share a site.  Made once per launch, before it starts,
+   so an access interns its label on its first sanitized run instead of
+   formatting and registering a fresh one every time; the launch's
+   blocks, pooled ones included, only read the table. *)
+let site_table (k : Ir.kernel) =
+  let sites = Hashtbl.create 16 in
+  let add access arr idx =
+    let key = (access, arr, idx) in
+    if not (Hashtbl.mem sites key) then
+      Hashtbl.add sites key
+        ((match access with
+         | Read -> Sites.load
+         | Write -> Sites.store
+         | Atomic -> Sites.atomic)
+           arr idx)
+  in
+  let rec expr = function
+    | Ir.Int_lit _ | Ir.Float_lit _ | Ir.Var _ -> ()
+    | Ir.Binop (_, a, b) ->
+        expr a;
+        expr b
+    | Ir.Unop (_, a) -> expr a
+    | Ir.Load (arr, idx) | Ir.Load_int (arr, idx) ->
+        add Read arr idx;
+        expr idx
+  in
+  let stmt () = function
+    | Ir.Decl { init = e; _ } | Ir.Assign (_, e) | Ir.If (e, _, _) | Ir.While (e, _)
+      ->
+        expr e
+    | Ir.Store (arr, idx, v) | Ir.Store_int (arr, idx, v) ->
+        add Write arr idx;
+        expr idx;
+        expr v
+    | Ir.Atomic_add (arr, idx, v) ->
+        add Atomic arr idx;
+        expr idx;
+        expr v
+    | Ir.For { lo; hi; _ }
+    | Ir.Distribute_parallel_for { lo; hi; _ }
+    | Ir.Parallel_for { lo; hi; _ }
+    | Ir.Simd { lo; hi; _ } ->
+        expr lo;
+        expr hi
+    | Ir.Simd_sum { value; dir; _ } ->
+        expr value;
+        expr dir.Ir.lo;
+        expr dir.Ir.hi
+    | Ir.Guarded _ | Ir.Sync -> ()
+  in
+  Ir.fold_directives stmt () k.Ir.body;
+  sites
+
+let set_site statics access arr idx =
+  Gpusim.Ompsan.set_site (Sites.id (Hashtbl.find statics.sites (access, arr, idx)))
 
 let lookup scope name =
   let rec go = function
@@ -99,12 +163,12 @@ let rec eval_expr ctx statics scope (e : Ir.expr) =
   | Ir.Load (arr, idx) ->
       let i = as_int arr (eval_expr ctx statics scope idx) in
       if Gpusim.Thread.sanitizing ctx.Team.th then
-        Gpusim.Ompsan.set_site (Sites.id (Sites.load arr idx));
+        set_site statics Read arr idx;
       V_float (Memory.fget (farray statics arr) ctx.Team.th i)
   | Ir.Load_int (arr, idx) ->
       let i = as_int arr (eval_expr ctx statics scope idx) in
       if Gpusim.Thread.sanitizing ctx.Team.th then
-        Gpusim.Ompsan.set_site (Sites.id (Sites.load arr idx));
+        set_site statics Read arr idx;
       V_int (Memory.iget (iarray statics arr) ctx.Team.th i)
   | Ir.Unop (op, a) -> (
       let va = eval_expr ctx statics scope a in
@@ -268,21 +332,21 @@ and eval_stmt ctx statics outlined options scope (s : Ir.stmt) =
       let i = as_int arr (eval_expr ctx statics scope idx) in
       let v = as_float arr (eval_expr ctx statics scope value) in
       if Gpusim.Thread.sanitizing ctx.Team.th then
-        Gpusim.Ompsan.set_site (Sites.id (Sites.store arr idx));
+        set_site statics Write arr idx;
       Memory.fset (farray statics arr) ctx.Team.th i v;
       scope
   | Ir.Store_int (arr, idx, value) ->
       let i = as_int arr (eval_expr ctx statics scope idx) in
       let v = as_int arr (eval_expr ctx statics scope value) in
       if Gpusim.Thread.sanitizing ctx.Team.th then
-        Gpusim.Ompsan.set_site (Sites.id (Sites.store arr idx));
+        set_site statics Write arr idx;
       Memory.iset (iarray statics arr) ctx.Team.th i v;
       scope
   | Ir.Atomic_add (arr, idx, value) ->
       let i = as_int arr (eval_expr ctx statics scope idx) in
       let v = as_float arr (eval_expr ctx statics scope value) in
       if Gpusim.Thread.sanitizing ctx.Team.th then
-        Gpusim.Ompsan.set_site (Sites.id (Sites.atomic arr idx));
+        set_site statics Atomic arr idx;
       let (_ : float) = Memory.atomic_fadd (farray statics arr) ctx.Team.th i v in
       scope
   | Ir.If (cond, then_, else_) ->
@@ -421,6 +485,7 @@ let run ~cfg ?pool ?trace ?nonce ~options ~bindings (p : Outline.program) =
     {
       farrays = Hashtbl.create 8;
       iarrays = Hashtbl.create 8;
+      sites = site_table p.Outline.kernel;
       guard_broadcasts =
         Array.init (max 0 options.num_teams) (fun _ -> Hashtbl.create 8);
     }
