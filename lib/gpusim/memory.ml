@@ -21,6 +21,9 @@ and space = {
   pending : queued list Atomic.t;
       (* committed logs not yet replayed into [l2], newest first *)
   replay_lock : Mutex.t;
+  rmw_lock : Mutex.t;
+      (* serializes locked device atomics on this space's cells (see
+         [rmw_locked]) *)
 }
 
 let next_sid = Atomic.make 0
@@ -33,6 +36,7 @@ let space () =
     l2_order = Float.Array.make 1 0.0;
     pending = Atomic.make [];
     replay_lock = Mutex.create ();
+    rmw_lock = Mutex.create ();
   }
 
 let space_id space = space.sid
@@ -449,11 +453,13 @@ let[@inline] iset a th i v =
    atomic so no update is lost.  (The *order* of same-cell updates from
    different blocks is unordered on real hardware too — kernels that
    need a deterministic float sum must not reduce through a single cell
-   across blocks.)  Cost accounting stays outside the lock: it only
-   touches block-local state. *)
-let rmw_lock = Mutex.create ()
+   across blocks.)  The lock is the cell's space's: a cell belongs to
+   exactly one space, so RMWs on one cell still serialize across
+   concurrent pooled launches, while launches over disjoint spaces never
+   contend.  Cost accounting stays outside the lock: it only touches
+   block-local state.
 
-(* The lock only matters when blocks simulate on several domains; a
+   The lock only matters when blocks simulate on several domains; a
    sequential launch (no pool, or a zero-worker pool) would pay two
    futex ops per device atomic for nothing.  Whether to lock is the
    launch's own decision, stamped on its warps (Thread.launch), so a
@@ -478,10 +484,10 @@ let[@inline] atomic_fadd a th i v =
   sanitize th a.fspace ~base:a.fbase ~index:i ~kind:Ompsan.Atomic;
   atomic_cost th line;
   let locked = rmw_locked th in
-  if locked then Mutex.lock rmw_lock;
+  if locked then Mutex.lock a.fspace.rmw_lock;
   let prev = a.fdata.(i) in
   a.fdata.(i) <- prev +. v;
-  if locked then Mutex.unlock rmw_lock;
+  if locked then Mutex.unlock a.fspace.rmw_lock;
   prev
 
 let atomic_fmax a th i v =
@@ -490,10 +496,10 @@ let atomic_fmax a th i v =
   sanitize th a.fspace ~base:a.fbase ~index:i ~kind:Ompsan.Atomic;
   atomic_cost th line;
   let locked = rmw_locked th in
-  if locked then Mutex.lock rmw_lock;
+  if locked then Mutex.lock a.fspace.rmw_lock;
   let prev = a.fdata.(i) in
   if v > prev then a.fdata.(i) <- v;
-  if locked then Mutex.unlock rmw_lock;
+  if locked then Mutex.unlock a.fspace.rmw_lock;
   prev
 
 let atomic_iadd a th i v =
@@ -502,10 +508,10 @@ let atomic_iadd a th i v =
   sanitize th a.ispace ~base:a.ibase ~index:i ~kind:Ompsan.Atomic;
   atomic_cost th line;
   let locked = rmw_locked th in
-  if locked then Mutex.lock rmw_lock;
+  if locked then Mutex.lock a.ispace.rmw_lock;
   let prev = a.idata.(i) in
   a.idata.(i) <- prev + v;
-  if locked then Mutex.unlock rmw_lock;
+  if locked then Mutex.unlock a.ispace.rmw_lock;
   prev
 
 let host_get a i =

@@ -116,8 +116,8 @@ val atomic_fadd : farray -> Thread.t -> int -> float -> float
 val atomic_fmax : farray -> Thread.t -> int -> float -> float
 val atomic_iadd : iarray -> Thread.t -> int -> int -> int
 
-(** Device atomics take a host-side read-modify-write lock only when
-    their launch simulates blocks on several domains
+(** Device atomics take their space's host-side read-modify-write lock
+    only when their launch simulates blocks on several domains
     ({!Thread.launch}[.rmw_lock]); the decision is per launch, so a
     sequential launch never changes a concurrent pooled one.  Never
     affects simulated results. *)
