@@ -83,7 +83,9 @@ val touch : t -> vtime:float -> lane:int -> int -> outcome * float
     inside a burst — so a group of k lanes walking a shared line in
     lockstep pays one transaction per instruction, k times less per lane
     than k independent walkers.  [vtime] is the accessing lane's virtual
-    clock. *)
+    clock and [lane] its index in the warp, in [0, 64): a burst's lane
+    set has a bit for each of a 64-lane wavefront's lanes, and its size
+    is counted in constant time. *)
 
 val is_resident : outcome -> bool
 (** [Coalesced] or [Hit]. *)
