@@ -79,39 +79,22 @@ let site_table (k : Ir.kernel) =
          | Atomic -> Sites.atomic)
            arr idx)
   in
-  let rec expr = function
+  let rec expr () = function
     | Ir.Int_lit _ | Ir.Float_lit _ | Ir.Var _ -> ()
     | Ir.Binop (_, a, b) ->
-        expr a;
-        expr b
-    | Ir.Unop (_, a) -> expr a
+        expr () a;
+        expr () b
+    | Ir.Unop (_, a) -> expr () a
     | Ir.Load (arr, idx) | Ir.Load_int (arr, idx) ->
         add Read arr idx;
-        expr idx
+        expr () idx
   in
-  let stmt () = function
-    | Ir.Decl { init = e; _ } | Ir.Assign (_, e) | Ir.If (e, _, _) | Ir.While (e, _)
-      ->
-        expr e
-    | Ir.Store (arr, idx, v) | Ir.Store_int (arr, idx, v) ->
-        add Write arr idx;
-        expr idx;
-        expr v
-    | Ir.Atomic_add (arr, idx, v) ->
-        add Atomic arr idx;
-        expr idx;
-        expr v
-    | Ir.For { lo; hi; _ }
-    | Ir.Distribute_parallel_for { lo; hi; _ }
-    | Ir.Parallel_for { lo; hi; _ }
-    | Ir.Simd { lo; hi; _ } ->
-        expr lo;
-        expr hi
-    | Ir.Simd_sum { value; dir; _ } ->
-        expr value;
-        expr dir.Ir.lo;
-        expr dir.Ir.hi
-    | Ir.Guarded _ | Ir.Sync -> ()
+  let stmt () (s : Ir.stmt) =
+    (match s with
+    | Ir.Store (arr, idx, _) | Ir.Store_int (arr, idx, _) -> add Write arr idx
+    | Ir.Atomic_add (arr, idx, _) -> add Atomic arr idx
+    | _ -> ());
+    Ir.fold_exprs expr () s
   in
   Ir.fold_directives stmt () k.Ir.body;
   sites

@@ -110,5 +110,31 @@ val free_vars : stmt list -> string list
     them (loop variables and local declarations bind); sorted, without
     duplicates.  Array parameters count — they become payload pointers. *)
 
+(** {2 Statement shape}
+
+    The only functions outside the per-constructor interpreters
+    ({!Eval}, {!Compile}, {!Check}, {!Printer}, ...) that know which
+    statements carry bodies and expressions.  Walks that treat most
+    statements alike are written on these, so a new statement form
+    changes this module rather than every pass. *)
+
+val map_bodies : (stmt list -> stmt list) -> stmt -> stmt
+(** Rebuild a statement with each immediate child body mapped by [f]
+    (an [If]'s else body before its then body).  Statements without
+    bodies are returned physically unchanged. *)
+
+val fold_bodies : ('a -> stmt list -> 'a) -> 'a -> stmt -> 'a
+(** Fold over a statement's immediate child bodies in source order. *)
+
+val fold_exprs : ('a -> expr -> 'a) -> 'a -> stmt -> 'a
+(** Fold over a statement's own expressions (not those of its bodies)
+    in source order: a loop's bounds, then a [Simd_sum]'s summand. *)
+
+val loop_var : stmt -> string option
+(** The induction variable of a [For] or a directive header. *)
+
 val fold_directives : ('a -> stmt -> 'a) -> 'a -> stmt list -> 'a
-(** Fold over every statement, recursing into all bodies. *)
+(** Fold over every statement in pre-order, recursing into all bodies. *)
+
+val exists : (stmt -> bool) -> stmt list -> bool
+(** Whether [p] holds of any statement, at any depth. *)

@@ -166,26 +166,12 @@ let hex k = Stdlib.Digest.to_hex (Stdlib.Digest.string (bytes_of_kernel k))
 
 (* Structural size, used by the service layer as a deterministic proxy
    for compile cost (virtual ticks must not depend on the host). *)
-let weight (k : Ir.kernel) =
+let body_weight body =
   let rec expr n = function
     | Ir.Int_lit _ | Ir.Float_lit _ | Ir.Var _ -> n + 1
     | Ir.Binop (_, a, b) -> expr (expr (n + 1) a) b
     | Ir.Unop (_, a) | Ir.Load (_, a) | Ir.Load_int (_, a) -> expr (n + 1) a
   in
-  let rec stmts n body = List.fold_left stmt n body
-  and dir n (d : Ir.loop_directive) =
-    stmts (expr (expr n d.Ir.lo) d.Ir.hi) d.Ir.body
-  and stmt n = function
-    | Ir.Decl { init = e; _ } | Ir.Assign (_, e) -> expr (n + 1) e
-    | Ir.Store (_, i, v) | Ir.Store_int (_, i, v) | Ir.Atomic_add (_, i, v) ->
-        expr (expr (n + 1) i) v
-    | Ir.If (c, a, b) -> stmts (stmts (expr (n + 1) c) a) b
-    | Ir.While (c, body) -> stmts (expr (n + 1) c) body
-    | Ir.For { lo; hi; body; _ } -> stmts (expr (expr (n + 1) lo) hi) body
-    | Ir.Distribute_parallel_for d | Ir.Parallel_for d | Ir.Simd d ->
-        dir (n + 1) d
-    | Ir.Simd_sum { value; dir = d; _ } -> dir (expr (n + 1) value) d
-    | Ir.Guarded body -> stmts (n + 1) body
-    | Ir.Sync -> n + 1
-  in
-  stmts (List.length k.Ir.params) k.Ir.body
+  Ir.fold_directives (fun n s -> Ir.fold_exprs expr (n + 1) s) 0 body
+
+let weight (k : Ir.kernel) = List.length k.Ir.params + body_weight k.Ir.body

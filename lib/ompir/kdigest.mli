@@ -18,3 +18,6 @@ val weight : Ir.kernel -> int
 (** Structural node count (params + statements + expression nodes) — a
     deterministic, host-independent proxy for compilation cost, used to
     charge virtual compile time in the service layer. *)
+
+val body_weight : Ir.stmt list -> int
+(** The statement and expression nodes of {!weight}, for one body. *)
