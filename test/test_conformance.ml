@@ -68,6 +68,10 @@ let cases =
       sizes = [ ("a", 15 * 11); ("b", 15 * 11); ("out", 15); ("rows", 15); ("width", 11) ];
     };
     {
+      file = "reduction_local.omp";
+      sizes = [ ("a", 15 * 11); ("out", 15); ("rows", 15); ("width", 11) ];
+    };
+    {
       file = "guarded_rowinit.omp";
       sizes = [ ("marks", 13); ("out", 13 * 6); ("rows", 13); ("width", 6) ];
     };

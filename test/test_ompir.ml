@@ -184,7 +184,18 @@ let test_free_vars () =
     ]
   in
   Alcotest.(check (list string)) "free" [ "a"; "b"; "k"; "n" ]
-    (Ir.free_vars body)
+    (Ir.free_vars body);
+  (* a simd reduction's summand runs in its body's scope: the body's
+     declaration is bound there, the accumulator and arrays are free *)
+  let sum =
+    [
+      Ir.simd_sum ~acc:"total" ~var:"k" ~lo:(Ir.i 0) ~hi:(Ir.v "w")
+        ~value:Ir.(v "t" * f 2.0)
+        [ Ir.Decl { name = "t"; ty = Ir.Tfloat; init = Ir.Load ("a", Ir.v "k") } ];
+    ]
+  in
+  Alcotest.(check (list string)) "summand sees body decls" [ "a"; "total"; "w" ]
+    (Ir.free_vars sum)
 
 let test_outline_ids_and_captures () =
   let p = Outline.run spmv_kernel in
