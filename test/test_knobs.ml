@@ -105,6 +105,55 @@ let knob_never_raises =
           QCheck.Test.fail_reportf "%s=%S raised %s" name v
             (Printexc.to_string e))
 
+(* qcheck: OMPSIMD_PASSES has a grammar of its own (pass[:arg][@target]
+   items, comma-separated), so it gets its own fuzz: random bytes and one
+   to three edits of valid specs each parse, or fail with an [Error]
+   naming the variable; nothing else escapes [Knobs.parse]. *)
+let pass_specs =
+  [
+    "fold,licm@i,tile:4@#2,dce";
+    "unroll:8@#0,strength@j,fuse,collapse";
+    "interchange@#1,spmdize,unroll";
+    "default";
+    "none";
+  ]
+
+let spec_gen =
+  let open QCheck.Gen in
+  let spec_chars = "fold,licm@#:0123456789unrtespaz-_ " in
+  let spec_char = map (String.get spec_chars) (int_bound (String.length spec_chars - 1)) in
+  let edit s =
+    let n = String.length s in
+    int_bound (max 0 (n - 1)) >>= fun i ->
+    oneof [ spec_char; char ] >>= fun c ->
+    oneofl
+      [
+        String.sub s 0 i ^ String.sub s (min n (i + 1)) (n - min n (i + 1));
+        String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i);
+        String.mapi (fun j x -> if j = i then c else x) s;
+        String.sub s 0 i ^ "," ^ s;
+      ]
+  in
+  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+  frequency
+    [
+      (1, string_size ~gen:char (int_bound 40));
+      (3, pair (int_range 1 3) (oneofl pass_specs) >>= fun (k, s) -> edits k s);
+    ]
+
+let passes_never_raise =
+  QCheck.Test.make ~count:400 ~name:"OMPSIMD_PASSES parses or names itself"
+    (QCheck.make ~print:(Printf.sprintf "%S") spec_gen)
+    (fun spec ->
+      match parse [ ("OMPSIMD_PASSES", spec) ] with
+      | Ok _ -> true
+      | Error msg ->
+          contains msg "OMPSIMD_PASSES" && not (String.contains msg '\n')
+          || QCheck.Test.fail_reportf "OMPSIMD_PASSES=%S: message %S" spec msg
+      | exception e ->
+          QCheck.Test.fail_reportf "OMPSIMD_PASSES=%S raised %s" spec
+            (Printexc.to_string e))
+
 (* The five front-door failures the knobs record exists to make
    uniform: each is an [Error] naming its variable. *)
 let test_named_failures () =
@@ -369,6 +418,8 @@ let suite =
         Alcotest.test_case "samples cover every knob" `Quick
           test_samples_cover_every_knob;
         QCheck_alcotest.to_alcotest knob_never_raises;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x9a55 |])
+          passes_never_raise;
         Alcotest.test_case "front-door failures name the variable" `Quick
           test_named_failures;
         Alcotest.test_case "blank means unset" `Quick test_blank_is_unset;
