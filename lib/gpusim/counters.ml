@@ -66,7 +66,6 @@ let busy_cycles t = t.f.lane_busy_cycles
 let dram_bytes t = t.f.dram_bytes
 let smem_bytes t = t.f.smem_bytes
 let lsu_transactions t = t.f.lsu_transactions
-let[@inline] add_busy t v = t.f.lane_busy_cycles <- t.f.lane_busy_cycles +. v
 let[@inline] add_dram t v = t.f.dram_bytes <- t.f.dram_bytes +. v
 let[@inline] add_smem t v = t.f.smem_bytes <- t.f.smem_bytes +. v
 let[@inline] add_lsu t v = t.f.lsu_transactions <- t.f.lsu_transactions +. v

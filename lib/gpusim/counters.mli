@@ -53,7 +53,6 @@ val dram_bytes : t -> float
 val smem_bytes : t -> float
 val lsu_transactions : t -> float
 
-val add_busy : t -> float -> unit
 val add_dram : t -> float -> unit
 val add_smem : t -> float -> unit
 val add_lsu : t -> float -> unit

@@ -39,8 +39,6 @@ let space () =
     rmw_lock = Mutex.create ();
   }
 
-let space_id space = space.sid
-
 (* The committed L2 starts at the first replayed log's [demand] (its
    logged touches), not at the device's size: a serve request's space
    lives for one launch, and a device-sized table there was 1.5 MB of
@@ -98,7 +96,6 @@ let of_int_array space a =
 let flength a = Array.length a.fdata
 let ilength a = Array.length a.idata
 let space_of_farray a = a.fspace
-let space_of_iarray a = a.ispace
 
 (* Logs still queued describe an L2 the reset wipes: drop them unread. *)
 let l2_reset space =
@@ -487,18 +484,6 @@ let[@inline] atomic_fadd a th i v =
   if locked then Mutex.lock a.fspace.rmw_lock;
   let prev = a.fdata.(i) in
   a.fdata.(i) <- prev +. v;
-  if locked then Mutex.unlock a.fspace.rmw_lock;
-  prev
-
-let atomic_fmax a th i v =
-  check "atomic_fmax" (Array.length a.fdata) i;
-  let line = account th ~space:a.fspace ~base:a.fbase ~index:i ~is_store:true in
-  sanitize th a.fspace ~base:a.fbase ~index:i ~kind:Ompsan.Atomic;
-  atomic_cost th line;
-  let locked = rmw_locked th in
-  if locked then Mutex.lock a.fspace.rmw_lock;
-  let prev = a.fdata.(i) in
-  if v > prev then a.fdata.(i) <- v;
   if locked then Mutex.unlock a.fspace.rmw_lock;
   prev
 

@@ -15,9 +15,6 @@ type space
 
 val space : unit -> space
 
-val space_id : space -> int
-(** Process-unique id; keys the sanitizer's shadow memory. *)
-
 val element_bytes : int
 (** 8 *)
 
@@ -39,7 +36,6 @@ val flength : farray -> int
 val ilength : iarray -> int
 
 val space_of_farray : farray -> space
-val space_of_iarray : iarray -> space
 
 val l2_reset : space -> unit
 (** Cold-start the device-level L2 model.  Benchmark runners call this
@@ -113,7 +109,6 @@ val atomic_fadd : farray -> Thread.t -> int -> float -> float
     atomics already performed on the same line by this warp since the last
     block-wide barrier. *)
 
-val atomic_fmax : farray -> Thread.t -> int -> float -> float
 val atomic_iadd : iarray -> Thread.t -> int -> int -> int
 
 (** Device atomics take their space's host-side read-modify-write lock

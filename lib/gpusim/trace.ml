@@ -14,9 +14,4 @@ let events t = List.rev t.events
 let count t ~tag =
   List.fold_left (fun acc e -> if e.tag = tag then acc + 1 else acc) 0 t.events
 
-let find_all t ~tag = List.filter (fun e -> e.tag = tag) (events t)
-
 let clear t = t.events <- []
-
-let pp_event ppf e =
-  Format.fprintf ppf "[%8.1f] b%d t%d %s %s" e.time e.block e.tid e.tag e.detail

@@ -19,8 +19,5 @@ val events : t -> event list
 
 val count : t -> tag:string -> int
 
-val find_all : t -> tag:string -> event list
-
 val clear : t -> unit
 
-val pp_event : Format.formatter -> event -> unit

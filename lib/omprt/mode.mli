@@ -9,6 +9,5 @@
 type t = Generic | Spmd
 
 val equal : t -> t -> bool
-val is_spmd : t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

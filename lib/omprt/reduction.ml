@@ -79,5 +79,3 @@ let team_reduce ctx (op : Redop.t) v =
   Gpusim.Shared.touch ctx.Team.th ~bytes:(8 * num_groups);
   Team.region_barrier_wait ctx;
   !acc
-
-let team_sum ctx v = team_reduce ctx Redop.sum v

@@ -32,5 +32,3 @@ val team_reduce : Team.ctx -> Redop.t -> float -> float
     OpenMP reduction clause on a worksharing loop.  In generic mode the
     callers are the SIMD mains; in SPMD mode all lanes call and the lanes
     of a group must pass equal values (checked). *)
-
-val team_sum : Team.ctx -> float -> float

@@ -7,14 +7,6 @@ type params = {
   sharing_bytes : int;
 }
 
-let default_params =
-  {
-    num_teams = 1;
-    num_threads = 32;
-    teams_mode = Mode.Spmd;
-    sharing_bytes = Sharing.default_bytes;
-  }
-
 (* Where a stepped SIMD worker resumes (see Simd): named by the
    rendezvous it was last released from. *)
 type phase =

@@ -15,9 +15,6 @@ type params = {
   sharing_bytes : int;  (** static sharing-space reservation *)
 }
 
-val default_params : params
-(** 1 team x 1 warp, SPMD, 2048-byte sharing space. *)
-
 (** Where a stepped SIMD worker resumes ([Simd]): named by the
     rendezvous it was last released from. *)
 type phase =

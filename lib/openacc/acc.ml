@@ -36,6 +36,4 @@ let loop_vector ctx ~trip f =
 let loop_vector_sum ctx ~trip f =
   Omprt.Simd.simd_sum ctx ~fn_id:3 ~trip (fun _ iv _ -> f iv)
 
-let gang_num = Openmp.Omp.team_num
 let worker_num = Openmp.Omp.thread_num
-let vector_lane = Openmp.Omp.simd_lane

@@ -43,6 +43,4 @@ val loop_vector : ctx -> trip:int -> (int -> unit) -> unit
 val loop_vector_sum : ctx -> trip:int -> (int -> float) -> float
 (** [acc loop vector reduction(+:x)]. *)
 
-val gang_num : ctx -> int
 val worker_num : ctx -> int
-val vector_lane : ctx -> int

@@ -29,16 +29,6 @@ let map_to t ~name host =
     mapped_back = false;
   }
 
-let map_to_int t ~name host =
-  let bytes = 8 * Array.length host in
-  t.h2d <- t.h2d + bytes;
-  {
-    device = Gpusim.Memory.of_int_array t.space host;
-    name;
-    bytes;
-    mapped_back = false;
-  }
-
 let map_alloc t ~name n =
   if n < 0 then invalid_arg "Data_env.map_alloc: negative length";
   { device = Gpusim.Memory.falloc t.space n; name; bytes = 8 * n; mapped_back = false }

@@ -25,8 +25,6 @@ type 'a mapping = private {
 val map_to : t -> name:string -> float array -> Gpusim.Memory.farray mapping
 (** [map(to:)] — allocate and copy host→device. *)
 
-val map_to_int : t -> name:string -> int array -> Gpusim.Memory.iarray mapping
-
 val map_alloc : t -> name:string -> int -> Gpusim.Memory.farray mapping
 (** [map(alloc:)] — device allocation, no transfer. *)
 
