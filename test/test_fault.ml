@@ -284,6 +284,163 @@ let test_divergence_captured () =
            report.Device.failures);
       check_bool "stall counted" true (report.Device.faults.Fault.stalls >= 1))
 
+(* Stall-report identity around the closing team barrier.
+   race_divergence.omp under SPMD groups of two is a teams-SPMD launch
+   whose one region is the kernel's last statement: one group's lanes
+   meet mismatched warp barriers while every other lane has already
+   reached the barrier that closes the region, so the block hangs with
+   lanes waiting there as their last action.  The unarmed stall record,
+   the watchdog's failure and a stall-fault plan (on a generic-simd
+   teams-SPMD saxpy and on the divergent kernel) were recorded before
+   any lane could finish at its last barrier; both engines must keep
+   them. *)
+let divergent_kernel ~engine =
+  let kernel =
+    Ompir.Parse.kernel_of_file (Filename.concat "conformance" "race_divergence.omp")
+  in
+  let bindings =
+    let space = Memory.space () in
+    [
+      ("out", Ompir.Eval.B_farr (Memory.falloc space 8));
+      ("n", Ompir.Eval.B_int 1);
+    ]
+  in
+  match Offload.compile ~guardize:false ~engine kernel with
+  | Ok c -> (c, bindings)
+  | Error _ -> Alcotest.fail "race_divergence.omp failed to compile"
+
+let stall_record (si : Gpusim.Engine.stall_info) =
+  Printf.sprintf "block %d: %d/%d finished, cycle %h, stuck %s"
+    si.Gpusim.Engine.stall_block si.Gpusim.Engine.stall_completed
+    si.Gpusim.Engine.stall_threads si.Gpusim.Engine.stall_cycle
+    (String.concat " "
+       (List.map
+          (fun (s : Gpusim.Engine.stuck) ->
+            Printf.sprintf "%s(%d/%d)" s.Gpusim.Engine.stuck_name
+              s.Gpusim.Engine.stuck_waiting s.Gpusim.Engine.stuck_expected)
+          si.Gpusim.Engine.stall_stuck))
+
+let failures_record (r : Device.report) =
+  String.concat "; "
+    (List.map
+       (fun f -> Printf.sprintf "%s %h" (Fault.failure_to_string f) f.Fault.f_cycle)
+       r.Device.failures)
+  ^ " | " ^ stats_str r.Device.faults
+  ^ Printf.sprintf " | %h" r.Device.time_cycles
+
+let expected_closing_stall =
+  "block 0: 0/32 finished, cycle 0x1.84p+6, stuck lockstep0:00000200(1/2) \
+   team0(30/32) warp0:00000200(1/2)"
+
+let expected_closing_watchdog =
+  "barrier-stall block 0 at \
+   lockstep0:00000200(1/2)+team0(30/32)+warp0:00000200(1/2) cycle 97 \
+   0x1.84p+6 | corrected=0 fatal=0 stalls=1 exhausts=0 watchdogs=0 | \
+   0x1.f4p+10"
+
+let expected_closing_plan_generic =
+  "barrier-stall block 0 warp 0 tid 0 at lockstep0:00000800 \
+   cycle 130 0x1.04p+7; barrier-stall block 2 warp 1 tid 32 \
+   at warp1:00000800 cycle 388 0x1.84p+8 | corrected=0 fatal=0 \
+   stalls=2 exhausts=0 watchdogs=0 | 0x1.0f4681b4e81b6p+12 \
+   | 0x1.f6a4p+19"
+
+let expected_closing_plan_two_level =
+  "barrier-stall block 0 warp 0 tid 0 at team0 cycle 325 0x1.45p+8 \
+   | corrected=0 fatal=0 stalls=1 exhausts=0 watchdogs=0 | \
+   0x1.c7f947ae147aep+11 | 0x1.ff8p+19"
+
+let expected_closing_plan_divergent =
+  "barrier-stall block 0 at lockstep0:00000200(1/2)+team0(30/32)+warp0:00000200(1/2) \
+   cycle 97 0x1.84p+6 | corrected=0 fatal=0 stalls=1 exhausts=0 \
+   watchdogs=0 | 0x1.f4p+10"
+
+let engines = [ Ompir.Compile.Staged; Ompir.Compile.Walk ]
+
+let test_closing_stall_unarmed () =
+  List.iter
+    (fun engine ->
+      let c, bindings = divergent_kernel ~engine in
+      match Offload.run ~cfg ~clauses:divergence_clauses ~bindings c with
+      | _ -> Alcotest.fail "the divergent launch must deadlock"
+      | exception Gpusim.Engine.Deadlock _ -> (
+          match Gpusim.Engine.take_stall () with
+          | None -> Alcotest.fail "a deadlock must leave its stall record"
+          | Some si ->
+              Alcotest.(check string)
+                "stall record" expected_closing_stall (stall_record si)))
+    engines
+
+let test_closing_stall_watchdog () =
+  List.iter
+    (fun engine ->
+      let c, bindings = divergent_kernel ~engine in
+      with_knobs [ ("OMPSIMD_WATCHDOG", "1e12") ] (fun _ pool ->
+          let report =
+            Offload.run ~cfg ~pool ~clauses:divergence_clauses ~bindings c
+          in
+          Alcotest.(check string)
+            "watchdog failure" expected_closing_watchdog
+            (failures_record report)))
+    engines
+
+let test_closing_stall_plan () =
+  let saxpy ~engine =
+    let kernel =
+      Ompir.Parse.kernel_of_file (Filename.concat "conformance" "saxpy.omp")
+    in
+    let space = Memory.space () in
+    let y = Memory.falloc space 1024 in
+    let x = Memory.of_float_array space (Array.init 1024 float_of_int) in
+    let bindings =
+      [
+        ("x", Ompir.Eval.B_farr x);
+        ("y", Ompir.Eval.B_farr y);
+        ("a", Ompir.Eval.B_float 2.0);
+        ("n", Ompir.Eval.B_int 1024);
+      ]
+    in
+    match Offload.compile ~engine kernel with
+    | Ok c -> (c, bindings, y)
+    | Error _ -> Alcotest.fail "saxpy.omp failed to compile"
+  in
+  let teams_spmd = Clause.(none |> num_teams 4 |> num_threads 64 |> teams_mode Mode.Spmd) in
+  let launches =
+    [
+      (* generic simd: the victims are SIMD workers and mains *)
+      ( "generic saxpy",
+        Clause.(teams_spmd |> simdlen 8 |> parallel_mode Mode.Generic),
+        expected_closing_plan_generic );
+      (* singleton groups: the closing barrier is the only rendezvous *)
+      ("two-level saxpy", teams_spmd, expected_closing_plan_two_level);
+    ]
+  in
+  (* a fresh pool per launch: each replays the plan's first launch *)
+  let with_plan f =
+    with_knobs [ ("OMPSIMD_FAULTS", "stall=1"); ("OMPSIMD_FAULT_SEED", "1") ] f
+  in
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun (what, clauses, expected) ->
+          with_plan (fun _ pool ->
+              let c, bindings, y = saxpy ~engine in
+              let report = Offload.run ~cfg ~pool ~clauses ~bindings c in
+              Alcotest.(check string)
+                what expected
+                (failures_record report
+                ^ Printf.sprintf " | %h" (Request.checksum y))))
+        launches;
+      with_plan (fun _ pool ->
+          let c, bindings = divergent_kernel ~engine in
+          let report =
+            Offload.run ~cfg ~pool ~clauses:divergence_clauses ~bindings c
+          in
+          Alcotest.(check string)
+            "divergent kernel" expected_closing_plan_divergent
+            (failures_record report)))
+    engines
+
 (* ------------------------------------------------------------------ *)
 (* Sharing-space exhaustion and the genuine global fallback            *)
 (* ------------------------------------------------------------------ *)
@@ -694,6 +851,12 @@ let suite =
           test_watchdog;
         Alcotest.test_case "divergence: captured under an armed plan" `Quick
           test_divergence_captured;
+        Alcotest.test_case "closing barrier: unarmed stall record" `Quick
+          test_closing_stall_unarmed;
+        Alcotest.test_case "closing barrier: watchdog failure" `Quick
+          test_closing_stall_watchdog;
+        Alcotest.test_case "closing barrier: stall-fault plan" `Quick
+          test_closing_stall_plan;
         Alcotest.test_case "exhaust: forced global fallback" `Quick
           test_exhaust_forces_fallback;
         Alcotest.test_case "sharing: genuine fallback is bit-identical" `Quick
