@@ -26,7 +26,7 @@ let run_one ~pool ~cfg ~scale ~table_size ~fn_id =
   in
   let report =
     Target.launch ~cfg ?pool ~params ~dispatch_table_size:table_size (fun ctx ->
-        Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:group_size ~fn_id:0
+        Parallel.parallel ctx ~last:true ~mode:Mode.Generic ~simd_len:group_size ~fn_id:0
           (fun ctx _ ->
             (* many tiny simd regions: dispatch dominates *)
             Workshare.distribute_parallel_for ctx ~trip:regions (fun _ ->

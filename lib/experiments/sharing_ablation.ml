@@ -36,7 +36,7 @@ let run_one ~pool ~cfg ~scale ~sharing_bytes ~group_size =
   in
   let report =
     Target.launch ~cfg ?pool ~params ~dispatch_table_size:2 (fun ctx ->
-        Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:group_size ~payload
+        Parallel.parallel ctx ~last:true ~mode:Mode.Generic ~simd_len:group_size ~payload
           ~fn_id:0 (fun ctx _ ->
             Workshare.distribute_parallel_for ctx ~trip:rows_trip (fun i ->
                 Simd.simd ctx ~payload ~fn_id:1 ~trip:32 (fun ctx j _ ->

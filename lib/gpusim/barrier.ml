@@ -15,14 +15,14 @@ type t = {
   spin : bool;
       (* software spin barrier: the whole cost retires instructions, so
          all of it is issue-occupying busy time (no hidden stall part) *)
-  (* Parked threads and continuations as two parallel flat arrays (SoA):
-     a park is two array stores and a release walks the arrays in place —
-     no per-waiter record, no list cell, no closure.  The arrays are
-     created lazily from the first parked values (a typed fill, so no
-     dummy element is needed) and sized [expected - 1]: the completing
+  (* Parked threads as a flat array: a park is one array store and a
+     release walks the array in place — no per-waiter record, no list
+     cell, no closure.  Each parked thread's continuation, if it has
+     one, is the engine's (kept per thread).  The array is created
+     lazily from the first parked thread (a typed fill, so no dummy
+     element is needed) and sized [expected - 1]: the completing
      arriver never parks. *)
   mutable ths : Thread.t array;
-  mutable ks : (unit, unit) Effect.Deep.continuation array;
   mutable nwaiters : int;
   mutable live_mark : bool;
       (* set when the engine registers the barrier in its live table, so
@@ -50,7 +50,6 @@ let make ~namer ~a ~b ~name ~named ~spin ~expected ~cost =
     cost;
     spin;
     ths = [||];
-    ks = [||];
     nwaiters = 0;
     live_mark = false;
   }
@@ -108,15 +107,9 @@ let release t last =
     charge t tmax ths.(i)
   done
 
-let park t th k =
-  if Array.length t.ths = 0 then begin
-    t.ths <- Array.make (t.expected - 1) th;
-    t.ks <- Array.make (t.expected - 1) k
-  end
-  else begin
-    t.ths.(t.nwaiters) <- th;
-    t.ks.(t.nwaiters) <- k
-  end;
+let park t th =
+  if Array.length t.ths = 0 then t.ths <- Array.make (t.expected - 1) th
+  else t.ths.(t.nwaiters) <- th;
   t.nwaiters <- t.nwaiters + 1
 
 let try_complete t th =
@@ -126,6 +119,5 @@ let try_complete t th =
     true
   end
 
-let waiter_th t i = t.ths.(i)
-let waiter_k t i = t.ks.(i)
+let waiter t i = t.ths.(i)
 let clear t = t.nwaiters <- 0

@@ -10,10 +10,12 @@
     empty and can be waited on again, which is how the SIMD state machine
     loops on the same masked barrier.
 
-    Parked waiters live in flat parallel arrays rather than a list of
-    waiter records: the barrier path runs hundreds of thousands of times
-    per launch, and the SoA layout keeps each park/release allocation-free
-    (see the engine's scheduler ring for the other half). *)
+    Parked waiters live in a flat array rather than a list of waiter
+    records: the barrier path runs hundreds of thousands of times per
+    launch, and the flat layout keeps each park/release allocation-free
+    (see the engine's scheduler ring for the other half).  A barrier
+    holds threads only; the engine keeps each parked fiber's
+    continuation, and a thread that finished at the barrier has none. *)
 
 type t
 
@@ -58,14 +60,12 @@ val try_complete : t -> Thread.t -> bool
     expected.  If so it performs the release — every participant's clock
     (including [th]'s) is aligned to the max and advanced by [cost] — and
     returns [true]; the caller must then drain the parked waiters with
-    {!waiter_th}/{!waiter_k} and {!clear}.  Otherwise returns [false]
-    without touching the barrier: the caller must park [th]'s
-    continuation with {!park}.  Letting the last arriver skip the
+    {!waiter} and {!clear}.  Otherwise returns [false] without touching
+    the barrier: the caller must park [th] with {!park}.  Letting the last arriver skip the
     suspend/capture round-trip entirely is the engine's barrier fast
     path. *)
 
-val waiter_th : t -> int -> Thread.t
-val waiter_k : t -> int -> (unit, unit) Effect.Deep.continuation
+val waiter : t -> int -> Thread.t
 (** Parked waiter [i] (0 <= i < {!waiting}), in arrival order.  Only
     meaningful between a successful {!try_complete} and the matching
     {!clear}. *)
@@ -80,6 +80,5 @@ val clear_live_mark : t -> unit
     report): set on a run's first park, cleared when that run completes,
     so a barrier reused by the next block registers again. *)
 
-val park : t -> Thread.t -> (unit, unit) Effect.Deep.continuation -> unit
-(** Park a thread's continuation (an arrival that did not complete the
-    barrier). *)
+val park : t -> Thread.t -> unit
+(** Park a thread (an arrival that did not complete the barrier). *)

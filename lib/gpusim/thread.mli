@@ -88,8 +88,11 @@ type t = {
   mutable step : t -> bool;
       (** the engine's resume hook: {!fiber} while the thread runs as an
           effect fiber; while it is parked as a stepped thread (see
-          {!Engine.suspend_stepped}), the function the scheduler calls
-          instead of resuming the fiber *)
+          {!Engine.suspend_stepped}) or lives on without a fiber
+          ({!Engine.detach}), the function the scheduler calls instead
+          of resuming the fiber; an engine marker once the thread
+          finished at a barrier that has not released it yet
+          ({!Engine.arrive_last}) *)
 }
 
 val fiber : t -> bool

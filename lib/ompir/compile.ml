@@ -305,7 +305,8 @@ let decls_until_guard stmts =
    in the walker's frame order: first element is scanned first on
    lookup).  Returns the frame size and a closure that executes the
    block given the pre-filled frame array pushed by the caller. *)
-let rec compile_block statics outlined options senv ~init stmts =
+let rec compile_block ?(kernel = false) statics outlined options senv ~init
+    stmts =
   let ninit = List.length init in
   let nslots = ninit + decl_count stmts in
   (* slots follow [init]'s order; binding the head last lets the first of
@@ -323,8 +324,11 @@ let rec compile_block statics outlined options senv ~init stmts =
         let guard_extra =
           match s with Ir.Guarded _ -> decls_until_guard rest | _ -> 0
         in
+        (* a parallel region that ends the kernel's top-level body is
+           every thread's last action *)
+        let last = kernel && rest = [] in
         let senv', cs =
-          compile_stmt statics outlined options ~guard_extra senv s
+          compile_stmt statics outlined options ~guard_extra ~last senv s
         in
         go senv' (cs :: acc) rest
   in
@@ -344,7 +348,7 @@ and compile_anon_block statics outlined options senv stmts =
   else fun ctx env -> run ctx env (Array.make nslots dummy_cell)
 
 and compile_parallel statics outlined options senv (d : Ir.loop_directive)
-    ~workshare : cstmt =
+    ~last ~workshare : cstmt =
   let o = find_outlined outlined d.Ir.fn_id in
   let mk_payload = compile_captures statics senv o.Outline.captures in
   let clo = compile_expr statics senv d.Ir.lo in
@@ -361,15 +365,15 @@ and compile_parallel statics outlined options senv (d : Ir.loop_directive)
     let lo = as_int d.Ir.loop_var (clo ctx env) in
     let hi = as_int d.Ir.loop_var (chi ctx env) in
     let trip = max 0 (hi - lo) in
-    Parallel.parallel ctx ~mode ~simd_len ~payload ~fn_id (fun ctx _ ->
+    Parallel.parallel ctx ~mode ~simd_len ~payload ~fn_id ~last (fun ctx _ ->
         workshare ctx ~schedule ~trip (fun iv ->
             let frame = Array.make nslots dummy_cell in
             frame.(0) <- ref (V_int (lo + iv));
             run_body ctx env frame));
     env
 
-and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
-    senv * cstmt =
+and compile_stmt statics outlined options ~guard_extra ~last senv
+    (s : Ir.stmt) : senv * cstmt =
   match s with
   | Ir.Decl { name; init; _ } ->
       let ce = compile_expr statics senv init in
@@ -480,12 +484,12 @@ and compile_stmt statics outlined options ~guard_extra senv (s : Ir.stmt) :
           env )
   | Ir.Distribute_parallel_for d ->
       ( senv,
-        compile_parallel statics outlined options senv d
+        compile_parallel statics outlined options senv d ~last
           ~workshare:(fun ctx ~schedule ~trip f ->
             Workshare.distribute_parallel_for ctx ~schedule ~trip f) )
   | Ir.Parallel_for d ->
       ( senv,
-        compile_parallel statics outlined options senv d
+        compile_parallel statics outlined options senv d ~last
           ~workshare:(fun ctx ~schedule ~trip f ->
             Workshare.omp_for ctx ~schedule ~trip f) )
   | Ir.Simd d ->
@@ -667,8 +671,8 @@ let run ~cfg ?pool ?trace ?nonce ~(options : options) ~bindings
   let nroot = Array.length root_values in
   let senv0 : senv = Scope.empty in
   let nslots, run_block_body =
-    compile_block statics p.Outline.outlined options senv0 ~init:root_names
-      p.Outline.kernel.Ir.body
+    compile_block ~kernel:true statics p.Outline.outlined options senv0
+      ~init:root_names p.Outline.kernel.Ir.body
   in
   let params =
     {

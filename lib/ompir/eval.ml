@@ -283,13 +283,18 @@ and schedule_of (d : Ir.loop_directive) =
   | Ir.Sched_chunked n -> Workshare.Chunked n
   | Ir.Sched_dynamic n -> Workshare.Dynamic n
 
-and run_parallel ctx statics outlined options scope d ~workshare =
+and distribute_workshare ctx ~schedule ~trip f =
+  Workshare.distribute_parallel_for ctx ~schedule ~trip f
+
+and for_workshare ctx ~schedule ~trip f = Workshare.omp_for ctx ~schedule ~trip f
+
+and run_parallel ?last ctx statics outlined options scope d ~workshare =
   let o = find_outlined outlined d.Ir.fn_id in
   let payload = payload_of_captures statics scope o.Outline.captures in
   let lo, trip = loop_bounds ctx statics scope d in
   let mode = region_mode options d in
   Parallel.parallel ctx ~mode ~simd_len:options.simd_len ~payload
-    ~fn_id:d.Ir.fn_id (fun ctx _ ->
+    ~fn_id:d.Ir.fn_id ?last (fun ctx _ ->
       workshare ctx ~schedule:(schedule_of d) ~trip (fun iv ->
           let frame = [ (d.Ir.loop_var, ref (V_int (lo + iv))) ] in
           eval_body_in_frame ctx statics outlined options scope ~frame
@@ -363,13 +368,10 @@ and eval_stmt ctx statics outlined options scope (s : Ir.stmt) =
       scope
   | Ir.Distribute_parallel_for d ->
       run_parallel ctx statics outlined options scope d
-        ~workshare:(fun ctx ~schedule ~trip f ->
-          Workshare.distribute_parallel_for ctx ~schedule ~trip f);
+        ~workshare:distribute_workshare;
       scope
   | Ir.Parallel_for d ->
-      run_parallel ctx statics outlined options scope d
-        ~workshare:(fun ctx ~schedule ~trip f ->
-          Workshare.omp_for ctx ~schedule ~trip f);
+      run_parallel ctx statics outlined options scope d ~workshare:for_workshare;
       scope
   | Ir.Simd d ->
       let o = find_outlined outlined d.Ir.fn_id in
@@ -463,6 +465,21 @@ and eval_stmt ctx statics outlined options scope (s : Ir.stmt) =
       Team.region_barrier_wait ctx;
       scope
 
+(* The kernel body: a parallel region that is its last top-level
+   statement is every thread's last action. *)
+let eval_kernel_body ctx statics outlined options scope body =
+  let rec go scope = function
+    | [] -> ()
+    | [ Ir.Distribute_parallel_for d ] ->
+        run_parallel ~last:true ctx statics outlined options scope d
+          ~workshare:distribute_workshare
+    | [ Ir.Parallel_for d ] ->
+        run_parallel ~last:true ctx statics outlined options scope d
+          ~workshare:for_workshare
+    | s :: rest -> go (eval_stmt ctx statics outlined options scope s) rest
+  in
+  go scope body
+
 let run ~cfg ?pool ?trace ?nonce ~options ~bindings (p : Outline.program) =
   let statics =
     {
@@ -500,5 +517,5 @@ let run ~cfg ?pool ?trace ?nonce ~options ~bindings (p : Outline.program) =
     ~params ~dispatch_table_size:(Outline.dispatch_table_size p) (fun ctx ->
       (* every executing thread owns a private copy of the region scope *)
       let scope = { frames = [ List.map (fun (n, c) -> (n, ref !c)) !root_frame ] } in
-      eval_stmts ctx statics p.Outline.outlined options scope
+      eval_kernel_body ctx statics p.Outline.outlined options scope
         p.Outline.kernel.Ir.body)

@@ -7,7 +7,8 @@ type outlined = {
 
 type program = { kernel : Ir.kernel; outlined : outlined list }
 
-let capture_of ~kind ~fn_id (d : Ir.loop_directive) =
+(* [body_vars] are the free variables of the outlined body. *)
+let capture_of ~kind ~fn_id ~body_vars (d : Ir.loop_directive) =
   (* The loop variable is rebound by the runtime per iteration; everything
      else the body references must travel in the payload — including the
      variables of the bound expressions, since the outlined task maps the
@@ -15,8 +16,7 @@ let capture_of ~kind ~fn_id (d : Ir.loop_directive) =
   let module S = Set.Make (String) in
   let bound_vars e = Ir.free_vars [ Ir.Assign ("__sink", e) ] in
   let names =
-    S.union
-      (S.of_list (Ir.free_vars d.Ir.body))
+    S.union (S.of_list body_vars)
       (S.union (S.of_list (bound_vars d.Ir.lo)) (S.of_list (bound_vars d.Ir.hi)))
   in
   let captures =
@@ -27,15 +27,15 @@ let capture_of ~kind ~fn_id (d : Ir.loop_directive) =
 let run (k : Ir.kernel) =
   let counter = ref 0 in
   let acc_ref = ref [] in
-  let fresh kind d =
+  let fresh kind ~body_vars d =
     let fn_id = !counter in
     incr counter;
-    acc_ref := capture_of ~kind ~fn_id d :: !acc_ref;
+    acc_ref := capture_of ~kind ~fn_id ~body_vars d :: !acc_ref;
     fn_id
   in
   let rec stmts body = List.map stmt body
   and dir kind (d : Ir.loop_directive) =
-    let fn_id = fresh kind d in
+    let fn_id = fresh kind ~body_vars:(Ir.free_vars d.Ir.body) d in
     { d with Ir.fn_id; body = stmts d.Ir.body }
   and stmt (s : Ir.stmt) =
     match s with
@@ -43,18 +43,11 @@ let run (k : Ir.kernel) =
         Ir.Distribute_parallel_for (dir `Distribute_parallel_for d)
     | Ir.Parallel_for d -> Ir.Parallel_for (dir `Parallel_for d)
     | Ir.Simd d -> Ir.Simd (dir `Simd d)
-    | Ir.Simd_sum { acc; value; dir = d } ->
-        (* the summand is part of the outlined body for capture purposes *)
-        let with_value =
-          { d with Ir.body = d.Ir.body @ [ Ir.Assign ("__red", value) ] }
-        in
-        let fn_id = !counter in
-        incr counter;
-        let cap = capture_of ~kind:`Simd_sum ~fn_id with_value in
-        let cap =
-          { cap with captures = List.filter (fun n -> n <> "__red" && n <> acc) cap.captures }
-        in
-        acc_ref := cap :: !acc_ref;
+    | Ir.Simd_sum { acc; value; dir = d } as s ->
+        (* the summand is part of the outlined body, which [Ir.free_vars]
+           scopes; the accumulator stays with the caller *)
+        let body_vars = List.filter (fun n -> n <> acc) (Ir.free_vars [ s ]) in
+        let fn_id = fresh `Simd_sum ~body_vars d in
         Ir.Simd_sum { acc; value; dir = { d with Ir.fn_id; body = stmts d.Ir.body } }
     | s -> Ir.map_bodies stmts s
   in

@@ -14,9 +14,18 @@ val parallel :
   simd_len:int ->
   ?payload:Payload.t ->
   ?fn_id:int ->
+  ?last:bool ->
   Team.microtask ->
   unit
 (** Open a parallel region with the given mode and SIMD group size.
+
+    [last] (default [false]) states that the region is the calling
+    thread's last action in the kernel: nothing runs after its closing
+    barrier.  A teams-SPMD thread then finishes at that barrier without
+    parking its fiber ({!Team.team_barrier_last}), and a SIMD worker
+    gives its fiber back at its first hand-off
+    ({!Simd.state_machine_last}).  The simulated schedule is the same
+    either way.  The team main of a generic-teams kernel ignores it.
 
     [simd_len = 1] always executes as SPMD with singleton groups — the
     paper's two-level compatibility mode (§5.4).  On a device without

@@ -272,8 +272,32 @@ and finish_loop team ctx tid =
       Reduction.simd_reduce_post ctx team.Team.lane_acc.(tid);
       await team ctx tid Team.Posted (Team.sync_warp_arrive ctx)
 
+(* The hand-off waits are the `__simd` state-machine rendezvous: they
+   advance the sanitizer's epochs like any warp barrier, but the worker
+   is exempted from the divergence check — its main legitimately
+   crosses block-scope barriers while the worker idles here.  Workers
+   only ever run simd-loop bodies — their own lane's work — so any
+   enclosing SPMD attribution is undone, and restored when the worker
+   leaves.  An exception aborts the whole block, so there is nothing to
+   restore on that path. *)
+let enter_state_machine (th : Gpusim.Thread.t) =
+  if Gpusim.Thread.sanitizing th then begin
+    Gpusim.Ompsan.enter_state_machine th;
+    Gpusim.Ompsan.set_actor th th.Gpusim.Thread.tid
+  end
+  else th.Gpusim.Thread.tid
+
+let leave_state_machine th prev_actor =
+  if Gpusim.Thread.sanitizing th then begin
+    ignore (Gpusim.Ompsan.set_actor th prev_actor);
+    Gpusim.Ompsan.leave_state_machine th
+  end
+
 (* The team's step closures, built on its first generic region: each
-   reads its tid's slots at call time. *)
+   reads its tid's slots at call time.  [last_step] is [step] for a
+   worker that detached from its fiber: at termination it leaves the
+   state machine and makes the worker's last arrival, at the team
+   barrier that closes the region. *)
 let ensure_steps (team : Team.t) ctx =
   Team.init_steps team ctx;
   let sm = team.Team.sm in
@@ -293,10 +317,22 @@ let ensure_steps (team : Team.t) ctx =
     sm.Team.step <-
       (fun th ->
         let tid = th.Gpusim.Thread.tid in
-        advance team sm.Team.ctxs.(tid) tid)
+        advance team sm.Team.ctxs.(tid) tid);
+    sm.Team.last_step <-
+      (fun th ->
+        let tid = th.Gpusim.Thread.tid in
+        let ctx = sm.Team.ctxs.(tid) in
+        if advance team ctx tid then begin
+          leave_state_machine th sm.Team.outer.(tid);
+          Team.team_barrier_last ctx
+        end;
+        false)
   end
 
-let state_machine ctx =
+(* Enter the state machine and run the worker on its fiber until it
+   parks ([false]) or reaches termination ([true], having left the
+   state machine). *)
+let start ctx =
   let team = ctx.Team.team in
   let th = ctx.Team.th in
   let tid = th.Gpusim.Thread.tid in
@@ -304,26 +340,20 @@ let state_machine ctx =
   let sm = team.Team.sm in
   sm.Team.ctxs.(tid) <- ctx;
   sm.Team.phase.(tid) <- Team.Handoff;
-  (* The hand-off waits are the `__simd` state-machine rendezvous: they
-     advance the sanitizer's epochs like any warp barrier, but the
-     worker is exempted from the divergence check — its main
-     legitimately crosses block-scope barriers while the worker idles
-     here.  An exception aborts the whole block, so there is nothing to
-     restore on that path. *)
-  let prev_actor =
-    if Gpusim.Thread.sanitizing th then begin
-      Gpusim.Ompsan.enter_state_machine th;
-      (* Workers only ever run simd-loop bodies — their own lane's work;
-         undo any enclosing SPMD attribution. *)
-      Gpusim.Ompsan.set_actor th tid
-    end
-    else tid
-  in
-  if not (advance team ctx tid) then Gpusim.Engine.suspend_stepped th sm.Team.step;
-  if Gpusim.Thread.sanitizing th then begin
-    ignore (Gpusim.Ompsan.set_actor th prev_actor);
-    Gpusim.Ompsan.leave_state_machine th
+  sm.Team.outer.(tid) <- enter_state_machine th;
+  advance team ctx tid && (leave_state_machine th sm.Team.outer.(tid); true)
+
+let state_machine ctx =
+  if not (start ctx) then begin
+    let th = ctx.Team.th in
+    let sm = ctx.Team.team.Team.sm in
+    Gpusim.Engine.suspend_stepped th sm.Team.step;
+    leave_state_machine th sm.Team.outer.(th.Gpusim.Thread.tid)
   end
+
+let state_machine_last ctx =
+  if start ctx then Team.team_barrier_last ctx
+  else Gpusim.Engine.detach ctx.Team.th ctx.Team.team.Team.sm.Team.last_step
 
 let signal_termination ctx =
   Gpusim.Thread.trace ctx.Team.th ~tag:"simd.terminate" "";

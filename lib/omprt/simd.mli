@@ -54,6 +54,15 @@ val state_machine : Team.ctx -> unit
     at its first hand-off that does not complete, and resumes once, at
     termination; the simulated schedule is the fiber loop's exactly. *)
 
+val state_machine_last : Team.ctx -> unit
+(** {!state_machine} followed by {!Team.team_barrier_last}, for a
+    region whose closing team barrier is the worker's last action.  The
+    worker's fiber does not park at all: at its first hand-off that
+    does not complete it detaches ({!Gpusim.Engine.detach}) and runs on
+    as the team's [last_step] hook, whose final step is the closing
+    arrival.  Same simulated schedule as {!state_machine} and the
+    barrier wait after it. *)
+
 val signal_termination : Team.ctx -> unit
 (** Called by the SIMD main at the end of a generic parallel region:
     publish a null function pointer and release the workers (Fig 3). *)

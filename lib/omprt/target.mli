@@ -29,6 +29,11 @@ val launch :
     Device determinism contract), and carries the launch's sanitizer
     and fault settings. *)
 
+val thread_main : (Team.ctx -> unit) -> Team.t -> Gpusim.Thread.t -> unit
+(** [thread_main body team] is one thread's kernel as {!launch} runs it
+    on every thread of [team]'s block — exposed for tests that run a
+    block straight on {!Gpusim.Engine.run_block}. *)
+
 val team_state_machine : (Team.ctx -> unit) -> Team.ctx -> unit
 (** Worker-thread loop for generic teams mode — exposed for tests.  The
     first argument is unused by workers (they receive outlined functions

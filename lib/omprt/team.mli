@@ -89,6 +89,13 @@ and steps = {
   mutable args : Payload.t array;
       (** the round's published function and arguments *)
   mutable step : Gpusim.Thread.t -> bool;  (** the workers' resume hook *)
+  mutable last_step : Gpusim.Thread.t -> bool;
+      (** the resume hook of a worker that detached from its fiber
+          ({!Gpusim.Engine.detach}) because the region's closing team
+          barrier is its last action: the hook ends with that arrival *)
+  mutable outer : int array;
+      (** sanitizer actor a detached worker restores as it leaves the
+          state machine *)
   mutable bodies : (int -> unit) array;
   mutable combs : (int -> unit) array;
       (** per-tid loop closures over the slots above, built once: a simd
@@ -231,6 +238,11 @@ val lockstep_arrive : ctx -> bool
 
 val team_barrier_wait : ctx -> unit
 (** Block-wide barrier over workers + team main. *)
+
+val team_barrier_last : ctx -> unit
+(** {!team_barrier_wait} as the calling thread's last action
+    ({!Gpusim.Engine.arrive_last}): the caller returns at once and runs
+    nothing more, from its fiber or as a detached worker's last step. *)
 
 val lockstep_barrier : t -> Gpusim.Thread.t -> mask:int -> Gpusim.Barrier.t
 (** The zero-cost alignment barrier for [th]'s (warp, mask) pair —

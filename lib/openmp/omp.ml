@@ -5,7 +5,7 @@ let target_teams ~cfg ?trace ?(clauses = Clause.none)
   let params, parallel_mode, simdlen = Clause.resolve ~cfg clauses in
   Omprt.Target.launch ~cfg ?trace ~params ~dispatch_table_size:4 (fun ctx ->
       Omprt.Parallel.parallel ctx ~mode:parallel_mode ~simd_len:simdlen
-        ~payload ~fn_id:0 (fun ctx _ -> body ctx))
+        ~payload ~fn_id:0 ~last:true (fun ctx _ -> body ctx))
 
 let target_teams_distribute ~cfg ?trace ?(clauses = Clause.none) ~trip body =
   let params, _, _ = Clause.resolve ~cfg clauses in

@@ -90,7 +90,7 @@ let launch ~cfg ?pool ?trace ~reset_l2 ~num_teams ~threads ~(mode3 : Harness.mod
   let s = t.shape in
   let report =
     Target.launch ~cfg ?pool ?trace ~params ~dispatch_table_size:2 (fun ctx ->
-        Parallel.parallel ctx ~mode:mode3.Harness.parallel_mode
+        Parallel.parallel ctx ~last:true ~mode:mode3.Harness.parallel_mode
           ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx _ ->
             Workshare.distribute_parallel_for ctx ~trip:(s.ni * s.nj)
               (fun ij ->

@@ -108,7 +108,7 @@ let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256)
   let report =
     Target.launch ~cfg ?pool ?trace ~params
       ~dispatch_table_size:2 (fun ctx ->
-        Parallel.parallel ctx ~mode:mode3.Harness.parallel_mode
+        Parallel.parallel ctx ~last:true ~mode:mode3.Harness.parallel_mode
           ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx _ ->
             Workshare.distribute_parallel_for ctx ~trip:t.shape.sites
               (fun site ->

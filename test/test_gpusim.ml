@@ -1147,21 +1147,23 @@ type sprog = {
   costs : float array;  (* round -> barrier cost *)
 }
 
+(* one barrier per (round, group), expecting the group's threads *)
+let sprog_barriers prog =
+  Array.mapi
+    (fun r grp ->
+      let n = Array.fold_left max 0 grp + 1 in
+      Array.init n (fun gi ->
+          let expected =
+            Array.fold_left (fun a g -> if g = gi then a + 1 else a) 0 grp
+          in
+          Barrier.create
+            ~name:(Printf.sprintf "r%d.g%d" r gi)
+            ~expected:(max 1 expected) ~cost:prog.costs.(r) ()))
+    prog.groups
+
 let run_sprog ?(launch = Thread.default_launch) prog ~stepped =
   let rounds = Array.length prog.costs in
-  let bars =
-    Array.mapi
-      (fun r grp ->
-        let n = Array.fold_left max 0 grp + 1 in
-        Array.init n (fun gi ->
-            let expected =
-              Array.fold_left (fun a g -> if g = gi then a + 1 else a) 0 grp
-            in
-            Barrier.create
-              ~name:(Printf.sprintf "r%d.g%d" r gi)
-              ~expected:(max 1 expected) ~cost:prog.costs.(r) ()))
-      prog.groups
-  in
+  let bars = sprog_barriers prog in
   let log = ref [] in
   let pos = Array.make prog.sthreads 0 in
   let suspended = Array.make prog.sthreads false in
@@ -1252,6 +1254,125 @@ let stepping_preserves_schedule =
       let all, _ = run_sprog prog ~stepped:(fun _ -> true) in
       fibers = mixed && fibers = all)
 
+(* Exit arrivals.  The same programs, where each thread's last-round
+   arrival is its last action, run with every thread in one of four
+   shapes: a fiber that waits at every round (the reference); a fiber
+   whose last arrival is [Engine.arrive_last]; a stepped thread
+   ([suspend_stepped]) whose resumed fiber makes that exit arrival; and
+   a detached thread ([Engine.detach] at its first parking arrival)
+   whose last step makes it.  The last round is optionally one
+   block-wide barrier, like the team barrier that closes a region, and
+   optionally one thread skips it, so the block hangs with exit
+   waiters.  Against the all-fiber run: the same arrival order, the
+   same clocks after every release before the last round, the same
+   final clock per thread, and the same critical path or stall record
+   (finished count and stuck barriers). *)
+type exit_shape = Wait_all | Exit_fiber | Exit_stepped | Exit_detached
+
+let run_xprog prog ~shape ~drop =
+  let rounds = Array.length prog.costs in
+  let last = rounds - 1 in
+  let bars = sprog_barriers prog in
+  let log = ref [] in
+  let pos = Array.make prog.sthreads 0 in
+  let threads = Array.make prog.sthreads None in
+  let start th r =
+    let tid = th.Thread.tid in
+    Thread.tick th prog.ticks.(r).(tid);
+    log := `Arrive (tid, r) :: !log;
+    bars.(r).(prog.groups.(r).(tid))
+  in
+  let released th r =
+    if r < last then log := `Clock (th.Thread.tid, r, Thread.clock th) :: !log
+  in
+  let wait_rounds th n =
+    for r = 0 to n - 1 do
+      Engine.barrier_wait (start th r) th;
+      released th r
+    done
+  in
+  let exit th = Engine.arrive_last (start th last) th in
+  (* stepped: rounds before the last as steps, then the fiber's exit *)
+  let rec stepped_from th r =
+    r = last
+    || begin
+         pos.(th.Thread.tid) <- r + 1;
+         let bar = start th r in
+         Engine.arrive bar th && (released th r; stepped_from th (r + 1))
+       end
+  in
+  let stepped_step th =
+    let r = pos.(th.Thread.tid) - 1 in
+    released th r;
+    stepped_from th (r + 1)
+  in
+  (* detached: [false] once parked; the last round is the exit *)
+  let rec detached_from th r =
+    pos.(th.Thread.tid) <- r + 1;
+    if r = last then begin
+      exit th;
+      true
+    end
+    else
+      Engine.arrive (start th r) th && (released th r; detached_from th (r + 1))
+  in
+  let detached_step th =
+    let r = pos.(th.Thread.tid) - 1 in
+    released th r;
+    ignore (detached_from th (r + 1) : bool);
+    false
+  in
+  let result =
+    match
+      Engine.run_block ~cfg ~block_id:0 ~num_threads:prog.sthreads (fun th ->
+          let tid = th.Thread.tid in
+          threads.(tid) <- Some th;
+          if drop = Some tid then wait_rounds th last
+          else
+            match shape.(tid) with
+            | Wait_all -> wait_rounds th rounds
+            | Exit_fiber ->
+                wait_rounds th last;
+                exit th
+            | Exit_stepped ->
+                if not (stepped_from th 0) then
+                  Engine.suspend_stepped th stepped_step;
+                exit th
+            | Exit_detached ->
+                if not (detached_from th 0) then Engine.detach th detached_step)
+    with
+    | r -> Ok r.Engine.critical_cycles
+    | exception Engine.Deadlock _ -> Error (Engine.take_stall ())
+  in
+  let clocks = Array.map (fun th -> Thread.clock (Option.get th)) threads in
+  (List.rev !log, clocks, result)
+
+let xprog_gen =
+  let open QCheck.Gen in
+  sprog_gen >>= fun (prog, _) ->
+  let n = prog.sthreads in
+  array_size (return n) (oneofl [ Wait_all; Exit_fiber; Exit_stepped; Exit_detached ])
+  >>= fun shape ->
+  bool >>= fun block_close ->
+  opt (int_range 0 (n - 1)) >>= fun drop ->
+  let rounds = Array.length prog.costs in
+  let groups =
+    if block_close then
+      Array.mapi (fun r g -> if r = rounds - 1 then Array.make n 0 else g) prog.groups
+    else prog.groups
+  in
+  return ({ prog with groups }, shape, drop)
+
+let exit_arrivals_preserve_schedule =
+  QCheck.Test.make ~count:300 ~name:"exit arrivals keep the fiber schedule"
+    (QCheck.make xprog_gen) (fun (prog, shape, drop) ->
+      let reference =
+        run_xprog prog ~shape:(Array.make prog.sthreads Wait_all) ~drop
+      in
+      reference = run_xprog prog ~shape ~drop
+      && reference
+         = run_xprog prog ~shape:(Array.make prog.sthreads Exit_detached) ~drop)
+
 (* An injected stall on a stepped thread parks it on the private stall
    barrier under its saved continuation: the block deadlocks with the
    same stall report, and the same recorded failure, as when the victim
@@ -1336,6 +1457,7 @@ let suite =
         Alcotest.test_case "size validation" `Quick test_engine_rejects_bad_sizes;
         Alcotest.test_case "busy excludes wait" `Quick test_engine_busy_excludes_wait;
         QCheck_alcotest.to_alcotest stepping_preserves_schedule;
+        QCheck_alcotest.to_alcotest exit_arrivals_preserve_schedule;
         Alcotest.test_case "stepped thread in a stall report" `Quick
           test_stepped_stall_report;
       ] );

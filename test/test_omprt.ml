@@ -833,6 +833,75 @@ let qcheck_cases =
         Sharing.slice_bytes s = 2048 / (groups + 1));
   ]
 
+(* --- fiber parks --------------------------------------------------------
+
+   An E6-shaped block — teams SPMD, one generic region with SIMD groups
+   of 8 as the kernel's last action, rows of the tiny spmv matrix
+   distributed over the groups, a simd loop over each row's nonzeros
+   with an atomic update — run straight on the engine, whose block
+   result carries the park count.  Finishing at the closing barrier and
+   detaching the SIMD workers leaves only the SIMD mains' waits at warp
+   barriers to park: at most one park per main arrival, which is the
+   warp-barrier count over the group size.  The parking path
+   ([last:false]) still parks well above that, with the same clocks. *)
+let e6_block ~last =
+  let lengths =
+    Workloads.Spmv.row_lengths
+      (Workloads.Spmv.generate
+         { Workloads.Spmv.default_shape with rows = 65; cols = 65; seed = 1 })
+  in
+  let rows = Array.length lengths in
+  let starts = Array.make (rows + 1) 0 in
+  Array.iteri (fun r n -> starts.(r + 1) <- starts.(r) + n) lengths;
+  let space = Memory.space () in
+  let values =
+    Memory.of_float_array space (Array.init starts.(rows) (fun k -> float_of_int (k mod 7)))
+  in
+  let y = Memory.falloc space rows in
+  let params =
+    {
+      Team.num_teams = 1;
+      num_threads = 128;
+      teams_mode = Mode.Spmd;
+      sharing_bytes = Sharing.default_bytes;
+    }
+  in
+  let team = Team.create ~cfg ~arena:(Shared.arena cfg) ~params ~block_id:0 in
+  let body ctx =
+    Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:8 ~fn_id:0 ~last
+      (fun ctx _ ->
+        Workshare.distribute_parallel_for ctx ~trip:rows (fun row ->
+            Simd.simd ctx ~fn_id:1 ~trip:lengths.(row) (fun ctx j _ ->
+                let th = ctx.Team.th in
+                let v = Memory.fget values th (starts.(row) + j) in
+                Team.charge_flops ctx 2;
+                ignore (Memory.atomic_fadd y th row v : float))))
+  in
+  let r =
+    Gpusim.Engine.run_block ~cfg ~block_id:0
+      ~num_threads:(Team.block_threads ~cfg params)
+      (Target.thread_main body team)
+  in
+  (r, Memory.to_float_array y)
+
+let test_parks_pinned () =
+  let r, y = e6_block ~last:true in
+  let warp_waits = r.Gpusim.Engine.counters.Counters.warp_barriers in
+  check_int "every rendezvous has the whole group" 0 (warp_waits mod 8);
+  let main_waits = warp_waits / 8 in
+  check_bool
+    (Printf.sprintf "parks %d <= SIMD mains' warp-barrier waits %d"
+       r.Gpusim.Engine.parks main_waits)
+    true
+    (r.Gpusim.Engine.parks <= main_waits);
+  let parked, parked_y = e6_block ~last:false in
+  check_bool "the parking path parks more" true
+    (parked.Gpusim.Engine.parks > main_waits);
+  check_bool "same clocks and output either way" true
+    (parked.Gpusim.Engine.critical_cycles = r.Gpusim.Engine.critical_cycles
+    && parked.Gpusim.Engine.busy_cycles = r.Gpusim.Engine.busy_cycles
+    && parked_y = y)
+
 let suite =
   [
     ( "omprt.simd_group",
@@ -896,6 +965,8 @@ let suite =
         Alcotest.test_case "dynamic bad chunk" `Quick test_dynamic_rejects_bad_chunk;
         Alcotest.test_case "nested parallel rejected" `Quick
           test_nested_parallel_rejected;
+        Alcotest.test_case "parks: only the SIMD mains' warp waits" `Quick
+          test_parks_pinned;
       ] );
     ( "omprt.reduction",
       [

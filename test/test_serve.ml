@@ -313,6 +313,70 @@ let test_parse_trace_rejects () =
   Alcotest.(check int) "threads=48 parses" 48
     (List.hd (Request.parse_trace "kernel=saxpy threads=48\n")).Request.threads
 
+(* qcheck: the trace front door.  Random bytes, and the shipped example
+   trace with one to three of its lines mutated, each parse or fail with
+   a [Failure] naming the offending trace line (a line the text has);
+   nothing else escapes [Request.parse_trace]. *)
+let example_lines =
+  lazy
+    (let ic = open_in_bin (Filename.concat ".." "examples/serve.requests") in
+     let text = really_input_string ic (in_channel_length ic) in
+     close_in ic;
+     Array.of_list (String.split_on_char '\n' text))
+
+let mutated_trace lines =
+  let open QCheck.Gen in
+  let key_chars = "kernel=sizatemhdlnpriogu0123456789.-+e# \t" in
+  let key_char = map (String.get key_chars) (int_bound (String.length key_chars - 1)) in
+  let edit s =
+    let n = String.length s in
+    int_bound (max 0 (n - 1)) >>= fun i ->
+    oneof [ key_char; char ] >>= fun c ->
+    let i = min i n in
+    oneofl
+      [
+        String.sub s 0 i ^ String.sub s (min n (i + 1)) (n - min n (i + 1));
+        String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i);
+        String.mapi (fun j x -> if j = i then c else x) s;
+        String.sub s i (n - i) ^ " " ^ String.sub s 0 i;
+      ]
+  in
+  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+  let rec apply lines = function
+    | [] -> return lines
+    | (i, k) :: rest ->
+        edits k lines.(i) >>= fun line ->
+        let lines = Array.copy lines in
+        lines.(i) <- line;
+        apply lines rest
+  in
+  list_size (int_range 1 3) (pair (int_bound (Array.length lines - 1)) (int_range 1 3))
+  >>= apply lines
+  >|= fun lines -> String.concat "\n" (Array.to_list lines)
+
+(* the example is read when the first case is drawn *)
+let trace_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, string_size ~gen:char (int_bound 120));
+        (3, fun st -> mutated_trace (Lazy.force example_lines) st);
+      ])
+
+let trace_never_raises =
+  QCheck.Test.make ~count:300 ~name:"a trace parses or names its line"
+    (QCheck.make ~print:(Printf.sprintf "%S") trace_gen)
+    (fun text ->
+      let lines = List.length (String.split_on_char '\n' text) in
+      match Request.parse_trace text with
+      | _ -> true
+      | exception Failure msg -> (
+          match Scanf.sscanf_opt msg "trace line %d: %_s@\n" (fun n -> n) with
+          | Some n when n >= 1 && n <= lines -> true
+          | _ -> QCheck.Test.fail_reportf "%S: message %S" text msg)
+      | exception e ->
+          QCheck.Test.fail_reportf "%S raised %s" text (Printexc.to_string e))
+
 (* --- determinism ------------------------------------------------------ *)
 
 let test_deterministic_replay () =
@@ -1316,6 +1380,7 @@ let suite =
           test_parse_trace;
         Alcotest.test_case "trace front door: non-finite ticks, empty geometry"
           `Quick test_parse_trace_rejects;
+        QCheck_alcotest.to_alcotest trace_never_raises;
         Alcotest.test_case "replay is engine- and pool-invariant" `Quick
           test_deterministic_replay;
         Alcotest.test_case "dispatch is highest-priority-first" `Quick
