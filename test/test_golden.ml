@@ -13,8 +13,9 @@
    launch, a fault plan with stalls and aborts, a dynamic schedule), and
    sum and max simd reductions in both region modes, under both
    schedules, at group sizes 1, 2 and 8, chains of launches that run
-   on the L2 an earlier launch left warm, and launches on the zoo's
-   64-lane wavefront. *)
+   on the L2 an earlier launch left warm, launches on the zoo's
+   64-lane wavefront, and launches on its 32-lane devices with a
+   software-emulated warp barrier and with none. *)
 
 module Device = Gpusim.Device
 module Occupancy = Gpusim.Occupancy
@@ -356,6 +357,36 @@ let w64 ?pool () =
       ])
     [ 8; 64 ]
 
+(* The zoo's 32-lane devices without a hardware masked sync: w32-sw
+   emulates it in software (a costlier rendezvous, same protocol), and
+   w32-none has none at all, so its SPMD groups rendezvous through the
+   implicit-lockstep alignment and its generic regions degrade to
+   singleton groups (Sec 5.4.1). *)
+let barrierless ?pool () =
+  let su3 = Su3.generate { Su3.sites = 96; seed = 2 } in
+  let ideal =
+    Ideal.generate { Ideal.default_shape with Ideal.rows = 96; seed = 3 }
+  in
+  let t = Lazy.force spmv in
+  let mode3 = Harness.generic_simd ~group_size:8 in
+  List.concat_map
+    (fun device ->
+      let cfg = Result.get_ok (Gpusim.Zoo.resolve device) in
+      [
+        ( device ^ " su3 spmd g8",
+          of_run
+            (Su3.run ~cfg ?pool ~num_teams:12 ~threads:128
+               ~mode3:(Harness.spmd_simd ~group_size:8) su3) );
+        ( device ^ " ideal generic g8",
+          of_run (Ideal.run ~cfg ?pool ~num_teams:12 ~threads:128 ~mode3 ideal)
+        );
+        ( device ^ " e6 reduction g8",
+          of_run
+            (Spmv.run_simd_reduction ~cfg ?pool ~num_teams:65 ~threads:128
+               ~mode3 t) );
+      ])
+    [ "w32-none"; "w32-sw" ]
+
 let all ~domains =
   let pool =
     if domains = 0 then None else Some (Gpusim.Pool.create ~domains ())
@@ -364,6 +395,7 @@ let all ~domains =
   let r =
     e6 ?pool () @ fig9 ?pool () @ sanitized ~domains @ faults
     @ dynamic ?pool () @ reduce ?pool () @ warm ?pool () @ w64 ?pool ()
+    @ barrierless ?pool ()
   in
   Option.iter Gpusim.Pool.shutdown pool;
   (r, stats)
@@ -373,7 +405,9 @@ let all ~domains =
    became loop bodies; the warm chains with the code that replayed every
    block's L2 log at commit; the w64 launches once lanes 32-63 got lane
    bits of their own (su3 spmd g8 and the two e6 g64 launches moved;
-   before, lane 32 shared lane 0's bit) *)
+   before, lane 32 shared lane 0's bit); the w32-none and w32-sw
+   launches before SIMD mains and SPMD lanes ran the stepped workers'
+   simd-loop machine *)
 let expected =
   [
     ("e6 atomic g2", "2360daaf62fdc852fd31ced4f18f3ff5");
@@ -452,6 +486,12 @@ let expected =
     ("w64 ideal generic g64", "62b55f986ccad8c7116177a122160e3b");
     ("w64 e6 atomic g64", "4538affde952d1a2719f731c048c256e");
     ("w64 e6 reduction g64", "0bd9f33f7472aac62101db0e20e86035");
+    ("w32-none su3 spmd g8", "f3be3c70c3adb83fbacbc21c91fc1eeb");
+    ("w32-none ideal generic g8", "5f23a199635784bafbe017732420d606");
+    ("w32-none e6 reduction g8", "f28010869765fa53a2b6a3b0545fb8c8");
+    ("w32-sw su3 spmd g8", "4a5ceaf04db17cf235e7f7c4d4618e70");
+    ("w32-sw ideal generic g8", "8c2d5a420a94a5889a9ab4bcd25b3baa");
+    ("w32-sw e6 reduction g8", "5ef292601b396ca6bfc636460a4794df");
   ]
 
 let check_golden domains () =

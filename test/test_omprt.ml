@@ -902,6 +902,80 @@ let test_parks_pinned () =
     && parked.Gpusim.Engine.busy_cycles = r.Gpusim.Engine.busy_cycles
     && parked_y = y)
 
+(* One block of each shape the golden set pins on the zoo's barrierless
+   devices, run straight on the engine like [e6_block], with SIMD groups
+   of 8 and the region as the kernel's last action: su3-like (an SPMD
+   region, a simd loop of 36 per row), ideal-like (a generic region, a
+   simd loop over the row) and the E6 reduction (a generic region, a
+   simd sum over the row), on the test device and on the zoo's w32-sw
+   and w32-none.  Their park counts are pinned: how a lane waits at a
+   rendezvous must not change how often a fiber parks. *)
+type shape = Su3_spmd | Ideal_generic | E6_reduction
+
+let shape_parks ~cfg shape =
+  let lengths =
+    Workloads.Spmv.row_lengths
+      (Workloads.Spmv.generate
+         { Workloads.Spmv.default_shape with rows = 65; cols = 65; seed = 1 })
+  in
+  let rows = Array.length lengths in
+  let starts = Array.make (rows + 1) 0 in
+  Array.iteri (fun r n -> starts.(r + 1) <- starts.(r) + n) lengths;
+  let space = Memory.space () in
+  let values =
+    Memory.of_float_array space
+      (Array.init starts.(rows) (fun k -> float_of_int (k mod 7)))
+  in
+  let out = Memory.falloc space (max starts.(rows) (rows * 36)) in
+  let params =
+    {
+      Team.num_teams = 1;
+      num_threads = 128;
+      teams_mode = Mode.Spmd;
+      sharing_bytes = Sharing.default_bytes;
+    }
+  in
+  let team = Team.create ~cfg ~arena:(Shared.arena cfg) ~params ~block_id:0 in
+  let mode = match shape with Su3_spmd -> Mode.Spmd | _ -> Mode.Generic in
+  let body ctx =
+    Parallel.parallel ctx ~mode ~simd_len:8 ~fn_id:0 ~last:true (fun ctx _ ->
+        Workshare.distribute_parallel_for ctx ~trip:rows (fun row ->
+            match shape with
+            | Su3_spmd ->
+                Simd.simd ctx ~fn_id:1 ~trip:36 (fun ctx j _ ->
+                    Team.charge_flops ctx 8;
+                    Memory.fset out ctx.Team.th ((row * 36) + j) 1.0)
+            | Ideal_generic ->
+                Simd.simd ctx ~fn_id:1 ~trip:lengths.(row) (fun ctx j _ ->
+                    let k = starts.(row) + j in
+                    let v = Memory.fget values ctx.Team.th k in
+                    Memory.fset out ctx.Team.th k (2.0 *. v))
+            | E6_reduction ->
+                let dot =
+                  Simd.simd_sum ctx ~fn_id:1 ~trip:lengths.(row)
+                    (fun ctx j _ ->
+                      Team.charge_flops ctx 2;
+                      Memory.fget values ctx.Team.th (starts.(row) + j))
+                in
+                Memory.fset out ctx.Team.th row dot))
+  in
+  let r =
+    Gpusim.Engine.run_block ~cfg ~block_id:0
+      ~num_threads:(Team.block_threads ~cfg params)
+      (Target.thread_main body team)
+  in
+  r.Gpusim.Engine.parks
+
+let test_parks_per_shape () =
+  let parks cfg =
+    List.map (shape_parks ~cfg) [ Su3_spmd; Ideal_generic; E6_reduction ]
+  in
+  let zoo name = Result.get_ok (Gpusim.Zoo.resolve name) in
+  Alcotest.(check (list (list int)))
+    "parks of su3 spmd, ideal generic and e6 reduction at g8"
+    [ [ 910; 113; 178 ]; [ 910; 113; 178 ]; [ 910; 0; 0 ] ]
+    (List.map parks [ cfg; zoo "w32-sw"; zoo "w32-none" ])
+
 let suite =
   [
     ( "omprt.simd_group",
@@ -967,6 +1041,8 @@ let suite =
           test_nested_parallel_rejected;
         Alcotest.test_case "parks: only the SIMD mains' warp waits" `Quick
           test_parks_pinned;
+        Alcotest.test_case "parks: pinned per shape" `Quick
+          test_parks_per_shape;
       ] );
     ( "omprt.reduction",
       [
