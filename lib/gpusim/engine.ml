@@ -38,17 +38,18 @@ let take_stall () =
   slot := None;
   s
 
-(* A barrier park performs [Yield] — a constant constructor, so the
-   perform itself allocates nothing — with the arrival stashed in the
-   scheduler state.  Released waiters are queued in a fixed ring of
-   threads (capacity [num_threads + 1]: a thread is parked at most
-   once) and consumed FIFO; a parked fiber's continuation is kept per
-   tid in [ks], since a thread has at most one.  [live] tracks barriers
-   with parked threads for the deadlock report.
-
-   [Suspend] parks a fiber as a stepped thread (see [suspend_stepped]):
-   its continuation stays in [ks] and the ring, on reaching the thread,
-   calls its [Thread.step] hook instead of resuming it.
+(* A fiber parks one way: it records its failed arrival in the
+   scheduler state and performs [Suspend] — a constant constructor, so
+   the perform itself allocates nothing — whose handler keeps the
+   continuation and makes the recorded resume hook the thread's
+   [Thread.step]: [Thread.fiber] for a plain wait ([park]), or a step
+   for a thread that lives on as steps ([suspend_stepped]), which the
+   ring calls on reaching the thread instead of resuming it.  Released
+   waiters are queued in a fixed ring of threads (capacity
+   [num_threads + 1]: a thread is parked at most once) and consumed
+   FIFO; a parked fiber's continuation is kept per tid in [ks], since a
+   thread has at most one.  [live] tracks barriers with parked threads
+   for the deadlock report.
 
    Two kinds of waiter have no continuation at all.  A detached thread
    ([detach]) gave its fiber back and lives on as steps only.  A thread
@@ -57,7 +58,6 @@ let take_stall () =
    it.  [completed] counts finished threads: a thread body that
    returns, less one for each body that returned while still owing an
    arrival (it is counted when that arrival's barrier releases it). *)
-type _ Effect.t += Yield : unit Effect.t
 type _ Effect.t += Suspend : unit Effect.t
 
 type sched = {
@@ -66,8 +66,8 @@ type sched = {
   mutable tail : int;
   cap : int;
   live : (int, Barrier.t) Hashtbl.t;
-  (* the arrival being parked by the in-flight [Yield] or [Suspend], or
-     recorded by [arrive] for the [suspend_stepped] or [detach] next *)
+  (* the failed arrival [arrive] recorded for the [Suspend] or [detach]
+     next, and the resume hook [Suspend] installs *)
   mutable pending_bar : Barrier.t;
   mutable pending_th : Thread.t;
   mutable pending_step : Thread.t -> bool;
@@ -125,18 +125,6 @@ let arrival_barrier bar th =
     | None -> bar
   else bar
 
-let barrier_wait bar th =
-  let s = sched_of th ~what:"Engine.barrier_wait" in
-  let bar = arrival_barrier bar th in
-  (* fast path: the last expected arriver releases the barrier and keeps
-     running — no continuation capture, no queue round-trip *)
-  if Barrier.try_complete bar th then push_release s bar
-  else begin
-    s.pending_bar <- bar;
-    s.pending_th <- th;
-    perform Yield
-  end
-
 let park_arrival s bar th =
   (* the arrival already tried to complete: it cannot be the last, so it
      always parks *)
@@ -159,8 +147,8 @@ let arrive bar th =
     true
   end
   else begin
-    (* a fiber that has not suspended yet only records the arrival,
-       which its [suspend_stepped] or [detach] parks *)
+    (* a fiber only records the arrival, which its [park],
+       [suspend_stepped] or [detach] parks next *)
     if th.Thread.step == Thread.fiber then begin
       s.pending_bar <- bar;
       s.pending_th <- th
@@ -173,6 +161,10 @@ let suspend_stepped th step =
   let s = sched_of th ~what:"Engine.suspend_stepped" in
   s.pending_step <- step;
   perform Suspend
+
+let park th = suspend_stepped th Thread.fiber
+
+let barrier_wait bar th = if not (arrive bar th) then park th
 
 let detach th step =
   let s = sched_of th ~what:"Engine.detach" in
@@ -245,17 +237,10 @@ let make_frame ~cfg ?trace ~launch ~block_id ~num_threads ~counters () =
       parks = 0;
     }
   in
-  (* The Yield handler is the single hottest closure in the simulator
-     (every barrier park goes through it); allocating it — and the [Some]
+  (* The Suspend handler is the single hottest closure in the simulator
+     (every fiber park goes through it); allocating it — and the [Some]
      around it — once per frame instead of once per perform keeps the
      park path allocation-free outside the continuation itself. *)
-  let on_yield : ((unit, unit) continuation -> unit) option =
-    Some
-      (fun k ->
-        let th = s.pending_th in
-        keep_k s th k;
-        park_arrival s s.pending_bar th)
-  in
   let on_suspend : ((unit, unit) continuation -> unit) option =
     Some
       (fun k ->
@@ -271,10 +256,7 @@ let make_frame ~cfg ?trace ~launch ~block_id ~num_threads ~counters () =
       effc =
         (fun (type a) (eff : a Effect.t) :
              ((a, unit) continuation -> unit) option ->
-          match eff with
-          | Yield -> on_yield
-          | Suspend -> on_suspend
-          | _ -> None);
+          match eff with Suspend -> on_suspend | _ -> None);
     }
   in
   { warps; threads; sched = s; handler }

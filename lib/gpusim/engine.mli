@@ -1,18 +1,23 @@
 (** Cooperative fiber engine for one thread block.
 
     Each GPU thread is an OCaml 5 effect fiber.  Fibers run until they
-    synchronize; [barrier_wait] performs an effect that parks the fiber in
-    the barrier, and a barrier release re-enqueues all participants.  The
-    execution order between synchronization points is unspecified — exactly
-    like real intra-block concurrency for race-free programs — while
-    barrier semantics (max-of-arrival clocks) are exact.
+    synchronize.  A rendezvous is an arrival ({!arrive}): the last
+    expected arriver releases the barrier and keeps running; any other
+    arrival fails, and its fiber parks.  A fiber parks one way — it
+    performs the engine's one park effect, which keeps its continuation
+    and installs a resume hook ({!Thread.step}) — and a barrier release
+    re-enqueues all participants.  The execution order between
+    synchronization points is unspecified — exactly like real
+    intra-block concurrency for race-free programs — while barrier
+    semantics (max-of-arrival clocks) are exact.
 
-    A parked thread may instead be {e stepped} ({!suspend_stepped}): the
-    scheduler calls its {!Thread.step} hook where it would have resumed
-    the fiber, and the hook runs the thread's code to its next
-    rendezvous ({!arrive}) without a fiber switch.  Release order, the
-    live-barrier table and the deadlock report treat a stepped thread
-    exactly like a fiber.
+    A plain wait ({!barrier_wait}, or {!arrive} then {!park}) installs
+    {!Thread.fiber}: the scheduler resumes the fiber.  A parked thread
+    may instead be {e stepped} ({!suspend_stepped}): the scheduler calls
+    its hook where it would have resumed the fiber, and the hook runs
+    the thread's code to its next rendezvous ({!arrive}) without a fiber
+    switch.  Release order, the live-barrier table and the deadlock
+    report treat a stepped thread exactly like a fiber.
 
     A thread need not keep its fiber to the end.  A fiber that has
     recorded an {!arrive} may {!detach}: it gives its fiber back and
@@ -64,28 +69,33 @@ type block_result = {
           (an underfilled SM cannot retire at full width) *)
   counters : Counters.t;
   parks : int;
-      (** fiber parks: continuations captured at a barrier wait or a
+      (** fiber parks: continuations captured by {!park} or
           {!suspend_stepped}.  A host-cost figure, deterministic for a
           block; it reaches no report or counter. *)
 }
 
-val barrier_wait : Barrier.t -> Thread.t -> unit
-(** Suspend the calling fiber until the barrier releases.  Must be called
-    from inside [run_block]'s dynamic extent.  Also clears the calling
-    warp's atomic-contention epoch: contention is counted between
-    consecutive synchronization points only. *)
-
 val arrive : Barrier.t -> Thread.t -> bool
-(** The arrival of {!barrier_wait} (atomic epoch, injected stall,
-    completion by the last arriver) for code that runs as a step.
-    [true]: this arrival completed the barrier and released the others;
-    the caller keeps running.  [false]: the thread parked, and the caller
-    must return to the scheduler at once without touching simulated
-    state.  From a step, the thread parks (under the continuation its
-    fiber suspended with, if it has one); from a fiber that has not
-    suspended yet, the arrival is only recorded, and the fiber must next
-    call {!suspend_stepped} or {!detach}, which park it.
+(** Arrive at a barrier (atomic epoch, injected stall, completion by the
+    last arriver).  [true]: this arrival completed the barrier and
+    released the others; the caller keeps running.  [false]: the arrival
+    failed, and the caller must not touch simulated state before it
+    parks.  From a step, the thread is parked at once (under the
+    continuation its fiber suspended with, if it has one), and the step
+    must return to the scheduler.  From a fiber, the arrival is only
+    recorded, and the fiber must next call {!park},
+    {!suspend_stepped} or {!detach}, which park it.
     @raise Invalid_argument outside a running block. *)
+
+val park : Thread.t -> unit
+(** Park the calling fiber at the arrival {!arrive} just recorded as
+    failed; it returns once the barrier releases the thread and the
+    scheduler resumes the fiber.  [suspend_stepped th Thread.fiber].
+    @raise Invalid_argument outside a running block. *)
+
+val barrier_wait : Barrier.t -> Thread.t -> unit
+(** {!arrive} and, when the arrival failed, {!park}: a fiber's wait.
+    Also clears the calling warp's atomic-contention epoch: contention
+    is counted between consecutive synchronization points only. *)
 
 val suspend_stepped : Thread.t -> (Thread.t -> bool) -> unit
 (** [suspend_stepped th step] parks the calling fiber at the arrival an
@@ -96,8 +106,8 @@ val suspend_stepped : Thread.t -> (Thread.t -> bool) -> unit
     {!arrive}; it returns [false] once it parked again, or [true] to have
     the fiber resumed, which returns from this call as a plain fiber.
     Release order, the deadlock report and injected stalls see a stepped
-    thread exactly as a fiber.  A step must not call {!barrier_wait}: it
-    runs outside any fiber.
+    thread exactly as a fiber.  A step must not call {!barrier_wait} or
+    {!park}: it runs outside any fiber.
     @raise Invalid_argument outside a running block. *)
 
 val detach : Thread.t -> (Thread.t -> bool) -> unit
@@ -112,7 +122,7 @@ val detach : Thread.t -> (Thread.t -> bool) -> unit
     arrival of [th]'s fiber is recorded. *)
 
 val arrive_last : Barrier.t -> Thread.t -> unit
-(** The arrival of {!barrier_wait} for a thread's last action: nothing
+(** {!arrive} for a thread's last action: nothing
     of the thread runs after it.  A completing arrival releases the
     others; any other registers [th] as a waiter with no continuation.
     Either way the caller returns at once: a fiber returns from its

@@ -21,23 +21,10 @@ let charge_static ctx =
   ctx.Team.th.Gpusim.Thread.counters.Gpusim.Counters.calls <-
     ctx.Team.th.Gpusim.Thread.counters.Gpusim.Counters.calls + 1
 
-(* The loop driver hand-inlines [with_simt_factor] (inside the workshare
-   loop the whole SIMD group executes in lockstep, so the surrounding
-   region's divergence factor does not apply to the loop body) and
-   charges the call cost directly, so entering a loop allocates no
-   thunk. *)
-let run_loop ctx ~trip f =
-  let th = ctx.Team.th in
-  let saved = Gpusim.Thread.simt_factor th in
-  Gpusim.Thread.set_simt_factor th 1.0;
-  charge_static ctx;
-  Workshare.simd_loop ctx ~trip f;
-  Gpusim.Thread.set_simt_factor th saved
-
-(* Set the lane's [lane_acc] cell to the monoid's identity and return
-   the reducing loop's body, which folds iteration [iv]'s value into
-   that cell.  The cell is a float-array slot, so the running value
-   stays unboxed. *)
+(* The sequential reducing loop's body: set the lane's [lane_acc] cell
+   to the monoid's identity and fold iteration [iv]'s value into that
+   cell.  The cell is a float-array slot, so the running value stays
+   unboxed. *)
 let accumulate ctx ~op red payload =
   let acc = ctx.Team.team.Team.lane_acc in
   let tid = ctx.Team.th.Gpusim.Thread.tid in
@@ -45,107 +32,205 @@ let accumulate ctx ~op red payload =
   if op == Redop.sum then fun iv -> acc.(tid) <- acc.(tid) +. red ctx iv payload
   else fun iv -> acc.(tid) <- op.Redop.combine acc.(tid) (red ctx iv payload)
 
-let lane_total ctx =
-  ctx.Team.team.Team.lane_acc.(ctx.Team.th.Gpusim.Thread.tid)
+(* --- the simd-loop machine (§5.3, Figs 6 and 8) ----------------------
 
-(* Fig 4, generic path: the caller is the SIMD main.  [publish] puts the
-   trip count and arguments in the group's slot (the caller has set the
-   body) and the arguments in the sharing space, then releases the
-   workers; the main joins the loop itself (its group id is 0).
-   [retire] meets the workers past the loop, hence past their fetch: the
-   slice is dead and the next region in this group can recycle it. *)
-let publish ctx (slot : Team.simd_slot) ~fn_id ~trip payload =
-  let sharing = ctx.Team.team.Team.sharing in
-  bump ctx "simd.generic_regions";
-  slot.Team.simd_fn_id <- fn_id;
-  slot.Team.simd_trip <- trip;
-  slot.Team.simd_args <- payload;
-  Payload.pack ctx.Team.th payload;
-  let location =
-    Sharing.acquire sharing ctx.Team.th ~bytes:(Payload.bytes payload)
-  in
-  slot.Team.simd_args_location <- location;
-  Sharing.publish sharing ctx.Team.th location payload;
-  Team.sync_warp ctx;
-  location
+   Every multi-lane simd loop runs through one machine, whatever the
+   lane's role.  A lane's position is its [Team.phase], named by the
+   rendezvous it was last released from, and its loop lives in its
+   per-tid slots of [Team.steps]; [advance] runs the lane's code up to
+   its next rendezvous and arrives there through [Engine.arrive]: a
+   completing arrival keeps running, a failed one returns [false].
 
-let retire ctx location =
-  Team.sync_warp ctx;
-  Sharing.release ctx.Team.team.Team.sharing location
+   - A SIMD worker in a generic region (the stepped state machine, Fig
+     6) waits at the hand-off, fetches the published function and
+     arguments, runs the loop, and goes back to the hand-off.  Its
+     fiber parks once, at its first hand-off that does not complete;
+     in between, the engine calls [advance] as the worker's step
+     exactly where it would have resumed the fiber.
+   - A driving lane — a SIMD main, or any lane of an SPMD group —
+     enters at the loop's entry with its body already local, runs the
+     same phases on its own fiber, parks at a failed arrival and steps
+     on when resumed, until the loop's exit releases it ([Done]).
 
-let simd ctx ?(payload = Payload.empty) ?(fn_id = -1) ~trip body =
-  let g, group = my_group ctx in
-  if Simd_group.get_simd_group_size g = 1 then begin
-    (* Two-level behaviour (§5.4): the loop runs sequentially in-thread. *)
-    bump ctx "simd.sequential";
-    charge_static ctx;
-    Workshare.sequential_loop ctx ~trip (fun iv -> body ctx iv payload)
+   The loop itself (Fig 8) meets the group at its entry, runs the
+   lockstep rounds, and meets the group at its exit — a reducing loop
+   first combines the lanes' values through the group reduction's two
+   rendezvous.  What differs by role stays outside: a main publishes
+   the loop and later releases its sharing slice, a worker fetches it,
+   and the call is charged as a direct call for a driving lane and as
+   the §5.5 dispatch for a worker. *)
+
+(* Iteration [iv] of lane [tid]'s current loop: the body, or the fold
+   of the reducer's value into the lane's [lane_acc] cell. *)
+let run_iteration (team : Team.t) tid iv =
+  let sm = team.Team.sm in
+  let ctx = sm.Team.ctxs.(tid) in
+  match sm.Team.kind.(tid) with
+  | Team.Simd_loop -> sm.Team.fns.(tid) ctx iv sm.Team.args.(tid)
+  | Team.Reduce ->
+      let v = sm.Team.reds.(tid) ctx iv sm.Team.args.(tid) in
+      let op = sm.Team.ops.(tid) in
+      let acc = team.Team.lane_acc in
+      acc.(tid) <-
+        (if op == Redop.sum then acc.(tid) +. v else op.Redop.combine acc.(tid) v)
+
+let lane_th (sm : Team.steps) tid = sm.Team.ctxs.(tid).Team.th
+let rounds ~num ~trip = (trip + num - 1) / num
+
+(* Lane [l]'s share of lockstep round [r]: every lane steps through
+   ceil(trip/num) rounds, masked off when its iteration number falls
+   beyond the trip count — this is both how SIMT hardware executes the
+   loop and what makes idle-lane waste (trip not divisible by the group
+   size) visible.  In a remainder round the masked-off lanes still
+   occupy their issue slots, so the active lanes carry the whole
+   group's width (S6.5).  The factor save/restore is hand-inlined: a
+   [with_simt_factor] thunk would allocate a closure per round. *)
+let lane_round team th ~tid ~l ~num ~trip ~overhead r =
+  Gpusim.Thread.tick th overhead;
+  let iv = (r * num) + l in
+  if iv < trip then begin
+    let active = min num (trip - (r * num)) in
+    if active = num then run_iteration team tid iv
+    else begin
+      let saved = Gpusim.Thread.simt_factor th in
+      Gpusim.Thread.set_simt_factor th
+        (saved *. (float_of_int num /. float_of_int active));
+      run_iteration team tid iv;
+      Gpusim.Thread.set_simt_factor th saved
+    end
   end
-  else
-    match active_mode ctx with
-    | Mode.Spmd ->
-        (* Fig 4, SPMD path: trip count and payload are thread-local. *)
-        if Simd_group.is_simd_group_leader g ~tid:ctx.Team.th.Gpusim.Thread.tid
-        then bump ctx "simd.spmd_regions";
-        run_loop ctx ~trip (fun iv -> body ctx iv payload);
-        Team.sync_warp ctx
-    | Mode.Generic ->
-        let slot = Team.slot ctx.Team.team ~group in
-        slot.Team.simd_fn <- Some body;
-        slot.Team.simd_red_fn <- None;
-        let location = publish ctx slot ~fn_id ~trip payload in
-        run_loop ctx ~trip (fun iv -> body ctx iv payload);
-        retire ctx location
 
-let simd_reduce ctx ?(payload = Payload.empty) ?(fn_id = -1) ~op ~trip red =
-  let g, group = my_group ctx in
-  if Simd_group.get_simd_group_size g = 1 then begin
-    bump ctx "simd.sequential";
-    charge_static ctx;
-    Workshare.sequential_loop ctx ~trip (accumulate ctx ~op red payload);
-    lane_total ctx
-  end
-  else
-    match active_mode ctx with
-    | Mode.Spmd ->
-        run_loop ctx ~trip (accumulate ctx ~op red payload);
-        let total = Reduction.simd_reduce ctx op (lane_total ctx) in
-        Team.sync_warp ctx;
-        total
-    | Mode.Generic ->
-        let slot = Team.slot ctx.Team.team ~group in
-        slot.Team.simd_fn <- None;
-        slot.Team.simd_red_fn <- Some red;
-        slot.Team.simd_red_op <- op;
-        let location = publish ctx slot ~fn_id ~trip payload in
-        run_loop ctx ~trip (accumulate ctx ~op red payload);
-        let total = Reduction.simd_reduce ctx op (lane_total ctx) in
-        retire ctx location;
-        total
+(* --- fused rounds ---
 
-let simd_sum ctx ?payload ?fn_id ~trip red =
-  simd_reduce ctx ?payload ?fn_id ~op:Redop.sum ~trip red
+   The classic rounds park every lane on a zero-cost alignment barrier
+   after every round; with bodies of a few memory accesses the
+   continuation traffic dominates the host time of the simd-heavy
+   experiments.  A fused loop keeps the entry rendezvous — whose
+   completing arriver the engine resumes *before* any released waiter —
+   and turns the rounds into direct calls: the first lane through the
+   entry drives all lanes' iterations round-major in ascending lane
+   order, replicating the per-lane tick/SIMT-factor/sanitizer sequence
+   the classic rounds perform and aligning the group's clocks at each
+   round boundary exactly as the zero-cost barrier release did.  The
+   lanes it drove wake to find the group's sequence number advanced and
+   skip straight to the loop exit.
 
-(* --- the stepped state machine (Fig 6) ------------------------------
+   Per-lane virtual-clock math is execution-order independent (each
+   lane's own charges plus a commutative max-align per round), so fusing
+   only changes which deterministic interleaving the order-sensitive
+   models (coalescing window, L2 sessions) observe: the canonical
+   ascending-lane round is the SIMT instruction the lockstep rounds
+   model, where the classic order was an artifact of fiber scheduling.
+   The warp's atomic epoch advances once per lane per round exactly as
+   the per-lane barrier arrivals did, so atomic-contention accounting is
+   unchanged by fusing. *)
 
-   A worker's loop — wait at the hand-off, fetch the published function
-   and arguments, run its share of the workshare loop, meet the group
-   again, repeat — runs as engine steps, not on its fiber.  The fiber
-   parks once, at its first hand-off that does not complete, and is
-   resumed once, at termination; in between, whenever the engine's
-   scheduler reaches the worker (exactly where it would have resumed the
-   fiber) it calls [advance], which runs the same code the fiber would
-   have run up to the next rendezvous and arrives there through
-   [Engine.arrive]: a completing arrival keeps running, a parking one
-   returns.  The worker's position is its [Team.phase], named by the
-   rendezvous it was last released from ([Handoff] at entry and after
-   the loop's exit rendezvous).
+(* Whether a simd loop entered now runs fused: not while a dynamic
+   schedule is in flight (its chunk assignment is defined by the
+   round-level interleaving of the classic rounds), nor under fault
+   injection (stall faults park their victims at the per-round
+   barriers, which fused rounds never reach). *)
+let fusing ctx =
+  ctx.Team.team.Team.dyn_active = 0
+  && not (Gpusim.Thread.injecting ctx.Team.th)
 
-   Every round kind steps: fused rounds, the classic lockstep rounds of
-   fault-injected runs and dynamic schedules (and of diverging trip
-   counts), and the group reduction.  A reducing round runs the same
-   loop as any other; only its per-tid body (a fold into [lane_acc])
-   and its exit differ. *)
+(* A group whose lanes disagree on the trip count cannot be driven — and
+   must not be: under classic execution divergent trips deadlock at the
+   lockstep barriers with sanitizer findings attached, which is exactly
+   the surface tests and users rely on. *)
+let uniform_trip (sm : Team.steps) ~base ~num ~trip =
+  let ok = ref true in
+  for l = 0 to num - 1 do
+    if sm.Team.trip.(base + l) <> trip then ok := false
+  done;
+  !ok
+
+(* One round boundary: the group's clocks align to the round maximum
+   (the lockstep barrier's cost is 0.0, so alignment is the entire
+   release). *)
+let align_round sm ~base ~num =
+  let tmax = ref (Gpusim.Thread.clock (lane_th sm base)) in
+  for l = 1 to num - 1 do
+    let c = Gpusim.Thread.clock (lane_th sm (base + l)) in
+    if c > !tmax then tmax := c
+  done;
+  for l = 0 to num - 1 do
+    Gpusim.Thread.align_clock (lane_th sm (base + l)) !tmax
+  done
+
+(* Sanitizer taps of a driven loop: per-tid attribution while the
+   driver executes other lanes' iterations (the classic rounds'
+   [set_actor] on entry), a lockstep rendezvous per lane per round, and
+   the actors restored on exit. *)
+let san_set_actors (sm : Team.steps) ~base ~num =
+  for l = 0 to num - 1 do
+    sm.Team.actor.(base + l) <-
+      Gpusim.Ompsan.set_actor (lane_th sm (base + l)) (base + l)
+  done
+
+let san_restore_actors (sm : Team.steps) ~base ~num =
+  for l = 0 to num - 1 do
+    ignore (Gpusim.Ompsan.set_actor (lane_th sm (base + l)) sm.Team.actor.(base + l))
+  done
+
+let san_round team sm g ~base ~num =
+  let mask = Simd_group.simdmask g ~tid:base in
+  let bar = Team.lockstep_barrier team (lane_th sm base) ~mask in
+  for l = 0 to num - 1 do
+    Team.san_warp_arrive (lane_th sm (base + l)) ~mask bar
+  done
+
+let drive_rounds ctx g ~base ~num ~trip =
+  let team = ctx.Team.team in
+  let sm = team.Team.sm in
+  let overhead = Workshare.step_cost ctx in
+  let san = Gpusim.Thread.sanitizing ctx.Team.th in
+  if san then san_set_actors sm ~base ~num;
+  for r = 0 to rounds ~num ~trip - 1 do
+    for l = 0 to num - 1 do
+      let th = lane_th sm (base + l) in
+      lane_round team th ~tid:(base + l) ~l ~num ~trip ~overhead r;
+      (* the lane's classic barrier arrival bumped the warp's atomic
+         epoch right after its body; keep that wipe structure *)
+      let w = th.Gpusim.Thread.warp in
+      w.Gpusim.Thread.atomic_gen <- w.Gpusim.Thread.atomic_gen + 1
+    done;
+    if san then san_round team sm g ~base ~num;
+    align_round sm ~base ~num
+  done;
+  if san then san_restore_actors sm ~base ~num;
+  for l = 0 to num - 1 do
+    Gpusim.Thread.tick (lane_th sm (base + l)) overhead
+  done
+
+(* After the entry rendezvous: if no lane drove the group yet and the
+   trip counts agree, drive every lane's rounds.  [true] when no lane
+   drove — the trip counts diverge — and this lane must run its own
+   classic rounds, so the divergence surfaces (deadlock, with sanitizer
+   findings) exactly as under classic execution. *)
+let fused_fallback ctx g ~tid ~trip ~my_seq =
+  let team = ctx.Team.team in
+  let group = Simd_group.get_simd_group g ~tid in
+  let num = Simd_group.get_simd_group_size g in
+  let base = Simd_group.leader_tid g ~group in
+  if
+    team.Team.fused_seq.(group) = my_seq
+    && uniform_trip team.Team.sm ~base ~num ~trip
+  then begin
+    team.Team.fused_seq.(group) <- my_seq + 1;
+    drive_rounds ctx g ~base ~num ~trip
+  end;
+  team.Team.fused_seq.(group) = my_seq
+
+(* --- the phases --- *)
+
+(* Inside the loop the whole SIMD group executes in lockstep, so the
+   surrounding region's divergence factor does not apply to the body:
+   set it aside until the loop's exit.  The caller charges the call
+   next, under the loop's factor. *)
+let begin_loop (sm : Team.steps) th tid =
+  sm.Team.simt.(tid) <- Gpusim.Thread.simt_factor th;
+  Gpusim.Thread.set_simt_factor th 1.0
 
 let fetch_args ctx (slot : Team.simd_slot) =
   let team = ctx.Team.team in
@@ -154,39 +239,35 @@ let fetch_args ctx (slot : Team.simd_slot) =
     slot.Team.simd_args_location slot.Team.simd_args;
   Payload.unpack ctx.Team.th slot.Team.simd_args
 
-(* The worker's body for the current round: its share of the published
-   simd loop, or its fold of the published reducer into [lane_acc]. *)
-let loop_body (sm : Team.steps) tid =
-  match sm.Team.kind.(tid) with
-  | Team.Simd_loop -> sm.Team.bodies.(tid)
-  | Team.Reduce -> sm.Team.combs.(tid)
-
-(* [advance] returns [true] at termination (resume the fiber), [false]
-   once the worker parked. *)
+(* [advance] returns [true] once the lane is done: a driving lane
+   released from the loop's exit, or a worker at termination (resume
+   its fiber); [false] once it parked. *)
 let rec advance (team : Team.t) ctx tid =
   let sm = team.Team.sm in
   match sm.Team.phase.(tid) with
   | Team.Handoff -> await team ctx tid Team.Woken (Team.sync_warp_arrive ctx)
   | Team.Woken -> wake team ctx tid
   | Team.Entered ->
-      let g = Team.geometry team in
       if
-        Workshare.fused_fallback ctx g ~tid
-          ~num:(Simd_group.get_simd_group_size g)
-          ~trip:sm.Team.trip.(tid) ~my_seq:sm.Team.seq.(tid)
+        fused_fallback ctx (Team.geometry team) ~tid ~trip:sm.Team.trip.(tid)
+          ~my_seq:sm.Team.seq.(tid)
       then start_classic team ctx tid
       else finish_loop team ctx tid
   | Team.Classic -> start_classic team ctx tid
   | Team.Round -> classic_round team ctx tid
   | Team.Posted ->
-      let (_ : float) = Reduction.simd_reduce_combine ctx sm.Team.ops.(tid) in
+      team.Team.lane_acc.(tid) <-
+        Reduction.simd_reduce_combine ctx sm.Team.ops.(tid);
       await team ctx tid Team.Reduced (Team.sync_warp_arrive ctx)
-  | Team.Reduced -> await team ctx tid Team.Handoff (Team.sync_warp_arrive ctx)
+  | Team.Reduced -> await team ctx tid sm.Team.home.(tid) (Team.sync_warp_arrive ctx)
+  | Team.Done -> true
 
 and await team ctx tid next arrived =
   team.Team.sm.Team.phase.(tid) <- next;
   arrived && advance team ctx tid
 
+(* A worker released from the hand-off reads its group's slot: the
+   published loop, or termination. *)
 and wake team ctx tid =
   let sm = team.Team.sm in
   let group = Simd_group.get_simd_group (Team.geometry team) ~tid in
@@ -203,9 +284,7 @@ and wake team ctx tid =
       sm.Team.kind.(tid) <- Team.Simd_loop;
       sm.Team.fns.(tid) <- fn;
       sm.Team.args.(tid) <- slot.Team.simd_args;
-      (* workers resolve a published pointer: the §5.5 dispatch *)
-      enter_loop team ctx tid ~fn_id:slot.Team.simd_fn_id
-        ~trip:slot.Team.simd_trip
+      enter_published team ctx tid slot
   | None, Some red ->
       bump ctx "simd.state_machine_rounds";
       fetch_args ctx slot;
@@ -215,30 +294,35 @@ and wake team ctx tid =
       sm.Team.ops.(tid) <- op;
       sm.Team.args.(tid) <- slot.Team.simd_args;
       team.Team.lane_acc.(tid) <- op.Redop.identity;
-      enter_loop team ctx tid ~fn_id:slot.Team.simd_fn_id
-        ~trip:slot.Team.simd_trip
+      enter_published team ctx tid slot
 
-(* [run_loop], charging the §5.5 dispatch a worker pays to resolve the
-   published pointer, then the entry of [Workshare.simd_loop] for a
-   group of two or more *)
-and enter_loop team ctx tid ~fn_id ~trip =
+(* workers resolve a published pointer: the §5.5 dispatch *)
+and enter_published team ctx tid (slot : Team.simd_slot) =
+  begin_loop team.Team.sm ctx.Team.th tid;
+  Team.charge_microtask ctx ~fn_id:slot.Team.simd_fn_id;
+  enter_loop team ctx tid ~trip:slot.Team.simd_trip
+
+(* the loop's entry: a fused loop reads the group's sequence number
+   first, to tell after the rendezvous whether a lane drove it *)
+and enter_loop team ctx tid ~trip =
   let sm = team.Team.sm in
-  let th = ctx.Team.th in
-  sm.Team.simt.(tid) <- Gpusim.Thread.simt_factor th;
-  Gpusim.Thread.set_simt_factor th 1.0;
-  Team.charge_microtask ctx ~fn_id;
   sm.Team.trip.(tid) <- trip;
-  if Workshare.fusing ctx then begin
+  if fusing ctx then begin
     sm.Team.seq.(tid) <-
-      Workshare.fused_enter ctx (Team.geometry team) ~tid ~trip;
-    team.Team.fused_fns.(tid) <- loop_body sm tid;
+      team.Team.fused_seq.(Simd_group.get_simd_group (Team.geometry team) ~tid);
     await team ctx tid Team.Entered (Team.sync_warp_arrive ctx)
   end
   else await team ctx tid Team.Classic (Team.sync_warp_arrive ctx)
 
+(* Simd-loop iterations belong to the executing lane itself, not to the
+   SPMD region's logical thread: restore per-tid attribution so the
+   sanitizer can see lanes of one group racing on a cell, until the
+   rounds end. *)
 and start_classic team ctx tid =
   let sm = team.Team.sm in
-  sm.Team.actor.(tid) <- Workshare.classic_begin ctx;
+  let th = ctx.Team.th in
+  sm.Team.actor.(tid) <-
+    (if Gpusim.Thread.sanitizing th then Gpusim.Ompsan.set_actor th tid else tid);
   sm.Team.round.(tid) <- 0;
   classic_round team ctx tid
 
@@ -246,28 +330,29 @@ and classic_round team ctx tid =
   let sm = team.Team.sm in
   let g = Team.geometry team in
   let num = Simd_group.get_simd_group_size g in
-  let id = Simd_group.get_simd_group_id g ~tid in
   let trip = sm.Team.trip.(tid) in
   let r = sm.Team.round.(tid) in
-  if r < Workshare.classic_rounds ~num ~trip then begin
-    Workshare.classic_simd_round ctx ~id ~num ~trip r (loop_body sm tid);
+  let th = ctx.Team.th in
+  if r < rounds ~num ~trip then begin
+    lane_round team th ~tid ~l:(Simd_group.get_simd_group_id g ~tid) ~num
+      ~trip ~overhead:(Workshare.step_cost ctx) r;
     sm.Team.round.(tid) <- r + 1;
     await team ctx tid Team.Round (Team.lockstep_arrive ctx)
   end
   else begin
-    Workshare.classic_end ctx sm.Team.actor.(tid);
+    if Gpusim.Thread.sanitizing th then
+      ignore (Gpusim.Ompsan.set_actor th sm.Team.actor.(tid));
+    Gpusim.Thread.tick th (Workshare.step_cost ctx);
     finish_loop team ctx tid
   end
 
-(* the loop's exit: drop the deposited body, restore the factor, then
-   meet the group at the exit rendezvous — after the group reduction
-   for a reducing round *)
+(* the loop's exit: restore the factor, then meet the group at the exit
+   rendezvous — after the group reduction for a reducing loop *)
 and finish_loop team ctx tid =
   let sm = team.Team.sm in
-  team.Team.fused_fns.(tid) <- Workshare.drop_fn;
   Gpusim.Thread.set_simt_factor ctx.Team.th sm.Team.simt.(tid);
   match sm.Team.kind.(tid) with
-  | Team.Simd_loop -> await team ctx tid Team.Handoff (Team.sync_warp_arrive ctx)
+  | Team.Simd_loop -> await team ctx tid sm.Team.home.(tid) (Team.sync_warp_arrive ctx)
   | Team.Reduce ->
       Reduction.simd_reduce_post ctx team.Team.lane_acc.(tid);
       await team ctx tid Team.Posted (Team.sync_warp_arrive ctx)
@@ -293,27 +378,16 @@ let leave_state_machine th prev_actor =
     Gpusim.Ompsan.leave_state_machine th
   end
 
-(* The team's step closures, built on its first generic region: each
-   reads its tid's slots at call time.  [last_step] is [step] for a
-   worker that detached from its fiber: at termination it leaves the
-   state machine and makes the worker's last arrival, at the team
-   barrier that closes the region. *)
-let ensure_steps (team : Team.t) ctx =
-  Team.init_steps team ctx;
+(* The team's step state, sized on its first multi-lane simd loop, with
+   the workers' step closures: each reads its tid's slots at call time.
+   [last_step] is [step] for a worker that detached from its fiber: at
+   termination it leaves the state machine and makes the worker's last
+   arrival, at the team barrier that closes the region.  Returns the
+   lane's slots with its context stored. *)
+let steps (team : Team.t) ctx =
   let sm = team.Team.sm in
-  if Array.length sm.Team.bodies = 0 then begin
-    let n = team.Team.num_workers in
-    sm.Team.bodies <-
-      Array.init n (fun tid iv ->
-          sm.Team.fns.(tid) sm.Team.ctxs.(tid) iv sm.Team.args.(tid));
-    let acc = team.Team.lane_acc in
-    sm.Team.combs <-
-      Array.init n (fun tid iv ->
-          let v = sm.Team.reds.(tid) sm.Team.ctxs.(tid) iv sm.Team.args.(tid) in
-          let op = sm.Team.ops.(tid) in
-          acc.(tid) <-
-            (if op == Redop.sum then acc.(tid) +. v
-             else op.Redop.combine acc.(tid) v));
+  if Array.length sm.Team.phase = 0 then begin
+    Team.init_steps team ctx;
     sm.Team.step <-
       (fun th ->
         let tid = th.Gpusim.Thread.tid in
@@ -327,7 +401,106 @@ let ensure_steps (team : Team.t) ctx =
           Team.team_barrier_last ctx
         end;
         false)
+  end;
+  sm.Team.ctxs.(ctx.Team.th.Gpusim.Thread.tid) <- ctx;
+  sm
+
+(* A driving lane's loop, its body already in its slots: enter, then
+   park at each failed arrival and step on when resumed, until the
+   loop's exit releases the lane. *)
+let rec drive_on team ctx tid =
+  Gpusim.Engine.park ctx.Team.th;
+  if not (advance team ctx tid) then drive_on team ctx tid
+
+let drive ctx (sm : Team.steps) ~kind ~trip payload =
+  let team = ctx.Team.team in
+  let th = ctx.Team.th in
+  let tid = th.Gpusim.Thread.tid in
+  sm.Team.kind.(tid) <- kind;
+  sm.Team.args.(tid) <- payload;
+  sm.Team.home.(tid) <- Team.Done;
+  begin_loop sm th tid;
+  charge_static ctx;
+  if not (enter_loop team ctx tid ~trip) then drive_on team ctx tid
+
+(* Fig 4, generic path: the caller is the SIMD main.  [publish] puts the
+   trip count and arguments in the group's slot (the caller has set the
+   body) and the arguments in the sharing space, then releases the
+   workers; the main joins the loop itself (its group id is 0).  Past
+   the loop's exit the workers are past their fetch: the slice is dead
+   and the next region in this group can recycle it. *)
+let publish ctx (slot : Team.simd_slot) ~fn_id ~trip payload =
+  let sharing = ctx.Team.team.Team.sharing in
+  bump ctx "simd.generic_regions";
+  slot.Team.simd_fn_id <- fn_id;
+  slot.Team.simd_trip <- trip;
+  slot.Team.simd_args <- payload;
+  Payload.pack ctx.Team.th payload;
+  let location =
+    Sharing.acquire sharing ctx.Team.th ~bytes:(Payload.bytes payload)
+  in
+  slot.Team.simd_args_location <- location;
+  Sharing.publish sharing ctx.Team.th location payload;
+  Team.sync_warp ctx;
+  location
+
+(* Fig 4: an SPMD group's lanes all reach [simd] with the trip count
+   and payload already local and drop straight into the loop; a generic
+   group's main publishes the loop to its workers first. *)
+let simd ctx ?(payload = Payload.empty) ?(fn_id = -1) ~trip body =
+  let g, group = my_group ctx in
+  if Simd_group.get_simd_group_size g = 1 then begin
+    (* Two-level behaviour (§5.4): the loop runs sequentially in-thread. *)
+    bump ctx "simd.sequential";
+    charge_static ctx;
+    Workshare.sequential_loop ctx ~trip (fun iv -> body ctx iv payload)
   end
+  else begin
+    let sm = steps ctx.Team.team ctx in
+    sm.Team.fns.(ctx.Team.th.Gpusim.Thread.tid) <- body;
+    match active_mode ctx with
+    | Mode.Spmd ->
+        if Simd_group.is_simd_group_leader g ~tid:ctx.Team.th.Gpusim.Thread.tid
+        then bump ctx "simd.spmd_regions";
+        drive ctx sm ~kind:Team.Simd_loop ~trip payload
+    | Mode.Generic ->
+        let slot = Team.slot ctx.Team.team ~group in
+        slot.Team.simd_fn <- Some body;
+        slot.Team.simd_red_fn <- None;
+        let location = publish ctx slot ~fn_id ~trip payload in
+        drive ctx sm ~kind:Team.Simd_loop ~trip payload;
+        Sharing.release ctx.Team.team.Team.sharing location
+  end
+
+let simd_reduce ctx ?(payload = Payload.empty) ?(fn_id = -1) ~op ~trip red =
+  let g, group = my_group ctx in
+  let team = ctx.Team.team in
+  let tid = ctx.Team.th.Gpusim.Thread.tid in
+  if Simd_group.get_simd_group_size g = 1 then begin
+    bump ctx "simd.sequential";
+    charge_static ctx;
+    Workshare.sequential_loop ctx ~trip (accumulate ctx ~op red payload)
+  end
+  else begin
+    let sm = steps team ctx in
+    sm.Team.reds.(tid) <- red;
+    sm.Team.ops.(tid) <- op;
+    team.Team.lane_acc.(tid) <- op.Redop.identity;
+    match active_mode ctx with
+    | Mode.Spmd -> drive ctx sm ~kind:Team.Reduce ~trip payload
+    | Mode.Generic ->
+        let slot = Team.slot team ~group in
+        slot.Team.simd_fn <- None;
+        slot.Team.simd_red_fn <- Some red;
+        slot.Team.simd_red_op <- op;
+        let location = publish ctx slot ~fn_id ~trip payload in
+        drive ctx sm ~kind:Team.Reduce ~trip payload;
+        Sharing.release team.Team.sharing location
+  end;
+  team.Team.lane_acc.(tid)
+
+let simd_sum ctx ?payload ?fn_id ~trip red =
+  simd_reduce ctx ?payload ?fn_id ~op:Redop.sum ~trip red
 
 (* Enter the state machine and run the worker on its fiber until it
    parks ([false]) or reaches termination ([true], having left the
@@ -336,10 +509,9 @@ let start ctx =
   let team = ctx.Team.team in
   let th = ctx.Team.th in
   let tid = th.Gpusim.Thread.tid in
-  ensure_steps team ctx;
-  let sm = team.Team.sm in
-  sm.Team.ctxs.(tid) <- ctx;
+  let sm = steps team ctx in
   sm.Team.phase.(tid) <- Team.Handoff;
+  sm.Team.home.(tid) <- Team.Handoff;
   sm.Team.outer.(tid) <- enter_state_machine th;
   advance team ctx tid && (leave_state_machine th sm.Team.outer.(tid); true)
 

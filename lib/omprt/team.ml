@@ -7,16 +7,17 @@ type params = {
   sharing_bytes : int;
 }
 
-(* Where a stepped SIMD worker resumes (see Simd): named by the
-   rendezvous it was last released from. *)
+(* Where a lane resumes in the simd-loop machine (see Simd): named by
+   the rendezvous it was last released from. *)
 type phase =
-  | Handoff  (* about to arrive at the hand-off *)
-  | Woken  (* released from the hand-off: read the slot *)
+  | Handoff  (* a worker about to arrive at the hand-off *)
+  | Woken  (* a worker released from the hand-off: read the slot *)
   | Entered  (* released from a fused loop's entry *)
   | Classic  (* released from a classic loop's entry *)
   | Round  (* released from a classic round's lockstep *)
   | Posted  (* released from the group reduction's first rendezvous *)
   | Reduced  (* released from its second *)
+  | Done  (* a driving lane released from the loop's exit *)
 
 (* The loop shape of a worker's current round. *)
 type loop_kind =
@@ -61,12 +62,12 @@ and simd_slot = {
   mutable simd_args_location : Sharing.location;
 }
 
-(* Per-tid state of the stepped SIMD state machine (see Simd): a worker
-   between two rendezvous is a phase plus these slots, so the
-   engine can run it as a step instead of resuming its fiber.  Empty
-   until the team's first generic region (see [init_steps]); the
-   closures read their tid's slots at call time, so neither a round nor
-   a region entry allocates. *)
+(* Per-tid state of the simd-loop machine (see Simd): a lane between
+   two rendezvous is a phase plus these slots, so a stepped worker runs
+   as engine steps and a driving lane parks its fiber and steps on.
+   Empty until the team's first multi-lane simd loop (see
+   [init_steps]); the step closures read their tid's slots at call
+   time, so neither a round nor a region entry allocates. *)
 and steps = {
   mutable ctxs : ctx array;
   mutable phase : phase array;
@@ -83,8 +84,7 @@ and steps = {
   mutable step : Gpusim.Thread.t -> bool;
   mutable last_step : Gpusim.Thread.t -> bool;
   mutable outer : int array;
-  mutable bodies : (int -> unit) array;
-  mutable combs : (int -> unit) array;
+  mutable home : phase array;
 }
 
 and t = {
@@ -107,17 +107,9 @@ and t = {
   mutable dyn_counter : int;
   mutable dyn_active : int;
   in_region : bool array;
-  (* Fused-lockstep scratch (see Workshare.simd_loop): each lane deposits
-     its thread handle, loop body and trip count before the entry
-     rendezvous; the lane the engine resumes first drives every lane's
-     rounds directly and bumps the group's sequence number so the parked
-     lanes skip execution when they wake.  [fused_ths] is sized lazily on
-     first use (Barrier-style) because a dummy Thread.t is not
-     constructible here. *)
-  mutable fused_ths : Gpusim.Thread.t array;
-  fused_fns : (int -> unit) array;
-  fused_trip : int array;
-  fused_actor : int array;
+  (* Per-group fused-loop sequence numbers (see Simd): the lane that
+     drives a group's rounds bumps its count, so the lanes it drove know
+     their rounds already ran when they wake. *)
   fused_seq : int array;
   (* Per-tid running value of a reducing simd loop: its body folds each
      iteration into the lane's cell, which a float array keeps unboxed. *)
@@ -224,10 +216,6 @@ let create ~cfg ~arena ~params ~block_id =
     dyn_counter = 0;
     dyn_active = 0;
     in_region = Array.make num_workers false;
-    fused_ths = [||];
-    fused_fns = Array.make total (fun (_ : int) -> ());
-    fused_trip = Array.make total 0;
-    fused_actor = Array.make total 0;
     fused_seq = Array.make num_workers 0;
     lane_acc = Array.make total 0.0;
     geometries = Array.make (ws + 1) None;
@@ -248,8 +236,7 @@ let create ~cfg ~arena ~params ~block_id =
         step = Gpusim.Thread.fiber;
         last_step = Gpusim.Thread.fiber;
         outer = [||];
-        bodies = [||];
-        combs = [||];
+        home = [||];
       };
   }
 
@@ -274,12 +261,8 @@ let reset t ~arena ~block_id =
   t.dyn_counter <- 0;
   t.dyn_active <- 0;
   Array.fill t.in_region 0 (Array.length t.in_region) false;
-  let total = Array.length t.fused_trip in
-  Array.fill t.fused_fns 0 total (fun (_ : int) -> ());
-  Array.fill t.fused_trip 0 total 0;
-  Array.fill t.fused_actor 0 total 0;
   Array.fill t.fused_seq 0 (Array.length t.fused_seq) 0;
-  Array.fill t.lane_acc 0 total 0.0;
+  Array.fill t.lane_acc 0 (Array.length t.lane_acc) 0.0;
   let sm = t.sm in
   let n = Array.length sm.phase in
   Array.fill sm.phase 0 n Handoff;
@@ -288,8 +271,8 @@ let reset t ~arena ~block_id =
   Array.fill sm.ops 0 n Redop.sum;
   Array.fill sm.args 0 n Payload.empty
 
-(* Size the step state for the team's workers, on its first generic
-   region; [ctx] fills the context slots until each worker stores its
+(* Size the step state for the team's workers, on its first multi-lane
+   simd loop; [ctx] fills the context slots until each lane stores its
    own. *)
 let init_steps t ctx =
   let sm = t.sm in
@@ -303,6 +286,7 @@ let init_steps t ctx =
     sm.seq <- Array.make n 0;
     sm.actor <- Array.make n 0;
     sm.outer <- Array.make n 0;
+    sm.home <- Array.make n Handoff;
     sm.simt <- Array.make n 1.0;
     sm.fns <- Array.make n no_body;
     sm.reds <- Array.make n no_reducer;
@@ -415,57 +399,41 @@ let warp_barrier_for t th ~mask =
 let lockstep_barrier t th ~mask =
   memo_barrier t.lockstep_barriers t th ~mask make_lockstep_barrier
 
-(* Each rendezvous below comes in two shapes over one preamble: the
-   fiber wait, and the stepped arrival ([*_arrive], see
-   Gpusim.Engine.arrive) that the SIMD state machine's steps use. *)
-let lockstep_bar ctx g =
-  let mask = Simd_group.simdmask g ~tid:ctx.th.Gpusim.Thread.tid in
-  let bar = lockstep_barrier ctx.team ctx.th ~mask in
-  san_warp_arrive ctx.th ~mask bar;
-  bar
-
-let lockstep_align ctx =
-  let g = geometry ctx.team in
-  if Simd_group.get_simd_group_size g > 1 then
-    Gpusim.Engine.barrier_wait (lockstep_bar ctx g) ctx.th
-
+(* Each rendezvous below is written once, as its arrival (see
+   Gpusim.Engine.arrive), which the simd-loop machine's lanes use
+   directly; a fiber's wait is that arrival plus the park. *)
 let lockstep_arrive ctx =
   let g = geometry ctx.team in
   Simd_group.get_simd_group_size g <= 1
-  || Gpusim.Engine.arrive (lockstep_bar ctx g) ctx.th
+  ||
+  let mask = Simd_group.simdmask g ~tid:ctx.th.Gpusim.Thread.tid in
+  let bar = lockstep_barrier ctx.team ctx.th ~mask in
+  san_warp_arrive ctx.th ~mask bar;
+  Gpusim.Engine.arrive bar ctx.th
 
 (* Hardware masked sync, or its software emulation (spin on shared-memory
    flags) — either way a real blocking rendezvous; they differ only in
-   cost shape (see Config.warp_barrier_cost). *)
-let warp_bar ctx g =
-  let mask = Simd_group.simdmask g ~tid:ctx.th.Gpusim.Thread.tid in
-  let bar = warp_barrier_for ctx.team ctx.th ~mask in
-  ctx.th.Gpusim.Thread.counters.Gpusim.Counters.warp_barriers <-
-    ctx.th.Gpusim.Thread.counters.Gpusim.Counters.warp_barriers + 1;
-  san_warp_arrive ctx.th ~mask bar;
-  bar
-
-let sync_warp ctx =
-  let g = geometry ctx.team in
-  if Simd_group.get_simd_group_size g > 1 then
-    match ctx.team.cfg.Gpusim.Config.barrier_impl with
-    | Gpusim.Config.Hw_barrier | Gpusim.Config.Sw_barrier ->
-        Gpusim.Engine.barrier_wait (warp_bar ctx g) ctx.th
-    | Gpusim.Config.No_barrier ->
-        (* No explicit wavefront barrier (§5.4.1), but AMD wavefronts are
-           implicitly lockstep, which is all the SPMD path needs; the
-           generic state machine — which needs a *blocking* rendezvous —
-           was already degraded to singleton groups by __parallel. *)
-        lockstep_align ctx
-
+   cost shape (see Config.warp_barrier_cost).  Without an explicit
+   wavefront barrier (§5.4.1) AMD wavefronts are still implicitly
+   lockstep, which is all the SPMD path needs; the generic state
+   machine — which needs a *blocking* rendezvous — was already degraded
+   to singleton groups by __parallel. *)
 let sync_warp_arrive ctx =
-  let g = geometry ctx.team in
-  Simd_group.get_simd_group_size g <= 1
-  ||
   match ctx.team.cfg.Gpusim.Config.barrier_impl with
-  | Gpusim.Config.Hw_barrier | Gpusim.Config.Sw_barrier ->
-      Gpusim.Engine.arrive (warp_bar ctx g) ctx.th
   | Gpusim.Config.No_barrier -> lockstep_arrive ctx
+  | Gpusim.Config.Hw_barrier | Gpusim.Config.Sw_barrier ->
+      let g = geometry ctx.team in
+      Simd_group.get_simd_group_size g <= 1
+      ||
+      let th = ctx.th in
+      let mask = Simd_group.simdmask g ~tid:th.Gpusim.Thread.tid in
+      let bar = warp_barrier_for ctx.team th ~mask in
+      th.Gpusim.Thread.counters.Gpusim.Counters.warp_barriers <-
+        th.Gpusim.Thread.counters.Gpusim.Counters.warp_barriers + 1;
+      san_warp_arrive th ~mask bar;
+      Gpusim.Engine.arrive bar th
+
+let sync_warp ctx = if not (sync_warp_arrive ctx) then Gpusim.Engine.park ctx.th
 
 let team_participants t =
   let workers = List.init t.num_workers Fun.id in

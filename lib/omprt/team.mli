@@ -15,19 +15,22 @@ type params = {
   sharing_bytes : int;  (** static sharing-space reservation *)
 }
 
-(** Where a stepped SIMD worker resumes ([Simd]): named by the
-    rendezvous it was last released from. *)
+(** Where a lane resumes in the simd-loop machine ([Simd]): named by
+    the rendezvous it was last released from. *)
 type phase =
-  | Handoff  (** about to arrive at the hand-off *)
-  | Woken  (** released from the hand-off: read the slot *)
+  | Handoff  (** a worker about to arrive at the hand-off *)
+  | Woken  (** a worker released from the hand-off: read the slot *)
   | Entered  (** released from a fused loop's entry *)
   | Classic  (** released from a classic loop's entry *)
   | Round  (** released from a classic round's lockstep *)
   | Posted  (** released from the group reduction's first rendezvous *)
   | Reduced  (** released from its second *)
+  | Done
+      (** a driving lane (a SIMD main or an SPMD lane) released from the
+          loop's exit: the machine returns to its caller *)
 
-(** The loop shape of a worker's current round: both run one simd loop
-    and differ only in its body and in what follows the loop. *)
+(** The shape of a lane's current simd loop: both run one loop and
+    differ only in its body and in what follows the loop. *)
 type loop_kind =
   | Simd_loop  (** the published body, then the exit rendezvous *)
   | Reduce
@@ -75,19 +78,26 @@ and simd_slot = {
 }
 
 and steps = {
-  mutable ctxs : ctx array;  (** per-tid worker context *)
-  mutable phase : phase array;  (** where the worker resumes (see [Simd]) *)
-  mutable kind : loop_kind array;  (** the current round's loop shape *)
+  mutable ctxs : ctx array;
+      (** per-tid lane context; a fused loop's driver reaches the lanes
+          it drives through it *)
+  mutable phase : phase array;  (** where the lane resumes (see [Simd]) *)
+  mutable kind : loop_kind array;  (** the current loop's shape *)
   mutable trip : int array;
+      (** the current loop's trip count, compared across the group
+          before a fused loop is driven *)
   mutable round : int array;  (** next classic lockstep round *)
   mutable seq : int array;  (** fused-loop sequence number at entry *)
-  mutable actor : int array;  (** sanitizer actor saved across classic rounds *)
+  mutable actor : int array;
+      (** sanitizer actor saved across classic rounds, or across a
+          driven loop by its driver *)
   mutable simt : float array;  (** divergence factor saved across the loop *)
   mutable fns : simd_body array;
   mutable reds : simd_reducer array;
   mutable ops : Redop.t array;
   mutable args : Payload.t array;
-      (** the round's published function and arguments *)
+      (** the current loop's body (or reducer and monoid) and arguments:
+          a worker's as published, a driving lane's as passed *)
   mutable step : Gpusim.Thread.t -> bool;  (** the workers' resume hook *)
   mutable last_step : Gpusim.Thread.t -> bool;
       (** the resume hook of a worker that detached from its fiber
@@ -96,14 +106,14 @@ and steps = {
   mutable outer : int array;
       (** sanitizer actor a detached worker restores as it leaves the
           state machine *)
-  mutable bodies : (int -> unit) array;
-  mutable combs : (int -> unit) array;
-      (** per-tid loop closures over the slots above, built once: a simd
-          loop's body, and a reducing loop's fold into {!t.lane_acc} *)
+  mutable home : phase array;
+      (** where the loop's exit leads: [Handoff] for a worker, [Done]
+          for a driving lane *)
 }
-(** Per-worker state of the stepped SIMD state machine ([Simd]): a
-    worker between two rendezvous is a phase plus these per-tid slots,
-    so the engine runs its rounds as steps instead of fiber switches.
+(** Per-lane state of the simd-loop machine ([Simd]): a lane between
+    two rendezvous is a phase plus these per-tid slots, so a worker
+    runs its rounds as engine steps instead of fiber switches and a
+    driving lane parks its fiber at a failed arrival and steps on.
     Empty until {!init_steps}; built once per team, so neither a round
     nor a region entry allocates. *)
 
@@ -149,14 +159,6 @@ and t = {
           Used to reject nested [parallel] with a clear error (LLVM
           serializes nested regions; this runtime asks the program to
           restructure instead). *)
-  mutable fused_ths : Gpusim.Thread.t array;
-      (** fused-lockstep deposit slots, per tid (see [Workshare]): the
-          thread handles of the lanes whose simd rounds the driving lane
-          executes.  Lazily sized on first use. *)
-  fused_fns : (int -> unit) array;  (** per-tid deposited loop bodies *)
-  fused_trip : int array;  (** per-tid deposited trip counts *)
-  fused_actor : int array;
-      (** per-tid saved sanitizer actors across a driven loop *)
   fused_seq : int array;
       (** per-group fused-loop sequence numbers: the driving lane bumps
           the count so woken lanes know their rounds already ran *)
@@ -164,7 +166,8 @@ and t = {
       (** per-tid running value of a reducing simd loop: set to the
           monoid's identity on entry, then the loop body folds each
           iteration into the lane's cell (unboxed, being a float array)
-          — whichever lane's fiber or step runs that iteration *)
+          — whichever lane's fiber or step runs that iteration; the
+          group's total once the group reduction combined it *)
   geometries : Simd_group.t option array;
       (** region geometry per group size, built once ({!geometry_for}) *)
   sm : steps;
@@ -189,8 +192,10 @@ val reset : t -> arena:Gpusim.Shared.arena -> block_id:int -> unit
     is reset to 0, as [create] leaves it. *)
 
 val init_steps : t -> ctx -> unit
-(** Size {!steps} for the team's workers, once (a team that never runs
-    a generic region never pays for it). *)
+(** Size {!steps} for the team's workers, on the team's first
+    multi-lane simd loop (a team that never runs one never pays for
+    it); [ctx] fills the context slots until each lane stores its
+    own. *)
 
 val geometry_for : t -> group_size:int -> Simd_group.t option
 (** [Some] geometry of a region with SIMD groups of [group_size], built
@@ -220,21 +225,30 @@ val geometry : t -> Simd_group.t
 
 val slot : t -> group:int -> simd_slot
 
-val sync_warp : ctx -> unit
-(** Masked warp-level barrier over the calling thread's SIMD group
-    (CUDA [__syncwarp(simdmask())]).  A no-op for singleton groups.  On a
-    device without explicit wavefront barriers (§5.4.1) it degrades to
-    the implicit-lockstep alignment, which suffices for the SPMD path;
-    generic-mode signalling cannot use it and is degraded to singleton
-    groups by {!Parallel.parallel} before ever reaching here. *)
-
 val sync_warp_arrive : ctx -> bool
-(** {!sync_warp} as a stepped arrival ({!Gpusim.Engine.arrive}): [true]
-    when the caller completed the rendezvous (or the group is a
-    singleton), [false] when it parked. *)
+(** Arrive at the masked warp-level barrier over the calling thread's
+    SIMD group (CUDA [__syncwarp(simdmask())]), as
+    {!Gpusim.Engine.arrive}: [true] when the caller completed the
+    rendezvous (or the group is a singleton), [false] when the arrival
+    failed and the caller must park.  On a device without explicit
+    wavefront barriers (§5.4.1) it degrades to {!lockstep_arrive}, which
+    suffices for the SPMD path; generic-mode signalling cannot use it
+    and is degraded to singleton groups by {!Parallel.parallel} before
+    ever reaching here. *)
+
+val sync_warp : ctx -> unit
+(** A fiber's wait at the same barrier: {!sync_warp_arrive} and, when
+    it failed, {!Gpusim.Engine.park}. *)
 
 val lockstep_arrive : ctx -> bool
-(** {!lockstep_align} as a stepped arrival. *)
+(** Arrive at the zero-cost alignment barrier of the calling thread's
+    SIMD group, which aligns the group's virtual clocks without cost or
+    counter traffic.  Models the implicit instruction-level lockstep of
+    the lanes inside a simd loop — on hardware the lanes of a warp
+    advance together; the fiber engine runs them one at a time, so
+    without realignment their clocks would drift and same-instruction
+    accesses would stop looking concurrent to the coalescing model.
+    [true] for singleton groups. *)
 
 val team_barrier_wait : ctx -> unit
 (** Block-wide barrier over workers + team main. *)
@@ -246,9 +260,9 @@ val team_barrier_last : ctx -> unit
 
 val lockstep_barrier : t -> Gpusim.Thread.t -> mask:int -> Gpusim.Barrier.t
 (** The zero-cost alignment barrier for [th]'s (warp, mask) pair —
-    {!lockstep_align}'s barrier resolution, exposed so the fused
-    lockstep executor can feed the same barrier identity to the
-    sanitizer taps without parking on it. *)
+    {!lockstep_arrive}'s barrier resolution, exposed so a fused loop's
+    driver can feed the same barrier identity to the sanitizer taps
+    without arriving at it. *)
 
 val san_warp_arrive : Gpusim.Thread.t -> mask:int -> Gpusim.Barrier.t -> unit
 (** Report a warp-scope rendezvous on [bar] to Ompsan for one lane.  A
@@ -256,15 +270,6 @@ val san_warp_arrive : Gpusim.Thread.t -> mask:int -> Gpusim.Barrier.t -> unit
     this before every engine wait; the fused lockstep executor calls it
     per lane at each round boundary so the shadow epochs advance exactly
     as they would under real barriers. *)
-
-val lockstep_align : ctx -> unit
-(** Align the SIMD group's virtual clocks without cost or counter
-    traffic.  Models the implicit instruction-level lockstep of the
-    lanes inside a simd workshare loop — on hardware the lanes of a warp
-    advance together; the fiber engine runs them to completion one at a
-    time, so without realignment their clocks would drift and
-    same-instruction accesses would stop looking concurrent to the
-    coalescing model.  A no-op for singleton groups. *)
 
 val executing_threads : t -> int
 (** How many threads execute the active parallel region's code: all
