@@ -123,23 +123,31 @@ let block_threads ~(cfg : Gpusim.Config.t) params =
   | Mode.Spmd -> params.num_threads
   | Mode.Generic -> params.num_threads + cfg.Gpusim.Config.warp_size
 
-(* The launch-geometry rule, stated once: callers that must know up
-   front whether a device can run these params (the clause check, the
-   serve fleet) ask here, and [create] enforces the same answer. *)
+(* The launch rule, stated once: callers that must know up front
+   whether a device can run these params (the clause check, the serve
+   fleet, the command line) ask here, and [create] enforces the same
+   answer.  The block must fit the device's thread limit, and the
+   sharing space — the first and only reservation on a block's fresh
+   shared-memory arena — must fit the block's shared memory. *)
 let check_params ~(cfg : Gpusim.Config.t) params =
   let ws = cfg.Gpusim.Config.warp_size in
+  let smem = cfg.Gpusim.Config.shared_mem_per_block in
+  let block = block_threads ~cfg params in
   if params.num_threads <= 0 || params.num_threads mod ws <> 0 then
     Error
       (Printf.sprintf
          "num_threads %d is not a positive multiple of the warp size %d"
          params.num_threads ws)
-  else
-    let block = block_threads ~cfg params in
-    if block > cfg.Gpusim.Config.max_threads_per_block then
-      Error
-        (Printf.sprintf "a block of %d threads exceeds the device limit %d" block
-           cfg.Gpusim.Config.max_threads_per_block)
-    else Ok ()
+  else if block > cfg.Gpusim.Config.max_threads_per_block then
+    Error
+      (Printf.sprintf "a block of %d threads exceeds the device limit %d" block
+         cfg.Gpusim.Config.max_threads_per_block)
+  else if params.sharing_bytes <= 0 || params.sharing_bytes > smem then
+    Error
+      (Printf.sprintf
+         "a %d B sharing space does not fit the %d B of shared memory per block"
+         params.sharing_bytes smem)
+  else Ok ()
 
 (* Display names of the runtime's barriers, formatted only when a stall
    report or the sanitizer reads them (see Barrier.create_named). *)

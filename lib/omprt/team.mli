@@ -208,9 +208,10 @@ val block_threads : cfg:Gpusim.Config.t -> params -> int
 
 val check_params : cfg:Gpusim.Config.t -> params -> (unit, string) result
 (** Whether [cfg] can launch a team of these params: [num_threads] a
-    positive multiple of the warp size, and the whole block
-    ({!block_threads}) within the device limit.  {!create} raises on
-    exactly these errors. *)
+    positive multiple of the warp size, the whole block
+    ({!block_threads}) within the device limit, and a positive
+    [sharing_bytes] within the block's shared memory.  {!create} raises
+    on exactly these errors. *)
 
 type role =
   | Team_main  (** lane 0 of the extra warp (generic mode) *)

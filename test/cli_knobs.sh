@@ -2,9 +2,9 @@
 # Front-door tier: every ompsimd_run subcommand parses the whole knobs
 # record before doing any work, so a malformed or out-of-range
 # OMPSIMD_* value fails each one the same way — exit 2 and a single stderr line naming the
-# variable.  Also: a SIMD group the device warp cannot hold and a
-# kernel run with failed blocks end with a clean exit code, never an
-# uncaught exception.
+# variable.  Also: a SIMD group the device warp cannot hold, a device
+# whose blocks cannot hold the launch and a kernel run with failed
+# blocks end with a clean exit code, never an uncaught exception.
 #
 # Usage: sh test/cli_knobs.sh <ompsimd_run.exe> <kernel.omp>
 set -u
@@ -53,6 +53,30 @@ for cmd in "kernel ideal" fig10 sharing dispatch teamsmode spmdize schedule \
     echo "FAIL: ompsimd_run $cmd on a 1-wide warp: exit $code, stderr: $err"
     failures=$((failures + 1))
   fi
+done
+
+# A device whose blocks cannot hold the launch — too little shared
+# memory for the sharing space, or a thread limit below the team — is a
+# usage error too: exit 2 and a single stderr line naming the device,
+# before any launch.  Tiny scale: a subcommand that got past the check
+# would run.
+for spec in small,shared_mem_per_block=8 small,max_threads_per_block=64; do
+  for cmd in "kernel su3" fig9 fig10 sharing reduction teamsmode schedule \
+             dispatch spmdize all; do
+    # shellcheck disable=SC2086
+    err="$("$run" $cmd -d "$spec" -s 0.01 2>&1 >/dev/null)"
+    code=$?
+    lines="$(printf '%s\n' "$err" | wc -l)"
+    case "$err" in
+      *"uncaught exception"*) named=0 ;;
+      *"device sim-small cannot hold"*) named=1 ;;
+      *) named=0 ;;
+    esac
+    if [ "$code" -ne 2 ] || [ "$lines" -ne 1 ] || [ "$named" -ne 1 ]; then
+      echo "FAIL: ompsimd_run $cmd -d $spec: exit $code, stderr: $err"
+      failures=$((failures + 1))
+    fi
+  done
 done
 
 # A kernel whose blocks fail under an armed fault plan prints its report,
