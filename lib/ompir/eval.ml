@@ -36,12 +36,10 @@ let default_options =
 
 type value = V_int of int | V_float of float
 
+(* A thread's lexical scope is a private [cell Scope.t] (keyed frames,
+   innermost-wins).  Array parameters live in a static table; scalar
+   parameters are seeded into the root frame. *)
 type cell = value ref
-
-(* Thread-private lexical scope: innermost frame first.  Array parameters
-   live in a static table; scalar parameters are seeded into the root
-   frame. *)
-type scope = { frames : (string * cell) list list }
 
 (* What an access does to its array: the first part of a site's key. *)
 type access = Read | Write | Atomic
@@ -102,16 +100,6 @@ let site_table (k : Ir.kernel) =
 let set_site statics access arr idx =
   Gpusim.Ompsan.set_site (Sites.id (Hashtbl.find statics.sites (access, arr, idx)))
 
-let lookup scope name =
-  let rec go = function
-    | [] -> None
-    | frame :: rest -> (
-        match List.assoc_opt name frame with
-        | Some cell -> Some cell
-        | None -> go rest)
-  in
-  go scope.frames
-
 let as_int name = function
   | V_int n -> n
   | V_float _ -> err "%s: expected an int" name
@@ -135,13 +123,13 @@ let charge (ctx : Team.ctx) c = Gpusim.Thread.tick ctx.Team.th c
 let cost (ctx : Team.ctx) =
   ctx.Team.team.Team.cfg.Gpusim.Config.cost
 
-let rec eval_expr ctx statics scope (e : Ir.expr) =
+let rec eval_expr ctx statics (scope : cell Scope.t) (e : Ir.expr) =
   match e with
   | Ir.Int_lit n -> V_int n
   | Ir.Float_lit x -> V_float x
   | Ir.Var name -> (
-      match lookup scope name with
-      | Some cell -> !cell
+      match Scope.find name scope with
+      | Some (_, cell) -> !cell
       | None -> err "unbound variable %s" name)
   | Ir.Load (arr, idx) ->
       let i = as_int arr (eval_expr ctx statics scope idx) in
@@ -242,8 +230,8 @@ let payload_of_captures statics scope captures =
         match Hashtbl.find_opt statics.iarrays name with
         | Some a -> Payload.Iarr a
         | None -> (
-            match lookup scope name with
-            | Some cell -> (
+            match Scope.find name scope with
+            | Some (_, cell) -> (
                 match !cell with
                 | V_int n -> Payload.Int (ref n)
                 | V_float x -> Payload.Float (ref x))
@@ -262,9 +250,11 @@ let rec eval_stmts ctx statics outlined options scope body =
        (fun scope s -> eval_stmt ctx statics outlined options scope s)
        scope body)
 
+(* [body] in a fresh frame binding [frame]'s cells *)
 and eval_body_in_frame ctx statics outlined options scope ~frame body =
   eval_stmts ctx statics outlined options
-    { frames = frame :: scope.frames }
+    (List.fold_left (fun sc (n, cell) -> Scope.add n cell sc) (Scope.push scope)
+       frame)
     body
 
 and loop_bounds ctx statics scope (d : Ir.loop_directive) =
@@ -306,14 +296,12 @@ and eval_stmt ctx statics outlined options scope (s : Ir.stmt) =
   | Ir.Decl { name; init; _ } ->
       let v = eval_expr ctx statics scope init in
       charge ctx c.Gpusim.Config.alu;
-      (match scope.frames with
-      | frame :: rest -> { frames = ((name, ref v) :: frame) :: rest }
-      | [] -> { frames = [ [ (name, ref v) ] ] })
+      Scope.add name (ref v) scope
   | Ir.Assign (name, e) ->
       let v = eval_expr ctx statics scope e in
       charge ctx c.Gpusim.Config.alu;
-      (match lookup scope name with
-      | Some cell -> cell := v
+      (match Scope.find name scope with
+      | Some (_, cell) -> cell := v
       | None -> err "assignment to unbound %s" name);
       scope
   | Ir.Store (arr, idx, value) ->
@@ -401,8 +389,8 @@ and eval_stmt ctx statics outlined options scope (s : Ir.stmt) =
               stmts_with_sum;
             as_float red !red_cell)
       in
-      (match lookup scope acc with
-      | Some cell -> cell := V_float total
+      (match Scope.find acc scope with
+      | Some (_, cell) -> cell := V_float total
       | None -> err "reduction accumulator %s is unbound" acc);
       scope
   | Ir.Guarded body ->
@@ -434,12 +422,20 @@ and eval_stmt ctx statics outlined options scope (s : Ir.stmt) =
              width per instruction *)
           let scope' =
             Gpusim.Thread.with_simt_factor ctx.Team.th (float_of_int gs)
-              (fun () -> fold_scope { frames = [] :: scope.frames })
+              (fun () -> fold_scope (Scope.push scope))
           in
+          (* one entry per declaration of the guarded frame, most recent
+             first; a redeclared name broadcasts its visible value *)
           let entries =
-            match scope'.frames with
-            | frame :: _ -> List.map (fun (n, cell) -> (n, !cell)) frame
-            | [] -> []
+            List.fold_left
+              (fun entries (st : Ir.stmt) ->
+                match st with
+                | Ir.Decl { name; _ } -> (
+                    match Scope.find name scope' with
+                    | Some (_, cell) -> (name, !cell) :: entries
+                    | None -> entries)
+                | _ -> entries)
+              [] body
           in
           smem_cost entries;
           Hashtbl.replace bcasts group entries;
@@ -458,7 +454,9 @@ and eval_stmt ctx statics outlined options scope (s : Ir.stmt) =
           in
           smem_cost entries;
           Team.sync_warp ctx;
-          { frames = List.map (fun (n, v) -> (n, ref v)) entries :: scope.frames }
+          List.fold_left
+            (fun sc (n, v) -> Scope.add n (ref v) sc)
+            (Scope.push scope) (List.rev entries)
         end
       end
   | Ir.Sync ->
@@ -490,7 +488,7 @@ let run ~cfg ?pool ?trace ?nonce ~options ~bindings (p : Outline.program) =
         Array.init (max 0 options.num_teams) (fun _ -> Hashtbl.create 8);
     }
   in
-  let root_frame = ref [] in
+  let root_values = ref [] in
   List.iter
     (fun (prm : Ir.param) ->
       match (prm.Ir.pty, List.assoc_opt prm.Ir.pname bindings) with
@@ -500,9 +498,9 @@ let run ~cfg ?pool ?trace ?nonce ~options ~bindings (p : Outline.program) =
       | Ir.P_iarray, Some (B_iarr a) ->
           Hashtbl.replace statics.iarrays prm.Ir.pname a
       | Ir.P_int, Some (B_int n) ->
-          root_frame := (prm.Ir.pname, ref (V_int n)) :: !root_frame
+          root_values := (prm.Ir.pname, V_int n) :: !root_values
       | Ir.P_float, Some (B_float x) ->
-          root_frame := (prm.Ir.pname, ref (V_float x)) :: !root_frame
+          root_values := (prm.Ir.pname, V_float x) :: !root_values
       | _, Some _ -> err "parameter %s bound with the wrong kind" prm.Ir.pname)
     p.Outline.kernel.Ir.params;
   let params =
@@ -516,6 +514,10 @@ let run ~cfg ?pool ?trace ?nonce ~options ~bindings (p : Outline.program) =
   Target.launch ~cfg ?pool ?trace ?nonce ~kernel:p.Outline.kernel.Ir.kname
     ~params ~dispatch_table_size:(Outline.dispatch_table_size p) (fun ctx ->
       (* every executing thread owns a private copy of the region scope *)
-      let scope = { frames = [ List.map (fun (n, c) -> (n, ref !c)) !root_frame ] } in
+      let scope =
+        List.fold_left
+          (fun sc (n, v) -> Scope.add n (ref v) sc)
+          (Scope.push Scope.empty) (List.rev !root_values)
+      in
       eval_kernel_body ctx statics p.Outline.outlined options scope
         p.Outline.kernel.Ir.body)
