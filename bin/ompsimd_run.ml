@@ -69,21 +69,26 @@ let check_group ~what group (cfg : Gpusim.Config.t) =
 let check_groups name groups cfg =
   List.iter (fun g -> check_group ~what:(name ^ ": group size") g cfg) (groups cfg)
 
-(* Every device experiment launches teams of 128 workers with a sharing
-   space of at most [Sharing.default_bytes]; the teams-mode ablation
-   adds the team main's warp (teams-generic mode).  A device that cannot
-   hold such a launch ([Team.check_params]) is a usage error too,
-   checked up front and named with the device. *)
-let check_launch name teams_mode (cfg : Gpusim.Config.t) =
+(* Every device experiment launches teams of 128 workers; the
+   teams-mode ablation adds the team main's warp (teams-generic mode).
+   Their sharing space is [Sharing.default_bytes], except through the
+   offload path (spmdize), which reserves at least [Sharing.min_bytes].
+   A device that cannot hold such a launch ([Team.check_params],
+   [Team.check_sharing]) is a usage error too, checked up front and
+   named with the device. *)
+let check_launch name teams_mode ~sharing (cfg : Gpusim.Config.t) =
   let params =
     {
       Omprt.Team.num_teams = 1;
       num_threads = 128;
       teams_mode;
-      sharing_bytes = Omprt.Sharing.default_bytes;
+      sharing_bytes = sharing;
     }
   in
-  match Omprt.Team.check_params ~cfg params with
+  match
+    Result.bind (Omprt.Team.check_params ~cfg params) (fun () ->
+        Omprt.Team.check_sharing ~cfg ~bytes:sharing)
+  with
   | Ok () -> ()
   | Error msg ->
       Printf.eprintf "%s: device %s cannot hold the launch: %s\n" name
@@ -123,7 +128,8 @@ let fig9_cmd =
   let run device scale csv =
     with_device device (fun cfg pool ->
         check_groups "fig9" Experiments.Fig9.group_sizes_for cfg;
-        check_launch "fig9" Omprt.Mode.Spmd cfg;
+        check_launch "fig9" Omprt.Mode.Spmd
+          ~sharing:Omprt.Sharing.default_bytes cfg;
         let r = Experiments.Fig9.run ~scale ~pool ~cfg () in
         Experiments.Fig9.print r;
         write_csv csv (Experiments.Fig9.to_csv r))
@@ -136,7 +142,8 @@ let fig10_cmd =
   let run device scale csv =
     with_device device (fun cfg pool ->
         check_groups "fig10" Experiments.Fig10.group_sizes_for cfg;
-        check_launch "fig10" Omprt.Mode.Spmd cfg;
+        check_launch "fig10" Omprt.Mode.Spmd
+          ~sharing:Omprt.Sharing.default_bytes cfg;
         let r = Experiments.Fig10.run ~scale ~pool ~cfg () in
         Experiments.Fig10.print r;
         write_csv csv (Experiments.Fig10.to_csv r))
@@ -149,7 +156,8 @@ let sharing_cmd =
   let run device scale =
     with_device device (fun cfg pool ->
         check_groups "sharing" Experiments.Sharing_ablation.group_sizes_for cfg;
-        check_launch "sharing" Omprt.Mode.Spmd cfg;
+        check_launch "sharing" Omprt.Mode.Spmd
+          ~sharing:Omprt.Sharing.default_bytes cfg;
         Experiments.Sharing_ablation.print
           (Experiments.Sharing_ablation.run ~scale ~pool ~cfg ()))
   in
@@ -161,7 +169,8 @@ let dispatch_cmd =
   let run device scale =
     with_device device (fun cfg pool ->
         check_groups "dispatch" Experiments.Dispatch_ablation.group_sizes_for cfg;
-        check_launch "dispatch" Omprt.Mode.Spmd cfg;
+        check_launch "dispatch" Omprt.Mode.Spmd
+          ~sharing:Omprt.Sharing.default_bytes cfg;
         Experiments.Dispatch_ablation.print
           (Experiments.Dispatch_ablation.run ~scale ~pool ~cfg ()))
   in
@@ -184,7 +193,8 @@ let reduction_cmd =
     with_device device (fun cfg pool ->
         check_groups "reduction" Experiments.Reduction_ablation.group_sizes_for
           cfg;
-        check_launch "reduction" Omprt.Mode.Spmd cfg;
+        check_launch "reduction" Omprt.Mode.Spmd
+          ~sharing:Omprt.Sharing.default_bytes cfg;
         Experiments.Reduction_ablation.print
           (Experiments.Reduction_ablation.run ~scale ~pool ~cfg ()))
   in
@@ -197,7 +207,8 @@ let teams_mode_cmd =
     with_device device (fun cfg pool ->
         check_groups "teamsmode" Experiments.Teams_mode_ablation.group_sizes_for
           cfg;
-        check_launch "teamsmode" Omprt.Mode.Generic cfg;
+        check_launch "teamsmode" Omprt.Mode.Generic
+          ~sharing:Omprt.Sharing.default_bytes cfg;
         Experiments.Teams_mode_ablation.print
           (Experiments.Teams_mode_ablation.run ~scale ~pool ~cfg ()))
   in
@@ -210,7 +221,8 @@ let spmdize_cmd =
     with_knobs device (fun k ->
         check_groups "spmdize" Experiments.Spmdization_ablation.group_sizes_for
           k.Knobs.device;
-        check_launch "spmdize" Omprt.Mode.Spmd k.Knobs.device;
+        check_launch "spmdize" Omprt.Mode.Spmd
+          ~sharing:Omprt.Sharing.min_bytes k.Knobs.device;
         Experiments.Spmdization_ablation.print
           (Experiments.Spmdization_ablation.run ~scale ~pool:(Knobs.pool k)
              ~knobs:k.Knobs.compile ~cfg:k.Knobs.device ()))
@@ -224,7 +236,8 @@ let schedule_cmd =
   let run device scale =
     with_device device (fun cfg pool ->
         check_groups "schedule" Experiments.Schedule_ablation.group_sizes_for cfg;
-        check_launch "schedule" Omprt.Mode.Spmd cfg;
+        check_launch "schedule" Omprt.Mode.Spmd
+          ~sharing:Omprt.Sharing.default_bytes cfg;
         Experiments.Schedule_ablation.print
           (Experiments.Schedule_ablation.run ~scale ~pool ~cfg ()))
   in
@@ -265,7 +278,8 @@ let kernel_cmd =
         in
         if mode <> "nosimd" then
           check_group ~what:"kernel: --simdlen" simdlen cfg;
-        check_launch "kernel" Omprt.Mode.Spmd cfg;
+        check_launch "kernel" Omprt.Mode.Spmd
+          ~sharing:Omprt.Sharing.default_bytes cfg;
         let sc n = max 1 (int_of_float (float_of_int n *. scale)) in
         let teams = 2 * cfg.Gpusim.Config.num_sms in
         let trace = Option.map (fun _ -> Gpusim.Trace.create ()) trace_path in
@@ -450,7 +464,8 @@ let all_cmd =
         List.iter
           (fun (name, groups) -> check_groups name groups cfg)
           device_experiments;
-        check_launch "all" Omprt.Mode.Generic cfg;
+        check_launch "all" Omprt.Mode.Generic
+          ~sharing:Omprt.Sharing.default_bytes cfg;
         Experiments.Fig9.print (Experiments.Fig9.run ~scale ~pool ~cfg ());
         print_newline ();
         Experiments.Fig10.print (Experiments.Fig10.run ~scale ~pool ~cfg ());

@@ -123,30 +123,37 @@ let block_threads ~(cfg : Gpusim.Config.t) params =
   | Mode.Spmd -> params.num_threads
   | Mode.Generic -> params.num_threads + cfg.Gpusim.Config.warp_size
 
-(* The launch rule, stated once: callers that must know up front
-   whether a device can run these params (the clause check, the serve
-   fleet, the command line) ask here, and [create] enforces the same
-   answer.  The block must fit the device's thread limit, and the
-   sharing space — the first and only reservation on a block's fresh
-   shared-memory arena — must fit the block's shared memory. *)
+(* The launch-geometry rule, stated once: callers that must know up
+   front whether a device can run these params (the clause check, the
+   serve fleet) ask here, and [create] enforces the same answer. *)
 let check_params ~(cfg : Gpusim.Config.t) params =
   let ws = cfg.Gpusim.Config.warp_size in
-  let smem = cfg.Gpusim.Config.shared_mem_per_block in
-  let block = block_threads ~cfg params in
   if params.num_threads <= 0 || params.num_threads mod ws <> 0 then
     Error
       (Printf.sprintf
          "num_threads %d is not a positive multiple of the warp size %d"
          params.num_threads ws)
-  else if block > cfg.Gpusim.Config.max_threads_per_block then
-    Error
-      (Printf.sprintf "a block of %d threads exceeds the device limit %d" block
-         cfg.Gpusim.Config.max_threads_per_block)
-  else if params.sharing_bytes <= 0 || params.sharing_bytes > smem then
+  else
+    let block = block_threads ~cfg params in
+    if block > cfg.Gpusim.Config.max_threads_per_block then
+      Error
+        (Printf.sprintf "a block of %d threads exceeds the device limit %d" block
+           cfg.Gpusim.Config.max_threads_per_block)
+    else Ok ()
+
+(* The sharing-fits rule, stated once: the sharing space is the first
+   and only reservation on a block's fresh shared-memory arena, so a
+   reservation of [bytes] fits when it is positive and within the
+   block's shared memory.  Separate from [check_params] because the
+   offload path shrinks a clause's reservation to the kernel's
+   footprint at launch; [create] enforces both. *)
+let check_sharing ~(cfg : Gpusim.Config.t) ~bytes =
+  let smem = cfg.Gpusim.Config.shared_mem_per_block in
+  if bytes <= 0 || bytes > smem then
     Error
       (Printf.sprintf
          "a %d B sharing space does not fit the %d B of shared memory per block"
-         params.sharing_bytes smem)
+         bytes smem)
   else Ok ()
 
 (* Display names of the runtime's barriers, formatted only when a stall
@@ -180,7 +187,10 @@ let barrier_memo ~total ~ws =
 
 let create ~cfg ~arena ~params ~block_id =
   let ws = cfg.Gpusim.Config.warp_size in
-  (match check_params ~cfg params with
+  (match
+     Result.bind (check_params ~cfg params) (fun () ->
+         check_sharing ~cfg ~bytes:params.sharing_bytes)
+   with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Team.create: " ^ msg));
   let total = block_threads ~cfg params in
@@ -279,28 +289,26 @@ let reset t ~arena ~block_id =
   Array.fill sm.ops 0 n Redop.sum;
   Array.fill sm.args 0 n Payload.empty
 
-(* Size the step state for the team's workers, on its first multi-lane
-   simd loop; [ctx] fills the context slots until each lane stores its
-   own. *)
+(* Size the step state for the team's workers, once, on its first
+   multi-lane simd loop; [ctx] fills the context slots until each lane
+   stores its own. *)
 let init_steps t ctx =
   let sm = t.sm in
-  if Array.length sm.phase = 0 then begin
-    let n = t.num_workers in
-    sm.ctxs <- Array.make n ctx;
-    sm.phase <- Array.make n Handoff;
-    sm.kind <- Array.make n Simd_loop;
-    sm.trip <- Array.make n 0;
-    sm.round <- Array.make n 0;
-    sm.seq <- Array.make n 0;
-    sm.actor <- Array.make n 0;
-    sm.outer <- Array.make n 0;
-    sm.home <- Array.make n Handoff;
-    sm.simt <- Array.make n 1.0;
-    sm.fns <- Array.make n no_body;
-    sm.reds <- Array.make n no_reducer;
-    sm.ops <- Array.make n Redop.sum;
-    sm.args <- Array.make n Payload.empty
-  end
+  let n = t.num_workers in
+  sm.ctxs <- Array.make n ctx;
+  sm.phase <- Array.make n Handoff;
+  sm.kind <- Array.make n Simd_loop;
+  sm.trip <- Array.make n 0;
+  sm.round <- Array.make n 0;
+  sm.seq <- Array.make n 0;
+  sm.actor <- Array.make n 0;
+  sm.outer <- Array.make n 0;
+  sm.home <- Array.make n Handoff;
+  sm.simt <- Array.make n 1.0;
+  sm.fns <- Array.make n no_body;
+  sm.reds <- Array.make n no_reducer;
+  sm.ops <- Array.make n Redop.sum;
+  sm.args <- Array.make n Payload.empty
 
 (* The region geometry for [group_size], built once per team. *)
 let geometry_for t ~group_size =

@@ -180,7 +180,8 @@ val create :
   block_id:int ->
   t
 (** Build the team state and statically reserve the sharing space.
-    @raise Invalid_argument when {!check_params} fails. *)
+    @raise Invalid_argument when {!check_params} or {!check_sharing}
+    fails. *)
 
 val reset : t -> arena:Gpusim.Shared.arena -> block_id:int -> unit
 (** Recycle a completed block's team for [block_id] of the same launch:
@@ -192,10 +193,10 @@ val reset : t -> arena:Gpusim.Shared.arena -> block_id:int -> unit
     is reset to 0, as [create] leaves it. *)
 
 val init_steps : t -> ctx -> unit
-(** Size {!steps} for the team's workers, on the team's first
-    multi-lane simd loop (a team that never runs one never pays for
-    it); [ctx] fills the context slots until each lane stores its
-    own. *)
+(** Size {!steps} for the team's workers, once: the caller calls it on
+    the team's first multi-lane simd loop (a team that never runs one
+    never pays for it); [ctx] fills the context slots until each lane
+    stores its own. *)
 
 val geometry_for : t -> group_size:int -> Simd_group.t option
 (** [Some] geometry of a region with SIMD groups of [group_size], built
@@ -208,10 +209,16 @@ val block_threads : cfg:Gpusim.Config.t -> params -> int
 
 val check_params : cfg:Gpusim.Config.t -> params -> (unit, string) result
 (** Whether [cfg] can launch a team of these params: [num_threads] a
-    positive multiple of the warp size, the whole block
-    ({!block_threads}) within the device limit, and a positive
-    [sharing_bytes] within the block's shared memory.  {!create} raises
-    on exactly these errors. *)
+    positive multiple of the warp size, and the whole block
+    ({!block_threads}) within the device limit.  {!create} raises on
+    these errors and on {!check_sharing}'s. *)
+
+val check_sharing : cfg:Gpusim.Config.t -> bytes:int -> (unit, string) result
+(** Whether a sharing space of [bytes] fits a block of [cfg]: positive
+    and within its shared memory (the sharing space is a block's first
+    and only shared-memory reservation).  {!create} checks the params'
+    [sharing_bytes] here; the offload path may reserve less than its
+    clauses' budget, down to {!Sharing.min_bytes}. *)
 
 type role =
   | Team_main  (** lane 0 of the extra warp (generic mode) *)
