@@ -284,7 +284,7 @@ let on_access (th : Thread.t) =
         end
       end
 
-(* Barrier tap (Engine.barrier_wait).  When the arriving thread is the
+(* Barrier tap (Engine.arrive).  When the arriving thread is the
    block's stall victim, return a private barrier that can never
    complete ([expected] exceeds the thread count); the engine parks the
    thread there instead of its real rendezvous and the block surfaces

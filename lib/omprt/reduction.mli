@@ -21,8 +21,8 @@ val simd_reduce_combine : Team.ctx -> Redop.t -> float
 (** {!simd_reduce} for a group of two or more, split around its first
     rendezvous: post the lane's contribution, then (once the group has
     met) charge the shuffle tree and combine.  A second rendezvous
-    follows before any lane may post again.  The SIMD state machine's
-    stepped workers run these between their own arrivals. *)
+    follows before any lane may post again.  The simd-loop machine
+    ([Simd]) runs these between a lane's own arrivals. *)
 
 val simd_sum : Team.ctx -> float -> float
 

@@ -19,7 +19,7 @@ type phase =
   | Reduced  (* released from its second *)
   | Done  (* a driving lane released from the loop's exit *)
 
-(* The loop shape of a worker's current round. *)
+(* The shape of a lane's current simd loop. *)
 type loop_kind =
   | Simd_loop
   | Reduce  (* a reducing loop: fold into [lane_acc], then the group combines *)
