@@ -24,17 +24,19 @@ type t = {
      arriver never parks. *)
   mutable ths : Thread.t array;
   mutable nwaiters : int;
-  mutable live_mark : bool;
-      (* set when the engine registers the barrier in its live table, so
-         re-registration (every round of a reused barrier) is a flag
-         check instead of a hash insert.  Cleared when the engine run
-         that set it completes, so a barrier that outlives its block (a
-         recycled block frame) registers again in the next run. *)
+  mutable live_index : int;
+      (* the barrier's slot in the running block's live list, -1 when
+         unregistered: re-registration (every round of a reused
+         barrier) is a compare.  Reset when the engine run that set it
+         ends, so a barrier that outlives its block (a recycled team)
+         registers again in the next run. *)
 }
 
 (* Process-unique ids; atomic because blocks simulate on several domains
-   and runtime layers create barriers mid-simulation.  Ids never reach
-   reports, so the allocation order does not affect determinism. *)
+   and runtime layers create barriers mid-simulation.  An id depends on
+   every barrier created before it, so ids key the sanitizer's pending
+   rendezvous only and never reach a report: the engine's stall report
+   numbers a block's barriers by [live_index]. *)
 let next_id = Atomic.make 0
 
 let make ~namer ~a ~b ~name ~named ~spin ~expected ~cost =
@@ -51,7 +53,7 @@ let make ~namer ~a ~b ~name ~named ~spin ~expected ~cost =
     spin;
     ths = [||];
     nwaiters = 0;
-    live_mark = false;
+    live_index = -1;
   }
 
 let fixed_name _ _ = ""
@@ -78,9 +80,8 @@ let name t =
   t.name
 let expected t = t.expected
 let waiting t = t.nwaiters
-let live_mark t = t.live_mark
-let set_live_mark t = t.live_mark <- true
-let clear_live_mark t = t.live_mark <- false
+let live_index t = t.live_index
+let set_live_index t i = t.live_index <- i
 
 (* The release: clocks of all participants are aligned to the max arrival
    clock and advanced by [cost].  The barrier instruction itself issues (a

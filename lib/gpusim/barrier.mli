@@ -46,9 +46,11 @@ val rename : t -> int -> unit
 
 val id : t -> int
 (** Process-unique identity, stable for the barrier's lifetime.  Two
-    distinct barriers never share an id even when they share a [name] —
-    bookkeeping (e.g. the engine's live-barrier table) must key on this,
-    not on the display name. *)
+    distinct barriers never share an id even when they share a [name]:
+    the sanitizer keys a block's pending rendezvous on it.  Its value
+    depends on every barrier created before, in any domain, so it never
+    reaches a report; the engine's stall report numbers barriers per
+    block instead ({!live_index}). *)
 
 val name : t -> string
 val expected : t -> int
@@ -73,12 +75,14 @@ val waiter : t -> int -> Thread.t
 val clear : t -> unit
 (** Reset the waiter count after draining a completed release. *)
 
-val live_mark : t -> bool
-val set_live_mark : t -> unit
-val clear_live_mark : t -> unit
-(** Registration flag for the engine's live-barrier table (the deadlock
-    report): set on a run's first park, cleared when that run completes,
-    so a barrier reused by the next block registers again. *)
+val live_index : t -> int
+val set_live_index : t -> int -> unit
+(** The barrier's slot in the running block's live-barrier list (the
+    engine's deadlock report), or [-1] when it is not registered: set
+    on the block's first park at the barrier, in order of first park,
+    and reset to [-1] when that block's run ends, so a barrier reused
+    by the next block registers again.  The slot is the barrier's
+    number in the stall report: a function of the block alone. *)
 
 val park : t -> Thread.t -> unit
 (** Park a thread (an arrival that did not complete the barrier). *)

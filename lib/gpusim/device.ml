@@ -155,17 +155,32 @@ let launch ~cfg ?pool ?trace ?nonce ?(kernel = "<kernel>") ~grid ~block ~init
         in
         (Pool.sanitize p, plan, Pool.watchdog p, nonce)
   in
+  let launch =
+    { Thread.sanitize; inject = Option.is_some plan; rmw_lock = parallel }
+  in
+  (* a traced launch's threads log to its own trace: its frames are its
+     own, and die with it *)
+  let carry = if Option.is_none trace then pool else None in
+  let frames =
+    match Option.bind carry (Pool.take_frames ~cfg ~block ~launch) with
+    | Some f -> f
+    | None -> Engine.frames ()
+  in
+  let buffers =
+    match Option.bind carry Pool.take_buffers with
+    | Some b -> b
+    | None -> Memory.buffers ()
+  in
   let ctx =
     {
       pool;
-      launch =
-        { Thread.sanitize; inject = Option.is_some plan; rmw_lock = parallel };
+      launch;
       plan;
       nonce;
       capture = Option.is_some plan || watchdog > 0.0;
-      frames = Engine.frames ();
+      frames;
       states = Ompsimd_util.Freelist.create ();
-      buffers = Memory.buffers ();
+      buffers;
     }
   in
   let simulate = simulate_block ~cfg ?trace ~ctx ~block ~init ?reinit ~body in
@@ -267,6 +282,11 @@ let launch ~cfg ?pool ?trace ?nonce ?(kernel = "<kernel>") ~grid ~block ~init
     results;
   let failures = List.rev !rev_failures in
   let breakdown = Occupancy.kernel_time cfg block_costs in
+  Option.iter
+    (fun p ->
+      Pool.give_buffers p buffers;
+      Pool.give_frames p ~cfg ~block ~launch frames)
+    carry;
   {
     cfg;
     grid;

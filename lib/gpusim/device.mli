@@ -66,13 +66,18 @@ val launch :
     reserves static shared memory on the block's arena); [body] runs in
     every thread fiber.
 
-    Block frames live once per launch: the engine's warps, threads and
-    scheduler are recycled by the next block once their block completed
-    (a failed block's are dropped).  With [reinit], the [init] states are
-    recycled the same way: a later block gets a completed block's state
-    through [reinit state ~block_id arena], which must leave it exactly
-    as [init ~block_id arena] would have built it.  The free lists are
-    local to the launch, and none outlives it.
+    Block frames are recycled: the engine's warps, threads and
+    scheduler serve the next block once their block completed (a failed
+    block's are dropped).  With [reinit], the [init] states are recycled
+    the same way: a later block gets a completed block's state through
+    [reinit state ~block_id arena], which must leave it exactly as [init
+    ~block_id arena] would have built it; the states live for the
+    launch.  An untraced launch on a pool takes its frames and L2-view
+    buffers from the pool ({!Pool.take_frames}) and leaves them there when
+    it returns, for the next launch with the same config, block size
+    and launch settings; a launch that raises leaves nothing.  Only the
+    state of completed blocks is ever recycled, so what a launch
+    reports does not depend on what ran before it on the pool.
 
     [pool] fans block simulation out across the pool's domains; the
     report is bit-identical to the sequential run.  Device atomics take

@@ -48,8 +48,8 @@ let take_stall () =
    waiters are queued in a fixed ring of threads (capacity
    [num_threads + 1]: a thread is parked at most once) and consumed
    FIFO; a parked fiber's continuation is kept per tid in [ks], since a
-   thread has at most one.  [live] tracks barriers with parked threads
-   for the deadlock report.
+   thread has at most one.  [live] lists the barriers the block parked
+   on, in order of first park, for the deadlock report.
 
    Two kinds of waiter have no continuation at all.  A detached thread
    ([detach]) gave its fiber back and lives on as steps only.  A thread
@@ -65,7 +65,10 @@ type sched = {
   mutable head : int;
   mutable tail : int;
   cap : int;
-  live : (int, Barrier.t) Hashtbl.t;
+  (* barriers parked on in this run, [nlive] of them, each at its
+     [Barrier.live_index]; grown by doubling, kept with the frame *)
+  mutable live : Barrier.t array;
+  mutable nlive : int;
   (* the failed arrival [arrive] recorded for the [Suspend] or [detach]
      next, and the resume hook [Suspend] installs *)
   mutable pending_bar : Barrier.t;
@@ -125,14 +128,22 @@ let arrival_barrier bar th =
     | None -> bar
   else bar
 
+let register s bar =
+  let n = s.nlive in
+  if n = Array.length s.live then begin
+    let bigger = Array.make (Int.max 8 (2 * n)) bar in
+    Array.blit s.live 0 bigger 0 n;
+    s.live <- bigger
+  end;
+  s.live.(n) <- bar;
+  Barrier.set_live_index bar n;
+  s.nlive <- n + 1
+
 let park_arrival s bar th =
   (* the arrival already tried to complete: it cannot be the last, so it
      always parks *)
   Barrier.park bar th;
-  if not (Barrier.live_mark bar) then begin
-    Barrier.set_live_mark bar;
-    Hashtbl.replace s.live (Barrier.id bar) bar
-  end
+  if Barrier.live_index bar < 0 then register s bar
 
 let keep_k s (th : Thread.t) k =
   if Array.length s.ks = 0 then s.ks <- Array.make s.cap k;
@@ -215,20 +226,20 @@ let make_frame ~cfg ?trace ~launch ~block_id ~num_threads ~counters () =
     Array.init num_threads (fun tid ->
         Thread.create ~cfg ~counters ?trace ~block_id ~tid ~warp:warps.(tid / ws) ())
   in
-  (* [live] is keyed by unique barrier id: two live barriers may share a
-     display name (e.g. per-warp barriers created in a loop), and colliding
-     on the name used to drop one of them from the deadlock report.
-     Entries stay registered after release (the live_mark is only
-     cleared when the run completes), so the deadlock formatter below
-     must skip barriers with zero parked waiters to report only the
-     actually-stuck ones. *)
+  (* [live] holds each barrier once, by its slot: two live barriers may
+     share a display name (e.g. per-warp barriers created in a loop), and
+     the slot keeps them apart in the deadlock report.  Entries stay
+     registered after release (the slot is only reset when the run
+     ends), so the deadlock formatter below must skip barriers with zero
+     parked waiters to report only the actually-stuck ones. *)
   let s =
     {
       rths = Array.make (num_threads + 1) threads.(0);
       head = 0;
       tail = 0;
       cap = num_threads + 1;
-      live = Hashtbl.create 8;
+      live = [||];
+      nlive = 0;
       pending_bar = Barrier.create ~name:"engine.none" ~expected:1 ~cost:0.0 ();
       pending_th = threads.(0);
       pending_step = Thread.fiber;
@@ -307,14 +318,22 @@ let run_block ~cfg ?trace ?(launch = Thread.default_launch) ?frames ~block_id
       chain th
     end
   in
+  (* a finished block's warps stash nothing: its memory session (and
+     through it the L2 it forked) must not outlive the run *)
   let finally () =
-    Array.iter (fun w -> w.Thread.esched <- Thread.No_sched) warps
+    Array.iter
+      (fun w ->
+        w.Thread.esched <- Thread.No_sched;
+        w.Thread.msession <- Thread.No_session)
+      warps
   in
   (* unregister the run's barriers, so any that outlive it (a recycled
      frame's team state) register again in the next run *)
   let unmark () =
-    Hashtbl.iter (fun _ bar -> Barrier.clear_live_mark bar) s.live;
-    Hashtbl.clear s.live
+    for i = 0 to s.nlive - 1 do
+      Barrier.set_live_index s.live.(i) (-1)
+    done;
+    s.nlive <- 0
   in
   (try
      (* initial threads run in tid order; resumptions queue behind them.
@@ -348,21 +367,23 @@ let run_block ~cfg ?trace ?(launch = Thread.default_launch) ?frames ~block_id
       (Printf.sprintf "block %d: %d/%d threads finished; stuck barriers:"
          block_id completed num_threads);
     let stuck = ref [] in
-    Hashtbl.iter
-      (fun _ bar ->
-        if Barrier.waiting bar > 0 then begin
-          Buffer.add_string buf
-            (Printf.sprintf " [%s#%d %d/%d]" (Barrier.name bar)
-               (Barrier.id bar) (Barrier.waiting bar) (Barrier.expected bar));
-          stuck :=
-            {
-              stuck_name = Barrier.name bar;
-              stuck_waiting = Barrier.waiting bar;
-              stuck_expected = Barrier.expected bar;
-            }
-            :: !stuck
-        end)
-      s.live;
+    (* in order of first park, each numbered by its slot: the text is a
+       function of the block, whatever ran before it *)
+    for i = 0 to s.nlive - 1 do
+      let bar = s.live.(i) in
+      if Barrier.waiting bar > 0 then begin
+        Buffer.add_string buf
+          (Printf.sprintf " [%s#%d %d/%d]" (Barrier.name bar) i
+             (Barrier.waiting bar) (Barrier.expected bar));
+        stuck :=
+          {
+            stuck_name = Barrier.name bar;
+            stuck_waiting = Barrier.waiting bar;
+            stuck_expected = Barrier.expected bar;
+          }
+          :: !stuck
+      end
+    done;
     let stall =
       {
         stall_block = block_id;

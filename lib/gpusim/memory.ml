@@ -482,10 +482,8 @@ let[@inline] atomic_fadd a th i v =
   atomic_cost th line;
   let locked = rmw_locked th in
   if locked then Mutex.lock a.fspace.rmw_lock;
-  let prev = a.fdata.(i) in
-  a.fdata.(i) <- prev +. v;
-  if locked then Mutex.unlock a.fspace.rmw_lock;
-  prev
+  a.fdata.(i) <- a.fdata.(i) +. v;
+  if locked then Mutex.unlock a.fspace.rmw_lock
 
 let atomic_iadd a th i v =
   check "atomic_iadd" (Array.length a.idata) i;

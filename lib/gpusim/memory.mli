@@ -103,8 +103,9 @@ val fset : farray -> Thread.t -> int -> float -> unit
 val iget : iarray -> Thread.t -> int -> int
 val iset : iarray -> Thread.t -> int -> int -> unit
 
-val atomic_fadd : farray -> Thread.t -> int -> float -> float
-(** Atomic read-modify-write add; returns the previous value.  Charged the
+val atomic_fadd : farray -> Thread.t -> int -> float -> unit
+(** Atomic read-modify-write add.  It returns nothing: a float result
+    would be boxed on every call, and no kernel reads it.  Charged the
     atomic cost plus a contention penalty growing with the number of
     atomics already performed on the same line by this warp since the last
     block-wide barrier. *)

@@ -17,9 +17,35 @@
     fault-launch counter and the sanitizer findings of aborted blocks.
     No launch setting is process-global, so launches on different pools
     may run at the same time with different settings.  Entry points
-    build their pool with [Knobs.pool]; an omitted pool means all off. *)
+    build their pool with [Knobs.pool]; an omitted pool means all off.
+
+    The pool also carries state from launch to launch ({!take_frames},
+    {!take_buffers}): the next launch on the same pool reuses a
+    launch's L2-view buffers, and its engine frames when it has the
+    same shape. *)
 
 type t
+
+val take_buffers : t -> Memory.buffers option
+(** The L2-view buffers the last launch left, if any, removed from the
+    pool until {!give_buffers} (safe from any domain). *)
+
+val give_buffers : t -> Memory.buffers -> unit
+(** Keep a launch's L2-view buffers for a later launch, in place of
+    any kept before. *)
+
+val take_frames :
+  t -> cfg:Config.t -> block:int -> launch:Thread.launch -> Engine.frames option
+(** The engine frames the last launch left, if that launch had the same
+    config, block size and launch settings; removed from the pool until
+    {!give_frames} (safe from any domain).  Frames of another shape stay
+    on the pool. *)
+
+val give_frames :
+  t -> cfg:Config.t -> block:int -> launch:Thread.launch -> Engine.frames -> unit
+(** Keep a launch's engine frames for a later launch of its shape, in
+    place of any kept before: the pool holds the frames of one shape.
+    Given frames hold only the state of blocks that completed. *)
 
 val create :
   ?sanitize:bool ->

@@ -5,8 +5,9 @@
    are extensible because those layers depend on [Thread], not the other
    way round; each layer adds its own constructor and owns the
    invariant that a stashed value never outlives the block that set it
-   (a warp serves one block at a time; [reset_warp] clears the stashes
-   before a recycled warp serves the next). *)
+   (a warp serves one block at a time; the engine clears both stashes
+   when a block's run ends, and [reset_warp] again before a recycled
+   warp serves the next). *)
 type engine_sched = ..
 type engine_sched += No_sched
 type mem_session = ..

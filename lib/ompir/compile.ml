@@ -435,7 +435,7 @@ and compile_stmt statics outlined options ~guard_extra ~last senv
           let v = as_float arr (cval ctx env) in
           if Gpusim.Thread.sanitizing ctx.Team.th then
             Gpusim.Ompsan.set_site (Sites.id site);
-          let (_ : float) = Memory.atomic_fadd a ctx.Team.th i v in
+          Memory.atomic_fadd a ctx.Team.th i v;
           env )
   | Ir.If (cond, then_, else_) ->
       let ccond = compile_expr statics senv cond in

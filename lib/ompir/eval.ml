@@ -323,7 +323,7 @@ and eval_stmt ctx statics outlined options scope (s : Ir.stmt) =
       let v = as_float arr (eval_expr ctx statics scope value) in
       if Gpusim.Thread.sanitizing ctx.Team.th then
         set_site statics Atomic arr idx;
-      let (_ : float) = Memory.atomic_fadd (farray statics arr) ctx.Team.th i v in
+      Memory.atomic_fadd (farray statics arr) ctx.Team.th i v;
       scope
   | Ir.If (cond, then_, else_) ->
       charge ctx c.Gpusim.Config.branch;

@@ -78,10 +78,12 @@ let exec_on_thread ctx (task : Team.parallel_task) =
         (* Simd workers enter the state machine. *)
         Simd.state_machine ctx
 
-(* The region's task, as [Some] for [active_task].  Every SPMD thread
-   re-enters [__parallel] with the same values: a thread that finds an
-   equal task already active shares it instead of building its own. *)
-let effective_task team ~mode ~simd_len ~payload ~fn_id fn =
+(* The calling thread's task cell for this region, as [Some] for
+   [active_task]: one cell per tid, rewritten in place on every entry.
+   Every SPMD thread re-enters [__parallel] with the same values, so the
+   cells agree; each thread rewrites only its own, and only between two
+   of its own regions. *)
+let effective_task team ~tid ~mode ~simd_len ~payload ~fn_id fn =
   let cfg = team.Team.cfg in
   let ws = cfg.Gpusim.Config.warp_size in
   (* §5.4.1: no warp barrier at all means generic-mode groups cannot
@@ -101,22 +103,29 @@ let effective_task team ~mode ~simd_len ~payload ~fn_id fn =
     invalid_arg "Parallel.parallel: simd_len must divide the worker count";
   (* §5.4: without simd groups (size one) the region always runs SPMD. *)
   let task_mode = if simd_len = 1 then Mode.Spmd else mode in
-  match team.Team.active_task with
-  | Some t as active
-    when t.Team.fn == fn && t.Team.fn_id = fn_id && t.Team.payload == payload
-         && Mode.equal t.Team.task_mode task_mode
-         && t.Team.group_size = simd_len ->
-      active
-  | _ ->
-      Some
-        {
-          Team.fn;
-          fn_id;
-          payload;
-          task_mode;
-          group_size = simd_len;
-          payload_location = Sharing.none;
-        }
+  match team.Team.tasks.(tid) with
+  | Some task as cell ->
+      task.Team.fn <- fn;
+      task.Team.fn_id <- fn_id;
+      task.Team.payload <- payload;
+      task.Team.task_mode <- task_mode;
+      task.Team.group_size <- simd_len;
+      task.Team.payload_location <- Sharing.none;
+      cell
+  | None ->
+      let cell =
+        Some
+          {
+            Team.fn;
+            fn_id;
+            payload;
+            task_mode;
+            group_size = simd_len;
+            payload_location = Sharing.none;
+          }
+      in
+      team.Team.tasks.(tid) <- cell;
+      cell
 
 let enter_region ctx active =
   let team = ctx.Team.team in
@@ -146,7 +155,7 @@ let parallel ctx ~mode ~simd_len ?(payload = Payload.empty) ?(fn_id = -1)
       "Parallel.parallel: nested parallel regions are not supported on the \
        device (LLVM serializes them); restructure the kernel or inline the \
        nested body";
-  let active = effective_task team ~mode ~simd_len ~payload ~fn_id fn in
+  let active = effective_task team ~tid ~mode ~simd_len ~payload ~fn_id fn in
   let task = Option.get active in
   match Team.role team ~tid with
   | Team.Team_main ->
@@ -165,7 +174,7 @@ let parallel ctx ~mode ~simd_len ?(payload = Payload.empty) ?(fn_id = -1)
       in
       Sharing.publish team.Team.sharing ctx.Team.th location payload;
       task.Team.payload_location <- location;
-      team.Team.parallel_signal <- Some task;
+      team.Team.parallel_signal <- active;
       Team.team_barrier_wait ctx;
       (* workers execute the region here *)
       Team.team_barrier_wait ctx;

@@ -333,7 +333,7 @@ let release t location =
       else free_list_insert t offset bytes
   | Global_fallback { slot; _ } -> t.pool_free.(slot) <- true
 
-let copy_cost ?(sharers = 1) ~kind t th location payload =
+let copy_cost ~sharers ~kind t th location payload =
   let n = Payload.length payload in
   match location with
   | Shared_space { vbase; _ } ->
@@ -370,10 +370,10 @@ let copy_cost ?(sharers = 1) ~kind t th location payload =
       Gpusim.Thread.tick_wait th (float_of_int n *. global_access_cost th)
 
 let publish t th location payload =
-  copy_cost ~kind:Gpusim.Ompsan.Write t th location payload
+  copy_cost ~sharers:1 ~kind:Gpusim.Ompsan.Write t th location payload
 
-let fetch ?sharers t th location payload =
-  copy_cost ?sharers ~kind:Gpusim.Ompsan.Read t th location payload
+let fetch ~sharers t th location payload =
+  copy_cost ~sharers ~kind:Gpusim.Ompsan.Read t th location payload
 
 let global_fallbacks t = t.global_fallbacks
 let shared_grants t = t.shared_grants

@@ -80,10 +80,11 @@ val publish : t -> Gpusim.Thread.t -> location -> Payload.t -> unit
 (** Main-side copy of the payload into the sharing location (per-slot
     shared-memory or global-memory store costs). *)
 
-val fetch : ?sharers:int -> t -> Gpusim.Thread.t -> location -> Payload.t -> unit
+val fetch : sharers:int -> t -> Gpusim.Thread.t -> location -> Payload.t -> unit
 (** Worker-side fetch of a published payload.  [sharers] is how many
     threads fetch the same buffer concurrently — their global-memory
-    traffic coalesces. *)
+    traffic coalesces (values below 1 count as 1).  A plain labelled
+    argument: an optional one is boxed on every fetch. *)
 
 val global_fallbacks : t -> int
 (** How many acquires overflowed to global memory since creation. *)

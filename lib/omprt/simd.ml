@@ -1,10 +1,6 @@
 let bump ctx key =
   Gpusim.Counters.bump ctx.Team.th.Gpusim.Thread.counters key 1.0
 
-let my_group ctx =
-  let g = Team.geometry ctx.Team.team in
-  (g, Simd_group.get_simd_group g ~tid:ctx.Team.th.Gpusim.Thread.tid)
-
 let active_mode ctx =
   match ctx.Team.team.Team.active_task with
   | Some task -> task.Team.task_mode
@@ -64,7 +60,7 @@ let accumulate ctx ~op red payload =
    of the reducer's value into the lane's [lane_acc] cell. *)
 let run_iteration (team : Team.t) tid iv =
   let sm = team.Team.sm in
-  let ctx = sm.Team.ctxs.(tid) in
+  let ctx = team.Team.ctxs.(tid) in
   match sm.Team.kind.(tid) with
   | Team.Simd_loop -> sm.Team.fns.(tid) ctx iv sm.Team.args.(tid)
   | Team.Reduce ->
@@ -74,7 +70,7 @@ let run_iteration (team : Team.t) tid iv =
       acc.(tid) <-
         (if op == Redop.sum then acc.(tid) +. v else op.Redop.combine acc.(tid) v)
 
-let lane_th (sm : Team.steps) tid = sm.Team.ctxs.(tid).Team.th
+let lane_th (team : Team.t) tid = team.Team.ctxs.(tid).Team.th
 let rounds ~num ~trip = (trip + num - 1) / num
 
 (* Lane [l]'s share of lockstep round [r]: every lane steps through
@@ -148,59 +144,60 @@ let uniform_trip (sm : Team.steps) ~base ~num ~trip =
 (* One round boundary: the group's clocks align to the round maximum
    (the lockstep barrier's cost is 0.0, so alignment is the entire
    release). *)
-let align_round sm ~base ~num =
-  let tmax = ref (Gpusim.Thread.clock (lane_th sm base)) in
+let align_round team ~base ~num =
+  let tmax = ref (Gpusim.Thread.clock (lane_th team base)) in
   for l = 1 to num - 1 do
-    let c = Gpusim.Thread.clock (lane_th sm (base + l)) in
+    let c = Gpusim.Thread.clock (lane_th team (base + l)) in
     if c > !tmax then tmax := c
   done;
   for l = 0 to num - 1 do
-    Gpusim.Thread.align_clock (lane_th sm (base + l)) !tmax
+    Gpusim.Thread.align_clock (lane_th team (base + l)) !tmax
   done
 
 (* Sanitizer taps of a driven loop: per-tid attribution while the
    driver executes other lanes' iterations (the classic rounds'
    [set_actor] on entry), a lockstep rendezvous per lane per round, and
    the actors restored on exit. *)
-let san_set_actors (sm : Team.steps) ~base ~num =
+let san_set_actors (team : Team.t) ~base ~num =
   for l = 0 to num - 1 do
-    sm.Team.actor.(base + l) <-
-      Gpusim.Ompsan.set_actor (lane_th sm (base + l)) (base + l)
+    team.Team.sm.Team.actor.(base + l) <-
+      Gpusim.Ompsan.set_actor (lane_th team (base + l)) (base + l)
   done
 
-let san_restore_actors (sm : Team.steps) ~base ~num =
+let san_restore_actors (team : Team.t) ~base ~num =
   for l = 0 to num - 1 do
-    ignore (Gpusim.Ompsan.set_actor (lane_th sm (base + l)) sm.Team.actor.(base + l))
+    ignore
+      (Gpusim.Ompsan.set_actor (lane_th team (base + l))
+         team.Team.sm.Team.actor.(base + l))
   done
 
-let san_round team sm g ~base ~num =
+let san_round team g ~base ~num =
   let mask = Simd_group.simdmask g ~tid:base in
-  let bar = Team.lockstep_barrier team (lane_th sm base) ~mask in
+  let bar = Team.lockstep_barrier team (lane_th team base) ~mask in
   for l = 0 to num - 1 do
-    Team.san_warp_arrive (lane_th sm (base + l)) ~mask bar
+    Team.san_warp_arrive (lane_th team (base + l)) ~mask bar
   done
 
 let drive_rounds ctx g ~base ~num ~trip =
   let team = ctx.Team.team in
-  let sm = team.Team.sm in
   let overhead = Workshare.step_cost ctx in
   let san = Gpusim.Thread.sanitizing ctx.Team.th in
-  if san then san_set_actors sm ~base ~num;
+  if san then san_set_actors team ~base ~num;
   for r = 0 to rounds ~num ~trip - 1 do
     for l = 0 to num - 1 do
-      let th = lane_th sm (base + l) in
+      let th = lane_th team (base + l) in
       lane_round team th ~tid:(base + l) ~l ~num ~trip ~overhead r;
       (* the lane's classic barrier arrival bumped the warp's atomic
          epoch right after its body; keep that wipe structure *)
       let w = th.Gpusim.Thread.warp in
       w.Gpusim.Thread.atomic_gen <- w.Gpusim.Thread.atomic_gen + 1
     done;
-    if san then san_round team sm g ~base ~num;
-    align_round sm ~base ~num
+    if san then san_round team g ~base ~num;
+    align_round team ~base ~num
   done;
-  if san then san_restore_actors sm ~base ~num;
+  if san then san_restore_actors team ~base ~num;
   for l = 0 to num - 1 do
-    Gpusim.Thread.tick (lane_th sm (base + l)) overhead
+    Gpusim.Thread.tick (lane_th team (base + l)) overhead
   done
 
 (* After the entry rendezvous: if no lane drove the group yet and the
@@ -272,9 +269,9 @@ and wake team ctx tid =
   let sm = team.Team.sm in
   let group = Simd_group.get_simd_group (Team.geometry team) ~tid in
   let slot = team.Team.simd_slots.(group) in
-  match (slot.Team.simd_fn, slot.Team.simd_red_fn) with
-  | None, None -> true (* termination: end of the parallel region *)
-  | Some fn, _ ->
+  match slot.Team.simd_loop with
+  | None -> true (* termination: end of the parallel region *)
+  | Some Team.Simd_loop ->
       bump ctx "simd.state_machine_rounds";
       if Gpusim.Thread.tracing ctx.Team.th then
         Gpusim.Thread.trace ctx.Team.th ~tag:"simd.wake"
@@ -282,15 +279,15 @@ and wake team ctx tid =
              slot.Team.simd_trip);
       fetch_args ctx slot;
       sm.Team.kind.(tid) <- Team.Simd_loop;
-      sm.Team.fns.(tid) <- fn;
+      sm.Team.fns.(tid) <- slot.Team.simd_fn;
       sm.Team.args.(tid) <- slot.Team.simd_args;
       enter_published team ctx tid slot
-  | None, Some red ->
+  | Some Team.Reduce ->
       bump ctx "simd.state_machine_rounds";
       fetch_args ctx slot;
       let op = slot.Team.simd_red_op in
       sm.Team.kind.(tid) <- Team.Reduce;
-      sm.Team.reds.(tid) <- red;
+      sm.Team.reds.(tid) <- slot.Team.simd_red_fn;
       sm.Team.ops.(tid) <- op;
       sm.Team.args.(tid) <- slot.Team.simd_args;
       team.Team.lane_acc.(tid) <- op.Redop.identity;
@@ -387,22 +384,22 @@ let leave_state_machine th prev_actor =
 let steps (team : Team.t) ctx =
   let sm = team.Team.sm in
   if Array.length sm.Team.phase = 0 then begin
-    Team.init_steps team ctx;
+    Team.init_steps team;
     sm.Team.step <-
       (fun th ->
         let tid = th.Gpusim.Thread.tid in
-        advance team sm.Team.ctxs.(tid) tid);
+        advance team team.Team.ctxs.(tid) tid);
     sm.Team.last_step <-
       (fun th ->
         let tid = th.Gpusim.Thread.tid in
-        let ctx = sm.Team.ctxs.(tid) in
+        let ctx = team.Team.ctxs.(tid) in
         if advance team ctx tid then begin
           leave_state_machine th sm.Team.outer.(tid);
           Team.team_barrier_last ctx
         end;
         false)
   end;
-  sm.Team.ctxs.(ctx.Team.th.Gpusim.Thread.tid) <- ctx;
+  Team.set_lane_ctx team ctx;
   sm
 
 (* A driving lane's loop, its body already in its slots: enter, then
@@ -422,6 +419,11 @@ let drive ctx (sm : Team.steps) ~kind ~trip payload =
   begin_loop sm th tid;
   charge_static ctx;
   if not (enter_loop team ctx tid ~trip) then drive_on team ctx tid
+
+(* The calling lane's group's slot. *)
+let group_slot ctx g =
+  Team.slot ctx.Team.team
+    ~group:(Simd_group.get_simd_group g ~tid:ctx.Team.th.Gpusim.Thread.tid)
 
 (* Fig 4, generic path: the caller is the SIMD main.  [publish] puts the
    trip count and arguments in the group's slot (the caller has set the
@@ -448,7 +450,7 @@ let publish ctx (slot : Team.simd_slot) ~fn_id ~trip payload =
    and payload already local and drop straight into the loop; a generic
    group's main publishes the loop to its workers first. *)
 let simd ctx ?(payload = Payload.empty) ?(fn_id = -1) ~trip body =
-  let g, group = my_group ctx in
+  let g = Team.geometry ctx.Team.team in
   if Simd_group.get_simd_group_size g = 1 then begin
     (* Two-level behaviour (§5.4): the loop runs sequentially in-thread. *)
     bump ctx "simd.sequential";
@@ -464,16 +466,16 @@ let simd ctx ?(payload = Payload.empty) ?(fn_id = -1) ~trip body =
         then bump ctx "simd.spmd_regions";
         drive ctx sm ~kind:Team.Simd_loop ~trip payload
     | Mode.Generic ->
-        let slot = Team.slot ctx.Team.team ~group in
-        slot.Team.simd_fn <- Some body;
-        slot.Team.simd_red_fn <- None;
+        let slot = group_slot ctx g in
+        slot.Team.simd_loop <- Some Team.Simd_loop;
+        slot.Team.simd_fn <- body;
         let location = publish ctx slot ~fn_id ~trip payload in
         drive ctx sm ~kind:Team.Simd_loop ~trip payload;
         Sharing.release ctx.Team.team.Team.sharing location
   end
 
 let simd_reduce ctx ?(payload = Payload.empty) ?(fn_id = -1) ~op ~trip red =
-  let g, group = my_group ctx in
+  let g = Team.geometry ctx.Team.team in
   let team = ctx.Team.team in
   let tid = ctx.Team.th.Gpusim.Thread.tid in
   if Simd_group.get_simd_group_size g = 1 then begin
@@ -489,9 +491,9 @@ let simd_reduce ctx ?(payload = Payload.empty) ?(fn_id = -1) ~op ~trip red =
     match active_mode ctx with
     | Mode.Spmd -> drive ctx sm ~kind:Team.Reduce ~trip payload
     | Mode.Generic ->
-        let slot = Team.slot team ~group in
-        slot.Team.simd_fn <- None;
-        slot.Team.simd_red_fn <- Some red;
+        let slot = group_slot ctx g in
+        slot.Team.simd_loop <- Some Team.Reduce;
+        slot.Team.simd_red_fn <- red;
         slot.Team.simd_red_op <- op;
         let location = publish ctx slot ~fn_id ~trip payload in
         drive ctx sm ~kind:Team.Reduce ~trip payload;
@@ -529,10 +531,7 @@ let state_machine_last ctx =
 
 let signal_termination ctx =
   Gpusim.Thread.trace ctx.Team.th ~tag:"simd.terminate" "";
-  let team = ctx.Team.team in
-  let _, group = my_group ctx in
-  let slot = Team.slot team ~group in
-  slot.Team.simd_fn <- None;
-  slot.Team.simd_red_fn <- None;
+  let slot = group_slot ctx (Team.geometry ctx.Team.team) in
+  slot.Team.simd_loop <- None;
   slot.Team.simd_fn_id <- -1;
   Team.sync_warp ctx

@@ -34,8 +34,6 @@ val thread_main : (Team.ctx -> unit) -> Team.t -> Gpusim.Thread.t -> unit
     on every thread of [team]'s block — exposed for tests that run a
     block straight on {!Gpusim.Engine.run_block}. *)
 
-val team_state_machine : (Team.ctx -> unit) -> Team.ctx -> unit
-(** Worker-thread loop for generic teams mode — exposed for tests.  The
-    first argument is unused by workers (they receive outlined functions
-    through the signal slot) but keeps the signature parallel to the main
-    path. *)
+val team_state_machine : Team.ctx -> unit
+(** Worker-thread loop for generic teams mode — exposed for tests.
+    Workers receive outlined functions through the signal slot. *)

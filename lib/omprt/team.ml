@@ -32,9 +32,9 @@ type loop_kind =
 type barrier_memo = {
   table : (int, Gpusim.Barrier.t) Hashtbl.t;
   tid_key : int array;
-  tid_bar : Gpusim.Barrier.t option array;
+  tid_bar : Gpusim.Barrier.t array;  (* read only under a matching key *)
   warp_key : int array;
-  warp_bar : Gpusim.Barrier.t option array;
+  warp_bar : Gpusim.Barrier.t array;
 }
 
 type ctx = { th : Gpusim.Thread.t; team : t }
@@ -42,19 +42,20 @@ and microtask = ctx -> Payload.t -> unit
 and simd_body = ctx -> int -> Payload.t -> unit
 
 and parallel_task = {
-  fn : microtask;
-  fn_id : int;
-  payload : Payload.t;
-  task_mode : Mode.t;
-  group_size : int;
+  mutable fn : microtask;
+  mutable fn_id : int;
+  mutable payload : Payload.t;
+  mutable task_mode : Mode.t;
+  mutable group_size : int;
   mutable payload_location : Sharing.location;
 }
 
 and simd_reducer = ctx -> int -> Payload.t -> float
 
 and simd_slot = {
-  mutable simd_fn : simd_body option;
-  mutable simd_red_fn : simd_reducer option;
+  mutable simd_loop : loop_kind option;  (* [None]: termination *)
+  mutable simd_fn : simd_body;
+  mutable simd_red_fn : simd_reducer;
   mutable simd_red_op : Redop.t;
   mutable simd_fn_id : int;
   mutable simd_trip : int;
@@ -69,7 +70,6 @@ and simd_slot = {
    [init_steps]); the step closures read their tid's slots at call
    time, so neither a round nor a region entry allocates. *)
 and steps = {
-  mutable ctxs : ctx array;
   mutable phase : phase array;
   mutable kind : loop_kind array;
   mutable trip : int array;
@@ -116,6 +116,12 @@ and t = {
   lane_acc : float array;
   geometries : Simd_group.t option array;
   sm : steps;
+  (* Per-tid lane contexts and region-task cells, built on a lane's
+     first use and reused in place by every later block of the team
+     (see [lane_ctx], Parallel): entering a region or a thread's body
+     allocates nothing. *)
+  mutable ctxs : ctx array;
+  tasks : parallel_task option array;
 }
 
 let block_threads ~(cfg : Gpusim.Config.t) params =
@@ -167,22 +173,27 @@ let no_body : simd_body = fun _ _ _ -> ()
 let no_reducer : simd_reducer = fun _ _ _ -> 0.0
 
 let reset_slot s =
-  s.simd_fn <- None;
-  s.simd_red_fn <- None;
+  s.simd_loop <- None;
+  s.simd_fn <- no_body;
+  s.simd_red_fn <- no_reducer;
   s.simd_red_op <- Redop.sum;
   s.simd_fn_id <- -1;
   s.simd_trip <- 0;
   s.simd_args <- Payload.empty;
   s.simd_args_location <- Sharing.none
 
+(* The memo slots hold barriers directly, [min_int] keys marking the
+   empty ones: an option would be a fresh allocation every time a lane
+   switches masks. *)
 let barrier_memo ~total ~ws =
   let warps = (total + ws - 1) / ws in
+  let empty = Gpusim.Barrier.create ~name:"memo.empty" ~expected:1 ~cost:0.0 () in
   {
     table = Hashtbl.create 16;
     tid_key = Array.make total min_int;
-    tid_bar = Array.make total None;
+    tid_bar = Array.make total empty;
     warp_key = Array.make warps min_int;
-    warp_bar = Array.make warps None;
+    warp_bar = Array.make warps empty;
   }
 
 let create ~cfg ~arena ~params ~block_id =
@@ -203,8 +214,9 @@ let create ~cfg ~arena ~params ~block_id =
   let expected = num_workers + (match main_tid with Some _ -> 1 | None -> 0) in
   let fresh_slot () =
     {
-      simd_fn = None;
-      simd_red_fn = None;
+      simd_loop = None;
+      simd_fn = no_body;
+      simd_red_fn = no_reducer;
       simd_red_op = Redop.sum;
       simd_fn_id = -1;
       simd_trip = 0;
@@ -237,9 +249,10 @@ let create ~cfg ~arena ~params ~block_id =
     fused_seq = Array.make num_workers 0;
     lane_acc = Array.make total 0.0;
     geometries = Array.make (ws + 1) None;
+    ctxs = [||];
+    tasks = Array.make total None;
     sm =
       {
-        ctxs = [||];
         phase = [||];
         kind = [||];
         trip = [||];
@@ -290,12 +303,10 @@ let reset t ~arena ~block_id =
   Array.fill sm.args 0 n Payload.empty
 
 (* Size the step state for the team's workers, once, on its first
-   multi-lane simd loop; [ctx] fills the context slots until each lane
-   stores its own. *)
-let init_steps t ctx =
+   multi-lane simd loop. *)
+let init_steps t =
   let sm = t.sm in
   let n = t.num_workers in
-  sm.ctxs <- Array.make n ctx;
   sm.phase <- Array.make n Handoff;
   sm.kind <- Array.make n Simd_loop;
   sm.trip <- Array.make n 0;
@@ -309,6 +320,24 @@ let init_steps t ctx =
   sm.reds <- Array.make n no_reducer;
   sm.ops <- Array.make n Redop.sum;
   sm.args <- Array.make n Payload.empty
+
+(* Make [ctx] its lane's context (a caller may build its own). *)
+let set_lane_ctx t ctx =
+  if Array.length t.ctxs = 0 then
+    t.ctxs <- Array.make (block_threads ~cfg:t.cfg t.params) ctx;
+  t.ctxs.(ctx.th.Gpusim.Thread.tid) <- ctx
+
+(* [th]'s context on this team: the cached one while the lane runs on
+   the same thread (a recycled block frame keeps its threads), a fresh
+   one stored for next time otherwise. *)
+let lane_ctx t (th : Gpusim.Thread.t) =
+  let tid = th.Gpusim.Thread.tid in
+  if Array.length t.ctxs > 0 && t.ctxs.(tid).th == th then t.ctxs.(tid)
+  else begin
+    let c = { th; team = t } in
+    set_lane_ctx t c;
+    c
+  end
 
 (* The region geometry for [group_size], built once per team. *)
 let geometry_for t ~group_size =
@@ -374,28 +403,28 @@ let memo_barrier m t (th : Gpusim.Thread.t) ~mask
   let tid = th.Gpusim.Thread.tid in
   let warp = th.Gpusim.Thread.warp.Gpusim.Thread.warp_index in
   let key = (warp * 0x1_0000_0000) lor mask in
-  match m.tid_bar.(tid) with
-  | Some b when m.tid_key.(tid) = key -> b
-  | _ ->
-      let b =
-        match m.warp_bar.(warp) with
-        | Some b when m.warp_key.(warp) = key -> b
-        | _ ->
-            let b =
-              match Hashtbl.find_opt m.table key with
-              | Some b -> b
-              | None ->
-                  let b = make t ~warp ~mask in
-                  Hashtbl.add m.table key b;
-                  b
-            in
-            m.warp_key.(warp) <- key;
-            m.warp_bar.(warp) <- Some b;
-            b
-      in
-      m.tid_key.(tid) <- key;
-      m.tid_bar.(tid) <- Some b;
-      b
+  if m.tid_key.(tid) = key then m.tid_bar.(tid)
+  else begin
+    let b =
+      if m.warp_key.(warp) = key then m.warp_bar.(warp)
+      else begin
+        let b =
+          match Hashtbl.find_opt m.table key with
+          | Some b -> b
+          | None ->
+              let b = make t ~warp ~mask in
+              Hashtbl.add m.table key b;
+              b
+        in
+        m.warp_key.(warp) <- key;
+        m.warp_bar.(warp) <- b;
+        b
+      end
+    in
+    m.tid_key.(tid) <- key;
+    m.tid_bar.(tid) <- b;
+    b
+  end
 
 let make_warp_barrier t ~warp ~mask =
   let participants = Mask.popcount mask in

@@ -52,23 +52,29 @@ and simd_body = ctx -> int -> Payload.t -> unit
 (** An outlined [simd] loop body; the [int] is the iteration number. *)
 
 and parallel_task = {
-  fn : microtask;
-  fn_id : int;  (** outlined-region id for dispatch-cost modelling (§5.5) *)
-  payload : Payload.t;
-  task_mode : Mode.t;  (** mode of this parallel region *)
-  group_size : int;  (** SIMD group size for this region *)
+  mutable fn : microtask;
+  mutable fn_id : int;
+      (** outlined-region id for dispatch-cost modelling (§5.5) *)
+  mutable payload : Payload.t;
+  mutable task_mode : Mode.t;  (** mode of this parallel region *)
+  mutable group_size : int;  (** SIMD group size for this region *)
   mutable payload_location : Sharing.location;
       (** where the team main published the payload (generic teams mode) *)
 }
+(** A region's task: one cell per entering thread ({!t.tasks}),
+    rewritten in place each time the thread enters a region. *)
 
 and simd_reducer = ctx -> int -> Payload.t -> float
 (** A simd loop body contributing one summand per iteration (extension). *)
 
 and simd_slot = {
-  mutable simd_fn : simd_body option;
-  mutable simd_red_fn : simd_reducer option;
-      (** set instead of [simd_fn] for reducing loops: workers must join
-          the group reduction after their share of the iterations *)
+  mutable simd_loop : loop_kind option;
+      (** the published loop's shape, [None] for termination: a
+          [Simd_loop] runs [simd_fn]; a [Reduce] runs [simd_red_fn], and
+          its workers join the group reduction after their share of the
+          iterations *)
+  mutable simd_fn : simd_body;
+  mutable simd_red_fn : simd_reducer;
   mutable simd_red_op : Redop.t;
       (** the monoid of the current reducing loop *)
   mutable simd_fn_id : int;
@@ -78,9 +84,6 @@ and simd_slot = {
 }
 
 and steps = {
-  mutable ctxs : ctx array;
-      (** per-tid lane context; a fused loop's driver reaches the lanes
-          it drives through it *)
   mutable phase : phase array;  (** where the lane resumes (see [Simd]) *)
   mutable kind : loop_kind array;  (** the current loop's shape *)
   mutable trip : int array;
@@ -171,6 +174,12 @@ and t = {
   geometries : Simd_group.t option array;
       (** region geometry per group size, built once ({!geometry_for}) *)
   sm : steps;
+  mutable ctxs : ctx array;
+      (** per-tid lane context ({!lane_ctx}); a fused loop's driver
+          reaches the lanes it drives through it *)
+  tasks : parallel_task option array;
+      (** per-tid region-task cell, [None] until the thread first
+          enters a region; [Parallel] rewrites it in place *)
 }
 
 val create :
@@ -192,11 +201,19 @@ val reset : t -> arena:Gpusim.Shared.arena -> block_id:int -> unit
     [arena], and all per-block state is cleared.  [dispatch_table_size]
     is reset to 0, as [create] leaves it. *)
 
-val init_steps : t -> ctx -> unit
+val init_steps : t -> unit
 (** Size {!steps} for the team's workers, once: the caller calls it on
     the team's first multi-lane simd loop (a team that never runs one
-    never pays for it); [ctx] fills the context slots until each lane
-    stores its own. *)
+    never pays for it). *)
+
+val lane_ctx : t -> Gpusim.Thread.t -> ctx
+(** The thread's context on this team, cached per tid: the same record
+    for as long as the tid runs on the same thread, so a recycled block
+    (its frame keeps its threads) builds none. *)
+
+val set_lane_ctx : t -> ctx -> unit
+(** Make [ctx] the cached context of its tid (a caller that built its
+    own context, as the simd loop's entry does). *)
 
 val geometry_for : t -> group_size:int -> Simd_group.t option
 (** [Some] geometry of a region with SIMD groups of [group_size], built

@@ -64,7 +64,10 @@ let group_grab (ctx : Team.ctx) ~chunk =
     base
   end
 
-let dynamic_loop ctx ~chunk ~trip f =
+(* The loops below run iteration [i] of [0, trip) as [f (offset + i)]:
+   a caller that works on a sub-range passes its start instead of
+   wrapping [f] in a closure per call. *)
+let dynamic_loop ctx ~chunk ~trip ~offset f =
   if chunk <= 0 then invalid_arg "Workshare: chunk must be positive";
   let team = ctx.Team.team in
   let overhead = step_cost ctx in
@@ -75,36 +78,31 @@ let dynamic_loop ctx ~chunk ~trip f =
      the grab order is defined by round-level fiber interleaving *)
   team.Team.dyn_active <- team.Team.dyn_active + 1;
   Team.region_barrier_wait ctx;
-  let rec work () =
-    let base = group_grab ctx ~chunk in
-    if base < trip then begin
-      let hi = min trip (base + chunk) in
-      for i = base to hi - 1 do
-        Gpusim.Thread.tick ctx.Team.th overhead;
-        f i
-      done;
-      work ()
-    end
-  in
-  work ();
+  let base = ref (group_grab ctx ~chunk) in
+  while !base < trip do
+    let hi = min trip (!base + chunk) in
+    for i = !base to hi - 1 do
+      Gpusim.Thread.tick ctx.Team.th overhead;
+      f (offset + i)
+    done;
+    base := group_grab ctx ~chunk
+  done;
   team.Team.dyn_active <- team.Team.dyn_active - 1;
   (* the implicit barrier at the end of a worksharing loop, which also
      protects the counter for the next loop *)
   Team.region_barrier_wait ctx
 
-let run_schedule ctx schedule ~id ~num ~trip f =
+let run_schedule ctx schedule ~id ~num ~trip ~offset f =
   check_geometry_args ~id ~num ~trip;
+  let th = ctx.Team.th in
   let overhead = step_cost ctx in
-  let run i =
-    Gpusim.Thread.tick ctx.Team.th overhead;
-    f i
-  in
   (match schedule with
-  | Dynamic chunk -> dynamic_loop ctx ~chunk ~trip f
+  | Dynamic chunk -> dynamic_loop ctx ~chunk ~trip ~offset f
   | Static ->
       let i = ref id in
       while !i < trip do
-        run !i;
+        Gpusim.Thread.tick th overhead;
+        f (offset + !i);
         i := !i + num
       done
   | Chunked chunk ->
@@ -113,55 +111,57 @@ let run_schedule ctx schedule ~id ~num ~trip f =
       while !base < trip do
         let hi = min trip (!base + chunk) in
         for i = !base to hi - 1 do
-          run i
+          Gpusim.Thread.tick th overhead;
+          f (offset + i)
         done;
         base := !base + (num * chunk)
       done);
   (* trailing bound check that exits the loop *)
-  Gpusim.Thread.tick ctx.Team.th overhead
+  Gpusim.Thread.tick th overhead
 
 (* distribute splits the iteration space into one contiguous chunk per
    team (LLVM's default distribute schedule: dist_schedule(static) with
    chunk = ceil(trip/teams)), which keeps small iteration spaces spread
-   across all SMs. *)
+   across all SMs.  The team's chunk is [team_base, team_stop). *)
 let team_chunk ctx ~trip =
-  let team = ctx.Team.team in
-  let num_teams = team.Team.params.Team.num_teams in
-  let chunk = (trip + num_teams - 1) / num_teams in
-  let base = min trip (team.Team.block_id * chunk) in
-  let stop = min trip (base + chunk) in
-  (base, stop)
+  let num_teams = ctx.Team.team.Team.params.Team.num_teams in
+  (trip + num_teams - 1) / num_teams
+
+let team_base ctx ~trip = min trip (ctx.Team.team.Team.block_id * team_chunk ctx ~trip)
+let team_stop ctx ~trip = min trip (team_base ctx ~trip + team_chunk ctx ~trip)
 
 let distribute ctx ?(schedule = Static) ~trip f =
-  let base, stop = team_chunk ctx ~trip in
   match schedule with
   | Static | Dynamic _ ->
       (* dist_schedule is static; a dynamic request degrades gracefully *)
-      run_schedule ctx Static ~id:0 ~num:1 ~trip:(stop - base)
-        (fun i -> f (base + i))
+      let base = team_base ctx ~trip in
+      run_schedule ctx Static ~id:0 ~num:1 ~trip:(team_stop ctx ~trip - base)
+        ~offset:base f
   | Chunked _ ->
       run_schedule ctx schedule ~id:ctx.Team.team.Team.block_id
-        ~num:ctx.Team.team.Team.params.Team.num_teams ~trip f
+        ~num:ctx.Team.team.Team.params.Team.num_teams ~trip ~offset:0 f
 
+(* The calling lane's OpenMP thread (its SIMD group) and the region's
+   count of them. *)
 let omp_thread ctx =
-  let team = ctx.Team.team in
-  let g = Team.geometry team in
-  let tid = ctx.Team.th.Gpusim.Thread.tid in
-  (Simd_group.get_simd_group g ~tid, g.Simd_group.num_groups)
+  Simd_group.get_simd_group (Team.geometry ctx.Team.team)
+    ~tid:ctx.Team.th.Gpusim.Thread.tid
+
+let omp_threads ctx = (Team.geometry ctx.Team.team).Simd_group.num_groups
 
 let omp_for ctx ?(schedule = Static) ~trip f =
-  let id, num = omp_thread ctx in
-  run_schedule ctx schedule ~id ~num ~trip f
+  run_schedule ctx schedule ~id:(omp_thread ctx) ~num:(omp_threads ctx) ~trip
+    ~offset:0 f
 
 let distribute_parallel_for ctx ?(schedule = Static) ~trip f =
   (* combined construct: a contiguous team chunk, workshared across the
      team's OpenMP threads *)
-  let base, stop = team_chunk ctx ~trip in
-  let group, num_groups = omp_thread ctx in
-  run_schedule ctx schedule ~id:group ~num:num_groups ~trip:(stop - base)
-    (fun i -> f (base + i))
+  let base = team_base ctx ~trip in
+  run_schedule ctx schedule ~id:(omp_thread ctx) ~num:(omp_threads ctx)
+    ~trip:(team_stop ctx ~trip - base) ~offset:base f
 
-let sequential_loop ctx ~trip f = run_schedule ctx Static ~id:0 ~num:1 ~trip f
+let sequential_loop ctx ~trip f =
+  run_schedule ctx Static ~id:0 ~num:1 ~trip ~offset:0 f
 
 (* The executing lane for single/master: OpenMP thread 0's SIMD main —
    i.e. tid 0, which executes region code in both modes. *)

@@ -29,14 +29,19 @@ let simdlen n t = { t with simdlen = Some n }
 let schedule s t = { t with schedule = s }
 let sharing_bytes n t = { t with sharing_bytes = Some n }
 
+let threads_of t = Option.value t.num_threads ~default:128
+let simdlen_of t = Option.value t.simdlen ~default:1
+let sharing_bytes_of t =
+  Option.value t.sharing_bytes ~default:Omprt.Sharing.default_bytes
+
 (* The runtime's launch parameters, defaults filled in. *)
 let params_of ~(cfg : Gpusim.Config.t) t =
   {
     Omprt.Team.num_teams =
       (match t.num_teams with Some n -> n | None -> 2 * cfg.Gpusim.Config.num_sms);
-    num_threads = Option.value t.num_threads ~default:128;
+    num_threads = threads_of t;
     teams_mode = Option.value t.teams_mode ~default:Omprt.Mode.Spmd;
-    sharing_bytes = Option.value t.sharing_bytes ~default:Omprt.Sharing.default_bytes;
+    sharing_bytes = sharing_bytes_of t;
   }
 
 (* Every geometry check the runtime would make at launch, made up
@@ -46,7 +51,7 @@ let params_of ~(cfg : Gpusim.Config.t) t =
    clause-level. *)
 let check_geometry ~(cfg : Gpusim.Config.t) t =
   let params = params_of ~cfg t in
-  let simdlen = Option.value t.simdlen ~default:1 in
+  let simdlen = simdlen_of t in
   if params.Omprt.Team.num_teams <= 0 then Error "num_teams must be positive"
   else if simdlen <= 0 || cfg.Gpusim.Config.warp_size mod simdlen <> 0 then
     Error "simdlen must divide the warp size"
@@ -57,7 +62,7 @@ let resolve ~(cfg : Gpusim.Config.t) t =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Clause.resolve: " ^ msg));
   let parallel_mode = Option.value t.parallel_mode ~default:Omprt.Mode.Spmd in
-  (params_of ~cfg t, parallel_mode, Option.value t.simdlen ~default:1)
+  (params_of ~cfg t, parallel_mode, simdlen_of t)
 
 let workshare_schedule t =
   match t.schedule with

@@ -28,6 +28,13 @@ val simdlen : int -> t -> t
 val schedule : schedule -> t -> t
 val sharing_bytes : int -> t -> t
 
+val threads_of : t -> int
+val simdlen_of : t -> int
+val sharing_bytes_of : t -> int
+(** One launch parameter with its default filled in, as {!resolve}
+    fills it (128 threads, simdlen 1, the default sharing budget),
+    without building the whole parameter set. *)
+
 val check_geometry : cfg:Gpusim.Config.t -> t -> (unit, string) result
 (** Whether the clause set can launch on [cfg]: teams positive, simdlen
     dividing the warp, threads a positive warp multiple, and the block

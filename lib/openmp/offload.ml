@@ -142,6 +142,16 @@ let sharing_reservation ~budget ~num_threads ~simd_len program =
   let publishers = (num_threads / max 1 simd_len) + 1 in
   max Omprt.Sharing.min_bytes (min budget (footprint * publishers))
 
+(* The sharing-fits rule ([Team.check_sharing]) on the reservation
+   [run] would make.  It builds nothing unless it fails: the serve
+   fleet asks it at every batch. *)
+let check_sharing ~cfg ~clauses c =
+  Omprt.Team.check_sharing ~cfg
+    ~bytes:
+      (sharing_reservation ~budget:(Clause.sharing_bytes_of clauses)
+         ~num_threads:(Clause.threads_of clauses)
+         ~simd_len:(Clause.simdlen_of clauses) c.program)
+
 let run ~cfg ?pool ?trace ?nonce ?(clauses = Clause.none) ~bindings c =
   let params, _, simdlen = Clause.resolve ~cfg clauses in
   let sharing_bytes =

@@ -97,6 +97,13 @@ val sharing_reservation :
     avoided.  A launch-time decision, deliberately outside
     {!cache_key}. *)
 
+val check_sharing :
+  cfg:Gpusim.Config.t -> clauses:Clause.t -> compiled -> (unit, string) result
+(** Whether [cfg]'s blocks hold the sharing space {!run} would reserve
+    for this kernel under [clauses] ({!Omprt.Team.check_sharing}): the
+    launch's last check, made without launching.  Allocates nothing
+    unless it fails. *)
+
 val run :
   cfg:Gpusim.Config.t ->
   ?pool:Gpusim.Pool.t ->

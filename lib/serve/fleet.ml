@@ -877,11 +877,13 @@ let run conf ?pool specs =
     if m.m_failed then incr device_failures
   in
   (* Dispatch [members] (leader first) as one merged grid on [s]; the
-     caller has checked the leader's geometry, which its mates share.
-     Consumes one server unless the compile fails, which ends every
-     member as Failed.  A content id whose compile fails never
-     launches, so it never opens a breaker and is never a probe. *)
-  let start_batch now (s : shard_state) (members_p : pending list) =
+     caller has checked the leader's geometry ([clauses]), which its
+     mates share.  Consumes one server unless the compile fails, or the
+     kernel's sharing space (known only once it compiled) does not fit
+     the device, which ends every member as Failed.  Such a content id never
+     launches there, so its breaker stays closed, admits it without a
+     state change and never makes it a probe. *)
+  let start_batch now (s : shard_state) ~clauses (members_p : pending list) =
     let leader = List.hd members_p in
     let knobs =
       { base.Scheduler.knobs with Offload.guardize = leader.spec.Request.guardize }
@@ -890,14 +892,22 @@ let run conf ?pool specs =
        charge (also a miss); warm dispatches go through the content id *)
     let kernel = lazy (Request.kernel_of_spec leader.spec) in
     let key = leader.cid in
+    let fail_all () =
+      List.iter
+        (fun p -> record (never_ran ~shard:s.sid p Scheduler.Failed now))
+        members_p
+    in
     match
       Cache.find_or_compile cache ~key ~compile:(fun () ->
           Offload.compile_with ~knobs (Lazy.force kernel))
     with
-    | _, Error _ ->
-        List.iter
-          (fun p -> record (never_ran ~shard:s.sid p Scheduler.Failed now))
-          members_p
+    | _, Error _ -> fail_all ()
+    | _, Ok compiled
+      when Result.is_error
+             (Offload.check_sharing ~cfg:devs.(s.sid) ~clauses compiled) ->
+        (* the kernel's sharing space does not fit the device: like a
+           compile error, no launch *)
+        fail_all ()
     | status, Ok compiled ->
         let b_cache, b_compile =
           match status with
@@ -1002,23 +1012,24 @@ let run conf ?pool specs =
       | Some p ->
           (if expired p now then
              record (never_ran ~shard:s.sid p Scheduler.Timed_out now)
-           else if
-             (* a geometry this shard's device cannot run fails before
-                the breaker is asked, so it never takes the probe slot *)
-             Result.is_error
-               (Clause.check_geometry ~cfg:devs.(s.sid) (clauses_of p.spec))
-           then record (never_ran ~shard:s.sid p Scheduler.Failed now)
            else
-             match Breaker.admit s.breakers p.cid ~now with
-             | `Shed -> record (never_ran ~shard:s.sid p Scheduler.Degraded now)
-             | `Probe ->
-                 (* the half-open probe flies alone: one launch decides
-                    whether the breaker closes, a full batch should not
-                    ride on it *)
-                 start_batch now s [ p ]
-             | `Admit ->
-                 let mates = if p.stolen then [] else take_batch s p now in
-                 start_batch now s (p :: mates));
+             let clauses = clauses_of p.spec in
+             if
+               (* a geometry this shard's device cannot run fails before
+                  the breaker is asked, so it never takes the probe slot *)
+               Result.is_error (Clause.check_geometry ~cfg:devs.(s.sid) clauses)
+             then record (never_ran ~shard:s.sid p Scheduler.Failed now)
+             else
+               match Breaker.admit s.breakers p.cid ~now with
+               | `Shed -> record (never_ran ~shard:s.sid p Scheduler.Degraded now)
+               | `Probe ->
+                   (* the half-open probe flies alone: one launch decides
+                      whether the breaker closes, a full batch should not
+                      ride on it *)
+                   start_batch now s ~clauses [ p ]
+               | `Admit ->
+                   let mates = if p.stolen then [] else take_batch s p now in
+                   start_batch now s ~clauses (p :: mates));
           dispatch now s
     end
   in

@@ -124,8 +124,7 @@ let element ctx ~k ~row t =
   let c = Memory.iget t.col_idx th k in
   let xv = Memory.fget t.x th c in
   Team.charge_flops ctx 2;
-  let (_ : float) = Memory.atomic_fadd t.y th row (v *. xv) in
-  ()
+  Memory.atomic_fadd t.y th row (v *. xv)
 
 let result t report =
   { Harness.report; output = Memory.to_float_array t.y }

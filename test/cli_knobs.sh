@@ -6,10 +6,11 @@
 # whose blocks cannot hold the launch and a kernel run with failed
 # blocks end with a clean exit code, never an uncaught exception.
 #
-# Usage: sh test/cli_knobs.sh <ompsimd_run.exe> <kernel.omp>
+# Usage: sh test/cli_knobs.sh <ompsimd_run.exe> <kernel.omp> <serve.requests>
 set -u
 run="$1"
 kernel_file="$2"
+requests="$3"
 failures=0
 
 for kv in OMPSIMD_FAULTS=bogus OMPSIMD_DOMAINS=x OMPSIMD_EVAL=bogus \
@@ -78,6 +79,21 @@ for spec in small,shared_mem_per_block=8 small,max_threads_per_block=64; do
     fi
   done
 done
+
+# A served request whose sharing space the device cannot hold fails
+# alone: the replay goes on, reports every request as failed and exits 0.
+out="$(OMPSIMD_DEVICE=small,shared_mem_per_block=8 "$run" serve \
+         --requests "$requests" 2>&1)"
+code=$?
+case "$out" in
+  *"uncaught exception"*) clean=0 ;;
+  *"requests        25  (completed 0, "*"failed 25)"*) clean=1 ;;
+  *) clean=0 ;;
+esac
+if [ "$code" -ne 0 ] || [ "$clean" -ne 1 ]; then
+  echo "FAIL: serve on an 8 B shared memory: exit $code, output: $out"
+  failures=$((failures + 1))
+fi
 
 # A kernel whose blocks fail under an armed fault plan prints its report,
 # failures included, and exits 1 without verifying — never an uncaught

@@ -875,7 +875,7 @@ let e6_block ~last =
                 let th = ctx.Team.th in
                 let v = Memory.fget values th (starts.(row) + j) in
                 Team.charge_flops ctx 2;
-                ignore (Memory.atomic_fadd y th row v : float))))
+                Memory.atomic_fadd y th row v)))
   in
   let r =
     Gpusim.Engine.run_block ~cfg ~block_id:0
@@ -976,6 +976,149 @@ let test_parks_per_shape () =
     [ [ 910; 113; 178 ]; [ 910; 113; 178 ]; [ 910; 0; 0 ] ]
     (List.map parks [ cfg; zoo "w32-sw"; zoo "w32-none" ])
 
+(* --- state carried from launch to launch ------------------------------ *)
+
+(* Minor words per block of a launch's second run on a sequential pool:
+   the first run builds the frames and buffers the pool then carries.
+   What remains is the launch's results (reports, counters, L2 logs),
+   its teams, fiber continuations and the kernel's own closures.  Each
+   bound is the measured value plus about 20%; the runtime that built
+   a task, a context and closures per region and thread, and fresh
+   frames per launch, allocated about twice as much (4,316, 13,582 and
+   7,964 words). *)
+let second_launch_words ~grid launch =
+  let pool = Gpusim.Pool.create () in
+  ignore (launch pool : Workloads.Harness.run);
+  let w0 = Gc.minor_words () in
+  ignore (launch pool : Workloads.Harness.run);
+  (Gc.minor_words () -. w0) /. float_of_int grid
+
+let pin_words name ~bound words =
+  if words > bound then
+    Alcotest.failf "%s: %.0f minor words per block, bound %.0f" name words bound
+
+let pin_spmv =
+  lazy
+    (Workloads.Spmv.generate
+       { Workloads.Spmv.default_shape with rows = 512; cols = 512; seed = 1 })
+
+(* measured 2,111 words *)
+let test_alloc_e6_reduction () =
+  let t = Lazy.force pin_spmv in
+  pin_words "E6 reduction, generic simd g8" ~bound:2500.0
+    (second_launch_words ~grid:64 (fun pool ->
+         Workloads.Spmv.run_simd_reduction ~cfg ~pool ~num_teams:64 ~threads:128
+           ~mode3:(Workloads.Harness.generic_simd ~group_size:8) t))
+
+(* measured 7,563 words *)
+let test_alloc_su3_spmd () =
+  let t = Workloads.Su3.generate { Workloads.Su3.sites = 2048; seed = 2 } in
+  pin_words "su3, SPMD simd g4" ~bound:9000.0
+    (second_launch_words ~grid:16 (fun pool ->
+         Workloads.Su3.run ~cfg ~pool ~num_teams:16 ~threads:128
+           ~mode3:(Workloads.Harness.spmd_simd ~group_size:4) t))
+
+(* measured 3,706 words *)
+let test_alloc_spmv_two_level () =
+  let t = Lazy.force pin_spmv in
+  pin_words "spmv two-level, teams-generic" ~bound:4400.0
+    (second_launch_words ~grid:64 (fun pool ->
+         Workloads.Spmv.run_two_level ~cfg ~pool ~num_teams:64 ~threads:32 t))
+
+(* Two teams whose SIMD groups disagree on a loop's trip count: each
+   block deadlocks at its groups' lockstep barriers. *)
+let deadlocking ?pool () =
+  let params =
+    {
+      Team.num_teams = 2;
+      num_threads = 32;
+      teams_mode = Mode.Spmd;
+      sharing_bytes = Sharing.default_bytes;
+    }
+  in
+  match
+    Target.launch ~cfg ?pool ~params (fun ctx ->
+        Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:4 ~last:true (fun ctx _ ->
+            let tid = ctx.Team.th.Thread.tid in
+            Simd.simd ctx ~trip:(if tid mod 2 = 0 then 9 else 1) (fun ctx _ _ ->
+                Team.charge_alu ctx 1)))
+  with
+  | (_ : Gpusim.Device.report) -> Alcotest.fail "expected a deadlock"
+  | exception Gpusim.Engine.Deadlock msg -> msg
+
+let report_text r = Format.asprintf "%a" Gpusim.Device.pp_report r
+
+let healthy ?nonce pool =
+  let t = Lazy.force pin_spmv in
+  Workloads.Spmv.run_simd_reduction ~cfg ~pool ~num_teams:8 ~threads:128
+    ~mode3:(Workloads.Harness.generic_simd ~group_size:8) t
+  |> ignore;
+  let params =
+    {
+      Team.num_teams = 4;
+      num_threads = 64;
+      teams_mode = Mode.Generic;
+      sharing_bytes = Sharing.default_bytes;
+    }
+  in
+  let out = Memory.falloc (Memory.space ()) 256 in
+  Target.launch ~cfg ~pool ?nonce ~params (fun ctx ->
+      Workshare.distribute ctx ~trip:256 (fun i ->
+          Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:8 (fun ctx _ ->
+              Simd.simd ctx ~trip:8 (fun ctx j _ ->
+                  Memory.fset out ctx.Team.th i (float_of_int (i + j))))))
+  |> report_text
+
+(* A stall report numbers a block's barriers in order of first park:
+   the same text on a fresh pool, after unrelated launches (which
+   create barriers of their own, and leave frames on the pool) and on
+   a one-worker pool. *)
+let test_deadlock_text_per_block () =
+  let fresh = deadlocking ~pool:(Gpusim.Pool.create ()) () in
+  check_bool "names a numbered barrier" true (String.contains fresh '#');
+  let warm =
+    let pool = Gpusim.Pool.create () in
+    ignore (healthy pool : string);
+    ignore (deadlocking ~pool () : string);
+    deadlocking ~pool ()
+  in
+  let pooled =
+    let pool = Gpusim.Pool.create ~domains:1 () in
+    Fun.protect
+      ~finally:(fun () -> Gpusim.Pool.shutdown pool)
+      (fun () -> deadlocking ~pool ())
+  in
+  Alcotest.(check string) "after other launches" fresh warm;
+  Alcotest.(check string) "on a one-worker pool" fresh pooled;
+  Alcotest.(check string) "without a pool" fresh (deadlocking ())
+
+(* A launch reports what it reports on a fresh pool whatever ran on
+   its pool before: a deadlocked launch, or one whose blocks failed
+   under a fault plan (nonces pinned, so both pools draw the same
+   faults). *)
+let test_after_failed_launches () =
+  let fresh = healthy (Gpusim.Pool.create ()) in
+  let after_deadlock =
+    let pool = Gpusim.Pool.create () in
+    ignore (deadlocking ~pool () : string);
+    healthy pool
+  in
+  Alcotest.(check string) "after a deadlocked launch" fresh after_deadlock;
+  let faults () =
+    Gpusim.Pool.create
+      ~faults:(Gpusim.Fault.parse_spec ~seed:7 "abort=0.3,stall=0.3")
+      ()
+  in
+  let faulted_fresh = healthy ~nonce:2 (faults ()) in
+  let faulted_after =
+    let pool = faults () in
+    let first = healthy ~nonce:1 pool in
+    check_bool "the first launch lost blocks" true
+      (Astring_like.contains first "failure:");
+    healthy ~nonce:2 pool
+  in
+  Alcotest.(check string) "after a faulted launch" faulted_fresh faulted_after
+
 let suite =
   [
     ( "omprt.simd_group",
@@ -1043,6 +1186,18 @@ let suite =
           test_parks_pinned;
         Alcotest.test_case "parks: pinned per shape" `Quick
           test_parks_per_shape;
+      ] );
+    ( "omprt.launch_state",
+      [
+        Alcotest.test_case "alloc: e6 reduction g8 per block" `Quick
+          test_alloc_e6_reduction;
+        Alcotest.test_case "alloc: su3 spmd g4 per block" `Quick test_alloc_su3_spmd;
+        Alcotest.test_case "alloc: spmv two-level per block" `Quick
+          test_alloc_spmv_two_level;
+        Alcotest.test_case "deadlock text: numbered per block" `Quick
+          test_deadlock_text_per_block;
+        Alcotest.test_case "after failed launches: as on a fresh pool" `Quick
+          test_after_failed_launches;
       ] );
     ( "omprt.reduction",
       [

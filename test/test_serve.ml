@@ -1026,6 +1026,49 @@ let test_geometry_fails_the_request () =
         (Astring_like.contains msg "request 7")
   | _ -> Alcotest.fail "a non-finite arrival must be refused"
 
+(* A device whose blocks cannot hold a request's sharing space fails
+   that request ([Failed], never launched) and the replay goes on.  At
+   8 B of shared memory no kernel fits.  At 300 B, rowsum's reservation
+   (one slice per SIMD group plus the team main) does not fit while
+   hist's does: the first request of each is decided after its compile,
+   the second after a cache hit, and each lands where its first did.
+   Neither takes a breaker's probe slot: the request after a failed one
+   is still admitted and completes. *)
+let test_sharing_fails_the_request () =
+  let dev smem =
+    {
+      (Result.get_ok (Gpusim.Zoo.resolve "w32-hw")) with
+      Gpusim.Config.shared_mem_per_block = smem;
+    }
+  in
+  let mk kernel id =
+    spec ~at:(float_of_int id *. 100_000.0) ~kernel ~size:32 ~teams:2
+      ~threads:64 ~simdlen:8 id
+  in
+  let run smem specs =
+    Fleet.run
+      (fconf ~shards:1 ~batch:1 ~memo:false ~queue_bound:100 ~breaker:1
+         ~devices:[ dev smem ] ())
+      specs
+  in
+  let outcomes (res : Fleet.result) =
+    List.map (fun (r : Fleet.rq_report) -> r.Fleet.outcome) res.Fleet.reports
+  in
+  let none = run 8 [ mk "rowsum" 0; mk "hist" 1 ] in
+  Alcotest.(check (list outcome))
+    "8 B: nothing fits" Scheduler.[ Failed; Failed ] (outcomes none);
+  Alcotest.(check int) "8 B: nothing launched" 0 none.Fleet.metrics.Metrics.launches;
+  let some =
+    run 300 [ mk "rowsum" 0; mk "hist" 1; mk "rowsum" 2; mk "hist" 3 ]
+  in
+  Alcotest.(check (list outcome))
+    "300 B: rowsum fails, hist completes"
+    Scheduler.[ Failed; Completed; Failed; Completed ]
+    (outcomes some);
+  Alcotest.(check int) "300 B: failed counted" 2 some.Fleet.metrics.Metrics.failed;
+  Alcotest.(check int) "300 B: only hist launched" 2
+    some.Fleet.metrics.Metrics.launches
+
 (* Directed affinity migration: repeated same-content traffic on a
    two-device fleet first explores (an unmeasured device costs 0, so
    both get a launch), then every later arrival concentrates on the
@@ -1421,6 +1464,8 @@ let suite =
           test_device_pin;
         Alcotest.test_case "fleet: unlaunchable geometry fails the request"
           `Quick test_geometry_fails_the_request;
+        Alcotest.test_case "fleet: a sharing space the device cannot hold fails the request"
+          `Quick test_sharing_fails_the_request;
         Alcotest.test_case "fleet: affinity concentrates hot content" `Quick
           test_affinity_migration;
         QCheck_alcotest.to_alcotest fleet_device_shuffle;
