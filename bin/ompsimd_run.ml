@@ -562,7 +562,7 @@ let serve_cmd =
       "Stream windowed telemetry (per-shard latency \
        percentiles, queue depths, breaker states, autoscaler and SLO \
        admission decisions) as JSONL to this file.  Deterministic: \
-       byte-identical across engines, pool widths and device shuffles.  \
+       byte-identical across pool widths and device shuffles.  \
        OMPSIMD_SERVE_TELEMETRY=<file> does the same from the environment."
     in
     Arg.(value & opt (some string) None & info [ "telemetry" ] ~docv:"FILE" ~doc)
@@ -608,7 +608,7 @@ let serve_cmd =
               try Serve.Request.load_trace file
               with Failure msg ->
                 Printf.eprintf "%s: %s\n" file msg;
-                exit 1)
+                exit 2)
           | None, Some n, None -> Serve.Request.synthetic ~n ~seed ~gap ()
           | None, None, Some n -> (
               try Serve.Traffic.(generate (preset profile ~n ~seed))

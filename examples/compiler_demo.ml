@@ -6,13 +6,14 @@
    simd loop) is written in the IR, type-checked, outlined into loop
    tasks, analyzed for globalization and SPMD-ization, printed back as
    pragma-annotated source, and finally executed on the simulated GPU
-   under both execution modes.  The OMPSIMD_* knobs (OMPSIMD_EVAL,
-   OMPSIMD_PASSES, OMPSIMD_SANITIZE, ...) are read once, up front. *)
+   under both execution modes, on the staged evaluator ({!Ompir.Compile}).
+   The OMPSIMD_* knobs (OMPSIMD_PASSES, OMPSIMD_SANITIZE, ...) are read
+   once, up front. *)
 
 module Memory = Gpusim.Memory
 module Ir = Ompir.Ir
 module Printer = Ompir.Printer
-module Eval = Ompir.Eval
+module Compile = Ompir.Compile
 module Clause = Openmp.Clause
 module Offload = Openmp.Offload
 
@@ -92,12 +93,12 @@ let () =
       let out = Memory.falloc space (rows * len) in
       let bindings =
         [
-          ("input", Eval.B_farr input);
-          ("scale", Eval.B_farr scale);
-          ("out", Eval.B_farr out);
-          ("rows", Eval.B_int rows);
-          ("len", Eval.B_int len);
-          ("shift", Eval.B_float 0.5);
+          ("input", Compile.B_farr input);
+          ("scale", Compile.B_farr scale);
+          ("out", Compile.B_farr out);
+          ("rows", Compile.B_int rows);
+          ("len", Compile.B_int len);
+          ("shift", Compile.B_float 0.5);
         ]
       in
       print_endline "=== execution ===";

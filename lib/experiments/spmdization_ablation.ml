@@ -98,10 +98,10 @@ let run ?(scale = 1.0) ?pool ?(knobs = Openmp.Offload.default_knobs) ~cfg () =
   let marks = Memory.falloc space n in
   let bindings =
     [
-      ("input", Ompir.Eval.B_farr input);
-      ("out", Ompir.Eval.B_farr out);
-      ("marks", Ompir.Eval.B_farr marks);
-      ("n", Ompir.Eval.B_int n);
+      ("input", Ompir.Compile.B_farr input);
+      ("out", Ompir.Compile.B_farr out);
+      ("marks", Ompir.Compile.B_farr marks);
+      ("n", Ompir.Compile.B_int n);
     ]
   in
   let time ?(guardize = false) k =

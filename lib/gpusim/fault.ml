@@ -7,8 +7,8 @@
    — is drawn once at block start from a Prng seeded by (plan seed,
    launch nonce, block_id), so faults are a pure function of the plan
    and the block, never of the host: pooled runs inject exactly what
-   sequential runs inject, and both engines fail at the same access of
-   the same thread at the same clock (the simulator's bit-identity
+   sequential runs inject, and the staged evaluator and the reference
+   walker fail at the same access of the same thread at the same clock (the simulator's bit-identity
    contract makes the access/clock sequence identical).
 
    The launch nonce makes *relaunches* draw fresh faults — a recovered

@@ -7,8 +7,8 @@
     on the launch's {!Pool} ({!Pool.create}[ ~faults]); this module holds
     no process-global state.  Every decision is drawn at block start from
     (plan seed, launch nonce, block_id), so injected faults are
-    bit-identical across [OMPSIMD_DOMAINS] and both [OMPSIMD_EVAL]
-    engines.  The nonce is the pool's count of armed launches, so a
+    bit-identical across [OMPSIMD_DOMAINS], and the test-side reference
+    walker draws the same faults as the staged evaluator.  The nonce is the pool's count of armed launches, so a
     relaunch of a failed request draws fresh faults and a fresh pool
     replays the identical sequence; a caller may pin it per launch
     ([Device.launch ~nonce]).

@@ -64,15 +64,9 @@ let parse lookup =
           | Some _ | None ->
               fail "Pool: OMPSIMD_DOMAINS must be a non-negative integer, got %S" s)
     in
-    let engine =
-      match var "OMPSIMD_EVAL" with
-      | Some "walk" -> Ompir.Compile.Walk
-      | Some ("compile" | "staged") | None -> Ompir.Compile.Staged
-      | Some other -> fail "OMPSIMD_EVAL=%s (expected \"compile\" or \"walk\")" other
-    in
     let passes = Option.value (var "OMPSIMD_PASSES") ~default:"" in
     ignore (Ompir.Passes.pipeline_of_spec passes);
-    let compile = { Offload.default_knobs with passes; engine } in
+    let compile = { Offload.default_knobs with passes } in
     (* opt-in: anything but an explicit yes leaves the sanitizer off *)
     let sanitize =
       match var "OMPSIMD_SANITIZE" with

@@ -19,8 +19,7 @@ type t = {
           explicit requests (more domains than cores only add GC
           coordination) *)
   compile : Openmp.Offload.knobs;
-      (** [OMPSIMD_EVAL] ([compile]/[staged], default, or [walk]) and
-          [OMPSIMD_PASSES] (validated pipeline spec; [""] = default) *)
+      (** [OMPSIMD_PASSES] (validated pipeline spec; [""] = default) *)
   sanitize : bool;  (** [OMPSIMD_SANITIZE]: [1/on/true/yes] arms ompsan *)
   faults : Gpusim.Fault.plan option;
       (** [OMPSIMD_FAULTS] seeded by [OMPSIMD_FAULT_SEED] (default 0) *)

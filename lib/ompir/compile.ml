@@ -9,11 +9,13 @@
    memory-access sites stay unlabelled until a sanitizing launch first
    reaches them ({!Sites}): an unsanitized launch formats no label.
 
-   The contract with {!Eval} is bit-identical observable behaviour:
-   every cost charge, memory account, barrier, broadcast and reduction
-   happens in the same order with the same magnitude, so a launch under
-   either engine yields equal reports and equal {!Gpusim.Counters}.  The
-   walker stays as the reference interpreter (OMPSIMD_EVAL=walk). *)
+   It is the one evaluator the product launches with.  A reference tree
+   walker lives with the tests, and its contract with this module is
+   bit-identical observable behaviour: every cost charge, memory
+   account, barrier, broadcast and reduction happens in the same order
+   with the same magnitude, so a launch under either yields equal reports
+   and equal {!Gpusim.Counters}.  The launch types ([binding], [options],
+   [Error]) are defined here and shared with that reference. *)
 
 module Memory = Gpusim.Memory
 module Mode = Omprt.Mode
@@ -24,11 +26,36 @@ module Simd = Omprt.Simd
 module Parallel = Omprt.Parallel
 module Target = Omprt.Target
 
-type value = Eval.value = V_int of int | V_float of float
+exception Error of string
 
-let err fmt = Printf.ksprintf (fun s -> raise (Eval.Error s)) fmt
+type binding =
+  | B_farr of Memory.farray
+  | B_iarr of Memory.iarray
+  | B_int of int
+  | B_float of float
 
-type engine = Walk | Staged
+type options = {
+  num_teams : int;
+  num_threads : int;
+  teams_mode : Mode.t;
+  parallel_mode : [ `Auto | `Force of Mode.t ];
+  simd_len : int;
+  sharing_bytes : int;
+}
+
+let default_options =
+  {
+    num_teams = 2;
+    num_threads = 64;
+    teams_mode = Mode.Spmd;
+    parallel_mode = `Auto;
+    simd_len = 8;
+    sharing_bytes = Omprt.Sharing.default_bytes;
+  }
+
+type value = V_int of int | V_float of float
+
+let err fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Runtime representation                                              *)
@@ -276,8 +303,6 @@ let find_outlined outlined fn_id =
    like the walker's scope threading. *)
 type cstmt = Team.ctx -> env -> env
 
-type options = Eval.options
-
 let schedule_of (d : Ir.loop_directive) =
   match d.Ir.sched with
   | Ir.Sched_static -> Workshare.Static
@@ -285,7 +310,7 @@ let schedule_of (d : Ir.loop_directive) =
   | Ir.Sched_dynamic n -> Workshare.Dynamic n
 
 let region_mode (options : options) (d : Ir.loop_directive) =
-  match options.Eval.parallel_mode with
+  match options.parallel_mode with
   | `Force m -> m
   | `Auto -> Spmdize.directive_mode d
 
@@ -356,7 +381,7 @@ and compile_parallel statics outlined options senv (d : Ir.loop_directive)
   let mode = region_mode options d in
   let schedule = schedule_of d in
   let fn_id = d.Ir.fn_id in
-  let simd_len = options.Eval.simd_len in
+  let simd_len = options.simd_len in
   let nslots, run_body =
     compile_block statics outlined options senv ~init:[ d.Ir.loop_var ] d.Ir.body
   in
@@ -645,7 +670,7 @@ let run ~cfg ?pool ?trace ?nonce ~(options : options) ~bindings
       farrays = Hashtbl.create 8;
       iarrays = Hashtbl.create 8;
       guard_broadcasts =
-        Array.init (max 0 options.Eval.num_teams) (fun _ -> Hashtbl.create 8);
+        Array.init (max 0 options.num_teams) (fun _ -> Hashtbl.create 8);
     }
   in
   let root = ref [] in
@@ -653,13 +678,13 @@ let run ~cfg ?pool ?trace ?nonce ~(options : options) ~bindings
     (fun (prm : Ir.param) ->
       match (prm.Ir.pty, List.assoc_opt prm.Ir.pname bindings) with
       | _, None -> err "parameter %s is not bound" prm.Ir.pname
-      | Ir.P_farray, Some (Eval.B_farr a) ->
+      | Ir.P_farray, Some (B_farr a) ->
           Hashtbl.replace statics.farrays prm.Ir.pname a
-      | Ir.P_iarray, Some (Eval.B_iarr a) ->
+      | Ir.P_iarray, Some (B_iarr a) ->
           Hashtbl.replace statics.iarrays prm.Ir.pname a
-      | Ir.P_int, Some (Eval.B_int n) ->
+      | Ir.P_int, Some (B_int n) ->
           root := (prm.Ir.pname, V_int n) :: !root
-      | Ir.P_float, Some (Eval.B_float x) ->
+      | Ir.P_float, Some (B_float x) ->
           root := (prm.Ir.pname, V_float x) :: !root
       | _, Some _ -> err "parameter %s bound with the wrong kind" prm.Ir.pname)
     p.Outline.kernel.Ir.params;
@@ -676,10 +701,10 @@ let run ~cfg ?pool ?trace ?nonce ~(options : options) ~bindings
   in
   let params =
     {
-      Team.num_teams = options.Eval.num_teams;
-      num_threads = options.Eval.num_threads;
-      teams_mode = options.Eval.teams_mode;
-      sharing_bytes = options.Eval.sharing_bytes;
+      Team.num_teams = options.num_teams;
+      num_threads = options.num_threads;
+      teams_mode = options.teams_mode;
+      sharing_bytes = options.sharing_bytes;
     }
   in
   Target.launch ~cfg ?pool ?trace ?nonce ~kernel:p.Outline.kernel.Ir.kname

@@ -8,28 +8,50 @@
     form is immutable and shared by all lanes and blocks; only the
     per-thread frame arrays are private.
 
-    Observable behaviour is bit-identical to the {!Eval} tree walker:
-    same values, same cost charges in the same order, same memory
-    accounting, so reports and {!Gpusim.Counters} are equal across
-    engines.  The walker remains the reference interpreter, selectable
-    with [OMPSIMD_EVAL=walk]. *)
+    This is the one evaluator the product runs kernels with.  A tree
+    walker kept with the tests is its reference: the two are certified
+    launch by launch to yield the same values, the same cost charges in
+    the same order and the same memory accounting, so reports and
+    {!Gpusim.Counters} are equal.  The launch types below are shared
+    with that reference. *)
 
-type value = Eval.value = V_int of int | V_float of float
+exception Error of string
+(** Runtime type or binding failure — {!Check.kernel} accepts exactly the
+    kernels that cannot raise this. *)
 
-type engine = Walk | Staged
-(** Which evaluator runs a compiled kernel: the tree walker or the
-    staged closures.  Chosen at compile time ([Offload.knobs.engine],
-    the [OMPSIMD_EVAL] knob). *)
+type binding =
+  | B_farr of Gpusim.Memory.farray
+  | B_iarr of Gpusim.Memory.iarray
+  | B_int of int
+  | B_float of float
+
+type value = V_int of int | V_float of float
+(** Runtime scalar values. *)
+
+type options = {
+  num_teams : int;
+  num_threads : int;
+  teams_mode : Omprt.Mode.t;
+  parallel_mode : [ `Auto | `Force of Omprt.Mode.t ];
+      (** [`Auto] uses the {!Spmdize} analysis per region *)
+  simd_len : int;
+  sharing_bytes : int;
+}
+
+val default_options : options
+(** 2 teams x 64 threads, SPMD teams, [`Auto] parallel, simdlen 8. *)
 
 val run :
   cfg:Gpusim.Config.t ->
   ?pool:Gpusim.Pool.t ->
   ?trace:Gpusim.Trace.t ->
   ?nonce:int ->
-  options:Eval.options ->
-  bindings:(string * Eval.binding) list ->
+  options:options ->
+  bindings:(string * binding) list ->
   Outline.program ->
   Gpusim.Device.report
-(** Compile and launch the kernel; drop-in replacement for {!Eval.run}
-    ([nonce] as there).
-    @raise Eval.Error on binding mismatches. *)
+(** Compile and launch the kernel.  Every parameter must be bound with
+    the matching kind.  [nonce] pins the launch's fault draws
+    ({!Gpusim.Device.launch}); a sanitized launch's report is named after
+    the kernel.
+    @raise Error on binding mismatches. *)

@@ -4,7 +4,7 @@
     A {!kernel} is the body of one [target teams] region.  Worksharing
     directives are first-class statements; the {!Outline} pass later
     isolates their bodies into "loop tasks" with explicit captured-variable
-    payloads, exactly as the OpenMP IR Builder does, and {!Eval} executes
+    payloads, exactly as the OpenMP IR Builder does, and {!Compile} executes
     the result on the simulated GPU runtime. *)
 
 type ty = Tint | Tfloat
@@ -113,7 +113,7 @@ val free_vars : stmt list -> string list
 (** {2 Statement shape}
 
     The only functions outside the per-constructor interpreters
-    ({!Eval}, {!Compile}, {!Check}, {!Printer}, ...) that know which
+    ({!Compile}, {!Check}, {!Printer}, ...) that know which
     statements carry bodies and expressions.  Walks that treat most
     statements alike are written on these, so a new statement form
     changes this module rather than every pass. *)

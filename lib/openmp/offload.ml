@@ -4,7 +4,6 @@ type compiled = {
   region_modes : (string * Omprt.Mode.t) list;
   guards_inserted : int;
   may_races : Ompir.Racecheck.finding list;
-  engine : Ompir.Compile.engine;
 }
 
 type knobs = {
@@ -12,42 +11,28 @@ type knobs = {
   fold : bool;
   racecheck : bool;
   passes : string;
-  engine : Ompir.Compile.engine;
 }
 
-let default_knobs =
-  {
-    guardize = false;
-    fold = true;
-    racecheck = false;
-    passes = "";
-    engine = Ompir.Compile.Staged;
-  }
+let default_knobs = { guardize = false; fold = true; racecheck = false; passes = "" }
 
 (* The cache identity of a compilation: the content digest of the IR
-   plus every knob that changes what [compile] produces, the engine
-   included (the staged evaluator and the walker are bit-identical by
-   contract, but the artifact records which one runs it, so the two
-   must never alias). *)
+   plus every knob that changes what [compile] produces.  The trailing
+   [:staged] names the evaluator; there is one, but the suffix stays so
+   keys (and every snapshot that prints one) keep their bytes. *)
 let cache_key ?(knobs = default_knobs) kernel =
-  let engine =
-    match knobs.engine with
-    | Ompir.Compile.Staged -> "staged"
-    | Ompir.Compile.Walk -> "walk"
-  in
   let passes =
     (* validate eagerly — a malformed spec must fail fast naming the
        knob, not surface later as a compile of something else *)
     ignore (Ompir.Passes.pipeline_of_spec knobs.passes);
     match String.trim knobs.passes with "" -> "default" | s -> s
   in
-  Printf.sprintf "%s:g%db%dr%d:p[%s]:%s"
+  Printf.sprintf "%s:g%db%dr%d:p[%s]:staged"
     (Ompir.Kdigest.hex kernel)
     (Bool.to_int knobs.guardize) (Bool.to_int knobs.fold)
-    (Bool.to_int knobs.racecheck) passes engine
+    (Bool.to_int knobs.racecheck) passes
 
 let compile ?(guardize = false) ?(fold = true) ?(racecheck = false)
-    ?(passes = "") ?(engine = Ompir.Compile.Staged) kernel =
+    ?(passes = "") kernel =
   match Ompir.Check.kernel kernel with
   | Error es -> Error es
   | Ok () ->
@@ -73,12 +58,11 @@ let compile ?(guardize = false) ?(fold = true) ?(racecheck = false)
           region_modes = Ompir.Spmdize.analyze kernel;
           guards_inserted = guards;
           may_races;
-          engine;
         }
 
 let compile_with ~knobs kernel =
   compile ~guardize:knobs.guardize ~fold:knobs.fold ~racecheck:knobs.racecheck
-    ~passes:knobs.passes ~engine:knobs.engine kernel
+    ~passes:knobs.passes kernel
 
 let remarks c =
   let outlined =
@@ -152,29 +136,24 @@ let check_sharing ~cfg ~clauses c =
          ~num_threads:(Clause.threads_of clauses)
          ~simd_len:(Clause.simdlen_of clauses) c.program)
 
-let run ~cfg ?pool ?trace ?nonce ?(clauses = Clause.none) ~bindings c =
+(* The launch options [run] hands the evaluator: the clauses resolved
+   against the device, with the sharing space sized for this kernel. *)
+let options ~cfg ?(clauses = Clause.none) c =
   let params, _, simdlen = Clause.resolve ~cfg clauses in
-  let sharing_bytes =
-    sharing_reservation ~budget:params.Omprt.Team.sharing_bytes
-      ~num_threads:params.Omprt.Team.num_threads ~simd_len:simdlen c.program
-  in
-  let parallel_mode =
-    match clauses.Clause.parallel_mode with
-    | Some m -> `Force m
-    | None -> `Auto
-  in
-  let options =
-    {
-      Ompir.Eval.num_teams = params.Omprt.Team.num_teams;
-      num_threads = params.Omprt.Team.num_threads;
-      teams_mode = params.Omprt.Team.teams_mode;
-      parallel_mode;
-      simd_len = simdlen;
-      sharing_bytes;
-    }
-  in
-  match c.engine with
-  | Ompir.Compile.Staged ->
-      Ompir.Compile.run ~cfg ?pool ?trace ?nonce ~options ~bindings c.program
-  | Ompir.Compile.Walk ->
-      Ompir.Eval.run ~cfg ?pool ?trace ?nonce ~options ~bindings c.program
+  {
+    Ompir.Compile.num_teams = params.Omprt.Team.num_teams;
+    num_threads = params.Omprt.Team.num_threads;
+    teams_mode = params.Omprt.Team.teams_mode;
+    parallel_mode =
+      (match clauses.Clause.parallel_mode with
+      | Some m -> `Force m
+      | None -> `Auto);
+    simd_len = simdlen;
+    sharing_bytes =
+      sharing_reservation ~budget:params.Omprt.Team.sharing_bytes
+        ~num_threads:params.Omprt.Team.num_threads ~simd_len:simdlen c.program;
+  }
+
+let run ~cfg ?pool ?trace ?nonce ?clauses ~bindings c =
+  Ompir.Compile.run ~cfg ?pool ?trace ?nonce ~options:(options ~cfg ?clauses c)
+    ~bindings c.program

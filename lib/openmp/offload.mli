@@ -16,8 +16,6 @@ type compiled = {
   may_races : Ompir.Racecheck.finding list;
       (** static may-race findings (empty unless compiled with
           [~racecheck:true]) *)
-  engine : Ompir.Compile.engine;
-      (** the evaluator {!run} executes this artifact with *)
 }
 
 type knobs = {
@@ -27,21 +25,20 @@ type knobs = {
   passes : string;
       (** optimization-pipeline spec ({!Ompir.Passes.pipeline_of_spec});
           [""] means {!Ompir.Passes.default_pipeline} *)
-  engine : Ompir.Compile.engine;
-      (** the evaluator the artifact runs on (the [OMPSIMD_EVAL] knob) *)
 }
 (** The compile-relevant knobs, bundled so cache layers can key on
     them; see {!cache_key}. *)
 
 val default_knobs : knobs
-(** [{ guardize = false; fold = true; racecheck = false; passes = "";
-    engine = Staged }] — the defaults of {!compile}. *)
+(** [{ guardize = false; fold = true; racecheck = false; passes = "" }]
+    — the defaults of {!compile}. *)
 
 val cache_key : ?knobs:knobs -> Ompir.Ir.kernel -> string
 (** The identity of a compilation for caching: content digest of the
     kernel ({!Ompir.Kdigest}) and every knob — the pipeline spec (blank
     prints as [default]), so an optimized variant is a distinct tier-2
-    artifact, and the engine.  A pure function of its arguments: two
+    artifact.  Every key ends in [:staged], the one evaluator {!run}
+    uses.  A pure function of its arguments: two
     calls return equal keys iff [compile_with] would produce an
     interchangeable artifact.
     @raise Invalid_argument on a malformed pipeline spec; the message
@@ -59,7 +56,6 @@ val compile :
   ?fold:bool ->
   ?racecheck:bool ->
   ?passes:string ->
-  ?engine:Ompir.Compile.engine ->
   Ompir.Ir.kernel ->
   (compiled, Ompir.Check.error list) result
 (** [guardize] (default false) applies {!Ompir.Spmdize.guardize} first:
@@ -73,8 +69,7 @@ val compile :
     disables the pipeline entirely.  [racecheck] (default false)
     additionally runs the static ompsan layer ({!Ompir.Racecheck}) on
     the post-pipeline, post-guardize kernel; findings land in
-    [may_races] and in {!remarks}.  [engine] (default [Staged]) is
-    recorded in the artifact and picks the evaluator {!run} uses.
+    [may_races] and in {!remarks}.
     @raise Invalid_argument on a malformed [passes] spec; the message
     names [OMPSIMD_PASSES] and the offending item. *)
 
@@ -104,19 +99,27 @@ val check_sharing :
     launch's last check, made without launching.  Allocates nothing
     unless it fails. *)
 
+val options :
+  cfg:Gpusim.Config.t -> ?clauses:Clause.t -> compiled -> Ompir.Compile.options
+(** The launch options {!run} hands the evaluator: [clauses] (default
+    {!Clause.none}) resolved against [cfg], the parallel mode forced or
+    [`Auto], and the sharing space sized by {!sharing_reservation}.
+    Tests give them to the reference walker to launch it on the same
+    inputs. *)
+
 val run :
   cfg:Gpusim.Config.t ->
   ?pool:Gpusim.Pool.t ->
   ?trace:Gpusim.Trace.t ->
   ?nonce:int ->
   ?clauses:Clause.t ->
-  bindings:(string * Ompir.Eval.binding) list ->
+  bindings:(string * Ompir.Compile.binding) list ->
   compiled ->
   Gpusim.Device.report
 (** Execute on the device.  Unless the clauses force a parallel mode, each
     region uses its SPMD-ization verdict — SPMD when tightly nested,
-    generic otherwise (§3.2), on the evaluator the artifact was compiled
-    for.  The launch's settings come from [pool]: when it runs the
+    generic otherwise (§3.2), on the staged evaluator ({!Ompir.Compile})
+    with {!options}.  The launch's settings come from [pool]: when it runs the
     sanitizer ({!Gpusim.Pool.create}[ ~sanitize]) the returned report
     carries [sanitizer = Some _], named after the kernel, with any
     dynamic findings; under its fault plan [nonce] pins the launch's

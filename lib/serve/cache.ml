@@ -1,7 +1,7 @@
 (* Compiled-kernel cache: the piece that turns the batch pipeline into
    a service.  Keyed by the caller's compile identity — anything that
    determines the artifact, as {!Openmp.Offload.cache_key} does (content
-   digest of the IR plus compile-relevant knobs plus engine); the fleet
+   digest of the IR plus compile-relevant knobs); the fleet
    uses its interned content id, which within one run stands for
    exactly that key.  Bounded, with LRU
    eviction and single-flight deduplication — when several requests for

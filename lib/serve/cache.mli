@@ -4,7 +4,7 @@
     Keys are the caller's compile identity, polymorphic so a caller can
     key by an interned id: anything that determines the artifact, as
     {!Openmp.Offload.cache_key} (the content digest of the checked IR
-    plus the compile-relevant knobs and the evaluation engine) does.
+    plus the compile-relevant knobs) does.
     With [capacity = 0] the cache stores nothing (every lookup
     compiles — the "recompile per request" baseline); compile failures
     are never cached. *)

@@ -14,13 +14,11 @@
    turn N shards into a fleet:
 
    * {b Placement} is a consistent-hash ring over the request's
-     engine-free content identity ({!Ompir.Kdigest} of the instantiated
-     template, plus the guardize flag and the resolved pass spec).
-     Same content, same shard: compile artifacts and batch partners
-     concentrate where their cache entry lives, and adding a shard
-     moves only the keys that hash next to it.  The identity
-     deliberately excludes the evaluation engine so a replay places
-     identically under [OMPSIMD_EVAL=walk] and [=compile].
+     content identity ({!Ompir.Kdigest} of the instantiated template,
+     plus the guardize flag and the resolved pass spec).  Same content,
+     same shard: compile artifacts and batch partners concentrate where
+     their cache entry lives, and adding a shard moves only the keys
+     that hash next to it.
 
    * {b Work stealing}: a shard whose queue is empty but whose server
      just freed pulls the best request from the deepest neighbour
@@ -56,7 +54,7 @@
    affinity cost table, the compile cache and the breakers all key on
    that id (plus the geometry, size, data seed or device name each
    needs), so the loop builds no key string per request: within one
-   run the engine and the other compile knobs are fixed, and the id
+   run the compile knobs are fixed, and the id
    stands for the compile-cache key exactly.
 
    A launch geometry the executing shard's device cannot run
@@ -191,9 +189,9 @@ let place_hash ring h =
   let _, shard = ring.(if !lo = n then 0 else !lo) in
   shard
 
-(* The engine-free content identity: placement, batching compatibility
-   and the launch memo all key on it (the cache key proper adds the
-   engine, which must never influence where a request lands). *)
+(* The content identity: placement, batching compatibility and the
+   launch memo all key on it (the cache key proper adds the knobs a
+   fleet holds fixed for the whole run). *)
 let content_key ~knobs (spec : Request.spec) =
   let kernel = Request.kernel_of_spec spec in
   Printf.sprintf "%s|%c|%s"
@@ -340,6 +338,11 @@ let same_shape (a : pending) (b : pending) =
   && a.spec.Request.simdlen = b.spec.Request.simdlen
 
 (* --- the fleet loop ----------------------------------------------------- *)
+
+(* Telemetry closes every window up to the clock, empty ones included,
+   so an arrival a billion windows out would spin the replay through a
+   billion empty windows: a trace must arrive within this many. *)
+let max_windows = 1e6
 
 let run conf ?pool specs =
   if conf.shards < 1 then invalid_arg "Fleet.run: shards must be >= 1";
@@ -592,8 +595,8 @@ let run conf ?pool specs =
      triple, and each distinct key string is interned to an int the
      first time it is seen.  Everything keyed on content (batching
      compatibility, the launch memo, the affinity table, the compile
-     cache and the breakers) keys on that int: within one run the
-     engine and every other compile knob are fixed, so the id stands
+     cache and the breakers) keys on that int: within one run every
+     compile knob is fixed, so the id stands
      for the cache key exactly.  The key's ring position is cached
      beside it, so placement pays no MD5 per request either. *)
   let cids : (string, int) Hashtbl.t = Hashtbl.create 16 in
@@ -627,6 +630,14 @@ let run conf ?pool specs =
              invalid_arg
                (Printf.sprintf "Fleet.run: request %d arrives at non-finite time %g"
                   spec.Request.id spec.Request.at);
+           if spec.Request.at /. base.Scheduler.window > max_windows then
+             invalid_arg
+               (Printf.sprintf
+                  "Fleet.run: request %d arrives at %g ticks, in window %.17g \
+                   of %g ticks (at most %.0f windows)"
+                  spec.Request.id spec.Request.at
+                  (Float.floor (spec.Request.at /. base.Scheduler.window))
+                  base.Scheduler.window max_windows);
            let cid, chash = ckey_of spec in
            ( spec.Request.at,
              Arrive
@@ -1504,7 +1515,7 @@ let report_json (r : rq_report) =
    request computed and how it ended, with no timing and no shard
    assignment.  For configs that lose no requests to admission (ample
    queues, no deadlines) this is byte-identical across shard counts
-   and batch limits — the shape analogue of the snapshot's engine/pool
+   and batch limits — the shape analogue of the snapshot's pool
    invariance. *)
 let result_json (r : rq_report) =
   Printf.sprintf

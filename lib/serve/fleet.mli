@@ -9,7 +9,7 @@
     device failures, and per-kernel circuit breakers ({!Breaker}); one
     global event queue ({!Eheap}: the trace's arrivals from a sorted
     cursor, dynamic events from a heap) drives them all.  Requests are
-    placed by a consistent-hash ring over their engine-free
+    placed by a consistent-hash ring over their
     content identity ({!Ompir.Kdigest} + guardize + resolved pass spec),
     idle shards steal from the deepest neighbour queue, and a dispatching
     shard drains same-content same-geometry queue mates into one merged
@@ -104,13 +104,11 @@ val weight_of : config -> string -> int
 (** The tenant's fair-admission weight (>= 1; unknown tenants weigh 1). *)
 
 val content_key : knobs:Openmp.Offload.knobs -> Request.spec -> string
-(** The engine-free content identity placement and batching key on:
-    kernel digest, guardize flag, resolved pass spec.  Unlike
-    {!Openmp.Offload.cache_key} it excludes the evaluation engine, so a
-    replay places identically under either engine.  The fleet's knobs
-    are one value per run, so the other knob fields need no place in
-    it: [guardize] comes from the request, and [fold] and [racecheck]
-    do not change what a launch computes. *)
+(** The content identity placement and batching key on: kernel digest,
+    guardize flag, resolved pass spec.  The fleet's knobs are one value
+    per run, so the other knob fields need no place in it: [guardize]
+    comes from the request, and [fold] and [racecheck] do not change
+    what a launch computes. *)
 
 val hash_pos : string -> int
 (** A key's position on the ring: the first 8 bytes of its MD5. *)
@@ -163,8 +161,8 @@ type result = {
   telemetry : string;
       (** the windowed JSONL stream (see {!Telemetry}); [""] unless
           [config.telemetry] was set.  Byte-identical across
-          [OMPSIMD_EVAL], [OMPSIMD_DOMAINS] and shuffles of the device
-          multiset over shard ids. *)
+          [OMPSIMD_DOMAINS] and shuffles of the device multiset over
+          shard ids. *)
 }
 
 val merge_overhead : float
@@ -182,7 +180,8 @@ val run : config -> ?pool:Gpusim.Pool.t -> Request.spec list -> result
     its shard's device cannot run ({!Openmp.Clause.check_geometry})
     reports [Failed] without launching.  @raise Invalid_argument on a
     non-positive shard or batch count (and the base config checks), or
-    on a non-finite arrival time, naming the request. *)
+    on an arrival time that is non-finite or lies more than a million
+    telemetry windows out, naming the request and the window. *)
 
 val report_line : rq_report -> string
 val report_json : rq_report -> string
@@ -199,9 +198,10 @@ val fleet_stats_json : fleet_stats -> string
 val snapshot_json : config -> result -> string
 (** The full machine-readable snapshot: config, per-request reports,
     per-shard and per-tenant breakdowns, fleet counters, aggregate
-    metrics.  Bit-identical across [OMPSIMD_EVAL] and
-    [OMPSIMD_DOMAINS]: the engine and pool width are deliberately not
-    recorded. *)
+    metrics.  Bit-identical across [OMPSIMD_DOMAINS]: the pool width is
+    deliberately not recorded.  Every completed request reproduces bit
+    for bit on the test-side reference walker, which the tests certify
+    request by request. *)
 
 val to_text : result -> string
 (** Aggregate metrics plus fleet, per-shard and per-tenant lines. *)

@@ -1,7 +1,7 @@
 (* Service metrics snapshot.  Everything here is derived from virtual
    (simulated) time and deterministic counters — never the host clock —
    so a replay of the same trace under the same seed produces a
-   bit-identical snapshot, pooled or sequential, either engine. *)
+   bit-identical snapshot, pooled or sequential. *)
 
 module Stats = Ompsimd_util.Stats
 

@@ -3,8 +3,7 @@
 
     All quantities are in virtual (simulated) time or deterministic
     counters: a replay of the same trace with the same seed yields a
-    bit-identical snapshot regardless of [OMPSIMD_DOMAINS] or the
-    evaluation engine. *)
+    bit-identical snapshot regardless of [OMPSIMD_DOMAINS]. *)
 
 type t = {
   requests : int;

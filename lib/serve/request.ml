@@ -200,7 +200,7 @@ let instantiate spec =
       (Array.init len (fun _ -> Prng.float g 2.0 -. 1.0))
   in
   let n = max 1 spec.size in
-  let open Ompir.Eval in
+  let open Ompir.Compile in
   match spec.kernel with
   | "rowsum" ->
       let sums = Memory.falloc space n in
@@ -283,6 +283,11 @@ let default_spec =
     device = None;
   }
 
+(* The largest [size] a trace may ask for: the templates allocate arrays
+   of size times their row width, so an unbounded size is an unbounded
+   allocation.  Far above every traced size (the largest is 512). *)
+let max_size = 65_536
+
 let spec_of_tokens ~id ~line_no tokens =
   let fail fmt =
     Printf.ksprintf
@@ -330,6 +335,7 @@ let spec_of_tokens ~id ~line_no tokens =
     fail "unknown kernel template %S (known: %s)" spec.kernel
       (String.concat ", " catalog_names);
   if spec.size < 1 then fail "size must be >= 1";
+  if spec.size > max_size then fail "size must be <= %d, got %d" max_size spec.size;
   if spec.teams < 1 then fail "teams must be >= 1";
   if spec.threads < 1 then fail "threads must be >= 1";
   if spec.simdlen < 1 then fail "simdlen must be >= 1";

@@ -48,7 +48,7 @@ val kernel_of_spec : spec -> Ompir.Ir.kernel
 val instantiate :
   spec ->
   Ompir.Ir.kernel
-  * (string * Ompir.Eval.binding) list
+  * (string * Ompir.Compile.binding) list
   * Gpusim.Memory.farray
 (** Kernel, bindings in a fresh memory space (data from [seed]), and
     the output array to checksum for the per-request report. *)
@@ -60,7 +60,7 @@ val parse_trace : string -> spec list
 (** Parse a trace: one request per line of [key=value] tokens ([kernel=]
     required; [at]/[deadline] in finite non-negative ticks, deadline
     relative to arrival; [size], [teams], [threads] and [simdlen] at
-    least 1; [#] comments).  Geometry that depends on the device (a
+    least 1, [size] at most 65536; [#] comments).  Geometry that depends on the device (a
     warp multiple, the block limit) is checked per launch, not here.
     @raise Failure with the offending line number. *)
 

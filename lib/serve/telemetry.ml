@@ -18,8 +18,7 @@
    fleet's device-shuffle invariance to the telemetry stream: shuffling
    the device multiset over shard ids renames no label and moves no
    byte.  Nothing here reads the host clock, so the stream is also
-   byte-identical across engines and pool widths, like the snapshot
-   JSON. *)
+   byte-identical across pool widths, like the snapshot JSON. *)
 
 module Stats = Ompsimd_util.Stats
 

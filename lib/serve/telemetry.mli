@@ -11,9 +11,8 @@
     id, which is what keeps the stream invariant under device
     shuffles), plus one fleet/control line appended by the caller via
     {!emit_control} once its window decisions are made.  Nothing reads
-    the host clock: the stream is byte-identical across [OMPSIMD_EVAL],
-    [OMPSIMD_DOMAINS] and shuffles of the device multiset, like the
-    snapshot JSON. *)
+    the host clock: the stream is byte-identical across [OMPSIMD_DOMAINS]
+    and shuffles of the device multiset, like the snapshot JSON. *)
 
 type config = {
   window : float;  (** virtual ticks per window *)

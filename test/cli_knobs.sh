@@ -4,7 +4,8 @@
 # OMPSIMD_* value fails each one the same way — exit 2 and a single stderr line naming the
 # variable.  Also: a SIMD group the device warp cannot hold, a device
 # whose blocks cannot hold the launch and a kernel run with failed
-# blocks end with a clean exit code, never an uncaught exception.
+# blocks end with a clean exit code, never an uncaught exception; so
+# does a serve trace asking for an arrival or a size out of range.
 #
 # Usage: sh test/cli_knobs.sh <ompsimd_run.exe> <kernel.omp> <serve.requests>
 set -u
@@ -13,8 +14,8 @@ kernel_file="$2"
 requests="$3"
 failures=0
 
-for kv in OMPSIMD_FAULTS=bogus OMPSIMD_DOMAINS=x OMPSIMD_EVAL=bogus \
-          OMPSIMD_PASSES=nope OMPSIMD_SERVE_QUEUE=x OMPSIMD_SERVE_SHARDS=0; do
+for kv in OMPSIMD_FAULTS=bogus OMPSIMD_DOMAINS=x OMPSIMD_PASSES=nope \
+          OMPSIMD_SERVE_QUEUE=x OMPSIMD_SERVE_SHARDS=0; do
   name="${kv%%=*}"
   for cmd in fig9 fig10 sharing dispatch amd reduction teamsmode spmdize \
              schedule "kernel spmv" "serve --synthetic 2" sweep \
@@ -94,6 +95,30 @@ if [ "$code" -ne 0 ] || [ "$clean" -ne 1 ]; then
   echo "FAIL: serve on an 8 B shared memory: exit $code, output: $out"
   failures=$((failures + 1))
 fi
+
+# A trace line the service cannot honour is a usage error: an arrival
+# too many telemetry windows out (the replay would spin through every
+# empty window) and a size too large to allocate each exit 2 with one
+# stderr line naming the request, before any launch.
+trace="$(mktemp)"
+trap 'rm -f "$trace"' EXIT
+for case in "at=1e15:request 0 arrives at 1e+15" "size=100000000:trace line 1: size"; do
+  kv="${case%%:*}"
+  want="${case#*:}"
+  echo "kernel=rowsum size=64 teams=1 $kv" > "$trace"
+  err="$("$run" serve --requests "$trace" 2>&1 >/dev/null)"
+  code=$?
+  lines="$(printf '%s\n' "$err" | wc -l)"
+  case "$err" in
+    *"uncaught exception"*) named=0 ;;
+    *"$want"*) named=1 ;;
+    *) named=0 ;;
+  esac
+  if [ "$code" -ne 2 ] || [ "$lines" -ne 1 ] || [ "$named" -ne 1 ]; then
+    echo "FAIL: serve with $kv: exit $code, stderr: $err"
+    failures=$((failures + 1))
+  fi
+done
 
 # A kernel whose blocks fail under an armed fault plan prints its report,
 # failures included, and exits 1 without verifying — never an uncaught

@@ -1,16 +1,16 @@
-(* Runtest tier for the OMPSIMD_EVAL switch: drive one small kernel
-   end-to-end through the compile-and-offload pipeline under both
-   evaluator engines — the reference tree walker and the staged
-   compiler — selected through the user-facing OMPSIMD_EVAL knob and
-   the same parse the CLI runs, and require bit-identical results.  This covers the offload.ml dispatch itself, which the
-   in-process differential tests bypass by calling the engines
-   directly. *)
+(* Runtest tier for the offload pipeline against the reference walker:
+   drive one small kernel end to end through the knobs the CLI parses,
+   [Offload.compile_with] and [Offload.run], then launch the reference
+   tree walker on the same artifact with the options [Offload.run]
+   resolves ([Offload.options]), and require bit-identical results.
+   This covers the clause resolution and sharing sizing in offload.ml,
+   which the in-process differential tests bypass by building options
+   by hand. *)
 
 module Ir = Ompir.Ir
-module Eval = Ompir.Eval
+module Compile = Ompir.Compile
 module Memory = Gpusim.Memory
 module Offload = Openmp.Offload
-module Clause = Openmp.Clause
 
 (* out[r] = sum_j src[r*len + j] *)
 let kernel =
@@ -38,9 +38,13 @@ let rows = 96
 let len = 20
 let src_val i = float_of_int (i mod 11) *. 0.25
 
-let run_with_engine engine =
+let clauses = Openmp.Clause.(none |> num_threads 64 |> simdlen 4)
+
+(* Compile through the knobs the CLI parses, then launch with [launch]
+   on fresh arrays. *)
+let run_with launch =
   let knobs =
-    match Knobs.parse (fun name -> if name = "OMPSIMD_EVAL" then Some engine else None) with
+    match Knobs.parse (fun _ -> None) with
     | Ok k -> k.Knobs.compile
     | Error msg -> failwith msg
   in
@@ -52,26 +56,26 @@ let run_with_engine engine =
   let out = Memory.falloc space rows in
   let bindings =
     [
-      ("src", Eval.B_farr src);
-      ("out", Eval.B_farr out);
-      ("rows", Eval.B_int rows);
-      ("len", Eval.B_int len);
+      ("src", Compile.B_farr src);
+      ("out", Compile.B_farr out);
+      ("rows", Compile.B_int rows);
+      ("len", Compile.B_int len);
     ]
   in
   match Offload.compile_with ~knobs kernel with
   | Error _ -> failwith "dual_engine: kernel failed to compile"
   | Ok compiled ->
-      let report =
-        Offload.run ~cfg
-          ~clauses:Clause.(none |> num_threads 64 |> simdlen 4)
-          ~bindings compiled
-      in
+      let report = launch ~cfg ~bindings compiled in
       let result = Array.init rows (fun r -> Memory.host_get out r) in
       (report, result)
 
 let () =
-  let walk_report, walk_out = run_with_engine "walk" in
-  let staged_report, staged_out = run_with_engine "compile" in
+  let walk_report, walk_out =
+    run_with (fun ~cfg ~bindings c -> Reference.Offload_ref.run ~cfg ~clauses ~bindings c)
+  in
+  let staged_report, staged_out =
+    run_with (fun ~cfg ~bindings c -> Offload.run ~cfg ~clauses ~bindings c)
+  in
   if walk_out <> staged_out then
     failwith "dual_engine: output arrays differ between engines";
   if
@@ -94,4 +98,4 @@ let () =
         failwith "dual_engine: wrong row sum")
     walk_out;
   print_endline
-    "dual-engine OK: walk and compile engines bit-identical end-to-end"
+    "dual-engine OK: Offload.run and the reference walker bit-identical end-to-end"

@@ -1,4 +1,10 @@
 module Memory = Gpusim.Memory
+module Ir = Ompir.Ir
+module Outline = Ompir.Outline
+module Scope = Ompir.Scope
+module Sites = Ompir.Sites
+module Spmdize = Ompir.Spmdize
+module Compile = Ompir.Compile
 module Mode = Omprt.Mode
 module Payload = Omprt.Payload
 module Team = Omprt.Team
@@ -7,15 +13,15 @@ module Simd = Omprt.Simd
 module Parallel = Omprt.Parallel
 module Target = Omprt.Target
 
-exception Error of string
-
-type binding =
+(* The launch types are the staged evaluator's, so a test hands both
+   evaluators the same inputs and catches the same [Compile.Error]. *)
+type binding = Compile.binding =
   | B_farr of Memory.farray
   | B_iarr of Memory.iarray
   | B_int of int
   | B_float of float
 
-type options = {
+type options = Compile.options = {
   num_teams : int;
   num_threads : int;
   teams_mode : Mode.t;
@@ -24,17 +30,7 @@ type options = {
   sharing_bytes : int;
 }
 
-let default_options =
-  {
-    num_teams = 2;
-    num_threads = 64;
-    teams_mode = Mode.Spmd;
-    parallel_mode = `Auto;
-    simd_len = 8;
-    sharing_bytes = Omprt.Sharing.default_bytes;
-  }
-
-type value = V_int of int | V_float of float
+type value = Compile.value = V_int of int | V_float of float
 
 (* A thread's lexical scope is a private [cell Scope.t] (keyed frames,
    innermost-wins).  Array parameters live in a static table; scalar
@@ -57,7 +53,7 @@ type statics = {
          concurrent blocks from mutating a shared Hashtbl across domains. *)
 }
 
-let err fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+let err fmt = Printf.ksprintf (fun s -> raise (Compile.Error s)) fmt
 
 (* One [Sites.t] per access of the kernel, keyed by what it does, its
    array and its index expression: accesses alike in all three carry one

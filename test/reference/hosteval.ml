@@ -1,4 +1,6 @@
 module Memory = Gpusim.Memory
+module Ir = Ompir.Ir
+module Compile = Ompir.Compile
 
 exception Error of string
 
@@ -170,13 +172,13 @@ let run ~bindings (k : Ir.kernel) =
     (fun (prm : Ir.param) ->
       match (prm.Ir.pty, List.assoc_opt prm.Ir.pname bindings) with
       | _, None -> err "parameter %s is not bound" prm.Ir.pname
-      | Ir.P_farray, Some (Eval.B_farr a) ->
+      | Ir.P_farray, Some (Compile.B_farr a) ->
           Hashtbl.replace env.farrays prm.Ir.pname a
-      | Ir.P_iarray, Some (Eval.B_iarr a) ->
+      | Ir.P_iarray, Some (Compile.B_iarr a) ->
           Hashtbl.replace env.iarrays prm.Ir.pname a
-      | Ir.P_int, Some (Eval.B_int n) ->
+      | Ir.P_int, Some (Compile.B_int n) ->
           env.scope <- (prm.Ir.pname, ref (V_int n)) :: env.scope
-      | Ir.P_float, Some (Eval.B_float x) ->
+      | Ir.P_float, Some (Compile.B_float x) ->
           env.scope <- (prm.Ir.pname, ref (V_float x)) :: env.scope
       | _, Some _ -> err "parameter %s bound with the wrong kind" prm.Ir.pname)
     k.Ir.params;

@@ -1,7 +1,8 @@
 (* Runtest tier for the sanitizer, exercised the way a user enables
-   it: the OMPSIMD_SANITIZE and OMPSIMD_EVAL knobs through the same
-   parse the CLI runs, kernels through the text pipeline, both eval
-   engines.  Two stages:
+   it: the OMPSIMD_SANITIZE knob through the same parse the CLI runs,
+   kernels through the text pipeline, launched by [Offload.run] and by
+   the reference walker on the options [Offload.options] resolves.  Two
+   stages:
 
    1. known-answer conformance kernels (a true global race, a cross-group
       guarded race, a race-free atomic pattern) must produce their
@@ -12,7 +13,7 @@
       static may-race layer must agree. *)
 
 module Ir = Ompir.Ir
-module Eval = Ompir.Eval
+module Compile = Ompir.Compile
 module Memory = Gpusim.Memory
 module Ompsan = Gpusim.Ompsan
 module Offload = Openmp.Offload
@@ -34,13 +35,20 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-let engines = [ "walk"; "compile" ]
+(* Each launcher by name: the reference walker on the options the
+   product resolves, and the product's own launch. *)
+let engines =
+  [
+    ( "walk",
+      fun ~pool ~clauses ~bindings c ->
+        Reference.Offload_ref.run ~cfg ~pool ~clauses ~bindings c );
+    ("compile", fun ~pool ~clauses ~bindings c -> Offload.run ~cfg ~pool ~clauses ~bindings c);
+  ]
 
-(* Parse the user-facing knobs for one engine: the compile knobs carry
-   the engine into the artifact, the (sequential) pool carries the
+(* Parse the user-facing knobs: the (sequential) pool carries the
    sanitizer into the launch. *)
-let sanitized engine =
-  let env = [ ("OMPSIMD_SANITIZE", "1"); ("OMPSIMD_EVAL", engine) ] in
+let sanitized () =
+  let env = [ ("OMPSIMD_SANITIZE", "1") ] in
   match Knobs.parse (fun name -> List.assoc_opt name env) with
   | Error msg -> failwith msg
   | Ok k ->
@@ -53,27 +61,25 @@ let zero_bindings ~sizes (k : Ir.kernel) =
     (fun (p : Ir.param) ->
       let b =
         match p.Ir.pty with
-        | Ir.P_farray -> Eval.B_farr (Memory.falloc space (List.assoc p.Ir.pname sizes))
-        | Ir.P_iarray -> Eval.B_iarr (Memory.ialloc space (List.assoc p.Ir.pname sizes))
-        | Ir.P_int -> Eval.B_int (List.assoc p.Ir.pname sizes)
-        | Ir.P_float -> Eval.B_float 1.0
+        | Ir.P_farray -> Compile.B_farr (Memory.falloc space (List.assoc p.Ir.pname sizes))
+        | Ir.P_iarray -> Compile.B_iarr (Memory.ialloc space (List.assoc p.Ir.pname sizes))
+        | Ir.P_int -> Compile.B_int (List.assoc p.Ir.pname sizes)
+        | Ir.P_float -> Compile.B_float 1.0
       in
       (p.Ir.pname, b))
     k.Ir.params
 
-let run_file ~engine ~clauses ~sizes file =
+let run_file ~launch ~clauses ~sizes file =
   let kernel = Ompir.Parse.kernel_of_file (Filename.concat "conformance" file) in
-  let knobs, pool = sanitized engine in
+  let knobs, pool = sanitized () in
   match Offload.compile_with ~knobs kernel with
   | Error _ -> failwith (file ^ ": compile failed")
   | Ok c ->
-      let report =
-        Offload.run ~cfg ~pool ~clauses ~bindings:(zero_bindings ~sizes kernel) c
-      in
+      let report = launch ~pool ~clauses ~bindings:(zero_bindings ~sizes kernel) c in
       (c, report)
 
-let expect_verdict ~engine ~clauses ~sizes ~dirty ~site file =
-  let c, report = run_file ~engine ~clauses ~sizes file in
+let expect_verdict ~engine:(engine, launch) ~clauses ~sizes ~dirty ~site file =
+  let c, report = run_file ~launch ~clauses ~sizes file in
   (match report.Gpusim.Device.sanitizer with
   | None -> fail "%s [%s]: no sanitizer report" file engine
   | Some san ->
@@ -164,10 +170,10 @@ let fleet_stage () =
     let threads = List.nth [ 32; 64 ] (next 2) in
     (* plants need >= 2 lanes per group to collide *)
     let slen = List.nth [ 2; 4; 8 ] (next 3) in
-    let engine = List.nth engines (next 2) in
+    let _, launch = List.nth engines (next 2) in
     let kernel = template ~plant ~width in
     let n = rows * width in
-    let knobs, pool = sanitized engine in
+    let knobs, pool = sanitized () in
     match Offload.compile_with ~knobs kernel with
     | Error _ -> fail "fleet case %d: compile failed" case
     | Ok c ->
@@ -178,7 +184,7 @@ let fleet_stage () =
             none |> num_teams teams |> num_threads threads |> simdlen slen)
         in
         let report =
-          Offload.run ~cfg ~pool ~clauses
+          launch ~pool ~clauses
             ~bindings:
               (zero_bindings ~sizes:[ ("src", n); ("out", n); ("rows", rows); ("n", n) ]
                  kernel)

@@ -7,8 +7,9 @@
 
 module Memory = Gpusim.Memory
 module Mode = Omprt.Mode
-module Eval = Ompir.Eval
-module Hosteval = Ompir.Hosteval
+module Compile = Ompir.Compile
+module Eval = Reference.Eval
+module Hosteval = Reference.Hosteval
 
 let cfg = Gpusim.Config.small
 let check_bool = Alcotest.check Alcotest.bool
@@ -23,16 +24,16 @@ let make_bindings ~sizes (k : Ompir.Ir.kernel) =
         match p.Ompir.Ir.pty with
         | Ompir.Ir.P_farray ->
             let n = List.assoc p.Ompir.Ir.pname sizes in
-            Eval.B_farr
+            Compile.B_farr
               (Memory.of_float_array space
                  (Array.init n (fun _ -> Ompsimd_util.Prng.float g 4.0 -. 2.0)))
         | Ompir.Ir.P_iarray ->
             let n = List.assoc p.Ompir.Ir.pname sizes in
-            Eval.B_iarr
+            Compile.B_iarr
               (Memory.of_int_array space
                  (Array.init n (fun _ -> Ompsimd_util.Prng.int g 100)))
-        | Ompir.Ir.P_int -> Eval.B_int (List.assoc p.Ompir.Ir.pname sizes)
-        | Ompir.Ir.P_float -> Eval.B_float 1.75
+        | Ompir.Ir.P_int -> Compile.B_int (List.assoc p.Ompir.Ir.pname sizes)
+        | Ompir.Ir.P_float -> Compile.B_float 1.75
       in
       (p.Ompir.Ir.pname, binding))
     k.Ompir.Ir.params
@@ -41,7 +42,7 @@ let float_arrays bindings =
   List.filter_map
     (fun (name, b) ->
       match b with
-      | Eval.B_farr a -> Some (name, Memory.to_float_array a)
+      | Compile.B_farr a -> Some (name, Memory.to_float_array a)
       | _ -> None)
     bindings
 

@@ -22,8 +22,9 @@ module Mode = Omprt.Mode
 module Ir = Ompir.Ir
 module Check = Ompir.Check
 module Outline = Ompir.Outline
-module Eval = Ompir.Eval
-module Hosteval = Ompir.Hosteval
+module Compile = Ompir.Compile
+module Eval = Reference.Eval
+module Hosteval = Reference.Hosteval
 
 let cfg = Gpusim.Config.small
 
@@ -322,19 +323,19 @@ let make_bindings case =
       (Array.init case.n (fun _ -> Ompsimd_util.Prng.float g 2.0 -. 1.0))
   in
   [
-    ("src", Eval.B_farr src);
-    ("out", Eval.B_farr (Memory.falloc space case.n));
-    ("marks", Eval.B_farr (Memory.falloc space (max 1 case.rows)));
-    ("red", Eval.B_farr (Memory.falloc space (max 1 case.rows)));
-    ("acc_arr", Eval.B_farr (Memory.falloc space 4));
-    ("rows", Eval.B_int case.rows);
-    ("n", Eval.B_int case.n);
+    ("src", Compile.B_farr src);
+    ("out", Compile.B_farr (Memory.falloc space case.n));
+    ("marks", Compile.B_farr (Memory.falloc space (max 1 case.rows)));
+    ("red", Compile.B_farr (Memory.falloc space (max 1 case.rows)));
+    ("acc_arr", Compile.B_farr (Memory.falloc space 4));
+    ("rows", Compile.B_int case.rows);
+    ("n", Compile.B_int case.n);
   ]
   |> fun b -> (space, b)
 
 let array_of bindings name =
   match List.assoc name bindings with
-  | Eval.B_farr a -> Memory.to_float_array a
+  | Compile.B_farr a -> Memory.to_float_array a
   | _ -> assert false
 
 let close a b =
@@ -366,7 +367,7 @@ let run_differential case =
     let _, dev_bindings = make_bindings case in
     let options =
       {
-        Eval.num_teams = case.teams;
+        Compile.num_teams = case.teams;
         num_threads = case.threads;
         teams_mode = case.teams_mode;
         parallel_mode = case.parallel_mode;
@@ -410,7 +411,7 @@ let certified_arbitrary =
 
 let options_of case =
   {
-    Eval.num_teams = case.teams;
+    Compile.num_teams = case.teams;
     num_threads = case.threads;
     teams_mode = case.teams_mode;
     parallel_mode = case.parallel_mode;
@@ -610,14 +611,14 @@ let collapse_bindings cc =
   ( space,
     [
       ( "src",
-        Eval.B_farr
+        Compile.B_farr
           (Memory.of_float_array space
              (Array.init n (fun _ -> Ompsimd_util.Prng.float g 2.0 -. 1.0)))
       );
-      ("out", Eval.B_farr (Memory.falloc space n));
-      ("red", Eval.B_farr (Memory.falloc space flat));
-      ("rows", Eval.B_int cc.crows);
-      ("n", Eval.B_int n);
+      ("out", Compile.B_farr (Memory.falloc space n));
+      ("red", Compile.B_farr (Memory.falloc space flat));
+      ("rows", Compile.B_int cc.crows);
+      ("n", Compile.B_int n);
     ] )
 
 let run_collapse_differential cc =
@@ -631,7 +632,7 @@ let run_collapse_differential cc =
   let program = Outline.run kernel in
   let options =
     {
-      Eval.num_teams = cc.cteams;
+      Compile.num_teams = cc.cteams;
       num_threads = cc.cthreads;
       teams_mode = Mode.Spmd;
       parallel_mode = `Auto;
@@ -656,7 +657,7 @@ let collapse_certified_arbitrary =
 
 let collapse_options cc =
   {
-    Eval.num_teams = cc.cteams;
+    Compile.num_teams = cc.cteams;
     num_threads = cc.cthreads;
     teams_mode = Mode.Spmd;
     parallel_mode = `Auto;

@@ -5,7 +5,8 @@
    bit-identical to a faultless build; with a plan armed, the injected
    faults — and therefore the structured failure reports — are a pure
    function of (seed, launch nonce, block id), so they replay
-   identically across both evaluation engines and any pool width; and
+   identically under the product's evaluator, the reference walker and
+   any pool width; and
    the serve layer never loses a request to a device fault: it ends
    Completed (possibly after relaunches) or explicitly Degraded. *)
 
@@ -68,11 +69,12 @@ let spec ?(at = 0.0) ?(kernel = "saxpy") ?(size = 64) ?(teams = 4)
   }
 
 (* One device-level launch of a serve catalog template: the same
-   instantiate/compile/run path the service takes, minus the service. *)
-let launch ?pool ?nonce ?(knobs = Offload.default_knobs) s =
+   instantiate/compile/run path the service takes, minus the service.
+   [run] is {!Offload.run} or the reference walker's counterpart. *)
+let launch ?pool ?nonce ?(run : Reference.Offload_ref.launch = Offload.run) s =
   let kernel, bindings, out = Request.instantiate s in
   let compiled =
-    match Offload.compile_with ~knobs kernel with
+    match Offload.compile kernel with
     | Ok c -> c
     | Error _ -> Alcotest.fail "catalog kernel failed to compile"
   in
@@ -83,7 +85,7 @@ let launch ?pool ?nonce ?(knobs = Offload.default_knobs) s =
       |> num_threads s.Request.threads
       |> simdlen s.Request.simdlen)
   in
-  let report = Offload.run ~cfg ?pool ?nonce ~clauses ~bindings compiled in
+  let report = run ~cfg ?pool ?nonce ~clauses ~bindings compiled in
   (report, Request.checksum out)
 
 let failure_lines (r : Device.report) =
@@ -121,7 +123,7 @@ let test_disarmed_identity () =
         (Gpusim.Pool.faults pool = None && Gpusim.Pool.watchdog pool = 0.0))
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: same seed, same faults, every engine x pool            *)
+(* Determinism: same seed, same faults, walker or product x pool      *)
 (* ------------------------------------------------------------------ *)
 
 let chaos_env =
@@ -131,19 +133,20 @@ let chaos_env =
   ]
 
 let test_fixed_seed_invariance () =
-  let run ?domains engine =
-    with_knobs ?domains (("OMPSIMD_EVAL", engine) :: chaos_env) (fun k pool ->
+  let run ?domains launcher =
+    with_knobs ?domains chaos_env (fun _ pool ->
         let report, sum =
-          launch ~pool ~knobs:k.Knobs.compile (spec ~kernel:"rowsum" ~teams:6 0)
+          launch ~pool ~run:launcher (spec ~kernel:"rowsum" ~teams:6 0)
         in
         ( failure_lines report,
           stats_str report.Device.faults,
           Int64.bits_of_float sum ))
   in
-  let staged_seq = run "compile" in
-  let staged_pool = run ~domains:3 "compile" in
-  let walk_seq = run "walk" in
-  let walk_pool = run ~domains:3 "walk" in
+  let walk = Reference.Offload_ref.run in
+  let staged_seq = run Offload.run in
+  let staged_pool = run ~domains:3 Offload.run in
+  let walk_seq = run walk in
+  let walk_pool = run ~domains:3 walk in
   let lines, _, _ = staged_seq in
   check_bool "the plan actually injected something" true (lines <> []);
   let t =
@@ -258,8 +261,8 @@ let test_divergence_captured () =
       (fun (p : Ompir.Ir.param) ->
         let b =
           match p.Ompir.Ir.pty with
-          | Ompir.Ir.P_farray -> Ompir.Eval.B_farr (Memory.falloc space 8)
-          | Ompir.Ir.P_int -> Ompir.Eval.B_int 1
+          | Ompir.Ir.P_farray -> Ompir.Compile.B_farr (Memory.falloc space 8)
+          | Ompir.Ir.P_int -> Ompir.Compile.B_int 1
           | _ -> Alcotest.fail "unexpected param in race_divergence.omp"
         in
         (p.Ompir.Ir.pname, b))
@@ -292,20 +295,20 @@ let test_divergence_captured () =
    lanes waiting there as their last action.  The unarmed stall record,
    the watchdog's failure and a stall-fault plan (on a generic-simd
    teams-SPMD saxpy and on the divergent kernel) were recorded before
-   any lane could finish at its last barrier; both engines must keep
-   them. *)
-let divergent_kernel ~engine =
+   any lane could finish at its last barrier; the product's launch and
+   the reference walker must both keep them. *)
+let divergent_kernel () =
   let kernel =
     Ompir.Parse.kernel_of_file (Filename.concat "conformance" "race_divergence.omp")
   in
   let bindings =
     let space = Memory.space () in
     [
-      ("out", Ompir.Eval.B_farr (Memory.falloc space 8));
-      ("n", Ompir.Eval.B_int 1);
+      ("out", Ompir.Compile.B_farr (Memory.falloc space 8));
+      ("n", Ompir.Compile.B_int 1);
     ]
   in
-  match Offload.compile ~guardize:false ~engine kernel with
+  match Offload.compile ~guardize:false kernel with
   | Ok c -> (c, bindings)
   | Error _ -> Alcotest.fail "race_divergence.omp failed to compile"
 
@@ -355,13 +358,13 @@ let expected_closing_plan_divergent =
    cycle 97 0x1.84p+6 | corrected=0 fatal=0 stalls=1 exhausts=0 \
    watchdogs=0 | 0x1.f4p+10"
 
-let engines = [ Ompir.Compile.Staged; Ompir.Compile.Walk ]
+let engines = [ Offload.run; Reference.Offload_ref.run ]
 
 let test_closing_stall_unarmed () =
   List.iter
-    (fun engine ->
-      let c, bindings = divergent_kernel ~engine in
-      match Offload.run ~cfg ~clauses:divergence_clauses ~bindings c with
+    (fun (run : Reference.Offload_ref.launch) ->
+      let c, bindings = divergent_kernel () in
+      match run ~cfg ~clauses:divergence_clauses ~bindings c with
       | _ -> Alcotest.fail "the divergent launch must deadlock"
       | exception Gpusim.Engine.Deadlock _ -> (
           match Gpusim.Engine.take_stall () with
@@ -373,11 +376,11 @@ let test_closing_stall_unarmed () =
 
 let test_closing_stall_watchdog () =
   List.iter
-    (fun engine ->
-      let c, bindings = divergent_kernel ~engine in
+    (fun (run : Reference.Offload_ref.launch) ->
+      let c, bindings = divergent_kernel () in
       with_knobs [ ("OMPSIMD_WATCHDOG", "1e12") ] (fun _ pool ->
           let report =
-            Offload.run ~cfg ~pool ~clauses:divergence_clauses ~bindings c
+            run ~cfg ~pool ~clauses:divergence_clauses ~bindings c
           in
           Alcotest.(check string)
             "watchdog failure" expected_closing_watchdog
@@ -385,7 +388,7 @@ let test_closing_stall_watchdog () =
     engines
 
 let test_closing_stall_plan () =
-  let saxpy ~engine =
+  let saxpy () =
     let kernel =
       Ompir.Parse.kernel_of_file (Filename.concat "conformance" "saxpy.omp")
     in
@@ -394,13 +397,13 @@ let test_closing_stall_plan () =
     let x = Memory.of_float_array space (Array.init 1024 float_of_int) in
     let bindings =
       [
-        ("x", Ompir.Eval.B_farr x);
-        ("y", Ompir.Eval.B_farr y);
-        ("a", Ompir.Eval.B_float 2.0);
-        ("n", Ompir.Eval.B_int 1024);
+        ("x", Ompir.Compile.B_farr x);
+        ("y", Ompir.Compile.B_farr y);
+        ("a", Ompir.Compile.B_float 2.0);
+        ("n", Ompir.Compile.B_int 1024);
       ]
     in
-    match Offload.compile ~engine kernel with
+    match Offload.compile kernel with
     | Ok c -> (c, bindings, y)
     | Error _ -> Alcotest.fail "saxpy.omp failed to compile"
   in
@@ -420,21 +423,21 @@ let test_closing_stall_plan () =
     with_knobs [ ("OMPSIMD_FAULTS", "stall=1"); ("OMPSIMD_FAULT_SEED", "1") ] f
   in
   List.iter
-    (fun engine ->
+    (fun (run : Reference.Offload_ref.launch) ->
       List.iter
         (fun (what, clauses, expected) ->
           with_plan (fun _ pool ->
-              let c, bindings, y = saxpy ~engine in
-              let report = Offload.run ~cfg ~pool ~clauses ~bindings c in
+              let c, bindings, y = saxpy () in
+              let report = run ~cfg ~pool ~clauses ~bindings c in
               Alcotest.(check string)
                 what expected
                 (failures_record report
                 ^ Printf.sprintf " | %h" (Request.checksum y))))
         launches;
       with_plan (fun _ pool ->
-          let c, bindings = divergent_kernel ~engine in
+          let c, bindings = divergent_kernel () in
           let report =
-            Offload.run ~cfg ~pool ~clauses:divergence_clauses ~bindings c
+            run ~cfg ~pool ~clauses:divergence_clauses ~bindings c
           in
           Alcotest.(check string)
             "divergent kernel" expected_closing_plan_divergent
@@ -654,24 +657,21 @@ let test_serve_breaker_probe_geometry () =
 
 let test_serve_chaos_replay () =
   (* the determinism contract under fire: one trace, an armed chaos
-     plan, four engine x pool combinations — byte-identical snapshots *)
+     plan, sequential and pooled — byte-identical snapshots (the walker
+     replays the same plan launch by launch in "fixed seed") *)
   let specs = Request.synthetic ~n:12 ~seed:3 () in
   let c = conf ~retries:2 ~breaker:3 ~backoff:800.0 () in
-  let snap ?domains engine =
-    with_knobs ?domains (("OMPSIMD_EVAL", engine) :: chaos_env) (fun k pool ->
+  let snap ?domains () =
+    with_knobs ?domains chaos_env (fun k pool ->
         let fc = one_shard { c with Scheduler.knobs = k.Knobs.compile } in
         Fleet.snapshot_json fc (Fleet.run fc ~pool specs))
   in
-  let staged_seq = snap "compile" in
-  let staged_pool = snap ~domains:3 "compile" in
-  let walk_seq = snap "walk" in
-  let walk_pool = snap ~domains:3 "walk" in
+  let seq = snap () in
+  let pooled = snap ~domains:3 () in
   check_bool "the chaos plan actually fired" true
-    (contains staged_seq "\"degraded\"" || contains staged_seq "launches\": 2"
-   || contains staged_seq "launches\": 3");
-  Alcotest.(check string) "pool matches sequential" staged_seq staged_pool;
-  Alcotest.(check string) "walk engine matches staged" staged_seq walk_seq;
-  Alcotest.(check string) "walk + pool matches too" staged_seq walk_pool
+    (contains seq "\"degraded\"" || contains seq "launches\": 2"
+   || contains seq "launches\": 3");
+  Alcotest.(check string) "pool matches sequential" seq pooled
 
 (* qcheck: under any plan and seed, no deadline and a roomy queue, the
    service loses nothing — every request ends Completed or Degraded,
@@ -763,7 +763,7 @@ let test_concurrent_contexts () =
     let pool = Gpusim.Pool.create ~sanitize:true () in
     pp_str
       (Offload.run ~cfg ~pool ~clauses:race_clauses
-         ~bindings:[ ("out", Ompir.Eval.B_farr out); ("n", Ompir.Eval.B_int 64) ]
+         ~bindings:[ ("out", Ompir.Compile.B_farr out); ("n", Ompir.Compile.B_int 64) ]
          race_c)
   in
   let plan = Fault.parse_spec ~seed:42 "abort=0.5,flip=0.35:0.5,stall=0.25" in
@@ -872,7 +872,7 @@ let suite =
           test_serve_breaker;
         Alcotest.test_case "unlaunchable geometry never takes the probe" `Quick
           test_serve_breaker_probe_geometry;
-        Alcotest.test_case "chaos replay is engine- and pool-invariant" `Quick
+        Alcotest.test_case "chaos replay is pool-invariant" `Quick
           test_serve_chaos_replay;
         QCheck_alcotest.to_alcotest recovery_invariant;
       ] );

@@ -28,7 +28,7 @@ let pick a st = a.(Gen.int_bound (Array.length a - 1) st)
 
 (* --- Check certification ---------------------------------------------- *)
 
-let same_check k = Check.kernel k = Check_ref.kernel k
+let same_check k = Check.kernel k = Reference.Check_ref.kernel k
 
 (* A small name pool, so shadowing, duplicates, loop-variable clashes
    and name-kind confusions (arrays used as scalars and back) are the
@@ -160,7 +160,7 @@ let gen_expr_env st =
   (params, locals, gen_expr 3 st)
 
 let same_expr_type (params, locals, e) =
-  Check.expr_type ~params ~locals e = Check_ref.expr_type ~params ~locals e
+  Check.expr_type ~params ~locals e = Reference.Check_ref.expr_type ~params ~locals e
 
 (* The differential generator's kernels, as written, guardized (guarded
    blocks in region bodies) and after the default pipeline. *)
@@ -291,15 +291,20 @@ let sanitizer_cases =
 
 let parse file = Ompir.Parse.kernel_of_file (Filename.concat "conformance" file)
 
-let engines = [ ("walk", Ompir.Compile.Walk); ("staged", Ompir.Compile.Staged) ]
+(* The reference walker and the product's launch, on one artifact. *)
+let walk ?pool ~clauses ~bindings c =
+  Reference.Offload_ref.run ~cfg ?pool ~clauses ~bindings c
+
+let staged ?pool ~clauses ~bindings c = Offload.run ~cfg ?pool ~clauses ~bindings c
+let engines = [ ("walk", walk); ("staged", staged) ]
 
 (* A staged launch builds its closures, and so its sites, afresh: on a
    pool, two domains race to label the same site. *)
 let launch ?pool ~engine ~sizes ~clauses file kernel =
-  match Offload.compile ~engine kernel with
+  match Offload.compile kernel with
   | Error _ -> Alcotest.failf "%s: compile failed" file
   | Ok c ->
-      Offload.run ~cfg ?pool ~clauses
+      engine ?pool ~clauses
         ~bindings:(Test_conformance.make_bindings ~sizes kernel)
         c
 
@@ -375,7 +380,7 @@ let sanitized_reports_identical () =
                 Test_ompsan.normalize (Format.asprintf "%a" Ompsan.pp_report san)
             | None -> Alcotest.failf "%s: no sanitizer report" file
           in
-          let reference = report ~pool:sequential ~engine:Ompir.Compile.Walk in
+          let reference = report ~pool:sequential ~engine:walk in
           List.iter
             (fun (pool_name, pool) ->
               List.iter
@@ -433,9 +438,9 @@ let chain_cost links =
         let space = Memory.space () in
         let bindings =
           [
-            ("src", Ompir.Eval.B_farr (Memory.falloc space 1));
-            ("out", Ompir.Eval.B_farr (Memory.falloc space 1));
-            ("n", Ompir.Eval.B_int 1);
+            ("src", Ompir.Compile.B_farr (Memory.falloc space 1));
+            ("out", Ompir.Compile.B_farr (Memory.falloc space 1));
+            ("n", Ompir.Compile.B_int 1);
           ]
         in
         let (_ : Gpusim.Device.report) =

@@ -124,11 +124,36 @@ let test_config_of_spec_errors () =
   bad "warp_size=0" "warp";
   bad "barrier=quantum" "barrier"
 
+(* qcheck: the device-spec front door.  Random bytes, and zoo names,
+   override lists and full [to_spec] renderings with one to three
+   edits, each resolve ([Zoo.resolve]) and apply ([Config.of_spec]) to a
+   config or an [Error]; neither raises. *)
+let device_spec_never_raises =
+  let seeds =
+    "w64-sw,num_sms=4" :: "num_sms=2,warp_size=16,barrier=sw"
+    :: Gpusim.Zoo.names
+    @ List.map (fun (e : Gpusim.Zoo.entry) -> Config.to_spec e.Gpusim.Zoo.config)
+        Gpusim.Zoo.all
+  in
+  QCheck.Test.make ~count:300 ~name:"a device spec resolves or errs"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       (Fuzz.input ~alphabet:"warp_sizenumbhdlf=,-0123456789.e" ~sep:"," seeds))
+    (fun spec ->
+      let never_raises what f =
+        match f spec with
+        | Ok (_ : Config.t) | Error (_ : string) -> true
+        | exception e ->
+            QCheck.Test.fail_reportf "%s %S raised %s" what spec (Printexc.to_string e)
+      in
+      never_raises "Zoo.resolve" Gpusim.Zoo.resolve
+      && never_raises "Config.of_spec" (Config.of_spec ~base:Config.small))
+
 (* Same kernel, same data, different warp widths and barrier
    implementations: the device-memory results must be bit-identical.
    Warp width moves cycle counts, never values — and that has to hold
-   under both evaluation engines and a pooled run, or a heterogeneous
-   fleet could not batch/steal across devices safely. *)
+   under the product's launch, the reference walker and a pooled run,
+   or a heterogeneous fleet could not batch/steal across devices
+   safely. *)
 let zoo_width_differential =
   QCheck.Test.make ~count:4 ~name:"zoo width differential"
     QCheck.(
@@ -148,10 +173,9 @@ let zoo_width_differential =
           simdlen = 8;
         }
       in
-      let run_on ?pool ?(engine = Ompir.Compile.Staged) cfg =
-        let knobs = { Openmp.Offload.default_knobs with engine } in
+      let run_on ?pool ?(launch = Openmp.Offload.run) cfg =
         let k, bindings, out = Serve.Request.instantiate spec in
-        match Openmp.Offload.compile_with ~knobs k with
+        match Openmp.Offload.compile k with
         | Error _ -> Alcotest.failf "%s does not compile" kernel
         | Ok compiled ->
             let clauses =
@@ -162,7 +186,7 @@ let zoo_width_differential =
                 |> simdlen spec.Serve.Request.simdlen)
             in
             ignore
-              (Openmp.Offload.run ~cfg ?pool ~clauses ~bindings compiled
+              (launch ~cfg ?pool ~clauses ~bindings compiled
                 : Device.report);
             Array.init (Memory.flength out) (Memory.host_get out)
       in
@@ -173,7 +197,7 @@ let zoo_width_differential =
           (fun name ->
             let cfg = zoo_cfg name in
             let seq = run_on cfg in
-            let pooled = run_on ~pool ~engine:Ompir.Compile.Walk cfg in
+            let pooled = run_on ~pool ~launch:Reference.Offload_ref.run cfg in
             seq = reference && pooled = reference)
           [ "w8-hw"; "w16-hw"; "w64-hw"; "w16-sw"; "w64-sw"; "w32-none" ]
       in
@@ -1429,6 +1453,7 @@ let suite =
         Alcotest.test_case "resolve" `Quick test_zoo_resolve;
         Alcotest.test_case "spec roundtrip" `Quick test_config_spec_roundtrip;
         Alcotest.test_case "spec errors" `Quick test_config_of_spec_errors;
+        QCheck_alcotest.to_alcotest device_spec_never_raises;
         QCheck_alcotest.to_alcotest zoo_width_differential;
       ] );
     ( "gpusim.linebuf",

@@ -24,7 +24,6 @@ let samples =
   [
     ("OMPSIMD_DEVICE", "w64-sw,num_sms=4");
     ("OMPSIMD_DOMAINS", "2");
-    ("OMPSIMD_EVAL", "walk");
     ("OMPSIMD_PASSES", "fold,licm@i,tile:8,dce");
     ("OMPSIMD_SANITIZE", "1");
     ("OMPSIMD_FAULTS", "abort=0.1,flip=0.2:0.5,stall=0.05,exhaust=0.1");
@@ -58,7 +57,7 @@ let test_samples_cover_every_knob () =
   Alcotest.(check (list string))
     "one sample per accepted knob" (sorted Knobs.names)
     (sorted (List.map fst samples));
-  Alcotest.(check int) "28 knobs" 28 (List.length Knobs.names);
+  Alcotest.(check int) "27 knobs" 27 (List.length Knobs.names);
   List.iter
     (fun (name, v) ->
       match parse [ (name, v) ] with
@@ -118,28 +117,7 @@ let pass_specs =
     "none";
   ]
 
-let spec_gen =
-  let open QCheck.Gen in
-  let spec_chars = "fold,licm@#:0123456789unrtespaz-_ " in
-  let spec_char = map (String.get spec_chars) (int_bound (String.length spec_chars - 1)) in
-  let edit s =
-    let n = String.length s in
-    int_bound (max 0 (n - 1)) >>= fun i ->
-    oneof [ spec_char; char ] >>= fun c ->
-    oneofl
-      [
-        String.sub s 0 i ^ String.sub s (min n (i + 1)) (n - min n (i + 1));
-        String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i);
-        String.mapi (fun j x -> if j = i then c else x) s;
-        String.sub s 0 i ^ "," ^ s;
-      ]
-  in
-  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
-  frequency
-    [
-      (1, string_size ~gen:char (int_bound 40));
-      (3, pair (int_range 1 3) (oneofl pass_specs) >>= fun (k, s) -> edits k s);
-    ]
+let spec_gen = Fuzz.input ~alphabet:"fold,licm@#:0123456789unrtespaz-_ " ~sep:"," pass_specs
 
 let passes_never_raise =
   QCheck.Test.make ~count:400 ~name:"OMPSIMD_PASSES parses or names itself"
@@ -167,7 +145,6 @@ let test_named_failures () =
     [
       ("OMPSIMD_FAULTS", "bogus");
       ("OMPSIMD_DOMAINS", "x");
-      ("OMPSIMD_EVAL", "bogus");
       ("OMPSIMD_PASSES", "nope");
       ("OMPSIMD_SERVE_QUEUE", "x");
     ]
@@ -277,7 +254,6 @@ let test_pool_carries_settings () =
 
 let spec kernel size guardize = { Request.default_spec with Request.kernel; size; guardize }
 let tier2 = "fold,licm,strength,fuse,tile:32,dce"
-let walk = { Offload.default_knobs with Offload.engine = Ompir.Compile.Walk }
 
 (* Strings computed before the knobs record existed: placement hashes
    the content key, so a format drift here would silently move every
@@ -290,9 +266,6 @@ let test_pinned_keys () =
   let pin what want got = Alcotest.(check string) what want got in
   pin "saxpy cache" "9579671a2e6ed8c4174fa313e4977d01:g0b1r0:p[default]:staged"
     (cache (spec "saxpy" 16 false));
-  pin "saxpy cache, walker"
-    "9579671a2e6ed8c4174fa313e4977d01:g0b1r0:p[default]:walk"
-    (cache ~knobs:walk (spec "saxpy" 16 false));
   pin "saxpy cache, no fold"
     "9579671a2e6ed8c4174fa313e4977d01:g0b0r0:p[default]:staged"
     (cache ~knobs:{ Offload.default_knobs with Offload.fold = false } (spec "saxpy" 16 false));
@@ -316,22 +289,15 @@ let test_pinned_keys () =
    cache key, so no two distinct artifacts share a cache slot.  The
    content key (placement, batching, memo) covers what a launch
    computes: the pass spec and the request's own guardize flag.  It
-   ignores the engine by design, and the remaining fields because a
-   fleet runs one knobs value for all its requests and they never
-   change a result. *)
+   ignores the remaining fields because a fleet runs one knobs value
+   for all its requests and they never change a result. *)
 let knob_flips =
   let base_knobs =
     QCheck.Gen.(
       map
-        (fun (guardize, fold, racecheck, (passes, walks)) ->
-          {
-            Offload.guardize;
-            fold;
-            racecheck;
-            passes;
-            engine = (if walks then Ompir.Compile.Walk else Ompir.Compile.Staged);
-          })
-        (quad bool bool bool (pair (oneofl [ ""; "none"; "fold,dce"; tier2 ]) bool)))
+        (fun (guardize, fold, racecheck, passes) ->
+          { Offload.guardize; fold; racecheck; passes })
+        (quad bool bool bool (oneofl [ ""; "none"; "fold,dce"; tier2 ])))
   in
   QCheck.Test.make ~count:40 ~name:"knob flips move the derived keys"
     (QCheck.make
@@ -346,15 +312,6 @@ let knob_flips =
           ("fold", { k with Offload.fold = not k.Offload.fold }, false);
           ("racecheck", { k with Offload.racecheck = not k.Offload.racecheck }, false);
           ("passes", { k with Offload.passes = other_passes }, true);
-          ( "engine",
-            {
-              k with
-              Offload.engine =
-                (match k.Offload.engine with
-                | Ompir.Compile.Walk -> Ompir.Compile.Staged
-                | Ompir.Compile.Staged -> Ompir.Compile.Walk);
-            },
-            false );
         ]
       in
       List.for_all
@@ -387,9 +344,16 @@ let test_readme_tables () =
     "README knob tables = Knobs.names" (sorted Knobs.names) (sorted !documented)
 
 (* Every OMPSIMD_* name the prose docs mention is a knob, one of the
-   harness-only variables, or a family prefix ending in '_'. *)
+   harness-only variables, a retired knob (named so the docs can say it
+   is now ignored, and read by no parser), or a family prefix ending in
+   '_'. *)
 let test_docs_name_real_knobs () =
   let harness_only = [ "OMPSIMD_RUN"; "OMPSIMD_SOAK_FULL" ] in
+  let retired = [ "OMPSIMD_EVAL" ] in
+  List.iter
+    (fun name ->
+      if List.mem name Knobs.names then Alcotest.failf "%s is retired but parsed" name)
+    retired;
   let name_char c = (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_' in
   List.iter
     (fun doc ->
@@ -403,7 +367,7 @@ let test_docs_name_real_knobs () =
             while !k < n && name_char text.[!k] do incr k done;
             let name = String.sub text j (!k - j) in
             if not (List.mem name Knobs.names || List.mem name harness_only
-                    || String.ends_with ~suffix:"_" name)
+                    || List.mem name retired || String.ends_with ~suffix:"_" name)
             then Alcotest.failf "%s mentions %s, which no parser reads" doc name;
             scan !k
         | Some j -> scan (j + 1)

@@ -9,7 +9,8 @@ module Outline = Ompir.Outline
 module Globalize = Ompir.Globalize
 module Spmdize = Ompir.Spmdize
 module Printer = Ompir.Printer
-module Eval = Ompir.Eval
+module Compile = Ompir.Compile
+module Eval = Reference.Eval
 
 let cfg = Gpusim.Config.small
 let check_int = Alcotest.check Alcotest.int
@@ -285,7 +286,7 @@ let test_printer () =
 
 (* --- host reference interpreter ---------------------------------------- *)
 
-module Hosteval = Ompir.Hosteval
+module Hosteval = Reference.Hosteval
 
 let test_hosteval_basics () =
   let src = {src|
@@ -312,7 +313,7 @@ kernel h(double* a, int* b, int n) {
   let a = Memory.falloc space 10 in
   let b = Memory.ialloc space 10 in
   Hosteval.run
-    ~bindings:[ ("a", Eval.B_farr a); ("b", Eval.B_iarr b); ("n", Eval.B_int 10) ]
+    ~bindings:[ ("a", Compile.B_farr a); ("b", Compile.B_iarr b); ("n", Compile.B_int 10) ]
     k;
   for r = 0 to 9 do
     checkf "while sum" 3.0 (Memory.host_get a r);
@@ -351,19 +352,19 @@ let spmv_instance rows =
   in
   let bindings =
     [
-      ("row_ptr", Eval.B_iarr (Memory.of_int_array space row_ptr));
-      ("col", Eval.B_iarr (Memory.of_int_array space col));
-      ("values", Eval.B_farr (Memory.of_float_array space values));
-      ("x", Eval.B_farr (Memory.of_float_array space x));
-      ("y", Eval.B_farr (Memory.falloc space rows));
-      ("n", Eval.B_int rows);
+      ("row_ptr", Compile.B_iarr (Memory.of_int_array space row_ptr));
+      ("col", Compile.B_iarr (Memory.of_int_array space col));
+      ("values", Compile.B_farr (Memory.of_float_array space values));
+      ("x", Compile.B_farr (Memory.of_float_array space x));
+      ("y", Compile.B_farr (Memory.falloc space rows));
+      ("n", Compile.B_int rows);
     ]
   in
   (bindings, expected)
 
 let y_of bindings =
   match List.assoc "y" bindings with
-  | Eval.B_farr a -> Memory.to_float_array a
+  | Compile.B_farr a -> Memory.to_float_array a
   | _ -> assert false
 
 let run_spmv_ir ~parallel_mode ~simd_len rows =
@@ -371,8 +372,8 @@ let run_spmv_ir ~parallel_mode ~simd_len rows =
   let p = Outline.run spmv_kernel in
   let options =
     {
-      Eval.default_options with
-      Eval.num_teams = 3;
+      Compile.default_options with
+      Compile.num_teams = 3;
       num_threads = 64;
       parallel_mode;
       simd_len;
@@ -406,14 +407,14 @@ let test_eval_scale_kernel () =
   let p = Outline.run scale_kernel in
   let bindings =
     [
-      ("src", Eval.B_farr src);
-      ("dst", Eval.B_farr dst);
-      ("n", Eval.B_int n);
-      ("alpha", Eval.B_float 2.5);
+      ("src", Compile.B_farr src);
+      ("dst", Compile.B_farr dst);
+      ("n", Compile.B_int n);
+      ("alpha", Compile.B_float 2.5);
     ]
   in
   let (_ : Gpusim.Device.report) =
-    Eval.run ~cfg ~options:Eval.default_options ~bindings p
+    Eval.run ~cfg ~options:Compile.default_options ~bindings p
   in
   for idx = 0 to n - 1 do
     checkf "scaled" (2.5 *. float_of_int idx) (Memory.host_get dst idx)
@@ -430,14 +431,14 @@ let test_eval_generic_kernel_auto () =
   let p = Outline.run generic_kernel in
   let bindings =
     [
-      ("a", Eval.B_farr a);
-      ("marks", Eval.B_farr marks);
-      ("n", Eval.B_int n);
+      ("a", Compile.B_farr a);
+      ("marks", Compile.B_farr marks);
+      ("n", Compile.B_int n);
     ]
   in
   let (_ : Gpusim.Device.report) =
     Eval.run ~cfg
-      ~options:{ Eval.default_options with Eval.num_teams = 2; simd_len = 8 }
+      ~options:{ Compile.default_options with Compile.num_teams = 2; simd_len = 8 }
       ~bindings p
   in
   for r = 0 to n - 1 do
@@ -451,9 +452,9 @@ let test_eval_binding_errors () =
   let p = Outline.run scale_kernel in
   check_bool "missing binding" true
     (try
-       ignore (Eval.run ~cfg ~options:Eval.default_options ~bindings:[] p);
+       ignore (Eval.run ~cfg ~options:Compile.default_options ~bindings:[] p);
        false
-     with Eval.Error _ -> true)
+     with Compile.Error _ -> true)
 
 let test_eval_costs_differ_by_mode () =
   (* generic mode must cost more than SPMD on the same IR kernel *)
@@ -464,8 +465,8 @@ let test_eval_costs_differ_by_mode () =
       Eval.run ~cfg
         ~options:
           {
-            Eval.default_options with
-            Eval.num_teams = 2;
+            Compile.default_options with
+            Compile.num_teams = 2;
             num_threads = 64;
             parallel_mode;
             simd_len = 8;
@@ -515,12 +516,12 @@ let test_simd_sum_eval () =
     (fun (parallel_mode, simd_len) ->
       (* reset y *)
       (match List.assoc "y" bindings with
-      | Eval.B_farr a -> Memory.fill a 0.0
+      | Compile.B_farr a -> Memory.fill a 0.0
       | _ -> assert false);
       let options =
         {
-          Eval.default_options with
-          Eval.num_teams = 3;
+          Compile.default_options with
+          Compile.num_teams = 3;
           num_threads = 64;
           parallel_mode;
           simd_len;
@@ -600,13 +601,13 @@ let test_collapse_desugar () =
   let dst = Memory.falloc space (ni * nj) in
   let p = Outline.run k in
   let (_ : Gpusim.Device.report) =
-    Eval.run ~cfg ~options:Eval.default_options
+    Eval.run ~cfg ~options:Compile.default_options
       ~bindings:
         [
-          ("src", Eval.B_farr src);
-          ("dst", Eval.B_farr dst);
-          ("ni", Eval.B_int ni);
-          ("nj", Eval.B_int nj);
+          ("src", Compile.B_farr src);
+          ("dst", Compile.B_farr dst);
+          ("ni", Compile.B_int ni);
+          ("nj", Compile.B_int nj);
         ]
       p
   in
@@ -646,8 +647,8 @@ let test_schedule_printed_and_used () =
   let n = 50 in
   let a = Memory.falloc space (n * 2) in
   let (_ : Gpusim.Device.report) =
-    Eval.run ~cfg ~options:Eval.default_options
-      ~bindings:[ ("a", Eval.B_farr a); ("n", Eval.B_int n) ]
+    Eval.run ~cfg ~options:Compile.default_options
+      ~bindings:[ ("a", Compile.B_farr a); ("n", Compile.B_int n) ]
       p
   in
   for idx = 0 to (n * 2) - 1 do
@@ -685,7 +686,7 @@ let test_parse_spmv_runs () =
   let p = Outline.run k in
   let (_ : Gpusim.Device.report) =
     Eval.run ~cfg
-      ~options:{ Eval.default_options with Eval.simd_len = 8; parallel_mode = `Force Mode.Generic }
+      ~options:{ Compile.default_options with Compile.simd_len = 8; parallel_mode = `Force Mode.Generic }
       ~bindings p
   in
   let got = y_of bindings in
@@ -741,9 +742,9 @@ kernel dots(double* a, double* out, int n) {
   let a = Memory.of_float_array space (Array.init (n * 8) float_of_int) in
   let out = Memory.falloc space n in
   let (_ : Gpusim.Device.report) =
-    Eval.run ~cfg ~options:Eval.default_options
+    Eval.run ~cfg ~options:Compile.default_options
       ~bindings:
-        [ ("a", Eval.B_farr a); ("out", Eval.B_farr out); ("n", Eval.B_int n) ]
+        [ ("a", Compile.B_farr a); ("out", Compile.B_farr out); ("n", Compile.B_int n) ]
       (Outline.run k)
   in
   for r = 0 to n - 1 do
@@ -878,7 +879,7 @@ let test_fold_preserves_semantics () =
   let folded = Fold.kernel spmv_kernel in
   let p = Outline.run folded in
   let (_ : Gpusim.Device.report) =
-    Eval.run ~cfg ~options:Eval.default_options ~bindings p
+    Eval.run ~cfg ~options:Compile.default_options ~bindings p
   in
   Array.iteri
     (fun r e ->
@@ -975,8 +976,8 @@ let test_unroll () =
     let space = Memory.space () in
     let a = Memory.falloc space (n * 4) in
     let (_ : Gpusim.Device.report) =
-      Eval.run ~cfg ~options:Eval.default_options
-        ~bindings:[ ("a", Eval.B_farr a); ("n", Eval.B_int n) ]
+      Eval.run ~cfg ~options:Compile.default_options
+        ~bindings:[ ("a", Compile.B_farr a); ("n", Compile.B_int n) ]
         (Outline.run kernel)
     in
     Memory.to_float_array a
@@ -1181,9 +1182,9 @@ let qcheck_cases =
           Hosteval.run
             ~bindings:
               [
-                ("out", Eval.B_farr out);
-                ("x", Eval.B_float 1.25);
-                ("y", Eval.B_float (-0.5));
+                ("out", Compile.B_farr out);
+                ("x", Compile.B_float 1.25);
+                ("y", Compile.B_float (-0.5));
               ]
             kernel;
           Memory.host_get out 0

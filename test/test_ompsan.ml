@@ -1,11 +1,12 @@
 (* Sanitizer (ompsan) suite: known-answer conformance kernels through
-   the full text pipeline under both eval engines, the static may-race
+   the full text pipeline, launched by the product and by the reference
+   walker, the static may-race
    layer on the same sources, direct shadow-state unit tests, and the
    zero-cost-when-disabled invariance contract. *)
 
 module Memory = Gpusim.Memory
 module Mode = Omprt.Mode
-module Eval = Ompir.Eval
+module Compile = Ompir.Compile
 module Ompsan = Gpusim.Ompsan
 module Offload = Openmp.Offload
 module Clause = Openmp.Clause
@@ -52,7 +53,7 @@ let normalized_strings san = List.map normalize (Ompsan.report_strings san)
 let conformance_dir = "conformance"
 let load file = Ompir.Parse.kernel_of_file (Filename.concat conformance_dir file)
 
-(* The sanitizer and engine knobs go through the same parse a user's
+(* The sanitizer knob goes through the same parse a user's
    environment does, and reach the launch on the pool [Knobs.pool]
    builds from them ([domains] workers, default sequential). *)
 let with_knobs ?(domains = 0) pairs f =
@@ -74,40 +75,38 @@ let bindings_of ~sizes (k : Ompir.Ir.kernel) =
       let b =
         match p.Ompir.Ir.pty with
         | Ompir.Ir.P_farray ->
-            Eval.B_farr (Memory.falloc space (List.assoc p.Ompir.Ir.pname sizes))
+            Compile.B_farr (Memory.falloc space (List.assoc p.Ompir.Ir.pname sizes))
         | Ompir.Ir.P_iarray ->
             let n = List.assoc p.Ompir.Ir.pname sizes in
-            Eval.B_iarr
+            Compile.B_iarr
               (Memory.of_int_array space
                  (Array.init n (fun _ -> Ompsimd_util.Prng.int g 100)))
-        | Ompir.Ir.P_int -> Eval.B_int (List.assoc p.Ompir.Ir.pname sizes)
-        | Ompir.Ir.P_float -> Eval.B_float 1.25
+        | Ompir.Ir.P_int -> Compile.B_int (List.assoc p.Ompir.Ir.pname sizes)
+        | Ompir.Ir.P_float -> Compile.B_float 1.25
       in
       (p.Ompir.Ir.pname, b))
     k.Ompir.Ir.params
 
-let compiled_of ?(guardize = false) ?engine file =
-  match Offload.compile ~guardize ~racecheck:true ?engine (load file) with
+let compiled_of ?(guardize = false) file =
+  match Offload.compile ~guardize ~racecheck:true (load file) with
   | Ok c -> c
   | Error es ->
       Alcotest.failf "%s: compile failed: %s" file
         (String.concat "; "
            (List.map (fun (e : Ompir.Check.error) -> e.Ompir.Check.what) es))
 
-let run_sanitized ?domains ~engine ~clauses ~sizes file =
+(* [launch] is {!Offload.run} or the reference walker's counterpart. *)
+let run_sanitized ?domains ?(launch : Reference.Offload_ref.launch = Offload.run) ~clauses ~sizes file =
   let bindings = bindings_of ~sizes (load file) in
-  with_knobs ?domains
-    [ ("OMPSIMD_SANITIZE", "1"); ("OMPSIMD_EVAL", engine) ]
-    (fun k pool ->
-      let c = compiled_of ~engine:k.Knobs.compile.Offload.engine file in
-      Offload.run ~cfg ~pool ~clauses ~bindings c)
+  with_knobs ?domains [ ("OMPSIMD_SANITIZE", "1") ] (fun _ pool ->
+      launch ~cfg ~pool ~clauses ~bindings (compiled_of file))
 
 let sanitizer_report (r : Gpusim.Device.report) =
   match r.Gpusim.Device.sanitizer with
   | Some san -> san
   | None -> Alcotest.fail "sanitizer report missing from an enabled run"
 
-let engines = [ "walk"; "compile" ]
+let engines = [ ("walk", Reference.Offload_ref.run); ("compile", Offload.run) ]
 
 (* ------------------------------------------------------------------ *)
 (* Known-answer conformance kernels                                    *)
@@ -141,9 +140,9 @@ let race_provenance_ok san ~site_sub =
       | _ -> false)
     san.Ompsan.findings
 
-let test_race_global engine () =
+let test_race_global (launch : Reference.Offload_ref.launch) () =
   let r =
-    run_sanitized ~engine ~clauses:race_global_clauses
+    run_sanitized ~launch ~clauses:race_global_clauses
       ~sizes:race_global_sizes "race_global.omp"
   in
   let san = sanitizer_report r in
@@ -160,9 +159,9 @@ let race_sharing_clauses =
 let race_sharing_sizes =
   [ ("marks", 4); ("out", 64); ("rows", 8); ("width", 8) ]
 
-let test_race_sharing engine () =
+let test_race_sharing (launch : Reference.Offload_ref.launch) () =
   let r =
-    run_sanitized ~engine ~clauses:race_sharing_clauses
+    run_sanitized ~launch ~clauses:race_sharing_clauses
       ~sizes:race_sharing_sizes "race_sharing.omp"
   in
   let san = sanitizer_report r in
@@ -179,15 +178,11 @@ let divergence_clauses =
     none |> num_teams 1 |> num_threads 32 |> simdlen 2
     |> parallel_mode Mode.Spmd)
 
-let test_race_divergence engine () =
+let test_race_divergence (launch : Reference.Offload_ref.launch) () =
   let bindings = bindings_of ~sizes:[ ("out", 8); ("n", 1) ] (load "race_divergence.omp") in
-  with_knobs
-    [ ("OMPSIMD_SANITIZE", "1"); ("OMPSIMD_EVAL", engine) ]
-    (fun k pool ->
-      let c =
-        compiled_of ~engine:k.Knobs.compile.Offload.engine "race_divergence.omp"
-      in
-      match Offload.run ~cfg ~pool ~clauses:divergence_clauses ~bindings c with
+  with_knobs [ ("OMPSIMD_SANITIZE", "1") ] (fun _ pool ->
+      let c = compiled_of "race_divergence.omp" in
+      match launch ~cfg ~pool ~clauses:divergence_clauses ~bindings c with
       | (_ : Gpusim.Device.report) ->
           Alcotest.fail "divergent kernel was expected to deadlock"
       | exception Gpusim.Engine.Deadlock msg ->
@@ -217,9 +212,9 @@ let atomic_clean_clauses =
 
 let atomic_clean_sizes = [ ("bins", 4); ("data", 64); ("n", 64) ]
 
-let test_atomic_clean engine () =
+let test_atomic_clean (launch : Reference.Offload_ref.launch) () =
   let r =
-    run_sanitized ~engine ~clauses:atomic_clean_clauses
+    run_sanitized ~launch ~clauses:atomic_clean_clauses
       ~sizes:atomic_clean_sizes "atomic_clean.omp"
   in
   let san = sanitizer_report r in
@@ -246,10 +241,10 @@ let clean_cases =
 
 let clean_clauses = Clause.(none |> num_teams 2 |> num_threads 64 |> simdlen 4)
 
-let test_clean_kernels engine () =
+let test_clean_kernels (launch : Reference.Offload_ref.launch) () =
   List.iter
     (fun (file, sizes) ->
-      let r = run_sanitized ~engine ~clauses:clean_clauses ~sizes file in
+      let r = run_sanitized ~launch ~clauses:clean_clauses ~sizes file in
       let san = sanitizer_report r in
       check_bool (Printf.sprintf "%s is sanitizer-clean" file) true
         (Ompsan.is_clean san))
@@ -258,14 +253,14 @@ let test_clean_kernels engine () =
 (* Identical verdict text across engines: site labels come from the IR,
    not the evaluation strategy. *)
 let test_engines_agree () =
-  let strings engine file clauses sizes =
+  let strings launch file clauses sizes =
     normalized_strings
-      (sanitizer_report (run_sanitized ~engine ~clauses ~sizes file))
+      (sanitizer_report (run_sanitized ~launch ~clauses ~sizes file))
   in
   List.iter
     (fun (file, clauses, sizes) ->
-      let walk = strings "walk" file clauses sizes in
-      let staged = strings "compile" file clauses sizes in
+      let walk = strings Reference.Offload_ref.run file clauses sizes in
+      let staged = strings Offload.run file clauses sizes in
       Alcotest.(check (list string))
         (Printf.sprintf "%s: identical findings across engines" file)
         walk staged)
@@ -280,13 +275,13 @@ let test_pool_invariance () =
   let sequential =
     normalized_strings
       (sanitizer_report
-         (run_sanitized ~engine:"compile" ~clauses:race_sharing_clauses
+         (run_sanitized ~clauses:race_sharing_clauses
             ~sizes:race_sharing_sizes "race_sharing.omp"))
   in
   let pooled =
     normalized_strings
       (sanitizer_report
-         (run_sanitized ~domains:2 ~engine:"compile"
+         (run_sanitized ~domains:2
             ~clauses:race_sharing_clauses ~sizes:race_sharing_sizes
             "race_sharing.omp"))
   in
@@ -445,7 +440,7 @@ let test_layers_agree () =
       check_bool (Printf.sprintf "%s: static layer flags it" file) true
         (static_findings file <> []);
       let san =
-        sanitizer_report (run_sanitized ~engine:"compile" ~clauses ~sizes file)
+        sanitizer_report (run_sanitized ~clauses ~sizes file)
       in
       check_bool (Printf.sprintf "%s: dynamic layer confirms" file) false
         (Ompsan.is_clean san))
@@ -456,7 +451,7 @@ let test_layers_agree () =
         (static_findings file = []);
       let san =
         sanitizer_report
-          (run_sanitized ~engine:"compile" ~clauses:clean_clauses ~sizes file)
+          (run_sanitized ~clauses:clean_clauses ~sizes file)
       in
       check_bool (Printf.sprintf "%s: dynamic layer agrees" file) true
         (Ompsan.is_clean san))
@@ -464,9 +459,9 @@ let test_layers_agree () =
 
 let engine_cases name f =
   List.map
-    (fun engine ->
+    (fun (engine, launch) ->
       Alcotest.test_case (Printf.sprintf "%s [%s]" name engine) `Quick
-        (f engine))
+        (f launch))
     engines
 
 let suite =

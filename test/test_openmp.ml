@@ -272,10 +272,10 @@ let test_offload_pipeline () =
           ~clauses:Clause.(none |> num_teams 2 |> num_threads 64 |> simdlen 8)
           ~bindings:
             [
-              ("x", Ompir.Eval.B_farr x.Data_env.device);
-              ("y", Ompir.Eval.B_farr y.Data_env.device);
-              ("a", Ompir.Eval.B_float 3.0);
-              ("n", Ompir.Eval.B_int n);
+              ("x", Ompir.Compile.B_farr x.Data_env.device);
+              ("y", Ompir.Compile.B_farr y.Data_env.device);
+              ("a", Ompir.Compile.B_float 3.0);
+              ("n", Ompir.Compile.B_int n);
             ]
           compiled
       in
@@ -329,10 +329,10 @@ let run_guarded ~guardize ~parallel_mode =
         Offload.run ~cfg ~clauses
           ~bindings:
             [
-              ("a", Ompir.Eval.B_farr a);
-              ("marks", Ompir.Eval.B_farr marks);
-              ("counts", Ompir.Eval.B_iarr counts);
-              ("n", Ompir.Eval.B_int n);
+              ("a", Ompir.Compile.B_farr a);
+              ("marks", Ompir.Compile.B_farr marks);
+              ("counts", Ompir.Compile.B_iarr counts);
+              ("n", Ompir.Compile.B_int n);
             ]
           compiled
       in
@@ -406,7 +406,7 @@ let test_guardize_never_wraps_directives () =
       let (_ : Gpusim.Device.report) =
         Offload.run ~cfg
           ~clauses:Clause.(none |> num_teams 2 |> num_threads 32 |> simdlen 8)
-          ~bindings:[ ("a", Ompir.Eval.B_farr a); ("n", Ompir.Eval.B_int 20) ]
+          ~bindings:[ ("a", Ompir.Compile.B_farr a); ("n", Ompir.Compile.B_int 20) ]
           compiled
       in
       for r = 0 to 19 do

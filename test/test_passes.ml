@@ -9,7 +9,8 @@
    differently-optimized variants can never alias in the serve cache. *)
 
 module Ir = Ompir.Ir
-module Eval = Ompir.Eval
+module Compile = Ompir.Compile
+module Eval = Reference.Eval
 module Passes = Ompir.Passes
 module Outline = Ompir.Outline
 module Memory = Gpusim.Memory
@@ -75,7 +76,7 @@ let certify ?pool ~name ~options ~bindings_of ~arrays ~atomic pass k =
    forced to `Auto so every case is sound without guardize. *)
 let on_random ?pool pass case =
   let options =
-    { (D.options_of case) with Eval.parallel_mode = `Auto }
+    { (D.options_of case) with Compile.parallel_mode = `Auto }
   in
   certify ?pool ~name:pass.Passes.name ~options
     ~bindings_of:(fun () -> D.make_bindings case)
@@ -229,19 +230,19 @@ let seq_bindings sc =
   ( space,
     [
       ( "src",
-        Eval.B_farr
+        Compile.B_farr
           (Memory.of_float_array space
              (Array.init sc.sn (fun _ -> Ompsimd_util.Prng.float g 2.0 -. 1.0)))
       );
-      ("out", Eval.B_farr (Memory.falloc space sc.sn));
-      ("out2", Eval.B_farr (Memory.falloc space sc.sn));
-      ("out3", Eval.B_farr (Memory.falloc space sc.sn));
-      ("n", Eval.B_int sc.sn);
+      ("out", Compile.B_farr (Memory.falloc space sc.sn));
+      ("out2", Compile.B_farr (Memory.falloc space sc.sn));
+      ("out3", Compile.B_farr (Memory.falloc space sc.sn));
+      ("n", Compile.B_int sc.sn);
     ] )
 
 let seq_options sc =
   {
-    Eval.num_teams = sc.steams;
+    Compile.num_teams = sc.steams;
     num_threads = 32;
     teams_mode = sc.smode;
     parallel_mode = `Auto;
@@ -597,18 +598,18 @@ let test_collapse_manual_exec () =
     ( space,
       [
         ( "src",
-          Eval.B_farr
+          Compile.B_farr
             (Memory.of_float_array space
                (Array.init (ni * nj) (fun _ ->
                     Ompsimd_util.Prng.float g 2.0 -. 1.0))) );
-        ("out", Eval.B_farr (Memory.falloc space (ni * nj)));
-        ("ni", Eval.B_int ni);
-        ("nj", Eval.B_int nj);
+        ("out", Compile.B_farr (Memory.falloc space (ni * nj)));
+        ("ni", Compile.B_int ni);
+        ("nj", Compile.B_int nj);
       ] )
   in
   let options =
     {
-      Eval.num_teams = 2;
+      Compile.num_teams = 2;
       num_threads = 32;
       teams_mode = Omprt.Mode.Spmd;
       parallel_mode = `Auto;
@@ -973,19 +974,19 @@ let test_compile_with_spec () =
     let bindings =
       [
         ( "src",
-          Eval.B_farr
+          Compile.B_farr
             (Memory.of_float_array space
                (Array.init n (fun _ -> Ompsimd_util.Prng.float g 2.0 -. 1.0)))
         );
-        ("out", Eval.B_farr (Memory.falloc space n));
-        ("n", Eval.B_int n);
+        ("out", Compile.B_farr (Memory.falloc space n));
+        ("n", Compile.B_int n);
       ]
     in
     let (_ : Gpusim.Device.report) =
       Openmp.Offload.run ~cfg ~bindings c
     in
     match List.assoc "out" bindings with
-    | Eval.B_farr a -> Memory.to_float_array a
+    | Compile.B_farr a -> Memory.to_float_array a
     | _ -> assert false
   in
   let reference = run "" in

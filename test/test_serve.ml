@@ -4,7 +4,8 @@
    enforcement (queued and late-finish), the compiled-kernel cache
    (hits, LRU eviction, virtual and host-level single-flight) and the
    determinism contract: replaying one trace yields byte-identical
-   snapshots for any pool width and either evaluation engine. *)
+   snapshots for any pool width, and every request a one-shard replay
+   completes reproduces bit for bit on the reference walker. *)
 
 module Scheduler = Serve.Scheduler
 module Request = Serve.Request
@@ -68,14 +69,6 @@ let with_knobs pairs f =
   | Ok k ->
       let pool domains = Knobs.pool { k with Knobs.domains } in
       f (pool 0) pool
-
-(* The same config compiled for the reference tree walker. *)
-let on_walker (c : Fleet.config) =
-  let base = c.Fleet.base in
-  let knobs =
-    { base.Scheduler.knobs with Openmp.Offload.engine = Ompir.Compile.Walk }
-  in
-  { c with Fleet.base = { base with Scheduler.knobs } }
 
 let outcome_of (reports : Fleet.rq_report list) id =
   (List.nth reports id).Fleet.outcome
@@ -288,8 +281,8 @@ let test_parse_trace () =
 
 (* The front door refuses what the fleet cannot order or launch
    anywhere: a non-finite arrival would hang the telemetry window loop,
-   and zero-sized geometry aborts every device's launch.  Each error
-   names its trace line. *)
+   zero-sized geometry aborts every device's launch, and an oversized
+   request cannot be allocated.  Each error names its trace line. *)
 let test_parse_trace_rejects () =
   let rejected what text line =
     match Request.parse_trace text with
@@ -309,6 +302,9 @@ let test_parse_trace_rejects () =
   rejected "threads=0" "kernel=saxpy threads=0\n" 1;
   rejected "threads=-32" "kernel=saxpy threads=-32\n" 1;
   rejected "simdlen=0" "kernel=saxpy simdlen=0\n" 1;
+  rejected "size=100000000" "kernel=saxpy\nkernel=rowsum size=100000000\n" 2;
+  Alcotest.(check int) "size=65536 parses" 65536
+    (List.hd (Request.parse_trace "kernel=saxpy size=65536\n")).Request.size;
   (* device-dependent geometry is the launch's call, not the parser's *)
   Alcotest.(check int) "threads=48 parses" 48
     (List.hd (Request.parse_trace "kernel=saxpy threads=48\n")).Request.threads
@@ -377,23 +373,108 @@ let trace_never_raises =
       | exception e ->
           QCheck.Test.fail_reportf "%S raised %s" text (Printexc.to_string e))
 
+(* qcheck: the fleet's spec front doors.  Random bytes, and tenant and
+   device lists with one to three edits, each parse ([Fleet.parse_tenants],
+   [Fleet.parse_devices]) or raise the [Invalid_argument] naming their
+   variable; nothing else escapes. *)
+let fleet_specs_never_raise =
+  let tenants = [ "alice=3,bob"; "a=1,b=2,c=10"; "solo" ] in
+  let devices = [ "w32-hw,w64-hw,w16-sw,w32-l2tiny"; "a100,a100q,amd,small"; "w64-sw" ] in
+  QCheck.Test.make ~count:300 ~name:"tenant and device lists parse or name their variable"
+    (QCheck.make
+       ~print:(fun (tenant, s) -> Printf.sprintf "%s %S" (if tenant then "tenants" else "devices") s)
+       QCheck.Gen.(
+         bool >>= fun tenant ->
+         Fuzz.input ~alphabet:"alicebobwhsq=,-0123456789" ~sep:","
+           (if tenant then tenants else devices)
+         >|= fun s -> (tenant, s)))
+    (fun (tenant, s) ->
+      let var, parse =
+        if tenant then ("OMPSIMD_SERVE_TENANTS", fun s -> ignore (Fleet.parse_tenants s))
+        else ("OMPSIMD_FLEET_DEVICES", fun s -> ignore (Fleet.parse_devices s))
+      in
+      match parse s with
+      | () -> true
+      | exception Invalid_argument msg when Astring_like.contains msg var -> true
+      | exception e -> QCheck.Test.fail_reportf "%S raised %s" s (Printexc.to_string e))
+
+(* A fleet refuses an arrival more than a million telemetry windows
+   out before replaying anything: closing every empty window up to it
+   would stall the replay, whether the arrival is far off or the window
+   tiny.  The error names the request and its window. *)
+let test_arrival_window_cap () =
+  let spec at =
+    { (List.hd (Request.parse_trace "kernel=rowsum size=16 teams=1\n")) with Request.at }
+  in
+  let refused what ~window ~at ~names =
+    match Fleet.run (one_shard (conf ~window ())) [ spec at ] with
+    | exception Invalid_argument msg ->
+        List.iter
+          (fun name ->
+            Alcotest.(check bool) (what ^ " names " ^ name ^ ": " ^ msg) true
+              (Astring_like.contains msg name))
+          names
+    | _ -> Alcotest.failf "%s must be refused" what
+  in
+  refused "an arrival 5e10 windows out" ~window:20_000.0 ~at:1e15
+    ~names:[ "request 0"; "window 50000000000" ];
+  refused "an arrival 800 ticks out in 1e-300-tick windows" ~window:1e-300 ~at:800.0
+    ~names:[ "request 0"; "of 1e-300 ticks" ]
+
 (* --- determinism ------------------------------------------------------ *)
 
 let test_deterministic_replay () =
-  (* one trace, four engine x pool combinations: the full snapshot
-     (per-request reports incl. checksums, metrics) must be
-     byte-identical *)
+  (* one trace, sequential and pooled: the full snapshot (per-request
+     reports incl. checksums, metrics) must be byte-identical *)
   let specs = Request.synthetic ~n:16 ~seed:11 () in
   let c = conf ~servers:2 ~queue_bound:2 ~retries:2 ~backoff:800.0 () in
   let snap ?pool fc = Fleet.snapshot_json fc (Fleet.run fc ?pool specs) in
   let pool = Gpusim.Pool.create ~domains:3 () in
-  let staged_seq = snap (one_shard c) in
-  let staged_pool = snap ~pool (one_shard c) in
-  let walk_seq = snap (on_walker (one_shard c)) in
-  let walk_pool = snap ~pool (on_walker (one_shard c)) in
-  Alcotest.(check string) "pool matches sequential" staged_seq staged_pool;
-  Alcotest.(check string) "walk engine matches staged" staged_seq walk_seq;
-  Alcotest.(check string) "walk + pool matches too" staged_seq walk_pool
+  let seq = snap (one_shard c) in
+  let pooled = snap ~pool (one_shard c) in
+  Gpusim.Pool.shutdown pool;
+  Alcotest.(check string) "pool matches sequential" seq pooled
+
+(* The fleet launches on the product's evaluator alone, so the walker
+   certifies it request by request: each request a one-shard, unbatched,
+   fault-free replay completes is instantiated and compiled the way the
+   fleet does it, launched on the reference walker, and must reproduce
+   the report's checksum and counters bit for bit. *)
+let test_walker_certifies_requests () =
+  let specs = Request.synthetic ~n:16 ~seed:11 () in
+  let fc = one_shard (conf ~servers:2 ~queue_bound:8 ~retries:2 ()) in
+  let base = fc.Fleet.base in
+  let completed =
+    List.filter
+      (fun r -> r.Fleet.outcome = Scheduler.Completed)
+      (Fleet.run fc specs).Fleet.reports
+  in
+  Alcotest.(check bool) "the replay completed requests" true (completed <> []);
+  List.iter
+    (fun (r : Fleet.rq_report) ->
+      let spec = r.Fleet.spec in
+      let kernel, bindings, out = Request.instantiate spec in
+      let knobs = { base.Scheduler.knobs with Openmp.Offload.guardize = spec.Request.guardize } in
+      match Openmp.Offload.compile_with ~knobs kernel with
+      | Error _ -> Alcotest.failf "request %d does not compile" spec.Request.id
+      | Ok compiled ->
+          let clauses =
+            Openmp.Clause.(
+              none
+              |> num_teams spec.Request.teams
+              |> num_threads spec.Request.threads
+              |> simdlen spec.Request.simdlen)
+          in
+          let report =
+            Reference.Offload_ref.run ~cfg:base.Scheduler.cfg ~clauses ~bindings compiled
+          in
+          let what = Printf.sprintf "request %d" spec.Request.id in
+          Alcotest.(check int64) (what ^ ": checksum bits")
+            (Int64.bits_of_float r.Fleet.checksum)
+            (Int64.bits_of_float (Request.checksum out));
+          Alcotest.(check bool) (what ^ ": counters") true
+            (Gpusim.Counters.equal r.Fleet.counters report.Gpusim.Device.counters))
+    completed
 
 (* --- the fleet --------------------------------------------------------- *)
 
@@ -823,7 +904,7 @@ let fleet_no_lost_request =
              = 25))
 
 (* qcheck: the determinism contract, fleet edition.  The full snapshot
-   is byte-identical across evaluation engines and pool widths; the
+   is byte-identical across pool widths; the
    per-request results are additionally byte-identical across shard
    counts and batch limits on an admission-lossless config (roomy
    queue, deadline-free profile) — even with a chaos plan armed, since
@@ -857,8 +938,6 @@ let fleet_replay_invariance =
           let r11 = results (1, 1) in
           let ok =
             String.equal reference (snap ~pool c)
-            && String.equal reference (snap ~pool:seq (on_walker c))
-            && String.equal reference (snap ~pool (on_walker c))
             && String.equal r11 (results (3, 8))
             && String.equal r11 (results (4, 1))
           in
@@ -1187,8 +1266,8 @@ let operability_autoscale =
 
 (* The snapshot carries the operability surface: per-shard breaker /
    retry / relaunch / concurrency state and the SLO + autoscale
-   sections — and stays byte-identical across engines and pool widths
-   with all of it armed. *)
+   sections — and stays byte-identical across pool widths with all of
+   it armed. *)
 let test_operability_snapshot () =
   let specs = Traffic.(generate (preset "flash" ~n:30 ~seed:11)) in
   let c =
@@ -1214,11 +1293,10 @@ let test_operability_snapshot () =
       "\"shed\"";
     ];
   let pool = Gpusim.Pool.create ~domains:3 () in
-  Alcotest.(check string) "pooled replay identical" reference (snap ~pool c);
-  Alcotest.(check string) "walk engine identical" reference (snap (on_walker c))
+  Alcotest.(check string) "pooled replay identical" reference (snap ~pool c)
 
 (* qcheck: the telemetry JSONL is part of the determinism contract —
-   byte-identical across evaluation engines, pool widths and device
+   byte-identical across pool widths and device
    shuffles (windows key on member labels, never shard ids). *)
 let fleet_telemetry_replay =
   QCheck.Test.make ~count:4 ~name:"fleet telemetry byte replay"
@@ -1238,7 +1316,6 @@ let fleet_telemetry_replay =
       let pool = Gpusim.Pool.create ~domains:3 () in
       String.length reference > 0
       && String.equal reference (tele ~pool (c devices))
-      && String.equal reference (tele (on_walker (c devices)))
       && String.equal reference (tele (c rotated)))
 
 (* The autoscaler control law, exercised directly: the dead band keeps
@@ -1424,8 +1501,13 @@ let suite =
         Alcotest.test_case "trace front door: non-finite ticks, empty geometry"
           `Quick test_parse_trace_rejects;
         QCheck_alcotest.to_alcotest trace_never_raises;
-        Alcotest.test_case "replay is engine- and pool-invariant" `Quick
+        QCheck_alcotest.to_alcotest fleet_specs_never_raise;
+        Alcotest.test_case "fleet: an arrival past the window cap is refused" `Quick
+          test_arrival_window_cap;
+        Alcotest.test_case "replay is pool-invariant" `Quick
           test_deterministic_replay;
+        Alcotest.test_case "the walker reproduces every completed request" `Quick
+          test_walker_certifies_requests;
         Alcotest.test_case "dispatch is highest-priority-first" `Quick
           test_priority_order;
         Alcotest.test_case "breaker: opens at the threshold, sheds the cooldown"

@@ -2,11 +2,11 @@
 # Smoke-test the fault-injection determinism contract.
 #
 # Replays examples/serve.requests with an armed OMPSIMD_FAULTS chaos
-# plan under three fault seeds, each across every OMPSIMD_EVAL x
-# OMPSIMD_DOMAINS combination, and diffs the JSON snapshots
-# byte-for-byte: injected faults are a pure function of (seed, launch
-# nonce, block id), so the failure reports, relaunches and fault
-# counters must be identical for any engine and pool width.
+# plan under three fault seeds, each under OMPSIMD_DOMAINS=0 and =3,
+# and diffs the JSON snapshots byte-for-byte: injected faults are a
+# pure function of (seed, launch nonce, block id), so the failure
+# reports, relaunches and fault counters must be identical for any
+# pool width.
 #
 # Two more gates: an armed plan with all-zero rates must be
 # byte-identical to a disarmed run (arming alone perturbs nothing),
@@ -46,20 +46,18 @@ export OMPSIMD_SERVE_COOLDOWN= OMPSIMD_FLEET_DECAY=
 failures_seen=0
 for seed in 1 7 42; do
   ref=""
-  for engine in compile walk; do
-    for domains in 0 3; do
-      json="$out/chaos_${seed}_${engine}_${domains}.json"
-      echo "== seed=$seed OMPSIMD_EVAL=$engine OMPSIMD_DOMAINS=$domains =="
-      OMPSIMD_FAULTS="$plan" OMPSIMD_FAULT_SEED="$seed" \
-      OMPSIMD_EVAL="$engine" OMPSIMD_DOMAINS="$domains" \
-        "$run" serve --requests "$trace" --json "$json" > /dev/null
-      if [ -z "$ref" ]; then
-        ref="$json"
-      else
-        diff -q "$ref" "$json" \
-          || { echo "FAIL: seed $seed snapshot differs from $ref"; exit 1; }
-      fi
-    done
+  for domains in 0 3; do
+    json="$out/chaos_${seed}_${domains}.json"
+    echo "== seed=$seed OMPSIMD_DOMAINS=$domains =="
+    OMPSIMD_FAULTS="$plan" OMPSIMD_FAULT_SEED="$seed" \
+    OMPSIMD_DOMAINS="$domains" \
+      "$run" serve --requests "$trace" --json "$json" > /dev/null
+    if [ -z "$ref" ]; then
+      ref="$json"
+    else
+      diff -q "$ref" "$json" \
+        || { echo "FAIL: seed $seed snapshot differs from $ref"; exit 1; }
+    fi
   done
   grep -q '"device_failures": 0,' "$ref" || failures_seen=1
 done
@@ -85,27 +83,25 @@ EOF
 
 # --- the sharded fleet, armed ------------------------------------------
 # Fault nonces are pinned per (request, attempt), so the armed fleet
-# snapshot must also be byte-identical across engines and pools, and on
+# snapshot must also be byte-identical across pool widths, and on
 # an admission-lossless breaker-free config the per-request results
 # (outcome, launches, checksum) must not change with the shard count or
 # batch limit — every request meets the exact same fault stream no
 # matter which shard replays it or which merged grid carries it.
 fref=""
-for engine in compile walk; do
-  for domains in 0 3; do
-    json="$out/chaos_fleet_${engine}_${domains}.json"
-    echo "== fleet seed=7 OMPSIMD_EVAL=$engine OMPSIMD_DOMAINS=$domains =="
-    OMPSIMD_FAULTS="$plan" OMPSIMD_FAULT_SEED=7 \
-    OMPSIMD_EVAL="$engine" OMPSIMD_DOMAINS="$domains" \
-      "$run" serve --requests "$trace" --shards 4 --batch 8 --json "$json" \
-      > /dev/null
-    if [ -z "$fref" ]; then
-      fref="$json"
-    else
-      diff -q "$fref" "$json" \
-        || { echo "FAIL: armed fleet snapshot differs from $fref"; exit 1; }
-    fi
-  done
+for domains in 0 3; do
+  json="$out/chaos_fleet_${domains}.json"
+  echo "== fleet seed=7 OMPSIMD_DOMAINS=$domains =="
+  OMPSIMD_FAULTS="$plan" OMPSIMD_FAULT_SEED=7 \
+  OMPSIMD_DOMAINS="$domains" \
+    "$run" serve --requests "$trace" --shards 4 --batch 8 --json "$json" \
+    > /dev/null
+  if [ -z "$fref" ]; then
+    fref="$json"
+  else
+    diff -q "$fref" "$json" \
+      || { echo "FAIL: armed fleet snapshot differs from $fref"; exit 1; }
+  fi
 done
 grep -q '"device_failures": 0,' "$fref" \
   && { echo "FAIL: armed fleet run injected no device failure"; exit 1; }
@@ -121,7 +117,7 @@ done
 diff -q "$out/chaos_results_1_1.json" "$out/chaos_results_4_8.json" \
   || { echo "FAIL: armed results changed with the shard/batch shape"; exit 1; }
 
-grep -o '"recovery": {[^}]*}' "$out/chaos_7_compile_0.json"
+grep -o '"recovery": {[^}]*}' "$out/chaos_7_0.json"
 
 # --- long-run operability: a diurnal chaos day -------------------------
 # Three phases of a virtual day — overnight steady trickle, the daytime
@@ -131,7 +127,7 @@ grep -o '"recovery": {[^}]*}' "$out/chaos_7_compile_0.json"
 # exact (admitted = completed + rejected + shed + shed-slo + timed-out
 # + failed + degraded), the SLO-violation rate (late completions plus
 # SLO sheds) must stay bounded, and the telemetry JSONL must replay
-# byte-identically on the other engine and pool width.
+# byte-identically on another pool width.
 if [ "${CHAOS_SLICE:-0}" = 1 ]; then day=400; else day=4000; fi
 hetero=a100,a100q,amd,small
 phase_no=0
@@ -159,7 +155,7 @@ print(f"   {sys.argv[2]}: {m['requests']} requests, 0 lost, "
 EOF
   OMPSIMD_FAULTS="$plan" OMPSIMD_FAULT_SEED="$pseed" \
   OMPSIMD_FLEET_DEVICES="$hetero" \
-  OMPSIMD_EVAL=walk OMPSIMD_DOMAINS=3 \
+  OMPSIMD_DOMAINS=3 \
     "$run" serve --traffic "$n" --profile "$profile" --seed "$pseed" \
     --shards 4 --batch 8 --slo 25 --telemetry "$tele.replay" > /dev/null
   diff -q "$tele" "$tele.replay" \
@@ -191,5 +187,5 @@ print(f"   autoscale on/off violations: "
       f"(grows {on['autoscale']['grows']}, shrinks {on['autoscale']['shrinks']})")
 EOF
 
-echo "chaos smoke OK: fault snapshots bit-identical across engines and pools,"
+echo "chaos smoke OK: fault snapshots bit-identical across pools,"
 echo "  diurnal chaos day lost nothing and telemetry replayed byte-for-byte"

@@ -1,11 +1,11 @@
 #!/bin/sh
 # Smoke-test the launch service's determinism contract.
 #
-# Replays examples/serve.requests under every OMPSIMD_EVAL x
-# OMPSIMD_DOMAINS combination (staged/walk engine, sequential/pooled
-# block simulation) and diffs the JSON snapshots byte-for-byte: the
-# service runs in virtual time, so per-request reports (including
-# checksums) and metrics must be identical everywhere.  A synthetic
+# Replays examples/serve.requests under OMPSIMD_DOMAINS=0 and =3
+# (sequential and pooled block simulation) and diffs the JSON snapshots
+# byte-for-byte: the service runs in virtual time, so per-request
+# reports (including checksums) and metrics must be identical
+# everywhere.  A synthetic
 # replay with a fixed seed is checked the same way, and so are the
 # sharded, heterogeneous and SLO-telemetry fleets.
 #
@@ -39,25 +39,23 @@ export OMPSIMD_SERVE_SHED= OMPSIMD_SERVE_AUTOSCALE= OMPSIMD_SERVE_BUDGET=
 export OMPSIMD_SERVE_COOLDOWN= OMPSIMD_FLEET_DECAY=
 
 ref=""
-for engine in compile walk; do
-  for domains in 0 3; do
-    json="$out/serve_${engine}_${domains}.json"
-    echo "== OMPSIMD_EVAL=$engine OMPSIMD_DOMAINS=$domains =="
-    OMPSIMD_EVAL="$engine" OMPSIMD_DOMAINS="$domains" \
-      "$run" serve --requests "$trace" --json "$json" \
-      > "$out/serve_${engine}_${domains}.log"
-    OMPSIMD_EVAL="$engine" OMPSIMD_DOMAINS="$domains" \
-      "$run" serve --synthetic 24 --seed 11 --json "$json.synth" \
-      > /dev/null
-    if [ -z "$ref" ]; then
-      ref="$json"
-    else
-      diff -q "$ref" "$json" \
-        || { echo "FAIL: trace snapshot differs from $ref"; exit 1; }
-      diff -q "$ref.synth" "$json.synth" \
-        || { echo "FAIL: synthetic snapshot differs"; exit 1; }
-    fi
-  done
+for domains in 0 3; do
+  json="$out/serve_${domains}.json"
+  echo "== OMPSIMD_DOMAINS=$domains =="
+  OMPSIMD_DOMAINS="$domains" \
+    "$run" serve --requests "$trace" --json "$json" \
+    > "$out/serve_${domains}.log"
+  OMPSIMD_DOMAINS="$domains" \
+    "$run" serve --synthetic 24 --seed 11 --json "$json.synth" \
+    > /dev/null
+  if [ -z "$ref" ]; then
+    ref="$json"
+  else
+    diff -q "$ref" "$json" \
+      || { echo "FAIL: trace snapshot differs from $ref"; exit 1; }
+    diff -q "$ref.synth" "$json.synth" \
+      || { echo "FAIL: synthetic snapshot differs"; exit 1; }
+  fi
 done
 
 # the replay must have exercised the interesting paths: cache hits and
@@ -72,28 +70,26 @@ EOF
 # --- the sharded fleet -------------------------------------------------
 # Same contract with four shards and batching: the full
 # snapshot (per-request reports with shard/batch attribution, per-shard
-# and per-tenant breakdowns) must be byte-identical across every engine
-# x pool combination, for both the example trace and generated traffic.
+# and per-tenant breakdowns) must be byte-identical across pool widths,
+# for both the example trace and generated traffic.
 fref=""
-for engine in compile walk; do
-  for domains in 0 3; do
-    json="$out/fleet_${engine}_${domains}.json"
-    echo "== fleet OMPSIMD_EVAL=$engine OMPSIMD_DOMAINS=$domains =="
-    OMPSIMD_EVAL="$engine" OMPSIMD_DOMAINS="$domains" \
-      "$run" serve --requests "$trace" --shards 4 --batch 8 --json "$json" \
-      > "$out/fleet_${engine}_${domains}.log"
-    OMPSIMD_EVAL="$engine" OMPSIMD_DOMAINS="$domains" \
-      "$run" serve --traffic 200 --profile mixed --seed 7 \
-      --shards 4 --batch 8 --json "$json.traffic" > /dev/null
-    if [ -z "$fref" ]; then
-      fref="$json"
-    else
-      diff -q "$fref" "$json" \
-        || { echo "FAIL: fleet trace snapshot differs from $fref"; exit 1; }
-      diff -q "$fref.traffic" "$json.traffic" \
-        || { echo "FAIL: fleet traffic snapshot differs"; exit 1; }
-    fi
-  done
+for domains in 0 3; do
+  json="$out/fleet_${domains}.json"
+  echo "== fleet OMPSIMD_DOMAINS=$domains =="
+  OMPSIMD_DOMAINS="$domains" \
+    "$run" serve --requests "$trace" --shards 4 --batch 8 --json "$json" \
+    > "$out/fleet_${domains}.log"
+  OMPSIMD_DOMAINS="$domains" \
+    "$run" serve --traffic 200 --profile mixed --seed 7 \
+    --shards 4 --batch 8 --json "$json.traffic" > /dev/null
+  if [ -z "$fref" ]; then
+    fref="$json"
+  else
+    diff -q "$fref" "$json" \
+      || { echo "FAIL: fleet trace snapshot differs from $fref"; exit 1; }
+    diff -q "$fref.traffic" "$json.traffic" \
+      || { echo "FAIL: fleet traffic snapshot differs"; exit 1; }
+  fi
 done
 
 # Placement invariance: on an admission-lossless config the per-request
@@ -112,27 +108,24 @@ diff -q "$out/results_1_1.json" "$out/results_6_2.json" \
 
 # --- the heterogeneous fleet -------------------------------------------
 # Four shards carrying four zoo devices with affinity placement on.
-# Two contracts: the full snapshot is byte-identical across engine x
-# pool like everything else, and shuffling the device multiset over
+# Two contracts: the full snapshot is byte-identical across pool widths
+# like everything else, and shuffling the device multiset over
 # shard ids moves no byte of the per-request results (placement,
 # stealing and affinity key on device names, never shard ids).
 zoo="w32-hw,w64-hw,w16-sw,w32-l2tiny"
 href=""
-for engine in compile walk; do
-  for domains in 0 3; do
-    json="$out/hetero_${engine}_${domains}.json"
-    echo "== hetero OMPSIMD_EVAL=$engine OMPSIMD_DOMAINS=$domains =="
-    OMPSIMD_EVAL="$engine" OMPSIMD_DOMAINS="$domains" \
-      OMPSIMD_FLEET_DEVICES="$zoo" \
-      "$run" serve --traffic 200 --profile mixed --seed 7 \
-      --shards 4 --batch 8 --json "$json" > "$out/hetero_${engine}_${domains}.log"
-    if [ -z "$href" ]; then
-      href="$json"
-    else
-      diff -q "$href" "$json" \
-        || { echo "FAIL: hetero snapshot differs from $href"; exit 1; }
-    fi
-  done
+for domains in 0 3; do
+  json="$out/hetero_${domains}.json"
+  echo "== hetero OMPSIMD_DOMAINS=$domains =="
+  OMPSIMD_DOMAINS="$domains" OMPSIMD_FLEET_DEVICES="$zoo" \
+    "$run" serve --traffic 200 --profile mixed --seed 7 \
+    --shards 4 --batch 8 --json "$json" > "$out/hetero_${domains}.log"
+  if [ -z "$href" ]; then
+    href="$json"
+  else
+    diff -q "$href" "$json" \
+      || { echo "FAIL: hetero snapshot differs from $href"; exit 1; }
+  fi
 done
 
 # device-shuffle identity, on an admission-lossless config
@@ -152,25 +145,23 @@ done
 # With an SLO the fleet sheds and autoscales on telemetry-window
 # boundaries; the windowed JSONL stream (per-shard lines plus the
 # control line recording those decisions) must be byte-identical across
-# every engine x pool combination, like the snapshot beside it.
+# pool widths, like the snapshot beside it.
 tref=""
-for engine in compile walk; do
-  for domains in 0 3; do
-    tel="$out/tel_${engine}_${domains}.jsonl"
-    echo "== SLO telemetry OMPSIMD_EVAL=$engine OMPSIMD_DOMAINS=$domains =="
-    OMPSIMD_EVAL="$engine" OMPSIMD_DOMAINS="$domains" OMPSIMD_SERVE_QUEUE=4 \
-      "$run" serve --traffic 400 --profile mixed --seed 5 \
-      --shards 4 --batch 8 --slo 6 --telemetry "$tel" \
-      --json "$tel.json" > /dev/null
-    if [ -z "$tref" ]; then
-      tref="$tel"
-    else
-      diff -q "$tref" "$tel" \
-        || { echo "FAIL: SLO telemetry differs from $tref"; exit 1; }
-      diff -q "$tref.json" "$tel.json" \
-        || { echo "FAIL: SLO snapshot differs from $tref.json"; exit 1; }
-    fi
-  done
+for domains in 0 3; do
+  tel="$out/tel_${domains}.jsonl"
+  echo "== SLO telemetry OMPSIMD_DOMAINS=$domains =="
+  OMPSIMD_DOMAINS="$domains" OMPSIMD_SERVE_QUEUE=4 \
+    "$run" serve --traffic 400 --profile mixed --seed 5 \
+    --shards 4 --batch 8 --slo 6 --telemetry "$tel" \
+    --json "$tel.json" > /dev/null
+  if [ -z "$tref" ]; then
+    tref="$tel"
+  else
+    diff -q "$tref" "$tel" \
+      || { echo "FAIL: SLO telemetry differs from $tref"; exit 1; }
+    diff -q "$tref.json" "$tel.json" \
+      || { echo "FAIL: SLO snapshot differs from $tref.json"; exit 1; }
+  fi
 done
 grep -q '"shedding": true' "$tref" \
   || { echo "FAIL: SLO telemetry never recorded shedding"; exit 1; }
@@ -191,6 +182,6 @@ case "$fstats" in
   *'"steals": 0,'*) echo "FAIL: fleet traffic produced no steals"; exit 1 ;;
 esac
 
-tail -n 8 "$out/serve_compile_0.log"
-tail -n 4 "$out/fleet_compile_0.log"
-echo "serve smoke OK: snapshots bit-identical across engines and pools"
+tail -n 8 "$out/serve_0.log"
+tail -n 4 "$out/fleet_0.log"
+echo "serve smoke OK: snapshots bit-identical across pools"
