@@ -610,11 +610,14 @@ let serve_cmd =
                 Printf.eprintf "%s: %s\n" file msg;
                 exit 2)
           | None, Some n, None -> Serve.Request.synthetic ~n ~seed ~gap ()
-          | None, None, Some n -> (
-              try Serve.Traffic.(generate (preset profile ~n ~seed))
-              with Failure msg ->
-                Printf.eprintf "serve: %s\n" msg;
-                exit 1)
+          | None, None, Some n ->
+              if not (List.mem profile Serve.Traffic.preset_names) then begin
+                Printf.eprintf "serve: unknown --profile %S (known: %s)\n"
+                  profile
+                  (String.concat ", " Serve.Traffic.preset_names);
+                exit 2
+              end;
+              Serve.Traffic.(generate (preset profile ~n ~seed))
           | None, None, None ->
               prerr_endline
                 "serve: one of --requests, --synthetic or --traffic is \

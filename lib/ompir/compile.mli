@@ -1,12 +1,19 @@
 (** The staged evaluator.
 
     [run] compiles the checked program once per launch into a tree of
-    OCaml closures — every variable reference resolved to a
-    (frame-depth, slot) pair over array-backed frames, array parameters
-    and outlined-region metadata hoisted into the closures — and then
-    executes that compiled form on the simulated device.  The compiled
-    form is immutable and shared by all lanes and blocks; only the
-    per-thread frame arrays are private.
+    OCaml closures and then executes that compiled form on the
+    simulated device.  Compilation gives every scalar — parameter,
+    declaration, loop variable, reduction summand — a fixed slot in an
+    [int] or a [float] frame, chosen from its type, and resolves every
+    reference to a (nesting-level distance, slot) pair; array
+    parameters and outlined-region metadata are hoisted into the
+    closures.  The compiled form is immutable and shared by all lanes
+    and blocks.  Each executing lane gets one frame per nesting level
+    (kernel body, region body, simd body) on first use and keeps it for
+    the launch, and each creating lane builds its region and simd
+    payloads and bodies once per site, refreshing the payloads in
+    place: evaluating an expression, a statement or a loop iteration
+    allocates nothing.
 
     This is the one evaluator the product runs kernels with.  A tree
     walker kept with the tests is its reference: the two are certified
@@ -16,17 +23,15 @@
     with that reference. *)
 
 exception Error of string
-(** Runtime type or binding failure — {!Check.kernel} accepts exactly the
-    kernels that cannot raise this. *)
+(** A binding mismatch or an ill-typed kernel, raised before the launch
+    starts (every kernel {!Check.kernel} accepts types here),
+    or an integer division by zero during it. *)
 
 type binding =
   | B_farr of Gpusim.Memory.farray
   | B_iarr of Gpusim.Memory.iarray
   | B_int of int
   | B_float of float
-
-type value = V_int of int | V_float of float
-(** Runtime scalar values. *)
 
 type options = {
   num_teams : int;

@@ -3,15 +3,11 @@ module Smap = Map.Make (String)
 (* Each binding records the absolute level of the frame it was made in;
    frames only ever bind at the innermost level, so the map's entry for
    a name is always its innermost binding. *)
-type 'a t = { level : int; len : int; names : (int * 'a) Smap.t }
+type 'a t = { level : int; names : (int * 'a) Smap.t }
 
-let empty = { level = -1; len = 0; names = Smap.empty }
-let push s = { s with level = s.level + 1; len = 0 }
-
-let add name v s =
-  { s with len = s.len + 1; names = Smap.add name (s.level, v) s.names }
-
-let length s = s.len
+let empty = { level = -1; names = Smap.empty }
+let push s = { s with level = s.level + 1 }
+let add name v s = { s with names = Smap.add name (s.level, v) s.names }
 
 let find name s =
   match Smap.find_opt name s.names with

@@ -5,8 +5,7 @@
     scope.  Shadowing is innermost-wins: a later binding of a name, in
     the same frame or a nested one, hides every earlier one until the
     scope value that holds it is dropped (scopes are persistent).
-    {!Check} binds locals to their types; {!Compile} binds them to
-    their frame slots. *)
+    {!Check} binds locals to their types. *)
 
 type 'a t
 
@@ -18,10 +17,6 @@ val push : 'a t -> 'a t
 
 val add : string -> 'a -> 'a t -> 'a t
 (** Bind a name in the innermost frame. *)
-
-val length : 'a t -> int
-(** Bindings made in the innermost frame, shadowed ones included —
-    the next slot of an array-backed frame. *)
 
 val find : string -> 'a t -> (int * 'a) option
 (** The innermost binding of a name, with its frame depth ([0] is the

@@ -210,6 +210,10 @@ type pending = {
   chash : int;  (* [hash_pos] of the content key: its ring position *)
   stolen : bool;  (* executing (or last executed) on a foreign shard *)
   relaunched : bool;  (* recovery re-entry: exempt from bound and eviction *)
+  clauses : Clause.t;
+      (* the launch geometry as clauses, made once per geometry before
+         the replay starts: placement, every dispatch attempt and every
+         member launch read it *)
 }
 
 (* One member's exact sub-report, split out of the merged grid. *)
@@ -420,9 +424,9 @@ let run conf ?pool specs =
      simdlen must divide that warp.  Placement and stealing both
      respect this, so a 32-thread request never lands on a 64-lane
      wavefront device that would reject the launch. *)
-  let fits_name dn spec =
+  let fits_name dn clauses =
     Result.is_ok
-      (Clause.check_geometry ~cfg:(Hashtbl.find dev_by_name dn) (clauses_of spec))
+      (Clause.check_geometry ~cfg:(Hashtbl.find dev_by_name dn) clauses)
   in
   (* rings over unions of device groups (for hetero fleets with
      affinity off, or when geometry rules out some groups): the union
@@ -619,6 +623,18 @@ let run conf ?pool specs =
         Hashtbl.add ckey_memo k c;
         c
   in
+  (* one launch-clause chain per launch geometry, shared by every
+     request with that geometry *)
+  let geometries = Hashtbl.create 8 in
+  let clauses_for (spec : Request.spec) =
+    let key = (spec.Request.teams, spec.Request.threads, spec.Request.simdlen) in
+    match Hashtbl.find_opt geometries key with
+    | Some c -> c
+    | None ->
+        let c = clauses_of spec in
+        Hashtbl.add geometries key c;
+        c
+  in
   (* Every trace arrival is known now: the heap holds them in its
      sorted seed (rank 1, seq 1..n in list order), and only dynamic
      events — finishes, retry arrivals, relaunches — are pushed. *)
@@ -650,6 +666,7 @@ let run conf ?pool specs =
                  chash;
                  stolen = false;
                  relaunched = false;
+                 clauses = clauses_for spec;
                } ))
          specs)
   in
@@ -790,7 +807,7 @@ let run conf ?pool specs =
   let place_for now (p : pending) =
     if not hetero then place_hash ring p.chash
     else begin
-      let cands = List.filter (fun dn -> fits_name dn p.spec) devnames in
+      let cands = List.filter (fun dn -> fits_name dn p.clauses) devnames in
       (* no device fits: fall through to the plain ring and let the
          launch fail exactly as a homogeneous fleet would *)
       let cands = if cands = [] then devnames else cands in
@@ -820,9 +837,8 @@ let run conf ?pool specs =
   let real_launch ~cfg compiled (p : pending) =
     let _kernel, bindings, out = Request.instantiate p.spec in
     let spec = p.spec in
-    let clauses = clauses_of spec in
     let nonce = nonce_for spec ~launches:p.launches in
-    match Offload.run ~cfg ?pool ~nonce ~clauses ~bindings compiled with
+    match Offload.run ~cfg ?pool ~nonce ~clauses:p.clauses ~bindings compiled with
     | report ->
         {
           m_pending = { p with launches = p.launches + 1 };
@@ -1024,7 +1040,7 @@ let run conf ?pool specs =
           (if expired p now then
              record (never_ran ~shard:s.sid p Scheduler.Timed_out now)
            else
-             let clauses = clauses_of p.spec in
+             let clauses = p.clauses in
              if
                (* a geometry this shard's device cannot run fails before
                   the breaker is asked, so it never takes the probe slot *)

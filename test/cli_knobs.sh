@@ -5,7 +5,8 @@
 # variable.  Also: a SIMD group the device warp cannot hold, a device
 # whose blocks cannot hold the launch and a kernel run with failed
 # blocks end with a clean exit code, never an uncaught exception; so
-# does a serve trace asking for an arrival or a size out of range.
+# does a serve trace asking for an arrival or a size out of range, and
+# so does an unknown serve traffic profile.
 #
 # Usage: sh test/cli_knobs.sh <ompsimd_run.exe> <kernel.omp> <serve.requests>
 set -u
@@ -119,6 +120,21 @@ for case in "at=1e15:request 0 arrives at 1e+15" "size=100000000:trace line 1: s
     failures=$((failures + 1))
   fi
 done
+
+# An unknown traffic profile is a usage error like the trace lines
+# above: exit 2 with one stderr line naming the profile.
+err="$("$run" serve --traffic 5 --profile bogus 2>&1 >/dev/null)"
+code=$?
+lines="$(printf '%s\n' "$err" | wc -l)"
+case "$err" in
+  *"uncaught exception"*) named=0 ;;
+  *'"bogus"'*) named=1 ;;
+  *) named=0 ;;
+esac
+if [ "$code" -ne 2 ] || [ "$lines" -ne 1 ] || [ "$named" -ne 1 ]; then
+  echo "FAIL: serve --profile bogus: exit $code, stderr: $err"
+  failures=$((failures + 1))
+fi
 
 # A kernel whose blocks fail under an armed fault plan prints its report,
 # failures included, and exits 1 without verifying — never an uncaught

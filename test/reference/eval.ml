@@ -30,7 +30,8 @@ type options = Compile.options = {
   sharing_bytes : int;
 }
 
-type value = Compile.value = V_int of int | V_float of float
+(* Runtime scalar values: the walker's cells carry their type *)
+type value = V_int of int | V_float of float
 
 (* A thread's lexical scope is a private [cell Scope.t] (keyed frames,
    innermost-wins).  Array parameters live in a static table; scalar

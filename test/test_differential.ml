@@ -687,6 +687,116 @@ let run_collapse_certification cc =
           (String.concat "\n" (Gpusim.Ompsan.report_strings san));
       true
 
+(* --- guarded declarations -------------------------------------------- *)
+
+(* A guarded block that declares an int and a float: each SIMD group's
+   leader runs it, and every other lane takes the values from the
+   leader's broadcast before reading them after the block.  SPMD regions
+   with real groups, so the broadcast path runs. *)
+type guard_case = {
+  grows : int;
+  gwidth : int;
+  gteams : int;
+  gthreads : int;
+  gsimd_len : int;
+  gteams_mode : Mode.t;
+  gsched : Ir.schedule;
+}
+
+let gen_guard_case st =
+  {
+    grows = Gen.int_range 1 24 st;
+    gwidth = List.nth [ 4; 8; 16 ] (Gen.int_range 0 2 st);
+    gteams = Gen.int_range 1 3 st;
+    gthreads = List.nth [ 32; 64 ] (Gen.int_range 0 1 st);
+    gsimd_len = List.nth [ 2; 4; 8 ] (Gen.int_range 0 2 st);
+    gteams_mode = (if Gen.bool st then Mode.Spmd else Mode.Generic);
+    gsched = gen_sched st;
+  }
+
+let guard_kernel gc =
+  let open Ir in
+  kernel ~name:"guarded_decls"
+    ~params:
+      [
+        { pname = "src"; pty = P_farray };
+        { pname = "out"; pty = P_farray };
+        { pname = "marks"; pty = P_farray };
+        { pname = "n"; pty = P_int };
+      ]
+    [
+      distribute_parallel_for ~sched:gc.gsched ~var:"r" ~lo:(Int_lit 0)
+        ~hi:(Int_lit gc.grows)
+        [
+          Guarded
+            [
+              Decl
+                {
+                  name = "g";
+                  ty = Tfloat;
+                  init = Binop (Add, Binop (Mul, Load ("src", Var "r"), Float_lit 2.0), Float_lit 0.5);
+                };
+              Decl { name = "gi"; ty = Tint; init = Binop (Add, Binop (Mul, Var "r", Int_lit 3), Int_lit 1) };
+              Store ("marks", Var "r", Var "g");
+            ];
+          Decl { name = "base"; ty = Tfloat; init = Binop (Add, Var "g", Unop (To_float, Var "gi")) };
+          simd ~var:"j" ~lo:(Int_lit 0) ~hi:(Int_lit gc.gwidth)
+            [
+              Store
+                ( "out",
+                  Binop (Add, Binop (Mul, Var "r", Int_lit gc.gwidth), Var "j"),
+                  Binop
+                    ( Add,
+                      Var "base",
+                      Load ("src", Binop (Mod, Binop (Add, Var "r", Var "j"), Var "n")) ) );
+            ];
+        ];
+    ]
+
+let guard_bindings gc =
+  let space = Memory.space () in
+  let n = gc.grows * gc.gwidth in
+  let g = Ompsimd_util.Prng.create ~seed:(gc.grows + (gc.gwidth * 131)) in
+  ( space,
+    [
+      ( "src",
+        Compile.B_farr
+          (Memory.of_float_array space
+             (Array.init n (fun _ -> Ompsimd_util.Prng.float g 2.0 -. 1.0))) );
+      ("out", Compile.B_farr (Memory.falloc space n));
+      ("marks", Compile.B_farr (Memory.falloc space gc.grows));
+      ("n", Compile.B_int n);
+    ] )
+
+let run_guard_differential gc =
+  let kernel = guard_kernel gc in
+  (match Check.kernel kernel with
+  | Ok () -> ()
+  | Error es ->
+      Test.fail_reportf "guarded kernel ill-formed: %s"
+        (String.concat "; " (List.map (fun (e : Check.error) -> e.Check.what) es)));
+  let options =
+    {
+      Compile.num_teams = gc.gteams;
+      num_threads = gc.gthreads;
+      teams_mode = gc.gteams_mode;
+      parallel_mode = `Force Mode.Spmd;
+      simd_len = gc.gsimd_len;
+      sharing_bytes = 2048;
+    }
+  in
+  engines_agree ~name:"guarded kernel" ~options
+    ~bindings_of:(fun () -> guard_bindings gc)
+    ~out_arrays:[ "out"; "marks" ] ~kernel (Outline.run kernel)
+
+let guard_arbitrary =
+  QCheck.make
+    ~print:(fun gc ->
+      Printf.sprintf "rows=%d width=%d teams=%d threads=%d simdlen=%d tmode=%s sched=%s"
+        gc.grows gc.gwidth gc.gteams gc.gthreads gc.gsimd_len
+        (Mode.to_string gc.gteams_mode) (sched_to_string gc.gsched))
+    gen_guard_case
+
 let qcheck_cases =
   let pool = Gpusim.Pool.create ~domains:3 () in
   let sanitizing_pool = Gpusim.Pool.create ~sanitize:true ~domains:3 () in
@@ -701,6 +811,8 @@ let qcheck_cases =
       (fun case -> run_engine_differential ~pool case);
     Test.make ~name:"collapse(2): staged engine == tree walker == host"
       ~count:60 collapse_arbitrary run_collapse_differential;
+    Test.make ~name:"guarded declarations: staged engine == tree walker == host"
+      ~count:40 guard_arbitrary run_guard_differential;
     (* certified fleet: racy iff planted, on both layers *)
     Test.make ~name:"certified fleet: sanitizer verdict == plant (staged)"
       ~count:120 certified_arbitrary

@@ -254,6 +254,98 @@ let saxpy_kernel =
         ];
     ]
 
+(* --- the evaluator allocates nothing per iteration --------------------- *)
+
+(* A region body with float and int declarations, a sequential loop
+   that reassigns a float, and a simd loop storing a float expression
+   of outer scalars, loads and its loop variable. *)
+let alloc_pin_kernel =
+  Ir.kernel ~name:"alloc_pin"
+    ~params:
+      [
+        { Ir.pname = "a"; pty = Ir.P_farray };
+        { Ir.pname = "out"; pty = Ir.P_farray };
+        { Ir.pname = "n"; pty = Ir.P_int };
+        { Ir.pname = "w"; pty = Ir.P_int };
+        { Ir.pname = "scale"; pty = Ir.P_float };
+      ]
+    Ir.
+      [
+        distribute_parallel_for ~var:"i" ~lo:(i 0) ~hi:(v "n")
+          [
+            Decl
+              {
+                name = "s";
+                ty = Tfloat;
+                init = (Load ("a", v "i") * v "scale") + f 1.0;
+              };
+            Decl { name = "k"; ty = Tint; init = Binop (Mod, v "i" * i 3, i 7) };
+            For
+              {
+                var = "t";
+                lo = i 0;
+                hi = i 2;
+                body =
+                  [ Assign ("s", (v "s" * f 0.5) + Unop (To_float, v "k")) ];
+              };
+            simd ~var:"j" ~lo:(i 0) ~hi:(v "w")
+              [
+                Store
+                  ( "out",
+                    (v "i" * v "w") + v "j",
+                    (v "s" * Load ("a", (v "i" * v "w") + v "j"))
+                    + Unop (To_float, v "j") );
+              ];
+          ];
+      ]
+
+(* Minor words of the second of two launches on a sequential pool (the
+   first builds what the pool carries), as [test_omprt]'s launch-state
+   pins measure them. *)
+let alloc_pin_words ~n ~w =
+  match Offload.compile alloc_pin_kernel with
+  | Error _ -> Alcotest.fail "alloc_pin must compile"
+  | Ok compiled ->
+      let pool = Gpusim.Pool.create () in
+      let launch () =
+        let space = Memory.space () in
+        let bindings =
+          [
+            ("a", Ompir.Compile.B_farr (Memory.of_float_array space (Array.make (n * w) 0.5)));
+            ("out", Ompir.Compile.B_farr (Memory.falloc space (n * w)));
+            ("n", Ompir.Compile.B_int n);
+            ("w", Ompir.Compile.B_int w);
+            ("scale", Ompir.Compile.B_float 3.0);
+          ]
+        in
+        let clauses = Clause.(none |> num_teams 2 |> num_threads 64 |> simdlen 8) in
+        let w0 = Gc.minor_words () in
+        ignore (Offload.run ~cfg ~pool ~clauses ~bindings compiled : Gpusim.Device.report);
+        Gc.minor_words () -. w0
+      in
+      ignore (launch () : float);
+      launch ()
+
+(* Doubling the trip count adds n region iterations — the region is
+   SPMD, so each runs on the 8 lanes of a SIMD group: its declarations,
+   two sequential-loop iterations and a simd entry — and n * w
+   simd-body iterations.  Measured: 1.83 minor words per extra
+   lane-iteration, of which the simulator's rendezvous at each simd
+   entry take 1.17 and the simd payload's float capture [s], a boxed
+   [float ref] rewritten on each entry, 0.67; the bound is that plus
+   about 20%, as for the launch-state pins.  One boxed float per simd
+   iteration, or per region iteration and lane, breaks it; the
+   evaluator that boxed every value and made a frame per iteration
+   allocated 65. *)
+let test_offload_alloc_per_iteration () =
+  let n = 64 and w = 16 in
+  let lane_iterations = float_of_int ((n * 8) + (n * w)) in
+  let extra = alloc_pin_words ~n:(2 * n) ~w -. alloc_pin_words ~n ~w in
+  let per = extra /. lane_iterations in
+  if per > 2.2 then
+    Alcotest.failf
+      "evaluator: %.2f minor words per extra lane-iteration (bound 2.2)" per
+
 let test_offload_pipeline () =
   match Offload.compile saxpy_kernel with
   | Error _ -> Alcotest.fail "saxpy must compile"
@@ -469,6 +561,8 @@ let suite =
     ( "openmp.offload",
       [
         Alcotest.test_case "pipeline" `Quick test_offload_pipeline;
+        Alcotest.test_case "alloc: evaluator words per lane-iteration" `Quick
+          test_offload_alloc_per_iteration;
         Alcotest.test_case "guardize spmdizes" `Quick test_guardize_spmdizes;
         Alcotest.test_case "guardize remark" `Quick test_guardize_remark;
         Alcotest.test_case "guardize cost ordering" `Quick

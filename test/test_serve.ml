@@ -1293,7 +1293,10 @@ let test_operability_snapshot () =
       "\"shed\"";
     ];
   let pool = Gpusim.Pool.create ~domains:3 () in
-  Alcotest.(check string) "pooled replay identical" reference (snap ~pool c)
+  Fun.protect
+    ~finally:(fun () -> Gpusim.Pool.shutdown pool)
+    (fun () ->
+      Alcotest.(check string) "pooled replay identical" reference (snap ~pool c))
 
 (* qcheck: the telemetry JSONL is part of the determinism contract —
    byte-identical across pool widths and device
@@ -1314,9 +1317,12 @@ let fleet_telemetry_replay =
       let tele ?pool conf = (Fleet.run conf ?pool specs).Fleet.telemetry in
       let reference = tele (c devices) in
       let pool = Gpusim.Pool.create ~domains:3 () in
-      String.length reference > 0
-      && String.equal reference (tele ~pool (c devices))
-      && String.equal reference (tele (c rotated)))
+      Fun.protect
+        ~finally:(fun () -> Gpusim.Pool.shutdown pool)
+        (fun () ->
+          String.length reference > 0
+          && String.equal reference (tele ~pool (c devices))
+          && String.equal reference (tele (c rotated))))
 
 (* The autoscaler control law, exercised directly: the dead band keeps
    a square-wave load from oscillating the target, sustained overload

@@ -4,8 +4,11 @@
 
    A byte-weighted sampler of minor-heap allocation by call site, for
    the E6 launch set (the atomic and the reduction spmv, generic simd at
-   every group size) and the Fig 9 launch set (spmv, su3 and the ideal
-   kernel, two-level and three-level).  The sampler is one dead young
+   every group size), the Fig 9 launch set (spmv, su3 and the ideal
+   kernel, two-level and three-level) and a compiled-kernel set: a
+   fixed cold serve trace through [Serve.Fleet.run], whose every member
+   launch runs a compiled IR kernel on the staged evaluator
+   ([Ompir.Compile]).  The sampler is one dead young
    block with a [Gc.finalise_last] finaliser: the minor collection that
    finds the block dead runs the finaliser at the allocation that
    filled the minor heap, the finaliser records its call stack and arms
@@ -31,6 +34,9 @@ module Harness = Workloads.Harness
 module Spmv = Workloads.Spmv
 module Su3 = Workloads.Su3
 module Ideal = Workloads.Ideal
+module Fleet = Serve.Fleet
+module Request = Serve.Request
+module Scheduler = Serve.Scheduler
 
 let minor_words = 32768
 let repeats = 3
@@ -120,7 +126,7 @@ let print_table ~title ~launches =
   in
   let mb w = w *. float_of_int (Sys.word_size / 8) /. 1e6 in
   Printf.printf
-    "%s: %d samples, %.2f MB per launch over %d launches\n  words%%  samples  site\n"
+    "%s: %d samples, %.2f MB per call over %d calls\n  words%%  samples  site\n"
     title !samples
     (mb !words /. float_of_int launches)
     launches;
@@ -135,6 +141,7 @@ let print_table ~title ~launches =
 (* --- the launch sets --------------------------------------------------- *)
 
 let cfg = Gpusim.Config.small
+let discard l () = ignore (l () : Harness.run)
 
 (* E6 at the ledger's sim_reduce geometry, smaller: every group size,
    atomic and reduction, on a cold L2. *)
@@ -151,7 +158,7 @@ let e6 pool =
         ])
       group_sizes
   in
-  ("E6 (spmv atomic + reduction, generic simd g2-g32)", launches)
+  ("E6 (spmv atomic + reduction, generic simd g2-g32)", List.map discard launches)
 
 (* Fig 9's three kernels, two-level and at every group size. *)
 let fig9 pool =
@@ -184,10 +191,79 @@ let fig9 pool =
           ])
         group_sizes
   in
-  ("Fig 9 (spmv, su3, ideal: two-level and simd g2-g32)", launches)
+  ("Fig 9 (spmv, su3, ideal: two-level and simd g2-g32)", List.map discard launches)
+
+(* A cold serve trace: 160 requests over 48 chain depths and 38 other
+   (template, size) shapes on a heterogeneous four-device fleet, every
+   request with its own data seed, so the launch memo never hits and
+   every member launch compiles or fetches an IR kernel and simulates
+   it on the staged evaluator. *)
+let serve_cold pool =
+  let n = 160 in
+  let chain = List.init 48 (fun k -> ("chain", 8 + (4 * k))) in
+  let sizes k = List.init k (fun j -> 16 + (8 * j)) in
+  let others =
+    List.concat_map
+      (fun (t, k) -> List.map (fun s -> (t, s)) (sizes k))
+      [ ("rowsum", 10); ("saxpy", 10); ("stencil", 10); ("hist", 8) ]
+  in
+  let pick shapes count =
+    let a = Array.of_list shapes in
+    List.init count (fun i -> a.(i mod Array.length a))
+  in
+  let n_chain = n * 2 / 5 in
+  let shapes = Array.of_list (pick chain n_chain @ pick others (n - n_chain)) in
+  Ompsimd_util.Prng.shuffle (Ompsimd_util.Prng.create ~seed:0xc01d) shapes;
+  let specs =
+    Array.to_list
+      (Array.mapi
+         (fun id (kernel, size) ->
+           {
+             Request.default_spec with
+             Request.id;
+             at = float_of_int id *. 8000.0;
+             kernel;
+             size;
+             teams = 2;
+             threads = 64;
+             simdlen = 8;
+             seed = 1_000_003 + id;
+           })
+         shapes)
+  in
+  let conf =
+    {
+      Fleet.base =
+        {
+          Scheduler.cfg;
+          queue_bound = 16;
+          servers = 2;
+          cache_capacity = 128;
+          max_retries = 2;
+          backoff = 500.0;
+          breaker = 4;
+          slo = None;
+          window = 20_000.0;
+          knobs = Openmp.Offload.default_knobs;
+        };
+      shards = 4;
+      batch = 8;
+      steal = true;
+      memo = true;
+      tenants = [];
+      devices = Fleet.parse_devices "w32-hw,w64-hw,w16-sw,w32-l2tiny";
+      affinity = true;
+      telemetry = false;
+      shed = true;
+      autoscale = Serve.Autoscale.disabled;
+      decay = 0;
+    }
+  in
+  ( Printf.sprintf "serve cold (%d requests, 4-device fleet, compiled IR kernels)" n,
+    [ (fun () -> ignore (Fleet.run conf ~pool specs : Fleet.result)) ] )
 
 let run_set (title, launches) =
-  let run_all () = List.iter (fun l -> ignore (l () : Harness.run)) launches in
+  let run_all () = List.iter (fun l -> l ()) launches in
   run_all ();
   Gc.full_major ();
   sampled (fun () ->
@@ -200,4 +276,5 @@ let () =
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_words };
   let pool = Pool.create ~domains:0 () in
   run_set (e6 pool);
-  run_set (fig9 pool)
+  run_set (fig9 pool);
+  run_set (serve_cold pool)
