@@ -139,11 +139,6 @@ let equal a b =
   && extras_subset a.extras b.extras
   && extras_subset b.extras a.extras
 
-let copy t =
-  let fresh = create () in
-  merge_into ~dst:fresh t;
-  fresh
-
 let coalescing_ratio t =
   let total = t.line_hits + t.line_misses in
   if total = 0 then 1.0 else float_of_int t.line_hits /. float_of_int total

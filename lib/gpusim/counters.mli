@@ -68,8 +68,6 @@ val equal : t -> t -> bool
 val merge_into : dst:t -> t -> unit
 (** Add every counter of the source into [dst]. *)
 
-val copy : t -> t
-
 val coalescing_ratio : t -> float
 (** hits / (hits + misses); 1.0 when there were no accesses. *)
 

@@ -9,6 +9,7 @@ type report = {
   sanitizer : Ompsan.report option;
   failures : Fault.failure list;
   faults : Fault.stats;
+  parks : int;
 }
 
 (* A failed block contributes nothing to the epilogue: no L2 commit, no
@@ -16,7 +17,7 @@ type report = {
 type sim_result =
   | B_ok of
       Occupancy.block_cost
-      * Counters.t
+      * Engine.block_result
       * Memory.block_session
       * Ompsan.block_report option
       * Fault.events
@@ -87,7 +88,7 @@ let simulate_block ~cfg ?trace ~ctx ~block ~init ?reinit ~body block_id =
        ~smem_bytes:
          (Shared.high_water arena
          + Config.sw_barrier_smem_bytes cfg ~threads:block),
-     result.Engine.counters)
+     result)
   with
   | exception Fault.Fatal f -> B_failed (f, abort ())
   | exception Engine.Deadlock _ when ctx.capture ->
@@ -123,10 +124,10 @@ let simulate_block ~cfg ?trace ~ctx ~block ~init ?reinit ~body block_id =
   | exception e ->
       ignore (abort () : Fault.events);
       raise e
-  | cost, counters ->
+  | cost, result ->
       let san = Ompsan.block_end () in
       let ev = Fault.block_end () in
-      B_ok (cost, counters, Memory.session_end (), san, ev)
+      B_ok (cost, result, Memory.session_end (), san, ev)
 
 let launch ~cfg ?pool ?trace ?nonce ?(kernel = "<kernel>") ~grid ~block ~init
     ?reinit ~body () =
@@ -201,9 +202,12 @@ let launch ~cfg ?pool ?trace ?nonce ?(kernel = "<kernel>") ~grid ~block ~init
       | B_failed _ -> ())
     results;
   let merged = Counters.create () in
+  let parks = ref 0 in
   Array.iter
     (function
-      | B_ok (_, counters, _, _, _) -> Counters.merge_into ~dst:merged counters
+      | B_ok (_, r, _, _, _) ->
+          Counters.merge_into ~dst:merged r.Engine.counters;
+          parks := !parks + r.Engine.parks
       | B_failed _ -> ())
     results;
   let zero_cost =
@@ -298,6 +302,7 @@ let launch ~cfg ?pool ?trace ?nonce ?(kernel = "<kernel>") ~grid ~block ~init
     sanitizer;
     failures;
     faults = !stats;
+    parks = !parks;
   }
 
 let pp_report ppf r =

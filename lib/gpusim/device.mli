@@ -46,6 +46,9 @@ type report = {
       (** Corrected/fatal/stall/exhaust/watchdog totals over the launch.
           {!Fault.zero_stats} when disarmed — the report stays
           bit-identical. *)
+  parks : int;
+      (** {!Engine.block_result.parks} summed over the completed blocks:
+          a host-cost figure that no report or snapshot prints. *)
 }
 
 val launch :

@@ -48,16 +48,10 @@ let take_stall () =
    waiters are queued in a fixed ring of threads (capacity
    [num_threads + 1]: a thread is parked at most once) and consumed
    FIFO; a parked fiber's continuation is kept per tid in [ks], since a
-   thread has at most one.  [live] lists the barriers the block parked
-   on, in order of first park, for the deadlock report.
-
-   Two kinds of waiter have no continuation at all.  A detached thread
-   ([detach]) gave its fiber back and lives on as steps only.  A thread
-   that finished at a barrier ([arrive_last]) has [exited] as its step:
-   the release that reaches it counts it finished instead of queueing
-   it.  [completed] counts finished threads: a thread body that
-   returns, less one for each body that returned while still owing an
-   arrival (it is counted when that arrival's barrier releases it). *)
+   thread has at most one, and [held] says which tids hold one.  [live]
+   lists the barriers the block parked on, in order of first park, for
+   the deadlock report.  [completed] counts finished threads (see the
+   .mli for when a thread is finished). *)
 type _ Effect.t += Suspend : unit Effect.t
 
 type sched = {
@@ -69,26 +63,38 @@ type sched = {
      [Barrier.live_index]; grown by doubling, kept with the frame *)
   mutable live : Barrier.t array;
   mutable nlive : int;
-  (* the failed arrival [arrive] recorded for the [Suspend] or [detach]
-     next, and the resume hook [Suspend] installs *)
+  (* the failed arrival [arrive] recorded for the [Suspend] next, and
+     the resume hook [Suspend] installs *)
   mutable pending_bar : Barrier.t;
   mutable pending_th : Thread.t;
   mutable pending_step : Thread.t -> bool;
   (* per-tid continuation of a parked fiber, lazily created *)
   mutable ks : (unit, unit) continuation array;
+  held : bool array;
+  (* the step the fiber [start_fiber] starts next runs *)
+  mutable spawn : Thread.t -> bool;
   mutable completed : int;
   mutable parks : int;
 }
 
-(* The running block's scheduler, stashed on each of its warps (see
+(* One block frame: the warps, threads and scheduler of a block shape,
+   recycled across the blocks of one launch (see [frames]).  The effect
+   handler and the started fibers' body are built once per frame: they
+   read everything per-run from the scheduler record. *)
+type frame = {
+  warps : Thread.warp_state array;
+  threads : Thread.t array;
+  sched : sched;
+  handler : (unit, unit) handler;
+  spawned : Thread.t -> unit;
+}
+
+(* The running block's frame, stashed on each of its warps (see
    Thread.engine_sched): barrier arrivals are the simulator's single
    most frequent event, and the stash makes finding the scheduler a
-   field load.  [run_block] sets it after building [s] and resets it on
-   every exit path, so a warp never carries a stale scheduler. *)
-type Thread.engine_sched += Sched of sched
-
-(* The step of a thread that finished at a barrier it still waits on. *)
-let exited (_ : Thread.t) = false
+   field load.  [run_block] sets it after building the frame and resets
+   it on every exit path, so a warp never carries a stale scheduler. *)
+type Thread.engine_sched += Sched of frame
 
 let sched_push s th =
   s.rths.(s.tail) <- th;
@@ -97,19 +103,16 @@ let sched_push s th =
 
 (* Resume order matches the historical list-based scheduler: batches are
    FIFO across releases, and within a release the most recently parked
-   waiter runs first.  A waiter that finished at the barrier only
-   counts: nothing of it runs again. *)
+   waiter runs first. *)
 let push_release s bar =
   for i = Barrier.waiting bar - 1 downto 0 do
-    let th = Barrier.waiter bar i in
-    if th.Thread.step == exited then s.completed <- s.completed + 1
-    else sched_push s th
+    sched_push s (Barrier.waiter bar i)
   done;
   Barrier.clear bar
 
-let sched_of (th : Thread.t) ~what =
+let frame_of (th : Thread.t) ~what =
   match th.Thread.warp.Thread.esched with
-  | Sched s -> s
+  | Sched f -> f
   | _ -> invalid_arg (what ^ ": the thread's block is not running")
 
 (* The barrier an arrival really meets: an injected stall's victim parks
@@ -146,20 +149,33 @@ let park_arrival s bar th =
   if Barrier.live_index bar < 0 then register s bar
 
 let keep_k s (th : Thread.t) k =
+  let tid = th.Thread.tid in
   if Array.length s.ks = 0 then s.ks <- Array.make s.cap k;
-  s.ks.(th.Thread.tid) <- k;
+  s.ks.(tid) <- k;
+  s.held.(tid) <- true;
   s.parks <- s.parks + 1
 
+let resume s (th : Thread.t) =
+  let tid = th.Thread.tid in
+  s.held.(tid) <- false;
+  continue s.ks.(tid) ()
+
+(* A step finished its thread: its hook stays off [Thread.fiber], so a
+   body that returns around the step does not count it again. *)
+let finish s (th : Thread.t) =
+  th.Thread.step <- (fun _ -> false);
+  s.completed <- s.completed + 1
+
 let arrive bar th =
-  let s = sched_of th ~what:"Engine.arrive" in
+  let s = (frame_of th ~what:"Engine.arrive").sched in
   let bar = arrival_barrier bar th in
   if Barrier.try_complete bar th then begin
     push_release s bar;
     true
   end
   else begin
-    (* a fiber only records the arrival, which its [park],
-       [suspend_stepped] or [detach] parks next *)
+    (* a fiber only records the arrival, which its [park] or
+       [suspend_stepped] parks next *)
     if th.Thread.step == Thread.fiber then begin
       s.pending_bar <- bar;
       s.pending_th <- th
@@ -169,7 +185,7 @@ let arrive bar th =
   end
 
 let suspend_stepped th step =
-  let s = sched_of th ~what:"Engine.suspend_stepped" in
+  let s = (frame_of th ~what:"Engine.suspend_stepped").sched in
   s.pending_step <- step;
   perform Suspend
 
@@ -177,40 +193,11 @@ let park th = suspend_stepped th Thread.fiber
 
 let barrier_wait bar th = if not (arrive bar th) then park th
 
-let detach th step =
-  let s = sched_of th ~what:"Engine.detach" in
-  if s.pending_th != th || th.Thread.step != Thread.fiber then
-    invalid_arg "Engine.detach: no arrival of this fiber is recorded";
-  park_arrival s s.pending_bar th;
-  th.Thread.step <- step;
-  (* the thread's body returns next, before the thread has finished *)
-  s.completed <- s.completed - 1
-
-let arrive_last bar th =
-  let s = sched_of th ~what:"Engine.arrive_last" in
-  let bar = arrival_barrier bar th in
-  let on_fiber = th.Thread.step == Thread.fiber in
-  if Barrier.try_complete bar th then begin
-    push_release s bar;
-    (* a fiber's thread is counted when its body returns *)
-    if not on_fiber then s.completed <- s.completed + 1
-  end
-  else begin
-    if on_fiber then s.completed <- s.completed - 1;
-    th.Thread.step <- exited;
-    park_arrival s bar th
-  end
-
-(* One block frame: the warps, threads and scheduler of a block shape,
-   recycled across the blocks of one launch (see [frames]).  The effect
-   handler is built once per frame: it reads everything per-run from the
-   scheduler record. *)
-type frame = {
-  warps : Thread.warp_state array;
-  threads : Thread.t array;
-  sched : sched;
-  handler : (unit, unit) handler;
-}
+let start_fiber th step =
+  let f = frame_of th ~what:"Engine.start_fiber" in
+  f.sched.spawn <- step;
+  th.Thread.step <- Thread.fiber;
+  match_with f.spawned th f.handler
 
 type frames = frame Ompsimd_util.Freelist.t
 
@@ -244,6 +231,8 @@ let make_frame ~cfg ?trace ~launch ~block_id ~num_threads ~counters () =
       pending_th = threads.(0);
       pending_step = Thread.fiber;
       ks = [||];
+      held = Array.make (num_threads + 1) false;
+      spawn = Thread.fiber;
       completed = 0;
       parks = 0;
     }
@@ -270,13 +259,19 @@ let make_frame ~cfg ?trace ~launch ~block_id ~num_threads ~counters () =
           match eff with Suspend -> on_suspend | _ -> None);
     }
   in
-  { warps; threads; sched = s; handler }
+  (* a started fiber runs its step to the end: [true] asks for the
+     thread's fiber, which is this one, ending — the thread finished *)
+  let spawned th =
+    let step = s.spawn in
+    if step th then finish s th
+  in
+  { warps; threads; sched = s; handler; spawned }
 
 (* Restore a recycled frame to what [make_frame] builds for [block_id]:
    only a frame whose block completed is recycled, so its ring is empty,
-   every barrier it parked on has been unregistered and no thread is
-   stepped; [ks] holds only continuations already resumed, each
-   overwritten before it is read again. *)
+   every barrier it parked on has been unregistered, no thread is
+   stepped and none holds a continuation; [ks] holds only continuations
+   already resumed, each overwritten before it is read again. *)
 let reset_frame f ~block_id ~counters =
   Array.iter Thread.reset_warp f.warps;
   Array.iter (fun th -> Thread.reset th ~block_id ~counters) f.threads;
@@ -302,16 +297,20 @@ let run_block ~cfg ?trace ?(launch = Thread.default_launch) ?frames ~block_id
         make_frame ~cfg ?trace ~launch ~block_id ~num_threads ~counters ()
   in
   let warps = f.warps and threads = f.threads and s = f.sched in
-  Array.iter (fun w -> w.Thread.esched <- Sched s) warps;
+  Array.iter (fun w -> w.Thread.esched <- Sched f) warps;
   let handler = f.handler in
   (* Initial threads start in tid order, each on the fiber its
      predecessor's body returned on: a new fiber starts only after a
      thread parked its own.  A parked fiber is resumed only once every
-     thread has started, so a resumed chain starts no thread. *)
+     thread has started, so a resumed chain starts no thread.  A body
+     that returns with the thread's hook still [Thread.fiber] finished
+     the thread, unless a fiber a step of it started is parked; any
+     other hook lives on as steps. *)
   let next = ref 0 in
   let rec chain th =
     body th;
-    s.completed <- s.completed + 1;
+    if th.Thread.step == Thread.fiber && not s.held.(th.Thread.tid) then
+      s.completed <- s.completed + 1;
     if !next < num_threads then begin
       let th = threads.(!next) in
       incr next;
@@ -338,7 +337,8 @@ let run_block ~cfg ?trace ?(launch = Thread.default_launch) ?frames ~block_id
   (try
      (* initial threads run in tid order; resumptions queue behind them.
         A stepped thread's hook runs where its fiber would have been
-        resumed, and asks for the fiber back by returning [true]. *)
+        resumed, and asks for the fiber by returning [true]: a thread
+        that holds none has nothing left to run. *)
      while !next < num_threads do
        let th = threads.(!next) in
        incr next;
@@ -349,11 +349,13 @@ let run_block ~cfg ?trace ?(launch = Thread.default_launch) ?frames ~block_id
        let head = s.head + 1 in
        s.head <- (if head = s.cap then 0 else head);
        let step = th.Thread.step in
-       if step == Thread.fiber then continue s.ks.(th.Thread.tid) ()
-       else if step th then begin
-         th.Thread.step <- Thread.fiber;
-         continue s.ks.(th.Thread.tid) ()
-       end
+       if step == Thread.fiber then resume s th
+       else if step th then
+         if s.held.(th.Thread.tid) then begin
+           th.Thread.step <- Thread.fiber;
+           resume s th
+         end
+         else finish s th
      done
    with e ->
      finally ();

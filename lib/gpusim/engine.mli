@@ -1,34 +1,33 @@
 (** Cooperative fiber engine for one thread block.
 
-    Each GPU thread is an OCaml 5 effect fiber.  Fibers run until they
-    synchronize.  A rendezvous is an arrival ({!arrive}): the last
-    expected arriver releases the barrier and keeps running; any other
-    arrival fails, and its fiber parks.  A fiber parks one way — it
-    performs the engine's one park effect, which keeps its continuation
-    and installs a resume hook ({!Thread.step}) — and a barrier release
-    re-enqueues all participants.  The execution order between
-    synchronization points is unspecified — exactly like real
-    intra-block concurrency for race-free programs — while barrier
-    semantics (max-of-arrival clocks) are exact.
+    A GPU thread runs its code as an OCaml 5 effect fiber or as steps,
+    until it synchronizes.  A rendezvous is an arrival ({!arrive}): the
+    last expected arriver releases the barrier and keeps running; any
+    other arrival fails and parks the thread, and a release re-enqueues
+    all participants.  The order between synchronization points is
+    unspecified — like real intra-block concurrency for race-free
+    programs — while barrier semantics (max-of-arrival clocks) are exact.
 
-    A plain wait ({!barrier_wait}, or {!arrive} then {!park}) installs
-    {!Thread.fiber}: the scheduler resumes the fiber.  A parked thread
-    may instead be {e stepped} ({!suspend_stepped}): the scheduler calls
-    its hook where it would have resumed the fiber, and the hook runs
-    the thread's code to its next rendezvous ({!arrive}) without a fiber
-    switch.  Release order, the live-barrier table and the deadlock
-    report treat a stepped thread exactly like a fiber.
+    A thread's resume hook ({!Thread.step}) says how it runs.  While it
+    is {!Thread.fiber} the thread runs fiber code, which parks through
+    the engine's one park effect: {!park}, or {!suspend_stepped} to be
+    resumed as steps.  Any other hook is a step, which the scheduler
+    calls where it would have resumed the fiber: it runs the thread's
+    code to its next rendezvous and parks there at once, without a
+    fiber switch.  Release order, the live-barrier table, injected
+    stalls and the deadlock report treat a stepped thread exactly like a
+    fiber.
 
-    A thread need not keep its fiber to the end.  A fiber that has
-    recorded an {!arrive} may {!detach}: it gives its fiber back and
-    lives on as steps alone.  A thread whose last action is a barrier
-    arrives through {!arrive_last}: it is registered as a waiter with
-    no continuation and its fiber (or step) returns at once.  Either
-    way the thread counts as finished only when its last barrier
-    releases it, so a hung block reports the same finished count and
-    stuck barriers as if every waiter had parked its fiber.  The
-    threads start in tid order, each on the fiber its predecessor's
-    body returned on, so a fiber is only created after one parked.
+    One rule ties the two: a thread holds a fiber only while it runs
+    fiber code.  A step may start a fiber ({!start_fiber}).  Fiber code
+    may set a step hook and arrive as that step: its fiber then returns
+    while the thread lives on, owing that arrival.  A body that returns
+    with the hook still {!Thread.fiber} (and no started fiber parked)
+    finished its thread, and a step returns [true] to have the thread's
+    fiber run — resumed if parked, and a thread that holds none is
+    finished.  A hung block thus reports the same finished count and
+    stuck barriers however its threads waited.  The threads start in tid
+    order, each on the fiber its predecessor's body returned on.
 
     With [?frames], a launch's blocks share their warps, threads and
     scheduler: a completed block hands its frame, reset to a fresh
@@ -79,11 +78,11 @@ val arrive : Barrier.t -> Thread.t -> bool
     last arriver).  [true]: this arrival completed the barrier and
     released the others; the caller keeps running.  [false]: the arrival
     failed, and the caller must not touch simulated state before it
-    parks.  From a step, the thread is parked at once (under the
-    continuation its fiber suspended with, if it has one), and the step
-    must return to the scheduler.  From a fiber, the arrival is only
-    recorded, and the fiber must next call {!park},
-    {!suspend_stepped} or {!detach}, which park it.
+    parks.  From a step (the thread's hook is not {!Thread.fiber}) the
+    thread is parked at once — under the continuation its fiber
+    suspended with, if it holds one — and the step must return to the
+    scheduler.  From fiber code the arrival is only recorded, and the
+    fiber must next call {!park} or {!suspend_stepped}, which park it.
     @raise Invalid_argument outside a running block. *)
 
 val park : Thread.t -> unit
@@ -105,30 +104,16 @@ val suspend_stepped : Thread.t -> (Thread.t -> bool) -> unit
     step runs the thread's code to its next rendezvous, arriving through
     {!arrive}; it returns [false] once it parked again, or [true] to have
     the fiber resumed, which returns from this call as a plain fiber.
-    Release order, the deadlock report and injected stalls see a stepped
-    thread exactly as a fiber.  A step must not call {!barrier_wait} or
-    {!park}: it runs outside any fiber.
+    A step must not call {!barrier_wait}, {!park} or {!suspend_stepped}.
     @raise Invalid_argument outside a running block. *)
 
-val detach : Thread.t -> (Thread.t -> bool) -> unit
-(** [detach th step] parks the arrival an {!arrive} on [th]'s fiber just
-    recorded as failed, with no continuation, and makes [step] its
-    resume hook; the fiber must then return at once, and the thread
-    lives on as steps only.  Its steps run exactly where
-    {!suspend_stepped}'s would, but must always return [false] (there
-    is no fiber to resume): the thread's last step arrives through
-    {!arrive_last}.
-    @raise Invalid_argument outside a running block, or when no
-    arrival of [th]'s fiber is recorded. *)
-
-val arrive_last : Barrier.t -> Thread.t -> unit
-(** {!arrive} for a thread's last action: nothing
-    of the thread runs after it.  A completing arrival releases the
-    others; any other registers [th] as a waiter with no continuation.
-    Either way the caller returns at once: a fiber returns from its
-    body, a step (of a {!detach}ed thread) returns [false].  The thread
-    counts as finished when the barrier releases it, and the release
-    charges its clock like any waiter's.
+val start_fiber : Thread.t -> (Thread.t -> bool) -> unit
+(** [start_fiber th step], from a step of [th], runs [step th] on a
+    fresh fiber: [th]'s hook is {!Thread.fiber} until the code sets a
+    step again, so it may park its fiber.  Returns once the fiber
+    returned or parked; the calling step then returns [false].  When
+    [step th] returns [true] the thread finished; when it returns
+    [false] the thread lives on as steps, parked at its last arrival.
     @raise Invalid_argument outside a running block. *)
 
 type frames

@@ -86,13 +86,9 @@ type t = {
   trace : Trace.t option;
   st : state;
   mutable step : t -> bool;
-      (** the engine's resume hook: {!fiber} while the thread runs as an
-          effect fiber; while it is parked as a stepped thread (see
-          {!Engine.suspend_stepped}) or lives on without a fiber
-          ({!Engine.detach}), the function the scheduler calls instead
-          of resuming the fiber; an engine marker once the thread
-          finished at a barrier that has not released it yet
-          ({!Engine.arrive_last}) *)
+      (** the engine's resume hook: {!fiber} while the thread runs fiber
+          code; otherwise the step the scheduler calls where it would
+          have resumed the fiber (see {!Engine}) *)
 }
 
 val fiber : t -> bool

@@ -14,4 +14,3 @@ let events t = List.rev t.events
 let count t ~tag =
   List.fold_left (fun acc e -> if e.tag = tag then acc + 1 else acc) 0 t.events
 
-let clear t = t.events <- []

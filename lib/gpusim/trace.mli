@@ -19,5 +19,4 @@ val events : t -> event list
 
 val count : t -> tag:string -> int
 
-val clear : t -> unit
 

@@ -1,83 +1,6 @@
 let bump ctx key =
   Gpusim.Counters.bump ctx.Team.th.Gpusim.Thread.counters key 1.0
 
-(* The region code runs under hand-inlined bookkeeping: this is the
-   region-dispatch hot path, where wrapper combinators taking thunks
-   would allocate a closure per wrapper per call.  The [leave_*]
-   restore runs on both exits. *)
-
-let leave_spmd (team : Team.t) th ~prev =
-  if Gpusim.Thread.sanitizing th then ignore (Gpusim.Ompsan.set_actor th prev);
-  team.Team.in_region.(th.Gpusim.Thread.tid) <- false
-
-(* SPMD mode: region code is executed redundantly by every lane of a
-   SIMD group on behalf of one OpenMP thread; attribute those accesses
-   to the group leader so the sanitizer sees one logical lane. *)
-let run_spmd ctx (task : Team.parallel_task) =
-  let team = ctx.Team.team in
-  let th = ctx.Team.th in
-  let tid = th.Gpusim.Thread.tid in
-  team.Team.in_region.(tid) <- true;
-  let prev =
-    if Gpusim.Thread.sanitizing th then
-      let g = Team.geometry team in
-      let group = Simd_group.get_simd_group g ~tid in
-      Gpusim.Ompsan.set_actor th (Simd_group.leader_tid g ~group)
-    else tid
-  in
-  match
-    Team.charge_microtask ctx ~fn_id:task.Team.fn_id;
-    task.Team.fn ctx task.Team.payload
-  with
-  | () -> leave_spmd team th ~prev
-  | exception e ->
-      leave_spmd team th ~prev;
-      raise e
-
-let leave_leader (team : Team.t) th ~saved ~prev =
-  Gpusim.Thread.set_simt_factor th saved;
-  team.Team.in_region.(th.Gpusim.Thread.tid) <- false;
-  if Gpusim.Thread.sanitizing th then ignore (Gpusim.Ompsan.set_actor th prev)
-
-(* Generic mode, SIMD main: it acts alone for its group, so any
-   enclosing SPMD attribution is undone (distinct leaders stay distinct
-   actors), and one active lane per [group_size] still costs a full
-   warp's issue slots. *)
-let run_leader ctx (task : Team.parallel_task) =
-  let team = ctx.Team.team in
-  let th = ctx.Team.th in
-  let tid = th.Gpusim.Thread.tid in
-  Gpusim.Thread.trace th ~tag:"parallel.leader" "";
-  let prev =
-    if Gpusim.Thread.sanitizing th then Gpusim.Ompsan.set_actor th tid else tid
-  in
-  team.Team.in_region.(tid) <- true;
-  let saved = Gpusim.Thread.simt_factor th in
-  Gpusim.Thread.set_simt_factor th (float_of_int task.Team.group_size);
-  match
-    Team.charge_microtask ctx ~fn_id:task.Team.fn_id;
-    task.Team.fn ctx task.Team.payload
-  with
-  | () -> leave_leader team th ~saved ~prev
-  | exception e ->
-      leave_leader team th ~saved ~prev;
-      raise e
-
-let exec_on_thread ctx (task : Team.parallel_task) =
-  match task.Team.task_mode with
-  | Mode.Spmd -> run_spmd ctx task
-  | Mode.Generic ->
-      let tid = ctx.Team.th.Gpusim.Thread.tid in
-      if Simd_group.is_simd_group_leader (Team.geometry ctx.Team.team) ~tid
-      then begin
-        run_leader ctx task;
-        (* Send the termination signal to the simd workers. *)
-        Simd.signal_termination ctx
-      end
-      else
-        (* Simd workers enter the state machine. *)
-        Simd.state_machine ctx
-
 (* The calling thread's task cell for this region, as [Some] for
    [active_task]: one cell per tid, rewritten in place on every entry.
    Every SPMD thread re-enters [__parallel] with the same values, so the
@@ -192,16 +115,6 @@ let parallel ctx ~mode ~simd_len ?(payload = Payload.empty) ?(fn_id = -1)
          next region — clearing here would race with its enter. *)
       enter_region ctx active;
       Payload.pack ctx.Team.th payload;
-      (* a SIMD worker of a last region closes it from its state
-         machine's steps, without its fiber *)
-      if
-        last
-        && Mode.equal task.Team.task_mode Mode.Generic
-        && not (Simd_group.is_simd_group_leader (Team.geometry team) ~tid)
-      then Simd.state_machine_last ctx
-      else begin
-        exec_on_thread ctx task;
-        if last then Team.team_barrier_last ctx else Team.team_barrier_wait ctx
-      end
+      Simd.region ctx task ~last
   | Team.Inactive_main_lane ->
       failwith "Parallel.parallel: inactive main-warp lane reached __parallel"

@@ -21,11 +21,13 @@ val parallel :
 
     [last] (default [false]) states that the region is the calling
     thread's last action in the kernel: nothing runs after its closing
-    barrier.  A teams-SPMD thread then finishes at that barrier without
-    parking its fiber ({!Team.team_barrier_last}), and a SIMD worker
-    gives its fiber back at its first hand-off
-    ({!Simd.state_machine_last}).  The simulated schedule is the same
-    either way.  The team main of a generic-teams kernel ignores it.
+    barrier.  In a teams-SPMD kernel that barrier sits inside kernel
+    code, so only the caller knows it; the thread then gives its fiber
+    back ({!Simd.region}): it finishes at the closing barrier without
+    parking a fiber there, and a SIMD worker lives on as steps from its
+    first hand-off.  The simulated schedule is the same either way.
+    The team main of a generic-teams kernel ignores it: its workers'
+    closing arrivals are the worker machine's own.
 
     [simd_len = 1] always executes as SPMD with singleton groups — the
     paper's two-level compatibility mode (§5.4).  On a device without
@@ -34,7 +36,3 @@ val parallel :
 
     @raise Invalid_argument if [simd_len] does not divide the warp size
     or the team's worker count. *)
-
-val exec_on_thread : Team.ctx -> Team.parallel_task -> unit
-(** Per-thread body of [__parallel] (Fig 3) — exposed for the team state
-    machine in {!Target} and for tests. *)

@@ -28,25 +28,29 @@ let accumulate ctx ~op red payload =
   if op == Redop.sum then fun iv -> acc.(tid) <- acc.(tid) +. red ctx iv payload
   else fun iv -> acc.(tid) <- op.Redop.combine acc.(tid) (red ctx iv payload)
 
-(* --- the simd-loop machine (§5.3, Figs 6 and 8) ----------------------
+(* --- the worker machine (§3.1, §5.3, Figs 6 and 8) -------------------
 
-   Every multi-lane simd loop runs through one machine, whatever the
-   lane's role.  A lane's position is its [Team.phase], named by the
-   rendezvous it was last released from, and its loop lives in its
-   per-tid slots of [Team.steps]; [advance] runs the lane's code up to
-   its next rendezvous and arrives there through [Engine.arrive]: a
-   completing arrival keeps running, a failed one returns [false].
+   Both levels' idle workers and every multi-lane simd loop run one
+   machine.  A thread's position is its [Team.phase] and its state its
+   per-tid slots of [Team.steps]; [advance] runs its code up to the next
+   rendezvous and arrives there through [Engine.arrive]: a completing
+   arrival keeps running, a failed one returns [false].  A thread holds
+   a fiber only while it runs region or kernel code.
 
-   - A SIMD worker in a generic region (the stepped state machine, Fig
-     6) waits at the hand-off, fetches the published function and
-     arguments, runs the loop, and goes back to the hand-off.  Its
-     fiber parks once, at its first hand-off that does not complete;
-     in between, the engine calls [advance] as the worker's step
-     exactly where it would have resumed the fiber.
+   - A generic-teams worker (§3.1) lives as steps: it idles at the team
+     barrier, reads the team main's signal, fetches and unpacks the
+     payload, runs its part of the region and makes the region's closing
+     arrival.  An SPMD lane or a SIMD main starts a fiber for the
+     region's code ([Running]); a SIMD worker goes on into the hand-off.
+   - A SIMD worker (Fig 6) waits at the hand-off, fetches the published
+     loop and arguments, runs the loop and goes back to the hand-off; the
+     null function sends it to the region's closing arrival.  A
+     teams-SPMD worker enters from its fiber, which parks at its first
+     hand-off that does not complete and resumes past the closing
+     arrival — or returns at once when no kernel code follows.
    - A driving lane — a SIMD main, or any lane of an SPMD group —
-     enters at the loop's entry with its body already local, runs the
-     same phases on its own fiber, parks at a failed arrival and steps
-     on when resumed, until the loop's exit releases it ([Done]).
+     enters at the loop's entry on its own fiber, parks at a failed
+     arrival and steps on when resumed, until the loop's exit ([Done]).
 
    The loop itself (Fig 8) meets the group at its entry, runs the
    lockstep rounds, and meets the group at its exit — a reducing loop
@@ -219,6 +223,93 @@ let fused_fallback ctx g ~tid ~trip ~my_seq =
   end;
   team.Team.fused_seq.(group) = my_seq
 
+(* --- a thread's part in a region (Fig 3) --- *)
+
+let leave_region (team : Team.t) th ~saved ~prev =
+  Gpusim.Thread.set_simt_factor th saved;
+  team.Team.in_region.(th.Gpusim.Thread.tid) <- false;
+  if Gpusim.Thread.sanitizing th then ignore (Gpusim.Ompsan.set_actor th prev)
+
+(* The calling lane's group's slot. *)
+let group_slot ctx g =
+  Team.slot ctx.Team.team
+    ~group:(Simd_group.get_simd_group g ~tid:ctx.Team.th.Gpusim.Thread.tid)
+
+(* The SIMD main ends a generic region: it publishes a null function
+   pointer and releases its workers (Fig 3). *)
+let signal_termination ctx =
+  Gpusim.Thread.trace ctx.Team.th ~tag:"simd.terminate" "";
+  let slot = group_slot ctx (Team.geometry ctx.Team.team) in
+  slot.Team.simd_loop <- None;
+  slot.Team.simd_fn_id <- -1;
+  Team.sync_warp ctx
+
+(* The region's code on the calling thread's fiber, under hand-inlined
+   bookkeeping: this is the region-dispatch hot path, where a wrapper
+   taking a thunk would allocate a closure per call; the restore runs
+   on both exits.  An SPMD lane runs the code redundantly, on behalf of
+   its group's one OpenMP thread: its accesses are attributed to the
+   group leader, so the sanitizer sees one logical lane.  A SIMD main
+   acts alone for its group — any enclosing SPMD attribution is undone
+   (distinct leaders stay distinct actors), and one active lane per
+   [group_size] still costs a full warp's issue slots — and terminates
+   its workers' state machine at the end. *)
+let run_region ctx (task : Team.parallel_task) =
+  let team = ctx.Team.team in
+  let th = ctx.Team.th in
+  let tid = th.Gpusim.Thread.tid in
+  let main = Mode.equal task.Team.task_mode Mode.Generic in
+  if main then Gpusim.Thread.trace th ~tag:"parallel.leader" "";
+  let prev =
+    if not (Gpusim.Thread.sanitizing th) then tid
+    else if main then Gpusim.Ompsan.set_actor th tid
+    else
+      let g = Team.geometry team in
+      Gpusim.Ompsan.set_actor th
+        (Simd_group.leader_tid g ~group:(Simd_group.get_simd_group g ~tid))
+  in
+  team.Team.in_region.(tid) <- true;
+  let saved = Gpusim.Thread.simt_factor th in
+  if main then
+    Gpusim.Thread.set_simt_factor th (float_of_int task.Team.group_size);
+  match
+    Team.charge_microtask ctx ~fn_id:task.Team.fn_id;
+    task.Team.fn ctx task.Team.payload
+  with
+  | () ->
+      leave_region team th ~saved ~prev;
+      if main then signal_termination ctx
+  | exception e ->
+      leave_region team th ~saved ~prev;
+      raise e
+
+(* Whether [tid] takes part in [task] as a SIMD worker, from the state
+   machine, rather than by running the region's code. *)
+let simd_worker (team : Team.t) (task : Team.parallel_task) tid =
+  Mode.equal task.Team.task_mode Mode.Generic
+  && not (Simd_group.is_simd_group_leader (Team.geometry team) ~tid)
+
+(* The hand-off waits are the `__simd` state-machine rendezvous: they
+   advance the sanitizer's epochs like any warp barrier, but the worker
+   is exempted from the divergence check — its main legitimately
+   crosses block-scope barriers while the worker idles here.  Workers
+   only ever run simd-loop bodies — their own lane's work — so any
+   enclosing SPMD attribution is undone, and restored when the worker
+   leaves.  An exception aborts the whole block, so there is nothing to
+   restore on that path. *)
+let enter_state_machine (th : Gpusim.Thread.t) =
+  if Gpusim.Thread.sanitizing th then begin
+    Gpusim.Ompsan.enter_state_machine th;
+    Gpusim.Ompsan.set_actor th th.Gpusim.Thread.tid
+  end
+  else th.Gpusim.Thread.tid
+
+let leave_state_machine th prev_actor =
+  if Gpusim.Thread.sanitizing th then begin
+    ignore (Gpusim.Ompsan.set_actor th prev_actor);
+    Gpusim.Ompsan.leave_state_machine th
+  end
+
 (* --- the phases --- *)
 
 (* Inside the loop the whole SIMD group executes in lockstep, so the
@@ -236,12 +327,29 @@ let fetch_args ctx (slot : Team.simd_slot) =
     slot.Team.simd_args_location slot.Team.simd_args;
   Payload.unpack ctx.Team.th slot.Team.simd_args
 
-(* [advance] returns [true] once the lane is done: a driving lane
-   released from the loop's exit, or a worker at termination (resume
-   its fiber); [false] once it parked. *)
+(* A SIMD worker enters the state machine at the hand-off. *)
+let enter_worker (sm : Team.steps) th tid =
+  sm.Team.phase.(tid) <- Team.Handoff;
+  sm.Team.home.(tid) <- Team.Handoff;
+  sm.Team.outer.(tid) <- enter_state_machine th
+
+(* [advance] returns [false] once the thread parked, and [true] once it
+   is done here: a driving lane past the loop's exit, a teams-SPMD
+   worker past the region's closing arrival, a generic-teams worker at
+   the kernel's end. *)
 let rec advance (team : Team.t) ctx tid =
   let sm = team.Team.sm in
   match sm.Team.phase.(tid) with
+  | Team.Idle -> await team ctx tid Team.Signalled (Team.team_arrive ctx)
+  | Team.Signalled -> signalled team ctx tid
+  | Team.Running -> run_task team ctx tid
+  | Team.Closing ->
+      let next =
+        match team.Team.params.Team.teams_mode with
+        | Mode.Generic -> Team.Idle
+        | Mode.Spmd -> Team.Done
+      in
+      await team ctx tid next (Team.team_arrive ctx)
   | Team.Handoff -> await team ctx tid Team.Woken (Team.sync_warp_arrive ctx)
   | Team.Woken -> wake team ctx tid
   | Team.Entered ->
@@ -263,14 +371,49 @@ and await team ctx tid next arrived =
   team.Team.sm.Team.phase.(tid) <- next;
   arrived && advance team ctx tid
 
+(* A generic-teams worker released from the team barrier reads the
+   team main's signal: a region to fetch and run, or the kernel's end.
+   A SIMD worker steps on into the state machine; any other thread runs
+   the region's code on a fiber it starts here. *)
+and signalled team ctx tid =
+  match team.Team.parallel_signal with
+  | None -> true
+  | Some task ->
+      bump ctx "target.state_machine_wakeups";
+      Sharing.fetch ~sharers:team.Team.num_workers team.Team.sharing
+        ctx.Team.th task.Team.payload_location task.Team.payload;
+      Payload.unpack ctx.Team.th task.Team.payload;
+      let sm = team.Team.sm in
+      if simd_worker team task tid then begin
+        enter_worker sm ctx.Team.th tid;
+        advance team ctx tid
+      end
+      else begin
+        sm.Team.phase.(tid) <- Team.Running;
+        Gpusim.Engine.start_fiber ctx.Team.th sm.Team.step;
+        false
+      end
+
+(* On the fiber [signalled] started: the region's code, then the thread
+   is steps again, owing the region's closing arrival. *)
+and run_task team ctx tid =
+  run_region ctx (Option.get team.Team.parallel_signal);
+  ctx.Team.th.Gpusim.Thread.step <- team.Team.sm.Team.step;
+  team.Team.sm.Team.phase.(tid) <- Team.Closing;
+  advance team ctx tid
+
 (* A worker released from the hand-off reads its group's slot: the
-   published loop, or termination. *)
+   published loop, or termination — the worker leaves the state machine
+   for the region's closing arrival. *)
 and wake team ctx tid =
   let sm = team.Team.sm in
   let group = Simd_group.get_simd_group (Team.geometry team) ~tid in
   let slot = team.Team.simd_slots.(group) in
   match slot.Team.simd_loop with
-  | None -> true (* termination: end of the parallel region *)
+  | None ->
+      leave_state_machine ctx.Team.th sm.Team.outer.(tid);
+      sm.Team.phase.(tid) <- Team.Closing;
+      advance team ctx tid
   | Some Team.Simd_loop ->
       bump ctx "simd.state_machine_rounds";
       if Gpusim.Thread.tracing ctx.Team.th then
@@ -354,33 +497,9 @@ and finish_loop team ctx tid =
       Reduction.simd_reduce_post ctx team.Team.lane_acc.(tid);
       await team ctx tid Team.Posted (Team.sync_warp_arrive ctx)
 
-(* The hand-off waits are the `__simd` state-machine rendezvous: they
-   advance the sanitizer's epochs like any warp barrier, but the worker
-   is exempted from the divergence check — its main legitimately
-   crosses block-scope barriers while the worker idles here.  Workers
-   only ever run simd-loop bodies — their own lane's work — so any
-   enclosing SPMD attribution is undone, and restored when the worker
-   leaves.  An exception aborts the whole block, so there is nothing to
-   restore on that path. *)
-let enter_state_machine (th : Gpusim.Thread.t) =
-  if Gpusim.Thread.sanitizing th then begin
-    Gpusim.Ompsan.enter_state_machine th;
-    Gpusim.Ompsan.set_actor th th.Gpusim.Thread.tid
-  end
-  else th.Gpusim.Thread.tid
-
-let leave_state_machine th prev_actor =
-  if Gpusim.Thread.sanitizing th then begin
-    ignore (Gpusim.Ompsan.set_actor th prev_actor);
-    Gpusim.Ompsan.leave_state_machine th
-  end
-
-(* The team's step state, sized on its first multi-lane simd loop, with
-   the workers' step closures: each reads its tid's slots at call time.
-   [last_step] is [step] for a worker that detached from its fiber: at
-   termination it leaves the state machine and makes the worker's last
-   arrival, at the team barrier that closes the region.  Returns the
-   lane's slots with its context stored. *)
+(* The team's step state, sized when the team first needs it, with the
+   workers' step closure: it reads its tid's slots at call time.
+   Returns the thread's slots with its context stored. *)
 let steps (team : Team.t) ctx =
   let sm = team.Team.sm in
   if Array.length sm.Team.phase = 0 then begin
@@ -388,16 +507,7 @@ let steps (team : Team.t) ctx =
     sm.Team.step <-
       (fun th ->
         let tid = th.Gpusim.Thread.tid in
-        advance team team.Team.ctxs.(tid) tid);
-    sm.Team.last_step <-
-      (fun th ->
-        let tid = th.Gpusim.Thread.tid in
-        let ctx = team.Team.ctxs.(tid) in
-        if advance team ctx tid then begin
-          leave_state_machine th sm.Team.outer.(tid);
-          Team.team_barrier_last ctx
-        end;
-        false)
+        advance team team.Team.ctxs.(tid) tid)
   end;
   Team.set_lane_ctx team ctx;
   sm
@@ -419,11 +529,6 @@ let drive ctx (sm : Team.steps) ~kind ~trip payload =
   begin_loop sm th tid;
   charge_static ctx;
   if not (enter_loop team ctx tid ~trip) then drive_on team ctx tid
-
-(* The calling lane's group's slot. *)
-let group_slot ctx g =
-  Team.slot ctx.Team.team
-    ~group:(Simd_group.get_simd_group g ~tid:ctx.Team.th.Gpusim.Thread.tid)
 
 (* Fig 4, generic path: the caller is the SIMD main.  [publish] puts the
    trip count and arguments in the group's slot (the caller has set the
@@ -504,34 +609,31 @@ let simd_reduce ctx ?(payload = Payload.empty) ?(fn_id = -1) ~op ~trip red =
 let simd_sum ctx ?payload ?fn_id ~trip red =
   simd_reduce ctx ?payload ?fn_id ~op:Redop.sum ~trip red
 
-(* Enter the state machine and run the worker on its fiber until it
-   parks ([false]) or reaches termination ([true], having left the
-   state machine). *)
-let start ctx =
+(* The calling fiber's thread goes on as steps from [phase]: its
+   fiber's code returns next, the thread owing its next arrival, or
+   finished when the machine ran to its end without parking. *)
+let live_on_steps ctx (sm : Team.steps) phase =
+  let th = ctx.Team.th in
+  let tid = th.Gpusim.Thread.tid in
+  sm.Team.phase.(tid) <- phase;
+  th.Gpusim.Thread.step <- sm.Team.step;
+  if advance ctx.Team.team ctx tid then
+    th.Gpusim.Thread.step <- Gpusim.Thread.fiber
+
+let worker ctx = live_on_steps ctx (steps ctx.Team.team ctx) Team.Idle
+
+let region ctx (task : Team.parallel_task) ~last =
   let team = ctx.Team.team in
   let th = ctx.Team.th in
   let tid = th.Gpusim.Thread.tid in
-  let sm = steps team ctx in
-  sm.Team.phase.(tid) <- Team.Handoff;
-  sm.Team.home.(tid) <- Team.Handoff;
-  sm.Team.outer.(tid) <- enter_state_machine th;
-  advance team ctx tid && (leave_state_machine th sm.Team.outer.(tid); true)
-
-let state_machine ctx =
-  if not (start ctx) then begin
-    let th = ctx.Team.th in
-    let sm = ctx.Team.team.Team.sm in
-    Gpusim.Engine.suspend_stepped th sm.Team.step;
-    leave_state_machine th sm.Team.outer.(th.Gpusim.Thread.tid)
+  if simd_worker team task tid then begin
+    let sm = steps team ctx in
+    enter_worker sm th tid;
+    if last then live_on_steps ctx sm Team.Handoff
+    else if not (advance team ctx tid) then
+      Gpusim.Engine.suspend_stepped th sm.Team.step
   end
-
-let state_machine_last ctx =
-  if start ctx then Team.team_barrier_last ctx
-  else Gpusim.Engine.detach ctx.Team.th ctx.Team.team.Team.sm.Team.last_step
-
-let signal_termination ctx =
-  Gpusim.Thread.trace ctx.Team.th ~tag:"simd.terminate" "";
-  let slot = group_slot ctx (Team.geometry ctx.Team.team) in
-  slot.Team.simd_loop <- None;
-  slot.Team.simd_fn_id <- -1;
-  Team.sync_warp ctx
+  else begin
+    run_region ctx task;
+    if last then Team.team_barrier_last ctx else Team.team_barrier_wait ctx
+  end

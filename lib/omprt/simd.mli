@@ -1,27 +1,31 @@
-(** The [__simd] runtime entry point, the SIMD worker state machine and
-    the simd loop they run together (§5.2 Fig 4, §5.3 Figs 6 and 8).
+(** The [__simd] runtime entry point and the worker machine: the team
+    state machine (§3.1), the SIMD worker state machine and the simd
+    loop they run together (§5.2 Fig 4, §5.3 Figs 6 and 8).
 
     In an SPMD parallel region every lane of the SIMD group reaches
-    [simd] with the trip count and payload already local, so the group
-    drops straight into the loop.  In a generic parallel region only the
-    SIMD main reaches [simd]: it publishes the outlined function, trip
-    count and arguments in its group's slot (arguments through the
-    sharing space), releases the workers from their warp-level barrier,
-    joins the loop itself, and re-synchronizes at the end.
+    [simd] with the trip count and payload already local and drops
+    straight into the loop.  In a generic one only the SIMD main does:
+    it publishes the outlined function, trip count and arguments in its
+    group's slot (arguments through the sharing space), releases the
+    workers from their warp-level barrier, joins the loop itself, and
+    re-synchronizes at the end.
 
-    Every multi-lane simd loop runs through one machine: a lane's
-    position is a {!Team.phase} and its loop lives in its slots of
-    {!Team.steps}.  The loop meets the group at its entry, runs the
-    lockstep rounds — fused (one lane drives every lane's iterations
-    round-major in ascending lane order, aligning the group's clocks at
-    each round boundary) or, under fault injection, with a dynamic
-    schedule in flight, or when the lanes' trip counts diverge, classic
-    (each lane parks on a zero-cost lockstep barrier after every round)
-    — and meets the group at its exit, a reducing loop after the group
-    reduction's two rendezvous.  A SIMD worker runs it as engine steps
-    ({!Gpusim.Engine.suspend_stepped}); a SIMD main and every SPMD lane
-    drive it on their own fibers, parking at each failed arrival
-    ({!Gpusim.Engine.park}) and stepping on when resumed. *)
+    One machine runs both levels' idle workers and every multi-lane simd
+    loop: a thread's position is a {!Team.phase}, its state its slots of
+    {!Team.steps}, and it holds a fiber only while it runs region or
+    kernel code.  Workers run as engine steps; a stepped worker whose
+    part is region code starts a fiber for it
+    ({!Gpusim.Engine.start_fiber}).  The loop meets the group at its
+    entry, runs the lockstep rounds — fused (one lane drives every
+    lane's iterations round-major in ascending lane order, aligning the
+    group's clocks at each round boundary) or, under fault injection,
+    with a dynamic schedule in flight, or when the lanes' trip counts
+    diverge, classic (each lane parks on a zero-cost lockstep barrier
+    after every round) — and meets the group at its exit, a reducing
+    loop after the group reduction's two rendezvous.  A SIMD main and
+    every SPMD lane drive the loop on their own fibers, parking at each
+    failed arrival ({!Gpusim.Engine.park}) and stepping on when
+    resumed. *)
 
 val simd :
   Team.ctx ->
@@ -63,24 +67,23 @@ val simd_sum :
   float
 (** [simd_reduce ~op:Redop.sum]. *)
 
-val state_machine : Team.ctx -> unit
-(** The SIMD worker loop (Fig 6): wait on the group's warp barrier; fetch
-    the published function pointer; [None] means the parallel region ended
-    — return; otherwise fetch the shared arguments, run the workshare
-    loop, synchronize, repeat.  The loop runs as engine steps
-    ({!Gpusim.Engine.suspend_stepped}): the worker's fiber parks once,
-    at its first hand-off that does not complete, and resumes once, at
-    termination. *)
+val worker : Team.ctx -> unit
+(** A generic-teams worker's kernel (§3.1): wait at the team barrier;
+    read the team main's signal — [None] means the kernel ended, and
+    the worker is finished; otherwise fetch and unpack the region's
+    payload, run its part of the region, make the region's closing
+    arrival, repeat.  The worker's fiber returns at once: the loop runs
+    as engine steps, and a fiber is started only for region code. *)
 
-val state_machine_last : Team.ctx -> unit
-(** {!state_machine} followed by {!Team.team_barrier_last}, for a
-    region whose closing team barrier is the worker's last action.  The
-    worker's fiber does not park at all: at its first hand-off that
-    does not complete it detaches ({!Gpusim.Engine.detach}) and runs on
-    as the team's [last_step] hook, whose final step is the closing
-    arrival.  Same simulated schedule as {!state_machine} and the
-    barrier wait after it. *)
-
-val signal_termination : Team.ctx -> unit
-(** Called by the SIMD main at the end of a generic parallel region:
-    publish a null function pointer and release the workers (Fig 3). *)
+val region : Team.ctx -> Team.parallel_task -> last:bool -> unit
+(** A teams-SPMD thread's part in a parallel region it entered (Fig
+    3), closing arrival included: an SPMD lane or a SIMD main runs the
+    region's code on its fiber; a SIMD worker enters the SIMD state
+    machine (Fig 6: wait on the group's warp barrier; fetch the
+    published function pointer and arguments, run the workshare loop,
+    synchronize, repeat; a null pointer ends the region).  The worker's
+    fiber parks once, at its first hand-off that does not complete, and
+    is resumed past the closing arrival.  With [last], nothing of the
+    kernel follows: the worker gives its fiber back instead and lives on
+    as steps, and any other thread finishes at the closing arrival
+    without parking ({!Team.team_barrier_last}). *)

@@ -4,23 +4,6 @@ let target_init (ctx : Team.ctx) =
   Gpusim.Thread.tick ctx.Team.th cost.Gpusim.Config.call;
   Gpusim.Thread.trace ctx.Team.th ~tag:"target_init" ""
 
-(* Workers immediately encounter a thread barrier and remain idle until
-   the main thread publishes a parallel region (§3.1). *)
-let rec team_state_machine (ctx : Team.ctx) =
-  let team = ctx.Team.team in
-  Team.team_barrier_wait ctx;
-  match team.Team.parallel_signal with
-  | None -> () (* kernel termination *)
-  | Some task ->
-      Gpusim.Counters.bump ctx.Team.th.Gpusim.Thread.counters
-        "target.state_machine_wakeups" 1.0;
-      Sharing.fetch ~sharers:team.Team.num_workers team.Team.sharing
-        ctx.Team.th task.Team.payload_location task.Team.payload;
-      Payload.unpack ctx.Team.th task.Team.payload;
-      Parallel.exec_on_thread ctx task;
-      Team.team_barrier_wait ctx;
-      team_state_machine ctx
-
 let target_deinit (ctx : Team.ctx) =
   let team = ctx.Team.team in
   match team.Team.params.Team.teams_mode with
@@ -32,8 +15,8 @@ let target_deinit (ctx : Team.ctx) =
 
 (* The team main runs alone in the extra warp: every instruction it
    issues occupies a full warp's issue slots (§5.1 / Fig 2).  The factor
-   save/restore is hand-inlined, as in Parallel: a thunk would allocate
-   per block. *)
+   save/restore is hand-inlined, as in a region's: a thunk would
+   allocate per block. *)
 let run_team_main body ctx =
   let th = ctx.Team.th in
   let saved = Gpusim.Thread.simt_factor th in
@@ -62,7 +45,10 @@ let thread_main body team (th : Gpusim.Thread.t) =
           if Gpusim.Thread.sanitizing th then
             ignore (Gpusim.Ompsan.set_actor th 0);
           body ctx
-      | Mode.Generic -> team_state_machine ctx)
+      | Mode.Generic ->
+          (* workers idle at the team barrier, as steps, until the main
+             publishes a parallel region (§3.1) *)
+          Simd.worker ctx)
   | Team.Team_main -> run_team_main body ctx
   | Team.Inactive_main_lane -> ()
 

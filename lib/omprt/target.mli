@@ -4,9 +4,9 @@
     In SPMD teams mode every thread returns from initialization straight
     into the target-region body.  In generic teams mode only the team main
     thread (lane 0 of the extra warp, Fig 2) runs the body; worker threads
-    enter the team state machine where they idle at the team barrier until
-    the main thread publishes a parallel region, and the remaining lanes of
-    the main warp retire immediately. *)
+    enter the team state machine ({!Simd.worker}) where they idle at the
+    team barrier until the main thread publishes a parallel region, and
+    the remaining lanes of the main warp retire immediately. *)
 
 val launch :
   cfg:Gpusim.Config.t ->
@@ -33,7 +33,3 @@ val thread_main : (Team.ctx -> unit) -> Team.t -> Gpusim.Thread.t -> unit
 (** [thread_main body team] is one thread's kernel as {!launch} runs it
     on every thread of [team]'s block — exposed for tests that run a
     block straight on {!Gpusim.Engine.run_block}. *)
-
-val team_state_machine : Team.ctx -> unit
-(** Worker-thread loop for generic teams mode — exposed for tests.
-    Workers receive outlined functions through the signal slot. *)

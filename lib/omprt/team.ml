@@ -7,9 +7,13 @@ type params = {
   sharing_bytes : int;
 }
 
-(* Where a lane resumes in the simd-loop machine (see Simd): named by
-   the rendezvous it was last released from. *)
+(* Where a thread resumes in the worker machine (see Simd): named by
+   the rendezvous it was last released from, or by what it does next. *)
 type phase =
+  | Idle  (* a generic-teams worker about to await a region at the team barrier *)
+  | Signalled  (* released from it: read the team main's signal *)
+  | Running  (* on a fiber of its own: run the region's code *)
+  | Closing  (* about to make the region's closing team-barrier arrival *)
   | Handoff  (* a worker about to arrive at the hand-off *)
   | Woken  (* a worker released from the hand-off: read the slot *)
   | Entered  (* released from a fused loop's entry *)
@@ -17,7 +21,7 @@ type phase =
   | Round  (* released from a classic round's lockstep *)
   | Posted  (* released from the group reduction's first rendezvous *)
   | Reduced  (* released from its second *)
-  | Done  (* a driving lane released from the loop's exit *)
+  | Done  (* released from a loop's exit or a teams-SPMD region's close *)
 
 (* The shape of a lane's current simd loop. *)
 type loop_kind =
@@ -63,12 +67,12 @@ and simd_slot = {
   mutable simd_args_location : Sharing.location;
 }
 
-(* Per-tid state of the simd-loop machine (see Simd): a lane between
-   two rendezvous is a phase plus these slots, so a stepped worker runs
-   as engine steps and a driving lane parks its fiber and steps on.
-   Empty until the team's first multi-lane simd loop (see
-   [init_steps]); the step closures read their tid's slots at call
-   time, so neither a round nor a region entry allocates. *)
+(* Per-tid state of the worker machine (see Simd): a thread between
+   two rendezvous is a phase plus these slots, so a worker runs as
+   engine steps and a driving lane parks its fiber and steps on.  Empty
+   until the team first needs them (see [init_steps]); the step closure
+   reads its tid's slots at call time, so neither a round nor a region
+   entry allocates. *)
 and steps = {
   mutable phase : phase array;
   mutable kind : loop_kind array;
@@ -82,7 +86,6 @@ and steps = {
   mutable ops : Redop.t array;
   mutable args : Payload.t array;
   mutable step : Gpusim.Thread.t -> bool;
-  mutable last_step : Gpusim.Thread.t -> bool;
   mutable outer : int array;
   mutable home : phase array;
 }
@@ -265,7 +268,6 @@ let create ~cfg ~arena ~params ~block_id =
         ops = [||];
         args = [||];
         step = Gpusim.Thread.fiber;
-        last_step = Gpusim.Thread.fiber;
         outer = [||];
         home = [||];
       };
@@ -302,8 +304,8 @@ let reset t ~arena ~block_id =
   Array.fill sm.ops 0 n Redop.sum;
   Array.fill sm.args 0 n Payload.empty
 
-(* Size the step state for the team's workers, once, on its first
-   multi-lane simd loop. *)
+(* Size the step state for the team's workers, once, when the team
+   first needs it. *)
 let init_steps t =
   let sm = t.sm in
   let n = t.num_workers in
@@ -494,8 +496,16 @@ let team_bar ctx =
     san_block_arrive th ~participants:(team_participants ctx.team) bar;
   bar
 
+let team_arrive ctx = Gpusim.Engine.arrive (team_bar ctx) ctx.th
 let team_barrier_wait ctx = Gpusim.Engine.barrier_wait (team_bar ctx) ctx.th
-let team_barrier_last ctx = Gpusim.Engine.arrive_last (team_bar ctx) ctx.th
+
+(* The last arrival is made as a step whose hook, once released, asks
+   for a fiber the thread does not hold: it is finished.  A completing
+   arrival restores the fiber hook, so the body returns finished. *)
+let team_barrier_last ctx =
+  let th = ctx.th in
+  th.Gpusim.Thread.step <- (fun _ -> true);
+  if team_arrive ctx then th.Gpusim.Thread.step <- Gpusim.Thread.fiber
 
 let executing_threads t =
   match t.active_task with

@@ -15,9 +15,14 @@ type params = {
   sharing_bytes : int;  (** static sharing-space reservation *)
 }
 
-(** Where a lane resumes in the simd-loop machine ([Simd]): named by
-    the rendezvous it was last released from. *)
+(** Where a thread resumes in the worker machine ([Simd]): named by
+    the rendezvous it was last released from, or by what it does next;
+    the first four are the teams level (§3.1). *)
 type phase =
+  | Idle  (** a generic-teams worker about to await a region *)
+  | Signalled  (** released from the team barrier: read the signal *)
+  | Running  (** on a fiber of its own: run the region's code *)
+  | Closing  (** about to make the region's closing arrival *)
   | Handoff  (** a worker about to arrive at the hand-off *)
   | Woken  (** a worker released from the hand-off: read the slot *)
   | Entered  (** released from a fused loop's entry *)
@@ -27,7 +32,8 @@ type phase =
   | Reduced  (** released from its second *)
   | Done
       (** a driving lane (a SIMD main or an SPMD lane) released from the
-          loop's exit: the machine returns to its caller *)
+          loop's exit, or a teams-SPMD worker from the region's closing
+          arrival: the machine returns to its caller *)
 
 (** The shape of a lane's current simd loop: both run one loop and
     differ only in its body and in what follows the loop. *)
@@ -101,24 +107,22 @@ and steps = {
   mutable args : Payload.t array;
       (** the current loop's body (or reducer and monoid) and arguments:
           a worker's as published, a driving lane's as passed *)
-  mutable step : Gpusim.Thread.t -> bool;  (** the workers' resume hook *)
-  mutable last_step : Gpusim.Thread.t -> bool;
-      (** the resume hook of a worker that detached from its fiber
-          ({!Gpusim.Engine.detach}) because the region's closing team
-          barrier is its last action: the hook ends with that arrival *)
+  mutable step : Gpusim.Thread.t -> bool;
+      (** the workers' resume hook, and the body of a fiber a worker
+          starts to run a region *)
   mutable outer : int array;
-      (** sanitizer actor a detached worker restores as it leaves the
+      (** sanitizer actor a SIMD worker restores as it leaves the simd
           state machine *)
   mutable home : phase array;
       (** where the loop's exit leads: [Handoff] for a worker, [Done]
           for a driving lane *)
 }
-(** Per-lane state of the simd-loop machine ([Simd]): a lane between
+(** Per-thread state of the worker machine ([Simd]): a thread between
     two rendezvous is a phase plus these per-tid slots, so a worker
-    runs its rounds as engine steps instead of fiber switches and a
-    driving lane parks its fiber at a failed arrival and steps on.
-    Empty until {!init_steps}; built once per team, so neither a round
-    nor a region entry allocates. *)
+    runs as engine steps instead of fiber switches and a driving lane
+    parks its fiber at a failed arrival and steps on.  Empty until
+    {!init_steps}; built once per team, so neither a round nor a region
+    entry allocates. *)
 
 and t = {
   cfg : Gpusim.Config.t;
@@ -202,9 +206,10 @@ val reset : t -> arena:Gpusim.Shared.arena -> block_id:int -> unit
     is reset to 0, as [create] leaves it. *)
 
 val init_steps : t -> unit
-(** Size {!steps} for the team's workers, once: the caller calls it on
-    the team's first multi-lane simd loop (a team that never runs one
-    never pays for it). *)
+(** Size {!steps} for the team's workers, once: the caller calls it
+    when the team first needs them — a generic-teams worker, or a
+    multi-lane simd loop (a teams-SPMD team that never runs one never
+    pays for them). *)
 
 val lane_ctx : t -> Gpusim.Thread.t -> ctx
 (** The thread's context on this team, cached per tid: the same record
@@ -275,13 +280,16 @@ val lockstep_arrive : ctx -> bool
     accesses would stop looking concurrent to the coalescing model.
     [true] for singleton groups. *)
 
+val team_arrive : ctx -> bool
+(** Arrive at the block-wide barrier over workers + team main, as
+    {!Gpusim.Engine.arrive}; {!team_barrier_wait} is a fiber's wait. *)
+
 val team_barrier_wait : ctx -> unit
-(** Block-wide barrier over workers + team main. *)
 
 val team_barrier_last : ctx -> unit
-(** {!team_barrier_wait} as the calling thread's last action
-    ({!Gpusim.Engine.arrive_last}): the caller returns at once and runs
-    nothing more, from its fiber or as a detached worker's last step. *)
+(** {!team_arrive} as the calling fiber's last action: it arrives as a
+    step, so the caller's body returns at once, and the thread is
+    finished once the barrier has released it. *)
 
 val lockstep_barrier : t -> Gpusim.Thread.t -> mask:int -> Gpusim.Barrier.t
 (** The zero-cost alignment barrier for [th]'s (warp, mask) pair —
@@ -295,11 +303,6 @@ val san_warp_arrive : Gpusim.Thread.t -> mask:int -> Gpusim.Barrier.t -> unit
     this before every engine wait; the fused lockstep executor calls it
     per lane at each round boundary so the shadow epochs advance exactly
     as they would under real barriers. *)
-
-val executing_threads : t -> int
-(** How many threads execute the active parallel region's code: all
-    workers in SPMD mode, one SIMD main per group in generic mode.
-    @raise Failure when no region is active. *)
 
 val region_barrier_wait : ctx -> unit
 (** Barrier over exactly the threads executing the current region — what

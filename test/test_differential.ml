@@ -797,18 +797,34 @@ let guard_arbitrary =
         (Mode.to_string gc.gteams_mode) (sched_to_string gc.gsched))
     gen_guard_case
 
+(* The domain pool of the running pooled case ([on_pool]). *)
+let live_pool = ref None
+let pool () = Option.get !live_pool
+
+(* A pooled property's alcotest case: it runs on a three-domain pool
+   made when the case starts and shut down when it ends.  A pool built
+   at module initialisation would keep its worker domains idle through
+   the whole suite, and OCaml 5 stops every domain at each minor
+   collection. *)
+let on_pool ?sanitize (name, speed, run) =
+  ( name,
+    speed,
+    fun () ->
+      let p = Gpusim.Pool.create ?sanitize ~domains:3 () in
+      live_pool := Some p;
+      Fun.protect
+        ~finally:(fun () ->
+          live_pool := None;
+          Gpusim.Pool.shutdown p)
+        run )
+
 let qcheck_cases =
-  let pool = Gpusim.Pool.create ~domains:3 () in
-  let sanitizing_pool = Gpusim.Pool.create ~sanitize:true ~domains:3 () in
   [
     Test.make ~name:"random kernels: device matches host reference" ~count:120
       case_arbitrary run_differential;
     Test.make ~name:"random kernels: staged engine == tree walker" ~count:120
       case_arbitrary
       (fun case -> run_engine_differential case);
-    Test.make ~name:"random kernels: engines agree on a domain pool" ~count:40
-      case_arbitrary
-      (fun case -> run_engine_differential ~pool case);
     Test.make ~name:"collapse(2): staged engine == tree walker == host"
       ~count:60 collapse_arbitrary run_collapse_differential;
     Test.make ~name:"guarded declarations: staged engine == tree walker == host"
@@ -819,10 +835,6 @@ let qcheck_cases =
       (run_sanitizer_certification ~engine:`Staged);
     Test.make ~name:"certified fleet: both engines certify the verdict"
       ~count:60 certified_arbitrary run_sanitizer_engine_agreement;
-    Test.make ~name:"certified fleet: verdicts hold on a domain pool"
-      ~count:30 certified_arbitrary
-      (fun case ->
-        run_sanitizer_certification ~pool:sanitizing_pool ~engine:`Staged case);
     Test.make ~name:"certified fleet: collapse(2) verdict == plant" ~count:60
       collapse_certified_arbitrary run_collapse_certification;
     (* the serve cache keys on this digest: equal kernels must agree and
@@ -837,17 +849,32 @@ let qcheck_cases =
         if a.kernel = b.kernel then da = db else da <> db);
   ]
 
+(* the properties that run on a pool, with whether it sanitizes *)
+let pooled_cases =
+  [
+    ( false,
+      Test.make ~name:"random kernels: engines agree on a domain pool" ~count:40
+        case_arbitrary
+        (fun case -> run_engine_differential ~pool:(pool ()) case) );
+    ( true,
+      Test.make ~name:"certified fleet: verdicts hold on a domain pool"
+        ~count:30 certified_arbitrary
+        (fun case ->
+          run_sanitizer_certification ~pool:(pool ()) ~engine:`Staged case) );
+  ]
+
 (* A fixed seed makes every property run (and every shrink trace)
    reproducible across machines and CI reruns. *)
 let qcheck_seed = 0x5eed
 
+let to_alcotest t =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| qcheck_seed |]) t
+
 let suite =
   [
     ( "differential",
-      List.map
-        (fun t ->
-          QCheck_alcotest.to_alcotest
-            ~rand:(Random.State.make [| qcheck_seed |])
-            t)
-        qcheck_cases );
+      List.map to_alcotest qcheck_cases
+      @ List.map
+          (fun (sanitize, t) -> on_pool ~sanitize (to_alcotest t))
+          pooled_cases );
   ]

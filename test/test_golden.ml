@@ -8,11 +8,13 @@
    against the same digest.
 
    The set covers the E6 launches (atomic and reduction spmv at every
-   group size), the Fig 9 generic and SPMD launches, the runtime paths
-   whose rounds run classic lockstep rather than fused (a sanitized
-   launch, a fault plan with stalls and aborts, a dynamic schedule), and
-   sum and max simd reductions in both region modes, under both
-   schedules, at group sizes 1, 2 and 8, chains of launches that run
+   group size), the Fig 9 generic and SPMD launches and its
+   generic-teams two-level baseline, the runtime paths whose rounds run
+   classic lockstep rather than fused (sanitized launches, a fault plan
+   with stalls and aborts, a dynamic schedule), and sum and max simd
+   reductions in both region modes, under both schedules, at group
+   sizes 1, 2 and 8, a generic-teams simd reduction (plain, sanitized
+   and faulted), chains of launches that run
    on the L2 an earlier launch left warm, launches on the zoo's
    64-lane wavefront, and launches on its 32-lane devices with a
    software-emulated warp barrier and with none. *)
@@ -69,6 +71,7 @@ let e6 ?pool () =
 (* Fig 9: su3 in SPMD mode, ideal in generic mode, with their
    group-size-1 baselines *)
 let fig9 ?pool () =
+  let t = Lazy.force spmv in
   let su3 = Su3.generate { Su3.sites = 96; seed = 2 } in
   let ideal =
     Ideal.generate { Ideal.default_shape with Ideal.rows = 96; seed = 3 }
@@ -82,14 +85,27 @@ let fig9 ?pool () =
   let ideal_run name mode3 =
     (name, of_run (Ideal.run ~cfg ?pool ~num_teams:12 ~threads:128 ~mode3 ideal))
   in
-  (su3_run 1 :: List.map su3_run groups)
-  @ ideal_run "fig9 ideal g1" (Harness.spmd_simd ~group_size:1)
-    :: List.map
-         (fun g ->
-           ideal_run
-             (Printf.sprintf "fig9 ideal generic g%d" g)
-             (Harness.generic_simd ~group_size:g))
-         groups
+  let simd =
+    (su3_run 1 :: List.map su3_run groups)
+    @ ideal_run "fig9 ideal g1" (Harness.spmd_simd ~group_size:1)
+      :: List.map
+           (fun g ->
+             ideal_run
+               (Printf.sprintf "fig9 ideal generic g%d" g)
+               (Harness.generic_simd ~group_size:g))
+           groups
+  in
+  (* Fig 9's baseline: generic teams, an SPMD region per row *)
+  simd
+  @ [
+      ( "fig9 spmv two-level",
+        of_run (Spmv.run_two_level ~cfg ?pool ~num_teams:16 ~threads:32 t) );
+    ]
+
+(* teams generic x parallel generic: the team main signals the workers,
+   and the SIMD mains publish their loops to the SIMD workers *)
+let generic_generic ~group_size =
+  { (Harness.generic_simd ~group_size) with Harness.teams_mode = Omprt.Mode.Generic }
 
 let sanitized ~domains =
   let pool = Gpusim.Pool.create ~sanitize:true ~domains () in
@@ -104,6 +120,10 @@ let sanitized ~domains =
         of_run
           (Spmv.run_simd_reduction ~cfg ~pool ~num_teams:16 ~threads:128
              ~mode3:(Harness.generic_simd ~group_size:8) t) );
+      ( "sanitized reduction teams-generic g8",
+        of_run
+          (Spmv.run_simd_reduction ~cfg ~pool ~num_teams:16 ~threads:128
+             ~mode3:(generic_generic ~group_size:8) t) );
     ]
   in
   Gpusim.Pool.shutdown pool;
@@ -137,6 +157,13 @@ let faulted ~domains =
         ])
       [ 4; 16 ]
   in
+  (* after the others: each launch draws the pool's next fault nonce *)
+  let generic =
+    run "faulted reduction teams-generic g4"
+      (Spmv.run_simd_reduction ~cfg ~pool ~num_teams:16 ~threads:128
+         ~mode3:(generic_generic ~group_size:4) t)
+  in
+  let r = r @ [ generic ] in
   Gpusim.Pool.shutdown pool;
   (r, !stats)
 
@@ -173,14 +200,14 @@ let reduce ?pool () =
       (Array.init (n * 24) (fun i -> float_of_int ((i * 37) mod 101)))
   in
   let out = Gpusim.Memory.falloc space n in
-  let launch (op_name, op) mode schedule g =
+  let launch ?(teams_mode = Omprt.Mode.Spmd) (op_name, op) mode schedule g =
     Gpusim.Memory.l2_reset space;
     Gpusim.Memory.fill out 0.0;
     let params =
       {
         Team.num_teams = 5;
         num_threads = 64;
-        teams_mode = Omprt.Mode.Spmd;
+        teams_mode;
         sharing_bytes = Omprt.Sharing.default_bytes;
       }
     in
@@ -202,22 +229,30 @@ let reduce ?pool () =
                       ~tid:ctx.Team.th.Gpusim.Thread.tid
                   then Gpusim.Memory.fset out ctx.Team.th row m)))
     in
-    ( Printf.sprintf "%s reduce%s%s g%d" op_name
+    ( Printf.sprintf "%s reduce%s%s%s g%d" op_name
+        (if teams_mode = Omprt.Mode.Generic then " teams-generic" else "")
         (if mode = Omprt.Mode.Spmd then " spmd" else "")
         (if schedule = Omprt.Workshare.Static then "" else " dynamic")
         g,
       digest report (Gpusim.Memory.to_float_array out) )
   in
-  List.concat_map
-    (fun op ->
-      List.concat_map
-        (fun mode ->
-          List.concat_map
-            (fun schedule ->
-              List.map (launch op mode schedule) [ 1; 2; 8 ])
-            [ Omprt.Workshare.Static; Omprt.Workshare.Dynamic 2 ])
-        [ Omprt.Mode.Generic; Omprt.Mode.Spmd ])
-    [ ("max", Omprt.Redop.max); ("sum", Omprt.Redop.sum) ]
+  let teams_spmd =
+    List.concat_map
+      (fun op ->
+        List.concat_map
+          (fun mode ->
+            List.concat_map
+              (fun schedule ->
+                List.map (launch op mode schedule) [ 1; 2; 8 ])
+              [ Omprt.Workshare.Static; Omprt.Workshare.Dynamic 2 ])
+          [ Omprt.Mode.Generic; Omprt.Mode.Spmd ])
+      [ ("max", Omprt.Redop.max); ("sum", Omprt.Redop.sum) ]
+  in
+  teams_spmd
+  @ [
+      launch ~teams_mode:Omprt.Mode.Generic ("sum", Omprt.Redop.sum)
+        Omprt.Mode.Generic Omprt.Workshare.Static 8;
+    ]
 
 (* Warm-L2 chains: launches that keep the committed L2 an earlier
    launch left (reset_l2:false), so the order in which block logs enter
@@ -407,7 +442,8 @@ let all ~domains =
    bits of their own (su3 spmd g8 and the two e6 g64 launches moved;
    before, lane 32 shared lane 0's bit); the w32-none and w32-sw
    launches before SIMD mains and SPMD lanes ran the stepped workers'
-   simd-loop machine *)
+   simd-loop machine; the generic-teams launches (two-level, teams-generic
+   reductions) before the teams-level worker loop ran as steps *)
 let expected =
   [
     ("e6 atomic g2", "2360daaf62fdc852fd31ced4f18f3ff5");
@@ -432,12 +468,15 @@ let expected =
     ("fig9 ideal generic g8", "71c5faaf316e002e751e77704712c37d");
     ("fig9 ideal generic g16", "851e0e7a86a06e26aaa9fe234b1ba06d");
     ("fig9 ideal generic g32", "b583f34b483be84e0aab5cd175f06ae4");
+    ("fig9 spmv two-level", "a5fce704543b81b93c8732f7761e0572");
     ("sanitized atomic g4", "75ad01bb7051152435f0e388118fd863");
     ("sanitized reduction g8", "64de79d3d785f24f3b07f1e5db26d02f");
+    ("sanitized reduction teams-generic g8", "576720dac03a027ca742279d41722a5c");
     ("faulted atomic g4", "0898cbae4416d5620cd3ecef17e6540e");
     ("faulted reduction g4", "8a469578890c42c66146a0e1406dba3d");
     ("faulted atomic g16", "557cf42b5352d51809b0d9abf9248343");
     ("faulted reduction g16", "0ffeb10e8c774277793b31717e821229");
+    ("faulted reduction teams-generic g4", "e0c80bbc822973b86f7e7151258f236d");
     ("dynamic g4", "287a8026d63c4dcd6abfcde10fb366fb");
     ("dynamic g8", "3d0df1e95b7ce7187208f3c79ece4a1a");
     ("max reduce g1", "7507a060756ae829e7ae8509f2e24683");
@@ -464,6 +503,7 @@ let expected =
     ("sum reduce spmd dynamic g1", "d0a5ea2fed831bfc1c8a6e99e8844741");
     ("sum reduce spmd dynamic g2", "c1ab404646e9867280c91ba7dcf607bb");
     ("sum reduce spmd dynamic g8", "900a1db50fed3ce11296cff1a7f8fc01");
+    ("sum reduce teams-generic g8", "5a888b5a734c3f445f8d5846a26d2b86");
     ("warm a cold", "0fa8966f43a0514e920495006a01fb92");
     ("warm a 1", "2e40c6abfc4e07eb410338fd74917998");
     ("warm a 2", "3c7c4f75386c6b6818de3f70ea3f41f5");

@@ -1279,24 +1279,29 @@ let stepping_preserves_schedule =
       let all, _ = run_sprog prog ~stepped:(fun _ -> true) in
       fibers = mixed && fibers = all)
 
-(* Exit arrivals.  The same programs, where each thread's last-round
-   arrival is its last action, run with every thread in one of four
-   shapes: a fiber that waits at every round (the reference); a fiber
-   whose last arrival is [Engine.arrive_last]; a stepped thread
-   ([suspend_stepped]) whose resumed fiber makes that exit arrival; and
-   a detached thread ([Engine.detach] at its first parking arrival)
-   whose last step makes it.  The last round is optionally one
-   block-wide barrier, like the team barrier that closes a region, and
-   optionally one thread skips it, so the block hangs with exit
-   waiters.  Against the all-fiber run: the same arrival order, the
-   same clocks after every release before the last round, the same
-   final clock per thread, and the same critical path or stall record
-   (finished count and stuck barriers). *)
-type exit_shape = Wait_all | Exit_fiber | Exit_stepped | Exit_detached
+(* Exit arrivals and fibers on demand.  The same programs, where each
+   thread's last-round arrival is its last action, run with every thread
+   in one of five shapes: a fiber that waits at every round (the
+   reference); a fiber whose last arrival it makes as a step (its hook
+   set first, so a failed arrival parks no fiber); a stepped thread
+   ([suspend_stepped]) whose resumed fiber makes that exit arrival; a
+   thread that lives as steps from its start, its body returning at
+   once, whose last step makes it; and a thread that lives as steps for
+   the rounds before its split and then starts a fiber from a step
+   ([Engine.start_fiber]) for the rest, the exit arrival included (a
+   split of 0 starts it from the thread's body).  The last round is
+   optionally one block-wide barrier, like the team barrier that closes
+   a region, and optionally one thread skips it, so the block hangs
+   with exit waiters.  Against the all-fiber run: the same arrival
+   order, the same clocks after every release before the last round,
+   the same final clock per thread, and the same critical path or stall
+   record (finished count and stuck barriers). *)
+type exit_shape = Wait_all | Exit_fiber | Exit_stepped | Exit_steps | Exit_spawned
 
 let run_xprog prog ~shape ~drop =
   let rounds = Array.length prog.costs in
   let last = rounds - 1 in
+  let split = last / 2 in
   let bars = sprog_barriers prog in
   let log = ref [] in
   let pos = Array.make prog.sthreads 0 in
@@ -1310,13 +1315,18 @@ let run_xprog prog ~shape ~drop =
   let released th r =
     if r < last then log := `Clock (th.Thread.tid, r, Thread.clock th) :: !log
   in
-  let wait_rounds th n =
-    for r = 0 to n - 1 do
+  let wait_rounds th ~from n =
+    for r = from to n - 1 do
       Engine.barrier_wait (start th r) th;
       released th r
     done
   in
-  let exit th = Engine.arrive_last (start th last) th in
+  (* the exit arrival, as a step: released, the thread asks for its
+     fiber and, holding none, is finished; [true] when it completed *)
+  let exit th =
+    th.Thread.step <- (fun _ -> true);
+    Engine.arrive (start th last) th && (th.Thread.step <- Thread.fiber; true)
+  in
   (* stepped: rounds before the last as steps, then the fiber's exit *)
   let rec stepped_from th r =
     r = last
@@ -1331,40 +1341,57 @@ let run_xprog prog ~shape ~drop =
     released th r;
     stepped_from th (r + 1)
   in
-  (* detached: [false] once parked; the last round is the exit *)
-  let rec detached_from th r =
+  (* as steps from the start: [false] once parked, [true] once finished *)
+  let rec steps_from th r =
     pos.(th.Thread.tid) <- r + 1;
-    if r = last then begin
-      exit th;
-      true
-    end
-    else
-      Engine.arrive (start th r) th && (released th r; detached_from th (r + 1))
+    r > last
+    || Engine.arrive (start th r) th && (released th r; steps_from th (r + 1))
   in
-  let detached_step th =
+  let steps_step th =
     let r = pos.(th.Thread.tid) - 1 in
     released th r;
-    ignore (detached_from th (r + 1) : bool);
-    false
+    steps_from th (r + 1)
+  in
+  (* as steps up to the split, then on a fiber a step starts *)
+  let on_fiber th =
+    wait_rounds th ~from:split last;
+    exit th
+  in
+  let rec spawn_from th r =
+    pos.(th.Thread.tid) <- r + 1;
+    if r = split then begin
+      Engine.start_fiber th on_fiber;
+      false
+    end
+    else Engine.arrive (start th r) th && (released th r; spawn_from th (r + 1))
+  in
+  let spawn_step th =
+    let r = pos.(th.Thread.tid) - 1 in
+    released th r;
+    spawn_from th (r + 1)
+  in
+  let as_steps th step from =
+    th.Thread.step <- step;
+    if from th 0 then th.Thread.step <- Thread.fiber
   in
   let result =
     match
       Engine.run_block ~cfg ~block_id:0 ~num_threads:prog.sthreads (fun th ->
           let tid = th.Thread.tid in
           threads.(tid) <- Some th;
-          if drop = Some tid then wait_rounds th last
+          if drop = Some tid then wait_rounds th ~from:0 last
           else
             match shape.(tid) with
-            | Wait_all -> wait_rounds th rounds
+            | Wait_all -> wait_rounds th ~from:0 rounds
             | Exit_fiber ->
-                wait_rounds th last;
-                exit th
+                wait_rounds th ~from:0 last;
+                ignore (exit th : bool)
             | Exit_stepped ->
                 if not (stepped_from th 0) then
                   Engine.suspend_stepped th stepped_step;
-                exit th
-            | Exit_detached ->
-                if not (detached_from th 0) then Engine.detach th detached_step)
+                ignore (exit th : bool)
+            | Exit_steps -> as_steps th steps_step steps_from
+            | Exit_spawned -> as_steps th spawn_step spawn_from)
     with
     | r -> Ok r.Engine.critical_cycles
     | exception Engine.Deadlock _ -> Error (Engine.take_stall ())
@@ -1376,7 +1403,8 @@ let xprog_gen =
   let open QCheck.Gen in
   sprog_gen >>= fun (prog, _) ->
   let n = prog.sthreads in
-  array_size (return n) (oneofl [ Wait_all; Exit_fiber; Exit_stepped; Exit_detached ])
+  array_size (return n)
+    (oneofl [ Wait_all; Exit_fiber; Exit_stepped; Exit_steps; Exit_spawned ])
   >>= fun shape ->
   bool >>= fun block_close ->
   opt (int_range 0 (n - 1)) >>= fun drop ->
@@ -1396,7 +1424,9 @@ let exit_arrivals_preserve_schedule =
       in
       reference = run_xprog prog ~shape ~drop
       && reference
-         = run_xprog prog ~shape:(Array.make prog.sthreads Exit_detached) ~drop)
+         = run_xprog prog ~shape:(Array.make prog.sthreads Exit_steps) ~drop
+      && reference
+         = run_xprog prog ~shape:(Array.make prog.sthreads Exit_spawned) ~drop)
 
 (* An injected stall on a stepped thread parks it on the private stall
    barrier under its saved continuation: the block deadlocks with the

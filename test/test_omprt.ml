@@ -553,6 +553,31 @@ let test_nested_parallel_rejected () =
                     (fun _ _ -> ()))));
        false
      with Failure msg -> Astring_like.contains msg "nested");
+  (* raised in a region a generic-teams worker runs for its team main:
+     the same failure, without a pool and on a one-worker pool *)
+  let nested ?pool () =
+    match
+      Target.launch ~cfg ?pool
+        ~params:(params ~num_teams:2 ~num_threads:32 ~teams_mode:Mode.Generic ())
+        (fun ctx ->
+          Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 (fun ctx _ ->
+              Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 (fun _ _ -> ())))
+    with
+    | (_ : Gpusim.Device.report) -> "no failure"
+    | exception Failure msg -> msg
+  in
+  let expected =
+    "Parallel.parallel: nested parallel regions are not supported on the \
+     device (LLVM serializes them); restructure the kernel or inline the \
+     nested body"
+  in
+  Alcotest.(check string) "generic teams" expected (nested ());
+  let pool = Gpusim.Pool.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Gpusim.Pool.shutdown pool)
+    (fun () ->
+      Alcotest.(check string) "generic teams, one-worker pool" expected
+        (nested ~pool ()));
   (* sequential regions after one another remain fine *)
   ignore
     (Target.launch ~cfg ~params:p (fun ctx ->
@@ -840,9 +865,9 @@ let qcheck_cases =
    distributed over the groups, a simd loop over each row's nonzeros
    with an atomic update — run straight on the engine, whose block
    result carries the park count.  Finishing at the closing barrier and
-   detaching the SIMD workers leaves only the SIMD mains' waits at warp
-   barriers to park: at most one park per main arrival, which is the
-   warp-barrier count over the group size.  The parking path
+   SIMD workers living as steps leave only the SIMD mains' waits at
+   warp barriers to park: at most one park per main arrival, which is
+   the warp-barrier count over the group size.  The parking path
    ([last:false]) still parks well above that, with the same clocks. *)
 let e6_block ~last =
   let lengths =
@@ -909,8 +934,18 @@ let test_parks_pinned () =
    simd loop over the row) and the E6 reduction (a generic region, a
    simd sum over the row), on the test device and on the zoo's w32-sw
    and w32-none.  Their park counts are pinned: how a lane waits at a
-   rendezvous must not change how often a fiber parks. *)
-type shape = Su3_spmd | Ideal_generic | E6_reduction
+   rendezvous must not change how often a fiber parks.  Two
+   generic-teams blocks ride along: the two-level shape (an SPMD region
+   per row, no simd), whose workers park at no team barrier (its 65
+   parks are the team main's closing waits, one per row; 16,768 while
+   the workers' idle loop parked fibers), and ideal's generic region
+   under a team main (594 then). *)
+type shape =
+  | Su3_spmd
+  | Ideal_generic
+  | E6_reduction
+  | Two_level  (** generic teams, an SPMD region per row, no simd *)
+  | Teams_generic_ideal  (** generic teams over ideal's generic region *)
 
 let shape_parks ~cfg shape =
   let lengths =
@@ -927,37 +962,55 @@ let shape_parks ~cfg shape =
       (Array.init starts.(rows) (fun k -> float_of_int (k mod 7)))
   in
   let out = Memory.falloc space (max starts.(rows) (rows * 36)) in
+  let teams_mode =
+    match shape with
+    | Two_level | Teams_generic_ideal -> Mode.Generic
+    | Su3_spmd | Ideal_generic | E6_reduction -> Mode.Spmd
+  in
   let params =
     {
       Team.num_teams = 1;
       num_threads = 128;
-      teams_mode = Mode.Spmd;
+      teams_mode;
       sharing_bytes = Sharing.default_bytes;
     }
   in
   let team = Team.create ~cfg ~arena:(Shared.arena cfg) ~params ~block_id:0 in
-  let mode = match shape with Su3_spmd -> Mode.Spmd | _ -> Mode.Generic in
+  let simd_row ctx row =
+    match shape with
+    | Su3_spmd ->
+        Simd.simd ctx ~fn_id:1 ~trip:36 (fun ctx j _ ->
+            Team.charge_flops ctx 8;
+            Memory.fset out ctx.Team.th ((row * 36) + j) 1.0)
+    | Ideal_generic | Teams_generic_ideal | Two_level ->
+        Simd.simd ctx ~fn_id:1 ~trip:lengths.(row) (fun ctx j _ ->
+            let k = starts.(row) + j in
+            let v = Memory.fget values ctx.Team.th k in
+            Memory.fset out ctx.Team.th k (2.0 *. v))
+    | E6_reduction ->
+        let dot =
+          Simd.simd_sum ctx ~fn_id:1 ~trip:lengths.(row) (fun ctx j _ ->
+              Team.charge_flops ctx 2;
+              Memory.fget values ctx.Team.th (starts.(row) + j))
+        in
+        Memory.fset out ctx.Team.th row dot
+  in
   let body ctx =
-    Parallel.parallel ctx ~mode ~simd_len:8 ~fn_id:0 ~last:true (fun ctx _ ->
-        Workshare.distribute_parallel_for ctx ~trip:rows (fun row ->
-            match shape with
-            | Su3_spmd ->
-                Simd.simd ctx ~fn_id:1 ~trip:36 (fun ctx j _ ->
-                    Team.charge_flops ctx 8;
-                    Memory.fset out ctx.Team.th ((row * 36) + j) 1.0)
-            | Ideal_generic ->
-                Simd.simd ctx ~fn_id:1 ~trip:lengths.(row) (fun ctx j _ ->
+    match shape with
+    | Two_level ->
+        (* the team main opens a region per row: the two-level runtime *)
+        Workshare.distribute ctx ~trip:rows (fun row ->
+            Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 ~fn_id:0
+              (fun ctx _ ->
+                Workshare.omp_for ctx ~trip:lengths.(row) (fun j ->
                     let k = starts.(row) + j in
-                    let v = Memory.fget values ctx.Team.th k in
-                    Memory.fset out ctx.Team.th k (2.0 *. v))
-            | E6_reduction ->
-                let dot =
-                  Simd.simd_sum ctx ~fn_id:1 ~trip:lengths.(row)
-                    (fun ctx j _ ->
-                      Team.charge_flops ctx 2;
-                      Memory.fget values ctx.Team.th (starts.(row) + j))
-                in
-                Memory.fset out ctx.Team.th row dot))
+                    Memory.fset out ctx.Team.th k
+                      (Memory.fget values ctx.Team.th k))))
+    | Su3_spmd | Ideal_generic | E6_reduction | Teams_generic_ideal ->
+        let mode = if shape = Su3_spmd then Mode.Spmd else Mode.Generic in
+        Parallel.parallel ctx ~mode ~simd_len:8 ~fn_id:0 ~last:true
+          (fun ctx _ ->
+            Workshare.distribute_parallel_for ctx ~trip:rows (simd_row ctx))
   in
   let r =
     Gpusim.Engine.run_block ~cfg ~block_id:0
@@ -974,7 +1027,10 @@ let test_parks_per_shape () =
   Alcotest.(check (list (list int)))
     "parks of su3 spmd, ideal generic and e6 reduction at g8"
     [ [ 910; 113; 178 ]; [ 910; 113; 178 ]; [ 910; 0; 0 ] ]
-    (List.map parks [ cfg; zoo "w32-sw"; zoo "w32-none" ])
+    (List.map parks [ cfg; zoo "w32-sw"; zoo "w32-none" ]);
+  Alcotest.(check (list int))
+    "parks of two-level and teams-generic ideal g8" [ 65; 99 ]
+    (List.map (shape_parks ~cfg) [ Two_level; Teams_generic_ideal ])
 
 (* --- state carried from launch to launch ------------------------------ *)
 
@@ -1027,12 +1083,12 @@ let test_alloc_spmv_two_level () =
 
 (* Two teams whose SIMD groups disagree on a loop's trip count: each
    block deadlocks at its groups' lockstep barriers. *)
-let deadlocking ?pool () =
+let deadlocking ?(teams_mode = Mode.Spmd) ?pool () =
   let params =
     {
       Team.num_teams = 2;
       num_threads = 32;
-      teams_mode = Mode.Spmd;
+      teams_mode;
       sharing_bytes = Sharing.default_bytes;
     }
   in
@@ -1091,6 +1147,31 @@ let test_deadlock_text_per_block () =
   Alcotest.(check string) "after other launches" fresh warm;
   Alcotest.(check string) "on a one-worker pool" fresh pooled;
   Alcotest.(check string) "without a pool" fresh (deadlocking ())
+
+(* The same divergence in a generic-teams kernel, whose workers run
+   the region for their team main: the stall text recorded before the
+   teams-level worker loop ran as engine steps, without a pool and on a
+   one-worker pool. *)
+let test_deadlock_text_generic_teams () =
+  let expected =
+    "block 0: 31/64 threads finished; stuck barriers: [team0#0 1/33] \
+     [warp0:0000041c#1 2/4] [lockstep0:0000041c#2 2/4] [warp0:00000418#3 \
+     2/4] [lockstep0:00000418#4 2/4] [warp0:00000414#5 2/4] \
+     [lockstep0:00000414#6 2/4] [warp0:00000410#7 2/4] \
+     [lockstep0:00000410#8 2/4] [warp0:0000040c#9 2/4] \
+     [lockstep0:0000040c#10 2/4] [warp0:00000408#11 2/4] \
+     [lockstep0:00000408#12 2/4] [warp0:00000404#13 2/4] \
+     [lockstep0:00000404#14 2/4] [warp0:00000400#15 2/4] \
+     [lockstep0:00000400#16 2/4]"
+  in
+  Alcotest.(check string) "without a pool" expected
+    (deadlocking ~teams_mode:Mode.Generic ());
+  let pool = Gpusim.Pool.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Gpusim.Pool.shutdown pool)
+    (fun () ->
+      Alcotest.(check string) "on a one-worker pool" expected
+        (deadlocking ~teams_mode:Mode.Generic ~pool ()))
 
 (* A launch reports what it reports on a fresh pool whatever ran on
    its pool before: a deadlocked launch, or one whose blocks failed
@@ -1196,6 +1277,8 @@ let suite =
           test_alloc_spmv_two_level;
         Alcotest.test_case "deadlock text: numbered per block" `Quick
           test_deadlock_text_per_block;
+        Alcotest.test_case "deadlock text: generic teams" `Quick
+          test_deadlock_text_generic_teams;
         Alcotest.test_case "after failed launches: as on a fresh pool" `Quick
           test_after_failed_launches;
       ] );

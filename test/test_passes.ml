@@ -273,7 +273,6 @@ let on_seq pass sc =
 let full_spec = "fold,licm,strength,collapse,interchange,fuse,tile:4,unroll,dce,spmdize"
 
 let qcheck_cases =
-  let pool = Gpusim.Pool.create ~domains:3 () in
   let t = QCheck.Test.make in
   [
     t ~name:"pass fold: certified on random kernels" ~count:100 D.case_arbitrary
@@ -320,14 +319,18 @@ let qcheck_cases =
         | Ok (_ : Ir.kernel) -> true
         | Error (p, es) ->
             QCheck.Test.fail_reportf "pipeline broke at %s: %s" p (errs es));
-    t ~name:"full spec pipeline: certified on pooled domains" ~count:25
-      D.case_arbitrary
-      (on_random ~pool
-         {
-           Passes.name = "pipeline";
-           transform = Passes.run (Passes.pipeline_of_spec full_spec);
-         });
   ]
+
+(* on a pool made for its test case alone (see [D.on_pool]) *)
+let pooled_case =
+  QCheck.Test.make ~name:"full spec pipeline: certified on pooled domains"
+    ~count:25 D.case_arbitrary (fun case ->
+      on_random ~pool:(D.pool ())
+        {
+          Passes.name = "pipeline";
+          transform = Passes.run (Passes.pipeline_of_spec full_spec);
+        }
+        case)
 
 let qcheck_seed = 0x9a55e5
 
@@ -1094,5 +1097,11 @@ let suite =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| qcheck_seed |])
             t)
-        qcheck_cases );
+        qcheck_cases
+      @ [
+          D.on_pool
+            (QCheck_alcotest.to_alcotest
+               ~rand:(Random.State.make [| qcheck_seed |])
+               pooled_case);
+        ] );
   ]

@@ -24,7 +24,9 @@
 
    Each launch set runs once unsampled (so whatever a launch carries
    over to the next is built outside the sample), then [repeats] times
-   sampled, on a sequential pool.  The program reads no environment:
+   sampled, on a sequential pool; a set of plain launches also prints
+   its fiber parks per pass ([Device.report.parks]; the serve fleet
+   keeps its launch reports).  The program reads no environment:
    with the minor heap fixed and every launch on one domain, one binary
    prints the same table on every run.  A site is the innermost frame
    in the repository's libraries, with its caller. *)
@@ -141,7 +143,14 @@ let print_table ~title ~launches =
 (* --- the launch sets --------------------------------------------------- *)
 
 let cfg = Gpusim.Config.small
-let discard l () = ignore (l () : Harness.run)
+
+(* fiber parks of the launches since the last reset: [Device.report]'s
+   count, which the serve fleet keeps to itself *)
+let parks = ref 0
+
+let discard l () =
+  let r : Harness.run = l () in
+  parks := !parks + r.Harness.report.Gpusim.Device.parks
 
 (* E6 at the ledger's sim_reduce geometry, smaller: every group size,
    atomic and reduction, on a cold L2. *)
@@ -264,13 +273,18 @@ let serve_cold pool =
 
 let run_set (title, launches) =
   let run_all () = List.iter (fun l -> l ()) launches in
+  parks := 0;
   run_all ();
+  let set_parks = !parks in
   Gc.full_major ();
   sampled (fun () ->
       for _ = 1 to repeats do
         run_all ()
       done);
-  print_table ~title ~launches:(repeats * List.length launches)
+  print_table ~title ~launches:(repeats * List.length launches);
+  (* a set whose launches go through the fleet counts none *)
+  if set_parks > 0 then
+    Printf.printf "  fiber parks per pass over the set: %d\n\n" set_parks
 
 let () =
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_words };
