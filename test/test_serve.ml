@@ -1324,6 +1324,120 @@ let fleet_telemetry_replay =
           && String.equal reference (tele ~pool (c devices))
           && String.equal reference (tele (c rotated))))
 
+(* The integer after ["key": ] in a telemetry line (its first match). *)
+let json_int line key =
+  let pat = "\"" ^ key ^ "\": " in
+  let n = String.length line and k = String.length pat in
+  let rec find i =
+    if i + k > n then failwith ("no " ^ key ^ " in " ^ line)
+    else if String.sub line i k = pat then i + k
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while !stop < n && line.[!stop] >= '0' && line.[!stop] <= '9' do incr stop done;
+  int_of_string (String.sub line start (!stop - start))
+
+let json_label line =
+  let pat = "\"shard\": \"" in
+  let k = String.length pat in
+  let rec find i = if String.sub line i k = pat then i + k else find (i + 1) in
+  let start = find 0 in
+  String.sub line start (String.index_from line start '"' - start)
+
+(* The tallies agree with each other.  Over one replay with batching,
+   stealing, SLO shedding, the autoscaler and a fault plan armed, every
+   shard's per-window telemetry counts sum to its [shard_stats]; the
+   control lines' grows, shrinks and reopens sum to the metrics; the
+   shard breakdown sums to the fleet-wide metrics and fleet stats; and
+   the tenants' requests sum to the trace. *)
+let serve_tallies_agree =
+  QCheck.Test.make ~count:6 ~name:"fleet tallies agree: telemetry, shards, metrics"
+    QCheck.(triple (oneofl [ "mixed"; "flash" ]) bool small_nat)
+    (fun (traffic, hetero, seed) ->
+      (* every seventh request carries a deadline, so timeouts happen *)
+      let specs =
+        List.map
+          (fun (s : Request.spec) ->
+            if s.Request.id mod 7 <> 0 then s
+            else { s with Request.deadline = Some (s.Request.at +. 6_000.0) })
+          Traffic.(generate (preset traffic ~n:100 ~seed))
+      in
+      let devices =
+        if hetero then Fleet.parse_devices "w32-hw,w64-hw" else []
+      in
+      let c =
+        fconf ~shards:4 ~batch:4 ~devices ~queue_bound:4 ~retries:2 ~servers:1
+          ~breaker:2 ~slo:15_000.0 ~window:5_000.0 ~telemetry:true
+          ~autoscale:operability_autoscale ()
+      in
+      with_knobs
+        [ ("OMPSIMD_FAULTS", "abort=0.4"); ("OMPSIMD_FAULT_SEED", "3") ]
+        (fun pool _ ->
+          let res = Fleet.run c ~pool specs in
+          let m = res.Fleet.metrics and f = res.Fleet.fleet in
+          let shards = res.Fleet.shard_stats in
+          let seen = Hashtbl.create 4 in
+          let label (s : Metrics.shard_stats) =
+            let j = Option.value ~default:0 (Hashtbl.find_opt seen s.Metrics.s_device) in
+            Hashtbl.replace seen s.Metrics.s_device (j + 1);
+            Printf.sprintf "%s/%d" s.Metrics.s_device j
+          in
+          let labelled = List.map (fun s -> (label s, s)) shards in
+          let lines =
+            List.filter (( <> ) "") (String.split_on_char '\n' res.Fleet.telemetry)
+          in
+          let is_shard l = Astring_like.contains l "\"shard\": " in
+          let window_sum lbl key =
+            List.fold_left
+              (fun a l ->
+                if is_shard l && json_label l = lbl then a + json_int l key else a)
+              0 lines
+          in
+          let control_sum key =
+            List.fold_left
+              (fun a l -> if is_shard l then a else a + json_int l key)
+              0 lines
+          in
+          let sum get = List.fold_left (fun a s -> a + get s) 0 shards in
+          let fail what want got =
+            QCheck.Test.fail_reportf "%s: want %d, got %d" what want got
+          in
+          let eq what want got = if want <> got then fail what want got in
+          List.iter
+            (fun (lbl, (s : Metrics.shard_stats)) ->
+              List.iter
+                (fun (key, want) -> eq (lbl ^ " " ^ key) want (window_sum lbl key))
+                [
+                  ("launches", s.Metrics.s_launches);
+                  ("relaunches", s.Metrics.s_relaunches);
+                  ("steals", s.Metrics.s_steals);
+                  ("completed", s.Metrics.s_completed);
+                  ("shed", s.Metrics.s_shed);
+                  ("shed_slo", s.Metrics.s_shed_slo);
+                  ("timed_out", s.Metrics.s_timed_out);
+                  ("degraded", s.Metrics.s_degraded);
+                ])
+            labelled;
+          eq "grows" m.Metrics.autoscale_grows (control_sum "grows");
+          eq "shrinks" m.Metrics.autoscale_shrinks (control_sum "shrinks");
+          eq "reopens" m.Metrics.breaker_reopens (control_sum "reopens");
+          eq "launches" m.Metrics.launches (sum (fun s -> s.Metrics.s_launches));
+          eq "retries" m.Metrics.retries (sum (fun s -> s.Metrics.s_retries));
+          eq "relaunches" m.Metrics.relaunches
+            (sum (fun s -> s.Metrics.s_relaunches));
+          eq "breaker_opens" m.Metrics.breaker_opens
+            (sum (fun s -> s.Metrics.s_breaker_opens));
+          eq "batches" f.Fleet.batches (sum (fun s -> s.Metrics.s_batches));
+          eq "batched_requests" f.Fleet.batched_requests
+            (sum (fun s -> s.Metrics.s_batched_requests));
+          eq "steals" f.Fleet.steals (sum (fun s -> s.Metrics.s_steals));
+          eq "tenant requests" m.Metrics.requests
+            (List.fold_left
+               (fun a (t : Metrics.tenant_stats) -> a + t.Metrics.t_requests)
+               0 res.Fleet.tenant_stats);
+          true))
+
 (* The autoscaler control law, exercised directly: the dead band keeps
    a square-wave load from oscillating the target, sustained overload
    grows on the cooldown grid up to the per-shard cap and the pooled
@@ -1562,6 +1676,7 @@ let suite =
         Alcotest.test_case "fleet: operability snapshot shape and replay"
           `Quick test_operability_snapshot;
         QCheck_alcotest.to_alcotest fleet_telemetry_replay;
+        QCheck_alcotest.to_alcotest serve_tallies_agree;
         Alcotest.test_case "autoscale: hysteresis, cooldown and budget" `Quick
           test_autoscale_hysteresis;
       ] );
