@@ -66,6 +66,44 @@ let summary_json (res : Fleet.result) =
      :: List.map Metrics.shard_stats_to_json res.Fleet.shard_stats
     @ List.map Metrics.tenant_stats_to_json res.Fleet.tenant_stats)
 
+(* One tally per event: the shard breakdown sums to the fleet-wide
+   metrics and fleet stats, and the tenants' requests to the trace. *)
+let check_shard_sums stage (res : Fleet.result) =
+  let m = res.Fleet.metrics and f = res.Fleet.fleet in
+  let sum get =
+    List.fold_left (fun a s -> a + get s) 0 res.Fleet.shard_stats
+  in
+  List.iter
+    (fun (what, want, got) ->
+      if want <> got then
+        fail "%s: %s sum over shards is %d, the fleet-wide count %d" stage what
+          got want)
+    [
+      ("launches", m.Metrics.launches, sum (fun s -> s.Metrics.s_launches));
+      ("retries", m.Metrics.retries, sum (fun s -> s.Metrics.s_retries));
+      ("relaunches", m.Metrics.relaunches, sum (fun s -> s.Metrics.s_relaunches));
+      ( "breaker_opens",
+        m.Metrics.breaker_opens,
+        sum (fun s -> s.Metrics.s_breaker_opens) );
+      ("completed", m.Metrics.completed, sum (fun s -> s.Metrics.s_completed));
+      ( "shed",
+        m.Metrics.rejected + m.Metrics.shed,
+        sum (fun s -> s.Metrics.s_shed) );
+      ("shed_slo", m.Metrics.shed_slo, sum (fun s -> s.Metrics.s_shed_slo));
+      ("timed_out", m.Metrics.timed_out, sum (fun s -> s.Metrics.s_timed_out));
+      ("degraded", m.Metrics.degraded, sum (fun s -> s.Metrics.s_degraded));
+      ("batches", f.Fleet.batches, sum (fun s -> s.Metrics.s_batches));
+      ( "batched_requests",
+        f.Fleet.batched_requests,
+        sum (fun s -> s.Metrics.s_batched_requests) );
+      ("steals", f.Fleet.steals, sum (fun s -> s.Metrics.s_steals));
+      ( "tenant requests",
+        m.Metrics.requests,
+        List.fold_left
+          (fun a (t : Metrics.tenant_stats) -> a + t.Metrics.t_requests)
+          0 res.Fleet.tenant_stats );
+    ]
+
 (* --- 1. the 100k soak -------------------------------------------------- *)
 
 let soak_stage () =
@@ -100,6 +138,7 @@ let soak_stage () =
     + m.Metrics.degraded
   in
   if tally <> n then fail "soak: outcomes tally to %d, not %d" tally n;
+  check_shard_sums "soak" res;
   if m.Metrics.completed = 0 then fail "soak: nothing completed";
   (* bounded queues: disarmed, so no relaunch ever re-enters past the
      admission bound — every shard's high-water mark obeys it *)
@@ -166,6 +205,7 @@ let hetero_stage () =
     + m.Metrics.degraded
   in
   if tally <> n then fail "hetero: outcomes tally to %d, not %d" tally n;
+  check_shard_sums "hetero" res;
   if m.Metrics.completed = 0 then fail "hetero: nothing completed";
   List.iter
     (fun (s : Metrics.shard_stats) ->

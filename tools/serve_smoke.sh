@@ -166,6 +166,31 @@ done
 grep -q '"shedding": true' "$tref" \
   || { echo "FAIL: SLO telemetry never recorded shedding"; exit 1; }
 
+# the stream and the snapshot count the same events: each shard's
+# window lines sum to its breakdown, the control lines to the metrics
+python3 - "$tref" "$tref.json" <<'EOF'
+import json, sys
+lines = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
+snap = json.load(open(sys.argv[2]))
+keys = ["launches", "relaunches", "steals", "completed", "shed", "shed_slo",
+        "timed_out", "degraded"]
+seen = {}
+for s in snap["shards"]:
+    j = seen.get(s["device"], 0)
+    seen[s["device"]] = j + 1
+    label = "%s/%d" % (s["device"], j)
+    for k in keys:
+        got = sum(l[k] for l in lines if l.get("shard") == label)
+        assert got == s[k], "FAIL: %s %s: windows sum to %d, snapshot %d" % (
+            label, k, got, s[k])
+auto = snap["metrics"]["autoscale"]
+for k, want in [("grows", auto["grows"]), ("shrinks", auto["shrinks"]),
+                ("reopens", auto["breaker_reopens"])]:
+    got = sum(l["fleet"][k] for l in lines if "fleet" in l)
+    assert got == want, "FAIL: control %s sum to %d, metrics %d" % (k, got, want)
+assert auto["grows"] > 0, "FAIL: SLO telemetry never grew a shard"
+EOF
+
 # the hetero replay must actually have routed off the plain ring
 hstats="$(grep -o '"fleet": {[^}]*}' "$href")"
 case "$hstats" in
