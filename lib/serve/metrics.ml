@@ -12,7 +12,7 @@ type t = {
   shed : int;  (* dropped after exhausting retries *)
   shed_slo : int;  (* shed by SLO admission while the windowed p99 was over *)
   timed_out : int;
-  failed : int;  (* compile errors *)
+  failed : int;  (* no launch: compile error, geometry or sharing space *)
   retries : int;  (* re-arrivals scheduled by the backoff policy *)
   queue_max : int;
   inflight_max : int;
@@ -45,6 +45,7 @@ type t = {
   faults_stalls : int;  (* barrier-stall failures *)
   faults_exhausts : int;  (* sharing acquires forced onto the fallback *)
   faults_watchdogs : int;  (* blocks over the watchdog budget *)
+  parks : int;  (* fiber parks of the real member launches; printed by nothing *)
 }
 
 let cache_hit_rate m =

@@ -15,6 +15,9 @@ type t = {
           the target — an explicit terminal outcome, never silent *)
   timed_out : int;
   failed : int;
+      (** ended {!Scheduler.Failed} without a launch: the kernel did not
+          compile, its launch geometry does not fit the shard's device,
+          or its sharing space does not fit the device's blocks *)
   retries : int;
   queue_max : int;
   inflight_max : int;
@@ -51,6 +54,10 @@ type t = {
   faults_exhausts : int;
   faults_watchdogs : int;
       (** fault totals folded from every launch's {!Gpusim.Device.report} *)
+  parks : int;
+      (** {!Gpusim.Device.report.parks} summed over the real member
+          launches (memo hits add none); in neither {!to_text} nor
+          {!to_json}, so no snapshot byte depends on it *)
 }
 
 val cache_hit_rate : t -> float

@@ -20,7 +20,11 @@ type outcome =
           the latency target, so the lowest-priority class is shed
           explicitly — counted, terminal, never a silent drop *)
   | Timed_out  (** deadline expired (while queued, or finished late) *)
-  | Failed  (** the kernel did not compile *)
+  | Failed
+      (** never launched: the kernel did not compile, its launch
+          geometry fails {!Openmp.Clause.check_geometry} on its shard's
+          device, or its sharing space does not fit the device
+          ({!Openmp.Offload.check_sharing}) *)
   | Degraded
       (** device failures exhausted the relaunch budget, or the
           kernel's circuit breaker was open — distinct from admission

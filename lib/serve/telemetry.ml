@@ -1,11 +1,14 @@
 (* Streaming telemetry for the serve fleet: windowed metrics sampled
    in virtual time.
 
-   The fleet feeds per-shard observations (terminal outcomes, launch
-   results, cache lookups, queue depths) into ring-buffered window
-   accumulators; whenever the event clock crosses a window boundary the
-   collector closes the elapsed windows, computes the windowed latency
-   percentiles, and hands each closed window to the caller — the
+   The fleet counts each event once, in its shards' tallies
+   ({!Tally}); a window's per-shard counts are each tally's change
+   since the previous close.  The collector itself keeps only what is
+   not a count: each shard's completion latencies, ring-buffered, and
+   its deepest queue inside the window.  Whenever the event clock
+   crosses a window boundary it closes the elapsed windows, computes
+   the windowed latency percentiles, and hands each closed window to
+   the caller — the
    autoscaler and the SLO admission gate both evaluate on exactly these
    boundaries, so every control decision is a pure function of virtual
    time and the trace.
@@ -13,8 +16,8 @@
    When emission is on, each closed window renders as JSONL: one line
    per shard with activity, ordered by the shard's *member label*
    (device name + index within its device group), never by shard id —
-   plus one fleet/control line appended by the caller once its window
-   decisions are made.  Labelling by group member is what extends the
+   plus one fleet/control line once the caller's window decisions are
+   made.  Labelling by group member is what extends the
    fleet's device-shuffle invariance to the telemetry stream: shuffling
    the device multiset over shard ids renames no label and moves no
    byte.  Nothing here reads the host clock, so the stream is also
@@ -22,11 +25,10 @@
 
 module Stats = Ompsimd_util.Stats
 
-type config = {
-  window : float;  (* virtual ticks per window *)
-  ring : int;  (* latency samples retained per shard per window *)
-  emit : bool;  (* collect the JSONL stream (observation is always on) *)
-}
+(* 512 retained latency samples per shard per window: enough for a
+   stable windowed p99 at serve rates, bounded so a flash crowd can't
+   grow the collector *)
+let ring = 512
 
 (* Live state of a shard, sampled by the fleet at each window close. *)
 type sample = {
@@ -37,22 +39,9 @@ type sample = {
 }
 
 type shard_window = {
-  w_shard : int;
   w_label : string;
-  w_completed : int;
-  w_shed : int;  (* rejected + shed: admission losses *)
-  w_shed_slo : int;
-  w_timed_out : int;
-  w_failed : int;
-  w_degraded : int;
-  w_launches : int;
-  w_dev_failures : int;
-  w_relaunches : int;
-  w_steals : int;
-  w_lookups : int;
-  w_hits : int;
+  w_counts : Tally.t;  (* the shard's tally change since the previous close *)
   w_queue_peak : int;  (* deepest queue observed inside the window *)
-  w_violations : int;  (* completions over the SLO inside the window *)
   w_samples : int;  (* latency samples (completions) in the window *)
   w_p50 : float;
   w_p95 : float;
@@ -70,60 +59,47 @@ type window = {
   f_active : bool;  (* any shard line had activity *)
 }
 
-type acc = {
+(* the control plane's state after its window-boundary decisions *)
+type control = {
+  shedding : bool;
+  conc : int;
+  pool_left : int;
+  queued : int;
+  tenants : (string * int) list;
+}
+
+type shard = {
   label : string;
-  mutable a_completed : int;
-  mutable a_shed : int;
-  mutable a_shed_slo : int;
-  mutable a_timed_out : int;
-  mutable a_failed : int;
-  mutable a_degraded : int;
-  mutable a_launches : int;
-  mutable a_dev_failures : int;
-  mutable a_relaunches : int;
-  mutable a_steals : int;
-  mutable a_lookups : int;
-  mutable a_hits : int;
-  mutable a_queue_peak : int;
-  mutable a_violations : int;
-  lat : float array;  (* ring buffer; wraps past [config.ring] *)
+  tally : Tally.t;  (* the fleet's live tally of this shard *)
+  mark : Tally.t;  (* its value when the previous window closed *)
+  lat : float array;  (* ring buffer; wraps past [ring] *)
   mutable lat_n : int;  (* total pushed (not capped) *)
+  mutable queue_peak : int;
 }
 
 type t = {
-  conf : config;
+  window : float;  (* virtual ticks per window *)
+  emit : bool;  (* collect the JSONL stream *)
   base_conc : int;
-  accs : acc array;
+  shards : shard array;
   order : int array;  (* shard ids in label order: the emission order *)
   mutable wstart : float;
   mutable windex : int;
   buf : Buffer.t;
 }
 
-let create conf ~labels ~base_conc =
-  if conf.window <= 0.0 then invalid_arg "Telemetry.create: window must be > 0";
-  if conf.ring < 1 then invalid_arg "Telemetry.create: ring must be >= 1";
-  let accs =
-    Array.map
-      (fun label ->
+let create ~window ~emit ~labels ~tallies ~base_conc =
+  if window <= 0.0 then invalid_arg "Telemetry.create: window must be > 0";
+  let shards =
+    Array.mapi
+      (fun i label ->
         {
           label;
-          a_completed = 0;
-          a_shed = 0;
-          a_shed_slo = 0;
-          a_timed_out = 0;
-          a_failed = 0;
-          a_degraded = 0;
-          a_launches = 0;
-          a_dev_failures = 0;
-          a_relaunches = 0;
-          a_steals = 0;
-          a_lookups = 0;
-          a_hits = 0;
-          a_queue_peak = 0;
-          a_violations = 0;
-          lat = Array.make conf.ring 0.0;
+          tally = tallies.(i);
+          mark = Tally.create ();
+          lat = Array.make ring 0.0;
           lat_n = 0;
+          queue_peak = 0;
         })
       labels
   in
@@ -132,59 +108,33 @@ let create conf ~labels ~base_conc =
     (fun a b -> String.compare labels.(a) labels.(b))
     order;
   {
-    conf;
+    window;
+    emit;
     base_conc;
-    accs;
+    shards;
     order;
     wstart = 0.0;
     windex = 0;
-    buf = Buffer.create (if conf.emit then 4096 else 16);
+    buf = Buffer.create (if emit then 4096 else 16);
   }
 
 (* --- observations ------------------------------------------------------- *)
 
-let observe_terminal t ~shard (outcome : Scheduler.outcome) ~latency ~slo =
-  let a = t.accs.(shard) in
-  match outcome with
-  | Scheduler.Completed ->
-      a.a_completed <- a.a_completed + 1;
-      a.lat.(a.lat_n mod t.conf.ring) <- latency;
-      a.lat_n <- a.lat_n + 1;
-      (match slo with
-      | Some s when latency > s -> a.a_violations <- a.a_violations + 1
-      | _ -> ())
-  | Scheduler.Rejected | Scheduler.Shed -> a.a_shed <- a.a_shed + 1
-  | Scheduler.Shed_slo -> a.a_shed_slo <- a.a_shed_slo + 1
-  | Scheduler.Timed_out -> a.a_timed_out <- a.a_timed_out + 1
-  | Scheduler.Failed -> a.a_failed <- a.a_failed + 1
-  | Scheduler.Degraded -> a.a_degraded <- a.a_degraded + 1
+let order t = t.order
 
-let observe_launch t ~shard ~failed =
-  let a = t.accs.(shard) in
-  a.a_launches <- a.a_launches + 1;
-  if failed then a.a_dev_failures <- a.a_dev_failures + 1
-
-let observe_relaunch t ~shard =
-  let a = t.accs.(shard) in
-  a.a_relaunches <- a.a_relaunches + 1
-
-let observe_steal t ~shard =
-  let a = t.accs.(shard) in
-  a.a_steals <- a.a_steals + 1
-
-let observe_cache t ~shard ~hit =
-  let a = t.accs.(shard) in
-  a.a_lookups <- a.a_lookups + 1;
-  if hit then a.a_hits <- a.a_hits + 1
+let observe_latency t ~shard latency =
+  let a = t.shards.(shard) in
+  a.lat.(a.lat_n mod ring) <- latency;
+  a.lat_n <- a.lat_n + 1
 
 let observe_queue_depth t ~shard depth =
-  let a = t.accs.(shard) in
-  if depth > a.a_queue_peak then a.a_queue_peak <- depth
+  let a = t.shards.(shard) in
+  if depth > a.queue_peak then a.queue_peak <- depth
 
 (* --- window close ------------------------------------------------------- *)
 
 (* The window's retained latencies, sorted once for all its percentiles. *)
-let retained_sorted (a : acc) =
+let retained_sorted (a : shard) =
   let s = Array.sub a.lat 0 (min a.lat_n (Array.length a.lat)) in
   Stats.sort_floats s;
   s
@@ -192,11 +142,17 @@ let retained_sorted (a : acc) =
 let percentile_of sorted p =
   if Array.length sorted = 0 then 0.0 else Stats.percentile_sorted sorted p
 
+(* The counts a shard line shows activity by: terminal outcomes,
+   launches, relaunches, steals and compile-cache lookups (a device
+   failure, a hit or an SLO violation comes with one of them). *)
+let shown =
+  List.map (fun o -> Tally.Outcome o) Tally.outcomes
+  @ Tally.[ Launch; Relaunch; Steal; Lookup ]
+
+let counted c = List.exists (fun e -> Tally.get c e > 0) shown
+
 let active t (sw : shard_window) =
-  sw.w_completed > 0 || sw.w_shed > 0 || sw.w_shed_slo > 0
-  || sw.w_timed_out > 0 || sw.w_failed > 0 || sw.w_degraded > 0
-  || sw.w_launches > 0 || sw.w_relaunches > 0 || sw.w_steals > 0
-  || sw.w_lookups > 0 || sw.w_queue_peak > 0
+  counted sw.w_counts || sw.w_queue_peak > 0
   || sw.w_sample.sq_depth > 0 || sw.w_sample.sq_busy > 0
   || sw.w_sample.sq_breakers_open > 0
   || sw.w_sample.sq_conc <> t.base_conc
@@ -211,22 +167,25 @@ let add_int b n = Buffer.add_string b (string_of_int n)
 
 let shard_line b w (sw : shard_window) =
   let s = Buffer.add_string b and i = add_int b in
+  let g e = Tally.get sw.w_counts e in
+  let n e = i (g e) in
   s "{\"w\": "; i w.index;
   s ", \"t0\": "; s (jf w.t0);
   s ", \"t1\": "; s (jf w.t1);
   s ", \"shard\": \""; s sw.w_label;
-  s "\", \"completed\": "; i sw.w_completed;
-  s ", \"shed\": "; i sw.w_shed;
-  s ", \"shed_slo\": "; i sw.w_shed_slo;
-  s ", \"timed_out\": "; i sw.w_timed_out;
-  s ", \"failed\": "; i sw.w_failed;
-  s ", \"degraded\": "; i sw.w_degraded;
-  s ", \"launches\": "; i sw.w_launches;
-  s ", \"device_failures\": "; i sw.w_dev_failures;
-  s ", \"relaunches\": "; i sw.w_relaunches;
-  s ", \"steals\": "; i sw.w_steals;
-  s ", \"cache\": {\"lookups\": "; i sw.w_lookups;
-  s ", \"hits\": "; i sw.w_hits;
+  s "\", \"completed\": "; n (Tally.Outcome Scheduler.Completed);
+  s ", \"shed\": ";
+  i (g (Tally.Outcome Scheduler.Rejected) + g (Tally.Outcome Scheduler.Shed));
+  s ", \"shed_slo\": "; n (Tally.Outcome Scheduler.Shed_slo);
+  s ", \"timed_out\": "; n (Tally.Outcome Scheduler.Timed_out);
+  s ", \"failed\": "; n (Tally.Outcome Scheduler.Failed);
+  s ", \"degraded\": "; n (Tally.Outcome Scheduler.Degraded);
+  s ", \"launches\": "; n Tally.Launch;
+  s ", \"device_failures\": "; n Tally.Dev_failure;
+  s ", \"relaunches\": "; n Tally.Relaunch;
+  s ", \"steals\": "; n Tally.Steal;
+  s ", \"cache\": {\"lookups\": "; n Tally.Lookup;
+  s ", \"hits\": "; n Tally.Lookup_hit;
   s "}, \"latency\": {\"p50\": "; s (jf sw.w_p50);
   s ", \"p95\": "; s (jf sw.w_p95);
   s ", \"p99\": "; s (jf sw.w_p99);
@@ -236,41 +195,27 @@ let shard_line b w (sw : shard_window) =
   s "}, \"conc\": "; i sw.w_sample.sq_conc;
   s ", \"busy\": "; i sw.w_sample.sq_busy;
   s ", \"breakers_open\": "; i sw.w_sample.sq_breakers_open;
-  s ", \"slo_violations\": "; i sw.w_violations;
+  s ", \"slo_violations\": "; n Tally.Violation;
   s "}\n"
 
 let close t ~sample =
-  let t0 = t.wstart and t1 = t.wstart +. t.conf.window in
-  let sorted = Array.map retained_sorted t.accs in
+  let t0 = t.wstart and t1 = t.wstart +. t.window in
+  let sorted = Array.map retained_sorted t.shards in
   let per_shard =
     Array.mapi
-      (fun i (a : acc) ->
-        let s = sample i in
+      (fun i (a : shard) ->
         let samples = sorted.(i) in
         {
-          w_shard = i;
           w_label = a.label;
-          w_completed = a.a_completed;
-          w_shed = a.a_shed;
-          w_shed_slo = a.a_shed_slo;
-          w_timed_out = a.a_timed_out;
-          w_failed = a.a_failed;
-          w_degraded = a.a_degraded;
-          w_launches = a.a_launches;
-          w_dev_failures = a.a_dev_failures;
-          w_relaunches = a.a_relaunches;
-          w_steals = a.a_steals;
-          w_lookups = a.a_lookups;
-          w_hits = a.a_hits;
-          w_queue_peak = a.a_queue_peak;
-          w_violations = a.a_violations;
+          w_counts = Tally.diff a.tally ~since:a.mark;
+          w_queue_peak = a.queue_peak;
           w_samples = Array.length samples;
           w_p50 = percentile_of samples 50.0;
           w_p95 = percentile_of samples 95.0;
           w_p99 = percentile_of samples 99.0;
-          w_sample = s;
+          w_sample = sample i;
         })
-      t.accs
+      t.shards
   in
   let all = Array.concat (Array.to_list sorted) in
   Stats.sort_floats all;
@@ -286,28 +231,16 @@ let close t ~sample =
       f_active;
     }
   in
-  (* reset the accumulators for the next window *)
+  (* the latency ring and the queue peak restart here; the counts
+     restart once the control plane has run ({!control_line}) *)
   Array.iter
-    (fun (a : acc) ->
-      a.a_completed <- 0;
-      a.a_shed <- 0;
-      a.a_shed_slo <- 0;
-      a.a_timed_out <- 0;
-      a.a_failed <- 0;
-      a.a_degraded <- 0;
-      a.a_launches <- 0;
-      a.a_dev_failures <- 0;
-      a.a_relaunches <- 0;
-      a.a_steals <- 0;
-      a.a_lookups <- 0;
-      a.a_hits <- 0;
-      a.a_queue_peak <- 0;
-      a.a_violations <- 0;
-      a.lat_n <- 0)
-    t.accs;
+    (fun (a : shard) ->
+      a.lat_n <- 0;
+      a.queue_peak <- 0)
+    t.shards;
   t.wstart <- t1;
   t.windex <- t.windex + 1;
-  if t.conf.emit && f_active then
+  if t.emit && f_active then
     Array.iter
       (fun sid ->
         let sw = per_shard.(sid) in
@@ -315,43 +248,31 @@ let close t ~sample =
       t.order;
   w
 
-let advance t now ~sample ~on_close =
-  while now >= t.wstart +. t.conf.window do
-    on_close (close t ~sample)
-  done
-
-(* Close the final partial window (if anything happened in it) once the
-   event heap drains; its [t1] stays on the window grid so the stream
-   is a pure function of the trace, not of when it ended. *)
-let finish t ~sample ~on_close =
-  let dirty =
-    Array.exists
-      (fun (a : acc) ->
-        a.a_completed > 0 || a.a_shed > 0 || a.a_shed_slo > 0
-        || a.a_timed_out > 0 || a.a_failed > 0 || a.a_degraded > 0
-        || a.a_launches > 0 || a.a_relaunches > 0 || a.a_steals > 0
-        || a.a_lookups > 0 || a.a_queue_peak > 0 || a.lat_n > 0)
-      t.accs
+(* The fleet/control line, appended after the caller's window-boundary
+   decisions, so the stream records not just what the fleet saw but
+   what the control plane did about it.  The grows, shrinks and
+   reopens are the tallies' change since the window closed: only the
+   decisions bumped them.  Then every mark moves up to the tally. *)
+let control_line t (w : window) (c : control) =
+  let since e =
+    Array.fold_left
+      (fun acc (a : shard) -> acc + Tally.get a.tally e - Tally.get a.mark e)
+      0 t.shards
   in
-  if dirty then on_close (close t ~sample)
-
-(* The fleet/control line: appended by the caller after its
-   window-boundary decisions (shedding flag, autoscale actions), so
-   the stream records not just what the fleet saw but what the control
-   plane did about it. *)
-let emit_control t (w : window) ~shedding ~grows ~shrinks ~reopens ~conc
-    ~pool_left ~queued ~tenants =
-  if t.conf.emit && (w.f_active || grows + shrinks + reopens > 0 || shedding)
+  let grows = since Tally.Grow
+  and shrinks = since Tally.Shrink
+  and reopens = since Tally.Reopen in
+  if t.emit && (w.f_active || grows + shrinks + reopens > 0 || c.shedding)
   then begin
     let b = t.buf in
     let s = Buffer.add_string b and i = add_int b in
     s "{\"w\": "; i w.index;
     s ", \"fleet\": {\"p99\": "; s (jf w.f_p99);
     s ", \"samples\": "; i w.f_samples;
-    s ", \"queued\": "; i queued;
-    s ", \"conc\": "; i conc;
-    s ", \"pool_left\": "; i pool_left;
-    s ", \"shedding\": "; s (string_of_bool shedding);
+    s ", \"queued\": "; i c.queued;
+    s ", \"conc\": "; i c.conc;
+    s ", \"pool_left\": "; i c.pool_left;
+    s ", \"shedding\": "; s (string_of_bool c.shedding);
     s ", \"grows\": "; i grows;
     s ", \"shrinks\": "; i shrinks;
     s ", \"reopens\": "; i reopens;
@@ -360,8 +281,31 @@ let emit_control t (w : window) ~shedding ~grows ~shrinks ~reopens ~conc
       (fun k (name, occ) ->
         if k > 0 then s ", ";
         s "\""; s name; s "\": "; i occ)
-      tenants;
+      c.tenants;
     s "}}}\n"
-  end
+  end;
+  Array.iter (fun (a : shard) -> Tally.copy_into a.tally ~dst:a.mark) t.shards
+
+let close_window t ~sample ~on_close =
+  let w = close t ~sample in
+  control_line t w (on_close w)
+
+let advance t now ~sample ~on_close =
+  while now >= t.wstart +. t.window do
+    close_window t ~sample ~on_close
+  done
+
+(* Close the final partial window (if anything happened in it) once the
+   event heap drains; its [t1] stays on the window grid so the stream
+   is a pure function of the trace, not of when it ended. *)
+let finish t ~sample ~on_close =
+  let dirty =
+    Array.exists
+      (fun (a : shard) ->
+        a.lat_n > 0 || a.queue_peak > 0
+        || counted (Tally.diff a.tally ~since:a.mark))
+      t.shards
+  in
+  if dirty then close_window t ~sample ~on_close
 
 let jsonl t = Buffer.contents t.buf

@@ -1,24 +1,20 @@
 (** Streaming telemetry: windowed fleet metrics sampled in virtual time.
 
-    The fleet feeds observations into per-shard ring-buffered window
-    accumulators; {!advance} closes every window the event clock has
-    crossed and hands it to the caller — the autoscaler and the
+    A window's per-shard counts are the change of the fleet's shard
+    tallies ({!Tally}) since the previous close; the collector itself
+    keeps only latency samples (ring-buffered per shard) and each
+    window's queue peak.  {!advance} closes every window the event
+    clock has crossed and hands it to the caller — the autoscaler and the
     SLO-aware admission gate evaluate on exactly these boundaries.
 
     With [emit] on, each closed window renders as deterministic JSONL:
     one line per shard with activity, ordered by the shard's member
     label (device name + index within its device group — never a shard
     id, which is what keeps the stream invariant under device
-    shuffles), plus one fleet/control line appended by the caller via
-    {!emit_control} once its window decisions are made.  Nothing reads
+    shuffles), plus one fleet/control line once the caller's window
+    decisions are made.  Nothing reads
     the host clock: the stream is byte-identical across [OMPSIMD_DOMAINS]
     and shuffles of the device multiset, like the snapshot JSON. *)
-
-type config = {
-  window : float;  (** virtual ticks per window *)
-  ring : int;  (** latency samples retained per shard per window *)
-  emit : bool;  (** collect the JSONL stream (observation is always on) *)
-}
 
 type sample = {
   sq_depth : int;  (** queued entries at the boundary *)
@@ -29,22 +25,10 @@ type sample = {
 (** Live shard state, sampled by the fleet at each window close. *)
 
 type shard_window = {
-  w_shard : int;
   w_label : string;
-  w_completed : int;
-  w_shed : int;
-  w_shed_slo : int;
-  w_timed_out : int;
-  w_failed : int;
-  w_degraded : int;
-  w_launches : int;
-  w_dev_failures : int;
-  w_relaunches : int;
-  w_steals : int;
-  w_lookups : int;
-  w_hits : int;
-  w_queue_peak : int;
-  w_violations : int;  (** completions over the SLO inside the window *)
+  w_counts : Tally.t;
+      (** the shard's tally change since the previous window closed *)
+  w_queue_peak : int;  (** deepest queue observed inside the window *)
   w_samples : int;
   w_p50 : float;
   w_p95 : float;
@@ -62,53 +46,52 @@ type window = {
   f_active : bool;  (** at least one shard line had activity *)
 }
 
+type control = {
+  shedding : bool;  (** SLO admission state for the next window *)
+  conc : int;  (** fleet-wide concurrency target *)
+  pool_left : int;  (** autoscaler tokens not granted *)
+  queued : int;  (** fleet-wide queue depth *)
+  tenants : (string * int) list;
+      (** fleet-wide queued occupancy per tenant, sorted by name *)
+}
+(** The control plane's state after its window-boundary decisions; the
+    grows, shrinks and reopens it made are read off the tallies. *)
+
 type t
 
-val create : config -> labels:string array -> base_conc:int -> t
-(** One accumulator per shard; [labels.(sid)] is the shard's member
-    label and fixes the emission order. [base_conc] is the unscaled
+val create :
+  window:float -> emit:bool -> labels:string array -> tallies:Tally.t array ->
+  base_conc:int -> t
+(** Windows of [window] virtual ticks; [emit] collects the JSONL stream
+    (observation, and the control loops it drives, is always on).  One
+    collector slot per shard, keeping its latest 512 completion
+    latencies per window: [labels.(sid)] is the shard's member
+    label and fixes the emission order, [tallies.(sid)] the fleet's
+    live tally of it, read at every close.  [base_conc] is the unscaled
     per-shard concurrency (a shard whose target differs from it counts
     as active even when idle).
-    @raise Invalid_argument on a non-positive window or ring. *)
+    @raise Invalid_argument on a non-positive window. *)
 
-val observe_terminal :
-  t -> shard:int -> Scheduler.outcome -> latency:float -> slo:float option -> unit
-(** A request reached its terminal outcome on [shard]; completions feed
-    the latency ring and, when over [slo], the violation counter. *)
+val order : t -> int array
+(** Shard ids in member-label order: the emission order. *)
 
-val observe_launch : t -> shard:int -> failed:bool -> unit
-val observe_relaunch : t -> shard:int -> unit
-val observe_steal : t -> shard:int -> unit
-val observe_cache : t -> shard:int -> hit:bool -> unit
+val observe_latency : t -> shard:int -> float -> unit
+(** A completion's latency on [shard], for the window's percentiles. *)
 
 val observe_queue_depth : t -> shard:int -> int -> unit
 (** Track the deepest queue seen inside the current window. *)
 
 val advance :
-  t -> float -> sample:(int -> sample) -> on_close:(window -> unit) -> unit
-(** Close every window whose end is <= the event clock, invoking
-    [on_close] per window in order; [sample] reads the live state of a
-    shard at the boundary. Call before processing each event. *)
+  t -> float -> sample:(int -> sample) -> on_close:(window -> control) -> unit
+(** Close every window whose end is <= the event clock, in order: per
+    window, emit its shard lines, run [on_close] (the control plane's
+    decisions), then emit its fleet/control line.  [sample] reads the
+    live state of a shard at the boundary.  Call before processing each
+    event. *)
 
 val finish :
-  t -> sample:(int -> sample) -> on_close:(window -> unit) -> unit
+  t -> sample:(int -> sample) -> on_close:(window -> control) -> unit
 (** Close the final partial window, if it saw any activity. *)
-
-val emit_control :
-  t ->
-  window ->
-  shedding:bool ->
-  grows:int ->
-  shrinks:int ->
-  reopens:int ->
-  conc:int ->
-  pool_left:int ->
-  queued:int ->
-  tenants:(string * int) list ->
-  unit
-(** Append the window's fleet/control line (SLO admission state and
-    autoscaler actions); [tenants] is the fleet-wide queued occupancy,
-    already sorted by name. *)
 
 val jsonl : t -> string
 (** The accumulated JSONL stream; empty when [emit] is off. *)

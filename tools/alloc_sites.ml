@@ -24,11 +24,12 @@
 
    Each launch set runs once unsampled (so whatever a launch carries
    over to the next is built outside the sample), then [repeats] times
-   sampled, on a sequential pool; a set of plain launches also prints
-   its fiber parks per pass ([Device.report.parks]; the serve fleet
-   keeps its launch reports).  The program reads no environment:
-   with the minor heap fixed and every launch on one domain, one binary
-   prints the same table on every run.  A site is the innermost frame
+   sampled, on a sequential pool; each set also prints its fiber parks
+   per pass ([Device.report.parks]; for the serve set, the fleet's
+   [Metrics.parks], summed over its real member launches).  The
+   program reads no environment: with the minor heap fixed and every
+   launch on one domain, one binary prints the same table on every
+   run.  A site is the innermost frame
    in the repository's libraries, with its caller. *)
 
 module Pool = Gpusim.Pool
@@ -144,8 +145,7 @@ let print_table ~title ~launches =
 
 let cfg = Gpusim.Config.small
 
-(* fiber parks of the launches since the last reset: [Device.report]'s
-   count, which the serve fleet keeps to itself *)
+(* fiber parks of the launches since the last reset *)
 let parks = ref 0
 
 let discard l () =
@@ -269,7 +269,11 @@ let serve_cold pool =
     }
   in
   ( Printf.sprintf "serve cold (%d requests, 4-device fleet, compiled IR kernels)" n,
-    [ (fun () -> ignore (Fleet.run conf ~pool specs : Fleet.result)) ] )
+    [
+      (fun () ->
+        let res = Fleet.run conf ~pool specs in
+        parks := !parks + res.Fleet.metrics.Serve.Metrics.parks);
+    ] )
 
 let run_set (title, launches) =
   let run_all () = List.iter (fun l -> l ()) launches in
@@ -282,9 +286,7 @@ let run_set (title, launches) =
         run_all ()
       done);
   print_table ~title ~launches:(repeats * List.length launches);
-  (* a set whose launches go through the fleet counts none *)
-  if set_parks > 0 then
-    Printf.printf "  fiber parks per pass over the set: %d\n\n" set_parks
+  Printf.printf "  fiber parks per pass over the set: %d\n\n" set_parks
 
 let () =
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_words };
