@@ -58,7 +58,7 @@ let ix = function
 
 type t = int array
 
-let create () = Array.make 30 0
+let create () = Array.make (ix (Cache Scheduler.C_none) + 1) 0
 let add t e n =
   let i = ix e in
   t.(i) <- t.(i) + n
