@@ -1,38 +1,29 @@
-(** Bounded compiled-kernel cache with LRU eviction and single-flight
-    deduplication.
+(** Bounded compiled-kernel cache with LRU eviction, for one domain.
 
     Keys are the caller's compile identity, polymorphic so a caller can
     key by an interned id: anything that determines the artifact, as
-    {!Openmp.Offload.cache_key} (the content digest of the checked IR
-    plus the compile-relevant knobs) does.
-    With [capacity = 0] the cache stores nothing (every lookup
-    compiles — the "recompile per request" baseline); compile failures
-    are never cached. *)
+    {!Openmp.Offload.cache_key} does.  The caller compiles on a miss
+    and {!add}s the result; compile failures are never added.  With
+    [capacity = 0] the cache stores nothing (every lookup misses — the
+    "recompile per request" baseline). *)
+
+type entry = {
+  compiled : Openmp.Offload.compiled;
+  ready : float;  (** virtual tick at which its compile finishes *)
+}
 
 type 'k t
-
-type stats = {
-  hits : int;  (** lookups served from the table *)
-  misses : int;  (** lookups that ran the [compile] thunk *)
-  evictions : int;  (** entries dropped to stay within capacity *)
-  joins : int;
-      (** single-flight lookups that blocked on another caller's
-          in-flight compile and were served by its result *)
-}
 
 val create : capacity:int -> 'k t
 (** @raise Invalid_argument on a negative capacity. *)
 
-val capacity : 'k t -> int
-val size : 'k t -> int
-val stats : 'k t -> stats
+val evictions : 'k t -> int
+(** Entries dropped to stay within capacity. *)
 
-val find_or_compile :
-  'k t ->
-  key:'k ->
-  compile:(unit -> (Openmp.Offload.compiled, Ompir.Check.error list) result) ->
-  [ `Hit | `Miss | `Joined ]
-  * (Openmp.Offload.compiled, Ompir.Check.error list) result
-(** Look up [key]; on a miss run [compile] (exactly once across all
-    concurrent callers of the same key — late callers block and return
-    [`Joined] with the winner's result).  Thread-safe. *)
+val find : 'k t -> 'k -> entry option
+(** The key's entry, now the most recently used. *)
+
+val add : 'k t -> 'k -> entry -> unit
+(** Store the entry under a key that {!find} just missed, as the most
+    recently used, evicting the least recently used entry first when
+    the cache is full. *)

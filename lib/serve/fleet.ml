@@ -57,6 +57,12 @@
    run the compile knobs are fixed, and the id
    stands for the compile-cache key exactly.
 
+   The compile cache ({!Cache}) is a plain LRU over those ids, and the
+   one single-flight is virtual: each entry carries the tick its
+   compile finishes, and a dispatch before that tick joins the compile
+   and pays the residual wait.  Only a miss builds the IR; a launch
+   binds fresh data to the cached artifact ({!Request.bindings}).
+
    A launch geometry the executing shard's device cannot run
    ({!Openmp.Clause.check_geometry}) ends as that request's [Failed],
    as a compile error does; it never aborts the replay.  The check is
@@ -357,11 +363,9 @@ type t = {
   heap : event Eheap.t;
   tele : Telemetry.t;
   asc : Autoscale.t;
-  cache : int Cache.t;  (* keyed by content id *)
-  compiling : (int, float) Hashtbl.t;
-      (* virtual single-flight: the compile service is fleet-shared,
-         like the host artifact cache — a shard can join a neighbour's
-         window *)
+  cache : int Cache.t;
+      (* keyed by content id; fleet-shared, so a shard can join a
+         neighbour's compile window *)
   memo : (int * int * int * int * int * int * string, member) Hashtbl.t;
       (* launch memo, keyed by content id, geometry, size, data seed
          and device name *)
@@ -696,7 +700,6 @@ let create (conf : config) ?pool specs =
     tele;
     asc;
     cache;
-    compiling = Hashtbl.create 16;
     memo = Hashtbl.create 64;
     memo_on = conf.memo && Option.is_none (Option.bind pool Gpusim.Pool.faults);
     carry = Array.make conf.shards 0.0;
@@ -900,7 +903,7 @@ let arrive f now (p : pending) =
 (* --- dispatch and batching ---------------------------------------------- *)
 
 let real_launch f ~cfg compiled (p : pending) =
-  let _kernel, bindings, out = Request.instantiate p.spec in
+  let bindings, out = Request.bindings p.spec in
   let nonce = nonce_for p.spec ~launches:p.launches in
   let m_pending = { p with launches = p.launches + 1 } in
   match
@@ -976,42 +979,46 @@ let account f (s : shard) (m : member) =
    kernel's sharing space (known only once it compiled) does not fit
    the device, which ends every member as Failed.  Such a content id never
    launches there, so its breaker stays closed, admits it without a
-   state change and never makes it a probe. *)
+   state change and never makes it a probe.
+
+   The compile service is fleet-shared, like the artifact cache: a miss
+   compiles the IR and stamps the entry with the tick its compile
+   finishes, before the sharing check, so a compile whose own request
+   fails still opens the window.  A lookup inside that window joins it
+   and pays the residual wait; one after it is a plain hit. *)
 let start_batch f now (s : shard) ~clauses (members_p : pending list) =
   let leader = List.hd members_p in
-  let knobs =
-    { f.base.Scheduler.knobs with Offload.guardize = leader.spec.Request.guardize }
-  in
-  (* the IR is only needed to compile (a miss) or to price the compile
-     charge (also a miss); warm dispatches go through the content id *)
-  let kernel = lazy (Request.kernel_of_spec leader.spec) in
   let key = leader.cid in
   let fail_all () =
     List.iter (fun p -> never_ran f ~shard:s.sid p Scheduler.Failed now) members_p
   in
-  match
-    Cache.find_or_compile f.cache ~key ~compile:(fun () ->
-        Offload.compile_with ~knobs (Lazy.force kernel))
-  with
-  | _, Error _ -> fail_all ()
-  | _, Ok compiled
+  let lookup =
+    match Cache.find f.cache key with
+    | Some e when e.Cache.ready > now ->
+        Ok (e.Cache.compiled, Scheduler.C_join, e.Cache.ready -. now)
+    | Some e -> Ok (e.Cache.compiled, Scheduler.C_hit, 0.0)
+    | None -> (
+        (* the IR is built only to compile and to price the compile *)
+        let kernel = Request.kernel_of_spec leader.spec in
+        let knobs =
+          { f.base.Scheduler.knobs with Offload.guardize = leader.spec.Request.guardize }
+        in
+        match Offload.compile_with ~knobs kernel with
+        | Error _ as e -> e
+        | Ok compiled ->
+            let c = Scheduler.compile_cost kernel in
+            Cache.add f.cache key { Cache.compiled; ready = now +. c };
+            Ok (compiled, Scheduler.C_miss, c))
+  in
+  match lookup with
+  | Error _ -> fail_all ()
+  | Ok (compiled, _, _)
     when Result.is_error
            (Offload.check_sharing ~cfg:f.devs.(s.sid) ~clauses compiled) ->
       (* the kernel's sharing space does not fit the device: like a
          compile error, no launch *)
       fail_all ()
-  | status, Ok compiled ->
-      let b_cache, b_compile =
-        match status with
-        | `Miss ->
-            let c = Scheduler.compile_cost (Lazy.force kernel) in
-            Hashtbl.replace f.compiling key (now +. c);
-            (Scheduler.C_miss, c)
-        | `Hit | `Joined -> (
-            match Hashtbl.find_opt f.compiling key with
-            | Some done_at when done_at > now -> (Scheduler.C_join, done_at -. now)
-            | _ -> (Scheduler.C_hit, 0.0))
-      in
+  | Ok (compiled, b_cache, b_compile) ->
       Tally.incr s.tally Tally.Lookup;
       if b_cache <> Scheduler.C_miss then Tally.incr s.tally Tally.Lookup_hit;
       let members = List.map (launch_member f s compiled) members_p in
@@ -1316,7 +1323,7 @@ let aggregate f ~requests =
       inflight_max = f.inflight_max;
       cache_hits = cstat Scheduler.C_hit;
       cache_misses = cstat Scheduler.C_miss;
-      cache_evictions = (Cache.stats f.cache).Cache.evictions;
+      cache_evictions = Cache.evictions f.cache;
       cache_joins = cstat Scheduler.C_join;
       latency_mean = mean;
       latency_p50 = p50;

@@ -2,14 +2,15 @@
    (replayable, diffable) or a seeded synthetic open-loop generator.
 
    A request names a kernel *template* from the built-in catalog plus a
-   problem size; instantiation builds the IR (so the content digest —
+   problem size.  The template builds the IR (so the content digest —
    the cache identity — is computed from what will actually compile)
-   and allocates fresh device arrays seeded from the request's own
-   seed.  Each request gets its own memory space: requests share no
+   and, for each launch, fresh device arrays seeded from the request's
+   own seed.  Each request gets its own memory space: requests share no
    simulator state, which is what makes the replay order-independent of
    host parallelism. *)
 
 module Ir = Ompir.Ir
+module Memory = Gpusim.Memory
 module Prng = Ompsimd_util.Prng
 
 type spec = {
@@ -32,225 +33,191 @@ type spec = {
 
 (* --- the kernel-template catalog -------------------------------------- *)
 
+type bindings = (string * Ompir.Compile.binding) list
+
+(* One record per template: its name, its IR at a size, and its data at
+   a size — bindings in the request's memory space, filled from the
+   request's generator, and the array to checksum. *)
+type template = {
+  name : string;
+  build : int -> Ir.kernel;
+  bind : Memory.space -> Prng.t -> int -> bindings * Memory.farray;
+}
+
+let template name params body bind =
+  let params = List.map (fun (pname, pty) -> { Ir.pname; pty }) params in
+  { name; build = (fun size -> Ir.kernel ~name ~params (body size)); bind }
+
 let width = 8
+
+(* A fresh array of [len] uniform values in [-1, 1). *)
+let farr space g len =
+  Memory.of_float_array space (Array.init len (fun _ -> Prng.float g 2.0 -. 1.0))
+
+open Ompir.Compile
 
 (* rowsum: the examples/rowsum.omp shape — simd reduction per row plus a
    sequential per-row store (exercises sharing and, under --guardize,
    the S7 transform). *)
-let rowsum_kernel size =
-  let open Ir in
-  kernel ~name:"rowsum"
-    ~params:
-      [
-        { pname = "a"; pty = P_farray };
-        { pname = "sums"; pty = P_farray };
-        { pname = "scale"; pty = P_farray };
-        { pname = "rows"; pty = P_int };
-        { pname = "w"; pty = P_int };
-      ]
-    [
-      distribute_parallel_for ~var:"r" ~lo:(i 0) ~hi:(v "rows")
+let rowsum =
+  template "rowsum"
+    Ir.[ ("a", P_farray); ("sums", P_farray); ("scale", P_farray); ("rows", P_int); ("w", P_int) ]
+    (fun _ ->
+      Ir.
         [
-          Store
-            ( "scale",
-              v "r",
-              Float_lit 1.0
-              + Unop (To_float, Binop (Mod, v "r", Int_lit 3)) );
-          Decl { name = "total"; ty = Tfloat; init = f 0.0 };
-          simd_sum ~acc:"total" ~var:"k" ~lo:(i 0) ~hi:(v "w")
-            ~value:(Load ("a", (v "r" * v "w") + v "k"))
-            [];
-          Store ("sums", v "r", v "total" * Load ("scale", v "r"));
-        ];
-    ]
-  |> fun k -> (k, size)
-
-let saxpy_kernel size =
-  let open Ir in
-  kernel ~name:"saxpy"
-    ~params:
-      [
-        { pname = "x"; pty = P_farray };
-        { pname = "y"; pty = P_farray };
-        { pname = "alpha"; pty = P_float };
-        { pname = "n"; pty = P_int };
-        { pname = "w"; pty = P_int };
-      ]
-    [
-      distribute_parallel_for ~var:"i" ~lo:(i 0) ~hi:(v "n")
-        [
-          simd ~var:"j" ~lo:(i 0) ~hi:(v "w")
+          distribute_parallel_for ~var:"r" ~lo:(i 0) ~hi:(v "rows")
             [
               Store
-                ( "y",
-                  (v "i" * v "w") + v "j",
-                  (v "alpha" * Load ("x", (v "i" * v "w") + v "j"))
-                  + Load ("y", (v "i" * v "w") + v "j") );
+                ( "scale",
+                  v "r",
+                  Float_lit 1.0
+                  + Unop (To_float, Binop (Mod, v "r", Int_lit 3)) );
+              Decl { name = "total"; ty = Tfloat; init = f 0.0 };
+              simd_sum ~acc:"total" ~var:"k" ~lo:(i 0) ~hi:(v "w")
+                ~value:(Load ("a", (v "r" * v "w") + v "k"))
+                [];
+              Store ("sums", v "r", v "total" * Load ("scale", v "r"));
             ];
-        ];
-    ]
-  |> fun k -> (k, size)
-
-(* stencil: gather-with-wraparound into a simd reduction — uncoalesced
-   reads, so the memory system dominates. *)
-let stencil_kernel size =
-  let open Ir in
-  kernel ~name:"stencil"
-    ~params:
-      [
-        { pname = "src"; pty = P_farray };
-        { pname = "out"; pty = P_farray };
-        { pname = "n"; pty = P_int };
-        { pname = "w"; pty = P_int };
-      ]
-    [
-      distribute_parallel_for ~var:"i" ~lo:(i 0) ~hi:(v "n")
-        [
-          Decl { name = "acc"; ty = Tfloat; init = f 0.0 };
-          simd_sum ~acc:"acc" ~var:"j" ~lo:(i 0) ~hi:(v "w")
-            ~value:(Load ("src", Binop (Mod, v "i" + (v "j" * v "j"), v "n")))
-            [];
-          Store ("out", v "i", v "acc" / Unop (To_float, v "w"));
-        ];
-    ]
-  |> fun k -> (k, size)
-
-(* hist: atomic scatter into a small bin array — the contention path. *)
-let hist_kernel size =
-  let open Ir in
-  kernel ~name:"hist"
-    ~params:
-      [
-        { pname = "src"; pty = P_farray };
-        { pname = "bins"; pty = P_farray };
-        { pname = "n"; pty = P_int };
-      ]
-    [
-      distribute_parallel_for ~var:"i" ~lo:(i 0) ~hi:(v "n")
-        [ Atomic_add ("bins", Binop (Mod, v "i", Int_lit 64), Load ("src", v "i")) ];
-    ]
-  |> fun k -> (k, size)
-
-(* chain: a size-dependent unrolled dependency chain — kernels of
-   different sizes are structurally different (distinct digests), and
-   the fat body over a deliberately narrow grid (see [chain_trip] in
-   {!instantiate}) makes compile cost visible next to a small launch:
-   the deep-pipeline/little-data shape where a compile cache pays. *)
-let chain_kernel size =
-  let open Ir in
-  let links = max 4 (min 1024 size) in
-  let body =
-    Decl { name = "t0"; ty = Tfloat; init = Load ("src", v "i") }
-    :: List.concat
-         (List.init links (fun l ->
-              [
-                Decl
-                  {
-                    name = Printf.sprintf "t%d" (succ l);
-                    ty = Tfloat;
-                    init =
-                      Unop
-                        ( Abs,
-                          (Var (Printf.sprintf "t%d" l) * f 0.5)
-                          + Load ("src", Binop (Mod, v "i" + i (succ l), v "n")) );
-                  };
-              ]))
-    @ [ Store ("out", v "i", Var (Printf.sprintf "t%d" links)) ]
-  in
-  kernel ~name:"chain"
-    ~params:
-      [
-        { pname = "src"; pty = P_farray };
-        { pname = "out"; pty = P_farray };
-        { pname = "n"; pty = P_int };
-      ]
-    [ distribute_parallel_for ~var:"i" ~lo:(i 0) ~hi:(v "n") body ]
-  |> fun k -> (k, size)
-
-let catalog_names = [ "rowsum"; "saxpy"; "stencil"; "hist"; "chain" ]
-
-let kernel_of_spec spec =
-  let build =
-    match spec.kernel with
-    | "rowsum" -> rowsum_kernel
-    | "saxpy" -> saxpy_kernel
-    | "stencil" -> stencil_kernel
-    | "hist" -> hist_kernel
-    | "chain" -> chain_kernel
-    | other ->
-        failwith
-          (Printf.sprintf "serve: unknown kernel template %S (known: %s)" other
-             (String.concat ", " catalog_names))
-  in
-  fst (build spec.size)
-
-(* Bindings: fresh space per request, data filled from the request seed
-   (mixed with the template name so equal seeds on different templates
-   still decorrelate). *)
-let instantiate spec =
-  let module Memory = Gpusim.Memory in
-  let kernel = kernel_of_spec spec in
-  let space = Memory.space () in
-  let g =
-    Prng.create ~seed:(spec.seed + (1021 * String.length spec.kernel)
-                       + Char.code spec.kernel.[0])
-  in
-  let farr len =
-    Memory.of_float_array space
-      (Array.init len (fun _ -> Prng.float g 2.0 -. 1.0))
-  in
-  let n = max 1 spec.size in
-  let open Ompir.Compile in
-  match spec.kernel with
-  | "rowsum" ->
+        ])
+    (fun space g n ->
       let sums = Memory.falloc space n in
-      ( kernel,
-        [
-          ("a", B_farr (farr (n * width)));
+      ( [
+          ("a", B_farr (farr space g (n * width)));
           ("sums", B_farr sums);
           ("scale", B_farr (Memory.falloc space n));
           ("rows", B_int n);
           ("w", B_int width);
         ],
-        sums )
-  | "saxpy" ->
-      let y = farr (n * width) in
-      ( kernel,
+        sums ))
+
+let saxpy =
+  template "saxpy"
+    Ir.[ ("x", P_farray); ("y", P_farray); ("alpha", P_float); ("n", P_int); ("w", P_int) ]
+    (fun _ ->
+      Ir.
         [
-          ("x", B_farr (farr (n * width)));
+          distribute_parallel_for ~var:"i" ~lo:(i 0) ~hi:(v "n")
+            [
+              simd ~var:"j" ~lo:(i 0) ~hi:(v "w")
+                [
+                  Store
+                    ( "y",
+                      (v "i" * v "w") + v "j",
+                      (v "alpha" * Load ("x", (v "i" * v "w") + v "j"))
+                      + Load ("y", (v "i" * v "w") + v "j") );
+                ];
+            ];
+        ])
+    (fun space g n ->
+      let y = farr space g (n * width) in
+      ( [
+          ("x", B_farr (farr space g (n * width)));
           ("y", B_farr y);
           ("alpha", B_float (Prng.float g 2.0));
           ("n", B_int n);
           ("w", B_int width);
         ],
-        y )
-  | "stencil" ->
-      let out = Memory.falloc space n in
-      ( kernel,
+        y ))
+
+(* stencil: gather-with-wraparound into a simd reduction — uncoalesced
+   reads, so the memory system dominates. *)
+let stencil =
+  template "stencil"
+    Ir.[ ("src", P_farray); ("out", P_farray); ("n", P_int); ("w", P_int) ]
+    (fun _ ->
+      Ir.
         [
-          ("src", B_farr (farr n));
-          ("out", B_farr out);
-          ("n", B_int n);
-          ("w", B_int width);
-        ],
-        out )
-  | "hist" ->
+          distribute_parallel_for ~var:"i" ~lo:(i 0) ~hi:(v "n")
+            [
+              Decl { name = "acc"; ty = Tfloat; init = f 0.0 };
+              simd_sum ~acc:"acc" ~var:"j" ~lo:(i 0) ~hi:(v "w")
+                ~value:(Load ("src", Binop (Mod, v "i" + (v "j" * v "j"), v "n")))
+                [];
+              Store ("out", v "i", v "acc" / Unop (To_float, v "w"));
+            ];
+        ])
+    (fun space g n ->
+      let out = Memory.falloc space n in
+      ( [ ("src", B_farr (farr space g n)); ("out", B_farr out); ("n", B_int n); ("w", B_int width) ],
+        out ))
+
+(* hist: atomic scatter into a small bin array — the contention path. *)
+let hist =
+  template "hist"
+    Ir.[ ("src", P_farray); ("bins", P_farray); ("n", P_int) ]
+    (fun _ ->
+      Ir.
+        [
+          distribute_parallel_for ~var:"i" ~lo:(i 0) ~hi:(v "n")
+            [ Atomic_add ("bins", Binop (Mod, v "i", Int_lit 64), Load ("src", v "i")) ];
+        ])
+    (fun space g n ->
       let bins = Memory.falloc space 64 in
-      ( kernel,
-        [ ("src", B_farr (farr n)); ("bins", B_farr bins); ("n", B_int n) ],
-        bins )
-  | "chain" ->
-      (* narrow grid: size fattens the body, not the data — the launch
-         touches at most 16 elements however deep the chain gets *)
+      ([ ("src", B_farr (farr space g n)); ("bins", B_farr bins); ("n", B_int n) ], bins))
+
+(* chain: a size-dependent unrolled dependency chain — kernels of
+   different sizes are structurally different (distinct digests), and
+   the fat body over a deliberately narrow grid (at most 16 elements
+   however deep the chain gets) makes compile cost visible next to a
+   small launch: the deep-pipeline/little-data shape where a compile
+   cache pays. *)
+let chain =
+  template "chain"
+    Ir.[ ("src", P_farray); ("out", P_farray); ("n", P_int) ]
+    (fun size ->
+      let open Ir in
+      let links = max 4 (min 1024 size) in
+      let body =
+        Decl { name = "t0"; ty = Tfloat; init = Load ("src", v "i") }
+        :: List.concat
+             (List.init links (fun l ->
+                  [
+                    Decl
+                      {
+                        name = Printf.sprintf "t%d" (succ l);
+                        ty = Tfloat;
+                        init =
+                          Unop
+                            ( Abs,
+                              (Var (Printf.sprintf "t%d" l) * f 0.5)
+                              + Load ("src", Binop (Mod, v "i" + i (succ l), v "n")) );
+                      };
+                  ]))
+        @ [ Store ("out", v "i", Var (Printf.sprintf "t%d" links)) ]
+      in
+      [ distribute_parallel_for ~var:"i" ~lo:(i 0) ~hi:(v "n") body ])
+    (fun space g n ->
       let trip = min 16 n in
       let out = Memory.falloc space trip in
-      ( kernel,
-        [ ("src", B_farr (farr trip)); ("out", B_farr out); ("n", B_int trip) ],
-        out )
-  | _ -> assert false (* kernel_of_spec already rejected it *)
+      ([ ("src", B_farr (farr space g trip)); ("out", B_farr out); ("n", B_int trip) ], out))
+
+let catalog = [ rowsum; saxpy; stencil; hist; chain ]
+let catalog_names = List.map (fun t -> t.name) catalog
+
+let template_of spec =
+  match List.find_opt (fun t -> t.name = spec.kernel) catalog with
+  | Some t -> t
+  | None ->
+      Printf.ksprintf failwith "serve: unknown kernel template %S (known: %s)"
+        spec.kernel (String.concat ", " catalog_names)
+
+let kernel_of_spec spec = (template_of spec).build spec.size
+
+(* Bindings: fresh space per request, data filled from the request seed
+   (mixed with the template name so equal seeds on different templates
+   still decorrelate). *)
+let bindings spec =
+  let g =
+    Prng.create ~seed:(spec.seed + (1021 * String.length spec.kernel)
+                       + Char.code spec.kernel.[0])
+  in
+  (template_of spec).bind (Memory.space ()) g (max 1 spec.size)
+
+let instantiate spec =
+  let bindings, out = bindings spec in
+  (kernel_of_spec spec, bindings, out)
 
 let checksum arr =
-  let module Memory = Gpusim.Memory in
   let acc = ref 0.0 in
   for idx = 0 to Memory.flength arr - 1 do
     acc := !acc +. Memory.host_get arr idx

@@ -1,10 +1,12 @@
 (** Launch requests: the unit of work the service schedules.
 
     A request names a kernel template from the built-in catalog plus a
-    problem size and launch geometry; {!instantiate} builds the actual
-    IR (the digest the cache keys on is computed from exactly what will
-    compile) and fresh, seed-deterministic device bindings in a private
-    memory space — requests share no simulator state. *)
+    problem size and launch geometry; {!kernel_of_spec} builds the
+    actual IR (the digest the cache keys on is computed from exactly
+    what will compile) and {!bindings} fresh, seed-deterministic device
+    data in a private memory space — requests share no simulator
+    state.  A launch of an already compiled kernel needs only the
+    data. *)
 
 type spec = {
   id : int;  (** position in the trace, 0-based *)
@@ -45,13 +47,15 @@ val kernel_of_spec : spec -> Ompir.Ir.kernel
     kernel structure — [chain] unrolls — so different sizes can have
     different digests).  @raise Failure on an unknown template. *)
 
-val instantiate :
-  spec ->
-  Ompir.Ir.kernel
-  * (string * Ompir.Compile.binding) list
-  * Gpusim.Memory.farray
-(** Kernel, bindings in a fresh memory space (data from [seed]), and
-    the output array to checksum for the per-request report. *)
+type bindings = (string * Ompir.Compile.binding) list
+
+val bindings : spec -> bindings * Gpusim.Memory.farray
+(** Bindings in a fresh memory space (data from [seed]) and the output
+    array to checksum for the per-request report: what a launch of the
+    compiled kernel needs.  @raise Failure on an unknown template. *)
+
+val instantiate : spec -> Ompir.Ir.kernel * bindings * Gpusim.Memory.farray
+(** {!kernel_of_spec} and {!bindings} together. *)
 
 val checksum : Gpusim.Memory.farray -> float
 (** Plain sum of the array — enough to witness bit-identical results. *)

@@ -33,7 +33,16 @@ type outcome =
 
 val outcome_to_string : outcome -> string
 
-type cache_status = C_hit | C_miss | C_join | C_none
+type cache_status =
+  | C_hit  (** the artifact was cached and its compile had finished *)
+  | C_miss  (** this dispatch compiled the kernel *)
+  | C_join
+      (** the artifact was cached but its compile was still running in
+          virtual time: the request pays the residual wait.  The
+          compile it joins may belong to a request that itself ended
+          {!Failed}, because its sharing space did not fit its own
+          shard's device *)
+  | C_none  (** the request's terminal event was not a launch *)
 
 val cache_status_to_string : cache_status -> string
 
