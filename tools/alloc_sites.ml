@@ -5,14 +5,15 @@
    A byte-weighted sampler of minor-heap allocation by call site, for
    the E6 launch set (the atomic and the reduction spmv, generic simd at
    every group size), the Fig 9 launch set (spmv, su3 and the ideal
-   kernel, two-level and three-level) and a compiled-kernel set: a
-   fixed cold serve trace through [Serve.Fleet.run], whose every member
+   kernel, two-level and three-level), a compiled-kernel set — a fixed
+   cold serve trace through [Serve.Fleet.run], whose every member
    launch runs a compiled IR kernel on the staged evaluator
-   ([Ompir.Compile]).  The sampler is one dead young
-   block with a [Gc.finalise_last] finaliser: the minor collection that
-   finds the block dead runs the finaliser at the allocation that
-   filled the minor heap, the finaliser records its call stack and arms
-   a fresh block.  Each sample is weighted by the minor words
+   ([Ompir.Compile]) — and a hot serve trace (the ledger's serve_hot
+   configuration), where the serve control plane allocates most.  The
+   sampler is one dead young block with a [Gc.finalise_last]
+   finaliser: the minor collection that finds the block dead runs the
+   finaliser at the allocation that filled the minor heap, the
+   finaliser records its call stack and arms a fresh block.  Each sample is weighted by the minor words
    allocated since the previous one: about [minor_words] when the
    minor heap filled up, fewer when the collection came early (a major
    slice asked for it), so the weights sum to the exact allocation.
@@ -275,6 +276,49 @@ let serve_cold pool =
         parks := !parks + res.Fleet.metrics.Serve.Metrics.parks);
     ] )
 
+(* The ledger's serve_hot workload: 60k Zipf-hot mixed requests (seed
+   1) through a homogeneous four-shard fleet with the launch memo,
+   batching, the compile cache, SLO shedding, the autoscaler and
+   telemetry all armed, so the serve control plane dominates. *)
+let serve_hot pool =
+  let n = 60_000 and slo = 30_000.0 in
+  let specs = Serve.Traffic.(generate (preset "mixed" ~n ~seed:1)) in
+  let conf =
+    {
+      Fleet.base =
+        {
+          Scheduler.cfg;
+          queue_bound = 16;
+          servers = 2;
+          cache_capacity = 32;
+          max_retries = 2;
+          backoff = 500.0;
+          breaker = 4;
+          slo = Some slo;
+          window = 20_000.0;
+          knobs = Openmp.Offload.default_knobs;
+        };
+      shards = 4;
+      batch = 8;
+      steal = true;
+      memo = true;
+      tenants = [];
+      devices = [];
+      affinity = true;
+      telemetry = true;
+      shed = true;
+      autoscale =
+        { Serve.Autoscale.enabled = true; slo; budget = 8; max_extra = 6; down = 0.5; cooldown = 2 };
+      decay = 2;
+    }
+  in
+  ( Printf.sprintf "serve hot (%d mixed requests, seed 1, 4-shard fleet)" n,
+    [
+      (fun () ->
+        let res = Fleet.run conf ~pool specs in
+        parks := !parks + res.Fleet.metrics.Serve.Metrics.parks);
+    ] )
+
 let run_set (title, launches) =
   let run_all () = List.iter (fun l -> l ()) launches in
   parks := 0;
@@ -293,4 +337,5 @@ let () =
   let pool = Pool.create ~domains:0 () in
   run_set (e6 pool);
   run_set (fig9 pool);
-  run_set (serve_cold pool)
+  run_set (serve_cold pool);
+  run_set (serve_hot pool)
