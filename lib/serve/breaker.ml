@@ -13,9 +13,9 @@ let create ~threshold ~backoff =
   { threshold; cooldown = 8.0 *. backoff; table = Hashtbl.create 16 }
 
 let entry t key =
-  match Hashtbl.find_opt t.table key with
-  | Some e -> e
-  | None ->
+  match Hashtbl.find t.table key with
+  | e -> e
+  | exception Not_found ->
       let e = { consecutive = 0; state = Closed } in
       Hashtbl.add t.table key e;
       e

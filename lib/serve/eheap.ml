@@ -6,13 +6,14 @@
    strict, so replay order never depends on heap internals.
 
    A trace's arrivals are known up front, so {!seeded} keeps them out
-   of the heap: they sit in one array stable-sorted by time (their seqs
-   are 1..n in list order, so the sort order is the heap order), read
-   by a cursor.  Only events pushed later — completions, retries,
-   relaunches — pay heap sifts, and the heap stays as small as the
-   fleet's in-flight work.  [pop] takes the lesser of the cursor head
-   and the heap top under the same order, so the pop sequence is
-   exactly that of one heap holding every event. *)
+   of the heap: their times sit in one array, read in stable time order
+   by a cursor (their seqs are 1..n in index order, so that order is
+   the heap order), and each one's event is built only when it pops.
+   Only events pushed later — completions, retries, relaunches — pay
+   heap sifts, and the heap stays as small as the fleet's in-flight
+   work.  [pop] takes the lesser of the cursor head and the heap top
+   under the same order, so the pop sequence is exactly that of one
+   heap holding every event. *)
 
 type 'a item = { time : float; rank : int; seq : int; v : 'a }
 
@@ -20,11 +21,24 @@ type 'a t = {
   mutable a : 'a item array;
   mutable n : int;
   mutable seq : int;
-  seed : 'a item array;  (* seeded events in pop order *)
-  mutable next : int;  (* cursor: the first unpopped seeded event *)
+  rank : int;  (* the seeded events' rank *)
+  times : float array;  (* seeded event times, by seed index *)
+  order : int array;  (* seed indices in pop order *)
+  make : int -> 'a;  (* builds the seeded event of an index when it pops *)
+  mutable next : int;  (* cursor: the first unpopped entry of [order] *)
 }
 
-let create () = { a = [||]; n = 0; seq = 0; seed = [||]; next = 0 }
+let create () =
+  {
+    a = [||];
+    n = 0;
+    seq = 0;
+    rank = 0;
+    times = [||];
+    order = [||];
+    make = (fun _ -> invalid_arg "Eheap: no seed");
+    next = 0;
+  }
 
 (* The record fixes the key types, so these compile to float and int
    compares; over a bare tuple the same code was polymorphic [compare]. *)
@@ -32,18 +46,28 @@ let less x y =
   x.time < y.time
   || (x.time = y.time && (x.rank < y.rank || (x.rank = y.rank && x.seq < y.seq)))
 
-let seeded ~rank evs =
-  let seed =
-    Array.of_list (List.mapi (fun i (time, v) -> { time; rank; seq = i + 1; v }) evs)
-  in
+let seeded ~rank times make =
+  let n = Array.length times in
+  let order = Array.init n Fun.id in
   let sorted = ref true in
-  for i = 1 to Array.length seed - 1 do
-    if seed.(i).time < seed.(i - 1).time then sorted := false
+  for i = 1 to n - 1 do
+    if times.(i) < times.(i - 1) then sorted := false
   done;
-  (* stable: equal times keep list (= seq) order *)
+  (* stable: equal times keep index (= seq) order *)
   if not !sorted then
-    Array.stable_sort (fun x y -> Float.compare x.time y.time) seed;
-  { a = [||]; n = 0; seq = Array.length seed; seed; next = 0 }
+    Array.stable_sort (fun i j -> Float.compare times.(i) times.(j)) order;
+  { a = [||]; n = 0; seq = n; rank; times; order; make; next = 0 }
+
+let rec sift_up h i =
+  if i > 0 then begin
+    let p = (i - 1) / 2 in
+    if less h.a.(i) h.a.(p) then begin
+      let tmp = h.a.(p) in
+      h.a.(p) <- h.a.(i);
+      h.a.(i) <- tmp;
+      sift_up h p
+    end
+  end
 
 let push h time rank v =
   h.seq <- h.seq + 1;
@@ -56,28 +80,24 @@ let push h time rank v =
   end;
   h.a.(h.n) <- item;
   h.n <- h.n + 1;
-  let rec sift_up i =
-    if i > 0 then begin
-      let p = (i - 1) / 2 in
-      if less h.a.(i) h.a.(p) then begin
-        let tmp = h.a.(p) in
-        h.a.(p) <- h.a.(i);
-        h.a.(i) <- tmp;
-        sift_up p
-      end
-    end
-  in
-  sift_up (h.n - 1)
+  sift_up h (h.n - 1)
+
+(* Does the cursor head pop before the heap top?  Seed index [i] has
+   seq [i + 1]. *)
+let seed_first h =
+  h.next < Array.length h.order
+  && (h.n = 0
+     ||
+     let i = h.order.(h.next) and y = h.a.(0) in
+     let t = h.times.(i) in
+     t < y.time
+     || (t = y.time && (h.rank < y.rank || (h.rank = y.rank && i + 1 < y.seq))))
 
 let pop h =
-  let last = Array.length h.seed - 1 in
-  if h.next <= last && (h.n = 0 || less h.seed.(h.next) h.a.(0)) then begin
-    let it = h.seed.(h.next) in
-    (* drop the popped payload: the slot now shares the last seeded
-       item, which stays live until it pops anyway *)
-    h.seed.(h.next) <- h.seed.(last);
+  if seed_first h then begin
+    let i = h.order.(h.next) in
     h.next <- h.next + 1;
-    Some (it.time, it.v)
+    Some (h.times.(i), h.make i)
   end
   else if h.n = 0 then None
   else begin

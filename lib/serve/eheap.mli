@@ -8,13 +8,15 @@ type 'a t
 
 val create : unit -> 'a t
 
-val seeded : rank:int -> (float * 'a) list -> 'a t
-(** [seeded ~rank evs] pops exactly as [create ()] followed by
-    [push h time rank v] for each [(time, v)] of [evs] in list order,
-    but holds the seed in a time-sorted array read by a cursor: one
-    stable sort (one O(n) check when [evs] is already in time order),
-    and later {!push}es sift a heap of only the events pushed since.
-    Times must be ordered (no NaN). *)
+val seeded : rank:int -> float array -> (int -> 'a) -> 'a t
+(** [seeded ~rank times make] pops exactly as [create ()] followed by
+    [push h times.(i) rank (make i)] for each index [i] in order, but
+    holds only the times, read in time order by a cursor: one stable
+    sort of the indices (one O(n) check when [times] is already in
+    order), and [make i] runs when that event pops, so a seeded event
+    is built only when it is due.  Later {!push}es sift a heap of only
+    the events pushed since.  Times must be ordered (no NaN); [times]
+    is the heap's from then on and must not change. *)
 
 val push : 'a t -> float -> int -> 'a -> unit
 (** [push h time rank v] schedules [v] at [time]; lower [rank] wins a

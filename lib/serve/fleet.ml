@@ -215,35 +215,45 @@ let content_key ~knobs (spec : Request.spec) =
 
 (* --- bookkeeping types -------------------------------------------------- *)
 
+(* One member launch's exact sub-report, split out of the merged grid:
+   what the launch memo stores and a memo hit hands out as is. *)
+type launch = {
+  l_exec : float;  (* its own simulated device cycles; 0 when hung *)
+  l_failed : bool;
+  l_checksum : float;
+  l_grid : int;
+  l_counters : Counters.t;
+  l_faults : Gpusim.Fault.stats;
+}
+
+(* A launch geometry, made once per geometry before the replay starts:
+   placement, every dispatch attempt and every member launch read it. *)
+type geometry = {
+  clauses : Clause.t;  (* the geometry as launch clauses *)
+  runs_on : bool array;
+      (* by shard id: does [Clause.check_geometry] pass on its device? *)
+}
+
+(* One record per request, made when its trace arrival pops and
+   updated in place for the rest of its life: a request is in one
+   place at a time (the event heap, one queue or one batch), so no
+   other holder sees a change. *)
 type pending = {
   spec : Request.spec;
-  attempts : int;  (* admissions; 1 = admitted first try *)
-  launches : int;  (* device launches performed *)
+  mutable attempts : int;  (* admissions; 1 = admitted first try *)
+  mutable launches : int;  (* device launches performed, the one in flight included *)
   cid : int;  (* interned content identity: one int per distinct key *)
   chash : int;  (* [hash_pos] of the content key: its ring position *)
   tid : int;  (* tenant id: the tenant's rank in name order *)
-  stolen : bool;  (* executing (or last executed) on a foreign shard *)
-  relaunched : bool;  (* recovery re-entry: exempt from bound and eviction *)
-  clauses : Clause.t;
-      (* the launch geometry as clauses, made once per geometry before
-         the replay starts: placement, every dispatch attempt and every
-         member launch read it *)
-}
-
-(* One member's exact sub-report, split out of the merged grid. *)
-type member = {
-  m_pending : pending;  (* launches already includes the one in flight *)
-  m_exec : float;  (* its own simulated device cycles; 0 when hung *)
-  m_failed : bool;
-  m_checksum : float;
-  m_grid : int;
-  m_counters : Counters.t;
-  m_faults : Gpusim.Fault.stats;
+  mutable stolen : bool;  (* executing (or last executed) on a foreign shard *)
+  mutable relaunched : bool;  (* recovery re-entry: exempt from bound and eviction *)
+  geom : geometry;
+  mutable last : launch;  (* its latest launch; read when the batch finishes *)
 }
 
 type batch_run = {
   b_shard : int;
-  b_members : member list;  (* dispatch order: leader first *)
+  b_members : pending list;  (* dispatch order: leader first *)
   b_started : float;
   b_compile : float;
   b_cache : Scheduler.cache_status;  (* the leader's; C_miss mates report C_join *)
@@ -310,17 +320,72 @@ let clauses_of (spec : Request.spec) =
     |> num_threads spec.Request.threads
     |> simdlen spec.Request.simdlen)
 
+let same_geometry (a : Request.spec) (b : Request.spec) =
+  a.Request.teams = b.Request.teams
+  && a.Request.threads = b.Request.threads
+  && a.Request.simdlen = b.Request.simdlen
+
 (* Batching compatibility: same content, same launch geometry. *)
-let same_shape (a : pending) (b : pending) =
-  a.cid = b.cid
-  && a.spec.Request.teams = b.spec.Request.teams
-  && a.spec.Request.threads = b.spec.Request.threads
-  && a.spec.Request.simdlen = b.spec.Request.simdlen
+let same_shape (a : pending) (b : pending) = a.cid = b.cid && same_geometry a.spec b.spec
+
+let geometry_hash (s : Request.spec) =
+  (((s.Request.teams * 65599) + s.Request.threads) * 65599) + s.Request.simdlen
+
+(* Tables keyed on a request's spec, hashed and compared on the fields
+   that make up the key, so a lookup builds no key tuple. *)
+module Geometry = Hashtbl.Make (struct
+  type t = Request.spec
+
+  let equal = same_geometry
+  let hash s = Hashtbl.hash (geometry_hash s)
+end)
+
+(* a template instance: (template, size, guardize) *)
+module Instance = Hashtbl.Make (struct
+  type t = Request.spec
+
+  let equal (a : Request.spec) (b : Request.spec) =
+    a.Request.size = b.Request.size
+    && a.Request.guardize = b.Request.guardize
+    && String.equal a.Request.kernel b.Request.kernel
+
+  let hash (s : Request.spec) =
+    Hashtbl.hash s.Request.kernel
+    + (65599 * ((2 * s.Request.size) + Bool.to_int s.Request.guardize))
+end)
+
+(* The launch memo's key within one device name: content, geometry,
+   size and data seed. *)
+module Memo = Hashtbl.Make (struct
+  type t = pending
+
+  let equal (a : pending) (b : pending) =
+    same_shape a b
+    && a.spec.Request.size = b.spec.Request.size
+    && a.spec.Request.seed = b.spec.Request.seed
+
+  let hash (p : pending) =
+    Hashtbl.hash
+      ((((((p.cid * 65599) + p.spec.Request.size) * 65599) + p.spec.Request.seed) * 65599)
+      + geometry_hash p.spec)
+end)
 
 (* --- fleet state -------------------------------------------------------- *)
 
 (* the counters of a request that never ran *)
 let zero_counters = Counters.create ()
+
+(* a launch the engine found deadlocked: failed, no cycles; also a
+   pending record's [last] before its first launch, which nothing reads *)
+let hung =
+  {
+    l_exec = 0.0;
+    l_failed = true;
+    l_checksum = 0.0;
+    l_grid = 0;
+    l_counters = zero_counters;
+    l_faults = Gpusim.Fault.zero_stats;
+  }
 
 type shard = {
   sid : int;
@@ -366,10 +431,14 @@ type t = {
   cache : int Cache.t;
       (* keyed by content id; fleet-shared, so a shard can join a
          neighbour's compile window *)
-  memo : (int * int * int * int * int * int * string, member) Hashtbl.t;
-      (* launch memo, keyed by content id, geometry, size, data seed
-         and device name *)
+  memo : launch Memo.t array;
+      (* the launch memo of each shard's device name, by shard id:
+         shards of one device share one table, keyed by content id,
+         geometry, size and data seed *)
   memo_on : bool;  (* [conf.memo], and no fault plan armed *)
+  affinity_on : bool;
+      (* [hetero && conf.affinity]: only then does placement read the
+         affinity table, so only then is it written *)
   carry : float array;
   mutable carry_fleet : float;
       (* effective p99 per shard / fleet-wide, carried across
@@ -429,10 +498,14 @@ let ring_for f names =
    widths differ across the zoo) within its block limit, and the
    simdlen must divide that warp.  Placement and stealing both
    respect this, so a 32-thread request never lands on a 64-lane
-   wavefront device that would reject the launch. *)
-let fits_name f dn clauses =
-  let cfg = Option.get (Array.find_opt (fun (d : Gpusim.Config.t) -> d.Gpusim.Config.name = dn) f.devs) in
-  Result.is_ok (Clause.check_geometry ~cfg clauses)
+   wavefront device that would reject the launch.  The verdict is the
+   request's geometry's, on the first shard carrying [dn]. *)
+let fits_name f dn (p : pending) =
+  let rec first sid =
+    if String.equal f.devs.(sid).Gpusim.Config.name dn then p.geom.runs_on.(sid)
+    else first (sid + 1)
+  in
+  first 0
 
 (* The affinity estimator is the *minimum* observed exec, not a moving
    average: min is commutative and idempotent, so the table's state at
@@ -495,7 +568,7 @@ let aff_cost f now cid dn =
 let place_for f now (p : pending) =
   if not f.hetero then place_hash f.ring p.chash
   else begin
-    let cands = List.filter (fun dn -> fits_name f dn p.clauses) f.devnames in
+    let cands = List.filter (fun dn -> fits_name f dn p) f.devnames in
     (* no device fits: fall through to the plain ring and let the
        launch fail exactly as a homogeneous fleet would *)
     let cands = if cands = [] then f.devnames else cands in
@@ -524,84 +597,86 @@ let place_for f now (p : pending) =
    billion empty windows: a trace must arrive within this many. *)
 let max_windows = 1e6
 
-(* Every trace arrival is known now: the heap holds them in its sorted
-   seed (rank 1, seq 1..n in list order), and only dynamic events —
-   finishes, retry arrivals, relaunches — are pushed.
+(* Every trace arrival is known now: the heap holds their times in its
+   sorted seed (rank 1, seq 1..n in trace order), and builds each
+   one's pending record only when it pops; only dynamic events —
+   finishes, retry arrivals, relaunches — are pushed.  The checks below
+   run over the whole trace first, so a bad arrival fails the replay
+   before any request moves.
 
    Content ids.  The content key is a pure function of (template, size,
    guardize) under this run's fixed knobs, but computing one rebuilds
    and re-digests the instantiated IR — which unrolls with the size on
    chain-style kernels — so it is computed once per triple, and each
-   distinct key string is interned to an int the first time it is seen.
-   Everything keyed on content (batching compatibility, the launch
-   memo, the affinity table, the compile cache and the breakers) keys
-   on that int: within one run every compile knob is fixed, so the id
-   stands for the cache key exactly.  The key's ring position is cached
-   beside it, so placement pays no MD5 per request either. *)
-let seed_heap (conf : config) tenant_id specs =
+   distinct key string is interned to an int the first time the trace
+   carries it.  Everything keyed on content (batching compatibility,
+   the launch memo, the affinity table, the compile cache and the
+   breakers) keys on that int: within one run every compile knob is
+   fixed, so the id stands for the cache key exactly.  The key's ring
+   position is kept beside it, so placement pays no MD5 per request
+   either. *)
+let seed_heap (conf : config) ~devs tenant_id specs =
   let base = conf.base in
+  let specs = Array.of_list specs in
+  let n = Array.length specs in
   let cids : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let ckey_memo : (string * int * bool, int * int) Hashtbl.t = Hashtbl.create 16 in
-  let ckey_of (spec : Request.spec) =
-    let k = (spec.Request.kernel, spec.Request.size, spec.Request.guardize) in
-    match Hashtbl.find_opt ckey_memo k with
-    | Some c -> c
-    | None ->
-        let key = content_key ~knobs:base.Scheduler.knobs spec in
-        let cid =
-          match Hashtbl.find_opt cids key with
-          | Some cid -> cid
-          | None ->
-              let cid = Hashtbl.length cids in
-              Hashtbl.add cids key cid;
-              cid
-        in
-        let c = (cid, hash_pos key) in
-        Hashtbl.add ckey_memo k c;
-        c
+  let instances = Instance.create 16 in
+  (* one geometry record per launch geometry, shared by every request
+     with that geometry *)
+  let geometries = Geometry.create 8 in
+  let times = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    let spec = specs.(i) in
+    if not (Float.is_finite spec.Request.at) then
+      invalid_arg
+        (Printf.sprintf "Fleet.run: request %d arrives at non-finite time %g"
+           spec.Request.id spec.Request.at);
+    if spec.Request.at /. base.Scheduler.window > max_windows then
+      invalid_arg
+        (Printf.sprintf
+           "Fleet.run: request %d arrives at %g ticks, in window %.17g \
+            of %g ticks (at most %.0f windows)"
+           spec.Request.id spec.Request.at
+           (Float.floor (spec.Request.at /. base.Scheduler.window))
+           base.Scheduler.window max_windows);
+    times.(i) <- spec.Request.at;
+    if not (Instance.mem instances spec) then begin
+      let key = content_key ~knobs:base.Scheduler.knobs spec in
+      let cid =
+        match Hashtbl.find_opt cids key with
+        | Some cid -> cid
+        | None ->
+            let cid = Hashtbl.length cids in
+            Hashtbl.add cids key cid;
+            cid
+      in
+      Instance.add instances spec (cid, hash_pos key)
+    end;
+    if not (Geometry.mem geometries spec) then
+      let clauses = clauses_of spec in
+      let runs_on =
+        Array.map (fun cfg -> Result.is_ok (Clause.check_geometry ~cfg clauses)) devs
+      in
+      Geometry.add geometries spec { clauses; runs_on }
+  done;
+  let arrival i =
+    let spec = specs.(i) in
+    let cid, chash = Instance.find instances spec in
+    Arrive
+      {
+        spec;
+        attempts = 1;
+        launches = 0;
+        cid;
+        chash;
+        tid = Hashtbl.find tenant_id spec.Request.tenant;
+        stolen = false;
+        relaunched = false;
+        geom = Geometry.find geometries spec;
+        last = hung;
+      }
   in
-  (* one launch-clause chain per launch geometry, shared by every
-     request with that geometry *)
-  let geometries = Hashtbl.create 8 in
-  let clauses_for (spec : Request.spec) =
-    let key = (spec.Request.teams, spec.Request.threads, spec.Request.simdlen) in
-    match Hashtbl.find_opt geometries key with
-    | Some c -> c
-    | None ->
-        let c = clauses_of spec in
-        Hashtbl.add geometries key c;
-        c
-  in
-  Eheap.seeded ~rank:1
-    (List.map
-       (fun (spec : Request.spec) ->
-         if not (Float.is_finite spec.Request.at) then
-           invalid_arg
-             (Printf.sprintf "Fleet.run: request %d arrives at non-finite time %g"
-                spec.Request.id spec.Request.at);
-         if spec.Request.at /. base.Scheduler.window > max_windows then
-           invalid_arg
-             (Printf.sprintf
-                "Fleet.run: request %d arrives at %g ticks, in window %.17g \
-                 of %g ticks (at most %.0f windows)"
-                spec.Request.id spec.Request.at
-                (Float.floor (spec.Request.at /. base.Scheduler.window))
-                base.Scheduler.window max_windows);
-         let cid, chash = ckey_of spec in
-         ( spec.Request.at,
-           Arrive
-             {
-               spec;
-               attempts = 1;
-               launches = 0;
-               cid;
-               chash;
-               tid = Hashtbl.find tenant_id spec.Request.tenant;
-               stolen = false;
-               relaunched = false;
-               clauses = clauses_for spec;
-             } ))
-       specs)
+  Eheap.seeded ~rank:1 times arrival
 
 let create (conf : config) ?pool specs =
   let base = conf.base in
@@ -649,13 +724,22 @@ let create (conf : config) ?pool specs =
         Printf.sprintf "%s/%d" dn j)
       devs
   in
+  (* the trace's distinct tenant names, gathered without a list of one
+     name per request *)
   let tenants =
+    let seen = Hashtbl.create 8 in
+    let names = ref (List.map fst conf.tenants) in
+    List.iter
+      (fun (s : Request.spec) ->
+        if not (Hashtbl.mem seen s.Request.tenant) then begin
+          Hashtbl.add seen s.Request.tenant ();
+          names := s.Request.tenant :: !names
+        end)
+      specs;
     Array.of_list
       (List.map
          (fun name -> { name; weight = weight_of conf name; t_tally = Tally.create () })
-         (List.sort_uniq String.compare
-            (List.map (fun (s : Request.spec) -> s.Request.tenant) specs
-            @ List.map fst conf.tenants)))
+         (List.sort_uniq String.compare !names))
   in
   let tenant_id = Hashtbl.create 8 in
   Array.iteri (fun tid t -> Hashtbl.add tenant_id t.name tid) tenants;
@@ -682,7 +766,20 @@ let create (conf : config) ?pool specs =
   in
   let asc = Autoscale.create conf.autoscale ~shards:conf.shards in
   let cache = Cache.create ~capacity:base.Scheduler.cache_capacity in
-  let heap = seed_heap conf tenant_id specs in
+  let heap = seed_heap conf ~devs tenant_id specs in
+  let memo =
+    let by_name = Hashtbl.create 8 in
+    Array.map
+      (fun (d : Gpusim.Config.t) ->
+        match Hashtbl.find_opt by_name d.Gpusim.Config.name with
+        | Some m -> m
+        | None ->
+            let m = Memo.create 64 in
+            Hashtbl.add by_name d.Gpusim.Config.name m;
+            m)
+      devs
+  in
+  let hetero = List.length devnames > 1 in
   {
     conf;
     base;
@@ -690,7 +787,7 @@ let create (conf : config) ?pool specs =
     ring;
     devs;
     devnames;
-    hetero = List.length devnames > 1;
+    hetero;
     rings = Hashtbl.create 8;
     aff = Hashtbl.create 64;
     shards;
@@ -700,8 +797,9 @@ let create (conf : config) ?pool specs =
     tele;
     asc;
     cache;
-    memo = Hashtbl.create 64;
+    memo;
     memo_on = conf.memo && Option.is_none (Option.bind pool Gpusim.Pool.faults);
+    affinity_on = hetero && conf.affinity;
     carry = Array.make conf.shards 0.0;
     carry_fleet = 0.0;
     shedding = false;
@@ -809,7 +907,8 @@ let retry_or_drop f (s : shard) now (p : pending) =
     let wait =
       f.base.Scheduler.backoff *. (2.0 ** float_of_int (p.attempts - 1))
     in
-    Eheap.push f.heap (now +. wait) 1 (Arrive { p with attempts = p.attempts + 1 })
+    p.attempts <- p.attempts + 1;
+    Eheap.push f.heap (now +. wait) 1 (Arrive p)
   end
   else
     never_ran f ~shard:s.sid p
@@ -905,73 +1004,73 @@ let arrive f now (p : pending) =
 let real_launch f ~cfg compiled (p : pending) =
   let bindings, out = Request.bindings p.spec in
   let nonce = nonce_for p.spec ~launches:p.launches in
-  let m_pending = { p with launches = p.launches + 1 } in
   match
-    Offload.run ~cfg ?pool:f.pool ~nonce ~clauses:p.clauses ~bindings compiled
+    Offload.run ~cfg ?pool:f.pool ~nonce ~clauses:p.geom.clauses ~bindings compiled
   with
   | report ->
       f.parks <- f.parks + report.Gpusim.Device.parks;
       {
-        m_pending;
-        m_exec = report.Gpusim.Device.time_cycles;
-        m_failed = report.Gpusim.Device.failures <> [];
-        m_checksum = Request.checksum out;
-        m_grid = report.Gpusim.Device.grid;
-        m_counters = report.Gpusim.Device.counters;
-        m_faults = report.Gpusim.Device.faults;
+        l_exec = report.Gpusim.Device.time_cycles;
+        l_failed = report.Gpusim.Device.failures <> [];
+        l_checksum = Request.checksum out;
+        l_grid = report.Gpusim.Device.grid;
+        l_counters = report.Gpusim.Device.counters;
+        l_faults = report.Gpusim.Device.faults;
       }
-  | exception Gpusim.Engine.Deadlock _ ->
-      {
-        m_pending;
-        m_exec = 0.0;
-        m_failed = true;
-        m_checksum = 0.0;
-        m_grid = 0;
-        m_counters = zero_counters;
-        m_faults = Gpusim.Fault.zero_stats;
-      }
+  | exception Gpusim.Engine.Deadlock _ -> hung
 
+(* Launch [p] on [s] and count the launch in [p]. *)
 let launch_member f (s : shard) compiled (p : pending) =
   let cfg = f.devs.(s.sid) in
-  if not f.memo_on then real_launch f ~cfg compiled p
-  else begin
-    (* the memo keys on content *and* device: exec cycles (and under a
-       zoo config, occupancy and counters) are functions of the device,
-       so a result observed on one config must never serve another *)
-    let spec = p.spec in
-    let mkey =
-      ( p.cid,
-        spec.Request.teams,
-        spec.Request.threads,
-        spec.Request.simdlen,
-        spec.Request.size,
-        spec.Request.seed,
-        cfg.Gpusim.Config.name )
-    in
-    match Hashtbl.find_opt f.memo mkey with
-    | Some m ->
-        Tally.incr s.tally Tally.Memo_hit;
-        (* the memo stores content results; pending bookkeeping
-           (attempts, shard, steal provenance) is this request's own *)
-        { m with m_pending = { p with launches = p.launches + 1 } }
-    | None ->
-        let m = real_launch f ~cfg compiled p in
-        (* a failed result is still memoizable: with no fault plan
-           armed, failure (watchdog, genuine deadlock) is as
-           deterministic as success *)
-        Hashtbl.add f.memo mkey m;
-        m
-  end
+  p.last <-
+    (if not f.memo_on then real_launch f ~cfg compiled p
+     else
+       (* the memo keys on content *and* device: exec cycles (and under
+          a zoo config, occupancy and counters) are functions of the
+          device, so a result observed on one config must never serve
+          another.  A hit hands out the stored launch as is: attempts,
+          shard and steal provenance live in [p], not in it. *)
+       let memo = f.memo.(s.sid) in
+       match Memo.find memo p with
+       | l ->
+           Tally.incr s.tally Tally.Memo_hit;
+           l
+       | exception Not_found ->
+           let l = real_launch f ~cfg compiled p in
+           (* a failed result is still memoizable: with no fault plan
+              armed, failure (watchdog, genuine deadlock) is as
+              deterministic as success *)
+           Memo.add memo p l;
+           l);
+  p.launches <- p.launches + 1
 
-let account f (s : shard) (m : member) =
+let account f (s : shard) (l : launch) =
   Tally.incr s.tally Tally.Launch;
-  if m.m_failed then Tally.incr s.tally Tally.Dev_failure;
-  f.blocks <- f.blocks + m.m_grid;
-  f.sim_cycles <- f.sim_cycles +. m.m_exec;
-  f.global_loads <- f.global_loads + m.m_counters.Counters.global_loads;
-  f.global_stores <- f.global_stores + m.m_counters.Counters.global_stores;
-  f.atomics <- f.atomics + m.m_counters.Counters.atomics;
-  f.faults <- Gpusim.Fault.add_stats f.faults m.m_faults
+  if l.l_failed then Tally.incr s.tally Tally.Dev_failure;
+  f.blocks <- f.blocks + l.l_grid;
+  f.sim_cycles <- f.sim_cycles +. l.l_exec;
+  f.global_loads <- f.global_loads + l.l_counters.Counters.global_loads;
+  f.global_stores <- f.global_stores + l.l_counters.Counters.global_stores;
+  f.atomics <- f.atomics + l.l_counters.Counters.atomics;
+  (* a launch whose blocks drew no fault adds nothing; watchdogs and
+     genuine stalls count with no plan armed, so the test is on the
+     record, not on the plan *)
+  if l.l_faults <> Gpusim.Fault.zero_stats then
+    f.faults <- Gpusim.Fault.add_stats f.faults l.l_faults
+
+(* Launch and count every member, in dispatch order. *)
+let rec launch_all f s compiled = function
+  | [] -> ()
+  | p :: rest ->
+      launch_member f s compiled p;
+      account f s p.last;
+      launch_all f s compiled rest
+
+(* the batch window's slowest member *)
+let rec slowest acc = function
+  | [] -> acc
+  | (p : pending) :: rest ->
+      slowest (if acc >= p.last.l_exec then acc else p.last.l_exec) rest
 
 (* Dispatch [members] (leader first) as one merged grid on [s]; the
    caller has checked the leader's geometry ([clauses]), which its
@@ -1021,16 +1120,14 @@ let start_batch f now (s : shard) ~clauses (members_p : pending list) =
   | Ok (compiled, b_cache, b_compile) ->
       Tally.incr s.tally Tally.Lookup;
       if b_cache <> Scheduler.C_miss then Tally.incr s.tally Tally.Lookup_hit;
-      let members = List.map (launch_member f s compiled) members_p in
-      List.iter (account f s) members;
-      let k = List.length members in
+      launch_all f s compiled members_p;
+      let k = List.length members_p in
       if k >= 2 then begin
         Tally.incr s.tally Tally.Batch;
         Tally.add s.tally Tally.Batched k
       end;
       let b_exec =
-        List.fold_left (fun acc m -> max acc m.m_exec) 0.0 members
-        +. (merge_overhead *. float_of_int (k - 1))
+        slowest 0.0 members_p +. (merge_overhead *. float_of_int (k - 1))
       in
       s.busy <- s.busy + 1;
       f.busy_total <- f.busy_total + 1;
@@ -1041,7 +1138,7 @@ let start_batch f now (s : shard) ~clauses (members_p : pending list) =
         (Finish
            {
              b_shard = s.sid;
-             b_members = members;
+             b_members = members_p;
              b_started = now;
              b_compile;
              b_cache;
@@ -1052,8 +1149,13 @@ let start_batch f now (s : shard) ~clauses (members_p : pending list) =
    shard's own queue, best-first; deadline-expired entries are left
    behind for their own dispatch to time out.  The entries left keep
    their push-front order, which [evict_newest_of] reads as age. *)
+let rec has_mate (leader : pending) now = function
+  | [] -> false
+  | (p : pending) :: rest ->
+      (same_shape p leader && not (expired p now)) || has_mate leader now rest
+
 let take_batch f (s : shard) (leader : pending) now =
-  if f.conf.batch <= 1 then []
+  if f.conf.batch <= 1 || not (has_mate leader now s.queue) then []
   else begin
     let compatible =
       List.filter
@@ -1066,49 +1168,51 @@ let take_batch f (s : shard) (leader : pending) now =
     mates
   end
 
-(* The deepest neighbour queue, ties to the lowest shard id.  On a
-   heterogeneous fleet stealing is a device-group affair: a thief
-   only raids shards carrying its own device — a foreign-width warp
-   could not launch the work anyway, and a cross-device steal would
-   make the executing device (and so the request's cycles) depend on
-   shard numbering, breaking shuffle invariance. *)
+(* The deepest neighbour queue, ties to the lowest shard id: one scan
+   over the shards, which number a handful.  On a heterogeneous fleet
+   stealing is a device-group affair: a thief only raids shards
+   carrying its own device — a foreign-width warp could not launch the
+   work anyway, and a cross-device steal would make the executing
+   device (and so the request's cycles) depend on shard numbering,
+   breaking shuffle invariance. *)
 let steal_from f (s : shard) =
   if not f.conf.steal then None
   else begin
-    let name sid = f.devs.(sid).Gpusim.Config.name in
-    let victim = ref None in
-    Array.iter
-      (fun (v : shard) ->
-        if v.sid <> s.sid && v.depth > 0
-           && ((not f.hetero) || name v.sid = name s.sid)
-        then
-          match !victim with
-          | Some (best : shard) when best.depth >= v.depth -> ()
-          | _ -> victim := Some v)
-      f.shards;
-    match Option.bind !victim pop_queue with
-    | None -> None
-    | Some p ->
-        Tally.incr s.tally Tally.Steal;
-        Some { p with stolen = true }
+    let dn = f.devs.(s.sid).Gpusim.Config.name in
+    let victim = ref (-1) in
+    for sid = 0 to Array.length f.shards - 1 do
+      let v = f.shards.(sid) in
+      if
+        sid <> s.sid && v.depth > 0
+        && ((not f.hetero) || String.equal f.devs.(sid).Gpusim.Config.name dn)
+        && (!victim < 0 || v.depth > f.shards.(!victim).depth)
+      then victim := sid
+    done;
+    if !victim < 0 then None
+    else
+      match pop_queue f.shards.(!victim) with
+      | None -> None
+      | Some p as stolen ->
+          Tally.incr s.tally Tally.Steal;
+          p.stolen <- true;
+          stolen
   end
 
 let rec dispatch f now (s : shard) =
   if s.busy < s.conc then begin
     let candidate =
-      match pop_queue s with Some p -> Some p | None -> steal_from f s
+      match pop_queue s with None -> steal_from f s | own -> own
     in
     match candidate with
     | None -> ()
     | Some p ->
         (if expired p now then never_ran f ~shard:s.sid p Scheduler.Timed_out now
          else
-           let clauses = p.clauses in
+           let clauses = p.geom.clauses in
            if
              (* a geometry this shard's device cannot run fails before
                 the breaker is asked, so it never takes the probe slot *)
-             Result.is_error
-               (Clause.check_geometry ~cfg:f.devs.(s.sid) clauses)
+             not p.geom.runs_on.(s.sid)
            then never_ran f ~shard:s.sid p Scheduler.Failed now
            else
              match Breaker.admit s.breakers p.cid ~now with
@@ -1128,76 +1232,83 @@ let rec dispatch f now (s : shard) =
 
 let relaunch f now sid (p : pending) =
   if expired p now then never_ran f ~shard:sid p Scheduler.Timed_out now
-  else
+  else begin
     (* recovery re-enters past the admission bound: the request was
        already accepted *)
-    enqueue f f.shards.(sid) { p with relaunched = true }
+    p.relaunched <- true;
+    enqueue f f.shards.(sid) p
+  end
+
+(* A member's terminal report: its own launch, the batch's window. *)
+let finished f now (s : shard) (b : batch_run) ~k ~cache (p : pending) outcome =
+  let l = p.last in
+  record f p
+    {
+      spec = p.spec;
+      shard = s.sid;
+      outcome;
+      attempts = p.attempts;
+      launches = p.launches;
+      batched = k;
+      stolen = p.stolen;
+      start = b.b_started;
+      finish = now;
+      latency = now -. p.spec.Request.at;
+      compile_ticks = b.b_compile;
+      exec_ticks = l.l_exec;
+      cache;
+      checksum = l.l_checksum;
+      counters = l.l_counters;
+    }
+
+let finish_member f now (s : shard) (b : batch_run) ~k i (p : pending) =
+  let cache =
+    if i > 0 && b.b_cache = Scheduler.C_miss then Scheduler.C_join else b.b_cache
+  in
+  let past_deadline =
+    match p.spec.Request.deadline with Some d when now > d -> true | _ -> false
+  in
+  if not p.last.l_failed then begin
+    Breaker.success s.breakers b.b_cid;
+    if p.launches > 1 && not past_deadline then Tally.incr s.tally Tally.Recovered;
+    finished f now s b ~k ~cache p
+      (if past_deadline then Scheduler.Timed_out else Scheduler.Completed)
+  end
+  else begin
+    breaker_fail s b.b_cid now;
+    if past_deadline then finished f now s b ~k ~cache p Scheduler.Timed_out
+    else if p.launches <= f.base.Scheduler.max_retries then begin
+      Tally.incr s.tally Tally.Relaunch;
+      let wait =
+        f.base.Scheduler.backoff *. (2.0 ** float_of_int (p.launches - 1))
+      in
+      Eheap.push f.heap (now +. wait) 1 (Relaunch (s.sid, p))
+    end
+    else finished f now s b ~k ~cache p Scheduler.Degraded
+  end
+
+let rec finish_members f now s b ~k i = function
+  | [] -> ()
+  | p :: rest ->
+      finish_member f now s b ~k i p;
+      finish_members f now s b ~k (i + 1) rest
 
 let finish f now (b : batch_run) =
   let s = f.shards.(b.b_shard) in
   s.busy <- s.busy - 1;
   f.busy_total <- f.busy_total - 1;
-  (* feed the affinity table: each healthy member's own cycles on
-     this shard's device (memo replays feed the same value back —
-     min is idempotent) *)
-  let dn = f.devs.(b.b_shard).Gpusim.Config.name in
-  List.iter
-    (fun (m : member) ->
-      if not m.m_failed then observe_exec f now m.m_pending.cid dn m.m_exec)
-    b.b_members;
+  (* feed the affinity table, when placement reads it: each healthy
+     member's own cycles on this shard's device (memo replays feed the
+     same value back — min is idempotent) *)
+  if f.affinity_on then begin
+    let dn = f.devs.(b.b_shard).Gpusim.Config.name in
+    List.iter
+      (fun (p : pending) ->
+        if not p.last.l_failed then observe_exec f now p.cid dn p.last.l_exec)
+      b.b_members
+  end;
   let k = List.length b.b_members in
-  List.iteri
-    (fun i (m : member) ->
-      let p = m.m_pending in
-      let spec = p.spec in
-      let cache_status =
-        if i > 0 && b.b_cache = Scheduler.C_miss then Scheduler.C_join
-        else b.b_cache
-      in
-      let finished outcome =
-        record f p
-          {
-            spec;
-            shard = s.sid;
-            outcome;
-            attempts = p.attempts;
-            launches = p.launches;
-            batched = k;
-            stolen = p.stolen;
-            start = b.b_started;
-            finish = now;
-            latency = now -. spec.Request.at;
-            compile_ticks = b.b_compile;
-            exec_ticks = m.m_exec;
-            cache = cache_status;
-            checksum = m.m_checksum;
-            counters = m.m_counters;
-          }
-      in
-      let past_deadline =
-        match spec.Request.deadline with
-        | Some d when now > d -> true
-        | _ -> false
-      in
-      if not m.m_failed then begin
-        Breaker.success s.breakers b.b_cid;
-        if p.launches > 1 && not past_deadline then
-          Tally.incr s.tally Tally.Recovered;
-        finished (if past_deadline then Scheduler.Timed_out else Scheduler.Completed)
-      end
-      else begin
-        breaker_fail s b.b_cid now;
-        if past_deadline then finished Scheduler.Timed_out
-        else if p.launches <= f.base.Scheduler.max_retries then begin
-          Tally.incr s.tally Tally.Relaunch;
-          let wait =
-            f.base.Scheduler.backoff *. (2.0 ** float_of_int (p.launches - 1))
-          in
-          Eheap.push f.heap (now +. wait) 1 (Relaunch (s.sid, p))
-        end
-        else finished Scheduler.Degraded
-      end)
-    b.b_members
+  finish_members f now s b ~k 0 b.b_members
 
 (* --- the window control plane ------------------------------------------ *)
 
@@ -1287,26 +1398,34 @@ let on_close f (w : Telemetry.window) =
 
 (* The end-of-run result, read off the tallies: fleet-wide counts are
    sums over the shards.  Only the latencies are gathered here, from
-   the id-ordered reports, so every float sum keeps request-id order. *)
+   the id-ordered reports, so every float sum keeps request-id order.
+   The reports are put in that order by one stable sort of an array on
+   the ids: the order a stable list sort gives, for any ids, dense or
+   not. *)
 let aggregate f ~requests =
-  let reports =
-    List.sort
-      (fun (a : rq_report) (b : rq_report) -> compare a.spec.Request.id b.spec.Request.id)
-      f.reports
-  in
+  let reports = Array.of_list f.reports in
+  Array.stable_sort
+    (fun (a : rq_report) (b : rq_report) -> Int.compare a.spec.Request.id b.spec.Request.id)
+    reports;
   let lat_sum = Array.make (Array.length f.tenants) 0.0 in
   let completed_lat =
-    List.filter_map
-      (fun (r : rq_report) ->
-        if r.outcome <> Scheduler.Completed then None
-        else begin
-          let tid = Hashtbl.find f.tenant_id r.spec.Request.tenant in
-          lat_sum.(tid) <- lat_sum.(tid) +. r.latency;
-          Some r.latency
-        end)
-      reports
+    Array.make
+      (Array.fold_left
+         (fun n (r : rq_report) -> if r.outcome = Scheduler.Completed then n + 1 else n)
+         0 reports)
+      0.0
   in
-  let mean, p50, p95, p99 = Metrics.percentiles (Array.of_list completed_lat) in
+  let j = ref 0 in
+  for i = 0 to Array.length reports - 1 do
+    let r = reports.(i) in
+    if r.outcome = Scheduler.Completed then begin
+      let tid = Hashtbl.find f.tenant_id r.spec.Request.tenant in
+      lat_sum.(tid) <- lat_sum.(tid) +. r.latency;
+      completed_lat.(!j) <- r.latency;
+      incr j
+    end
+  done;
+  let mean, p50, p95, p99 = Metrics.percentiles completed_lat in
   let total = Tally.sum (Array.map (fun (s : shard) -> s.tally) f.shards) in
   let count o = total (Tally.Outcome o) and cstat c = total (Tally.Cache c) in
   let metrics =
@@ -1414,7 +1533,14 @@ let aggregate f ~requests =
       affinity_moves = total Tally.Affinity_move;
     }
   in
-  { reports; metrics; shard_stats; tenant_stats; fleet; telemetry = Telemetry.jsonl f.tele }
+  {
+    reports = Array.to_list reports;
+    metrics;
+    shard_stats;
+    tenant_stats;
+    fleet;
+    telemetry = Telemetry.jsonl f.tele;
+  }
 
 (* --- the event loop ----------------------------------------------------- *)
 

@@ -158,20 +158,29 @@ let active t (sw : shard_window) =
   || sw.w_sample.sq_conc <> t.base_conc
 
 (* The lines are written field by field straight into the stream, with
-   no whole-line [Printf] format: [string_of_int] and [string_of_bool]
-   print exactly what [%d] and [%b] do, and floats go through [jf]'s
-   one [%.3f], so every line is byte for byte what one [Printf] format
-   of its fields would print. *)
-let jf x = Printf.sprintf "%.3f" x
-let add_int b n = Buffer.add_string b (string_of_int n)
+   no whole-line [Printf] format: [add_int] writes the decimal digits
+   [%d] prints, [string_of_bool] prints what [%b] does, and [jf] writes
+   a float with the primitive [Printf]'s own [%.3f] conversion calls,
+   so every line is byte for byte what one [Printf] format of its
+   fields would print — with no format closure or scratch buffer per
+   float and no string per count. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let jf b x = Buffer.add_string b (format_float "%.3f" x)
+
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+let add_int b n = if n < 0 then Buffer.add_string b (string_of_int n) else add_digits b n
 
 let shard_line b w (sw : shard_window) =
   let s = Buffer.add_string b and i = add_int b in
   let g e = Tally.get sw.w_counts e in
   let n e = i (g e) in
   s "{\"w\": "; i w.index;
-  s ", \"t0\": "; s (jf w.t0);
-  s ", \"t1\": "; s (jf w.t1);
+  s ", \"t0\": "; jf b w.t0;
+  s ", \"t1\": "; jf b w.t1;
   s ", \"shard\": \""; s sw.w_label;
   s "\", \"completed\": "; n (Tally.Outcome Scheduler.Completed);
   s ", \"shed\": ";
@@ -186,9 +195,9 @@ let shard_line b w (sw : shard_window) =
   s ", \"steals\": "; n Tally.Steal;
   s ", \"cache\": {\"lookups\": "; n Tally.Lookup;
   s ", \"hits\": "; n Tally.Lookup_hit;
-  s "}, \"latency\": {\"p50\": "; s (jf sw.w_p50);
-  s ", \"p95\": "; s (jf sw.w_p95);
-  s ", \"p99\": "; s (jf sw.w_p99);
+  s "}, \"latency\": {\"p50\": "; jf b sw.w_p50;
+  s ", \"p95\": "; jf b sw.w_p95;
+  s ", \"p99\": "; jf b sw.w_p99;
   s ", \"samples\": "; i sw.w_samples;
   s "}, \"queue\": {\"depth\": "; i sw.w_sample.sq_depth;
   s ", \"peak\": "; i sw.w_queue_peak;
@@ -267,7 +276,7 @@ let control_line t (w : window) (c : control) =
     let b = t.buf in
     let s = Buffer.add_string b and i = add_int b in
     s "{\"w\": "; i w.index;
-    s ", \"fleet\": {\"p99\": "; s (jf w.f_p99);
+    s ", \"fleet\": {\"p99\": "; jf b w.f_p99;
     s ", \"samples\": "; i w.f_samples;
     s ", \"queued\": "; i c.queued;
     s ", \"conc\": "; i c.conc;

@@ -95,3 +95,11 @@ val finish :
 
 val jsonl : t -> string
 (** The accumulated JSONL stream; empty when [emit] is off. *)
+
+val jf : Buffer.t -> float -> unit
+(** Append a float as [Printf "%.3f"] prints it, byte for byte: every
+    float field of the stream goes through it. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Append an int as [Printf "%d"] prints it, byte for byte: every
+    count of the stream goes through it. *)

@@ -9,7 +9,15 @@ type summary = {
 
 let mean xs =
   let n = Array.length xs in
-  if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
+  if n = 0 then 0.0
+  else begin
+    (* a local float accumulator stays unboxed; a fold boxes each sum *)
+    let sum = ref 0.0 in
+    for i = 0 to n - 1 do
+      sum := !sum +. xs.(i)
+    done;
+    !sum /. float_of_int n
+  end
 
 let variance xs =
   let n = Array.length xs in

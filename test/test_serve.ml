@@ -624,6 +624,106 @@ let test_work_stealing () =
     (List.exists (fun (r : Fleet.rq_report) -> r.Fleet.stolen)
        stolen.Fleet.reports)
 
+(* Minor words of one memo-hot replay of [n] requests on a sequential
+   pool, after a first replay has built whatever a launch carries over:
+   two contents, four data seeds and one geometry on a two-shard
+   homogeneous fleet, so the eight real launches happen in both runs
+   and every later request is a memo hit; arrivals 5,000 ticks apart
+   never queue more than the batch takes. *)
+let control_plane_words n =
+  let c =
+    fconf ~shards:2 ~batch:4 ~queue_bound:16 ~servers:2 ~retries:2 ~slo:30_000.0
+      ~telemetry:true ()
+  in
+  let specs =
+    List.init n (fun i ->
+        spec ~at:(float_of_int i *. 5000.0)
+          ~kernel:(if i mod 2 = 0 then "saxpy" else "rowsum")
+          ~seed:(i / 2 mod 4) ~tenant:(if i mod 3 = 0 then "a" else "b") i)
+  in
+  let pool = Gpusim.Pool.create () in
+  ignore (Fleet.run ~pool c specs : Fleet.result);
+  let w0 = Gc.minor_words () in
+  let res = Fleet.run ~pool c specs in
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every request completes" n res.Fleet.metrics.Metrics.completed;
+  Alcotest.(check int) "eight real launches" (n - 8) res.Fleet.fleet.Fleet.memo_hits;
+  w
+
+(* Doubling the trace adds n memo hits and n/4 telemetry windows.
+   Measured: 190.3 minor words per extra request (the control plane
+   before the event loop stopped copying and sorting allocated 544.3).
+   By the allocation sampler, about 45% of it is the window closes
+   (each shard's tally change and latency arrays, the window and
+   control records, the autoscaler and breaker passes), a quarter is
+   the request's terminal report with its list cell, and the rest is
+   per request: its pending record and arrival event, the batch record
+   with its heap entry, the event pops and aggregation's id-ordered
+   array.  The bound is that plus about 20%, as for the evaluator and
+   launch-state pins.  The steal sweep's closure and [ref] per idle
+   shard at every event read 242 and break it; a record copy per
+   launch (7 words) or a list sort of the reports does not. *)
+let test_control_plane_words () =
+  let n = 2000 in
+  let per = (control_plane_words (2 * n) -. control_plane_words n) /. float_of_int n in
+  if per > 230.0 then
+    Alcotest.failf "control plane: %.1f minor words per extra request (bound 230)" per
+
+(* Steal tie-break: on three shards, chain depth 80 places on shard 0,
+   depth 88 on shard 1 and saxpy on shard 2.  At tick 0 each shard
+   starts one request, in shard order so that no idle shard steals a
+   newcomer, and shards 0 and 1 queue two more each; the short saxpy
+   finishes first, and its idle shard must raid the lower of the two
+   equally deep queues: shard 0's best entry, request 3. *)
+let test_steal_tie_break () =
+  let c = fconf ~shards:3 ~batch:1 ~steal:true ~memo:false ~queue_bound:16 () in
+  let knobs = c.Fleet.base.Scheduler.knobs in
+  let ring = Fleet.make_ring 3 in
+  let home (sp : Request.spec) = Fleet.place_hash ring (Fleet.hash_pos (Fleet.content_key ~knobs sp)) in
+  let saxpy i = spec ~kernel:"saxpy" i and chain size i = spec ~kernel:"chain" ~size i in
+  let specs =
+    [ chain 80 0; chain 88 1; saxpy 2; chain 80 3; chain 88 4; chain 80 5; chain 88 6 ]
+  in
+  Alcotest.(check (list int)) "homes" [ 0; 1; 2; 0; 1; 0; 1 ] (List.map home specs);
+  let res = Fleet.run c specs in
+  let r id = List.nth res.Fleet.reports id in
+  Alcotest.(check bool) "the thief frees up before either victim" true
+    ((r 2).Fleet.finish < Float.min (r 0).Fleet.finish (r 1).Fleet.finish);
+  let first_steal =
+    List.filter (fun (x : Fleet.rq_report) -> x.Fleet.stolen) res.Fleet.reports
+    |> List.sort (fun (a : Fleet.rq_report) b -> compare a.Fleet.start b.Fleet.start)
+    |> List.hd
+  in
+  Alcotest.(check int) "the lower shard's best entry is stolen first" 3
+    first_steal.Fleet.spec.Request.id;
+  Alcotest.(check int) "by the idle shard" 2 first_steal.Fleet.shard;
+  Alcotest.(check (float 0.0)) "the moment it freed up" (r 2).Fleet.finish
+    first_steal.Fleet.start
+
+(* Stealing is a device-group affair: shards 0 and 2 carry w32-hw,
+   shard 1 w64-hw.  A backlog pinned to w64-hw stays on shard 1 however
+   idle the others are; one pinned to w32-hw is shared by shards 0 and
+   2, and only they run it. *)
+let test_steal_stays_in_group () =
+  let c =
+    fconf ~shards:3 ~batch:1 ~steal:true ~memo:false ~queue_bound:16
+      ~devices:(Fleet.parse_devices "w32-hw,w64-hw") ()
+  in
+  let backlog device =
+    Fleet.run c
+      (List.init 8 (fun i -> spec ~at:(float_of_int i) ~threads:64 ~seed:i ~device i))
+  in
+  let w64 = backlog "w64-hw" in
+  Alcotest.(check int) "no foreign shard steals" 0 w64.Fleet.fleet.Fleet.steals;
+  Alcotest.(check (list int)) "every request ran on its group's one shard"
+    (List.init 8 (fun _ -> 1))
+    (List.map (fun (x : Fleet.rq_report) -> x.Fleet.shard) w64.Fleet.reports);
+  let w32 = backlog "w32-hw" in
+  Alcotest.(check bool) "the group's idle member steals" true
+    (w32.Fleet.fleet.Fleet.steals > 0);
+  Alcotest.(check bool) "and only the group runs it" true
+    (List.for_all (fun (x : Fleet.rq_report) -> x.Fleet.shard <> 1) w32.Fleet.reports)
+
 let test_fair_admission () =
   (* a hog fills the only queue; a light newcomer takes the hog's
      newest slot (the evictee is turned away — retries 0), unless the
@@ -827,7 +927,7 @@ let test_golden_chaos () =
         ])
 
 (* qcheck: the arrival cursor is invisible.  Arrivals given to
-   [Eheap.seeded] (in list order, sorted or not) merged with events
+   [Eheap.seeded] (in index order, sorted or not) merged with events
    pushed while draining pop exactly as from one heap that had every
    arrival pushed first.  Each pop consumes one script entry and pushes
    zero to two children at the same tick or later, rank 0 or 1, the
@@ -861,9 +961,41 @@ let eheap_cursor_merge =
         let one = Serve.Eheap.create () in
         List.iteri (fun i t -> Serve.Eheap.push one t 1 i) times;
         drain one
-        = drain (Serve.Eheap.seeded ~rank:1 (List.mapi (fun i t -> (t, i)) times))
+        = drain (Serve.Eheap.seeded ~rank:1 (Array.of_list times) Fun.id)
       in
       same arrivals && same (List.sort compare arrivals))
+
+(* qcheck: telemetry's printers write exactly the bytes [Printf] does:
+   [jf] against "%.3f" over random floats and the edge cases (tiny,
+   subnormal, huge, negative, integral, halfway roundings, -0.0,
+   infinities, nan), [add_int] against "%d" over random ints and the
+   extremes. *)
+let telemetry_printers =
+  let edge =
+    [ 0.0; -0.0; 1e-300; 4.9e-324; -4.9e-324; 0.0005; 0.0015; -0.0025; 1e300;
+      Float.max_float; -.Float.max_float; 123456789.0; -42.0; 2.5e15; Float.infinity;
+      Float.neg_infinity; Float.nan ]
+  in
+  let floats =
+    QCheck.(
+      oneof
+        [
+          float;
+          oneofl edge;
+          map (fun x -> x *. 1e-12) float;
+          map (fun n -> float_of_int n) int;
+          map (fun n -> float_of_int n /. 1000.0) int;
+        ])
+  in
+  let ints = QCheck.(oneof [ int; small_signed_int; oneofl [ 0; 9; 10; -1; max_int; min_int ] ]) in
+  QCheck.Test.make ~count:2000 ~name:"telemetry printers print as Printf"
+    QCheck.(pair floats ints)
+    (fun (x, n) ->
+      let b = Buffer.create 32 in
+      Serve.Telemetry.jf b x;
+      Buffer.add_char b ' ';
+      Serve.Telemetry.add_int b n;
+      Buffer.contents b = Printf.sprintf "%.3f %d" x n)
 
 (* qcheck: the event heap pops in (time, rank, insertion) order; the
    small time and rank ranges make ties the common case. *)
@@ -1762,6 +1894,12 @@ let suite =
           test_fleet_batching;
         Alcotest.test_case "fleet: idle shards steal work" `Quick
           test_work_stealing;
+        Alcotest.test_case "alloc: control-plane words per request" `Quick
+          test_control_plane_words;
+        Alcotest.test_case "fleet: a steal tie goes to the lower shard" `Quick
+          test_steal_tie_break;
+        Alcotest.test_case "fleet: a thief never raids a foreign device group"
+          `Quick test_steal_stays_in_group;
         Alcotest.test_case "fleet: weighted-fair admission evicts the hog"
           `Quick test_fair_admission;
         Alcotest.test_case "fleet: batching keeps the queue's age order"
@@ -1773,6 +1911,7 @@ let suite =
         Alcotest.test_case "fleet: golden bytes, faults and shedding" `Quick
           test_golden_chaos;
         QCheck_alcotest.to_alcotest eheap_order;
+        QCheck_alcotest.to_alcotest telemetry_printers;
         QCheck_alcotest.to_alcotest eheap_cursor_merge;
         Alcotest.test_case "fleet: traffic generator is deterministic" `Quick
           test_traffic_determinism;

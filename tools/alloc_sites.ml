@@ -26,11 +26,12 @@
    Each launch set runs once unsampled (so whatever a launch carries
    over to the next is built outside the sample), then [repeats] times
    sampled, on a sequential pool; each set also prints its fiber parks
-   per pass ([Device.report.parks]; for the serve set, the fleet's
-   [Metrics.parks], summed over its real member launches).  The
-   program reads no environment: with the minor heap fixed and every
-   launch on one domain, one binary prints the same table on every
-   run.  A site is the innermost frame
+   per pass ([Device.report.parks]; for the serve sets, the fleet's
+   [Metrics.parks], summed over its real member launches), and each
+   serve set its minor words per request, the unit of [test_serve]'s
+   control-plane allocation pin.  The program reads no environment:
+   with the minor heap fixed and every launch on one domain, one binary
+   prints the same table on every run.  A site is the innermost frame
    in the repository's libraries, with its caller. *)
 
 module Pool = Gpusim.Pool
@@ -122,18 +123,23 @@ let sampled f =
   (* let the last armed block's finaliser run, disarmed *)
   Gc.minor ()
 
-let print_table ~title ~launches =
+let print_table ~title ~launches ~requests =
   let rows =
     Hashtbl.fold (fun site (n, w) acc -> (site, !n, !w) :: acc) sites []
     |> List.sort (fun (sa, _, a) (sb, _, b) ->
            if a <> b then compare b a else compare sa sb)
   in
   let mb w = w *. float_of_int (Sys.word_size / 8) /. 1e6 in
-  Printf.printf
-    "%s: %d samples, %.2f MB per call over %d calls\n  words%%  samples  site\n"
-    title !samples
+  Printf.printf "%s: %d samples, %.2f MB per call over %d calls" title !samples
     (mb !words /. float_of_int launches)
     launches;
+  (* the unit of test_serve's control-plane pin *)
+  Option.iter
+    (fun n ->
+      Printf.printf ", %.1f minor words per request"
+        (!words /. float_of_int (launches * n)))
+    requests;
+  print_string "\n  words%  samples  site\n";
   List.iter
     (fun (site, n, w) ->
       Printf.printf "  %5.1f%%  %6d  %s\n"
@@ -168,7 +174,7 @@ let e6 pool =
         ])
       group_sizes
   in
-  ("E6 (spmv atomic + reduction, generic simd g2-g32)", List.map discard launches)
+  ("E6 (spmv atomic + reduction, generic simd g2-g32)", None, List.map discard launches)
 
 (* Fig 9's three kernels, two-level and at every group size. *)
 let fig9 pool =
@@ -201,7 +207,7 @@ let fig9 pool =
           ])
         group_sizes
   in
-  ("Fig 9 (spmv, su3, ideal: two-level and simd g2-g32)", List.map discard launches)
+  ("Fig 9 (spmv, su3, ideal: two-level and simd g2-g32)", None, List.map discard launches)
 
 (* A cold serve trace: 160 requests over 48 chain depths and 38 other
    (template, size) shapes on a heterogeneous four-device fleet, every
@@ -270,6 +276,7 @@ let serve_cold pool =
     }
   in
   ( Printf.sprintf "serve cold (%d requests, 4-device fleet, compiled IR kernels)" n,
+    Some n,
     [
       (fun () ->
         let res = Fleet.run conf ~pool specs in
@@ -313,13 +320,14 @@ let serve_hot pool =
     }
   in
   ( Printf.sprintf "serve hot (%d mixed requests, seed 1, 4-shard fleet)" n,
+    Some n,
     [
       (fun () ->
         let res = Fleet.run conf ~pool specs in
         parks := !parks + res.Fleet.metrics.Serve.Metrics.parks);
     ] )
 
-let run_set (title, launches) =
+let run_set (title, requests, launches) =
   let run_all () = List.iter (fun l -> l ()) launches in
   parks := 0;
   run_all ();
@@ -329,7 +337,7 @@ let run_set (title, launches) =
       for _ = 1 to repeats do
         run_all ()
       done);
-  print_table ~title ~launches:(repeats * List.length launches);
+  print_table ~title ~launches:(repeats * List.length launches) ~requests;
   Printf.printf "  fiber parks per pass over the set: %d\n\n" set_parks
 
 let () =
