@@ -27,10 +27,10 @@ let run_one ~pool ~cfg ~scale ~table_size ~fn_id =
   let report =
     Target.launch ~cfg ?pool ~params ~dispatch_table_size:table_size (fun ctx ->
         Parallel.parallel ctx ~last:true ~mode:Mode.Generic ~simd_len:group_size ~fn_id:0
-          (fun ctx _ ->
+          (fun ctx ->
             (* many tiny simd regions: dispatch dominates *)
             Workshare.distribute_parallel_for ctx ~trip:regions (fun _ ->
-                Simd.simd ctx ~fn_id ~trip:8 (fun ctx _ _ ->
+                Simd.simd ctx ~fn_id ~trip:8 (fun ctx _ ->
                     Team.charge_flops ctx 1))))
   in
   { table_size; fn_id; cycles = report.Gpusim.Device.time_cycles }

@@ -28,18 +28,16 @@ let run_one ~pool ~cfg ~scale ~sharing_bytes ~group_size =
   let rows_trip = max 1 (int_of_float (float_of_int (threads * 4) *. scale)) in
   let space = Memory.space () in
   let data = Memory.falloc space 64 in
-  let payload =
-    Payload.of_list (List.init payload_args (fun _ -> Payload.Farr data))
-  in
+  let payload = Payload.slots payload_args in
   let params =
     { Team.num_teams; num_threads = threads; teams_mode = Mode.Spmd; sharing_bytes }
   in
   let report =
     Target.launch ~cfg ?pool ~params ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~last:true ~mode:Mode.Generic ~simd_len:group_size ~payload
-          ~fn_id:0 (fun ctx _ ->
+          ~fn_id:0 (fun ctx ->
             Workshare.distribute_parallel_for ctx ~trip:rows_trip (fun i ->
-                Simd.simd ctx ~payload ~fn_id:1 ~trip:32 (fun ctx j _ ->
+                Simd.simd ctx ~payload ~fn_id:1 ~trip:32 (fun ctx j ->
                     (* a real load per element: memory latency makes the
                        SIMD groups genuinely overlap, so region-scoped
                        slices from the sharing space are live

@@ -26,11 +26,13 @@
    rewrites its loop variable in place.  Outer-variable reads in a
    region or simd body go to the creating lane's frame, which each
    entry links as the body frame's [up]: that is the walker's sharing
-   of the creator's cells.  A creating lane builds each region or simd
-   payload once per site and refreshes its scalars in place on entry,
-   and its microtask, simd body or reducer once per site.  Lane tables
-   follow the runtime's teams: a team recycled for the launch's next
-   block brings its lanes along.
+   of the creator's cells.  A site's payload is a compile-time constant,
+   its capture count, which the runtime prices and nothing reads; a
+   creating lane builds its microtask or simd body once per site.  A
+   reducing simd body folds its summand into the executing lane's
+   accumulator ({!Omprt.Simd.fold}), unboxed.  Lane tables follow the
+   runtime's teams: a team recycled for the launch's next block brings
+   its lanes along.
 
    It is the one evaluator the product launches with.  A reference tree
    walker lives with the tests, and its contract with this module is
@@ -97,11 +99,10 @@ and lane = {
   sites : lsite option array;  (* per directive site, on first use *)
 }
 
-(* A lane's state at one directive site: as the creator, the payload
-   and the code it hands the runtime; as an executor of a region, its
-   iteration function and the activation it belongs to. *)
+(* A lane's state at one directive site: as the creator, the code it
+   hands the runtime; as an executor of a region, its iteration function
+   and the activation it belongs to. *)
 and lsite = {
-  mutable args : Payload.t option;
   mutable code : code;
   mutable iter : int -> unit;
   mutable ctx : Team.ctx;
@@ -112,7 +113,6 @@ and code =
   | No_code
   | Micro of Team.microtask
   | Body of Team.simd_body
-  | Red of Team.simd_reducer
 
 (* The lanes of one team, and the broadcasts of its guarded blocks: per
    SIMD group, the leader that last broadcast and its guard site. *)
@@ -188,7 +188,7 @@ let lsite_of (w : lane) site ctx =
   | Some ls -> ls
   | None ->
       let ls =
-        { args = None; code = No_code; iter = no_iter; ctx; outer = nil_frame }
+        { code = No_code; iter = no_iter; ctx; outer = nil_frame }
       in
       w.sites.(site) <- Some ls;
       ls
@@ -473,64 +473,21 @@ let compile_float_into cc senv lvl what ~d ~slot e =
   | I _ -> err "%s: expected a float" what
 
 (* ------------------------------------------------------------------ *)
-(* Payloads: built once per creating lane and site, refreshed in place *)
+(* Outlined functions                                                  *)
 
-type capture =
-  | Cap_fixed of Payload.value  (* an array: the same slot every entry *)
-  | Cap_int of int * int  (* level distance, slot *)
-  | Cap_float of int * int
-
-let compile_captures cc senv lvl captures =
-  let capture name =
-    match Hashtbl.find_opt cc.statics.farrays name with
-    | Some a -> Cap_fixed (Payload.Farr a)
-    | None -> (
-        match Hashtbl.find_opt cc.statics.iarrays name with
-        | Some a -> Cap_fixed (Payload.Iarr a)
-        | None -> (
-            match lookup senv name with
-            | Some { ty = Ir.Tint; lvl = l; slot } -> Cap_int (lvl - l, slot)
-            | Some { ty = Ir.Tfloat; lvl = l; slot } -> Cap_float (lvl - l, slot)
-            | None -> err "capture %s is unbound" name))
-  in
-  Array.of_list (List.map capture captures)
-
-let new_payload caps =
-  Array.map
-    (function
-      | Cap_fixed v -> v
-      | Cap_int _ -> Payload.Int (ref 0)
-      | Cap_float _ -> Payload.Float (ref 0.0))
-    caps
-
-(* Rewrite the payload's scalars with the creator's current values.  A
-   float slot is rewritten only when its bits change: a [float ref]
-   boxes what it is given. *)
-let refresh caps (p : Payload.t) fr =
-  for i = 0 to Array.length caps - 1 do
-    match (caps.(i), p.(i)) with
-    | Cap_int (d, s), Payload.Int r -> r := (frame_at fr d).ints.(s)
-    | Cap_float (d, s), Payload.Float r ->
-        let x = (frame_at fr d).floats.(s) in
-        if (Int64.bits_of_float x : int64) <> Int64.bits_of_float !r then r := x
-    | _ -> ()
-  done
-
-(* The creating lane's state at a site: its payload, refreshed, and its
-   code, built on its first entry by [make] over its frame. *)
-let creator caps site make (ctx : Team.ctx) fr =
+(* The creating lane's code at a site, built on its first entry by
+   [make] over its frame. *)
+let creator site make (ctx : Team.ctx) fr =
   let ls = lsite_of fr.owner site ctx in
-  (match ls.args with
-  | Some p -> refresh caps p fr
-  | None ->
-      let p = new_payload caps in
-      refresh caps p fr;
-      ls.args <- Some p;
-      ls.code <- make fr);
-  ls
+  if ls.code == No_code then ls.code <- make fr;
+  ls.code
 
-let find_outlined outlined fn_id =
-  List.find (fun (o : Outline.outlined) -> o.Outline.fn_id = fn_id) outlined
+(* An outlined function's payload: one slot per capture. *)
+let payload_of outlined fn_id =
+  let o =
+    List.find (fun (o : Outline.outlined) -> o.Outline.fn_id = fn_id) outlined
+  in
+  Payload.slots (List.length o.Outline.captures)
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation                                               *)
@@ -616,12 +573,13 @@ let simd_frame l lf (ctx : Team.ctx) iv =
   f.ints.(l.l_iv) <- lf.ints.(l.l_lo) + iv;
   f
 
-(* One iteration of a simd reduction: the body, then the summand. *)
+(* One iteration of a simd reduction: the body, then the summand's fold
+   into the executing lane's accumulator. *)
 let simd_summand l lf ctx iv =
   let f = simd_frame l lf ctx iv in
   f.floats.(l.l_red) <- 0.0;
   l.l_body ctx f;
-  f.floats.(l.l_red)
+  Simd.fold ctx f.floats.(l.l_red)
 
 (* Compile [stmts] at level [lvl] in a scope of their own; returns the
    block and the scope after its last statement.  [kernel] marks the
@@ -640,8 +598,7 @@ let rec compile_stmts ?(kernel = false) cc senv lvl stmts =
 and compile_block cc senv lvl stmts = snd (compile_stmts cc senv lvl stmts)
 
 and compile_region cc senv lvl (d : Ir.loop_directive) ~last ~distribute =
-  let o = find_outlined cc.outlined d.Ir.fn_id in
-  let caps = compile_captures cc senv lvl o.Outline.captures in
+  let payload = payload_of cc.outlined d.Ir.fn_id in
   let clo = compile_int cc senv lvl d.Ir.loop_var d.Ir.lo in
   let chi = compile_int cc senv lvl d.Ir.loop_var d.Ir.hi in
   let lo = new_slot cc lvl Ir.Tint in
@@ -665,17 +622,16 @@ and compile_region cc senv lvl (d : Ir.loop_directive) ~last ~distribute =
   let fn_id = Some d.Ir.fn_id in
   let last = Some last in
   let simd_len = cc.options.simd_len in
-  let microtask lf = Micro (fun ctx _ -> region_task r lf ctx) in
+  let microtask lf = Micro (fun ctx -> region_task r lf ctx) in
   fun ctx lf ->
-    let ls = creator caps r.r_site microtask ctx lf in
+    let code = creator r.r_site microtask ctx lf in
     let l = clo ctx lf in
     let h = chi ctx lf in
     lf.ints.(lo) <- l;
     lf.ints.(trip) <- max 0 (h - l);
-    match ls.code with
-    | Micro fn ->
-        Parallel.parallel ctx ~mode ~simd_len ?payload:ls.args ?fn_id ?last fn
-    | No_code | Body _ | Red _ -> err "internal: region site without a microtask"
+    match code with
+    | Micro fn -> Parallel.parallel ctx ~mode ~simd_len ~payload ?fn_id ?last fn
+    | No_code | Body _ -> err "internal: region site without a microtask"
 
 and compile_stmt cc ~last senv lvl (s : Ir.stmt) : senv * cstmt =
   let statics = cc.statics and cost = cc.cost in
@@ -796,8 +752,7 @@ and compile_stmt cc ~last senv lvl (s : Ir.stmt) : senv * cstmt =
 
 (* A simd loop, or with [sum] a simd reduction into an outer float. *)
 and compile_simd cc senv lvl (d : Ir.loop_directive) ~sum =
-  let o = find_outlined cc.outlined d.Ir.fn_id in
-  let caps = compile_captures cc senv lvl o.Outline.captures in
+  let payload = payload_of cc.outlined d.Ir.fn_id in
   let clo = compile_int cc senv lvl d.Ir.loop_var d.Ir.lo in
   let chi = compile_int cc senv lvl d.Ir.loop_var d.Ir.hi in
   let lo = new_slot cc lvl Ir.Tint in
@@ -816,15 +771,15 @@ and compile_simd cc senv lvl (d : Ir.loop_directive) ~sum =
           l_body = compile_block cc senv_body blvl d.Ir.body;
         }
       in
-      let simd_body lf = Body (fun ctx iv _ -> l.l_body ctx (simd_frame l lf ctx iv)) in
+      let simd_body lf = Body (fun ctx iv -> l.l_body ctx (simd_frame l lf ctx iv)) in
       fun ctx lf ->
-        let ls = creator caps site simd_body ctx lf in
+        let code = creator site simd_body ctx lf in
         let lo_v = clo ctx lf in
         let hi_v = chi ctx lf in
         lf.ints.(lo) <- lo_v;
-        (match ls.code with
-        | Body fn -> Simd.simd ctx ?payload:ls.args ?fn_id ~trip:(max 0 (hi_v - lo_v)) fn
-        | No_code | Micro _ | Red _ -> err "internal: simd site without a body")
+        (match code with
+        | Body fn -> Simd.simd ctx ~payload ?fn_id ~trip:(max 0 (hi_v - lo_v)) fn
+        | No_code | Micro _ -> err "internal: simd site without a body")
   | Some (acc, value) ->
       let acc_var, acc_d =
         match lookup senv acc with
@@ -848,20 +803,20 @@ and compile_simd cc senv lvl (d : Ir.loop_directive) ~sum =
             compile_block cc senv_body blvl (d.Ir.body @ [ Ir.Assign (red, value) ]);
         }
       in
-      let reducer lf = Red (fun ctx iv _ -> simd_summand l lf ctx iv) in
+      let simd_body lf = Body (fun ctx iv -> simd_summand l lf ctx iv) in
       let acc_slot = acc_var.slot in
       fun ctx lf ->
-        let ls = creator caps site reducer ctx lf in
+        let code = creator site simd_body ctx lf in
         let lo_v = clo ctx lf in
         let hi_v = chi ctx lf in
         lf.ints.(lo) <- lo_v;
-        (match ls.code with
-        | Red fn ->
+        (match code with
+        | Body fn ->
             let total =
-              Simd.simd_sum ctx ?payload:ls.args ?fn_id ~trip:(max 0 (hi_v - lo_v)) fn
+              Simd.simd_sum ctx ~payload ?fn_id ~trip:(max 0 (hi_v - lo_v)) fn
             in
             (frame_at lf acc_d).floats.(acc_slot) <- total
-        | No_code | Micro _ | Body _ -> err "internal: reduction site without a reducer")
+        | No_code | Micro _ -> err "internal: reduction site without a body")
 
 (* The top-level declarations of guarded block [site], complete once the
    kernel is compiled. *)

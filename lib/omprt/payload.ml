@@ -1,52 +1,17 @@
-type value =
-  | Int of int ref
-  | Float of float ref
-  | Farr of Gpusim.Memory.farray
-  | Iarr of Gpusim.Memory.iarray
+type t = int
 
-type t = value array
+let empty = 0
 
-exception Type_error of string
+let slots n =
+  if n < 0 then invalid_arg "Payload.slots: negative slot count";
+  n
 
-let empty = [||]
-let of_list = Array.of_list
-let length = Array.length
-
-let slot name t i =
-  if i < 0 || i >= Array.length t then
-    raise (Type_error (Printf.sprintf "payload slot %d out of range for %s" i name));
-  t.(i)
-
-let int_ref t i =
-  match slot "int_ref" t i with
-  | Int r -> r
-  | Float _ | Farr _ | Iarr _ ->
-      raise (Type_error (Printf.sprintf "slot %d is not an int ref" i))
-
-let float_ref t i =
-  match slot "float_ref" t i with
-  | Float r -> r
-  | Int _ | Farr _ | Iarr _ ->
-      raise (Type_error (Printf.sprintf "slot %d is not a float ref" i))
-
-let farr t i =
-  match slot "farr" t i with
-  | Farr a -> a
-  | Int _ | Float _ | Iarr _ ->
-      raise (Type_error (Printf.sprintf "slot %d is not a float array" i))
-
-let iarr t i =
-  match slot "iarr" t i with
-  | Iarr a -> a
-  | Int _ | Float _ | Farr _ ->
-      raise (Type_error (Printf.sprintf "slot %d is not an int array" i))
-
-let bytes t = 8 * Array.length t
+let length t = t
+let bytes t = 8 * t
 
 let charge_per_slot (th : Gpusim.Thread.t) t =
   let cost = th.Gpusim.Thread.cfg.Gpusim.Config.cost in
-  Gpusim.Thread.tick th
-    (float_of_int (Array.length t) *. cost.Gpusim.Config.alu)
+  Gpusim.Thread.tick th (float_of_int t *. cost.Gpusim.Config.alu)
 
 let pack = charge_per_slot
 let unpack = charge_per_slot

@@ -1,30 +1,26 @@
 (** Outlined-function argument payloads (§4.1).
 
-    Captured variables are aggregated into one payload, packed before the
-    runtime call and unpacked inside the outlined function — the OCaml
-    analogue of LLVM's `void **args`.  Each slot is "pointer-sized": the
-    sharing space accounts 8 bytes per argument. *)
+    The captured variables of an outlined region or simd loop are
+    aggregated into one payload, packed before the runtime call and
+    unpacked inside the outlined function — the OCaml analogue of LLVM's
+    [void **args].  The model prices a payload by its slot count alone:
+    one ALU op per slot to pack and to unpack, and 8 bytes per slot in
+    the sharing space.  No runtime code reads a captured value through
+    it: an outlined body reaches its captures directly (a hand-written
+    body by closure, a compiled one through the creating lane's frame),
+    so a payload is just the number of slots its call site declares. *)
 
-type value =
-  | Int of int ref
-  | Float of float ref
-  | Farr of Gpusim.Memory.farray
-  | Iarr of Gpusim.Memory.iarray
-
-type t = value array
-
-exception Type_error of string
-(** Raised by the typed accessors on slot/type mismatch — the moral
-    equivalent of a miscompiled payload unpack. *)
+type t
 
 val empty : t
-val of_list : value list -> t
-val length : t -> int
+(** No slots. *)
 
-val int_ref : t -> int -> int ref
-val float_ref : t -> int -> float ref
-val farr : t -> int -> Gpusim.Memory.farray
-val iarr : t -> int -> Gpusim.Memory.iarray
+val slots : int -> t
+(** A payload of [n] pointer-sized slots.
+    @raise Invalid_argument when [n] is negative. *)
+
+val length : t -> int
+(** The slot count. *)
 
 val bytes : t -> int
 (** 8 bytes per argument slot. *)

@@ -17,16 +17,17 @@ let charge_static ctx =
   ctx.Team.th.Gpusim.Thread.counters.Gpusim.Counters.calls <-
     ctx.Team.th.Gpusim.Thread.counters.Gpusim.Counters.calls + 1
 
-(* The sequential reducing loop's body: set the lane's [lane_acc] cell
-   to the monoid's identity and fold iteration [iv]'s value into that
-   cell.  The cell is a float-array slot, so the running value stays
-   unboxed. *)
-let accumulate ctx ~op red payload =
-  let acc = ctx.Team.team.Team.lane_acc in
+(* A reducing loop's body folds each iteration's value into the
+   executing lane's [lane_acc] cell under the loop's monoid, kept beside
+   it: the cell is a float-array slot and [fold] inlines into the body,
+   so the value is never boxed. *)
+let[@inline] fold ctx v =
+  let team = ctx.Team.team in
   let tid = ctx.Team.th.Gpusim.Thread.tid in
-  acc.(tid) <- op.Redop.identity;
-  if op == Redop.sum then fun iv -> acc.(tid) <- acc.(tid) +. red ctx iv payload
-  else fun iv -> acc.(tid) <- op.Redop.combine acc.(tid) (red ctx iv payload)
+  let acc = team.Team.lane_acc in
+  let op = team.Team.lane_op.(tid) in
+  acc.(tid) <-
+    (if op == Redop.sum then acc.(tid) +. v else op.Redop.combine acc.(tid) v)
 
 (* --- the worker machine (§3.1, §5.3, Figs 6 and 8) -------------------
 
@@ -60,19 +61,10 @@ let accumulate ctx ~op red payload =
    and the call is charged as a direct call for a driving lane and as
    the §5.5 dispatch for a worker. *)
 
-(* Iteration [iv] of lane [tid]'s current loop: the body, or the fold
-   of the reducer's value into the lane's [lane_acc] cell. *)
+(* Iteration [iv] of lane [tid]'s current loop, in the lane's own
+   context: a reducing body folds into the lane's [lane_acc] cell. *)
 let run_iteration (team : Team.t) tid iv =
-  let sm = team.Team.sm in
-  let ctx = team.Team.ctxs.(tid) in
-  match sm.Team.kind.(tid) with
-  | Team.Simd_loop -> sm.Team.fns.(tid) ctx iv sm.Team.args.(tid)
-  | Team.Reduce ->
-      let v = sm.Team.reds.(tid) ctx iv sm.Team.args.(tid) in
-      let op = sm.Team.ops.(tid) in
-      let acc = team.Team.lane_acc in
-      acc.(tid) <-
-        (if op == Redop.sum then acc.(tid) +. v else op.Redop.combine acc.(tid) v)
+  team.Team.sm.Team.fns.(tid) team.Team.ctxs.(tid) iv
 
 let lane_th (team : Team.t) tid = team.Team.ctxs.(tid).Team.th
 let rounds ~num ~trip = (trip + num - 1) / num
@@ -274,7 +266,7 @@ let run_region ctx (task : Team.parallel_task) =
     Gpusim.Thread.set_simt_factor th (float_of_int task.Team.group_size);
   match
     Team.charge_microtask ctx ~fn_id:task.Team.fn_id;
-    task.Team.fn ctx task.Team.payload
+    task.Team.fn ctx
   with
   | () ->
       leave_region team th ~saved ~prev;
@@ -362,7 +354,7 @@ let rec advance (team : Team.t) ctx tid =
   | Team.Round -> classic_round team ctx tid
   | Team.Posted ->
       team.Team.lane_acc.(tid) <-
-        Reduction.simd_reduce_combine ctx sm.Team.ops.(tid);
+        Reduction.simd_reduce_combine ctx team.Team.lane_op.(tid);
       await team ctx tid Team.Reduced (Team.sync_warp_arrive ctx)
   | Team.Reduced -> await team ctx tid sm.Team.home.(tid) (Team.sync_warp_arrive ctx)
   | Team.Done -> true
@@ -404,7 +396,10 @@ and run_task team ctx tid =
 
 (* A worker released from the hand-off reads its group's slot: the
    published loop, or termination — the worker leaves the state machine
-   for the region's closing arrival. *)
+   for the region's closing arrival.  A published loop's body, shape and
+   monoid become the worker's own (the accumulator starts at the
+   monoid's identity; only a reducing body folds into it), and the
+   worker resolves the published pointer: the §5.5 dispatch. *)
 and wake team ctx tid =
   let sm = team.Team.sm in
   let group = Simd_group.get_simd_group (Team.geometry team) ~tid in
@@ -414,33 +409,22 @@ and wake team ctx tid =
       leave_state_machine ctx.Team.th sm.Team.outer.(tid);
       sm.Team.phase.(tid) <- Team.Closing;
       advance team ctx tid
-  | Some Team.Simd_loop ->
+  | Some kind ->
       bump ctx "simd.state_machine_rounds";
-      if Gpusim.Thread.tracing ctx.Team.th then
+      (* a reducing loop's wake has never been traced *)
+      if kind = Team.Simd_loop && Gpusim.Thread.tracing ctx.Team.th then
         Gpusim.Thread.trace ctx.Team.th ~tag:"simd.wake"
           (Printf.sprintf "fn=%d trip=%d" slot.Team.simd_fn_id
              slot.Team.simd_trip);
       fetch_args ctx slot;
-      sm.Team.kind.(tid) <- Team.Simd_loop;
-      sm.Team.fns.(tid) <- slot.Team.simd_fn;
-      sm.Team.args.(tid) <- slot.Team.simd_args;
-      enter_published team ctx tid slot
-  | Some Team.Reduce ->
-      bump ctx "simd.state_machine_rounds";
-      fetch_args ctx slot;
       let op = slot.Team.simd_red_op in
-      sm.Team.kind.(tid) <- Team.Reduce;
-      sm.Team.reds.(tid) <- slot.Team.simd_red_fn;
-      sm.Team.ops.(tid) <- op;
-      sm.Team.args.(tid) <- slot.Team.simd_args;
+      sm.Team.kind.(tid) <- kind;
+      sm.Team.fns.(tid) <- slot.Team.simd_fn;
+      team.Team.lane_op.(tid) <- op;
       team.Team.lane_acc.(tid) <- op.Redop.identity;
-      enter_published team ctx tid slot
-
-(* workers resolve a published pointer: the §5.5 dispatch *)
-and enter_published team ctx tid (slot : Team.simd_slot) =
-  begin_loop team.Team.sm ctx.Team.th tid;
-  Team.charge_microtask ctx ~fn_id:slot.Team.simd_fn_id;
-  enter_loop team ctx tid ~trip:slot.Team.simd_trip
+      begin_loop sm ctx.Team.th tid;
+      Team.charge_microtask ctx ~fn_id:slot.Team.simd_fn_id;
+      enter_loop team ctx tid ~trip:slot.Team.simd_trip
 
 (* the loop's entry: a fused loop reads the group's sequence number
    first, to tell after the rendezvous whether a lane drove it *)
@@ -519,12 +503,11 @@ let rec drive_on team ctx tid =
   Gpusim.Engine.park ctx.Team.th;
   if not (advance team ctx tid) then drive_on team ctx tid
 
-let drive ctx (sm : Team.steps) ~kind ~trip payload =
+let drive ctx (sm : Team.steps) ~kind ~trip =
   let team = ctx.Team.team in
   let th = ctx.Team.th in
   let tid = th.Gpusim.Thread.tid in
   sm.Team.kind.(tid) <- kind;
-  sm.Team.args.(tid) <- payload;
   sm.Team.home.(tid) <- Team.Done;
   begin_loop sm th tid;
   charge_static ctx;
@@ -551,63 +534,60 @@ let publish ctx (slot : Team.simd_slot) ~fn_id ~trip payload =
   Team.sync_warp ctx;
   location
 
-(* Fig 4: an SPMD group's lanes all reach [simd] with the trip count
-   and payload already local and drop straight into the loop; a generic
-   group's main publishes the loop to its workers first. *)
-let simd ctx ?(payload = Payload.empty) ?(fn_id = -1) ~trip body =
-  let g = Team.geometry ctx.Team.team in
-  if Simd_group.get_simd_group_size g = 1 then begin
-    (* Two-level behaviour (§5.4): the loop runs sequentially in-thread. *)
-    bump ctx "simd.sequential";
-    charge_static ctx;
-    Workshare.sequential_loop ctx ~trip (fun iv -> body ctx iv payload)
-  end
-  else begin
-    let sm = steps ctx.Team.team ctx in
-    sm.Team.fns.(ctx.Team.th.Gpusim.Thread.tid) <- body;
-    match active_mode ctx with
-    | Mode.Spmd ->
-        if Simd_group.is_simd_group_leader g ~tid:ctx.Team.th.Gpusim.Thread.tid
-        then bump ctx "simd.spmd_regions";
-        drive ctx sm ~kind:Team.Simd_loop ~trip payload
-    | Mode.Generic ->
-        let slot = group_slot ctx g in
-        slot.Team.simd_loop <- Some Team.Simd_loop;
-        slot.Team.simd_fn <- body;
-        let location = publish ctx slot ~fn_id ~trip payload in
-        drive ctx sm ~kind:Team.Simd_loop ~trip payload;
-        Sharing.release ctx.Team.team.Team.sharing location
-  end
+(* A loop shape as the slot publishes it; [Some kind] would allocate at
+   every generic loop's entry. *)
+let published = function
+  | Team.Simd_loop -> Some Team.Simd_loop
+  | Team.Reduce -> Some Team.Reduce
 
-let simd_reduce ctx ?(payload = Payload.empty) ?(fn_id = -1) ~op ~trip red =
-  let g = Team.geometry ctx.Team.team in
+(* Fig 4: a singleton group runs the loop in-thread (§5.4); an SPMD
+   group's lanes all reach [simd] with the trip count and payload
+   already local and drop straight into the loop; a generic group's main
+   publishes the loop, its shape and its monoid [op] to its workers
+   first.  A reducing loop's caller has set its [lane_acc] cell and
+   monoid. *)
+let run ctx ~kind ~op ~payload ~fn_id ~trip body =
   let team = ctx.Team.team in
+  let g = Team.geometry team in
   let tid = ctx.Team.th.Gpusim.Thread.tid in
   if Simd_group.get_simd_group_size g = 1 then begin
     bump ctx "simd.sequential";
     charge_static ctx;
-    Workshare.sequential_loop ctx ~trip (accumulate ctx ~op red payload)
+    Workshare.sequential_loop ctx ~trip (body ctx)
   end
   else begin
     let sm = steps team ctx in
-    sm.Team.reds.(tid) <- red;
-    sm.Team.ops.(tid) <- op;
-    team.Team.lane_acc.(tid) <- op.Redop.identity;
+    sm.Team.fns.(tid) <- body;
     match active_mode ctx with
-    | Mode.Spmd -> drive ctx sm ~kind:Team.Reduce ~trip payload
+    | Mode.Spmd ->
+        (* a reducing loop has never counted as an SPMD simd region,
+           and the count is a reported metric *)
+        if kind = Team.Simd_loop && Simd_group.is_simd_group_leader g ~tid then
+          bump ctx "simd.spmd_regions";
+        drive ctx sm ~kind ~trip
     | Mode.Generic ->
         let slot = group_slot ctx g in
-        slot.Team.simd_loop <- Some Team.Reduce;
-        slot.Team.simd_red_fn <- red;
+        slot.Team.simd_loop <- published kind;
+        slot.Team.simd_fn <- body;
         slot.Team.simd_red_op <- op;
         let location = publish ctx slot ~fn_id ~trip payload in
-        drive ctx sm ~kind:Team.Reduce ~trip payload;
+        drive ctx sm ~kind ~trip;
         Sharing.release team.Team.sharing location
-  end;
+  end
+
+let simd ctx ?(payload = Payload.empty) ?(fn_id = -1) ~trip body =
+  run ctx ~kind:Team.Simd_loop ~op:Redop.sum ~payload ~fn_id ~trip body
+
+let simd_reduce ctx ?(payload = Payload.empty) ?(fn_id = -1) ~op ~trip body =
+  let team = ctx.Team.team in
+  let tid = ctx.Team.th.Gpusim.Thread.tid in
+  team.Team.lane_op.(tid) <- op;
+  team.Team.lane_acc.(tid) <- op.Redop.identity;
+  run ctx ~kind:Team.Reduce ~op ~payload ~fn_id ~trip body;
   team.Team.lane_acc.(tid)
 
-let simd_sum ctx ?payload ?fn_id ~trip red =
-  simd_reduce ctx ?payload ?fn_id ~op:Redop.sum ~trip red
+let simd_sum ctx ?payload ?fn_id ~trip body =
+  simd_reduce ctx ?payload ?fn_id ~op:Redop.sum ~trip body
 
 (* The calling fiber's thread goes on as steps from [phase]: its
    fiber's code returns next, the thread owing its next arrival, or

@@ -8,7 +8,15 @@
     it publishes the outlined function, trip count and arguments in its
     group's slot (arguments through the sharing space), releases the
     workers from their warp-level barrier, joins the loop itself, and
-    re-synchronizes at the end.
+    re-synchronizes at the end.  The payload is priced by its slot count
+    ({!Payload}); the body itself takes none.
+
+    There is one body type, {!Team.simd_body}, for every loop: a
+    reducing loop's body folds its iteration's value into the executing
+    lane's accumulator with {!fold} — the private copy that
+    [reduction(op:x)] gives each lane — and the loop's shape decides
+    only what follows its rounds: the exit rendezvous, or the group
+    reduction first.
 
     One machine runs both levels' idle workers and every multi-lane simd
     loop: a thread's position is a {!Team.phase}, its state its slots of
@@ -49,23 +57,29 @@ val simd_reduce :
   ?fn_id:int ->
   op:Redop.t ->
   trip:int ->
-  Team.simd_reducer ->
+  Team.simd_body ->
   float
 (** Extension (§7): a simd loop with a reduction over an arbitrary float
-    monoid.  Each lane folds its share of the iterations into its
-    {!Team.t.lane_acc} cell, then the group combines through a
-    warp-shuffle tree; the callers (the SIMD main in generic mode, every
-    lane in SPMD mode) receive the total.  Workers participate from
-    inside the state machine. *)
+    monoid.  Each lane's {!Team.t.lane_acc} cell starts at [op]'s
+    identity, and the body {!fold}s each of the lane's iterations into
+    it; then the group combines through a warp-shuffle tree, and the
+    callers (the SIMD main in generic mode, every lane in SPMD mode)
+    receive the total.  Workers participate from inside the state
+    machine. *)
 
 val simd_sum :
   Team.ctx ->
   ?payload:Payload.t ->
   ?fn_id:int ->
   trip:int ->
-  Team.simd_reducer ->
+  Team.simd_body ->
   float
 (** [simd_reduce ~op:Redop.sum]. *)
+
+val fold : Team.ctx -> float -> unit
+(** [fold ctx v], from a reducing loop's body: combine [v] into the
+    executing lane's accumulator under the loop's monoid.  Inlined, so
+    [v] is not boxed. *)
 
 val worker : Team.ctx -> unit
 (** A generic-teams worker's kernel (§3.1): wait at the team barrier;

@@ -23,10 +23,10 @@ type phase =
   | Reduced  (* released from its second *)
   | Done  (* released from a loop's exit or a teams-SPMD region's close *)
 
-(* The shape of a lane's current simd loop. *)
+(* The shape of a lane's current simd loop: what follows its rounds. *)
 type loop_kind =
   | Simd_loop
-  | Reduce  (* a reducing loop: fold into [lane_acc], then the group combines *)
+  | Reduce  (* a reducing loop: the group combines [lane_acc] first *)
 
 (* A (warp, mask) -> barrier table behind two last-key memos, per tid
    and per warp: the lanes of a warp share each (warp, mask) barrier, so
@@ -42,8 +42,8 @@ type barrier_memo = {
 }
 
 type ctx = { th : Gpusim.Thread.t; team : t }
-and microtask = ctx -> Payload.t -> unit
-and simd_body = ctx -> int -> Payload.t -> unit
+and microtask = ctx -> unit
+and simd_body = ctx -> int -> unit
 
 and parallel_task = {
   mutable fn : microtask;
@@ -54,12 +54,9 @@ and parallel_task = {
   mutable payload_location : Sharing.location;
 }
 
-and simd_reducer = ctx -> int -> Payload.t -> float
-
 and simd_slot = {
   mutable simd_loop : loop_kind option;  (* [None]: termination *)
   mutable simd_fn : simd_body;
-  mutable simd_red_fn : simd_reducer;
   mutable simd_red_op : Redop.t;
   mutable simd_fn_id : int;
   mutable simd_trip : int;
@@ -82,9 +79,6 @@ and steps = {
   mutable actor : int array;
   mutable simt : float array;
   mutable fns : simd_body array;
-  mutable reds : simd_reducer array;
-  mutable ops : Redop.t array;
-  mutable args : Payload.t array;
   mutable step : Gpusim.Thread.t -> bool;
   mutable outer : int array;
   mutable home : phase array;
@@ -114,9 +108,11 @@ and t = {
      drives a group's rounds bumps its count, so the lanes it drove know
      their rounds already ran when they wake. *)
   fused_seq : int array;
-  (* Per-tid running value of a reducing simd loop: its body folds each
-     iteration into the lane's cell, which a float array keeps unboxed. *)
+  (* Per-tid running value of a reducing simd loop and its monoid: the
+     body folds each iteration's value into the executing lane's cell,
+     which a float array keeps unboxed. *)
   lane_acc : float array;
+  lane_op : Redop.t array;
   geometries : Simd_group.t option array;
   sm : steps;
   (* Per-tid lane contexts and region-task cells, built on a lane's
@@ -172,13 +168,11 @@ let region_name block_id expected = Printf.sprintf "region%d/%d" block_id expect
 let warp_name warp mask = Printf.sprintf "warp%d:%08x" warp mask
 let lockstep_name warp mask = Printf.sprintf "lockstep%d:%08x" warp mask
 
-let no_body : simd_body = fun _ _ _ -> ()
-let no_reducer : simd_reducer = fun _ _ _ -> 0.0
+let no_body : simd_body = fun _ _ -> ()
 
 let reset_slot s =
   s.simd_loop <- None;
   s.simd_fn <- no_body;
-  s.simd_red_fn <- no_reducer;
   s.simd_red_op <- Redop.sum;
   s.simd_fn_id <- -1;
   s.simd_trip <- 0;
@@ -219,7 +213,6 @@ let create ~cfg ~arena ~params ~block_id =
     {
       simd_loop = None;
       simd_fn = no_body;
-      simd_red_fn = no_reducer;
       simd_red_op = Redop.sum;
       simd_fn_id = -1;
       simd_trip = 0;
@@ -251,6 +244,7 @@ let create ~cfg ~arena ~params ~block_id =
     in_region = Array.make num_workers false;
     fused_seq = Array.make num_workers 0;
     lane_acc = Array.make total 0.0;
+    lane_op = Array.make total Redop.sum;
     geometries = Array.make (ws + 1) None;
     ctxs = [||];
     tasks = Array.make total None;
@@ -264,9 +258,6 @@ let create ~cfg ~arena ~params ~block_id =
         actor = [||];
         simt = [||];
         fns = [||];
-        reds = [||];
-        ops = [||];
-        args = [||];
         step = Gpusim.Thread.fiber;
         outer = [||];
         home = [||];
@@ -296,13 +287,11 @@ let reset t ~arena ~block_id =
   Array.fill t.in_region 0 (Array.length t.in_region) false;
   Array.fill t.fused_seq 0 (Array.length t.fused_seq) 0;
   Array.fill t.lane_acc 0 (Array.length t.lane_acc) 0.0;
+  Array.fill t.lane_op 0 (Array.length t.lane_op) Redop.sum;
   let sm = t.sm in
   let n = Array.length sm.phase in
   Array.fill sm.phase 0 n Handoff;
-  Array.fill sm.fns 0 n no_body;
-  Array.fill sm.reds 0 n no_reducer;
-  Array.fill sm.ops 0 n Redop.sum;
-  Array.fill sm.args 0 n Payload.empty
+  Array.fill sm.fns 0 n no_body
 
 (* Size the step state for the team's workers, once, when the team
    first needs it. *)
@@ -318,10 +307,7 @@ let init_steps t =
   sm.outer <- Array.make n 0;
   sm.home <- Array.make n Handoff;
   sm.simt <- Array.make n 1.0;
-  sm.fns <- Array.make n no_body;
-  sm.reds <- Array.make n no_reducer;
-  sm.ops <- Array.make n Redop.sum;
-  sm.args <- Array.make n Payload.empty
+  sm.fns <- Array.make n no_body
 
 (* Make [ctx] its lane's context (a caller may build its own). *)
 let set_lane_ctx t ctx =
@@ -559,8 +545,8 @@ let charge_alu ctx n =
 let charge_special ctx n =
   charge ctx ctx.team.cfg.Gpusim.Config.cost.Gpusim.Config.special n
 
-(* Charge-only half of [invoke_microtask], so hot callers can charge the
-   dispatch and then make a direct call instead of threading a thunk. *)
+(* The §5.5 dispatch cost of an outlined function; the caller then makes
+   a direct call. *)
 let charge_microtask ctx ~fn_id =
   let cfg = ctx.team.cfg in
   let cost = cfg.Gpusim.Config.cost in
@@ -574,7 +560,3 @@ let charge_microtask ctx ~fn_id =
   Gpusim.Thread.tick ctx.th c;
   ctx.th.Gpusim.Thread.counters.Gpusim.Counters.calls <-
     ctx.th.Gpusim.Thread.counters.Gpusim.Counters.calls + 1
-
-let invoke_microtask ctx ~fn_id run =
-  charge_microtask ctx ~fn_id;
-  run ()

@@ -35,13 +35,13 @@ type phase =
           loop's exit, or a teams-SPMD worker from the region's closing
           arrival: the machine returns to its caller *)
 
-(** The shape of a lane's current simd loop: both run one loop and
-    differ only in its body and in what follows the loop. *)
+(** The shape of a lane's current simd loop: both run one body over
+    the loop's rounds and differ only in what follows them. *)
 type loop_kind =
-  | Simd_loop  (** the published body, then the exit rendezvous *)
+  | Simd_loop  (** the exit rendezvous *)
   | Reduce
-      (** the published reducer folded into {!t.lane_acc}, then the
-          group reduction *)
+      (** the group reduction over {!t.lane_acc}, into which the body
+          folded each iteration ({!Simd.fold}) *)
 
 type barrier_memo
 (** A (warp, mask) → barrier table behind per-tid and per-warp
@@ -51,11 +51,15 @@ type barrier_memo
 type ctx = { th : Gpusim.Thread.t; team : t }
 (** What an executing thread sees: its lane and its team. *)
 
-and microtask = ctx -> Payload.t -> unit
-(** An outlined [parallel]-region body. *)
+and microtask = ctx -> unit
+(** An outlined [parallel]-region body.  It takes no payload: the
+    region's {!Payload.t} is only priced (packed, shared, unpacked),
+    and the body reaches its captures directly. *)
 
-and simd_body = ctx -> int -> Payload.t -> unit
-(** An outlined [simd] loop body; the [int] is the iteration number. *)
+and simd_body = ctx -> int -> unit
+(** An outlined [simd] loop body; the [int] is the iteration number.
+    A reducing loop's body folds its iteration's value into the
+    executing lane's accumulator ({!Simd.fold}). *)
 
 and parallel_task = {
   mutable fn : microtask;
@@ -70,17 +74,12 @@ and parallel_task = {
 (** A region's task: one cell per entering thread ({!t.tasks}),
     rewritten in place each time the thread enters a region. *)
 
-and simd_reducer = ctx -> int -> Payload.t -> float
-(** A simd loop body contributing one summand per iteration (extension). *)
-
 and simd_slot = {
   mutable simd_loop : loop_kind option;
-      (** the published loop's shape, [None] for termination: a
-          [Simd_loop] runs [simd_fn]; a [Reduce] runs [simd_red_fn], and
-          its workers join the group reduction after their share of the
-          iterations *)
+      (** the published loop's shape, [None] for termination: the
+          workers run [simd_fn], and after a [Reduce] loop's iterations
+          join the group reduction *)
   mutable simd_fn : simd_body;
-  mutable simd_red_fn : simd_reducer;
   mutable simd_red_op : Redop.t;
       (** the monoid of the current reducing loop *)
   mutable simd_fn_id : int;
@@ -102,11 +101,8 @@ and steps = {
           driven loop by its driver *)
   mutable simt : float array;  (** divergence factor saved across the loop *)
   mutable fns : simd_body array;
-  mutable reds : simd_reducer array;
-  mutable ops : Redop.t array;
-  mutable args : Payload.t array;
-      (** the current loop's body (or reducer and monoid) and arguments:
-          a worker's as published, a driving lane's as passed *)
+      (** the current loop's body: a worker's as published, a driving
+          lane's as passed *)
   mutable step : Gpusim.Thread.t -> bool;
       (** the workers' resume hook, and the body of a fiber a worker
           starts to run a region *)
@@ -172,9 +168,13 @@ and t = {
   lane_acc : float array;
       (** per-tid running value of a reducing simd loop: set to the
           monoid's identity on entry, then the loop body folds each
-          iteration into the lane's cell (unboxed, being a float array)
-          — whichever lane's fiber or step runs that iteration; the
-          group's total once the group reduction combined it *)
+          iteration's value into the executing lane's cell
+          ({!Simd.fold}; unboxed, being a float array) — whichever
+          lane's fiber or step runs that iteration; the group's total
+          once the group reduction combined it *)
+  lane_op : Redop.t array;
+      (** per-tid monoid of the lane's current reducing loop, set with
+          its [lane_acc] cell on entry *)
   geometries : Simd_group.t option array;
       (** region geometry per group size, built once ({!geometry_for}) *)
   sm : steps;
@@ -319,11 +319,7 @@ val charge_alu : ctx -> int -> unit
 val charge_special : ctx -> int -> unit
 (** Square roots, exponentials, divisions. *)
 
-val invoke_microtask : ctx -> fn_id:int -> (unit -> unit) -> unit
-(** Run an outlined region, charging the §5.5 dispatch cost: an if-cascade
-    compare per known region when the id is in the table, the indirect-call
-    penalty otherwise. *)
-
 val charge_microtask : ctx -> fn_id:int -> unit
-(** Charge the {!invoke_microtask} dispatch cost without running anything,
-    for callers that follow up with a direct call. *)
+(** Charge the §5.5 dispatch cost of an outlined function, for a caller
+    that then calls it directly: an if-cascade compare per known region
+    when the id is in the table, the indirect-call penalty otherwise. *)

@@ -31,9 +31,10 @@ let loop_gang_worker ctx ~trip f =
   Omprt.Workshare.distribute_parallel_for ctx ~trip f
 
 let loop_vector ctx ~trip f =
-  Omprt.Simd.simd ctx ~fn_id:2 ~trip (fun _ iv _ -> f iv)
+  Omprt.Simd.simd ctx ~fn_id:2 ~trip (fun _ iv -> f iv)
 
 let loop_vector_sum ctx ~trip f =
-  Omprt.Simd.simd_sum ctx ~fn_id:3 ~trip (fun _ iv _ -> f iv)
+  Omprt.Simd.simd_sum ctx ~fn_id:3 ~trip (fun ctx iv ->
+      Omprt.Simd.fold ctx (f iv))
 
 let worker_num = Openmp.Omp.thread_num

@@ -5,7 +5,7 @@ let target_teams ~cfg ?trace ?(clauses = Clause.none)
   let params, parallel_mode, simdlen = Clause.resolve ~cfg clauses in
   Omprt.Target.launch ~cfg ?trace ~params ~dispatch_table_size:4 (fun ctx ->
       Omprt.Parallel.parallel ctx ~mode:parallel_mode ~simd_len:simdlen
-        ~payload ~fn_id:0 ~last:true (fun ctx _ -> body ctx))
+        ~payload ~fn_id:0 ~last:true body)
 
 let target_teams_distribute ~cfg ?trace ?(clauses = Clause.none) ~trip body =
   let params, _, _ = Clause.resolve ~cfg clauses in
@@ -20,7 +20,7 @@ let parallel_for ctx ?(clauses = Clause.none)
     ?(payload = Omprt.Payload.empty) ~trip body =
   let mode = Option.value clauses.Clause.parallel_mode ~default:Omprt.Mode.Spmd in
   let simd_len = Option.value clauses.Clause.simdlen ~default:1 in
-  Omprt.Parallel.parallel ctx ~mode ~simd_len ~payload ~fn_id:1 (fun ctx _ ->
+  Omprt.Parallel.parallel ctx ~mode ~simd_len ~payload ~fn_id:1 (fun ctx ->
       Omprt.Workshare.omp_for ctx
         ~schedule:(Clause.workshare_schedule clauses)
         ~trip body)
@@ -36,10 +36,11 @@ let for_ ctx ?(schedule = Clause.Static) ~trip body =
   Omprt.Workshare.omp_for ctx ~schedule ~trip body
 
 let simd ctx ?payload ~trip body =
-  Omprt.Simd.simd ctx ?payload ~fn_id:2 ~trip (fun _ iv _ -> body iv)
+  Omprt.Simd.simd ctx ?payload ~fn_id:2 ~trip (fun _ iv -> body iv)
 
 let simd_sum ctx ?payload ~trip body =
-  Omprt.Simd.simd_sum ctx ?payload ~fn_id:3 ~trip (fun _ iv _ -> body iv)
+  Omprt.Simd.simd_sum ctx ?payload ~fn_id:3 ~trip (fun ctx iv ->
+      Omprt.Simd.fold ctx (body iv))
 
 let barrier = Omprt.Team.region_barrier_wait
 let single = Omprt.Workshare.single

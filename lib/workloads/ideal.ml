@@ -66,15 +66,13 @@ let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256)
       sharing_bytes = Omprt.Sharing.default_bytes;
     }
   in
-  let payload =
-    Payload.of_list [ Payload.Farr t.input; Payload.Farr t.output ]
-  in
+  let payload = Payload.slots 2 (* input, output *) in
   let steps = t.shape.flops_per_elem / 2 in
   let report =
     Target.launch ~cfg ?pool ?trace ~params
       ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~last:true ~mode:mode3.Harness.parallel_mode
-          ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx _ ->
+          ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx ->
             Workshare.distribute_parallel_for ctx ~trip:t.shape.rows
               (fun r ->
                 (* region code: the non-collapsible per-row base value *)
@@ -82,7 +80,7 @@ let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256)
                 Team.charge_flops ctx 2;
                 let base = base_of_row r in
                 Simd.simd ctx ~payload ~fn_id:1 ~trip:t.shape.inner
-                  (fun ctx j _ ->
+                  (fun ctx j ->
                     let th = ctx.Team.th in
                     let idx = (r * t.shape.inner) + j in
                     let v = Memory.fget t.input th idx in

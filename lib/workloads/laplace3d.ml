@@ -67,19 +67,19 @@ let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 216)
       sharing_bytes = Omprt.Sharing.default_bytes;
     }
   in
-  let payload = Payload.of_list [ Payload.Farr t.u; Payload.Farr t.unew ] in
+  let payload = Payload.slots 2 (* u, unew *) in
   let interior = n - 2 in
   let report =
     Target.launch ~cfg ?pool ?trace ~params
       ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~last:true ~mode:mode3.Harness.parallel_mode
-          ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx _ ->
+          ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx ->
             Workshare.distribute_parallel_for ctx ~trip:(interior * interior)
               (fun ij ->
                 Team.charge_alu ctx 4 (* i/j decode *);
                 let i = (ij / interior) + 1 and j = (ij mod interior) + 1 in
                 Simd.simd ctx ~payload ~fn_id:1 ~trip:interior
-                  (fun ctx kk _ ->
+                  (fun ctx kk ->
                     let th = ctx.Team.th in
                     let k = kk + 1 in
                     let s =

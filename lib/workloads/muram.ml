@@ -84,19 +84,17 @@ let launch ~cfg ?pool ?trace ~reset_l2 ~num_teams ~threads ~(mode3 : Harness.mod
       sharing_bytes = Omprt.Sharing.default_bytes;
     }
   in
-  let payload =
-    Payload.of_list [ Payload.Farr t.input; Payload.Farr t.output ]
-  in
+  let payload = Payload.slots 2 (* input, output *) in
   let s = t.shape in
   let report =
     Target.launch ~cfg ?pool ?trace ~params ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~last:true ~mode:mode3.Harness.parallel_mode
-          ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx _ ->
+          ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx ->
             Workshare.distribute_parallel_for ctx ~trip:(s.ni * s.nj)
               (fun ij ->
                 Team.charge_alu ctx 4;
                 let i = ij / s.nj and j = ij mod s.nj in
-                Simd.simd ctx ~payload ~fn_id:1 ~trip:s.nk (fun ctx k _ ->
+                Simd.simd ctx ~payload ~fn_id:1 ~trip:s.nk (fun ctx k ->
                     body ctx ~i ~j ~k))))
   in
   { Harness.report; output = Memory.to_float_array t.output }

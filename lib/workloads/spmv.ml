@@ -98,24 +98,14 @@ let reference t =
       done;
       !acc)
 
-(* The outlined inner loop captures the five CSR arrays plus the scalar
-   loop state (row, lo, hi, n) — nine pointer-sized slots, which is what
-   makes the sharing-space slice size matter at large group counts
-   (§5.3.1): at 2 KiB split over 33+ groups a slice can no longer hold
-   this payload and every simd region pays the global fallback. *)
-let payload_of t =
-  Payload.of_list
-    [
-      Payload.Iarr t.row_ptr;
-      Payload.Iarr t.col_idx;
-      Payload.Farr t.values;
-      Payload.Farr t.x;
-      Payload.Farr t.y;
-      Payload.Int (ref 0);
-      Payload.Int (ref 0);
-      Payload.Int (ref 0);
-      Payload.Int (ref t.shape.rows);
-    ]
+(* Every outlined function here declares the five CSR arrays plus four
+   scalar slots (the row count and three loop-state slots) — nine
+   pointer-sized slots, which is what makes the sharing-space slice size
+   matter at large group counts (§5.3.1): at 2 KiB split over 33+
+   groups a slice can no longer hold this payload and every simd region
+   pays the global fallback.  The model prices the count only; the
+   bodies capture what they read by closure. *)
+let payload = Payload.slots 9
 
 (* One nonzero: load value and column, gather x, multiply-accumulate. *)
 let element ctx ~k ~row t =
@@ -140,7 +130,6 @@ let run_two_level ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256) ?(thre
       sharing_bytes = Omprt.Sharing.default_bytes;
     }
   in
-  let payload = payload_of t in
   let report =
     Target.launch ~cfg ?pool ?trace ~params ~dispatch_table_size:2 (fun ctx ->
         (* teams distribute over rows: the team main walks its rows and
@@ -150,7 +139,7 @@ let run_two_level ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256) ?(thre
             let lo = Memory.iget t.row_ptr th row in
             let hi = Memory.iget t.row_ptr th (row + 1) in
             Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 ~payload
-              ~fn_id:0 (fun ctx _ ->
+              ~fn_id:0 (fun ctx ->
                 Workshare.omp_for ctx ~trip:(hi - lo) (fun j ->
                     element ctx ~k:(lo + j) ~row t))))
   in
@@ -168,18 +157,17 @@ let run_simd ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256) ?(threads =
       sharing_bytes = Omprt.Sharing.default_bytes;
     }
   in
-  let payload = payload_of t in
   let report =
     Target.launch ~cfg ?pool ?trace ~params ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~last:true ~mode:mode3.Harness.parallel_mode
-          ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx _ ->
+          ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx ->
             Workshare.distribute_parallel_for ctx ~schedule ~trip:t.shape.rows
               (fun row ->
                 let th = ctx.Team.th in
                 let lo = Memory.iget t.row_ptr th row in
                 let hi = Memory.iget t.row_ptr th (row + 1) in
                 Simd.simd ctx ~payload ~fn_id:1 ~trip:(hi - lo)
-                  (fun ctx j _ -> element ctx ~k:(lo + j) ~row t))))
+                  (fun ctx j -> element ctx ~k:(lo + j) ~row t))))
   in
   result t report
 
@@ -195,11 +183,10 @@ let run_simd_reduction ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256) ?
       sharing_bytes = Omprt.Sharing.default_bytes;
     }
   in
-  let payload = payload_of t in
   let report =
     Target.launch ~cfg ?pool ?trace ~params ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~last:true ~mode:mode3.Harness.parallel_mode
-          ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx _ ->
+          ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx ->
             Workshare.distribute_parallel_for ctx ~trip:t.shape.rows
               (fun row ->
                 let th = ctx.Team.th in
@@ -207,14 +194,14 @@ let run_simd_reduction ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256) ?
                 let hi = Memory.iget t.row_ptr th (row + 1) in
                 let dot =
                   Simd.simd_sum ctx ~payload ~fn_id:1 ~trip:(hi - lo)
-                    (fun ctx j _ ->
+                    (fun ctx j ->
                       let th = ctx.Team.th in
                       let k = lo + j in
                       let v = Memory.fget t.values th k in
                       let c = Memory.iget t.col_idx th k in
                       let xv = Memory.fget t.x th c in
                       Team.charge_flops ctx 2;
-                      v *. xv)
+                      Simd.fold ctx (v *. xv))
                 in
                 (* single store per row: in SPMD mode every lane holds the
                    total, so only the group leader writes *)

@@ -102,18 +102,16 @@ let run ~cfg ?pool ?trace ?(reset_l2 = true) ?(num_teams = 256)
       sharing_bytes = Omprt.Sharing.default_bytes;
     }
   in
-  let payload =
-    Payload.of_list [ Payload.Farr t.a; Payload.Farr t.b; Payload.Farr t.c ]
-  in
+  let payload = Payload.slots 3 (* a, b, c *) in
   let report =
     Target.launch ~cfg ?pool ?trace ~params
       ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~last:true ~mode:mode3.Harness.parallel_mode
-          ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx _ ->
+          ~simd_len:mode3.Harness.group_size ~payload ~fn_id:0 (fun ctx ->
             Workshare.distribute_parallel_for ctx ~trip:t.shape.sites
               (fun site ->
                 Simd.simd ctx ~payload ~fn_id:1 ~trip:inner_trip
-                  (fun ctx e _ -> element ctx ~site ~e t))))
+                  (fun ctx e -> element ctx ~site ~e t))))
   in
   { Harness.report; output = Memory.to_float_array t.c }
 

@@ -215,27 +215,10 @@ let rec eval_expr ctx statics (scope : cell Scope.t) (e : Ir.expr) =
           | Ir.Mod -> err "mod on floats")
       | _ -> err "mixed operand types")
 
-(* Build the runtime payload for an outlined region: array captures ride
-   as array pointers, scalar captures as the creating thread's cells —
-   which is precisely the sharing semantics of §4.3 (workers read the
-   main thread's storage). *)
-let payload_of_captures statics scope captures =
-  let slot name =
-    match Hashtbl.find_opt statics.farrays name with
-    | Some a -> Payload.Farr a
-    | None -> (
-        match Hashtbl.find_opt statics.iarrays name with
-        | Some a -> Payload.Iarr a
-        | None -> (
-            match Scope.find name scope with
-            | Some (_, cell) -> (
-                match !cell with
-                | V_int n -> Payload.Int (ref n)
-                | V_float x -> Payload.Float (ref x))
-            | None -> err "capture %s is unbound" name))
-  in
-  Payload.of_list (List.map slot captures)
-
+(* An outlined function's payload is one slot per capture.  The bodies
+   read the creating thread's cells through the scope they close over —
+   precisely the sharing semantics of §4.3 (workers read the main
+   thread's storage). *)
 let find_outlined outlined fn_id =
   List.find
     (fun (o : Outline.outlined) -> o.Outline.fn_id = fn_id)
@@ -277,11 +260,11 @@ and for_workshare ctx ~schedule ~trip f = Workshare.omp_for ctx ~schedule ~trip 
 
 and run_parallel ?last ctx statics outlined options scope d ~workshare =
   let o = find_outlined outlined d.Ir.fn_id in
-  let payload = payload_of_captures statics scope o.Outline.captures in
+  let payload = Payload.slots (List.length o.Outline.captures) in
   let lo, trip = loop_bounds ctx statics scope d in
   let mode = region_mode options d in
   Parallel.parallel ctx ~mode ~simd_len:options.simd_len ~payload
-    ~fn_id:d.Ir.fn_id ?last (fun ctx _ ->
+    ~fn_id:d.Ir.fn_id ?last (fun ctx ->
       workshare ctx ~schedule:(schedule_of d) ~trip (fun iv ->
           let frame = [ (d.Ir.loop_var, ref (V_int (lo + iv))) ] in
           eval_body_in_frame ctx statics outlined options scope ~frame
@@ -360,16 +343,16 @@ and eval_stmt ctx statics outlined options scope (s : Ir.stmt) =
       scope
   | Ir.Simd d ->
       let o = find_outlined outlined d.Ir.fn_id in
-      let payload = payload_of_captures statics scope o.Outline.captures in
+      let payload = Payload.slots (List.length o.Outline.captures) in
       let lo, trip = loop_bounds ctx statics scope d in
-      Simd.simd ctx ~payload ~fn_id:d.Ir.fn_id ~trip (fun ctx iv _ ->
+      Simd.simd ctx ~payload ~fn_id:d.Ir.fn_id ~trip (fun ctx iv ->
           let frame = [ (d.Ir.loop_var, ref (V_int (lo + iv))) ] in
           eval_body_in_frame ctx statics outlined options scope ~frame
             d.Ir.body);
       scope
   | Ir.Simd_sum { acc; value; dir = d } ->
       let o = find_outlined outlined d.Ir.fn_id in
-      let payload = payload_of_captures statics scope o.Outline.captures in
+      let payload = Payload.slots (List.length o.Outline.captures) in
       let lo, trip = loop_bounds ctx statics scope d in
       (* The summand is evaluated after the body, in the body's scope: a
          synthesized trailing assignment into a per-iteration cell keeps
@@ -377,14 +360,14 @@ and eval_stmt ctx statics outlined options scope (s : Ir.stmt) =
       let red = "__red" in
       let stmts_with_sum = d.Ir.body @ [ Ir.Assign (red, value) ] in
       let total =
-        Simd.simd_sum ctx ~payload ~fn_id:d.Ir.fn_id ~trip (fun ctx iv _ ->
+        Simd.simd_sum ctx ~payload ~fn_id:d.Ir.fn_id ~trip (fun ctx iv ->
             let red_cell = ref (V_float 0.0) in
             let frame =
               [ (d.Ir.loop_var, ref (V_int (lo + iv))); (red, red_cell) ]
             in
             eval_body_in_frame ctx statics outlined options scope ~frame
               stmts_with_sum;
-            as_float red !red_cell)
+            Simd.fold ctx (as_float red !red_cell))
       in
       (match Scope.find acc scope with
       | Some (_, cell) -> cell := V_float total

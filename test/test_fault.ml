@@ -454,18 +454,16 @@ let test_closing_stall_plan () =
 let sharing_run ~pool ?(sharing_bytes = 4096) () =
   let space = Memory.space () in
   let data = Memory.falloc space 64 in
-  let payload =
-    Payload.of_list (List.init 12 (fun _ -> Payload.Farr data))
-  in
+  let payload = Payload.slots 12 in
   let params =
     { Team.num_teams = 2; num_threads = 64; teams_mode = Mode.Spmd; sharing_bytes }
   in
   let report =
     Target.launch ~cfg ~pool ~params ~dispatch_table_size:2 (fun ctx ->
         Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:8 ~payload ~fn_id:0
-          (fun ctx _ ->
+          (fun ctx ->
             Workshare.distribute_parallel_for ctx ~trip:64 (fun i ->
-                Simd.simd ctx ~payload ~fn_id:1 ~trip:8 (fun ctx j _ ->
+                Simd.simd ctx ~payload ~fn_id:1 ~trip:8 (fun ctx j ->
                     let th = ctx.Team.th in
                     (* overlapping writers store the same value per slot,
                        so the result is placement-independent *)

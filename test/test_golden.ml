@@ -214,14 +214,15 @@ let reduce ?pool () =
     let report =
       Omprt.Target.launch ~cfg ?pool ~params ~dispatch_table_size:2
         (fun ctx ->
-          Omprt.Parallel.parallel ctx ~mode ~simd_len:g ~fn_id:0 (fun ctx _ ->
+          Omprt.Parallel.parallel ctx ~mode ~simd_len:g ~fn_id:0 (fun ctx ->
               Omprt.Workshare.distribute_parallel_for ctx ~schedule ~trip:n
                 (fun row ->
                   let m =
                     Omprt.Simd.simd_reduce ctx ~fn_id:1 ~op
                       ~trip:(8 + (row mod 17))
-                      (fun ctx j _ ->
-                        Gpusim.Memory.fget data ctx.Team.th ((row * 24) + j))
+                      (fun ctx j ->
+                        Omprt.Simd.fold ctx
+                          (Gpusim.Memory.fget data ctx.Team.th ((row * 24) + j)))
                   in
                   let g' = Team.geometry ctx.Team.team in
                   if

@@ -107,10 +107,10 @@ let test_remainder_waste_grows_busy () =
     let r =
       Omprt.Target.launch ~cfg ~params (fun ctx ->
           Omprt.Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:gs
-            (fun ctx _ ->
+            (fun ctx ->
               Omprt.Workshare.distribute_parallel_for ctx ~trip:(32 / gs)
                 (fun _ ->
-                  Omprt.Simd.simd ctx ~trip:9 (fun ctx _ _ ->
+                  Omprt.Simd.simd ctx ~trip:9 (fun ctx _ ->
                       Team.charge_flops ctx 50))))
     in
     Gpusim.Counters.busy_cycles r.Device.counters
@@ -151,7 +151,7 @@ let test_dispatch_depth_costs () =
     ignore
       (Gpusim.Engine.run_block ~cfg ~block_id:0 ~num_threads:1 (fun th ->
            let ctx = { Team.th; team } in
-           Team.invoke_microtask ctx ~fn_id (fun () -> ());
+           Team.charge_microtask ctx ~fn_id;
            clock := Thread.clock th));
     !clock
   in

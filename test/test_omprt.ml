@@ -70,30 +70,6 @@ let test_geometry_valid_sizes () =
 
 (* --- Payload ----------------------------------------------------------- *)
 
-let test_payload_typed_access () =
-  let sp = Memory.space () in
-  let arr = Memory.falloc sp 4 in
-  let p =
-    Payload.of_list [ Payload.Int (ref 7); Payload.Float (ref 2.5); Payload.Farr arr ]
-  in
-  check_int "int slot" 7 !(Payload.int_ref p 0);
-  checkf "float slot" 2.5 !(Payload.float_ref p 1);
-  check_int "farr slot" 4 (Memory.flength (Payload.farr p 2));
-  check_int "bytes" 24 (Payload.bytes p)
-
-let test_payload_type_errors () =
-  let p = Payload.of_list [ Payload.Int (ref 1) ] in
-  check_bool "wrong type" true
-    (try
-       ignore (Payload.float_ref p 0);
-       false
-     with Payload.Type_error _ -> true);
-  check_bool "out of range" true
-    (try
-       ignore (Payload.int_ref p 3);
-       false
-     with Payload.Type_error _ -> true)
-
 (* --- Sharing ------------------------------------------------------------ *)
 
 let test_sharing_reservation () =
@@ -122,6 +98,28 @@ let run_single_thread f =
 
 let is_shared = function Sharing.Shared_space _ -> true | _ -> false
 let is_fallback = function Sharing.Global_fallback _ -> true | _ -> false
+
+(* A payload is its slot count: one ALU op per slot to pack and to
+   unpack, and 8 B per slot in the sharing space. *)
+let test_payload_slot_count () =
+  let p = Payload.slots 9 in
+  check_int "slots" 9 (Payload.length p);
+  check_int "bytes" 72 (Payload.bytes p);
+  let alu = cfg.Config.cost.Config.alu in
+  let arena = Shared.arena_of_capacity 4096 in
+  let s = Sharing.create ~arena ~bytes:2048 in
+  Sharing.configure s ~num_groups:1;
+  run_single_thread (fun th ->
+      let t0 = Thread.clock th in
+      Payload.pack th p;
+      let t1 = Thread.clock th in
+      checkf "pack: 9 ALU ops" (9.0 *. alu) (t1 -. t0);
+      Payload.unpack th p;
+      checkf "unpack: 9 ALU ops" (9.0 *. alu) (Thread.clock th -. t1);
+      match Sharing.acquire s th ~bytes:(Payload.bytes p) with
+      | Sharing.Shared_space { bytes; _ } -> check_int "a 72 B grant" 72 bytes
+      | Sharing.Global_fallback _ -> Alcotest.fail "expected a shared grant");
+  check_int "72 B live" 72 (Sharing.used_bytes s)
 
 let test_sharing_acquire_paths () =
   let arena = Shared.arena_of_capacity 4096 in
@@ -318,9 +316,9 @@ let run_scale_kernel ~teams_mode ~parallel_mode ~simd_len ~rows ~len
   let report =
     Target.launch ~cfg ~params:p ~dispatch_table_size:4 (fun ctx ->
         Parallel.parallel ctx ~mode:parallel_mode ~simd_len ~fn_id:0
-          (fun ctx _ ->
+          (fun ctx ->
             Workshare.distribute_parallel_for ctx ~trip:rows (fun r ->
-                Simd.simd ctx ~fn_id:1 ~trip:len (fun ctx j _ ->
+                Simd.simd ctx ~fn_id:1 ~trip:len (fun ctx j ->
                     let i = (r * len) + j in
                     let v = Memory.fget x ctx.Team.th i in
                     Team.charge_flops ctx 2;
@@ -425,9 +423,9 @@ let coverage_counts ~teams_mode ~parallel_mode ~simd_len ~rows ~len =
   let p = params ~num_teams:3 ~num_threads:32 ~teams_mode () in
   ignore
     (Target.launch ~cfg ~params:p (fun ctx ->
-         Parallel.parallel ctx ~mode:parallel_mode ~simd_len (fun ctx _ ->
+         Parallel.parallel ctx ~mode:parallel_mode ~simd_len (fun ctx ->
              Workshare.distribute_parallel_for ctx ~trip:rows (fun r ->
-                 Simd.simd ctx ~trip:len (fun ctx j _ ->
+                 Simd.simd ctx ~trip:len (fun ctx j ->
                      ignore
                        (Memory.atomic_iadd counts ctx.Team.th ((r * len) + j) 1))))));
   Memory.to_int_array counts
@@ -460,13 +458,13 @@ let test_kernel_varying_group_sizes () =
   let p = params ~num_teams:2 ~num_threads:32 ~teams_mode:Mode.Generic () in
   ignore
     (Target.launch ~cfg ~params:p (fun ctx ->
-         Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:4 (fun ctx _ ->
+         Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:4 (fun ctx ->
              Workshare.distribute_parallel_for ctx ~trip:(n / 8) (fun b ->
-                 Simd.simd ctx ~trip:8 (fun ctx j _ ->
+                 Simd.simd ctx ~trip:8 (fun ctx j ->
                      Memory.fset out1 ctx.Team.th ((b * 8) + j) 1.0)));
-         Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:16 (fun ctx _ ->
+         Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:16 (fun ctx ->
              Workshare.distribute_parallel_for ctx ~trip:(n / 16) (fun b ->
-                 Simd.simd ctx ~trip:16 (fun ctx j _ ->
+                 Simd.simd ctx ~trip:16 (fun ctx j ->
                      Memory.fset out2 ctx.Team.th ((b * 16) + j) 2.0)))));
   for idx = 0 to n - 1 do
     checkf "first region" 1.0 (Memory.host_get out1 idx);
@@ -483,10 +481,10 @@ let test_kernel_simd_under_sequential_for () =
   let p = params ~num_teams:1 ~num_threads:32 ~teams_mode:Mode.Spmd () in
   ignore
     (Target.launch ~cfg ~params:p (fun ctx ->
-         Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:8 (fun ctx _ ->
+         Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:8 (fun ctx ->
              Workshare.omp_for ctx ~trip:3 (fun chunk ->
                  for r = chunk * 3 to min rows ((chunk + 1) * 3) - 1 do
-                   Simd.simd ctx ~trip:len (fun ctx j _ ->
+                   Simd.simd ctx ~trip:len (fun ctx j ->
                        Memory.fset out ctx.Team.th ((r * len) + j)
                          (float_of_int r))
                  done))));
@@ -507,15 +505,15 @@ let test_dynamic_schedule_coverage () =
       let p = params ~num_teams:3 ~num_threads:64 ~teams_mode:Mode.Spmd () in
       ignore
         (Target.launch ~cfg ~params:p (fun ctx ->
-             Parallel.parallel ctx ~mode:parallel_mode ~simd_len (fun ctx _ ->
+             Parallel.parallel ctx ~mode:parallel_mode ~simd_len (fun ctx ->
                  Workshare.distribute_parallel_for ctx
                    ~schedule:(Workshare.Dynamic chunk) ~trip (fun i ->
-                     Simd.simd ctx ~trip:1 (fun ctx _ _ ->
+                     Simd.simd ctx ~trip:1 (fun ctx _ ->
                          ignore (Memory.atomic_iadd counts ctx.Team.th i 1)));
                  (* a second dynamic loop reuses the counter *)
                  Workshare.distribute_parallel_for ctx
                    ~schedule:(Workshare.Dynamic chunk) ~trip (fun i ->
-                     Simd.simd ctx ~trip:1 (fun ctx _ _ ->
+                     Simd.simd ctx ~trip:1 (fun ctx _ ->
                          ignore (Memory.atomic_iadd counts ctx.Team.th i 1))))));
       Array.iteri
         (fun i c ->
@@ -536,7 +534,7 @@ let test_dynamic_rejects_bad_chunk () =
     (try
        ignore
          (Target.launch ~cfg ~params:p (fun ctx ->
-              Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 (fun ctx _ ->
+              Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 (fun ctx ->
                   Workshare.omp_for ctx ~schedule:(Workshare.Dynamic 0) ~trip:4
                     (fun _ -> ()))));
        false
@@ -548,9 +546,9 @@ let test_nested_parallel_rejected () =
     (try
        ignore
          (Target.launch ~cfg ~params:p (fun ctx ->
-              Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 (fun ctx _ ->
+              Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 (fun ctx ->
                   Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1
-                    (fun _ _ -> ()))));
+                    (fun _ -> ()))));
        false
      with Failure msg -> Astring_like.contains msg "nested");
   (* raised in a region a generic-teams worker runs for its team main:
@@ -560,8 +558,8 @@ let test_nested_parallel_rejected () =
       Target.launch ~cfg ?pool
         ~params:(params ~num_teams:2 ~num_threads:32 ~teams_mode:Mode.Generic ())
         (fun ctx ->
-          Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 (fun ctx _ ->
-              Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 (fun _ _ -> ())))
+          Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 (fun ctx ->
+              Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 (fun _ -> ())))
     with
     | (_ : Gpusim.Device.report) -> "no failure"
     | exception Failure msg -> msg
@@ -581,8 +579,8 @@ let test_nested_parallel_rejected () =
   (* sequential regions after one another remain fine *)
   ignore
     (Target.launch ~cfg ~params:p (fun ctx ->
-         Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 (fun _ _ -> ());
-         Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 (fun _ _ -> ())))
+         Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 (fun _ -> ());
+         Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 (fun _ -> ())))
 
 (* --- Mode cost ordering ------------------------------------------------- *)
 
@@ -613,16 +611,12 @@ let test_simd_len1_matches_two_level () =
 let test_sharing_fallback_in_kernel () =
   (* Publish a payload too large for the per-group slice: 40 args * 8 B
      with 16 groups (+1 main slice) exceeds 2048/17 = 120 B. *)
-  let sp = Memory.space () in
-  let arr = Memory.falloc sp 4 in
-  let big_payload =
-    Payload.of_list (List.init 40 (fun _ -> Payload.Farr arr))
-  in
+  let big_payload = Payload.slots 40 in
   let p = params ~num_teams:1 ~num_threads:32 ~teams_mode:Mode.Spmd () in
   let report =
     Target.launch ~cfg ~params:p (fun ctx ->
-        Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:2 (fun ctx _ ->
-            Simd.simd ctx ~payload:big_payload ~trip:4 (fun _ _ _ -> ())))
+        Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:2 (fun ctx ->
+            Simd.simd ctx ~payload:big_payload ~trip:4 (fun _ _ -> ())))
   in
   check_bool "global fallback triggered" true
     (Counters.get_extra report.Gpusim.Device.counters "sharing.global_fallbacks"
@@ -636,7 +630,7 @@ let test_simd_reduction () =
   let p = params ~num_teams:1 ~num_threads:32 ~teams_mode:Mode.Spmd () in
   ignore
     (Target.launch ~cfg ~params:p (fun ctx ->
-         Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:4 (fun ctx _ ->
+         Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:4 (fun ctx ->
              (* every lane contributes its group-lane id + 1 *)
              let g = Team.geometry ctx.Team.team in
              let tid = ctx.Team.th.Thread.tid in
@@ -658,7 +652,7 @@ let test_team_reduction_spmd () =
   let p = params ~num_teams:1 ~num_threads:32 ~teams_mode:Mode.Spmd () in
   ignore
     (Target.launch ~cfg ~params:p (fun ctx ->
-         Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:4 (fun ctx _ ->
+         Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:4 (fun ctx ->
              let g = Team.geometry ctx.Team.team in
              let tid = ctx.Team.th.Thread.tid in
              let group = Simd_group.get_simd_group g ~tid in
@@ -674,7 +668,7 @@ let test_team_reduction_generic () =
   let p = params ~num_teams:1 ~num_threads:32 ~teams_mode:Mode.Spmd () in
   ignore
     (Target.launch ~cfg ~params:p (fun ctx ->
-         Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:8 (fun ctx _ ->
+         Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:8 (fun ctx ->
              let g = Team.geometry ctx.Team.team in
              let tid = ctx.Team.th.Thread.tid in
              let group = Simd_group.get_simd_group g ~tid in
@@ -683,41 +677,71 @@ let test_team_reduction_generic () =
   (* 4 groups: 1+2+3+4 = 10 *)
   checkf "team sum generic" 10.0 (Memory.host_get out 0)
 
+(* A non-sum reducing loop on every path the loop can take: the body
+   folds into the executing lane's accumulator under the loop's monoid,
+   whichever lane's fiber or step runs the iteration.  Per-row max over
+   values of both signs (so the monoid's identity matters) and a trip
+   the group does not divide, checked against a host fold. *)
 let test_simd_reduce_max_in_loop () =
-  (* per-row max via the reducing-loop protocol, generic mode: workers
-     must combine with the published operator *)
-  let sp = Memory.space () in
   let rows = 6 and len = 37 in
-  let data =
-    Memory.of_float_array sp
-      (Array.init (rows * len) (fun i -> float_of_int ((i * 7919) mod 97)))
+  let value i = float_of_int ((i * 7919) mod 97) -. 50.0 in
+  let paths =
+    [
+      (* path, region mode, group size, schedule, a counter the path bumps *)
+      ("spmd fused", Mode.Spmd, 8, Workshare.Static, None);
+      ("classic, dynamic schedule", Mode.Spmd, 8, Workshare.Dynamic 1, None);
+      ("singleton group", Mode.Spmd, 1, Workshare.Static, Some "simd.sequential");
+      ( "generic workers",
+        Mode.Generic,
+        8,
+        Workshare.Static,
+        Some "simd.state_machine_rounds" );
+    ]
   in
-  let out = Memory.falloc sp rows in
-  let p = params ~num_teams:1 ~num_threads:32 ~teams_mode:Mode.Spmd () in
-  ignore
-    (Target.launch ~cfg ~params:p (fun ctx ->
-         Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:8 (fun ctx _ ->
-             Workshare.distribute_parallel_for ctx ~trip:rows (fun r ->
-                 let m =
-                   Simd.simd_reduce ctx ~op:Omprt.Redop.max ~trip:len
-                     (fun ctx j _ ->
-                       Memory.fget data ctx.Team.th ((r * len) + j))
-                 in
-                 Memory.fset out ctx.Team.th r m))));
-  for r = 0 to rows - 1 do
-    let expected = ref Float.neg_infinity in
-    for j = 0 to len - 1 do
-      expected := Float.max !expected (float_of_int (((r * len) + j) * 7919 mod 97))
-    done;
-    checkf "row max" !expected (Memory.host_get out r)
-  done
+  List.iter
+    (fun (path, mode, simd_len, schedule, counter) ->
+      let sp = Memory.space () in
+      let data = Memory.of_float_array sp (Array.init (rows * len) value) in
+      let out = Memory.falloc sp rows in
+      let p = params ~num_teams:1 ~num_threads:32 ~teams_mode:Mode.Spmd () in
+      let report =
+        Target.launch ~cfg ~params:p (fun ctx ->
+            Parallel.parallel ctx ~mode ~simd_len (fun ctx ->
+                Workshare.distribute_parallel_for ctx ~schedule ~trip:rows
+                  (fun r ->
+                    let m =
+                      Simd.simd_reduce ctx ~op:Omprt.Redop.max ~trip:len
+                        (fun ctx j ->
+                          Simd.fold ctx
+                            (Memory.fget data ctx.Team.th ((r * len) + j)))
+                    in
+                    (* in SPMD mode every lane holds the total *)
+                    if
+                      Simd_group.is_simd_group_leader (Team.geometry ctx.Team.team)
+                        ~tid:ctx.Team.th.Thread.tid
+                    then Memory.fset out ctx.Team.th r m)))
+      in
+      Option.iter
+        (fun counter ->
+          check_bool (path ^ ": took the path") true
+            (Counters.get_extra report.Gpusim.Device.counters counter > 0.0))
+        counter;
+      for r = 0 to rows - 1 do
+        let expected = ref Float.neg_infinity in
+        for j = 0 to len - 1 do
+          expected := Float.max !expected (value ((r * len) + j))
+        done;
+        checkf (Printf.sprintf "%s: row %d max" path r) !expected
+          (Memory.host_get out r)
+      done)
+    paths
 
 let test_reduction_max () =
   let p = params ~num_teams:1 ~num_threads:32 ~teams_mode:Mode.Spmd () in
   let result = ref 0.0 in
   ignore
     (Target.launch ~cfg ~params:p (fun ctx ->
-         Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:32 (fun ctx _ ->
+         Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:32 (fun ctx ->
              let tid = ctx.Team.th.Thread.tid in
              let m = Reduction.simd_reduce ctx Omprt.Redop.max (float_of_int tid) in
              if tid = 0 then result := m)));
@@ -730,7 +754,7 @@ let test_dispatch_cascade_vs_indirect () =
     let p = params ~num_teams:1 ~num_threads:32 () in
     let report =
       Target.launch ~cfg ~params:p ~dispatch_table_size:table (fun ctx ->
-          Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 ~fn_id (fun _ _ -> ()))
+          Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 ~fn_id (fun _ -> ()))
     in
     report.Gpusim.Device.time_cycles
   in
@@ -770,14 +794,14 @@ let qcheck_cases =
                    Parallel.parallel ctx
                      ~mode:(List.nth modes mode_idx)
                      ~simd_len:(List.nth group_sizes gs_idx)
-                     (fun ctx _ ->
+                     (fun ctx ->
                        Workshare.distribute_parallel_for ctx ~trip (fun r ->
                            if with_simd then
-                             Simd.simd ctx ~trip:3 (fun ctx j _ ->
+                             Simd.simd ctx ~trip:3 (fun ctx j ->
                                  if j = 0 then
                                    ignore (Memory.atomic_iadd out ctx.Team.th r 1))
                            else
-                             Simd.simd ctx ~trip:1 (fun ctx _ _ ->
+                             Simd.simd ctx ~trip:1 (fun ctx _ ->
                                  ignore (Memory.atomic_iadd out ctx.Team.th r 1)))))
                  regions));
         List.for_all2
@@ -894,9 +918,9 @@ let e6_block ~last =
   let team = Team.create ~cfg ~arena:(Shared.arena cfg) ~params ~block_id:0 in
   let body ctx =
     Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:8 ~fn_id:0 ~last
-      (fun ctx _ ->
+      (fun ctx ->
         Workshare.distribute_parallel_for ctx ~trip:rows (fun row ->
-            Simd.simd ctx ~fn_id:1 ~trip:lengths.(row) (fun ctx j _ ->
+            Simd.simd ctx ~fn_id:1 ~trip:lengths.(row) (fun ctx j ->
                 let th = ctx.Team.th in
                 let v = Memory.fget values th (starts.(row) + j) in
                 Team.charge_flops ctx 2;
@@ -979,19 +1003,19 @@ let shape_parks ~cfg shape =
   let simd_row ctx row =
     match shape with
     | Su3_spmd ->
-        Simd.simd ctx ~fn_id:1 ~trip:36 (fun ctx j _ ->
+        Simd.simd ctx ~fn_id:1 ~trip:36 (fun ctx j ->
             Team.charge_flops ctx 8;
             Memory.fset out ctx.Team.th ((row * 36) + j) 1.0)
     | Ideal_generic | Teams_generic_ideal | Two_level ->
-        Simd.simd ctx ~fn_id:1 ~trip:lengths.(row) (fun ctx j _ ->
+        Simd.simd ctx ~fn_id:1 ~trip:lengths.(row) (fun ctx j ->
             let k = starts.(row) + j in
             let v = Memory.fget values ctx.Team.th k in
             Memory.fset out ctx.Team.th k (2.0 *. v))
     | E6_reduction ->
         let dot =
-          Simd.simd_sum ctx ~fn_id:1 ~trip:lengths.(row) (fun ctx j _ ->
+          Simd.simd_sum ctx ~fn_id:1 ~trip:lengths.(row) (fun ctx j ->
               Team.charge_flops ctx 2;
-              Memory.fget values ctx.Team.th (starts.(row) + j))
+              Simd.fold ctx (Memory.fget values ctx.Team.th (starts.(row) + j)))
         in
         Memory.fset out ctx.Team.th row dot
   in
@@ -1001,7 +1025,7 @@ let shape_parks ~cfg shape =
         (* the team main opens a region per row: the two-level runtime *)
         Workshare.distribute ctx ~trip:rows (fun row ->
             Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:1 ~fn_id:0
-              (fun ctx _ ->
+              (fun ctx ->
                 Workshare.omp_for ctx ~trip:lengths.(row) (fun j ->
                     let k = starts.(row) + j in
                     Memory.fset out ctx.Team.th k
@@ -1009,7 +1033,7 @@ let shape_parks ~cfg shape =
     | Su3_spmd | Ideal_generic | E6_reduction | Teams_generic_ideal ->
         let mode = if shape = Su3_spmd then Mode.Spmd else Mode.Generic in
         Parallel.parallel ctx ~mode ~simd_len:8 ~fn_id:0 ~last:true
-          (fun ctx _ ->
+          (fun ctx ->
             Workshare.distribute_parallel_for ctx ~trip:rows (simd_row ctx))
   in
   let r =
@@ -1094,9 +1118,9 @@ let deadlocking ?(teams_mode = Mode.Spmd) ?pool () =
   in
   match
     Target.launch ~cfg ?pool ~params (fun ctx ->
-        Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:4 ~last:true (fun ctx _ ->
+        Parallel.parallel ctx ~mode:Mode.Spmd ~simd_len:4 ~last:true (fun ctx ->
             let tid = ctx.Team.th.Thread.tid in
-            Simd.simd ctx ~trip:(if tid mod 2 = 0 then 9 else 1) (fun ctx _ _ ->
+            Simd.simd ctx ~trip:(if tid mod 2 = 0 then 9 else 1) (fun ctx _ ->
                 Team.charge_alu ctx 1)))
   with
   | (_ : Gpusim.Device.report) -> Alcotest.fail "expected a deadlock"
@@ -1120,8 +1144,8 @@ let healthy ?nonce pool =
   let out = Memory.falloc (Memory.space ()) 256 in
   Target.launch ~cfg ~pool ?nonce ~params (fun ctx ->
       Workshare.distribute ctx ~trip:256 (fun i ->
-          Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:8 (fun ctx _ ->
-              Simd.simd ctx ~trip:8 (fun ctx j _ ->
+          Parallel.parallel ctx ~mode:Mode.Generic ~simd_len:8 (fun ctx ->
+              Simd.simd ctx ~trip:8 (fun ctx j ->
                   Memory.fset out ctx.Team.th i (float_of_int (i + j))))))
   |> report_text
 
@@ -1212,8 +1236,7 @@ let suite =
       ] );
     ( "omprt.payload",
       [
-        Alcotest.test_case "typed access" `Quick test_payload_typed_access;
-        Alcotest.test_case "type errors" `Quick test_payload_type_errors;
+        Alcotest.test_case "slot count" `Quick test_payload_slot_count;
       ] );
     ( "omprt.sharing",
       [

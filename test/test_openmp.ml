@@ -299,12 +299,36 @@ let alloc_pin_kernel =
           ];
       ]
 
-(* Minor words of the second of two launches on a sequential pool (the
-   first builds what the pool carries), as [test_omprt]'s launch-state
-   pins measure them. *)
-let alloc_pin_words ~n ~w =
-  match Offload.compile alloc_pin_kernel with
-  | Error _ -> Alcotest.fail "alloc_pin must compile"
+(* A region body with a float accumulator that a simd reduction sums
+   into: every simd iteration yields one float summand. *)
+let alloc_pin_reduce_kernel =
+  Ir.kernel ~name:"alloc_pin_reduce"
+    ~params:
+      [
+        { Ir.pname = "a"; pty = Ir.P_farray };
+        { Ir.pname = "out"; pty = Ir.P_farray };
+        { Ir.pname = "n"; pty = Ir.P_int };
+        { Ir.pname = "w"; pty = Ir.P_int };
+        { Ir.pname = "scale"; pty = Ir.P_float };
+      ]
+    Ir.
+      [
+        distribute_parallel_for ~var:"i" ~lo:(i 0) ~hi:(v "n")
+          [
+            Decl { name = "acc"; ty = Tfloat; init = f 0.0 };
+            simd_sum ~acc:"acc" ~var:"j" ~lo:(i 0) ~hi:(v "w")
+              ~value:((Load ("a", (v "i" * v "w") + v "j") * v "scale") + f 1.0)
+              [];
+            Store ("out", v "i", v "acc");
+          ];
+      ]
+
+(* Minor words of the second of two launches of [kernel] on a sequential
+   pool (the first builds what the pool carries), as [test_omprt]'s
+   launch-state pins measure them. *)
+let alloc_pin_words kernel ~n ~w =
+  match Offload.compile kernel with
+  | Error _ -> Alcotest.fail "alloc pin kernel must compile"
   | Ok compiled ->
       let pool = Gpusim.Pool.create () in
       let launch () =
@@ -329,22 +353,42 @@ let alloc_pin_words ~n ~w =
 (* Doubling the trip count adds n region iterations — the region is
    SPMD, so each runs on the 8 lanes of a SIMD group: its declarations,
    two sequential-loop iterations and a simd entry — and n * w
-   simd-body iterations.  Measured: 1.83 minor words per extra
-   lane-iteration, of which the simulator's rendezvous at each simd
-   entry take 1.17 and the simd payload's float capture [s], a boxed
-   [float ref] rewritten on each entry, 0.67; the bound is that plus
-   about 20%, as for the launch-state pins.  One boxed float per simd
-   iteration, or per region iteration and lane, breaks it; the
-   evaluator that boxed every value and made a frame per iteration
-   allocated 65. *)
+   simd-body iterations.  Measured: 1.17 minor words per extra
+   lane-iteration, all of it the simulator's rendezvous at each simd
+   entry: a payload is a slot count, so the simd loop's float capture
+   [s] is read from the creating lane's frame and never boxed.  The
+   bound is that plus about 20%, as for the launch-state pins.  One
+   boxed float per simd iteration, or per region iteration and lane,
+   breaks it; the evaluator that boxed every value and made a frame per
+   iteration allocated 65. *)
 let test_offload_alloc_per_iteration () =
   let n = 64 and w = 16 in
   let lane_iterations = float_of_int ((n * 8) + (n * w)) in
-  let extra = alloc_pin_words ~n:(2 * n) ~w -. alloc_pin_words ~n ~w in
+  let extra =
+    alloc_pin_words alloc_pin_kernel ~n:(2 * n) ~w
+    -. alloc_pin_words alloc_pin_kernel ~n ~w
+  in
   let per = extra /. lane_iterations in
-  if per > 2.2 then
+  if per > 1.4 then
     Alcotest.failf
-      "evaluator: %.2f minor words per extra lane-iteration (bound 2.2)" per
+      "evaluator: %.2f minor words per extra lane-iteration (bound 1.4)" per
+
+(* Doubling the simd trip adds n * w reducing lane-iterations at the same
+   simd entries.  Measured: 0 minor words per extra iteration (the two
+   launches' totals differ by less than 0.15 words per iteration either
+   way): the body folds its summand into the lane's accumulator, so no
+   float is boxed.  A summand returned boxed from the body costs 2. *)
+let test_offload_alloc_per_reducing_iteration () =
+  let n = 64 and w = 32 in
+  let extra =
+    alloc_pin_words alloc_pin_reduce_kernel ~n ~w:(2 * w)
+    -. alloc_pin_words alloc_pin_reduce_kernel ~n ~w
+  in
+  let per = extra /. float_of_int (n * w) in
+  if per > 0.5 then
+    Alcotest.failf
+      "evaluator: %.2f minor words per extra reducing lane-iteration (bound 0.5)"
+      per
 
 let test_offload_pipeline () =
   match Offload.compile saxpy_kernel with
@@ -563,6 +607,8 @@ let suite =
         Alcotest.test_case "pipeline" `Quick test_offload_pipeline;
         Alcotest.test_case "alloc: evaluator words per lane-iteration" `Quick
           test_offload_alloc_per_iteration;
+        Alcotest.test_case "alloc: reducing words per lane-iteration" `Quick
+          test_offload_alloc_per_reducing_iteration;
         Alcotest.test_case "guardize spmdizes" `Quick test_guardize_spmdizes;
         Alcotest.test_case "guardize remark" `Quick test_guardize_remark;
         Alcotest.test_case "guardize cost ordering" `Quick
